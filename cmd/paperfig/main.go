@@ -18,8 +18,8 @@ import (
 	"log"
 
 	rightsizing "repro"
+	"repro/internal/engine"
 	"repro/internal/figures"
-	"repro/internal/sim"
 )
 
 var renderers = map[int]func() string{
@@ -83,5 +83,5 @@ func renderScenario(name string, seed int64) {
 	}
 	ins := sc.Instance(seed)
 	fmt.Println("\noptimal schedule:")
-	fmt.Print(sim.RenderSchedule(ins, r.Schedules[0], 96))
+	fmt.Print(engine.RenderSchedule(ins, r.Schedules[0], 96))
 }

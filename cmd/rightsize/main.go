@@ -54,7 +54,7 @@ import (
 	"time"
 
 	rightsizing "repro"
-	"repro/internal/sim"
+	"repro/internal/engine"
 )
 
 func main() {
@@ -324,7 +324,7 @@ func runScenarios(scs []rightsizing.Scenario, seed int64, workers int, format st
 			sc, _ := rightsizing.LookupScenario(r.Scenario)
 			ins := sc.Instance(r.Seed)
 			fmt.Printf("\noptimal schedule for %s:\n", r.Scenario)
-			fmt.Print(sim.RenderSchedule(ins, r.Schedules[0], 96))
+			fmt.Print(engine.RenderSchedule(ins, r.Schedules[0], 96))
 		}
 	}
 }
@@ -403,7 +403,7 @@ func runInstanceFile(input, mode string, eps float64, printSched, render, compar
 	}
 	if render {
 		fmt.Println()
-		fmt.Print(sim.RenderSchedule(ins, sched, 96))
+		fmt.Print(engine.RenderSchedule(ins, sched, 96))
 	}
 }
 

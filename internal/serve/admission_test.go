@@ -408,35 +408,37 @@ func TestDoubleDelete(t *testing.T) {
 	}
 }
 
-// Shed responses carry Retry-After over HTTP, identically under both
-// codecs: 429 from the rate limiter with the computed wait.
+// Shed responses carry Retry-After over HTTP: 429 from the rate
+// limiter with the computed wait.
 func TestHTTPRetryAfterThrottle(t *testing.T) {
-	forEachCodec(t, func(t *testing.T, reflectCodec bool) {
-		m := NewManager(Options{GlobalRate: 0.001, GlobalBurst: 1, ReflectCodec: reflectCodec})
-		srv := httptest.NewServer(NewHandler(m))
-		defer srv.Close()
-		cl := &httpClient{t: t, base: srv.URL}
+	t.Run("codec=wire", testHTTPRetryAfterThrottle)
+}
 
-		cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "ra", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
-		cl.mustDo("POST", "/v1/sessions/ra/push", PushRequest{Lambda: 1}, nil, http.StatusOK)
+func testHTTPRetryAfterThrottle(t *testing.T) {
+	m := NewManager(Options{GlobalRate: 0.001, GlobalBurst: 1})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	cl := &httpClient{t: t, base: srv.URL}
 
-		resp := rawPost(t, srv.URL+"/v1/sessions/ra/push", `{"lambda": 1}`)
-		if resp.StatusCode != http.StatusTooManyRequests {
-			t.Fatalf("throttled push: HTTP %d, want 429", resp.StatusCode)
-		}
-		secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-		if err != nil || secs < 1 {
-			t.Fatalf("throttled Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
-		}
-		var mt struct {
-			OK      bool    `json:"ok"`
-			Metrics Metrics `json:"metrics"`
-		}
-		cl.mustDo("GET", "/v1/healthz", nil, &mt, http.StatusOK)
-		if mt.Metrics.PushesShed != 1 {
-			t.Fatalf("healthz after shed: %+v, want pushes_shed 1", mt.Metrics)
-		}
-	})
+	cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "ra", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
+	cl.mustDo("POST", "/v1/sessions/ra/push", PushRequest{Lambda: 1}, nil, http.StatusOK)
+
+	resp := rawPost(t, srv.URL+"/v1/sessions/ra/push", `{"lambda": 1}`)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("throttled push: HTTP %d, want 429", resp.StatusCode)
+	}
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil || secs < 1 {
+		t.Fatalf("throttled Retry-After = %q, want an integer >= 1", resp.Header.Get("Retry-After"))
+	}
+	var mt struct {
+		OK      bool    `json:"ok"`
+		Metrics Metrics `json:"metrics"`
+	}
+	cl.mustDo("GET", "/v1/healthz", nil, &mt, http.StatusOK)
+	if mt.Metrics.PushesShed != 1 {
+		t.Fatalf("healthz after shed: %+v, want pushes_shed 1", mt.Metrics)
+	}
 }
 
 // The admission fast path must stay allocation-free on accept —

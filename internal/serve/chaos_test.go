@@ -63,13 +63,9 @@ func TestChaosDifferential(t *testing.T) {
 		TornWriteRate: 0.5,
 		MaxLatency:    200 * time.Microsecond,
 	})
-	m := NewManager(Options{
-		MaxSessions: len(jobs) + 1,
-		Store:       fs,
-		// Fast backoff so injected failures cost microseconds, not test time.
-		StoreBackoff:    50 * time.Microsecond,
-		StoreBackoffCap: 200 * time.Microsecond,
-	})
+	m := NewManager(Options{MaxSessions: len(jobs) + 1, Store: fs})
+	// No real backoff sleeps: injected failures cost no test time.
+	m.sleepFn = func(time.Duration) {}
 
 	// Janitor chaos: keep evicting everything idle while the traces run.
 	// Injected save failures surface as ErrStore here — tolerated, the
@@ -162,9 +158,17 @@ func TestChaosDifferential(t *testing.T) {
 					}
 				}
 			}
-			// No session silently lost: the full trace must be accounted for.
-			info, err := m.Info(jb.id)
-			if err != nil {
+			// No session silently lost: the full trace must be accounted
+			// for. The janitor may have evicted the session after its last
+			// push, so Info may resume it through a faulty load — an
+			// ErrStore the caller retries, like any push; a lost session
+			// would answer ErrUnknownSession instead.
+			var info SessionInfo
+			if err := retryStore(func() error {
+				var ierr error
+				info, ierr = m.Info(jb.id)
+				return ierr
+			}); err != nil {
 				errs <- fmt.Errorf("%s: info: %w", jb.id, err)
 				return
 			}
@@ -297,12 +301,12 @@ func (s *scriptStore) Save(snap *Snapshot) error {
 	return s.MemStore.Save(snap)
 }
 
-// An eviction whose save fails transiently retries with the configured
+// An eviction whose save fails transiently retries with the doubling
 // backoff and succeeds; the retries land in the metrics and the
 // session is resumable afterwards.
 func TestEvictRetriesThenSucceeds(t *testing.T) {
 	st := &scriptStore{MemStore: NewMemStore(), failN: 2}
-	m := NewManager(Options{Store: st, StoreRetries: 3, StoreBackoff: time.Millisecond, StoreBackoffCap: 4 * time.Millisecond})
+	m := NewManager(Options{Store: st})
 	var slept []time.Duration
 	m.sleepFn = func(d time.Duration) { slept = append(slept, d) }
 
@@ -314,7 +318,7 @@ func TestEvictRetriesThenSucceeds(t *testing.T) {
 	if err := m.Evict("retry-me"); err != nil {
 		t.Fatalf("evict should have succeeded on the third save: %v", err)
 	}
-	if want := []time.Duration{time.Millisecond, 2 * time.Millisecond}; !reflect.DeepEqual(slept, want) {
+	if want := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond}; !reflect.DeepEqual(slept, want) {
 		t.Fatalf("backoff sequence %v, want %v", slept, want)
 	}
 	if met := m.Metrics(); met.StoreRetries != 2 || met.SessionsEvicted != 1 {
@@ -333,7 +337,9 @@ func TestEvictRetriesThenSucceeds(t *testing.T) {
 // failed (possibly torn) writes left in the store.
 func TestEvictFailedSaveKeepsSessionLive(t *testing.T) {
 	st := &scriptStore{MemStore: NewMemStore(), failN: 1 << 30}
-	m := NewManager(Options{Store: st, StoreRetries: 2, StoreBackoff: time.Microsecond})
+	m := NewManager(Options{Store: st})
+	var slept []time.Duration
+	m.sleepFn = func(d time.Duration) { slept = append(slept, d) }
 
 	trace := quickstartTrace(t)
 	if _, err := m.Open(OpenRequest{ID: "sticky", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
@@ -344,7 +350,7 @@ func TestEvictFailedSaveKeepsSessionLive(t *testing.T) {
 		t.Fatalf("evict with a dead store: err %v, want ErrStore", err)
 	}
 	met := m.Metrics()
-	if met.SessionsEvicted != 0 || met.LiveSessions != 1 || met.StoreRetries != 2 {
+	if met.SessionsEvicted != 0 || met.LiveSessions != 1 || met.StoreRetries != 3 {
 		t.Fatalf("metrics after failed evict: %+v", met)
 	}
 	// Still live, still correct, still pushable — no resume involved.
@@ -353,8 +359,11 @@ func TestEvictFailedSaveKeepsSessionLive(t *testing.T) {
 	if err != nil || info.Fed != 10 {
 		t.Fatalf("after failed evict: info %+v err %v", info, err)
 	}
-	if st.saves.Load() != 3 {
-		t.Fatalf("store saw %d saves, want 3 (1 + 2 retries)", st.saves.Load())
+	if st.saves.Load() != 4 {
+		t.Fatalf("store saw %d saves, want 4 (1 + 3 retries)", st.saves.Load())
+	}
+	if want := []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}; !reflect.DeepEqual(slept, want) {
+		t.Fatalf("backoff sequence %v, want %v", slept, want)
 	}
 }
 
@@ -364,7 +373,8 @@ func TestEvictFailedSaveKeepsSessionLive(t *testing.T) {
 func TestTornWriteNeverServed(t *testing.T) {
 	inner := NewMemStore()
 	fs := NewFaultStore(inner, FaultConfig{Seed: 1, SaveErrRate: 1, TornWriteRate: 1})
-	m := NewManager(Options{Store: fs, StoreRetries: -1})
+	m := NewManager(Options{Store: fs})
+	m.sleepFn = func(time.Duration) {}
 
 	trace := quickstartTrace(t)
 	if _, err := m.Open(OpenRequest{ID: "torn", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
@@ -374,8 +384,8 @@ func TestTornWriteNeverServed(t *testing.T) {
 	if err := m.Evict("torn"); !errors.Is(err, ErrStore) {
 		t.Fatalf("evict: err %v, want ErrStore", err)
 	}
-	if st := fs.Stats(); st.TornSaves != 1 {
-		t.Fatalf("stats %+v, want exactly one torn save", st)
+	if st := fs.Stats(); st.TornSaves != 4 {
+		t.Fatalf("stats %+v, want four torn saves (1 + 3 retries)", st)
 	}
 	// The store now holds a half-length checkpoint; the live session must
 	// shadow it entirely.

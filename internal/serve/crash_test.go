@@ -449,3 +449,68 @@ func TestSyncWALsFlushesIdleIntervalLog(t *testing.T) {
 		t.Fatalf("second SyncWALs = (%d, %v), want a no-op", n, err)
 	}
 }
+
+// A checkpoint-open whose store save fails must leave nothing behind
+// for the next start: its fresh WAL used to survive with only the
+// header, RecoverWAL rebuilt it into an empty session under the id,
+// and the client's retried open hit ErrSessionExists.
+func TestFailedCheckpointOpenLeavesNoWAL(t *testing.T) {
+	jb := crashJobs(t, 7)[0]
+	fleet := FleetJSON{Scenario: jb.sc, Seed: 7}
+
+	// The client-held checkpoint the open carries.
+	src := NewManager(Options{})
+	if _, err := src.Open(OpenRequest{ID: jb.id, Alg: jb.spec.Key, Fleet: fleet}); err != nil {
+		t.Fatal(err)
+	}
+	feedSlots(t, src, jb, 1, 5, 0)
+	snap, err := src.Checkpoint(jb.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := OpenRequest{ID: "ghost", Fleet: fleet, Checkpoint: snap.Checkpoint}
+
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	snapDir := filepath.Join(dir, "snaps")
+	store1, err := NewDirStore(snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := NewManager(Options{
+		Store:  NewFaultStore(store1, FaultConfig{Seed: 1, SaveErrRate: 1}),
+		WALDir: walDir, WALSync: wal.SyncNever,
+	})
+	m1.sleepFn = func(time.Duration) {}
+	if _, err := m1.Open(open); !errors.Is(err, ErrStore) {
+		t.Fatalf("checkpoint open over a dead store: err %v, want ErrStore", err)
+	}
+	if _, err := os.Stat(filepath.Join(walDir, "ghost.wal")); !os.IsNotExist(err) {
+		t.Fatalf("failed open left its WAL behind: %v", err)
+	}
+
+	// Restart over the same directories with a healthy store.
+	store2, err := NewDirStore(snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2 := NewManager(Options{Store: store2, WALDir: walDir, WALSync: wal.SyncNever})
+	defer m2.Close()
+	rep, err := m2.RecoverWAL()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sessions != 0 {
+		t.Fatalf("recovery report %+v, want no session rebuilt", rep)
+	}
+	info, err := m2.Open(open)
+	if err != nil {
+		t.Fatalf("retried open after restart: %v", err)
+	}
+	if info.Fed != 5 {
+		t.Fatalf("retried open: %+v, want the checkpoint's 5 slots", info)
+	}
+}

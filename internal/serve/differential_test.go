@@ -89,27 +89,21 @@ func serialAdvisories(t *testing.T, spec engine.AlgSpec, ins *model.Instance) []
 	return append(out, tail...)
 }
 
-// forEachCodec runs a subtest under both wire codecs: the default
-// zero-reflection internal/wire path and the encoding/json reference
-// (Options.ReflectCodec). Any behavioural difference between the two is
-// a codec bug by definition.
-func forEachCodec(t *testing.T, run func(t *testing.T, reflectCodec bool)) {
-	t.Run("codec=wire", func(t *testing.T) { run(t, false) })
-	t.Run("codec=reflect", func(t *testing.T) { run(t, true) })
-}
-
 // The tentpole's acceptance test: for every registered streamable
 // algorithm on three stock scenarios, the full trace driven through the
 // HTTP API — interleaved across all sessions at once — produces
 // advisories bit-identical to a serial stream.Session.Feed, including
-// across a mid-trace checkpoint→evict→transparent-resume cycle. It runs
-// under both codecs (PR 7): the hand-rolled wire path and the
-// encoding/json reference must be indistinguishable end to end.
+// across a mid-trace checkpoint→evict→transparent-resume cycle.
+//
+// The codec=wire subtest level here and in the other HTTP, SSE and
+// Retry-After suites keeps their test names stable from when an
+// encoding/json codec ran beside wire; wire is now the only production
+// codec, and encoding/json is the oracle the tests compare against.
 func TestHTTPDifferentialAllAlgorithms(t *testing.T) {
-	forEachCodec(t, testHTTPDifferentialAllAlgorithms)
+	t.Run("codec=wire", testHTTPDifferentialAllAlgorithms)
 }
 
-func testHTTPDifferentialAllAlgorithms(t *testing.T, reflectCodec bool) {
+func testHTTPDifferentialAllAlgorithms(t *testing.T) {
 	const seed = 7
 	scenarios := []string{"quickstart", "onoff", "heterogeneous"}
 
@@ -143,7 +137,7 @@ func testHTTPDifferentialAllAlgorithms(t *testing.T, reflectCodec bool) {
 		t.Fatalf("only %d applicable algorithm x scenario sessions; want >= 8 for the concurrency requirement", len(jobs))
 	}
 
-	m := NewManager(Options{MaxSessions: len(jobs) + 1, ReflectCodec: reflectCodec})
+	m := NewManager(Options{MaxSessions: len(jobs) + 1})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 
@@ -242,11 +236,11 @@ func runDifferentialJob(t *testing.T, m *Manager, baseURL, id, scenario string, 
 // maintenance scenario's per-slot counts produce the same advisories as
 // the serial session, including across the mid-trace evict cycle.
 func TestHTTPDifferentialTimeVaryingCounts(t *testing.T) {
-	forEachCodec(t, testHTTPDifferentialTimeVaryingCounts)
+	t.Run("codec=wire", testHTTPDifferentialTimeVaryingCounts)
 }
 
-func testHTTPDifferentialTimeVaryingCounts(t *testing.T, reflectCodec bool) {
-	m := NewManager(Options{ReflectCodec: reflectCodec})
+func testHTTPDifferentialTimeVaryingCounts(t *testing.T) {
+	m := NewManager(Options{})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 

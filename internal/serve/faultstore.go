@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // FaultStore wraps a SnapshotStore with deterministic, seeded fault
@@ -16,21 +18,19 @@ import (
 // (chaos_test.go) drives the manager through one and requires served
 // advisories to stay bit-identical to a fault-free serial feed.
 //
-// Determinism: every decision is a pure function of (seed, op, id,
-// per-(op,id) call ordinal), so a session's k-th Save sees the same
-// fate on every run regardless of goroutine interleaving — the chaos
-// tests replay identically under -race and -count=N.
+// Determinism: every decision is drawn from a fault.Source keyed by
+// (op, id), so a session's k-th Save sees the same fate on every run
+// regardless of goroutine interleaving.
 type FaultStore struct {
 	inner SnapshotStore
-	cfg   FaultConfig
+	src   *fault.Source
 
-	mu    sync.Mutex
-	calls map[string]uint64 // op+id -> calls so far
+	mu  sync.Mutex
+	cfg FaultConfig
 
 	saveErrs  atomic.Uint64
 	loadErrs  atomic.Uint64
 	tornSaves atomic.Uint64
-	ops       atomic.Uint64
 }
 
 // FaultConfig tunes a FaultStore. Rates are probabilities in [0, 1].
@@ -64,13 +64,13 @@ type FaultStats struct {
 
 // NewFaultStore wraps inner with the given fault profile.
 func NewFaultStore(inner SnapshotStore, cfg FaultConfig) *FaultStore {
-	return &FaultStore{inner: inner, cfg: cfg, calls: map[string]uint64{}}
+	return &FaultStore{inner: inner, src: fault.New(cfg.Seed), cfg: cfg}
 }
 
 // Stats snapshots the injection counters.
 func (s *FaultStore) Stats() FaultStats {
 	return FaultStats{
-		Ops:       s.ops.Load(),
+		Ops:       s.src.Ops(),
 		SaveErrs:  s.saveErrs.Load(),
 		LoadErrs:  s.loadErrs.Load(),
 		TornSaves: s.tornSaves.Load(),
@@ -91,21 +91,13 @@ func (s *FaultStore) Disarm() {
 // u decides the error, v the torn write, and the latency is derived
 // from a third draw.
 func (s *FaultStore) roll(op, id string) (u, v float64, latency time.Duration) {
+	d := s.src.Roll(op, id)
 	s.mu.Lock()
-	key := op + "\x00" + id
-	n := s.calls[key]
-	s.calls[key] = n + 1
-	cfg := s.cfg
+	maxLatency := s.cfg.MaxLatency
 	s.mu.Unlock()
-	s.ops.Add(1)
-
-	h := splitmix(uint64(cfg.Seed) ^ fnv64(key) ^ (n * 0x9e3779b97f4a7c15))
-	u = float64(h>>11) / (1 << 53)
-	h = splitmix(h)
-	v = float64(h>>11) / (1 << 53)
-	if cfg.MaxLatency > 0 {
-		h = splitmix(h)
-		latency = time.Duration(float64(h>>11) / (1 << 53) * float64(cfg.MaxLatency))
+	u, v = d.Uniform(), d.Uniform()
+	if maxLatency > 0 {
+		latency = time.Duration(d.Uniform() * float64(maxLatency))
 	}
 	return u, v, latency
 }
@@ -173,23 +165,4 @@ func (s *FaultStore) Delete(id string) error {
 		return fmt.Errorf("faultstore: injected delete failure for %q", id)
 	}
 	return s.inner.Delete(id)
-}
-
-// fnv64 is FNV-1a over s (the same mix the registry sharding uses).
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix advances a splitmix64 state: a cheap, well-mixed hash step
-// for deriving independent uniforms from one seed.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

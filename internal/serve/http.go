@@ -29,9 +29,8 @@ import (
 // The handlers here are the transport-agnostic core: they own the
 // request/response *semantics* — status codes, error taxonomy,
 // Retry-After, batch partial-commit behavior — and delegate framing to
-// the encoder seam in respond.go, which both the JSON API and the SSE
-// stream transport (sse.go) share. Every JSON response body is
-// identical under the two codecs; errors are {"error": "..."} with a
+// the writers in respond.go, which both the JSON API and the SSE
+// stream transport (sse.go) share. Errors are {"error": "..."} with a
 // status from httpStatus. Request bodies are decoded strictly (unknown
 // fields are errors), so client typos fail loudly with 400 instead of
 // serving with defaults. The push endpoint's response shape mirrors
@@ -44,11 +43,10 @@ import (
 // was delivered before the error.
 //
 // Request body buffers and response encoders are pooled (sync.Pool),
-// and the hot path — push in both forms, session info, healthz — runs
-// on the zero-reflection internal/wire codec unless Options.ReflectCodec
-// routes it back through encoding/json. Every request body is bounded:
-// pushes by maxPushBody, open/checkpoint-resume bodies by maxOpenBody,
-// both answering 413 beyond the cap.
+// and the hot path — push in both forms, session info, healthz, every
+// error — runs on the zero-reflection internal/wire codec. Every
+// request body is bounded: pushes by maxPushBody, open/checkpoint-resume
+// bodies by maxOpenBody, both answering 413 beyond the cap.
 
 // maxPushBody bounds a push request body. The largest legitimate bodies
 // are batch pushes — a full 768-slot trace with per-slot counts is
@@ -65,18 +63,16 @@ const maxPushBody = 1 << 20
 // this path used to do.
 const maxOpenBody = 16 << 20
 
-// api is the transport-agnostic request core: a Manager plus the codec
-// chosen at construction. Handler methods never encode bytes
-// themselves — hot-path responses go through a.enc, cold ones through
-// the shared writeJSON.
+// api is the transport-agnostic request core over a Manager. Handler
+// methods never encode bytes themselves — they call the writers in
+// respond.go, or writeJSON for cold responses.
 type api struct {
-	m   *Manager
-	enc encoder
+	m *Manager
 }
 
 // NewHandler wires a Manager into an http.Handler.
 func NewHandler(m *Manager) http.Handler {
-	a := &api{m: m, enc: codecFor(m.opts)}
+	a := &api{m: m}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", a.open)
 	mux.HandleFunc("GET /v1/sessions", a.list)
@@ -98,7 +94,7 @@ func (a *api) open(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := a.m.Open(req)
 	if err != nil {
-		writeError(w, err)
+		writeWireError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, info)
@@ -113,10 +109,10 @@ func (a *api) list(w http.ResponseWriter, r *http.Request) {
 func (a *api) info(w http.ResponseWriter, r *http.Request) {
 	info, err := a.m.Info(r.PathValue("id"))
 	if err != nil {
-		a.enc.writeErr(w, err)
+		writeWireError(w, err)
 		return
 	}
-	a.enc.writeSessionInfo(w, info)
+	writeSessionInfo(w, &info)
 }
 
 func (a *api) push(w http.ResponseWriter, r *http.Request) {
@@ -130,7 +126,7 @@ func (a *api) push(w http.ResponseWriter, r *http.Request) {
 	if len(data) > 0 && data[0] == '[' {
 		// Batch form: an array of slots answers with an array of
 		// results, fed under one session acquire.
-		reqs, ok := a.enc.decodePushBatch(w, data)
+		reqs, ok := decodePushBatch(w, data)
 		if !ok {
 			return
 		}
@@ -141,31 +137,31 @@ func (a *api) push(w http.ResponseWriter, r *http.Request) {
 			// so their results ride along with the error — the client
 			// must not lose advisories the session already accounted.
 			if len(res) > 0 {
-				a.enc.writeBatchError(w, err, res)
+				writeBatchError(w, err, res)
 				return
 			}
-			a.enc.writeErr(w, err)
+			writeWireError(w, err)
 			return
 		}
-		a.enc.writePushResults(w, res)
+		writePushResults(w, res)
 		return
 	}
-	req, ok := a.enc.decodePushOne(w, data)
+	req, ok := decodePushOne(w, data)
 	if !ok {
 		return
 	}
 	res, err := a.m.PushCtx(r.Context(), r.PathValue("id"), req)
 	if err != nil {
-		a.enc.writeErr(w, err)
+		writeWireError(w, err)
 		return
 	}
-	a.enc.writePushResult(w, res)
+	writePushResult(w, &res)
 }
 
 func (a *api) checkpoint(w http.ResponseWriter, r *http.Request) {
 	snap, err := a.m.Checkpoint(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		writeWireError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)
@@ -174,7 +170,7 @@ func (a *api) checkpoint(w http.ResponseWriter, r *http.Request) {
 func (a *api) delete(w http.ResponseWriter, r *http.Request) {
 	res, err := a.m.Delete(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err)
+		writeWireError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -188,7 +184,7 @@ func (a *api) algs(w http.ResponseWriter, r *http.Request) {
 
 func (a *api) healthz(w http.ResponseWriter, r *http.Request) {
 	mt := a.m.Metrics()
-	a.enc.writeHealthz(w, mt)
+	writeHealthz(w, &mt)
 }
 
 // AlgInfo is one registry entry as served by GET /v1/algs.
@@ -243,10 +239,9 @@ func httpStatus(err error) int {
 // up to whole seconds — the header's granularity, so never below 1 —
 // or a fixed 1 on the session-cap 429 (ErrSessionLimit), whose true
 // wait depends on another client's delete or the idle janitor and
-// cannot be computed. Every error-writing path — writeError,
-// writeWireError, both writeBatchError implementations — runs through
-// it, so the header set is identical under wire and reflect encoding
-// and survives batch partial commits.
+// cannot be computed. Both manager-error writers — writeWireError and
+// writeBatchError — run through it, so the header survives batch
+// partial commits.
 func setRetryAfter(w http.ResponseWriter, err error) {
 	var secs int64
 	if d, ok := RetryAfter(err); ok {
@@ -293,11 +288,10 @@ func readBounded(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, limi
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit)); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{fmt.Sprintf("request body exceeds %d bytes", limit)})
+			writeErrorText(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", limit))
 			return false
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("reading request body: %v", err)})
+		writeErrorText(w, http.StatusBadRequest, fmt.Sprintf("reading request body: %v", err))
 		return false
 	}
 	return true
@@ -322,26 +316,10 @@ func decodeStrict(w http.ResponseWriter, data []byte, into any) bool {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{fmt.Sprintf("malformed request body: %v", err)})
+		writeErrorText(w, http.StatusBadRequest, fmt.Sprintf("malformed request body: %v", err))
 		return false
 	}
 	return true
-}
-
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// batchErrorBody is a failed batch push's response when some leading
-// slots were committed first: the usual error plus their results.
-type batchErrorBody struct {
-	Error   string       `json:"error"`
-	Results []PushResult `json:"results"`
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	setRetryAfter(w, err)
-	writeJSON(w, httpStatus(err), errorBody{err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

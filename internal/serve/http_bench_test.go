@@ -18,13 +18,12 @@ import (
 // The HTTP push benchmarks close the measurement gap above the Manager:
 // BenchmarkServePush stops at the manager boundary, these drive real
 // requests through a live httptest server (TCP loopback, net/http
-// serving stack, wire codec, manager) under both codecs. The client is
-// a raw-socket harness — preassembled request bytes on a persistent
-// connection, responses read into a reused buffer — so allocs/op is the
-// server-side cost, not client churn; BenchmarkHTTPPush/codec=wire is
-// gated by scripts/benchsmoke.sh against BENCH_serve.json and the
-// parallel variant is swept across -cpu by scripts/benchscale.sh, with
-// codec=reflect doubling as the recorded "previous".
+// serving stack, wire codec, manager). The client is a raw-socket
+// harness — preassembled request bytes on a persistent connection,
+// responses read into a reused buffer — so allocs/op is the server-side
+// cost, not client churn; BenchmarkHTTPPush/codec=wire is gated by
+// scripts/benchsmoke.sh against BENCH_serve.json and the parallel
+// variant is swept across -cpu by scripts/benchscale.sh.
 
 // pushConn is the benchmark's raw HTTP/1.1 client: one keep-alive
 // connection, hand-assembled requests, zero per-request allocation
@@ -122,9 +121,9 @@ func (c *pushConn) roundTrip(req []byte) (int, error) {
 func (c *pushConn) close() { c.conn.Close() }
 
 // benchServer starts a server with an opened session per id and returns it.
-func benchServer(b *testing.B, reflectCodec bool, ids []string) *httptest.Server {
+func benchServer(b *testing.B, ids []string) *httptest.Server {
 	b.Helper()
-	m := NewManager(Options{MaxSessions: len(ids) + 1, Shards: 16, ReflectCodec: reflectCodec})
+	m := NewManager(Options{MaxSessions: len(ids) + 1, Shards: 16})
 	srv := httptest.NewServer(NewHandler(m))
 	b.Cleanup(srv.Close)
 	for _, id := range ids {
@@ -167,42 +166,37 @@ func traceBodies(b *testing.B, batch int) [][]byte {
 }
 
 // BenchmarkHTTPPush measures one serial push request end to end —
-// loopback TCP, net/http, codec, manager — under both codecs. One
-// long-lived session absorbs all pushes (the trace repeats), so the op
-// is the steady-state per-request cost: for batch=1 one slot per
-// request, for batch=16 a 16-slot array. codec=reflect is the
-// reflection reference recorded as "previous" in BENCH_serve.json;
-// codec=wire/batch=1 is gated by scripts/benchsmoke.sh.
+// loopback TCP, net/http, codec, manager. One long-lived session absorbs
+// all pushes (the trace repeats), so the op is the steady-state
+// per-request cost: for batch=1 one slot per request, for batch=16 a
+// 16-slot array. The codec=wire level keeps the names BENCH_serve.json
+// records (its "previous" blocks are the encoding/json codec this
+// replaced); codec=wire/batch=1 is gated by scripts/benchsmoke.sh.
 func BenchmarkHTTPPush(b *testing.B) {
-	for _, codec := range []struct {
-		name    string
-		reflect bool
-	}{{"wire", false}, {"reflect", true}} {
-		b.Run("codec="+codec.name, func(b *testing.B) {
-			for _, batch := range []int{1, 16} {
-				b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-					srv := benchServer(b, codec.reflect, []string{"bench"})
-					reqs := make([][]byte, 0, 48)
-					for _, body := range traceBodies(b, batch) {
-						reqs = append(reqs, pushRequest("/v1/sessions/bench/push", body))
+	b.Run("codec=wire", func(b *testing.B) {
+		for _, batch := range []int{1, 16} {
+			b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+				srv := benchServer(b, []string{"bench"})
+				reqs := make([][]byte, 0, 48)
+				for _, body := range traceBodies(b, batch) {
+					reqs = append(reqs, pushRequest("/v1/sessions/bench/push", body))
+				}
+				conn := dialPush(b, srv)
+				defer conn.close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					status, err := conn.roundTrip(reqs[i%len(reqs)])
+					if err != nil {
+						b.Fatal(err)
 					}
-					conn := dialPush(b, srv)
-					defer conn.close()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						status, err := conn.roundTrip(reqs[i%len(reqs)])
-						if err != nil {
-							b.Fatal(err)
-						}
-						if status != http.StatusOK {
-							b.Fatalf("HTTP %d", status)
-						}
+					if status != http.StatusOK {
+						b.Fatalf("HTTP %d", status)
 					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkHTTPPushParallel is BenchmarkServePushParallel moved up to
@@ -218,7 +212,7 @@ func BenchmarkHTTPPushParallel(b *testing.B) {
 			for s := range ids {
 				ids[s] = fmt.Sprintf("bench-%d", s)
 			}
-			srv := benchServer(b, false, ids)
+			srv := benchServer(b, ids)
 			bodies := traceBodies(b, batch)
 			conns := make([]*pushConn, nSessions)
 			reqs := make([][][]byte, nSessions)
@@ -263,45 +257,39 @@ func BenchmarkHTTPPushParallel(b *testing.B) {
 
 // BenchmarkHTTPPushHandler isolates the handler + codec from the
 // network: ServeHTTP invoked directly with a reused request and a
-// discarding response writer, so the two codecs' allocation delta is
-// undiluted by the ~24 allocs/op of net/http connection machinery that
-// both pay end to end. This is where the wire codec's >=2x allocs/op
-// reduction is measured and gated; the e2e benchmarks above carry the
-// same absolute delta on top of the shared serving floor.
+// discarding response writer, so the codec's allocations are undiluted
+// by the ~24 allocs/op of net/http connection machinery paid end to
+// end. This is where the push path's allocs/op is gated; the sub-
+// benchmark name matches BenchmarkHTTPPush's.
 func BenchmarkHTTPPushHandler(b *testing.B) {
-	for _, codec := range []struct {
-		name    string
-		reflect bool
-	}{{"wire", false}, {"reflect", true}} {
-		b.Run("codec="+codec.name, func(b *testing.B) {
-			m := NewManager(Options{ReflectCodec: codec.reflect})
-			if _, err := m.Open(OpenRequest{ID: "bench", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
-				b.Fatal(err)
+	b.Run("codec=wire", func(b *testing.B) {
+		m := NewManager(Options{})
+		if _, err := m.Open(OpenRequest{ID: "bench", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
+			b.Fatal(err)
+		}
+		h := NewHandler(m)
+		bodies := traceBodies(b, 1)
+		rd := bytes.NewReader(nil)
+		body := io.NopCloser(rd)
+		req, err := http.NewRequest("POST", "/v1/sessions/bench/push", body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := &discardResponseWriter{header: make(http.Header, 4)}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rd.Reset(bodies[i%len(bodies)])
+			req.Body = body
+			req.ContentLength = int64(len(bodies[i%len(bodies)]))
+			w.status = 0
+			clear(w.header)
+			h.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				b.Fatalf("HTTP %d", w.status)
 			}
-			h := NewHandler(m)
-			bodies := traceBodies(b, 1)
-			rd := bytes.NewReader(nil)
-			body := io.NopCloser(rd)
-			req, err := http.NewRequest("POST", "/v1/sessions/bench/push", body)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := &discardResponseWriter{header: make(http.Header, 4)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rd.Reset(bodies[i%len(bodies)])
-				req.Body = body
-				req.ContentLength = int64(len(bodies[i%len(bodies)]))
-				w.status = 0
-				clear(w.header)
-				h.ServeHTTP(w, req)
-				if w.status != http.StatusOK {
-					b.Fatalf("HTTP %d", w.status)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 type discardResponseWriter struct {

@@ -71,14 +71,6 @@ type Options struct {
 	// rounded up to a power of two; <= 0 means GOMAXPROCS. Purely a
 	// contention knob — behaviorally invisible.
 	Shards int
-	// ReflectCodec makes the HTTP handler encode and decode the push
-	// hot path (push, session info, healthz) with reflection-based
-	// encoding/json instead of the hand-rolled internal/wire codec.
-	// The two are byte-for-byte interchangeable (wire's contract,
-	// enforced by FuzzWireCodec and the differential HTTP suite run
-	// under both); this switch exists as the reference escape hatch
-	// for debugging and for measuring the codec delta.
-	ReflectCodec bool
 
 	// GlobalRate admits at most this many slots/sec across all sessions
 	// (a batch of n slots charges n); <= 0 means unlimited. Denied
@@ -103,17 +95,6 @@ type Options struct {
 	// between slots of a locked batch) and fails with ErrDeadline, so
 	// clients can always retry it.
 	PushDeadline time.Duration
-
-	// StoreRetries is how many times a failed eviction save is retried
-	// (with capped exponential backoff) before the eviction gives up
-	// and the session stays live; 0 means the default 3, negative
-	// disables retries. Explicit Checkpoint calls are not retried —
-	// the client sees the error and owns the retry.
-	StoreRetries int
-	// StoreBackoff is the first retry's backoff (doubling per attempt,
-	// default 5ms); StoreBackoffCap caps it (default 80ms).
-	StoreBackoff    time.Duration
-	StoreBackoffCap time.Duration
 
 	// WALDir enables the per-session write-ahead log: every accepted
 	// slot is appended (length- and CRC-framed) to <WALDir>/<id>.wal
@@ -286,18 +267,6 @@ func NewManager(opts Options) *Manager {
 		n = runtime.GOMAXPROCS(0)
 	}
 	n = 1 << bits.Len(uint(n-1)) // round up to a power of two; 1 stays 1
-	switch {
-	case opts.StoreRetries == 0:
-		opts.StoreRetries = 3
-	case opts.StoreRetries < 0:
-		opts.StoreRetries = 0
-	}
-	if opts.StoreBackoff <= 0 {
-		opts.StoreBackoff = 5 * time.Millisecond
-	}
-	if opts.StoreBackoffCap <= 0 {
-		opts.StoreBackoffCap = 80 * time.Millisecond
-	}
 	if opts.StreamBuffer <= 0 {
 		opts.StreamBuffer = 256
 	}
@@ -409,11 +378,16 @@ func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
 	}
 	// A checkpoint-opened session already holds slots the WAL will never
 	// see; persist them now so a crash recovers snapshot + WAL delta, not
-	// a session missing its imported prefix.
+	// a session missing its imported prefix. On failure the fresh log
+	// goes too — left behind, the next start's RecoverWAL would rebuild
+	// it into an empty session squatting on the id. It is removed while
+	// the id is still linked, so a concurrent open of the same id cannot
+	// have created a log of its own yet.
 	if m.walEnabled() && req.Checkpoint != nil {
 		if err := m.saveWithRetry(&Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: sess.Checkpoint()}); err != nil {
 			ls.gone = true
 			ls.closeWALLocked()
+			m.removeWAL(ls.id)
 			ls.mu.Unlock()
 			m.unlink(ls)
 			return SessionInfo{}, fmt.Errorf("%w: %v", ErrStore, err)
@@ -1020,23 +994,30 @@ func (m *Manager) deleteSnapshot(id string) (*CloseResult, error) {
 	return &CloseResult{Info: info}, nil
 }
 
+// The store-save retry policy of saveWithRetry.
+const (
+	storeRetries    = 3
+	storeBackoff    = 5 * time.Millisecond
+	storeBackoffCap = 80 * time.Millisecond
+)
+
 // saveWithRetry writes snap to the store, retrying transient failures
-// with capped exponential backoff (Options.StoreRetries / StoreBackoff /
-// StoreBackoffCap). Each retry bumps the id's StoreRetries counter. The
-// eviction and shutdown paths use it — a flaky store should cost
-// latency, not sessions. Checkpoint does not: the client asked for
-// exactly one write and owns the retry decision.
+// with capped exponential backoff (storeRetries, storeBackoff,
+// storeBackoffCap). Each retry bumps the id's StoreRetries counter. The
+// eviction, shutdown, recovery and checkpoint-open paths use it — a
+// flaky store should cost latency, not sessions. Checkpoint does not:
+// the client asked for exactly one write and owns the retry decision.
 func (m *Manager) saveWithRetry(snap *Snapshot) error {
 	err := m.store.Save(snap)
-	if err == nil || m.opts.StoreRetries < 0 {
-		return err
+	if err == nil {
+		return nil
 	}
-	backoff := m.opts.StoreBackoff
-	for attempt := 0; attempt < m.opts.StoreRetries; attempt++ {
+	backoff := storeBackoff
+	for attempt := 0; attempt < storeRetries; attempt++ {
 		m.stripeFor(snap.ID).retries.Add(1)
 		m.sleepFn(backoff)
-		if backoff *= 2; backoff > m.opts.StoreBackoffCap {
-			backoff = m.opts.StoreBackoffCap
+		if backoff *= 2; backoff > storeBackoffCap {
+			backoff = storeBackoffCap
 		}
 		if err = m.store.Save(snap); err == nil {
 			return nil

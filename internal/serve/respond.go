@@ -1,62 +1,22 @@
 package serve
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 
-	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
-// encoder is the codec seam between the API core and the bytes on the
-// socket. The handlers in http.go (and the SSE transport in sse.go)
-// decide *what* to answer — status, error taxonomy, Retry-After,
-// response shape — and delegate *how* it is framed to one of the two
-// implementations below. wireEncoder runs the zero-reflection
-// internal/wire codec; reflectEncoder is the encoding/json reference
-// path selected by Options.ReflectCodec. The two are byte-for-byte
-// interchangeable (see internal/wire's package doc); the differential
-// tests run the full API — streams included — under both.
-//
-// Hot-path responses (push in both forms, session info, healthz, SSE
-// data frames) go through the codec-specific methods. Cold responses
-// (open, list, checkpoint, delete, algs) stay on the shared writeJSON,
-// where reflection cost is irrelevant.
-type encoder interface {
-	// writeErr answers a manager error: {"error":"..."} with the
-	// httpStatus mapping and Retry-After on shed responses.
-	writeErr(w http.ResponseWriter, err error)
-	// writeBatchError answers a failed batch push whose leading slots
-	// were committed: the error plus their results, keeping the error's
-	// status — and, like every shed response, its Retry-After header.
-	writeBatchError(w http.ResponseWriter, err error, res []PushResult)
-	// The hot-path single results are passed BY VALUE across this
-	// interface on purpose: a pointer argument to an interface method
-	// cannot be proven non-escaping at the call site, so &local here
-	// would heap-allocate every push/status/healthz — the exact alloc
-	// the wire codec exists to avoid. The copies are small structs.
-	writePushResult(w http.ResponseWriter, res PushResult)
-	writePushResults(w http.ResponseWriter, res []PushResult)
-	writeSessionInfo(w http.ResponseWriter, info SessionInfo)
-	writeHealthz(w http.ResponseWriter, mt Metrics)
-	// appendAdvisory appends one advisory's JSON object (no trailing
-	// newline) — the payload of an SSE data frame.
-	appendAdvisory(dst []byte, adv *stream.Advisory) ([]byte, error)
-	// decodePushOne decodes a single-slot push body, answering the 400
-	// itself on failure; the caller proceeds only on true.
-	decodePushOne(w http.ResponseWriter, data []byte) (PushRequest, bool)
-	// decodePushBatch is decodePushOne's batch-form twin.
-	decodePushBatch(w http.ResponseWriter, data []byte) ([]PushRequest, bool)
-}
-
-// codecFor selects the session's encoder.
-func codecFor(opts Options) encoder {
-	if opts.ReflectCodec {
-		return reflectEncoder{}
-	}
-	return wireEncoder{}
-}
+// Response framing shared by the JSON API (http.go) and the SSE stream
+// transport (sse.go). The handlers decide *what* to answer — status,
+// error taxonomy, Retry-After, response shape — and call the plain
+// functions below for *how* it is framed. Hot-path responses (push in
+// both forms, session info, healthz), every error body and push-request
+// decoding run on the zero-reflection internal/wire codec, whose bytes
+// are exactly encoding/json's (FuzzWireCodec, TestServeWireEncoders and
+// TestHTTPPushBodies hold it to that). Cold success bodies (open, list,
+// checkpoint, delete, algs) stay on writeJSON, where reflection cost is
+// irrelevant.
 
 // encodeFailure answers the encode-failed 500. The body is a JSON
 // error object like every other error response, so the Content-Type
@@ -71,18 +31,26 @@ func encodeFailure(w http.ResponseWriter) {
 	_, _ = io.WriteString(w, "{\"error\":\"response encoding failed\"}\n")
 }
 
-// wireEncoder frames responses with the zero-reflection appenders:
-// pooled byte slices, no encoding/json anywhere on a well-formed
-// request. Malformed push input falls back to the strict reflection
-// decoder so clients see encoding/json's exact error prose; the
-// reflection cost is paid only on bad requests.
-type wireEncoder struct{}
-
-func (wireEncoder) writeErr(w http.ResponseWriter, err error) {
-	writeWireError(w, err)
+// writeWireError answers a manager error: {"error":"..."} with the
+// httpStatus mapping and Retry-After on shed responses.
+func writeWireError(w http.ResponseWriter, err error) {
+	setRetryAfter(w, err)
+	writeErrorText(w, httpStatus(err), err.Error())
 }
 
-func (wireEncoder) writeBatchError(w http.ResponseWriter, err error, res []PushResult) {
+// writeErrorText answers {"error":msg} with the given status — the
+// request-level rejections (oversize, unreadable or malformed bodies)
+// that never reach the manager.
+func writeErrorText(w http.ResponseWriter, status int, msg string) {
+	bp := wireBuf()
+	*bp = wire.AppendError(*bp, msg)
+	writeWire(w, status, bp, nil)
+}
+
+// writeBatchError answers a failed batch push whose leading slots were
+// committed: the error plus their results, keeping the error's status —
+// and, like every shed response, its Retry-After header.
+func writeBatchError(w http.ResponseWriter, err error, res []PushResult) {
 	setRetryAfter(w, err)
 	bp := wireBuf()
 	b, werr := wire.AppendBatchError(*bp, err.Error(), res)
@@ -90,47 +58,44 @@ func (wireEncoder) writeBatchError(w http.ResponseWriter, err error, res []PushR
 	writeWire(w, httpStatus(err), bp, werr)
 }
 
-func (wireEncoder) writePushResult(w http.ResponseWriter, res PushResult) {
+func writePushResult(w http.ResponseWriter, res *PushResult) {
 	bp := wireBuf()
-	b, werr := wire.AppendPushResult(*bp, &res)
+	b, werr := wire.AppendPushResult(*bp, res)
 	*bp = b
 	writeWire(w, http.StatusOK, bp, werr)
 }
 
-func (wireEncoder) writePushResults(w http.ResponseWriter, res []PushResult) {
+func writePushResults(w http.ResponseWriter, res []PushResult) {
 	bp := wireBuf()
 	b, werr := wire.AppendPushResults(*bp, res)
 	*bp = b
 	writeWire(w, http.StatusOK, bp, werr)
 }
 
-func (wireEncoder) writeSessionInfo(w http.ResponseWriter, info SessionInfo) {
+func writeSessionInfo(w http.ResponseWriter, info *SessionInfo) {
 	bp := wireBuf()
-	b, werr := appendSessionInfo(*bp, &info)
+	b, werr := appendSessionInfo(*bp, info)
 	*bp = b
 	writeWire(w, http.StatusOK, bp, werr)
 }
 
-func (wireEncoder) writeHealthz(w http.ResponseWriter, mt Metrics) {
+func writeHealthz(w http.ResponseWriter, mt *Metrics) {
 	bp := wireBuf()
-	b, werr := appendHealthz(*bp, true, &mt)
+	b, werr := appendHealthz(*bp, true, mt)
 	*bp = b
 	writeWire(w, http.StatusOK, bp, werr)
 }
 
-func (wireEncoder) appendAdvisory(dst []byte, adv *stream.Advisory) ([]byte, error) {
-	return wire.AppendAdvisory(dst, adv)
-}
-
-// decodePushOne decodes with the wire scanner on the happy path and
-// falls back through the strict reflection decoder when the scanner
-// rejects — the input is already known malformed (the codecs accept
-// identical inputs), so the second pass exists purely to reproduce
+// decodePushOne decodes a single-slot push body, answering the 400
+// itself on failure; the caller proceeds only on true. The wire scanner
+// runs the happy path; when it rejects, the input is already known
+// malformed (the codecs accept identical inputs), so the strict
+// reflection decoder runs a second pass purely to reproduce
 // encoding/json's error prose. It returns by value with a
 // wire-path-only local so the happy path's target stays off the heap;
-// the fallback declares its own, which escapes into encoding/json's
-// any but is reached only on malformed input.
-func (wireEncoder) decodePushOne(w http.ResponseWriter, data []byte) (PushRequest, bool) {
+// the fallback declares its own, which escapes into encoding/json's any
+// but is reached only on malformed input.
+func decodePushOne(w http.ResponseWriter, data []byte) (PushRequest, bool) {
 	var req PushRequest
 	if wire.DecodePushRequest(data, &req) == nil {
 		return req, true
@@ -140,7 +105,8 @@ func (wireEncoder) decodePushOne(w http.ResponseWriter, data []byte) (PushReques
 	return slow, ok
 }
 
-func (wireEncoder) decodePushBatch(w http.ResponseWriter, data []byte) ([]PushRequest, bool) {
+// decodePushBatch is decodePushOne's batch-form twin.
+func decodePushBatch(w http.ResponseWriter, data []byte) ([]PushRequest, bool) {
 	var reqs []PushRequest
 	if wire.DecodePushRequests(data, &reqs) == nil {
 		return reqs, true
@@ -148,55 +114,4 @@ func (wireEncoder) decodePushBatch(w http.ResponseWriter, data []byte) ([]PushRe
 	var slow []PushRequest
 	ok := decodeStrict(w, data, &slow)
 	return slow, ok
-}
-
-// reflectEncoder is the encoding/json reference implementation.
-type reflectEncoder struct{}
-
-func (reflectEncoder) writeErr(w http.ResponseWriter, err error) {
-	writeError(w, err)
-}
-
-func (reflectEncoder) writeBatchError(w http.ResponseWriter, err error, res []PushResult) {
-	setRetryAfter(w, err)
-	writeJSON(w, httpStatus(err), batchErrorBody{Error: err.Error(), Results: res})
-}
-
-func (reflectEncoder) writePushResult(w http.ResponseWriter, res PushResult) {
-	writeJSON(w, http.StatusOK, &res)
-}
-
-func (reflectEncoder) writePushResults(w http.ResponseWriter, res []PushResult) {
-	writeJSON(w, http.StatusOK, res)
-}
-
-func (reflectEncoder) writeSessionInfo(w http.ResponseWriter, info SessionInfo) {
-	writeJSON(w, http.StatusOK, &info)
-}
-
-func (reflectEncoder) writeHealthz(w http.ResponseWriter, mt Metrics) {
-	writeJSON(w, http.StatusOK, struct {
-		OK      bool    `json:"ok"`
-		Metrics Metrics `json:"metrics"`
-	}{true, mt})
-}
-
-func (reflectEncoder) appendAdvisory(dst []byte, adv *stream.Advisory) ([]byte, error) {
-	b, err := json.Marshal(adv)
-	if err != nil {
-		return dst, err
-	}
-	return append(dst, b...), nil
-}
-
-func (reflectEncoder) decodePushOne(w http.ResponseWriter, data []byte) (PushRequest, bool) {
-	var req PushRequest
-	ok := decodeStrict(w, data, &req)
-	return req, ok
-}
-
-func (reflectEncoder) decodePushBatch(w http.ResponseWriter, data []byte) ([]PushRequest, bool) {
-	var reqs []PushRequest
-	ok := decodeStrict(w, data, &reqs)
-	return reqs, ok
 }

@@ -13,99 +13,83 @@ import (
 	"repro/internal/stream"
 )
 
-// Every shed/throttle shape carries Retry-After, under both codecs,
-// with identical values: the single-push throttle, the throttled batch
-// head, and the session-cap 429 end to end; the batch mid-commit path
-// (unreachable end to end today — admission runs before any slot is
-// fed — but load-bearing the moment a mid-batch shed exists) directly
-// against both writeBatchError implementations.
+// Every shed/throttle shape carries Retry-After: the single-push
+// throttle, the throttled batch head, and the session-cap 429 end to
+// end; the batch mid-commit path (unreachable end to end today —
+// admission runs before any slot is fed — but load-bearing the moment a
+// mid-batch shed exists) directly against writeBatchError, whose body
+// must be encoding/json's.
 func TestRetryAfterCompleteness(t *testing.T) {
-	// header[shape][codec] for the cross-codec parity check.
-	headers := map[string]map[bool]string{}
-	record := func(shape string, reflectCodec bool, value string) {
-		if headers[shape] == nil {
-			headers[shape] = map[bool]string{}
+	t.Run("codec=wire", testRetryAfterCompleteness)
+}
+
+func testRetryAfterCompleteness(t *testing.T) {
+	newThrottled := func(t *testing.T) (*httptest.Server, *httpClient) {
+		// 1 token per 1000s, burst 1: the first push drains the bucket
+		// and every later deny computes a ~1000s wait.
+		m := NewManager(Options{GlobalRate: 0.001, GlobalBurst: 1})
+		srv := httptest.NewServer(NewHandler(m))
+		t.Cleanup(srv.Close)
+		cl := &httpClient{t: t, base: srv.URL}
+		cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "ra", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
+		cl.mustDo("POST", "/v1/sessions/ra/push", PushRequest{Lambda: 1}, nil, http.StatusOK)
+		return srv, cl
+	}
+	requireRetryAfter := func(t *testing.T, shape string, resp *http.Response, wantStatus int) {
+		t.Helper()
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("%s: HTTP %d, want %d", shape, resp.StatusCode, wantStatus)
 		}
-		headers[shape][reflectCodec] = value
+		ra := resp.Header.Get("Retry-After")
+		if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+			t.Fatalf("%s: Retry-After = %q, want an integer >= 1", shape, ra)
+		}
 	}
 
-	forEachCodec(t, func(t *testing.T, reflectCodec bool) {
-		newThrottled := func(t *testing.T) (*httptest.Server, *httpClient) {
-			// 1 token per 1000s, burst 1: the first push drains the bucket
-			// and every later deny computes a ~1000s wait — stable to the
-			// second for the duration of a test run, so the header value
-			// is deterministic and comparable across codecs.
-			m := NewManager(Options{GlobalRate: 0.001, GlobalBurst: 1, ReflectCodec: reflectCodec})
-			srv := httptest.NewServer(NewHandler(m))
-			t.Cleanup(srv.Close)
-			cl := &httpClient{t: t, base: srv.URL}
-			cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "ra", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
-			cl.mustDo("POST", "/v1/sessions/ra/push", PushRequest{Lambda: 1}, nil, http.StatusOK)
-			return srv, cl
-		}
-		requireRetryAfter := func(t *testing.T, shape string, resp *http.Response, wantStatus int) {
-			t.Helper()
-			if resp.StatusCode != wantStatus {
-				t.Fatalf("%s: HTTP %d, want %d", shape, resp.StatusCode, wantStatus)
-			}
-			ra := resp.Header.Get("Retry-After")
-			if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
-				t.Fatalf("%s: Retry-After = %q, want an integer >= 1", shape, ra)
-			}
-			record(shape, reflectCodec, ra)
-		}
-
-		t.Run("single push", func(t *testing.T) {
-			srv, _ := newThrottled(t)
-			resp := rawPost(t, srv.URL+"/v1/sessions/ra/push", `{"lambda": 1}`)
-			requireRetryAfter(t, "single push", resp, http.StatusTooManyRequests)
-		})
-
-		t.Run("batch head", func(t *testing.T) {
-			srv, _ := newThrottled(t)
-			resp := rawPost(t, srv.URL+"/v1/sessions/ra/push", `[{"lambda": 1}, {"lambda": 2}]`)
-			requireRetryAfter(t, "batch head", resp, http.StatusTooManyRequests)
-		})
-
-		t.Run("session cap", func(t *testing.T) {
-			m := NewManager(Options{MaxSessions: 1, ReflectCodec: reflectCodec})
-			srv := httptest.NewServer(NewHandler(m))
-			t.Cleanup(srv.Close)
-			cl := &httpClient{t: t, base: srv.URL}
-			cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "only", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
-			resp := rawPost(t, srv.URL+"/v1/sessions", `{"alg": "alg-b", "fleet": {"scenario": "quickstart", "seed": 1}}`)
-			requireRetryAfter(t, "session cap", resp, http.StatusTooManyRequests)
-			if ra := resp.Header.Get("Retry-After"); ra != "1" {
-				t.Fatalf("session-cap Retry-After = %q, want the fixed \"1\"", ra)
-			}
-		})
-
-		t.Run("batch mid-commit", func(t *testing.T) {
-			enc := codecFor(Options{ReflectCodec: reflectCodec})
-			committed := []PushResult{{Decided: true, Advisory: &stream.Advisory{
-				Slot: 1, Lambda: 2, Config: model.Config{1, 0}, Active: 1,
-				Operating: 3, Switching: 1, CumCost: 4,
-			}}}
-			rec := httptest.NewRecorder()
-			enc.writeBatchError(rec, &retryAfterError{err: ErrThrottled, after: 2500 * time.Millisecond}, committed)
-			resp := rec.Result()
-			requireRetryAfter(t, "batch mid-commit", resp, http.StatusTooManyRequests)
-			if ra := resp.Header.Get("Retry-After"); ra != "3" {
-				t.Fatalf("2.5s wait rounded to Retry-After %q, want \"3\"", ra)
-			}
-			body, _ := io.ReadAll(resp.Body)
-			if !strings.Contains(string(body), `"error"`) || !strings.Contains(string(body), `"results"`) {
-				t.Fatalf("partial-commit body lost the error or the committed results: %s", body)
-			}
-			record("batch mid-commit body", reflectCodec, string(body))
-		})
+	t.Run("single push", func(t *testing.T) {
+		srv, _ := newThrottled(t)
+		resp := rawPost(t, srv.URL+"/v1/sessions/ra/push", `{"lambda": 1}`)
+		requireRetryAfter(t, "single push", resp, http.StatusTooManyRequests)
 	})
 
-	for shape, byCodec := range headers {
-		if byCodec[false] != byCodec[true] {
-			t.Errorf("%s: wire %q != reflect %q", shape, byCodec[false], byCodec[true])
+	t.Run("batch head", func(t *testing.T) {
+		srv, _ := newThrottled(t)
+		resp := rawPost(t, srv.URL+"/v1/sessions/ra/push", `[{"lambda": 1}, {"lambda": 2}]`)
+		requireRetryAfter(t, "batch head", resp, http.StatusTooManyRequests)
+	})
+
+	t.Run("session cap", func(t *testing.T) {
+		m := NewManager(Options{MaxSessions: 1})
+		srv := httptest.NewServer(NewHandler(m))
+		t.Cleanup(srv.Close)
+		cl := &httpClient{t: t, base: srv.URL}
+		cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "only", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
+		resp := rawPost(t, srv.URL+"/v1/sessions", `{"alg": "alg-b", "fleet": {"scenario": "quickstart", "seed": 1}}`)
+		requireRetryAfter(t, "session cap", resp, http.StatusTooManyRequests)
+		if ra := resp.Header.Get("Retry-After"); ra != "1" {
+			t.Fatalf("session-cap Retry-After = %q, want the fixed \"1\"", ra)
 		}
-	}
+	})
+
+	t.Run("batch mid-commit", func(t *testing.T) {
+		committed := []PushResult{{Decided: true, Advisory: &stream.Advisory{
+			Slot: 1, Lambda: 2, Config: model.Config{1, 0}, Active: 1,
+			Operating: 3, Switching: 1, CumCost: 4,
+		}}}
+		shed := &retryAfterError{err: ErrThrottled, after: 2500 * time.Millisecond}
+		rec := httptest.NewRecorder()
+		writeBatchError(rec, shed, committed)
+		resp := rec.Result()
+		requireRetryAfter(t, "batch mid-commit", resp, http.StatusTooManyRequests)
+		if ra := resp.Header.Get("Retry-After"); ra != "3" {
+			t.Fatalf("2.5s wait rounded to Retry-After %q, want \"3\"", ra)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		want := jsonEncoded(t, batchErrorJSON{Error: shed.Error(), Results: committed})
+		if string(body) != want {
+			t.Fatalf("partial-commit body:\n got %s\nwant %s", body, want)
+		}
+	})
 }
 
 // Regression (pre-PR bug): open and checkpoint-resume bodies were read
@@ -140,7 +124,7 @@ func TestOpenBodyBounded(t *testing.T) {
 
 // Regression (pre-PR bug): the encode-failure 500 went through
 // http.Error, stamping Content-Type: text/plain on a JSON error body.
-// Both codecs' fallbacks now declare the body for what it is.
+// Both encode paths' fallbacks now declare the body for what it is.
 func TestEncodeFailureContentType(t *testing.T) {
 	t.Run("writeJSON", func(t *testing.T) {
 		rec := httptest.NewRecorder()

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // GET /v1/sessions/{id}/stream — the server-push transport over the
@@ -20,9 +21,9 @@ import (
 //	event: end
 //	data: {"reason":"..."}    exactly-once terminal frame
 //
-// The data payload is produced by the same encoder the push responses
-// use, so a subscribed client and a polling client see byte-identical
-// advisory JSON under either codec. Frames are flushed in batches: one
+// The data payload is produced by the same wire encoder the push
+// responses use, so a subscribed client and a polling client see
+// byte-identical advisory JSON. Frames are flushed in batches: one
 // channel wakeup greedily drains everything the subscriber has buffered
 // into a single write + flush, so a fast producer costs one syscall per
 // burst, not per advisory. The id field carries the slot number —
@@ -39,14 +40,14 @@ import (
 func (a *api) streamAdvisories(w http.ResponseWriter, r *http.Request) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented, errorBody{"streaming unsupported by this server"})
+		writeErrorText(w, http.StatusNotImplemented, "streaming unsupported by this server")
 		return
 	}
 	sub, err := a.m.Subscribe(r.PathValue("id"))
 	if err != nil {
 		// Subscription failed before the content type switched: the error
 		// response is plain JSON like any other endpoint's.
-		a.enc.writeErr(w, err)
+		writeWireError(w, err)
 		return
 	}
 	defer a.m.Unsubscribe(sub)
@@ -72,7 +73,7 @@ func (a *api) streamAdvisories(w http.ResponseWriter, r *http.Request) {
 				writeSSEEnd(w, fl, sub.Reason())
 				return
 			}
-			buf, err := appendSSEAdvisory((*bp)[:0], a.enc, adv)
+			buf, err := appendSSEAdvisory((*bp)[:0], adv)
 			if err != nil {
 				return // torn mid-stream; the client's gap detection catches it
 			}
@@ -88,7 +89,7 @@ func (a *api) streamAdvisories(w http.ResponseWriter, r *http.Request) {
 						writeSSEEnd(w, fl, sub.Reason())
 						return
 					}
-					if buf, err = appendSSEAdvisory(buf, a.enc, adv); err != nil {
+					if buf, err = appendSSEAdvisory(buf, adv); err != nil {
 						return
 					}
 				default:
@@ -110,11 +111,11 @@ func (a *api) streamAdvisories(w http.ResponseWriter, r *http.Request) {
 }
 
 // appendSSEAdvisory appends one advisory frame.
-func appendSSEAdvisory(dst []byte, enc encoder, adv *stream.Advisory) ([]byte, error) {
+func appendSSEAdvisory(dst []byte, adv *stream.Advisory) ([]byte, error) {
 	dst = append(dst, "event: advisory\nid: "...)
 	dst = strconv.AppendInt(dst, int64(adv.Slot), 10)
 	dst = append(dst, "\ndata: "...)
-	dst, err := enc.appendAdvisory(dst, adv)
+	dst, err := wire.AppendAdvisory(dst, adv)
 	if err != nil {
 		return dst, err
 	}

@@ -136,22 +136,20 @@ func (s *sseStream) collectUntilEnd(timeout time.Duration) ([]sseFrame, string) 
 const sseWait = 10 * time.Second
 
 // The SSE acceptance test: for a fully online and a semi-online
-// algorithm, under both codecs, the advisories delivered over the
-// stream are bit-identical — content and order — to the polled push
-// results for the same trace, across a mid-stream checkpoint→evict→
-// reconnect→resume cycle, with the semi-online tail delivered before
-// the "deleted" end frame.
+// algorithm, the advisories delivered over the stream are
+// bit-identical — content and order — to the polled push results for
+// the same trace, across a mid-stream checkpoint→evict→reconnect→resume
+// cycle, with the semi-online tail delivered before the "deleted" end
+// frame.
 func TestSSEDifferential(t *testing.T) {
 	for _, alg := range []string{"alg-b", "receding-horizon"} {
 		t.Run(alg, func(t *testing.T) {
-			forEachCodec(t, func(t *testing.T, reflectCodec bool) {
-				testSSEDifferential(t, alg, reflectCodec)
-			})
+			t.Run("codec=wire", func(t *testing.T) { testSSEDifferential(t, alg) })
 		})
 	}
 }
 
-func testSSEDifferential(t *testing.T, alg string, reflectCodec bool) {
+func testSSEDifferential(t *testing.T, alg string) {
 	const seed = 7
 	sc, ok := engine.Lookup("quickstart")
 	if !ok {
@@ -164,7 +162,7 @@ func testSSEDifferential(t *testing.T, alg string, reflectCodec bool) {
 	}
 	want := serialAdvisories(t, spec, ins)
 
-	m := NewManager(Options{ReflectCodec: reflectCodec, StreamHeartbeat: time.Hour})
+	m := NewManager(Options{StreamHeartbeat: time.Hour})
 	srv := httptest.NewServer(NewHandler(m))
 	defer srv.Close()
 	cl := &httpClient{t: t, base: srv.URL}
@@ -217,10 +215,9 @@ func testSSEDifferential(t *testing.T, alg string, reflectCodec bool) {
 	streamed = append(streamed, s2...)
 
 	// Bit-identity, three ways: the streamed payload bytes must equal
-	// the canonical encoding of each polled advisory (wire and reflect
-	// emit identical bytes, so json.Marshal is the reference for both),
-	// the decoded values must match, and the id field must carry the
-	// slot for gap detection.
+	// the canonical encoding of each polled advisory (json.Marshal is
+	// the reference), the decoded values must match, and the id field
+	// must carry the slot for gap detection.
 	if len(streamed) != len(polled) {
 		t.Fatalf("stream delivered %d advisories, polls decided %d", len(streamed), len(polled))
 	}
@@ -259,37 +256,39 @@ func testSSEDifferential(t *testing.T, alg string, reflectCodec bool) {
 // reading arrive in order and complete, and one stream sees everything
 // a batch push decides.
 func TestSSEBatchPush(t *testing.T) {
-	forEachCodec(t, func(t *testing.T, reflectCodec bool) {
-		m := NewManager(Options{ReflectCodec: reflectCodec, StreamHeartbeat: time.Hour})
-		srv := httptest.NewServer(NewHandler(m))
-		defer srv.Close()
-		cl := &httpClient{t: t, base: srv.URL}
+	t.Run("codec=wire", testSSEBatchPush)
+}
 
-		cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "b", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
-		sub := sseSubscribe(t, srv.URL, "b")
+func testSSEBatchPush(t *testing.T) {
+	m := NewManager(Options{StreamHeartbeat: time.Hour})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	cl := &httpClient{t: t, base: srv.URL}
 
-		trace := quickstartTrace(t)[:8]
-		batch := make([]PushRequest, len(trace))
-		for i, l := range trace {
-			batch[i] = PushRequest{Lambda: l}
-		}
-		var res []PushResult
-		cl.mustDo("POST", "/v1/sessions/b/push", batch, &res, http.StatusOK)
-		cl.mustDo("DELETE", "/v1/sessions/b", nil, nil, http.StatusOK)
+	cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "b", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
+	sub := sseSubscribe(t, srv.URL, "b")
 
-		streamed, reason := sub.collectUntilEnd(sseWait)
-		if reason != StreamEndDeleted {
-			t.Fatalf("stream ended %q, want %q", reason, StreamEndDeleted)
+	trace := quickstartTrace(t)[:8]
+	batch := make([]PushRequest, len(trace))
+	for i, l := range trace {
+		batch[i] = PushRequest{Lambda: l}
+	}
+	var res []PushResult
+	cl.mustDo("POST", "/v1/sessions/b/push", batch, &res, http.StatusOK)
+	cl.mustDo("DELETE", "/v1/sessions/b", nil, nil, http.StatusOK)
+
+	streamed, reason := sub.collectUntilEnd(sseWait)
+	if reason != StreamEndDeleted {
+		t.Fatalf("stream ended %q, want %q", reason, StreamEndDeleted)
+	}
+	if len(streamed) != len(res) {
+		t.Fatalf("stream delivered %d advisories for a %d-slot batch", len(streamed), len(res))
+	}
+	for i, f := range streamed {
+		if f.id != strconv.Itoa(res[i].Advisory.Slot) {
+			t.Fatalf("frame %d id %q != slot %d", i, f.id, res[i].Advisory.Slot)
 		}
-		if len(streamed) != len(res) {
-			t.Fatalf("stream delivered %d advisories for a %d-slot batch", len(streamed), len(res))
-		}
-		for i, f := range streamed {
-			if f.id != strconv.Itoa(res[i].Advisory.Slot) {
-				t.Fatalf("frame %d id %q != slot %d", i, f.id, res[i].Advisory.Slot)
-			}
-		}
-	})
+	}
 }
 
 // Heartbeats keep an idle stream verifiably alive, and a client
@@ -321,27 +320,29 @@ func TestSSEHeartbeatAndDisconnect(t *testing.T) {
 // Subscribing to an unknown session answers the ordinary JSON 404 —
 // the content type never switches to text/event-stream.
 func TestSSEUnknownSession(t *testing.T) {
-	forEachCodec(t, func(t *testing.T, reflectCodec bool) {
-		m := NewManager(Options{ReflectCodec: reflectCodec})
-		srv := httptest.NewServer(NewHandler(m))
-		defer srv.Close()
+	t.Run("codec=wire", testSSEUnknownSession)
+}
 
-		resp, err := http.Get(srv.URL + "/v1/sessions/nope/stream")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("HTTP %d, want 404: %s", resp.StatusCode, body)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-			t.Fatalf("error Content-Type = %q, want application/json", ct)
-		}
-		if !strings.Contains(string(body), `"error"`) {
-			t.Fatalf("no error body: %s", body)
-		}
-	})
+func testSSEUnknownSession(t *testing.T) {
+	m := NewManager(Options{})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/v1/sessions/nope/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("HTTP %d, want 404: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("error Content-Type = %q, want application/json", ct)
+	}
+	if !strings.Contains(string(body), `"error"`) {
+		t.Fatalf("no error body: %s", body)
+	}
 }
 
 // A subscriber that stops reading is cut off with reason "lagged" once

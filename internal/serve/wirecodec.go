@@ -11,8 +11,7 @@ import (
 // hot path (push results come straight from internal/wire; session info
 // and healthz are encoded here because their types live in this
 // package). Each appender produces exactly json.Marshal's bytes —
-// TestServeWireEncoders diffs them against the reflection encoder, and
-// the HTTP differential suite runs the full API under both codecs.
+// TestServeWireEncoders diffs them against encoding/json.
 
 // wirePool recycles the response buffers of the wire encoders; like
 // encPool, oversized buffers are dropped rather than pinned.
@@ -34,9 +33,9 @@ func putWireBuf(bp *[]byte) {
 }
 
 // writeWire finishes a response whose body was wire-encoded into *bp,
-// appending the trailing newline json.Encoder emits so the two codecs
-// stay byte-identical on the socket. err is the encode error, if any;
-// it answers the same JSON 500 as writeJSON's encode-failure path.
+// appending the trailing newline json.Encoder emits so wire and
+// writeJSON bodies end alike on the socket. err is the encode error, if
+// any; it answers the same JSON 500 as writeJSON's encode-failure path.
 // The buffer is recycled in all cases.
 func writeWire(w http.ResponseWriter, status int, bp *[]byte, err error) {
 	if err != nil {
@@ -49,16 +48,6 @@ func writeWire(w http.ResponseWriter, status int, bp *[]byte, err error) {
 	w.WriteHeader(status)
 	_, _ = w.Write(*bp) // the status line is out; nothing useful to do on error
 	putWireBuf(bp)
-}
-
-// writeWireError answers a manager error exactly as writeError does:
-// {"error":"..."} with the httpStatus mapping and the same Retry-After
-// header on shed responses.
-func writeWireError(w http.ResponseWriter, err error) {
-	setRetryAfter(w, err)
-	bp := wireBuf()
-	*bp = wire.AppendError(*bp, err.Error())
-	writeWire(w, httpStatus(err), bp, nil)
 }
 
 // appendSessionInfo appends one SessionInfo object.

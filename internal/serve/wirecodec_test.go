@@ -3,12 +3,17 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/model"
+	"repro/internal/stream"
 )
 
 // The serve-owned wire encoders (session info, healthz) must be
@@ -59,26 +64,111 @@ func TestServeWireEncoders(t *testing.T) {
 	}
 }
 
-// TestHTTPPushBodies drives the same raw bodies — valid, malformed,
-// truncated, oversize — at two identically seeded servers, one per
-// codec, and requires byte-identical responses: same status, same
-// headers that matter, same body down to encoding/json's error prose
-// (the wire decoder's fallback re-decode) and trailing newline.
-func TestHTTPPushBodies(t *testing.T) {
-	type server struct {
-		srv *httptest.Server
+// The encoding/json oracle for response bodies: what encoding/json
+// writes for the same values, trailing newline included.
+func jsonEncoded(t testing.TB, v any) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
 	}
-	var servers []server
-	for _, reflectCodec := range []bool{false, true} {
-		m := NewManager(Options{ReflectCodec: reflectCodec})
-		srv := httptest.NewServer(NewHandler(m))
-		defer srv.Close()
-		cl := &httpClient{t: t, base: srv.URL}
-		cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "s", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
-		servers = append(servers, server{srv})
-	}
+	return buf.String()
+}
 
-	post := func(t *testing.T, srv *httptest.Server, path, body string) (int, string, string) {
+type errorJSON struct {
+	Error string `json:"error"`
+}
+
+type batchErrorJSON struct {
+	Error   string       `json:"error"`
+	Results []PushResult `json:"results"`
+}
+
+// pushOracle predicts a push response without the serving stack: the
+// body is decoded by a strict json.Decoder, its slots are fed to a
+// reference stream.Session, and the answer is built with json.Encoder.
+type pushOracle struct {
+	t    *testing.T
+	sess *stream.Session
+}
+
+func (o *pushOracle) expect(id, body string) (int, string) {
+	if len(body) > maxPushBody {
+		return http.StatusRequestEntityTooLarge,
+			jsonEncoded(o.t, errorJSON{fmt.Sprintf("request body exceeds %d bytes", maxPushBody)})
+	}
+	data := bytes.TrimLeft([]byte(body), " \t\r\n")
+	batch := len(data) > 0 && data[0] == '['
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var reqs []PushRequest
+	var err error
+	if batch {
+		err = dec.Decode(&reqs)
+	} else {
+		var one PushRequest
+		err = dec.Decode(&one)
+		reqs = []PushRequest{one}
+	}
+	if err != nil {
+		return http.StatusBadRequest, jsonEncoded(o.t, errorJSON{"malformed request body: " + err.Error()})
+	}
+	if id != "s" {
+		return http.StatusNotFound, jsonEncoded(o.t, errorJSON{fmt.Sprintf("%v: %q", ErrUnknownSession, id)})
+	}
+	results := make([]PushResult, 0, len(reqs))
+	for _, req := range reqs {
+		adv := &stream.Advisory{}
+		decided, perr := o.sess.Push(model.SlotInput{Lambda: req.Lambda, Counts: req.Counts}, adv)
+		if perr != nil {
+			status, sentinel := http.StatusUnprocessableEntity, ErrBadSlot
+			if o.sess.Err() != nil {
+				status, sentinel = http.StatusConflict, ErrSessionFailed
+			}
+			msg := fmt.Sprintf("%v: %v", sentinel, perr)
+			if len(results) > 0 {
+				return status, jsonEncoded(o.t, batchErrorJSON{msg, results})
+			}
+			return status, jsonEncoded(o.t, errorJSON{msg})
+		}
+		res := PushResult{Decided: decided}
+		if decided {
+			res.Advisory = adv
+		}
+		results = append(results, res)
+	}
+	if batch {
+		return http.StatusOK, jsonEncoded(o.t, results)
+	}
+	return http.StatusOK, jsonEncoded(o.t, &results[0])
+}
+
+// TestHTTPPushBodies drives raw bodies — valid, malformed, truncated,
+// oversize — at a server and requires each response to be exactly the
+// encoding/json oracle's: same status, a JSON Content-Type, and the
+// same body down to encoding/json's error prose (the wire decoder's
+// fallback re-decode) and trailing newline. The oracle's session and
+// the server's advance in lockstep, so advisory payloads must match
+// byte for byte too.
+func TestHTTPPushBodies(t *testing.T) {
+	m := NewManager(Options{})
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	cl := &httpClient{t: t, base: srv.URL}
+	cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "s", Alg: "alg-b", Fleet: quickstartFleet()}, nil, http.StatusCreated)
+
+	fleet := quickstartFleet()
+	types, err := fleet.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := engine.OpenSession("alg-b", types, stream.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := &pushOracle{t: t, sess: ref}
+
+	post := func(t *testing.T, path, body string) (int, string, string) {
 		t.Helper()
 		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
@@ -100,8 +190,7 @@ func TestHTTPPushBodies(t *testing.T) {
 		body   string
 		status int
 	}{
-		// Well-formed pushes: the sessions advance in lockstep, so
-		// advisory payloads must match byte for byte too.
+		// Well-formed pushes.
 		{"single", "/v1/sessions/s/push", `{"lambda":3.5}`, http.StatusOK},
 		{"single folded key", "/v1/sessions/s/push", `{"Lambda":2.25}`, http.StatusOK},
 		{"single escaped key", "/v1/sessions/s/push", `{"lambd\u0061":1.5}`, http.StatusOK},
@@ -118,8 +207,8 @@ func TestHTTPPushBodies(t *testing.T) {
 		{"mid-batch error", "/v1/sessions/s/push",
 			`[{"lambda":0.5},{"lambda":1e9},{"lambda":0.5}]`, http.StatusUnprocessableEntity},
 		{"bad counts arity", "/v1/sessions/s/push", `{"lambda":1,"counts":[1,2,3]}`, http.StatusUnprocessableEntity},
-		// Malformed bodies: the wire decoder's reflect fallback must
-		// reproduce encoding/json's exact error text.
+		// Malformed bodies: the wire decoder's fallback must reproduce
+		// encoding/json's exact error text.
 		{"empty body", "/v1/sessions/s/push", ``, http.StatusBadRequest},
 		{"truncated object", "/v1/sessions/s/push", `{"lambda":1`, http.StatusBadRequest},
 		{"truncated batch", "/v1/sessions/s/push", `[{"lambda":1},`, http.StatusBadRequest},
@@ -139,17 +228,15 @@ func TestHTTPPushBodies(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			wStatus, wCT, wBody := post(t, servers[0].srv, tc.path, tc.body)
-			rStatus, rCT, rBody := post(t, servers[1].srv, tc.path, tc.body)
-			if wStatus != tc.status {
-				t.Errorf("wire codec: HTTP %d, want %d: %s", wStatus, tc.status, wBody)
+			id := strings.TrimSuffix(strings.TrimPrefix(tc.path, "/v1/sessions/"), "/push")
+			wantStatus, wantBody := oracle.expect(id, tc.body)
+			if wantStatus != tc.status {
+				t.Fatalf("oracle: HTTP %d, want %d: %s", wantStatus, tc.status, wantBody)
 			}
-			if wStatus != rStatus || wBody != rBody || wCT != rCT {
-				t.Errorf("codecs diverged:\n wire: %d %s %q\n json: %d %s %q",
-					wStatus, wCT, wBody, rStatus, rCT, rBody)
-			}
-			if tc.status != http.StatusOK && !strings.Contains(wBody, `"error"`) {
-				t.Errorf("error response has no error body: %q", wBody)
+			status, ct, body := post(t, tc.path, tc.body)
+			if status != wantStatus || body != wantBody || ct != "application/json" {
+				t.Errorf("response diverged from encoding/json:\n got: %d %s %q\nwant: %d application/json %q",
+					status, ct, body, wantStatus, wantBody)
 			}
 		})
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/fault"
 )
 
 // FaultFS is the WAL-layer sibling of serve.FaultStore: a File factory
@@ -22,20 +24,18 @@ import (
 //   - sync failures: fsync reports an error after the bytes were
 //     written, so the push must fail but the log stays parseable.
 //
-// Determinism: every decision is a pure function of (seed, op, file
-// base name, per-(op,file) call ordinal), so the chaos differential
-// replays identically under -race and -count=N regardless of goroutine
-// interleaving.
+// Determinism: every decision is drawn from a fault.Source keyed by
+// (op, file base name), so the chaos differential replays identically
+// regardless of goroutine interleaving.
 type FaultFS struct {
-	cfg FaultConfig
+	src *fault.Source
 
-	mu    sync.Mutex
-	calls map[string]uint64 // op+file -> calls so far
+	mu  sync.Mutex
+	cfg FaultConfig
 
 	shortWrites atomic.Uint64
 	tornWrites  atomic.Uint64
 	syncErrs    atomic.Uint64
-	ops         atomic.Uint64
 }
 
 // FaultConfig tunes a FaultFS. Rates are probabilities in [0, 1].
@@ -62,13 +62,13 @@ type FaultFSStats struct {
 // NewFaultFS builds a fault-injecting File factory; pass its Open as
 // Options.OpenFile.
 func NewFaultFS(cfg FaultConfig) *FaultFS {
-	return &FaultFS{cfg: cfg, calls: map[string]uint64{}}
+	return &FaultFS{src: fault.New(cfg.Seed), cfg: cfg}
 }
 
 // Stats snapshots the injection counters.
 func (fs *FaultFS) Stats() FaultFSStats {
 	return FaultFSStats{
-		Ops:         fs.ops.Load(),
+		Ops:         fs.src.Ops(),
 		ShortWrites: fs.shortWrites.Load(),
 		TornWrites:  fs.tornWrites.Load(),
 		SyncErrs:    fs.syncErrs.Load(),
@@ -96,19 +96,11 @@ func (fs *FaultFS) Open(path string) (File, error) {
 // roll draws the deterministic uniform values for this (op, file) call:
 // u decides the fault, v sizes a partial write.
 func (fs *FaultFS) roll(op, name string) (u, v float64, cfg FaultConfig) {
+	d := fs.src.Roll(op, name)
 	fs.mu.Lock()
-	key := op + "\x00" + name
-	n := fs.calls[key]
-	fs.calls[key] = n + 1
 	cfg = fs.cfg
 	fs.mu.Unlock()
-	fs.ops.Add(1)
-
-	h := splitmix(uint64(cfg.Seed) ^ fnv64(key) ^ (n * 0x9e3779b97f4a7c15))
-	u = float64(h>>11) / (1 << 53)
-	h = splitmix(h)
-	v = float64(h>>11) / (1 << 53)
-	return u, v, cfg
+	return d.Uniform(), d.Uniform(), cfg
 }
 
 type faultFile struct {
@@ -145,22 +137,4 @@ func (f *faultFile) Sync() error {
 		return fmt.Errorf("faultfs: injected sync failure on %s", f.name)
 	}
 	return f.File.Sync()
-}
-
-// fnv64 is FNV-1a over s.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// splitmix advances a splitmix64 state.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

@@ -14,8 +14,9 @@ import (
 // reflection and no allocation on well-formed input (the only growth is
 // the target Counts/batch slices themselves). It accepts exactly the
 // inputs a strict json.Decoder (DisallowUnknownFields) accepts and
-// produces identical values — including the obscure corners, which are
-// load-bearing for the ReflectCodec differential tests:
+// produces identical values — including the obscure corners, which the
+// encoding/json oracle tests (FuzzWireCodec, serve's TestHTTPPushBodies)
+// hold it to:
 //
 //   - trailing bytes after the top-level value are ignored, even
 //     syntactically invalid ones ("{}x", "nullx"): the reference

@@ -6,9 +6,8 @@
 //
 // The codec is not "JSON-ish": it is byte-for-byte and accept-for-accept
 // compatible with the reflection-based encoding/json code it replaces,
-// so the serving layer can switch between the two freely
-// (serve.Options.ReflectCodec) and differential tests can assert
-// equality instead of mere semantic equivalence. Concretely:
+// so tests can use encoding/json as the oracle and assert equality
+// instead of mere semantic equivalence. Concretely:
 //
 //   - Every Append* function produces exactly the bytes json.Marshal
 //     produces for the same value (same float formatting, same
