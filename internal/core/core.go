@@ -76,6 +76,31 @@ type Buffered interface {
 	Flush() []model.Config
 }
 
+// Snapshotter is the optional interface of online algorithms whose
+// decision state has a compact binary encoding (Algorithms A and B), so
+// a live driver can save it beside its replay log and later resume
+// without stepping the algorithm through the whole log again
+// (stream.Restore). Restoring takes two steps on a freshly constructed
+// algorithm: Refill re-ingests each logged slot as input history only —
+// no prefix optimum, no decision — and RestoreState then loads the
+// saved state. The algorithm continues bit-identically to the one that
+// wrote the state, exactly as if it had replayed the log.
+type Snapshotter interface {
+	Online
+	// Refill appends a logged slot to the algorithm's input history
+	// without deciding it, validating the slot like Step's driver does.
+	Refill(in model.SlotInput) error
+	// AppendState appends the algorithm's state after its most recent
+	// Step to dst. The encoding starts with a kind and version header
+	// (internal/statebuf).
+	AppendState(dst []byte) []byte
+	// RestoreState loads an AppendState encoding into an algorithm that
+	// was never stepped and whose history Refill has filled with exactly
+	// the slots the state covers. It rejects states of another kind or
+	// version, and states inconsistent with the refilled history.
+	RestoreState(state []byte) error
+}
+
 // Run drives an online algorithm over a pre-recorded instance — the batch
 // facade over the streaming API. The schedule is preallocated and each
 // slot's scratch configuration is cloned exactly once into it.

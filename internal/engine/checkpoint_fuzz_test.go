@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"repro/internal/stream"
@@ -13,6 +14,12 @@ import (
 // mismatched counts all surface as errors — and any checkpoint that does
 // resume must round-trip: re-checkpointing the resumed session and
 // resuming again reproduces the identical session state.
+//
+// For algorithms with a state codec (alg-a, alg-b) the state path must
+// agree with replay as well: restoring the resumed session's saved state
+// over its log is bit-identical to the replayed session, also on the
+// next pushes, and a truncated or bit-flipped state (position chosen by
+// the input) falls back to replay rather than to a divergent session.
 //
 // The seed corpus lives under testdata/fuzz/FuzzCheckpointResume.
 func FuzzCheckpointResume(f *testing.F) {
@@ -77,6 +84,52 @@ func FuzzCheckpointResume(f *testing.F) {
 		}
 		if again.CumCost() != sess.CumCost() {
 			t.Fatalf("round trip changed cum cost: %v != %v", again.CumCost(), sess.CumCost())
+		}
+
+		state := sess.AppendState(nil)
+		if len(state) == 0 {
+			return // no state codec: replay is the only path
+		}
+		damaged := append([]byte(nil), state...)
+		pos := len(data) % (8 * len(state))
+		damaged[pos/8] ^= 1 << (pos % 8)
+		for _, c := range []struct {
+			name  string
+			state []byte
+			want  bool
+		}{
+			{"intact", state, true},
+			{"truncated", state[:len(data)%len(state)], false},
+			{"bit-flipped", damaged, false},
+		} {
+			got, restored, err := RestoreSession(cp2, c.state, types, stream.Options{})
+			if err != nil {
+				t.Fatalf("%s state: %v", c.name, err)
+			}
+			if restored != c.want {
+				t.Fatalf("%s state: restored=%v, want %v", c.name, restored, c.want)
+			}
+			ref, err := ResumeSession(cp2, types, stream.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lambda := range []float64{0, 1.5, 7.25} {
+				a, aerr := got.FeedDemand(lambda)
+				b, berr := ref.FeedDemand(lambda)
+				if (aerr == nil) != (berr == nil) || len(a) != len(b) {
+					t.Fatalf("%s state: push %v diverged: %v/%v, %d/%d advisories", c.name, lambda, aerr, berr, len(a), len(b))
+				}
+				for i := range a {
+					if !sameAdvisory(a[i], b[i]) {
+						t.Fatalf("%s state: push %v advisory %+v, replay %+v", c.name, lambda, a[i], b[i])
+					}
+				}
+			}
+			if got.Fed() != ref.Fed() || got.Decided() != ref.Decided() ||
+				math.Float64bits(got.CumCost()) != math.Float64bits(ref.CumCost()) {
+				t.Fatalf("%s state: fed %d/%d decided %d/%d cum %v/%v", c.name,
+					got.Fed(), ref.Fed(), got.Decided(), ref.Decided(), got.CumCost(), ref.CumCost())
+			}
 		}
 	})
 }

@@ -153,19 +153,43 @@ func construct(spec AlgSpec, types []model.ServerType, opts stream.Options) (cor
 // ResumeSession rebuilds a live session from a checkpoint, resolving the
 // algorithm recorded in it and replaying the log.
 func ResumeSession(cp *stream.Checkpoint, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
-	spec, ok := LookupAlgorithm(cp.Alg)
-	if !ok {
-		return nil, fmt.Errorf("engine: checkpoint names unknown algorithm %q", cp.Alg)
-	}
-	if !spec.Streamable() {
-		return nil, fmt.Errorf("engine: algorithm %q is offline-only and cannot serve a live session", spec.Name)
+	spec, opts, err := checkpointSpec(cp, opts)
+	if err != nil {
+		return nil, err
 	}
 	alg, err := construct(spec, types, opts)
 	if err != nil {
 		return nil, err
 	}
+	return stream.Resume(alg, types, opts, cp)
+}
+
+// RestoreSession is ResumeSession from a checkpoint plus the state its
+// session saved (stream.Session.AppendState): it restores the state
+// without replaying the log when it can, and replays otherwise — state
+// absent, unknown, damaged or for another log, or an algorithm without a
+// state codec. restored reports which path ran (see stream.Restore).
+func RestoreSession(cp *stream.Checkpoint, state []byte, types []model.ServerType, opts stream.Options) (s *stream.Session, restored bool, err error) {
+	spec, opts, err := checkpointSpec(cp, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	mk := func() (core.Online, error) { return construct(spec, types, opts) }
+	return stream.Restore(mk, types, opts, cp, state)
+}
+
+// checkpointSpec resolves the streamable algorithm a checkpoint names and
+// records its registry key in the session options.
+func checkpointSpec(cp *stream.Checkpoint, opts stream.Options) (AlgSpec, stream.Options, error) {
+	spec, ok := LookupAlgorithm(cp.Alg)
+	if !ok {
+		return AlgSpec{}, opts, fmt.Errorf("engine: checkpoint names unknown algorithm %q", cp.Alg)
+	}
+	if !spec.Streamable() {
+		return AlgSpec{}, opts, fmt.Errorf("engine: algorithm %q is offline-only and cannot serve a live session", spec.Name)
+	}
 	if opts.Alg == "" {
 		opts.Alg = spec.Key
 	}
-	return stream.Resume(alg, types, opts, cp)
+	return spec, opts, nil
 }

@@ -127,6 +127,9 @@ func (ins *Instance) Validate() error {
 		if ins.Lambda[t-1] < 0 {
 			return fmt.Errorf("model: negative job volume %g at slot %d", ins.Lambda[t-1], t)
 		}
+		if math.IsNaN(ins.Lambda[t-1]) || math.IsInf(ins.Lambda[t-1], 1) {
+			return fmt.Errorf("model: non-finite job volume %g at slot %d", ins.Lambda[t-1], t)
+		}
 		if ins.Counts != nil && len(ins.Counts[t-1]) != ins.D() {
 			return fmt.Errorf("model: Counts[%d] has %d types, want %d", t-1, len(ins.Counts[t-1]), ins.D())
 		}

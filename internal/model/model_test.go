@@ -374,3 +374,29 @@ func TestScheduleClone(t *testing.T) {
 		t.Error("Clone should deep-copy")
 	}
 }
+
+// Non-finite demand is rejected by batch validation and by the streaming
+// accumulator alike. NaN slips past both ordered comparisons (negative
+// demand, demand above capacity), so it needs its own check; +Inf gets
+// the same message instead of a capacity complaint.
+func TestNonFiniteDemandRejected(t *testing.T) {
+	for _, lambda := range []float64{math.NaN(), math.Inf(1)} {
+		ins := twoTypeInstance()
+		ins.Lambda[1] = lambda
+		if err := ins.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Validate with demand %v: err = %v, want a non-finite demand error", lambda, err)
+		}
+
+		acc, err := NewAccumulator(twoTypeInstance().Types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = acc.Push(SlotInput{Lambda: lambda})
+		if err == nil || !strings.Contains(err.Error(), "non-finite") {
+			t.Errorf("Accumulator.Push(%v): err = %v, want a non-finite demand error", lambda, err)
+		}
+		if acc.T() != 0 {
+			t.Errorf("Accumulator.Push(%v) kept the slot: T = %d", lambda, acc.T())
+		}
+	}
+}

@@ -151,8 +151,8 @@ func (a *Accumulator) resolve(in SlotInput, j int) (costfn.Func, error) {
 }
 
 // Push appends one slot. It validates the protocol (consecutive 1-based
-// slots) and the slot's feasibility: non-negative demand covered by the
-// slot's total capacity.
+// slots) and the slot's feasibility: finite, non-negative demand covered
+// by the slot's total capacity.
 func (a *Accumulator) Push(in SlotInput) error {
 	t := a.T() + 1
 	if in.T != 0 && in.T != t {
@@ -161,6 +161,9 @@ func (a *Accumulator) Push(in SlotInput) error {
 	in.T = t
 	if in.Lambda < 0 {
 		return fmt.Errorf("model: negative job volume %g at slot %d", in.Lambda, t)
+	}
+	if math.IsNaN(in.Lambda) || math.IsInf(in.Lambda, 1) {
+		return fmt.Errorf("model: non-finite job volume %g at slot %d", in.Lambda, t)
 	}
 	if in.Counts != nil && len(in.Counts) != len(a.template) {
 		return fmt.Errorf("model: slot %d carries %d counts, want %d", t, len(in.Counts), len(a.template))

@@ -191,6 +191,13 @@ func (k *Kahan) Add(x float64) {
 // Sum returns the compensated running sum.
 func (k *Kahan) Sum() float64 { return k.sum }
 
+// Parts returns the accumulator's two words, the running sum and its
+// compensation term, so it can be saved and rebuilt exactly (KahanOf).
+func (k *Kahan) Parts() (sum, comp float64) { return k.sum, k.comp }
+
+// KahanOf rebuilds an accumulator from the words Parts returned.
+func KahanOf(sum, comp float64) Kahan { return Kahan{sum: sum, comp: comp} }
+
 // CeilDiv returns ⌈a/b⌉ for positive b and non-negative a.
 func CeilDiv(a, b int) int {
 	if b <= 0 {

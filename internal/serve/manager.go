@@ -10,9 +10,10 @@
 // The shard count is a pure contention knob: any value produces
 // bit-identical advisories (covered by a shard-invariance test). Idle
 // sessions are evicted to a pluggable SnapshotStore in
-// stream.Checkpoint's portable form and are transparently resumed by the
-// next push — callers cannot tell eviction happened except through the
-// aggregate counters.
+// stream.Checkpoint's portable form, plus their saved algorithm state,
+// and are transparently resumed by the next push — from the state when
+// it fits the log, by replay otherwise. Callers cannot tell eviction
+// happened except through the aggregate counters.
 //
 // Lock ordering: a shard lock may be taken first and a session lock
 // second only without blocking (TryLock, or a freshly created session's
@@ -384,7 +385,7 @@ func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
 	// the id is still linked, so a concurrent open of the same id cannot
 	// have created a log of its own yet.
 	if m.walEnabled() && req.Checkpoint != nil {
-		if err := m.saveWithRetry(&Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: sess.Checkpoint()}); err != nil {
+		if err := m.saveWithRetry(newSnapshot(ls.id, ls.fleet, sess)); err != nil {
 			ls.gone = true
 			ls.closeWALLocked()
 			m.removeWAL(ls.id)
@@ -610,7 +611,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*liveSession, error) 
 	m.stripeFor(id).live.Add(1)
 	sh.mu.Unlock()
 
-	sess, snap, types, err := m.resumeFromStore(ctx, id)
+	sess, snap, types, restored, err := m.resumeFromStore(ctx, id)
 	if err != nil {
 		ls.gone = true
 		ls.mu.Unlock()
@@ -642,7 +643,11 @@ func (m *Manager) acquire(ctx context.Context, id string) (*liveSession, error) 
 	}
 	replayWALLocked(ls, stats.Records)
 	ls.mu.Unlock()
-	m.stripeFor(id).resumed.Add(1)
+	met := m.stripeFor(id)
+	met.resumed.Add(1)
+	if !restored {
+		met.resumeReplayed.Add(uint64(len(snap.Checkpoint.Slots)))
+	}
 	return ls, nil
 }
 
@@ -657,27 +662,27 @@ func storeErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrStore, err)
 }
 
-// resumeFromStore loads and replays a snapshot.
-func (m *Manager) resumeFromStore(ctx context.Context, id string) (*stream.Session, *Snapshot, []model.ServerType, error) {
+// resumeFromStore loads a snapshot and rebuilds its session, from the
+// saved state when it can and by replaying the log otherwise; restored
+// reports which.
+func (m *Manager) resumeFromStore(ctx context.Context, id string) (sess *stream.Session, snap *Snapshot, types []model.ServerType, restored bool, err error) {
 	snap, ok, err := m.loadCtx(ctx, id)
 	if err != nil {
-		return nil, nil, nil, storeErr(err)
+		return nil, nil, nil, false, storeErr(err)
 	}
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
+		return nil, nil, nil, false, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
 	if snap.Checkpoint == nil {
-		return nil, nil, nil, fmt.Errorf("%w: snapshot %q has no checkpoint", ErrStore, id)
+		return nil, nil, nil, false, fmt.Errorf("%w: snapshot %q has no checkpoint", ErrStore, id)
 	}
-	types, err := snap.Fleet.Resolve()
-	if err != nil {
-		return nil, nil, nil, err
+	if types, err = snap.Fleet.Resolve(); err != nil {
+		return nil, nil, nil, false, err
 	}
-	sess, err := engine.ResumeSession(snap.Checkpoint, types, m.streamOpts())
-	if err != nil {
-		return nil, nil, nil, err
+	if sess, restored, err = engine.RestoreSession(snap.Checkpoint, snap.State, types, m.streamOpts()); err != nil {
+		return nil, nil, nil, false, err
 	}
-	return sess, snap, types, nil
+	return sess, snap, types, restored, nil
 }
 
 // withSession runs fn with the session's lock held, transparently
@@ -899,8 +904,9 @@ func (m *Manager) Info(id string) (SessionInfo, error) {
 	return info, nil
 }
 
-// Checkpoint snapshots the session's replay log, persists it to the store
-// and returns it. The session stays live. The save runs under the
+// Checkpoint snapshots the session's replay log and state, persists
+// them to the store and returns the snapshot without the store-internal
+// state. The session stays live. The save runs under the
 // session lock, like eviction's: all store writes for a live session are
 // serialized, so a slow checkpoint save can never land after (and
 // clobber) a newer eviction snapshot — the chaos suite's torn-write
@@ -911,7 +917,7 @@ func (m *Manager) Checkpoint(id string) (*Snapshot, error) {
 	var snap *Snapshot
 	var serr error
 	err := m.withSession(id, func(ls *liveSession) {
-		snap = &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: ls.sess.Checkpoint()}
+		snap = newSnapshot(ls.id, ls.fleet, ls.sess)
 		serr = m.store.Save(snap)
 		if serr == nil {
 			ls.compactWALLocked()
@@ -923,7 +929,9 @@ func (m *Manager) Checkpoint(id string) (*Snapshot, error) {
 	if serr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStore, serr)
 	}
-	return snap, nil
+	out := *snap // the store may keep snap; clients get the portable log only
+	out.State = nil
+	return &out, nil
 }
 
 // Delete ends a session: a live one is closed (semi-online algorithms
@@ -1036,7 +1044,7 @@ func (m *Manager) saveWithRetry(snap *Snapshot) error {
 // but the resident session still shadows it and the next eviction
 // attempt overwrites it.
 func (m *Manager) evictHoldingBoth(sh *shard, ls *liveSession) error {
-	snap := &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: ls.sess.Checkpoint()}
+	snap := newSnapshot(ls.id, ls.fleet, ls.sess)
 	sh.mu.Unlock()
 	err := m.saveWithRetry(snap)
 	if err == nil {
@@ -1197,7 +1205,7 @@ func (m *Manager) Close() error {
 		for _, ls := range live {
 			ls.mu.Lock() // blocks until any in-flight push completes
 			if !ls.gone && ls.sess != nil {
-				snap := &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: ls.sess.Checkpoint()}
+				snap := newSnapshot(ls.id, ls.fleet, ls.sess)
 				if err := m.saveWithRetry(snap); err == nil {
 					ls.compactWALLocked()
 				} else if firstErr == nil {

@@ -30,9 +30,13 @@ type Metrics struct {
 	WALTornTails         uint64 `json:"wal_torn_tails"`
 	// SnapshotCorrupt counts corrupt snapshot or WAL files quarantined
 	// (renamed to <name>.corrupt) instead of wedging their session id.
-	SnapshotCorrupt uint64  `json:"snapshot_corrupt"`
-	PushP50Micros   float64 `json:"push_p50_us"`
-	PushP99Micros   float64 `json:"push_p99_us"`
+	SnapshotCorrupt uint64 `json:"snapshot_corrupt"`
+	// ResumeReplayedSlots counts the replay-log slots resumes stepped
+	// through an algorithm. A resume that restores the session's saved
+	// state steps none, so it stays 0 while every resume restores.
+	ResumeReplayedSlots uint64  `json:"resume_replayed_slots"`
+	PushP50Micros       float64 `json:"push_p50_us"`
+	PushP99Micros       float64 `json:"push_p99_us"`
 }
 
 // counters aggregates manager activity. The counters are striped in
@@ -48,10 +52,10 @@ type counters struct {
 	stripes []counterStripe
 }
 
-// counterStripe is one registry shard's counter block. The sixteen hot
-// words fill exactly two 64-byte cache lines before the histogram, so
-// the stripe occupies a whole number of lines and adjacent stripes never
-// false-share; TestCounterStripePadding asserts the layout.
+// counterStripe is one registry shard's counter block. The seventeen hot
+// words, padded to 24, fill exactly three 64-byte cache lines before the
+// histogram, so the stripe occupies a whole number of lines and adjacent
+// stripes never false-share; TestCounterStripePadding asserts the layout.
 type counterStripe struct {
 	opened  atomic.Uint64
 	resumed atomic.Uint64
@@ -77,7 +81,11 @@ type counterStripe struct {
 	walRecovered atomic.Uint64
 	walTorn      atomic.Uint64
 	snapCorrupt  atomic.Uint64
-	lat          latencyHist
+	// resumeReplayed counts replay-log slots stepped by resumes that
+	// could not restore saved state.
+	resumeReplayed atomic.Uint64
+	_              [7]uint64
+	lat            latencyHist
 }
 
 // observe records one push latency on this stripe: the histogram bucket
@@ -114,6 +122,7 @@ func (c *counters) snapshot(live int) Metrics {
 		m.WALRecoveredSessions += s.walRecovered.Load()
 		m.WALTornTails += s.walTorn.Load()
 		m.SnapshotCorrupt += s.snapCorrupt.Load()
+		m.ResumeReplayedSlots += s.resumeReplayed.Load()
 		for b := range snap {
 			v := s.lat.buckets[b].Load()
 			snap[b] += v

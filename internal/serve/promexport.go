@@ -92,6 +92,7 @@ func (m *Manager) appendPromText(dst []byte) []byte {
 		agg.WALRecoveredSessions += s.walRecovered.Load()
 		agg.WALTornTails += s.walTorn.Load()
 		agg.SnapshotCorrupt += s.snapCorrupt.Load()
+		agg.ResumeReplayedSlots += s.resumeReplayed.Load()
 		sumNs += s.latSumNs.Load()
 		for b := range buckets {
 			v := s.lat.buckets[b].Load()
@@ -114,6 +115,7 @@ func (m *Manager) appendPromText(dst []byte) []byte {
 	dst = promCounter(dst, "rightsized_wal_recovered_sessions_total", "Sessions rebuilt from snapshot plus WAL replay at startup.", agg.WALRecoveredSessions)
 	dst = promCounter(dst, "rightsized_wal_torn_tails_total", "Torn WAL tails truncated to the last whole record on open.", agg.WALTornTails)
 	dst = promCounter(dst, "rightsized_snapshot_corrupt_total", "Corrupt snapshot or WAL files quarantined to <name>.corrupt.", agg.SnapshotCorrupt)
+	dst = promCounter(dst, "rightsized_resume_replayed_slots_total", "Replay-log slots stepped through an algorithm by resumes that could not restore saved state.", agg.ResumeReplayedSlots)
 
 	hits, misses := solver.MemoStats()
 	dst = promCounter(dst, "rightsized_solver_memo_hits_total", "Solver g-layer memo hits (process-wide).", hits)

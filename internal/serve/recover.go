@@ -112,7 +112,7 @@ func (m *Manager) recoverOne(path string, rep *RecoverReport) {
 		fleet = snap.Fleet
 		types, rerr := fleet.Resolve()
 		if rerr == nil {
-			sess, rerr = engine.ResumeSession(snap.Checkpoint, types, m.streamOpts())
+			sess, _, rerr = engine.RestoreSession(snap.Checkpoint, snap.State, types, m.streamOpts())
 		}
 		if rerr != nil {
 			rep.Failed = append(rep.Failed, id)
@@ -149,7 +149,7 @@ func (m *Manager) recoverOne(path string, rep *RecoverReport) {
 		// the unacknowledged orphan tail, so the applied prefix below is
 		// exactly the acknowledged stream and the normal path is right.)
 		if applied > 0 {
-			merged := &Snapshot{ID: id, Fleet: fleet, Checkpoint: sess.Checkpoint()}
+			merged := newSnapshot(id, fleet, sess)
 			if err := m.saveWithRetry(merged); err != nil {
 				rep.Failed = append(rep.Failed, id)
 				return
@@ -160,7 +160,7 @@ func (m *Manager) recoverOne(path string, rep *RecoverReport) {
 		return
 	}
 
-	merged := &Snapshot{ID: id, Fleet: fleet, Checkpoint: sess.Checkpoint()}
+	merged := newSnapshot(id, fleet, sess)
 	if err := m.saveWithRetry(merged); err != nil {
 		// Leave the WAL in place: the snapshot may be stale but the log
 		// still carries the delta, so the next restart retries.

@@ -53,10 +53,23 @@ func (f *FleetJSON) Resolve() ([]model.ServerType, error) {
 // form: identity, fleet descriptor and the session's replay log
 // (stream.Checkpoint, which already names the algorithm). Resuming it
 // reproduces the live session bit-identically.
+//
+// State is store-internal: the session's saved decision state
+// (stream.Session.AppendState), bound to the checkpoint's log, which
+// lets a resume skip replaying the log. It is absent for algorithms
+// without a state codec and never leaves the daemon — the checkpoint
+// endpoint strips it, and client-supplied checkpoints always replay.
 type Snapshot struct {
 	ID         string             `json:"id"`
 	Fleet      FleetJSON          `json:"fleet"`
 	Checkpoint *stream.Checkpoint `json:"checkpoint"`
+	State      []byte             `json:"state,omitempty"`
+}
+
+// newSnapshot captures a live session for the store: its replay log plus
+// its saved state.
+func newSnapshot(id string, fleet FleetJSON, sess *stream.Session) *Snapshot {
+	return &Snapshot{ID: id, Fleet: fleet, Checkpoint: sess.Checkpoint(), State: sess.AppendState(nil)}
 }
 
 // SnapshotStore persists evicted sessions. Implementations must be safe
@@ -67,9 +80,9 @@ type SnapshotStore interface {
 	Delete(id string) error
 }
 
-// MemStore is the in-memory SnapshotStore: eviction sheds live session
-// state (algorithm histories, trackers) down to the replay log, and
-// snapshots die with the process.
+// MemStore is the in-memory SnapshotStore: eviction sheds a live session
+// down to its replay log and saved state, and snapshots die with the
+// process.
 type MemStore struct {
 	mu    sync.Mutex
 	snaps map[string][]byte

@@ -112,6 +112,8 @@ func appendHealthz(dst []byte, ok bool, mt *Metrics) ([]byte, error) {
 	dst = wire.AppendUint(dst, mt.WALTornTails)
 	dst = append(dst, `,"snapshot_corrupt":`...)
 	dst = wire.AppendUint(dst, mt.SnapshotCorrupt)
+	dst = append(dst, `,"resume_replayed_slots":`...)
+	dst = wire.AppendUint(dst, mt.ResumeReplayedSlots)
 	var err error
 	dst = append(dst, `,"push_p50_us":`...)
 	if dst, err = wire.AppendFloat(dst, mt.PushP50Micros); err != nil {

@@ -1,9 +1,12 @@
 package solver
 
 import (
+	"fmt"
+
 	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/numeric"
+	"repro/internal/statebuf"
 )
 
 // PrefixTracker incrementally maintains the optimal-cost DP layer for the
@@ -145,22 +148,99 @@ func (p *PrefixTracker) Push(in model.SlotInput) (model.Config, float64, error) 
 	}
 	t := p.t + 1
 	if p.curGrid == nil || !numeric.EqualInts(p.ins.Counts[t-1], p.curCounts) {
-		axes := make([]grid.Axis, p.ins.D())
-		for j := range axes {
-			m := p.ins.Counts[t-1][j]
-			if p.gamma > 1 {
-				axes[j] = grid.ReducedAxis(m, p.gamma)
-			} else {
-				axes[j] = grid.FullAxis(m)
-			}
-		}
-		p.prevGrid, p.curGrid = p.curGrid, grid.New(axes)
+		p.prevGrid, p.curGrid = p.curGrid, p.lattice(p.ins.Counts[t-1])
 		p.curCounts = append(p.curCounts[:0], p.ins.Counts[t-1]...)
 	} else {
 		p.prevGrid = p.curGrid
 	}
 	cfg, val := p.step(p.curGrid, p.prevGrid)
 	return cfg, val, nil
+}
+
+// lattice builds the stream-mode lattice for one slot's counts.
+func (p *PrefixTracker) lattice(counts []int) *grid.Grid {
+	axes := make([]grid.Axis, len(counts))
+	for j, m := range counts {
+		if p.gamma > 1 {
+			axes[j] = grid.ReducedAxis(m, p.gamma)
+		} else {
+			axes[j] = grid.FullAxis(m)
+		}
+	}
+	return grid.New(axes)
+}
+
+// The stream tracker's state codec (see AppendState).
+const (
+	trackerStateKind    = 'T'
+	trackerStateVersion = 1
+)
+
+// Refill appends one slot to a stream tracker's instance without
+// advancing the DP: the first half of restoring a saved state, with
+// RestoreState the second. It validates like Push.
+func (p *PrefixTracker) Refill(in model.SlotInput) error {
+	if p.acc == nil {
+		panic("solver: Refill on a pre-bound tracker")
+	}
+	return p.acc.Push(in)
+}
+
+// AppendState appends a stream tracker's DP state to dst: the number of
+// slots processed, the counts the current lattice was built for and the
+// current layer D_t (whose +Inf cells survive, floats being stored as
+// bits). The instance is not part of the state — a restore refills it
+// from the session's log — and neither is the previous lattice, which
+// the next Push replaces before reading.
+func (p *PrefixTracker) AppendState(dst []byte) []byte {
+	if p.acc == nil {
+		panic("solver: AppendState on a pre-bound tracker")
+	}
+	dst = statebuf.AppendHeader(dst, trackerStateKind, trackerStateVersion)
+	dst = statebuf.AppendInt(dst, p.t)
+	dst = statebuf.AppendInts(dst, p.curCounts)
+	return statebuf.AppendFloats(dst, p.layer)
+}
+
+// RestoreState loads an AppendState encoding into a fresh (never
+// pushed) stream tracker whose instance Refill has filled with exactly
+// the slots the state covers, rebuilding the current lattice from the
+// saved counts. Later Pushes then continue bit-identically to the
+// tracker that wrote the state. On error the tracker is unchanged.
+func (p *PrefixTracker) RestoreState(state []byte) error {
+	if p.acc == nil {
+		panic("solver: RestoreState on a pre-bound tracker")
+	}
+	if p.t != 0 {
+		return fmt.Errorf("solver: RestoreState on a tracker that already advanced")
+	}
+	r := statebuf.NewReader(state)
+	r.Header(trackerStateKind, trackerStateVersion)
+	t := r.Int()
+	counts := r.Ints()
+	layer := r.Floats()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("solver: tracker state: %w", err)
+	}
+	if t != p.acc.T() {
+		return fmt.Errorf("solver: tracker state covers %d slots, the instance holds %d: %w", t, p.acc.T(), statebuf.ErrMalformed)
+	}
+	if t == 0 {
+		if counts != nil || layer != nil {
+			return fmt.Errorf("solver: tracker state has a layer before the first slot: %w", statebuf.ErrMalformed)
+		}
+		return nil
+	}
+	if !numeric.EqualInts(counts, p.ins.Counts[t-1]) {
+		return fmt.Errorf("solver: tracker state counts %v differ from slot %d's %v: %w", counts, t, p.ins.Counts[t-1], statebuf.ErrMalformed)
+	}
+	g := p.lattice(counts)
+	if len(layer) != g.Size() {
+		return fmt.Errorf("solver: tracker state layer has %d cells, the lattice %d: %w", len(layer), g.Size(), statebuf.ErrMalformed)
+	}
+	p.t, p.layer = t, layer
+	p.prevGrid, p.curGrid, p.curCounts = nil, g, counts
+	return nil
 }
 
 // step advances the DP layer onto lattice g for slot p.t+1; prev is the

@@ -12,22 +12,28 @@
 // algorithm instance. Deterministic algorithms — all of the library's —
 // continue bit-identically after a resume.
 //
-// State (the replay log, the accumulated instance, algorithm histories)
-// grows linearly with stream length, and resume time is proportional to
-// the checkpointed prefix — the standard event-sourcing trade-off. For
-// the paper-scale horizons served here that is cheap; unbounded streams
-// would want periodic log compaction onto a state snapshot, a deliberate
-// non-goal of this layer for now.
+// Replay steps every logged slot through the algorithm and its
+// prefix-optimum tracker again, so its cost grows with the log. When the
+// algorithm has a state codec (core.Snapshotter: Algorithms A and B),
+// AppendState also saves the session's decision state — the algorithm's
+// per-type machines, the tracker's last DP layer and the running sums —
+// bound to its log by length and hash. Restore then refills the input
+// history from the log without deciding anything and loads the state,
+// and falls back to replay whenever the state is absent, unknown,
+// damaged or belongs to another log. The replay log itself still grows
+// with the stream; bounding it is a separate concern.
 package stream
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/costfn"
 	"repro/internal/model"
 	"repro/internal/numeric"
 	"repro/internal/solver"
+	"repro/internal/statebuf"
 )
 
 // Options tunes a session. The zero value enables full telemetry.
@@ -80,6 +86,17 @@ type SlotRecord struct {
 	Lambda float64       `json:"lambda"`
 	Counts []int         `json:"counts,omitempty"`
 	Costs  []costfn.Func `json:"-"`
+}
+
+// clone copies the record's slices, so the caller's buffers stay its own.
+func (r SlotRecord) clone() SlotRecord {
+	if r.Counts != nil {
+		r.Counts = append([]int(nil), r.Counts...)
+	}
+	if r.Costs != nil {
+		r.Costs = append([]costfn.Func(nil), r.Costs...)
+	}
+	return r
 }
 
 // Checkpoint captures a session's full input history. Replaying it into a
@@ -221,13 +238,7 @@ func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err err
 			decided, err = false, s.failed
 		}
 	}()
-	rec := SlotRecord{Lambda: in.Lambda}
-	if in.Counts != nil {
-		rec.Counts = append([]int(nil), in.Counts...)
-	}
-	if in.Costs != nil {
-		rec.Costs = append([]costfn.Func(nil), in.Costs...)
-	}
+	rec := SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone()
 	if err := s.acc.Push(in); err != nil {
 		return false, err
 	}
@@ -429,5 +440,159 @@ func Resume(alg core.Online, types []model.ServerType, opts Options, cp *Checkpo
 			return nil, fmt.Errorf("stream: replaying slot %d: %w", i+1, err)
 		}
 	}
+	return s, nil
+}
+
+// The session state codec (see AppendState).
+const (
+	sessionStateKind    = 'S'
+	sessionStateVersion = 1
+)
+
+// AppendState appends the session's decision state to dst: the fed and
+// decided counts, a 64-bit hash of the replay log that binds the state
+// to it, the last configuration, both Kahan words of the operating-cost
+// sum, the switching and prefix-optimum totals, and the nested states of
+// the algorithm and of the session's own telemetry tracker (if any),
+// sealed with a CRC-32C. It returns dst unchanged when the algorithm has
+// no state codec (not a core.Snapshotter) or the session has failed;
+// such sessions resume by replay only.
+func (s *Session) AppendState(dst []byte) []byte {
+	alg, ok := s.alg.(core.Snapshotter)
+	if !ok || s.failed != nil {
+		return dst
+	}
+	start := len(dst)
+	dst = statebuf.AppendHeader(dst, sessionStateKind, sessionStateVersion)
+	dst = statebuf.AppendInt(dst, s.fed)
+	dst = statebuf.AppendInt(dst, s.decided)
+	dst = statebuf.AppendUint64(dst, logHash(s.log))
+	dst = statebuf.AppendInts(dst, s.prev)
+	sum, comp := s.opSum.Parts()
+	dst = statebuf.AppendFloat(dst, sum)
+	dst = statebuf.AppendFloat(dst, comp)
+	dst = statebuf.AppendFloat(dst, s.swSum)
+	dst = statebuf.AppendFloat(dst, s.optCost)
+	dst = statebuf.AppendBytes(dst, alg.AppendState(nil))
+	var opt []byte
+	if s.opt != nil {
+		opt = s.opt.AppendState(nil)
+	}
+	dst = statebuf.AppendBytes(dst, opt)
+	return statebuf.AppendChecksum(dst, start)
+}
+
+// logHash is the 64-bit FNV-1a hash of a replay log's demands (as float
+// bits) and fleet counts, binding a saved state to the log it covers.
+// Explicit per-slot cost functions are not hashed; they are in-memory
+// only and never reach a portable log.
+func logHash(log []SlotRecord) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= prime
+			v >>= 8
+		}
+	}
+	for _, rec := range log {
+		mix(math.Float64bits(rec.Lambda))
+		mix(uint64(len(rec.Counts)))
+		for _, c := range rec.Counts {
+			mix(uint64(c))
+		}
+	}
+	return h
+}
+
+// Restore rebuilds a session from a checkpoint and the state its session
+// saved with AppendState, without stepping the algorithm through the
+// log: it refills the session's, the algorithm's and the telemetry
+// tracker's input histories from the log (validation only — no prefix
+// optimum, no dispatch, no decision) and then loads the state. The
+// result continues bit-identically to Resume's.
+//
+// mk constructs a fresh algorithm, exactly as for Resume. Restore falls
+// back to Resume — replaying the log into a fresh algorithm — when the
+// state is absent, has an unknown kind or version, fails its checksum or
+// does not match the checkpoint's log, or when the algorithm has no
+// state codec. restored reports which path ran.
+func Restore(mk func() (core.Online, error), types []model.ServerType, opts Options, cp *Checkpoint, state []byte) (s *Session, restored bool, err error) {
+	alg, err := mk()
+	if err != nil {
+		return nil, false, err
+	}
+	if sn, ok := alg.(core.Snapshotter); ok && state != nil {
+		if s, err := restoreState(sn, types, opts, cp, state); err == nil {
+			return s, true, nil
+		}
+		// The failed restore may have refilled or partly loaded the
+		// algorithm; replay needs a fresh one.
+		if alg, err = mk(); err != nil {
+			return nil, false, err
+		}
+	}
+	s, err = Resume(alg, types, opts, cp)
+	return s, false, err
+}
+
+// restoreState is Restore's state path. Every check that needs no
+// refill runs first.
+func restoreState(alg core.Snapshotter, types []model.ServerType, opts Options, cp *Checkpoint, state []byte) (*Session, error) {
+	body, err := statebuf.Verify(state)
+	if err != nil {
+		return nil, err
+	}
+	r := statebuf.NewReader(body)
+	r.Header(sessionStateKind, sessionStateVersion)
+	fed, decided, hash := r.Int(), r.Int(), r.Uint64()
+	prev := r.Ints()
+	sum, comp, swSum, optCost := r.Float(), r.Float(), r.Float(), r.Float()
+	algState, optState := r.Bytes(), r.Bytes()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	if fed != len(cp.Slots) || hash != logHash(cp.Slots) {
+		return nil, fmt.Errorf("stream: state covers another log: %w", statebuf.ErrMalformed)
+	}
+	if decided < 0 || decided > fed || len(prev) != len(types) {
+		return nil, statebuf.ErrMalformed
+	}
+	s, err := New(alg, types, opts)
+	if err != nil {
+		return nil, err
+	}
+	if (s.opt != nil) != (len(optState) > 0) {
+		return nil, fmt.Errorf("stream: state and session disagree on a telemetry tracker: %w", statebuf.ErrMalformed)
+	}
+	s.log = make([]SlotRecord, len(cp.Slots))
+	for i, rec := range cp.Slots {
+		in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
+		if err := s.acc.Push(in); err != nil {
+			return nil, err
+		}
+		if err := alg.Refill(in); err != nil {
+			return nil, err
+		}
+		// The telemetry tracker consumes slots at decision time.
+		if s.opt != nil && i < decided {
+			if err := s.opt.Refill(in); err != nil {
+				return nil, err
+			}
+		}
+		s.log[i] = rec.clone()
+	}
+	if err := alg.RestoreState(algState); err != nil {
+		return nil, err
+	}
+	if s.opt != nil {
+		if err := s.opt.RestoreState(optState); err != nil {
+			return nil, err
+		}
+	}
+	s.fed, s.decided, s.prev = fed, decided, prev
+	s.opSum = numeric.KahanOf(sum, comp)
+	s.swSum, s.optCost = swSum, optCost
 	return s, nil
 }

@@ -127,9 +127,9 @@ fi
 # 2000 iterations against a live in-process httptest server. The e2e
 # number includes loopback TCP and the net/http serving stack; the
 # Handler number strips both, so it is the codec-dominated layer where
-# the wire codec's allocs/op win is pinned. The codec=reflect variants
-# re-run here for the record — they are the recorded "previous" in
-# BENCH_serve.json — but only codec=wire is gated.
+# the wire codec's allocs/op win is pinned. The wire codec is the only
+# one; BENCH_serve.json keeps the retired codec=reflect numbers for the
+# record only, and nothing here runs or gates them.
 hout="$(go test -run '^$' -bench 'BenchmarkHTTPPush(Handler)?$' -benchtime 2000x -benchmem ./internal/serve )"
 echo "$hout"
 
