@@ -87,6 +87,9 @@ type Buffered interface {
 // wrote the state, exactly as if it had replayed the log.
 type Snapshotter interface {
 	Online
+	// Grow reserves room for n refilled slots, so a refill of a known
+	// length grows the history once.
+	Grow(n int)
 	// Refill appends a logged slot to the algorithm's input history
 	// without deciding it, validating the slot like Step's driver does.
 	Refill(in model.SlotInput) error

@@ -3,6 +3,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/costfn"
 	"repro/internal/dispatch"
@@ -211,6 +212,23 @@ func (a *Accumulator) Push(in SlotInput) error {
 	a.ins.Counts = append(a.ins.Counts, row)
 	a.ins.Lambda = append(a.ins.Lambda, in.Lambda)
 	return nil
+}
+
+// GrowHeadroom is the number of slots Grow reserves beyond those asked
+// for: room for the pushes that follow a refill, so the first of them
+// does not re-double the arrays the refill just filled.
+const GrowHeadroom = 64
+
+// Grow reserves room for n more slots plus GrowHeadroom, so a driver
+// that knows how many slots it is about to push (a refill from a
+// replay log) grows the instance's arrays once instead of by doubling.
+func (a *Accumulator) Grow(n int) {
+	n += GrowHeadroom
+	a.ins.Lambda = slices.Grow(a.ins.Lambda, n)
+	a.ins.Counts = slices.Grow(a.ins.Counts, n)
+	for _, p := range a.profiles {
+		p.fs = slices.Grow(p.fs, n)
+	}
 }
 
 // MustPush is Push for drivers that have already validated the input;

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/stream"
 )
 
 // BenchmarkServePush measures the serving layer's overhead over a raw
@@ -92,5 +94,40 @@ func BenchmarkServePushParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEvictResume measures one evict→resume cycle of an aged
+// session, the cost every push of an hourly-fed deployment pays: one op
+// evicts a quickstart alg-b session opened from a 2 000-slot checkpoint
+// (snapshot encode, write, fsync and rename through a DirStore) and
+// pushes one slot to it (snapshot read and decode, state restore and the
+// slot itself). Each op grows the session by one slot, so run it at a
+// fixed -benchtime (200x in BENCH_serve.json) to compare like with like.
+func BenchmarkEvictResume(b *testing.B) {
+	store, err := NewDirStore(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewManager(Options{Store: store})
+	defer m.Close()
+	trace := quickstartTrace(b)
+	cp := &stream.Checkpoint{Alg: "alg-b", Slots: make([]stream.SlotRecord, 2000)}
+	for i := range cp.Slots {
+		cp.Slots[i].Lambda = trace[i%len(trace)]
+	}
+	const id = "aged"
+	if _, err := m.Open(OpenRequest{ID: id, Fleet: quickstartFleet(), Checkpoint: cp}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Evict(id); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := m.Push(id, PushRequest{Lambda: trace[i%len(trace)]}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func (a *api) checkpoint(w http.ResponseWriter, r *http.Request) {
 		writeWireError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	writeSnapshot(w, snap)
 }
 
 func (a *api) delete(w http.ResponseWriter, r *http.Request) {

@@ -673,9 +673,6 @@ func (m *Manager) resumeFromStore(ctx context.Context, id string) (sess *stream.
 	if !ok {
 		return nil, nil, nil, false, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
-	if snap.Checkpoint == nil {
-		return nil, nil, nil, false, fmt.Errorf("%w: snapshot %q has no checkpoint", ErrStore, id)
-	}
 	if types, err = snap.Fleet.Resolve(); err != nil {
 		return nil, nil, nil, false, err
 	}
@@ -994,11 +991,7 @@ func (m *Manager) deleteSnapshot(id string) (*CloseResult, error) {
 	}
 	m.removeWAL(id)
 	m.stripeFor(id).deleted.Add(1)
-	info := SessionInfo{ID: id}
-	if snap.Checkpoint != nil {
-		info.Alg = snap.Checkpoint.Alg
-		info.Fed = len(snap.Checkpoint.Slots)
-	}
+	info := SessionInfo{ID: id, Alg: snap.Checkpoint.Alg, Fed: len(snap.Checkpoint.Slots)}
 	return &CloseResult{Info: info}, nil
 }
 

@@ -108,7 +108,7 @@ func (m *Manager) recoverOne(path string, rep *RecoverReport) {
 	}
 	var sess *stream.Session
 	fleet := hdr.Fleet
-	if ok && snap.Checkpoint != nil {
+	if ok {
 		fleet = snap.Fleet
 		types, rerr := fleet.Resolve()
 		if rerr == nil {

@@ -11,12 +11,13 @@ import (
 // transport (sse.go). The handlers decide *what* to answer — status,
 // error taxonomy, Retry-After, response shape — and call the plain
 // functions below for *how* it is framed. Hot-path responses (push in
-// both forms, session info, healthz), every error body and push-request
-// decoding run on the zero-reflection internal/wire codec, whose bytes
-// are exactly encoding/json's (FuzzWireCodec, TestServeWireEncoders and
-// TestHTTPPushBodies hold it to that). Cold success bodies (open, list,
-// checkpoint, delete, algs) stay on writeJSON, where reflection cost is
-// irrelevant.
+// both forms, session info, healthz), the checkpoint body (the store's
+// own snapshot encoder), every error body and push-request decoding run
+// on the zero-reflection internal/wire codec, whose bytes are exactly
+// encoding/json's (FuzzWireCodec, FuzzSnapshotCodec,
+// TestServeWireEncoders and TestHTTPPushBodies hold it to that). Cold
+// success bodies (open, list, delete, algs) stay on writeJSON, where
+// reflection cost is irrelevant.
 
 // encodeFailure answers the encode-failed 500. The body is a JSON
 // error object like every other error response, so the Content-Type
@@ -75,6 +76,13 @@ func writePushResults(w http.ResponseWriter, res []PushResult) {
 func writeSessionInfo(w http.ResponseWriter, info *SessionInfo) {
 	bp := wireBuf()
 	b, werr := appendSessionInfo(*bp, info)
+	*bp = b
+	writeWire(w, http.StatusOK, bp, werr)
+}
+
+func writeSnapshot(w http.ResponseWriter, snap *Snapshot) {
+	bp := wireBuf()
+	b, werr := encodeSnapshot(*bp, snap)
 	*bp = b
 	writeWire(w, http.StatusOK, bp, werr)
 }

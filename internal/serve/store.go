@@ -12,11 +12,13 @@ import (
 	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
-// ErrSnapshotCorrupt marks a snapshot file that existed but did not
-// decode. DirStore quarantines the file (renames it to <name>.corrupt)
-// before returning this, so the id is immediately reusable; the manager
+// ErrSnapshotCorrupt marks a stored snapshot that existed but is not a
+// session: it does not decode, has no checkpoint, or names another id.
+// DirStore quarantines the file (renames it to <name>.corrupt) before
+// returning this, so the id is immediately reusable; the manager
 // converts the error into a clean miss and counts it.
 var ErrSnapshotCorrupt = errors.New("serve: snapshot corrupt")
 
@@ -54,6 +56,12 @@ func (f *FleetJSON) Resolve() ([]model.ServerType, error) {
 // (stream.Checkpoint, which already names the algorithm). Resuming it
 // reproduces the live session bit-identically.
 //
+// Its stored form (encodeSnapshot) is the compact JSON json.Marshal
+// makes of it, written by the zero-reflection internal/wire codec; only
+// the small fleet descriptor goes through encoding/json. decodeSnapshot
+// accepts any JSON whitespace, so files written indented by earlier
+// versions load unchanged.
+//
 // State is store-internal: the session's saved decision state
 // (stream.Session.AppendState), bound to the checkpoint's log, which
 // lets a resume skip replaying the log. It is absent for algorithms
@@ -72,8 +80,55 @@ func newSnapshot(id string, fleet FleetJSON, sess *stream.Session) *Snapshot {
 	return &Snapshot{ID: id, Fleet: fleet, Checkpoint: sess.Checkpoint(), State: sess.AppendState(nil)}
 }
 
+// encodeSnapshot appends snap's stored form to dst: exactly the bytes
+// json.Marshal(snap) produces.
+func encodeSnapshot(dst []byte, snap *Snapshot) ([]byte, error) {
+	fleet, err := json.Marshal(&snap.Fleet)
+	if err != nil {
+		return dst, err
+	}
+	return wire.AppendSnapshot(dst, &wire.Snapshot{ID: snap.ID, Fleet: fleet, Checkpoint: snap.Checkpoint, State: snap.State})
+}
+
+// snapshotSize bounds the stored size of snap from above for the usual
+// logs, so a save encodes into one buffer: a slot takes about 25 of its
+// 32 bytes, the base64 state 4/3 of its raw size.
+func snapshotSize(snap *Snapshot) int {
+	n := 256 + 2*len(snap.State)
+	if snap.Checkpoint != nil {
+		n += 32 * len(snap.Checkpoint.Slots)
+	}
+	return n
+}
+
+// decodeSnapshot decodes the stored form of session id. A snapshot
+// that does not decode, has no checkpoint or names another session is
+// not id's session and reports an error; the stores turn it into
+// ErrSnapshotCorrupt, so the id reads as a clean miss instead of
+// failing every request for it.
+func decodeSnapshot(id string, data []byte) (*Snapshot, error) {
+	var ws wire.Snapshot
+	if err := wire.DecodeSnapshot(data, &ws); err != nil {
+		return nil, err
+	}
+	if ws.Checkpoint == nil {
+		return nil, errors.New("no checkpoint")
+	}
+	if ws.ID != id {
+		return nil, fmt.Errorf("snapshot of session %q", ws.ID)
+	}
+	snap := &Snapshot{ID: ws.ID, Checkpoint: ws.Checkpoint, State: ws.State}
+	if ws.Fleet != nil {
+		if err := json.Unmarshal(ws.Fleet, &snap.Fleet); err != nil {
+			return nil, err
+		}
+	}
+	return snap, nil
+}
+
 // SnapshotStore persists evicted sessions. Implementations must be safe
-// for concurrent use; Load reports ok=false for unknown ids.
+// for concurrent use; Load reports ok=false for unknown ids and
+// ErrSnapshotCorrupt for a stored snapshot that is not the id's session.
 type SnapshotStore interface {
 	Save(snap *Snapshot) error
 	Load(id string) (snap *Snapshot, ok bool, err error)
@@ -82,7 +137,8 @@ type SnapshotStore interface {
 
 // MemStore is the in-memory SnapshotStore: eviction sheds a live session
 // down to its replay log and saved state, and snapshots die with the
-// process.
+// process. It keeps each snapshot in its stored form, the same bytes
+// DirStore writes, so both stores exercise one codec.
 type MemStore struct {
 	mu    sync.Mutex
 	snaps map[string][]byte
@@ -91,10 +147,9 @@ type MemStore struct {
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore { return &MemStore{snaps: map[string][]byte{}} }
 
-// Save implements SnapshotStore. Snapshots are kept JSON-encoded so the
-// in-memory and on-disk stores exercise the identical portable form.
+// Save implements SnapshotStore.
 func (s *MemStore) Save(snap *Snapshot) error {
-	data, err := json.Marshal(snap)
+	data, err := encodeSnapshot(make([]byte, 0, snapshotSize(snap)), snap)
 	if err != nil {
 		return err
 	}
@@ -112,11 +167,11 @@ func (s *MemStore) Load(id string) (*Snapshot, bool, error) {
 	if !ok {
 		return nil, false, nil
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, false, err
+	snap, err := decodeSnapshot(id, data)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, id, err)
 	}
-	return &snap, true, nil
+	return snap, true, nil
 }
 
 // Delete implements SnapshotStore.
@@ -128,9 +183,10 @@ func (s *MemStore) Delete(id string) error {
 }
 
 // DirStore persists snapshots as one JSON file per session under a
-// directory, so an idle-evicted session survives a daemon restart — and,
-// because every save fsyncs the data before the rename and the directory
-// after it, survives a power cut too, not just a process crash.
+// directory (<id>.json, the snapshot's stored form), so an idle-evicted
+// session survives a daemon restart — and, because every save fsyncs
+// the data before the rename and the directory after it, survives a
+// power cut too, not just a process crash.
 type DirStore struct {
 	dir string
 	// trace, when set, observes each step of the save sequence
@@ -186,7 +242,7 @@ func (s *DirStore) path(id string) string {
 // fsync before the rename, a crash could durably commit the new name to
 // an empty file — atomic, but atomically wrong.
 func (s *DirStore) Save(snap *Snapshot) error {
-	data, err := json.MarshalIndent(snap, "", " ")
+	data, err := encodeSnapshot(make([]byte, 0, snapshotSize(snap)), snap)
 	if err != nil {
 		return err
 	}
@@ -223,8 +279,9 @@ func (s *DirStore) Save(snap *Snapshot) error {
 	return nil
 }
 
-// Load implements SnapshotStore. A file that exists but does not decode
-// is quarantined — renamed to <name>.corrupt so it never wedges its id —
+// Load implements SnapshotStore. A file that exists but is not the id's
+// session — it does not decode, has no checkpoint or names another id —
+// is quarantined, renamed to <name>.corrupt so it never wedges its id,
 // and reported as ErrSnapshotCorrupt.
 func (s *DirStore) Load(id string) (*Snapshot, bool, error) {
 	data, err := os.ReadFile(s.path(id))
@@ -234,14 +291,14 @@ func (s *DirStore) Load(id string) (*Snapshot, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	snap, err := decodeSnapshot(id, data)
+	if err != nil {
 		if qerr := quarantine(s.path(id)); qerr != nil {
 			return nil, false, fmt.Errorf("serve: snapshot %s: %v (quarantine failed: %v)", id, err, qerr)
 		}
 		return nil, false, fmt.Errorf("%w: %s: %v", ErrSnapshotCorrupt, id, err)
 	}
-	return &snap, true, nil
+	return snap, true, nil
 }
 
 // quarantine moves a corrupt file aside to <name>.corrupt, clobbering

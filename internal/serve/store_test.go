@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/stream"
@@ -102,5 +105,113 @@ func TestManagerCorruptSnapshotCleanMiss(t *testing.T) {
 	}
 	if _, err := m.Push("hurt", PushRequest{Lambda: 2}); err != nil {
 		t.Fatalf("push to reopened id: %v", err)
+	}
+}
+
+// A snapshot file that decodes but is not the id's session — null, an
+// empty object, an id with no checkpoint, or another session's
+// snapshot — is corrupt too: it is quarantined, counted and read as a
+// clean miss, never answered with a retry-forever store error.
+func TestManagerNonSessionSnapshotCleanMiss(t *testing.T) {
+	other, err := json.Marshal(&Snapshot{ID: "other", Fleet: quickstartFleet(), Checkpoint: &stream.Checkpoint{Alg: "alg-b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{
+		"null": "null", "empty": "{}", "no-checkpoint": `{"id":"hurt"}`, "wrong-id": string(other),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "snaps")
+			store, err := NewDirStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, "hurt.json")
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m := NewManager(Options{Store: store})
+			defer m.Close()
+
+			if _, err := m.Info("hurt"); !errors.Is(err, ErrUnknownSession) {
+				t.Fatalf("Info over %s snapshot err = %v, want ErrUnknownSession", name, err)
+			}
+			if got := m.Metrics().SnapshotCorrupt; got != 1 {
+				t.Fatalf("snapshot_corrupt = %d, want 1", got)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Fatalf("quarantined copy missing: %v", err)
+			}
+			if _, err := m.Open(OpenRequest{ID: "hurt", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
+				t.Fatalf("Open over quarantined id: %v", err)
+			}
+			if _, err := m.Push("hurt", PushRequest{Lambda: 2}); err != nil {
+				t.Fatalf("push to reopened id: %v", err)
+			}
+		})
+	}
+}
+
+// Snapshot files written indented, as the store wrote them before it
+// moved to the wire codec, still resume — into the same session a
+// compact file resumes into.
+func TestDirStoreLoadsLegacyIndented(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snaps")
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewManager(Options{Store: store})
+	defer m.Close()
+	if _, err := m.Open(OpenRequest{ID: "old", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
+		t.Fatal(err)
+	}
+	trace := quickstartTrace(t)
+	pushAll(t, m, "old", trace, 0, 30)
+	if err := m.Evict("old"); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "old.json")
+	compact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(compact, &snap); err != nil {
+		t.Fatalf("stored snapshot is not JSON: %v", err)
+	}
+	if want, _ := json.Marshal(&snap); !bytes.Equal(compact, want) {
+		t.Fatalf("stored snapshot differs from json.Marshal:\n%s\n%s", compact, want)
+	}
+	indented, err := json.MarshalIndent(&snap, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, indented, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := store.Load("old")
+	if err != nil || !ok {
+		t.Fatalf("Load(indented) ok=%v err=%v", ok, err)
+	}
+	if !reflect.DeepEqual(got, &snap) {
+		t.Fatalf("indented snapshot loads as %+v, want %+v", got, &snap)
+	}
+	res, err := m.Push("old", PushRequest{Lambda: trace[30]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := NewManager(Options{})
+	defer ref.Close()
+	if _, err := ref.Open(OpenRequest{ID: "old", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
+		t.Fatal(err)
+	}
+	pushAll(t, ref, "old", trace, 0, 30)
+	want, err := ref.Push("old", PushRequest{Lambda: trace[30]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, want) {
+		t.Fatalf("push after indented resume = %+v, want %+v", res.Advisory, want.Advisory)
 	}
 }

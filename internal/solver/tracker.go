@@ -186,6 +186,15 @@ func (p *PrefixTracker) Refill(in model.SlotInput) error {
 	return p.acc.Push(in)
 }
 
+// Grow reserves room in a stream tracker's instance for n more refilled
+// slots (model.Accumulator.Grow).
+func (p *PrefixTracker) Grow(n int) {
+	if p.acc == nil {
+		panic("solver: Grow on a pre-bound tracker")
+	}
+	p.acc.Grow(n)
+}
+
 // AppendState appends a stream tracker's DP state to dst: the number of
 // slots processed, the counts the current lattice was built for and the
 // current layer D_t (whose +Inf cells survive, floats being stored as

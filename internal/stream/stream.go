@@ -566,7 +566,15 @@ func restoreState(alg core.Snapshotter, types []model.ServerType, opts Options, 
 	if (s.opt != nil) != (len(optState) > 0) {
 		return nil, fmt.Errorf("stream: state and session disagree on a telemetry tracker: %w", statebuf.ErrMalformed)
 	}
-	s.log = make([]SlotRecord, len(cp.Slots))
+	// Size every history for the whole log up front; refilling it by
+	// appends would re-double each array about a dozen times.
+	n := len(cp.Slots)
+	s.acc.Grow(n)
+	alg.Grow(n)
+	if s.opt != nil {
+		s.opt.Grow(decided)
+	}
+	s.log = make([]SlotRecord, n, n+model.GrowHeadroom)
 	for i, rec := range cp.Slots {
 		in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
 		if err := s.acc.Push(in); err != nil {

@@ -174,6 +174,8 @@ var decodeCases = []string{
 	`{"counts":[9],"counts":[null]}`, `{"counts":[9],"counts":null}`,
 	`{"counts":[1,2,3],"counts":[7]}`, `{"counts":[1],"counts":[null,null]}`,
 	`{"counts":[9],"counts":[]}`, `{"lambda":1,"lambda":2}`,
+	`{"counts":[1,2,3],"counts":[5],"counts":[null,null]}`,
+	`{"counts":[1,2],"counts":[],"counts":[null]}`,
 	`[null]`, `[null,null]`,
 	// Number edge cases.
 	`{"lambda":-0}`, `{"lambda":1e-999}`, `{"lambda":1e309}`, `{"lambda":-1e309}`,

@@ -92,9 +92,14 @@ var (
 	emptyRequests = make([]PushRequest, 0)
 )
 
+// maxDepth is encoding/json's nesting limit: its scanner rejects an
+// input with objects and arrays nested deeper than this.
+const maxDepth = 10000
+
 type decoder struct {
-	data []byte
-	pos  int
+	data  []byte
+	pos   int
+	depth int // open objects and arrays
 }
 
 func (d *decoder) fail(msg string) error {
@@ -121,51 +126,116 @@ func (d *decoder) peek() (byte, bool) {
 
 // null consumes the literal "null". The caller's delimiter check (or
 // the ignored-trailing-data rule at top level) handles what follows.
-func (d *decoder) null() error {
-	if len(d.data)-d.pos >= 4 && string(d.data[d.pos:d.pos+4]) == "null" {
-		d.pos += 4
+func (d *decoder) null() error { return d.literal("null") }
+
+// literal consumes the literal lit (null, true or false).
+func (d *decoder) literal(lit string) error {
+	if len(d.data)-d.pos >= len(lit) && string(d.data[d.pos:d.pos+len(lit)]) == lit {
+		d.pos += len(lit)
 		return nil
 	}
 	return d.fail("invalid literal")
 }
 
+// Objects and arrays are walked with three steps: begin consumes the
+// opening '{' or '[' at d.pos, memberKey reads an object member's key
+// and ':', and next consumes the ',' or closing bracket after a member
+// or element. begin and next report done once the closer is consumed.
+// The loop of every container decoder is
+//
+//	done, err := d.begin(closer)
+//	for !done && err == nil {
+//		... decode one member or element ...
+//		if err == nil {
+//			done, err = d.next(closer)
+//		}
+//	}
+
+func (d *decoder) begin(closer byte) (done bool, err error) {
+	d.pos++
+	if d.depth++; d.depth > maxDepth {
+		return false, d.fail("exceeded max nesting depth")
+	}
+	d.skipWS()
+	if c, ok := d.peek(); ok && c == closer {
+		d.pos++
+		d.depth--
+		return true, nil
+	}
+	return false, nil
+}
+
+// memberKey reads one member's key and its ':', leaving d.pos at the
+// value. An escaped key is unescaped into buf; one that outgrows buf is
+// returned as nil, which matches no field — it is longer than any field
+// name (folding shrinks a rune's encoding at most from 3 bytes to 1).
+func (d *decoder) memberKey(buf []byte) ([]byte, error) {
+	c, ok := d.peek()
+	if !ok {
+		return nil, d.fail("unexpected end of object")
+	}
+	if c != '"' {
+		return nil, d.fail("expected object key")
+	}
+	key, escaped, err := d.scanString()
+	if err != nil {
+		return nil, err
+	}
+	if escaped {
+		key, _ = unquote(buf, key, cap(buf))
+	}
+	d.skipWS()
+	if c, ok := d.peek(); !ok || c != ':' {
+		return nil, d.fail("expected ':' after object key")
+	}
+	d.pos++
+	d.skipWS()
+	return key, nil
+}
+
+func (d *decoder) next(closer byte) (done bool, err error) {
+	d.skipWS()
+	c, ok := d.peek()
+	switch {
+	case !ok:
+		return false, d.fail("unexpected end of input")
+	case c == ',':
+		d.pos++
+		d.skipWS()
+		return false, nil
+	case c == closer:
+		d.pos++
+		d.depth--
+		return true, nil
+	}
+	return false, d.fail("expected ',' or closing bracket")
+}
+
+// element extends s to hold element i as encoding/json's array decoder
+// does: an element past len but within cap is re-exposed with whatever
+// it held (so a null element, a no-op, keeps a stale value), and one
+// past cap is appended zeroed.
+func element[T any](s []T, i int) []T {
+	switch {
+	case i < len(s):
+		return s
+	case i < cap(s):
+		return s[:i+1]
+	}
+	var zero T
+	return append(s, zero)
+}
+
 // object decodes {"lambda":..., "counts":...} into dst, rejecting
 // unknown fields as DisallowUnknownFields does.
 func (d *decoder) object(dst *PushRequest) error {
-	d.pos++ // '{'
-	d.skipWS()
-	if c, ok := d.peek(); ok && c == '}' {
-		d.pos++
-		return nil
-	}
-	for {
-		c, ok := d.peek()
-		if !ok {
-			return d.fail("unexpected end of object")
+	var buf [64]byte
+	done, err := d.begin('}')
+	for !done && err == nil {
+		var key []byte
+		if key, err = d.memberKey(buf[:0]); err != nil {
+			break
 		}
-		if c != '"' {
-			return d.fail("expected object key")
-		}
-		raw, escaped, err := d.scanString()
-		if err != nil {
-			return err
-		}
-		key := raw
-		var scratch [64]byte
-		if escaped {
-			var ok bool
-			if key, ok = unquoteKey(raw, scratch[:0]); !ok {
-				// Key too long for scratch: it cannot match any
-				// field, so it is unknown either way.
-				return d.fail("unknown field")
-			}
-		}
-		d.skipWS()
-		if c, ok := d.peek(); !ok || c != ':' {
-			return d.fail("expected ':' after object key")
-		}
-		d.pos++
-		d.skipWS()
 		switch {
 		case string(key) == "lambda" || foldEqual(key, "LAMBDA"):
 			err = d.floatValue(&dst.Lambda)
@@ -174,24 +244,11 @@ func (d *decoder) object(dst *PushRequest) error {
 		default:
 			err = d.fail("unknown field")
 		}
-		if err != nil {
-			return err
-		}
-		d.skipWS()
-		c, ok = d.peek()
-		switch {
-		case !ok:
-			return d.fail("unexpected end of object")
-		case c == ',':
-			d.pos++
-			d.skipWS()
-		case c == '}':
-			d.pos++
-			return nil
-		default:
-			return d.fail("expected ',' or '}' in object")
+		if err == nil {
+			done, err = d.next('}')
 		}
 	}
+	return err
 }
 
 // floatValue decodes a number (or null no-op) into dst.
@@ -219,131 +276,91 @@ func (d *decoder) floatValue(dst *float64) error {
 	return nil
 }
 
-// intsValue decodes an array of ints (or null no-op) into dst with
-// element-level merge: a null element keeps the existing value.
+// intsValue decodes an array of ints (or null) into dst with
+// encoding/json's slice semantics: null zeroes the slice (json sets
+// slices, maps and pointers to nil on null; only non-nilable kinds
+// no-op), "[]" yields a fresh empty slice, and elements merge into the
+// existing ones (see element), a null element keeping its value.
 func (d *decoder) intsValue(dst *[]int) error {
 	c, ok := d.peek()
-	if !ok {
+	switch {
+	case !ok:
 		return d.fail("unexpected end of input")
-	}
-	if c == 'n' {
-		// null into a slice zeroes it (json.Decoder sets slices, maps
-		// and pointers to nil on null; only non-nilable kinds no-op).
+	case c == 'n':
 		if err := d.null(); err != nil {
 			return err
 		}
 		*dst = nil
 		return nil
-	}
-	if c != '[' {
+	case c != '[':
 		return d.fail("expected array or null")
 	}
-	d.pos++
-	d.skipWS()
-	s := *dst
-	if c, ok := d.peek(); ok && c == ']' {
-		d.pos++
-		if s == nil {
-			*dst = emptyInts
+	s, i := *dst, 0
+	done, err := d.begin(']')
+	for ; !done && err == nil; i++ {
+		s = element(s, i)
+		if c, _ := d.peek(); c == 'n' {
+			err = d.null()
 		} else {
-			*dst = s[:0]
+			err = d.intElem(&s[i])
 		}
-		return nil
-	}
-	i := 0
-	for {
-		if i >= len(s) {
-			s = append(s, 0)
-		}
-		c, ok := d.peek()
-		switch {
-		case !ok:
-			return d.fail("unexpected end of array")
-		case c == 'n':
-			if err := d.null(); err != nil {
-				return err
-			}
-		default:
-			lit, err := d.scanNumber()
-			if err != nil {
-				return err
-			}
-			n, err := strconv.ParseInt(unsafeString(lit), 10, 64)
-			if err != nil {
-				return d.fail("number is not an int")
-			}
-			s[i] = int(n)
-		}
-		i++
-		d.skipWS()
-		c, ok = d.peek()
-		switch {
-		case !ok:
-			return d.fail("unexpected end of array")
-		case c == ',':
-			d.pos++
-			d.skipWS()
-		case c == ']':
-			d.pos++
-			*dst = s[:i]
-			return nil
-		default:
-			return d.fail("expected ',' or ']' in array")
+		if err == nil {
+			done, err = d.next(']')
 		}
 	}
+	if err != nil {
+		return err
+	}
+	if i == 0 {
+		*dst = emptyInts
+	} else {
+		*dst = s[:i]
+	}
+	return nil
 }
 
-// requestArray decodes [obj, obj, ...] into dst.
+// intElem decodes one int array element.
+func (d *decoder) intElem(dst *int) error {
+	lit, err := d.scanNumber()
+	if err != nil {
+		return err
+	}
+	n, err := strconv.ParseInt(unsafeString(lit), 10, 64)
+	if err != nil {
+		return d.fail("number is not an int")
+	}
+	*dst = int(n)
+	return nil
+}
+
+// requestArray decodes [obj, obj, ...] into dst with intsValue's slice
+// semantics.
 func (d *decoder) requestArray(dst *[]PushRequest) error {
-	d.pos++ // '['
-	d.skipWS()
-	s := *dst
-	if c, ok := d.peek(); ok && c == ']' {
-		d.pos++
-		if s == nil {
-			*dst = emptyRequests
-		} else {
-			*dst = s[:0]
-		}
-		return nil
-	}
-	i := 0
-	for {
-		if i >= len(s) {
-			s = append(s, PushRequest{})
-		}
-		c, ok := d.peek()
-		switch {
-		case !ok:
-			return d.fail("unexpected end of array")
-		case c == '{':
-			if err := d.object(&s[i]); err != nil {
-				return err
-			}
-		case c == 'n':
-			if err := d.null(); err != nil {
-				return err
-			}
+	s, i := *dst, 0
+	done, err := d.begin(']')
+	for ; !done && err == nil; i++ {
+		s = element(s, i)
+		switch c, _ := d.peek(); c {
+		case '{':
+			err = d.object(&s[i])
+		case 'n':
+			err = d.null()
 		default:
-			return d.fail("expected object or null")
+			err = d.fail("expected object or null")
 		}
-		i++
-		d.skipWS()
-		c, ok = d.peek()
-		switch {
-		case !ok:
-			return d.fail("unexpected end of array")
-		case c == ',':
-			d.pos++
-			d.skipWS()
-		case c == ']':
-			d.pos++
-			*dst = s[:i]
-			return nil
-		default:
-			return d.fail("expected ',' or ']' in array")
+		if err == nil {
+			done, err = d.next(']')
 		}
 	}
+	if err != nil {
+		return err
+	}
+	if i == 0 {
+		*dst = emptyRequests
+	} else {
+		*dst = s[:i]
+	}
+	return nil
 }
 
 // scanString validates and consumes the string at d.pos (which must be
@@ -449,19 +466,27 @@ func (d *decoder) scanNumber() ([]byte, error) {
 	return data[start:i], nil
 }
 
-// unquoteKey decodes the escapes in a raw key into buf, replicating
+// unquote appends what the raw string body (the bytes between the
+// quotes, already validated by scanString) decodes to, replicating
 // encoding/json's unquote: \uXXXX with UTF-16 surrogate pairing, lone
-// surrogates replaced by U+FFFD. Syntax was already validated by
-// scanString. ok is false if the decoded key outgrows buf's capacity —
-// such a key is longer than any field name (folding shrinks a rune's
-// encoding at most from 3 bytes to 1) and so matches nothing.
-func unquoteKey(raw, buf []byte) (key []byte, ok bool) {
+// surrogates and invalid UTF-8 bytes replaced by U+FFFD. ok is false,
+// and nothing useful returned, once the result would outgrow limit
+// bytes — memberKey passes its key buffer's capacity, so decoding a key
+// never allocates.
+func unquote(buf, raw []byte, limit int) (s []byte, ok bool) {
 	for i := 0; i < len(raw); {
-		if len(buf)+utf8.UTFMax > cap(buf) {
+		if len(buf)+utf8.UTFMax > limit {
 			return nil, false
 		}
-		if raw[i] != '\\' {
-			buf = append(buf, raw[i])
+		c := raw[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRune(raw[i:])
+			buf = utf8.AppendRune(buf, r)
+			i += size
+			continue
+		}
+		if c != '\\' {
+			buf = append(buf, c)
 			i++
 			continue
 		}

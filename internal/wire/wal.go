@@ -56,38 +56,13 @@ func DecodeWALRecord(data []byte, dst *WALRecord) error {
 
 // walObject decodes {"t":..., "lambda":..., "counts":...} into dst.
 func (d *decoder) walObject(dst *WALRecord) error {
-	d.pos++ // '{'
-	d.skipWS()
-	if c, ok := d.peek(); ok && c == '}' {
-		d.pos++
-		return nil
-	}
-	for {
-		c, ok := d.peek()
-		if !ok {
-			return d.fail("unexpected end of object")
+	var buf [64]byte
+	done, err := d.begin('}')
+	for !done && err == nil {
+		var key []byte
+		if key, err = d.memberKey(buf[:0]); err != nil {
+			break
 		}
-		if c != '"' {
-			return d.fail("expected object key")
-		}
-		raw, escaped, err := d.scanString()
-		if err != nil {
-			return err
-		}
-		key := raw
-		var scratch [64]byte
-		if escaped {
-			var ok bool
-			if key, ok = unquoteKey(raw, scratch[:0]); !ok {
-				return d.fail("unknown field")
-			}
-		}
-		d.skipWS()
-		if c, ok := d.peek(); !ok || c != ':' {
-			return d.fail("expected ':' after object key")
-		}
-		d.pos++
-		d.skipWS()
 		switch {
 		case string(key) == "t" || foldEqual(key, "T"):
 			err = d.intValue(&dst.T)
@@ -98,24 +73,11 @@ func (d *decoder) walObject(dst *WALRecord) error {
 		default:
 			err = d.fail("unknown field")
 		}
-		if err != nil {
-			return err
-		}
-		d.skipWS()
-		c, ok = d.peek()
-		switch {
-		case !ok:
-			return d.fail("unexpected end of object")
-		case c == ',':
-			d.pos++
-			d.skipWS()
-		case c == '}':
-			d.pos++
-			return nil
-		default:
-			return d.fail("expected ',' or '}' in object")
+		if err == nil {
+			done, err = d.next('}')
 		}
 	}
+	return err
 }
 
 // intValue decodes an int64 (or null no-op) into dst, rejecting

@@ -1,8 +1,10 @@
-// Package wire is the hand-rolled JSON codec of the serving tier's push
-// hot path: an append-based encoder and a streaming scanner decoder for
-// the wire types that cross the HTTP boundary on every slot
-// (PushRequest in, PushResult/stream.Advisory out), with no
-// encoding/json and no reflection anywhere on the happy path.
+// Package wire is the hand-rolled JSON codec of the serving tier: an
+// append-based encoder and a streaming scanner decoder for the wire
+// types that cross the HTTP boundary on every slot (PushRequest in,
+// PushResult/stream.Advisory out), for the write-ahead log's slot
+// records, and for the snapshot store's sessions (Snapshot: id, replay
+// log and saved state, with the fleet descriptor carried as raw JSON),
+// with no encoding/json and no reflection anywhere on the happy path.
 //
 // The codec is not "JSON-ish": it is byte-for-byte and accept-for-accept
 // compatible with the reflection-based encoding/json code it replaces,
@@ -14,12 +16,18 @@
 //     HTML-escaping of < > &, same � replacement of invalid UTF-8,
 //     same omitempty behaviour), or fails with ErrUnsupportedValue in
 //     exactly the cases json.Marshal fails (non-finite floats).
-//   - Every Decode* function accepts exactly the inputs a strict
-//     json.Decoder (DisallowUnknownFields) accepts — including
-//     case-folded field names, escaped keys, null no-ops, duplicate
-//     keys with json's merge semantics, and ignored trailing data — and
-//     decodes them to identical values. FuzzWireCodec hammers both
-//     directions against encoding/json.
+//   - Every request and WAL Decode* function accepts exactly the
+//     inputs a strict json.Decoder (DisallowUnknownFields) accepts —
+//     including case-folded field names, escaped keys, null no-ops,
+//     duplicate keys with json's merge semantics, and ignored trailing
+//     data — and decodes them to identical values. FuzzWireCodec
+//     hammers both directions against encoding/json.
+//   - DecodeSnapshot follows json.Unmarshal instead, as the stores
+//     always did: unknown members are skipped, trailing data is an
+//     error, and any JSON whitespace is accepted, so indented files load.
+//     Whatever it accepts, json.Unmarshal accepts with an identical
+//     value, and whatever json.Unmarshal rejects, it rejects
+//     (FuzzSnapshotCodec).
 //
 // Decode errors describe the problem but do not replicate
 // encoding/json's error prose; callers that must preserve the exact
