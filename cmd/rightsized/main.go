@@ -7,7 +7,7 @@
 //
 //	rightsized [-addr :8080] [-max-sessions 256] [-idle-evict 10m]
 //	           [-snapshot-dir DIR] [-wal-dir DIR] [-wal-sync always]
-//	           [-wal-sync-interval 100ms] [-workers N] [-shards N]
+//	           [-wal-sync-interval 100ms] [-shards N]
 //	           [-rate N] [-burst N] [-session-rate N] [-session-burst N]
 //	           [-max-inflight N] [-push-deadline D] [-drain-timeout 30s]
 //	           [-stream-buffer N] [-stream-heartbeat 15s]
@@ -84,7 +84,6 @@ func main() {
 	walDir := flag.String("wal-dir", "", "write-ahead-log every accepted slot here; recovered on startup (default: off)")
 	walSync := flag.String("wal-sync", "always", "WAL append durability: always | interval | never")
 	walSyncInterval := flag.Duration("wal-sync-interval", 0, "fsync cadence for -wal-sync interval (0 = 100ms)")
-	workers := flag.Int("workers", 0, "per-session solver worker pool size (0 = serial)")
 	shards := flag.Int("shards", 0, "session registry lock stripes, rounded up to a power of two (0 = one per CPU)")
 	rate := flag.Float64("rate", 0, "admitted slots/sec across all sessions, shed with 429 beyond (0 = unlimited)")
 	burst := flag.Int("burst", 0, "global rate-limit burst capacity (0 = one second of -rate)")
@@ -98,7 +97,7 @@ func main() {
 	flag.Parse()
 
 	opts := serve.Options{
-		MaxSessions: *maxSessions, Workers: *workers, Shards: *shards,
+		MaxSessions: *maxSessions, Shards: *shards,
 		GlobalRate: *rate, GlobalBurst: *burst,
 		SessionRate: *sessionRate, SessionBurst: *sessionBurst,
 		MaxInFlight: *maxInflight, PushDeadline: *pushDeadline,

@@ -153,15 +153,8 @@ func construct(spec AlgSpec, types []model.ServerType, opts stream.Options) (cor
 // ResumeSession rebuilds a live session from a checkpoint, resolving the
 // algorithm recorded in it and replaying the log.
 func ResumeSession(cp *stream.Checkpoint, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
-	spec, opts, err := checkpointSpec(cp, opts)
-	if err != nil {
-		return nil, err
-	}
-	alg, err := construct(spec, types, opts)
-	if err != nil {
-		return nil, err
-	}
-	return stream.Resume(alg, types, opts, cp)
+	s, _, err := RestoreSession(cp, nil, types, opts)
+	return s, err
 }
 
 // RestoreSession is ResumeSession from a checkpoint plus the state its

@@ -231,14 +231,6 @@ func (a *Accumulator) Grow(n int) {
 	}
 }
 
-// MustPush is Push for drivers that have already validated the input;
-// it panics on error.
-func (a *Accumulator) MustPush(in SlotInput) {
-	if err := a.Push(in); err != nil {
-		panic(err)
-	}
-}
-
 // SlotEval computes the operating cost g(x) of a configuration against one
 // SlotInput, without materialising an Instance. It reuses scratch buffers
 // and is not safe for concurrent use. Costs must be resolved (non-nil) in

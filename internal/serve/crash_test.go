@@ -156,16 +156,12 @@ func runCrash(t *testing.T, jb crashJob, sync wal.SyncPolicy, tornBatch bool) {
 	wantFed := cut
 	if tornBatch {
 		walPath := filepath.Join(walDir, jb.id+".wal")
-		hdr, _, _, err := wal.Read(walPath)
-		if err != nil || hdr == nil {
-			t.Fatalf("reading WAL for torn-batch forge: hdr=%v err=%v", hdr, err)
-		}
-		l, _, err := wal.Open(walPath, hdr, wal.Options{Sync: wal.SyncNever})
+		l, _, err := wal.Open(walPath, nil, wal.Options{Sync: wal.SyncNever})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("opening WAL for torn-batch forge: %v", err)
 		}
 		for _, ts := range []int{cut + 1, cut + 2} {
-			rec := wal.Record{T: ts, Lambda: jb.ins.Lambda[ts-1]}
+			rec := model.SlotInput{T: ts, Lambda: jb.ins.Lambda[ts-1]}
 			if jb.ins.Counts != nil {
 				rec.Counts = jb.ins.Counts[ts-1]
 			}
@@ -420,6 +416,136 @@ func TestRecoverReplayGapQuarantinesWAL(t *testing.T) {
 	// The id must read as unknown, not as a silently empty session.
 	if _, err := m2.Info(jb.id); !errors.Is(err, ErrUnknownSession) {
 		t.Fatalf("Info after gap recovery = %v, want ErrUnknownSession", err)
+	}
+}
+
+// A recovery that cannot save its rebuilt session leaves the log in
+// place (RecoverReport.Failed), so the session's next resume must replay
+// that log's delta on top of the snapshot: every slot acknowledged after
+// the compacting checkpoint lives only in the log. The continuation must
+// be bit-identical to an uninterrupted serial feed, and a resume that
+// skipped the replay comes back short of the acknowledged count.
+func TestFailedRecoveryResumeReplaysWAL(t *testing.T) {
+	for _, jb := range crashJobs(t, 7) {
+		t.Run(jb.id, func(t *testing.T) {
+			want := serialAdvisories(t, jb.spec, jb.ins)
+			total := jb.ins.T()
+			acked := total * 2 / 3
+
+			dir := t.TempDir()
+			walDir := filepath.Join(dir, "wal")
+			if err := os.MkdirAll(walDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			snapDir := filepath.Join(dir, "snaps")
+			store1, err := NewDirStore(snapDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m1 := NewManager(Options{Store: store1, WALDir: walDir, WALSync: wal.SyncNever})
+			if _, err := m1.Open(OpenRequest{ID: jb.id, Alg: jb.spec.Key, Fleet: FleetJSON{Scenario: jb.sc, Seed: 7}}); err != nil {
+				t.Fatal(err)
+			}
+			feedSlots(t, m1, jb, 1, acked, acked/2)
+			// Hard stop: m1 is abandoned.
+
+			store2, err := NewDirStore(snapDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults := NewFaultStore(store2, FaultConfig{Seed: 1, SaveErrRate: 1})
+			m2 := NewManager(Options{Store: faults, WALDir: walDir, WALSync: wal.SyncNever})
+			m2.sleepFn = func(time.Duration) {}
+			defer m2.Close()
+			rep, err := m2.RecoverWAL()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Sessions != 0 || !reflect.DeepEqual(rep.Failed, []string{jb.id}) {
+				t.Fatalf("recovery report %+v, want %s failed", rep, jb.id)
+			}
+			if _, err := os.Stat(filepath.Join(walDir, jb.id+".wal")); err != nil {
+				t.Fatalf("failed recovery did not leave the log in place: %v", err)
+			}
+
+			faults.Disarm()
+			info, err := m2.Info(jb.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Fed != acked {
+				t.Fatalf("resumed fed %d want %d", info.Fed, acked)
+			}
+			post := feedSlots(t, m2, jb, acked+1, total, 0)
+			res, err := m2.Delete(jb.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := append(append([]stream.Advisory{}, post...), res.Advisories...)
+			if !reflect.DeepEqual(full, want[info.Decided:]) {
+				t.Fatalf("continuation after resume diverged: %d advisories vs serial %d (from decided=%d)",
+					len(full), len(want)-info.Decided, info.Decided)
+			}
+		})
+	}
+}
+
+// Resume applies recovery's gap policy: a log that does not continue the
+// stored snapshot is quarantined, not replayed past or compacted away,
+// and the session goes on from the snapshot with a fresh log that a
+// later crash recovers from.
+func TestResumeReplayGapQuarantinesWAL(t *testing.T) {
+	jb := crashJobs(t, 7)[0]
+	fleet := FleetJSON{Scenario: jb.sc, Seed: 7}
+	dir := t.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	if err := os.MkdirAll(walDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewDirStore(filepath.Join(dir, "snaps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1 := NewManager(Options{Store: store, WALDir: walDir, WALSync: wal.SyncNever})
+	if _, err := m1.Open(OpenRequest{ID: jb.id, Alg: jb.spec.Key, Fleet: fleet}); err != nil {
+		t.Fatal(err)
+	}
+	feedSlots(t, m1, jb, 1, 2, 0)
+	old, err := m1.Checkpoint(jb.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A later checkpoint compacts the log, so it holds slots 5 and 6
+	// only; then the store loses that save and serves the slot-2 one.
+	feedSlots(t, m1, jb, 3, 6, 4)
+	if err := store.Save(old); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := NewManager(Options{Store: store, WALDir: walDir, WALSync: wal.SyncNever})
+	info, err := m2.Info(jb.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Fed != 2 {
+		t.Fatalf("resumed fed %d over a gapped log, want the snapshot's 2", info.Fed)
+	}
+	walPath := filepath.Join(walDir, jb.id+".wal")
+	if _, err := os.Stat(walPath + ".corrupt"); err != nil {
+		t.Fatalf("gapped log not quarantined: %v", err)
+	}
+	if got := m2.Metrics().SnapshotCorrupt; got != 1 {
+		t.Fatalf("snapshot_corrupt = %d, want 1", got)
+	}
+	// The session goes on logging: a crash now recovers every slot.
+	feedSlots(t, m2, jb, 3, 5, 0)
+	m3 := NewManager(Options{Store: store, WALDir: walDir, WALSync: wal.SyncNever})
+	defer m3.Close()
+	if rep, err := m3.RecoverWAL(); err != nil || rep.Sessions != 1 || rep.Slots != 3 {
+		t.Fatalf("recovery after the gap: %+v, %v", rep, err)
+	}
+	if info, err := m3.Info(jb.id); err != nil || info.Fed != 5 {
+		t.Fatalf("recovered %+v, %v; want fed 5", info, err)
 	}
 }
 

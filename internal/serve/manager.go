@@ -15,6 +15,12 @@
 // it fits the log, by replay otherwise. Callers cannot tell eviction
 // happened except through the aggregate counters.
 //
+// With Options.WALDir set, every accepted slot is also logged before the
+// algorithm steps, and a session's durable record is its snapshot plus
+// the log's delta past it. A resume and startup recovery rebuild a
+// session from that record through one path, and every save goes
+// through one path too (see recover.go).
+//
 // Lock ordering: a shard lock may be taken first and a session lock
 // second only without blocking (TryLock, or a freshly created session's
 // lock); a session lock is never held while a shard lock is taken.
@@ -56,8 +62,7 @@ var (
 )
 
 // Options tunes a Manager. The zero value serves with defaults: 256 live
-// sessions, an in-memory snapshot store, serial trackers and one
-// registry shard per CPU.
+// sessions, an in-memory snapshot store and one registry shard per CPU.
 type Options struct {
 	// MaxSessions bounds the live (in-memory) session set; <= 0 means 256.
 	// Snapshotted sessions do not count: the bound is on resident
@@ -65,9 +70,6 @@ type Options struct {
 	MaxSessions int
 	// Store receives evicted sessions; nil means a fresh MemStore.
 	Store SnapshotStore
-	// Workers is plumbed into each session's solver trackers
-	// (stream.Options.Workers).
-	Workers int
 	// Shards sets the number of lock stripes of the session registry,
 	// rounded up to a power of two; <= 0 means GOMAXPROCS. Purely a
 	// contention knob — behaviorally invisible.
@@ -184,7 +186,6 @@ type liveSession struct {
 	id     string
 	alg    string // registry key
 	fleet  FleetJSON
-	types  []model.ServerType
 	bucket *tokenBucket // per-session admission; nil = unlimited
 
 	mu       sync.Mutex
@@ -316,10 +317,6 @@ func (m *Manager) stripeFor(id string) *counterStripe {
 	return &m.met.stripes[m.shardIdx(id)]
 }
 
-func (m *Manager) streamOpts() stream.Options {
-	return stream.Options{Workers: m.opts.Workers}
-}
-
 // Open creates (or, with a checkpoint, replays) a session. The algorithm
 // resolves through the registry and the fleet through the descriptor; the
 // new session counts against MaxSessions immediately.
@@ -334,33 +331,21 @@ func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
 		return SessionInfo{}, err
 	}
 
-	types, err := req.Fleet.Resolve()
-	if err != nil {
-		return SessionInfo{}, err
-	}
-
 	alg := req.Alg
-	var sess *stream.Session
+	var snap *Snapshot // a client checkpoint carries no state: it replays
 	if cp := req.Checkpoint; cp != nil {
 		if alg != "" && !sameAlgorithm(alg, cp.Alg) {
 			return SessionInfo{}, fmt.Errorf("serve: request algorithm %q conflicts with checkpoint algorithm %q", alg, cp.Alg)
 		}
 		alg = cp.Alg
-		sess, err = engine.ResumeSession(cp, types, m.streamOpts())
-	} else {
-		if alg == "" {
-			return SessionInfo{}, fmt.Errorf("serve: open request names no algorithm")
-		}
-		sess, err = engine.OpenSession(alg, types, m.streamOpts())
+		snap = &Snapshot{Checkpoint: cp}
+	} else if alg == "" {
+		return SessionInfo{}, fmt.Errorf("serve: open request names no algorithm")
 	}
-	if err != nil {
+	ls := &liveSession{bucket: m.newSessionBucket()}
+	if _, err := m.buildLocked(ls, alg, req.Fleet, snap); err != nil {
 		return SessionInfo{}, err
 	}
-	if spec, ok := engine.LookupAlgorithm(alg); ok {
-		alg = spec.Key
-	}
-
-	ls := &liveSession{alg: alg, fleet: req.Fleet, types: types, sess: sess, bucket: m.newSessionBucket()}
 	// Hold the session lock across the insert so the WAL attaches before
 	// any concurrent pusher can reach the session — otherwise a push
 	// could race in unlogged. Safe against the lock-ordering discipline:
@@ -371,7 +356,7 @@ func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
 		ls.mu.Unlock()
 		return SessionInfo{}, err
 	}
-	if _, err := m.attachWAL(ls, true); err != nil {
+	if _, err := m.attachWAL(ls, walFresh); err != nil {
 		ls.gone = true
 		ls.mu.Unlock()
 		m.unlink(ls)
@@ -385,7 +370,7 @@ func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
 	// the id is still linked, so a concurrent open of the same id cannot
 	// have created a log of its own yet.
 	if m.walEnabled() && req.Checkpoint != nil {
-		if err := m.saveWithRetry(newSnapshot(ls.id, ls.fleet, sess)); err != nil {
+		if _, err := m.persistLocked(ls, true); err != nil {
 			ls.gone = true
 			ls.closeWALLocked()
 			m.removeWAL(ls.id)
@@ -611,41 +596,36 @@ func (m *Manager) acquire(ctx context.Context, id string) (*liveSession, error) 
 	m.stripeFor(id).live.Add(1)
 	sh.mu.Unlock()
 
-	sess, snap, types, restored, err := m.resumeFromStore(ctx, id)
+	// Rebuild from the snapshot plus the log's delta past it — slots
+	// acknowledged after the last save — exactly as recovery would.
+	snap, ok, err := m.loadCtx(ctx, id)
+	if err != nil {
+		err = storeErr(err)
+	} else if !ok {
+		err = fmt.Errorf("%w: %q", ErrUnknownSession, id)
+	}
+	var r rebuilt
+	if err == nil {
+		r, err = m.rebuildLocked(ls, snap, walResume)
+	}
+	if err == nil && r.gapped {
+		// The gapped log was quarantined; the session goes on with a new one.
+		if _, werr := m.attachWAL(ls, walFresh); werr != nil {
+			err = fmt.Errorf("%w: wal: %v", ErrStore, werr)
+		}
+	}
 	if err != nil {
 		ls.gone = true
 		ls.mu.Unlock()
 		m.unlink(ls)
 		return nil, err
 	}
-	ls.alg = snap.Checkpoint.Alg
-	if spec, ok := engine.LookupAlgorithm(ls.alg); ok {
-		ls.alg = spec.Key
-	}
-	ls.fleet = snap.Fleet
-	ls.types = types
-	ls.sess = sess
 	ls.bucket = m.newSessionBucket()
 	ls.lastUsed = m.nowFn()
-	// Attach the session's WAL and replay any delta it holds beyond the
-	// snapshot — slots that were acknowledged after the last save. A
-	// header mismatch (stale incarnation) already dropped the records
-	// inside Open; a torn tail was truncated and is counted here.
-	stats, werr := m.attachWAL(ls, false)
-	if werr != nil {
-		ls.gone = true
-		ls.mu.Unlock()
-		m.unlink(ls)
-		return nil, fmt.Errorf("%w: wal: %v", ErrStore, werr)
-	}
-	if stats.Torn {
-		m.stripeFor(id).walTorn.Add(1)
-	}
-	replayWALLocked(ls, stats.Records)
 	ls.mu.Unlock()
 	met := m.stripeFor(id)
 	met.resumed.Add(1)
-	if !restored {
+	if !r.restored {
 		met.resumeReplayed.Add(uint64(len(snap.Checkpoint.Slots)))
 	}
 	return ls, nil
@@ -660,26 +640,6 @@ func storeErr(err error) error {
 		return err
 	}
 	return fmt.Errorf("%w: %v", ErrStore, err)
-}
-
-// resumeFromStore loads a snapshot and rebuilds its session, from the
-// saved state when it can and by replaying the log otherwise; restored
-// reports which.
-func (m *Manager) resumeFromStore(ctx context.Context, id string) (sess *stream.Session, snap *Snapshot, types []model.ServerType, restored bool, err error) {
-	snap, ok, err := m.loadCtx(ctx, id)
-	if err != nil {
-		return nil, nil, nil, false, storeErr(err)
-	}
-	if !ok {
-		return nil, nil, nil, false, fmt.Errorf("%w: %q", ErrUnknownSession, id)
-	}
-	if types, err = snap.Fleet.Resolve(); err != nil {
-		return nil, nil, nil, false, err
-	}
-	if sess, restored, err = engine.RestoreSession(snap.Checkpoint, snap.State, types, m.streamOpts()); err != nil {
-		return nil, nil, nil, false, err
-	}
-	return sess, snap, types, restored, nil
 }
 
 // withSession runs fn with the session's lock held, transparently
@@ -735,7 +695,7 @@ func (m *Manager) pushContext(ctx context.Context) (context.Context, context.Can
 // skips them the same way the live path did.
 func (m *Manager) pushLocked(ls *liveSession, met *counterStripe, req PushRequest, res *PushResult) error {
 	if ls.wal != nil && ls.sess.Err() == nil {
-		synced, werr := ls.wal.Append(wal.Record{T: ls.sess.Fed() + 1, Lambda: req.Lambda, Counts: req.Counts})
+		synced, werr := ls.wal.Append(model.SlotInput{T: ls.sess.Fed() + 1, Lambda: req.Lambda, Counts: req.Counts})
 		if werr != nil {
 			return fmt.Errorf("%w: wal: %v", ErrStore, werr)
 		}
@@ -914,11 +874,7 @@ func (m *Manager) Checkpoint(id string) (*Snapshot, error) {
 	var snap *Snapshot
 	var serr error
 	err := m.withSession(id, func(ls *liveSession) {
-		snap = newSnapshot(ls.id, ls.fleet, ls.sess)
-		serr = m.store.Save(snap)
-		if serr == nil {
-			ls.compactWALLocked()
-		}
+		snap, serr = m.persistLocked(ls, false)
 	})
 	if err != nil {
 		return nil, err
@@ -1002,12 +958,31 @@ const (
 	storeBackoffCap = 80 * time.Millisecond
 )
 
+// persistLocked is the one path that saves a session: snapshot its
+// replay log and saved state, save the snapshot, and once the save
+// succeeded compact the session's log, which the snapshot now covers;
+// the caller holds ls.mu. Every save but Checkpoint's retries
+// (saveWithRetry): a flaky store should cost latency, not sessions. A
+// checkpoint saves once, because the client asked for exactly one write
+// and owns the retry decision.
+func (m *Manager) persistLocked(ls *liveSession, retry bool) (*Snapshot, error) {
+	snap := &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: ls.sess.Checkpoint(), State: ls.sess.AppendState(nil)}
+	var err error
+	if retry {
+		err = m.saveWithRetry(snap)
+	} else {
+		err = m.store.Save(snap)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ls.compactWALLocked()
+	return snap, nil
+}
+
 // saveWithRetry writes snap to the store, retrying transient failures
 // with capped exponential backoff (storeRetries, storeBackoff,
-// storeBackoffCap). Each retry bumps the id's StoreRetries counter. The
-// eviction, shutdown, recovery and checkpoint-open paths use it — a
-// flaky store should cost latency, not sessions. Checkpoint does not:
-// the client asked for exactly one write and owns the retry decision.
+// storeBackoffCap). Each retry bumps the id's StoreRetries counter.
 func (m *Manager) saveWithRetry(snap *Snapshot) error {
 	err := m.store.Save(snap)
 	if err == nil {
@@ -1037,12 +1012,10 @@ func (m *Manager) saveWithRetry(snap *Snapshot) error {
 // but the resident session still shadows it and the next eviction
 // attempt overwrites it.
 func (m *Manager) evictHoldingBoth(sh *shard, ls *liveSession) error {
-	snap := newSnapshot(ls.id, ls.fleet, ls.sess)
 	sh.mu.Unlock()
-	err := m.saveWithRetry(snap)
+	_, err := m.persistLocked(ls, true)
 	if err == nil {
 		ls.gone = true
-		ls.compactWALLocked()
 		ls.closeWALLocked()
 		m.closeSubsLocked(ls, StreamEndEvicted)
 	}
@@ -1198,10 +1171,7 @@ func (m *Manager) Close() error {
 		for _, ls := range live {
 			ls.mu.Lock() // blocks until any in-flight push completes
 			if !ls.gone && ls.sess != nil {
-				snap := newSnapshot(ls.id, ls.fleet, ls.sess)
-				if err := m.saveWithRetry(snap); err == nil {
-					ls.compactWALLocked()
-				} else if firstErr == nil {
+				if _, err := m.persistLocked(ls, true); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("%w: %v", ErrStore, err)
 				}
 				ls.gone = true

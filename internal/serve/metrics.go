@@ -104,36 +104,44 @@ func newCounters(stripes int) counters {
 
 func (c *counters) snapshot(live int) Metrics {
 	m := Metrics{LiveSessions: live}
-	var snap [histBuckets]uint64
-	total := uint64(0)
+	var buckets [histBuckets]uint64
+	if total, _ := c.merge(&m, &buckets); total > 0 {
+		m.PushP50Micros = quantileOf(&buckets, total, 0.50) / float64(time.Microsecond)
+		m.PushP99Micros = quantileOf(&buckets, total, 0.99) / float64(time.Microsecond)
+	}
+	return m
+}
+
+// merge sums the stripes' counters into agg and their latency
+// histograms into buckets, returning the observation count and the
+// latency sum in nanoseconds. It is the one place a counter is summed
+// for both exporters, healthz (snapshot) and /metrics (appendPromText).
+func (c *counters) merge(agg *Metrics, buckets *[histBuckets]uint64) (total uint64, sumNs int64) {
 	for i := range c.stripes {
 		s := &c.stripes[i]
-		m.SessionsOpened += s.opened.Load()
-		m.SessionsResumed += s.resumed.Load()
-		m.SessionsEvicted += s.evicted.Load()
-		m.SessionsDeleted += s.deleted.Load()
-		m.SlotsPushed += s.pushes.Load()
-		m.PushErrors += s.pushErr.Load()
-		m.PushesShed += s.shed.Load()
-		m.PushTimeouts += s.timeout.Load()
-		m.StoreRetries += s.retries.Load()
-		m.WALAppends += s.walAppends.Load()
-		m.WALFsyncs += s.walFsyncs.Load()
-		m.WALRecoveredSessions += s.walRecovered.Load()
-		m.WALTornTails += s.walTorn.Load()
-		m.SnapshotCorrupt += s.snapCorrupt.Load()
-		m.ResumeReplayedSlots += s.resumeReplayed.Load()
-		for b := range snap {
+		agg.SessionsOpened += s.opened.Load()
+		agg.SessionsResumed += s.resumed.Load()
+		agg.SessionsEvicted += s.evicted.Load()
+		agg.SessionsDeleted += s.deleted.Load()
+		agg.SlotsPushed += s.pushes.Load()
+		agg.PushErrors += s.pushErr.Load()
+		agg.PushesShed += s.shed.Load()
+		agg.PushTimeouts += s.timeout.Load()
+		agg.StoreRetries += s.retries.Load()
+		agg.WALAppends += s.walAppends.Load()
+		agg.WALFsyncs += s.walFsyncs.Load()
+		agg.WALRecoveredSessions += s.walRecovered.Load()
+		agg.WALTornTails += s.walTorn.Load()
+		agg.SnapshotCorrupt += s.snapCorrupt.Load()
+		agg.ResumeReplayedSlots += s.resumeReplayed.Load()
+		sumNs += s.latSumNs.Load()
+		for b := range buckets {
 			v := s.lat.buckets[b].Load()
-			snap[b] += v
+			buckets[b] += v
 			total += v
 		}
 	}
-	if total > 0 {
-		m.PushP50Micros = quantileOf(&snap, total, 0.50) / float64(time.Microsecond)
-		m.PushP99Micros = quantileOf(&snap, total, 0.99) / float64(time.Microsecond)
-	}
-	return m
+	return total, sumNs
 }
 
 // latencyHist is a lock-free histogram of push latencies: 4 log-spaced

@@ -74,32 +74,7 @@ func (m *Manager) appendPromText(dst []byte) []byte {
 	// Merge the counter stripes (and the histogram) once.
 	var agg Metrics
 	var buckets [histBuckets]uint64
-	total := uint64(0)
-	sumNs := int64(0)
-	for i := range m.met.stripes {
-		s := &m.met.stripes[i]
-		agg.SessionsOpened += s.opened.Load()
-		agg.SessionsResumed += s.resumed.Load()
-		agg.SessionsEvicted += s.evicted.Load()
-		agg.SessionsDeleted += s.deleted.Load()
-		agg.SlotsPushed += s.pushes.Load()
-		agg.PushErrors += s.pushErr.Load()
-		agg.PushesShed += s.shed.Load()
-		agg.PushTimeouts += s.timeout.Load()
-		agg.StoreRetries += s.retries.Load()
-		agg.WALAppends += s.walAppends.Load()
-		agg.WALFsyncs += s.walFsyncs.Load()
-		agg.WALRecoveredSessions += s.walRecovered.Load()
-		agg.WALTornTails += s.walTorn.Load()
-		agg.SnapshotCorrupt += s.snapCorrupt.Load()
-		agg.ResumeReplayedSlots += s.resumeReplayed.Load()
-		sumNs += s.latSumNs.Load()
-		for b := range buckets {
-			v := s.lat.buckets[b].Load()
-			buckets[b] += v
-			total += v
-		}
-	}
+	total, sumNs := m.met.merge(&agg, &buckets)
 
 	dst = promCounter(dst, "rightsized_sessions_opened_total", "Sessions opened.", agg.SessionsOpened)
 	dst = promCounter(dst, "rightsized_sessions_resumed_total", "Sessions transparently resumed from the snapshot store.", agg.SessionsResumed)

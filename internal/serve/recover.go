@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,9 +10,20 @@ import (
 	"strings"
 
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
+
+// A session's durable record is the store's snapshot plus the
+// write-ahead log's delta past it. A session resumed by a push (acquire)
+// and one folded back into the store by startup recovery (RecoverWAL)
+// are rebuilt from it by the same code — rebuildLocked builds the
+// session, attachWAL opens its log, replayLocked applies the delta under
+// one gap policy — and every save, recovery's included, is
+// persistLocked's snapshot → save → compact. A recovered session thus
+// continues exactly as a resumed one, which makes a crash look like an
+// uninterrupted run.
 
 // RecoverReport summarises a startup WAL recovery scan.
 type RecoverReport struct {
@@ -24,8 +36,9 @@ type RecoverReport struct {
 	// TornTails counts logs whose torn tail was truncated to the last
 	// whole record.
 	TornTails int
-	// Corrupt counts files quarantined to <name>.corrupt (undecodable
-	// WAL headers or snapshots).
+	// Corrupt counts logs quarantined to <name>.corrupt: undecodable
+	// headers, and logs that do not continue their session (replay
+	// gaps).
 	Corrupt int
 	// Failed lists session ids whose recovery failed (store save or read
 	// error); their WAL files are left in place for the next attempt.
@@ -38,11 +51,11 @@ func (r RecoverReport) String() string {
 }
 
 // RecoverWAL scans Options.WALDir for leftover session logs — the
-// residue of a crash — and folds each into the snapshot store: load the
-// session's snapshot (if any), replay the log's delta on top, save the
-// merged snapshot, and truncate the log. Recovered sessions are not made
-// resident; the next push resumes them from the store like any evicted
-// session. Call before serving traffic. A no-op without a WAL dir.
+// residue of a crash — and folds each into the snapshot store: rebuild
+// the session from its snapshot (if any) and its log, save it, and
+// remove the spent log. Recovered sessions are not made resident; the
+// next push resumes them from the store like any evicted session. Call
+// before serving traffic. A no-op without a WAL dir.
 func (m *Manager) RecoverWAL() (RecoverReport, error) {
 	var rep RecoverReport
 	if !m.walEnabled() {
@@ -54,123 +67,165 @@ func (m *Manager) RecoverWAL() (RecoverReport, error) {
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		m.recoverOne(path, &rep)
+		m.recoverLog(strings.TrimSuffix(filepath.Base(path), ".wal"), &rep)
 	}
 	return rep, nil
 }
 
-// quarantineWAL moves an undecodable log aside and counts it.
-func (m *Manager) quarantineWAL(path, id string, rep *RecoverReport) {
-	if err := quarantine(path); err != nil {
-		rep.Failed = append(rep.Failed, id)
-		return
-	}
-	m.stripeFor(id).snapCorrupt.Add(1)
-	rep.Corrupt++
-}
-
-func (m *Manager) recoverOne(path string, rep *RecoverReport) {
-	id := strings.TrimSuffix(filepath.Base(path), ".wal")
-	hdrBytes, recs, torn, err := wal.Read(path)
-	if err != nil {
-		rep.Failed = append(rep.Failed, id)
-		return
-	}
-	if torn {
-		m.stripeFor(id).walTorn.Add(1)
-		rep.TornTails++
-	}
-	if hdrBytes == nil {
-		// No whole header frame: an empty or stillborn log holds nothing
-		// recoverable. Empty files are simply removed; anything else is
-		// quarantined for inspection.
-		if fi, serr := os.Stat(path); serr == nil && fi.Size() == 0 {
-			os.Remove(path)
-		} else {
-			m.quarantineWAL(path, id, rep)
-		}
-		return
-	}
-	var hdr walHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		m.quarantineWAL(path, id, rep)
-		return
-	}
-
-	// Rebuild the session: snapshot first (when one exists and decodes),
-	// else from nothing using the header's identity. A corrupt snapshot
-	// was quarantined by the load and reads as missing — the WAL replays
-	// onto a fresh session, recovering what the log alone covers.
+// recoverLog folds session id's leftover log into the store.
+func (m *Manager) recoverLog(id string, rep *RecoverReport) {
+	// A corrupt snapshot was quarantined by the load and reads as
+	// missing: the log then rebuilds what it alone covers.
 	snap, ok, err := m.mapCorrupt(id)(m.store.Load(id))
 	if err != nil {
 		rep.Failed = append(rep.Failed, id)
 		return
 	}
-	var sess *stream.Session
-	fleet := hdr.Fleet
-	if ok {
-		fleet = snap.Fleet
-		types, rerr := fleet.Resolve()
-		if rerr == nil {
-			sess, _, rerr = engine.RestoreSession(snap.Checkpoint, snap.State, types, m.streamOpts())
-		}
-		if rerr != nil {
+	if !ok {
+		snap = nil
+	}
+	ls := &liveSession{id: id}
+	r, err := m.rebuildLocked(ls, snap, walAdopt)
+	// Recovered sessions are not resident: the log goes once the
+	// snapshot is durable, so there is nothing to compact.
+	ls.closeWALLocked()
+	if r.torn {
+		rep.TornTails++
+	}
+	switch {
+	case errors.Is(err, errBadLog):
+		// Not recoverable, and keeping the file would re-fail every
+		// restart. An empty file — a log whose header never landed — is
+		// simply removed; anything else is quarantined for inspection.
+		if fi, serr := os.Stat(m.walPath(id)); serr == nil && fi.Size() == 0 {
+			os.Remove(m.walPath(id))
+		} else if m.quarantineWAL(id) == nil {
+			rep.Corrupt++
+		} else {
 			rep.Failed = append(rep.Failed, id)
-			return
 		}
-	} else {
-		types, rerr := fleet.Resolve()
-		if rerr == nil {
-			sess, rerr = engine.OpenSession(hdr.Alg, types, m.streamOpts())
-		}
-		if rerr != nil {
-			// The header names an algorithm or fleet this build cannot
-			// construct: not recoverable, and keeping the file would
-			// re-fail every restart.
-			m.quarantineWAL(path, id, rep)
-			return
-		}
-	}
-
-	delta := make([]stream.DeltaRecord, len(recs))
-	for i, r := range recs {
-		delta[i] = stream.DeltaRecord{T: r.T, Lambda: r.Lambda, Counts: r.Counts}
-	}
-	applied, rerr := sess.ReplayDelta(delta)
-	if rerr != nil && sess.Err() == nil {
-		// A replay gap: the log does not continue the state we rebuilt —
-		// typically the snapshot was quarantined as corrupt (so the load
-		// read as a clean miss) and the delta starts past slot 1. Saving
-		// the rebuilt session would overwrite the id with a near-empty
-		// snapshot, and removing the log would destroy the only remaining
-		// record of its slots. Persist whatever prefix did replay, then
-		// quarantine the log for inspection. (A sticky algorithm failure
-		// is different — rerr with sess.Err() set: the failing record is
-		// the unacknowledged orphan tail, so the applied prefix below is
-		// exactly the acknowledged stream and the normal path is right.)
-		if applied > 0 {
-			merged := newSnapshot(id, fleet, sess)
-			if err := m.saveWithRetry(merged); err != nil {
-				rep.Failed = append(rep.Failed, id)
-				return
-			}
-			rep.Slots += applied
-		}
-		m.quarantineWAL(path, id, rep)
 		return
-	}
-
-	merged := newSnapshot(id, fleet, sess)
-	if err := m.saveWithRetry(merged); err != nil {
-		// Leave the WAL in place: the snapshot may be stale but the log
+	case err != nil:
+		// Leave the log in place: the store may be stale, but the log
 		// still carries the delta, so the next restart retries.
 		rep.Failed = append(rep.Failed, id)
 		return
+	case r.gapped:
+		rep.Slots += r.applied
+		rep.Corrupt++
+		return
 	}
-	// The merged snapshot is durable; the log is spent. Remove it — a
-	// later resume recreates it on attach.
-	os.Remove(path)
+	if _, err := m.persistLocked(ls, true); err != nil {
+		rep.Failed = append(rep.Failed, id)
+		return
+	}
+	os.Remove(m.walPath(id))
 	m.stripeFor(id).walRecovered.Add(1)
 	rep.Sessions++
-	rep.Slots += applied
+	rep.Slots += r.applied
+}
+
+// errBadLog marks a session log that names no session this build can
+// rebuild: no header frame, an undecodable header, or an algorithm or
+// fleet that does not construct.
+var errBadLog = errors.New("serve: wal names no session to rebuild")
+
+// rebuilt reports what rebuildLocked did.
+type rebuilt struct {
+	restored bool // the snapshot's saved state was restored, its log not replayed
+	torn     bool // the session log's torn tail was repaired
+	applied  int  // session-log records replayed past the snapshot
+	gapped   bool // the log did not continue the session (see replayLocked)
+}
+
+// rebuildLocked is the one path from a session's durable record to a
+// live stream.Session, shared by resume and startup recovery. The
+// caller holds ls.mu on a session no one else can use yet. snap is the
+// store's snapshot of ls.id, or nil when the store has none: the session
+// then opens fresh from the identity in its log's header, which only
+// recovery (how == walAdopt) can read. With a WAL configured the log is
+// attached and its delta replayed; it stays attached unless the replay
+// gapped. Log I/O failures are ErrStore; a header that names nothing to
+// rebuild is errBadLog.
+func (m *Manager) rebuildLocked(ls *liveSession, snap *Snapshot, how walAttach) (r rebuilt, err error) {
+	if snap != nil {
+		if r.restored, err = m.buildLocked(ls, snap.Checkpoint.Alg, snap.Fleet, snap); err != nil {
+			return r, err
+		}
+	}
+	stats, err := m.attachWAL(ls, how)
+	if errors.Is(err, wal.ErrNoHeader) {
+		return r, fmt.Errorf("%w: %v", errBadLog, err)
+	}
+	if err != nil {
+		return r, fmt.Errorf("%w: wal: %v", ErrStore, err)
+	}
+	r.torn = stats.Torn
+	if snap == nil {
+		var hdr walHeader
+		err := json.Unmarshal(stats.Header, &hdr)
+		if err == nil {
+			_, err = m.buildLocked(ls, hdr.Alg, hdr.Fleet, nil)
+		}
+		if err != nil {
+			ls.closeWALLocked()
+			return r, fmt.Errorf("%w: %v", errBadLog, err)
+		}
+	}
+	r.applied, r.gapped, err = m.replayLocked(ls, stats.Records)
+	return r, err
+}
+
+// buildLocked makes ls's session and records its identity on ls: from a
+// snapshot, by resolving the fleet and restoring the saved state (or
+// replaying the checkpoint's log when the state does not fit; restored
+// reports which), and without one as a fresh session of alg. Open,
+// resume and recovery all build sessions here.
+func (m *Manager) buildLocked(ls *liveSession, alg string, fleet FleetJSON, snap *Snapshot) (restored bool, err error) {
+	types, err := fleet.Resolve()
+	if err != nil {
+		return false, err
+	}
+	if snap != nil {
+		ls.sess, restored, err = engine.RestoreSession(snap.Checkpoint, snap.State, types, stream.Options{})
+	} else {
+		ls.sess, err = engine.OpenSession(alg, types, stream.Options{})
+	}
+	if err != nil {
+		return false, err
+	}
+	if spec, ok := engine.LookupAlgorithm(alg); ok {
+		alg = spec.Key
+	}
+	ls.alg, ls.fleet = alg, fleet
+	return restored, nil
+}
+
+// replayLocked applies a session log's delta to ls.sess: the one replay
+// of resume and recovery, under one gap policy. Replay is tolerant
+// (stream.Session.ReplayDelta skips duplicates and validation orphans),
+// and a sticky algorithm failure stops it with the acknowledged stream
+// applied — the failing record is the unacknowledged orphan tail, so
+// the session stands exactly where the live one failed. A gap is
+// different: the log does not continue the session — typically the
+// snapshot was quarantined as corrupt and the delta starts past slot 1 —
+// so it holds slots the session can no longer take. Compacting it away
+// would destroy the only record of them, so the prefix that did replay
+// is persisted and the log is quarantined for inspection (gapped). err
+// is a persist or quarantine failure, which leaves the log in place.
+func (m *Manager) replayLocked(ls *liveSession, recs []model.SlotInput) (applied int, gapped bool, err error) {
+	applied, rerr := ls.sess.ReplayDelta(recs)
+	if rerr == nil || ls.sess.Err() != nil {
+		return applied, false, nil
+	}
+	ls.closeWALLocked()
+	if applied > 0 {
+		if _, err := m.persistLocked(ls, true); err != nil {
+			return applied, true, fmt.Errorf("%w: %v", ErrStore, err)
+		}
+	}
+	if err := m.quarantineWAL(ls.id); err != nil {
+		return applied, true, fmt.Errorf("%w: %v", ErrStore, err)
+	}
+	return applied, true, nil
 }

@@ -74,12 +74,6 @@ type Snapshot struct {
 	State      []byte             `json:"state,omitempty"`
 }
 
-// newSnapshot captures a live session for the store: its replay log plus
-// its saved state.
-func newSnapshot(id string, fleet FleetJSON, sess *stream.Session) *Snapshot {
-	return &Snapshot{ID: id, Fleet: fleet, Checkpoint: sess.Checkpoint(), State: sess.AppendState(nil)}
-}
-
 // encodeSnapshot appends snap's stored form to dst: exactly the bytes
 // json.Marshal(snap) produces.
 func encodeSnapshot(dst []byte, snap *Snapshot) ([]byte, error) {

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/stream"
 	"repro/internal/wal"
 )
 
@@ -36,25 +35,47 @@ func (m *Manager) walOptions() wal.Options {
 	}
 }
 
-// attachWAL opens (creating if needed) the session's write-ahead log and
-// hangs it on ls; the caller holds ls.mu. fresh marks a newly opened
-// session id: leftover records from a previous incarnation of the id are
-// truncated rather than kept — the snapshot store has already verified
-// the id is unused, so such records belong to a deleted session whose
-// WAL removal did not complete. A no-op when the WAL is disabled.
-func (m *Manager) attachWAL(ls *liveSession, fresh bool) (wal.ScanStats, error) {
+// walAttach selects how attachWAL treats the header already on disk.
+type walAttach int
+
+const (
+	// walResume requires the session's own header: a log left by an
+	// earlier incarnation of the id is reset and its records dropped.
+	walResume walAttach = iota
+	// walFresh is walResume for a newly opened session, which also drops
+	// leftover records under a matching header: the store has just
+	// verified the id unused, so they belong to a deleted session whose
+	// log removal did not complete.
+	walFresh
+	// walAdopt takes the header on disk as it is: recovery learns from it
+	// the identity of a session that was never snapshotted.
+	walAdopt
+)
+
+// attachWAL opens the session's write-ahead log and hangs it on ls; the
+// caller holds ls.mu. Every log is opened here, through wal.Open, so a
+// torn tail is repaired and counted in one place. It returns what the
+// open found: the header and the records to replay. A no-op when the
+// WAL is disabled.
+func (m *Manager) attachWAL(ls *liveSession, how walAttach) (wal.ScanStats, error) {
 	if !m.walEnabled() {
 		return wal.ScanStats{}, nil
 	}
-	hdr, err := json.Marshal(walHeader{Alg: ls.alg, Fleet: ls.fleet})
-	if err != nil {
-		return wal.ScanStats{}, err
+	var hdr []byte
+	if how != walAdopt {
+		var err error
+		if hdr, err = json.Marshal(walHeader{Alg: ls.alg, Fleet: ls.fleet}); err != nil {
+			return wal.ScanStats{}, err
+		}
 	}
 	l, stats, err := wal.Open(m.walPath(ls.id), hdr, m.walOptions())
 	if err != nil {
 		return stats, err
 	}
-	if fresh && len(stats.Records) > 0 {
+	if stats.Torn {
+		m.stripeFor(ls.id).walTorn.Add(1)
+	}
+	if how == walFresh && len(stats.Records) > 0 {
 		if err := l.Reset(); err != nil {
 			l.Close()
 			return stats, err
@@ -63,24 +84,6 @@ func (m *Manager) attachWAL(ls *liveSession, fresh bool) (wal.ScanStats, error) 
 	}
 	ls.wal = l
 	return stats, nil
-}
-
-// replayWALLocked replays a resumed session's WAL delta — the slots
-// appended after the snapshot it was just rebuilt from. Replay is
-// tolerant (duplicates skip, validation-rejected orphans skip) and a
-// replay error leaves the applied prefix standing: the session is then
-// exactly as far as the log could carry it, and a sticky algorithm
-// failure surfaces to the client the same way it would have live.
-func replayWALLocked(ls *liveSession, recs []wal.Record) int {
-	if len(recs) == 0 || ls.sess == nil {
-		return 0
-	}
-	delta := make([]stream.DeltaRecord, len(recs))
-	for i, r := range recs {
-		delta[i] = stream.DeltaRecord{T: r.T, Lambda: r.Lambda, Counts: r.Counts}
-	}
-	applied, _ := ls.sess.ReplayDelta(delta)
-	return applied
 }
 
 // compactWALLocked truncates the session's log after a successful
@@ -150,4 +153,14 @@ func (m *Manager) removeWAL(id string) {
 	if m.walEnabled() {
 		os.Remove(m.walPath(id))
 	}
+}
+
+// quarantineWAL moves a session's log aside to <id>.wal.corrupt for
+// inspection and counts it; the caller has closed its handle.
+func (m *Manager) quarantineWAL(id string) error {
+	if err := quarantine(m.walPath(id)); err != nil {
+		return err
+	}
+	m.stripeFor(id).snapCorrupt.Add(1)
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 func TestReplayDeltaBitIdentical(t *testing.T) {
@@ -25,9 +26,9 @@ func TestReplayDeltaBitIdentical(t *testing.T) {
 	}
 	// The delta carries duplicates below the snapshot's fed count —
 	// replay must skip them without feeding.
-	delta := []DeltaRecord{{T: cut - 1, Lambda: 99}, {T: cut, Lambda: 99}}
+	delta := []model.SlotInput{{T: cut - 1, Lambda: 99}, {T: cut, Lambda: 99}}
 	for i, l := range demands[cut:] {
-		delta = append(delta, DeltaRecord{T: cut + i + 1, Lambda: l})
+		delta = append(delta, model.SlotInput{T: cut + i + 1, Lambda: l})
 	}
 	applied, err := snap.ReplayDelta(delta)
 	if err != nil {
@@ -59,7 +60,7 @@ func TestReplayDeltaSkipsRejectedOrphans(t *testing.T) {
 	// Record 2 is an orphan: its original push was logged, then failed
 	// validation (negative demand) without stepping the algorithm, so
 	// the next logged record reuses index 2.
-	delta := []DeltaRecord{
+	delta := []model.SlotInput{
 		{T: 2, Lambda: -5},
 		{T: 2, Lambda: 4},
 		{T: 3, Lambda: 1},
@@ -78,7 +79,7 @@ func TestReplayDeltaStopsOnGap(t *testing.T) {
 	if _, err := s.FeedDemand(2); err != nil {
 		t.Fatal(err)
 	}
-	applied, err := s.ReplayDelta([]DeltaRecord{{T: 2, Lambda: 1}, {T: 5, Lambda: 1}})
+	applied, err := s.ReplayDelta([]model.SlotInput{{T: 2, Lambda: 1}, {T: 5, Lambda: 1}})
 	if err == nil {
 		t.Fatal("a replay gap must be reported")
 	}
@@ -98,9 +99,9 @@ func TestReplayDeltaStopsOnStickyFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var delta []DeltaRecord
+	var delta []model.SlotInput
 	for i := 0; i < 64; i++ {
-		delta = append(delta, DeltaRecord{T: i + 1, Lambda: float64(1 + i%5)})
+		delta = append(delta, model.SlotInput{T: i + 1, Lambda: float64(1 + i%5)})
 	}
 	applied, err := s.ReplayDelta(delta)
 	if err == nil {

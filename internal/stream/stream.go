@@ -382,18 +382,11 @@ func (s *Session) Checkpoint() *Checkpoint {
 	return cp
 }
 
-// DeltaRecord is one entry of an external replay log (internal/wal): a
-// slot input with the absolute 1-based index it was assigned when first
-// fed. Unlike SlotRecord, the index travels with the record so replay
-// can skip entries a snapshot already covers.
-type DeltaRecord struct {
-	T      int
-	Lambda float64
-	Counts []int
-}
-
 // ReplayDelta is the crash-recovery seam: it feeds a write-ahead log's
-// delta records into a session resumed from the newest snapshot,
+// delta records (internal/wal) into a session resumed from the newest
+// snapshot. Each record carries the absolute 1-based index T it was
+// assigned when first fed — unlike SlotRecord, the index travels with
+// the record so replay can skip entries a snapshot already covers —
 // tolerating exactly the artifacts a WAL accumulates in normal
 // operation. Records at or below the session's fed count are skipped
 // (duplicates from a crash between snapshot save and log compaction, or
@@ -405,7 +398,7 @@ type DeltaRecord struct {
 // session cannot advance: both stop the replay, returning what was
 // applied. The replayed advisories are discarded — they were emitted
 // before the crash.
-func (s *Session) ReplayDelta(recs []DeltaRecord) (applied int, err error) {
+func (s *Session) ReplayDelta(recs []model.SlotInput) (applied int, err error) {
 	for _, rec := range recs {
 		if rec.T <= s.fed {
 			continue
@@ -413,8 +406,7 @@ func (s *Session) ReplayDelta(recs []DeltaRecord) (applied int, err error) {
 		if rec.T != s.fed+1 {
 			return applied, fmt.Errorf("stream: replay gap: record %d after slot %d", rec.T, s.fed)
 		}
-		in := model.SlotInput{T: rec.T, Lambda: rec.Lambda, Counts: rec.Counts}
-		if _, err := s.Feed(in); err != nil {
+		if _, err := s.Feed(rec); err != nil {
 			if s.failed != nil {
 				return applied, err
 			}

@@ -3,6 +3,8 @@ package wal
 import (
 	"path/filepath"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // BenchmarkWALAppend measures the per-slot cost of the write-ahead
@@ -28,7 +30,7 @@ func BenchmarkWALAppend(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.Append(Record{T: i + 1, Lambda: 123.456, Counts: counts}); err != nil {
+				if _, err := l.Append(model.SlotInput{T: i + 1, Lambda: 123.456, Counts: counts}); err != nil {
 					b.Fatal(err)
 				}
 				if l.Size() > 1<<26 {

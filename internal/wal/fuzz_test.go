@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // buildFrame assembles one valid frame for seed construction.
@@ -94,21 +96,21 @@ func FuzzWALReplay(f *testing.F) {
 		if !reflect.DeepEqual(stats.Records, recs) && !stats.Rewritten {
 			t.Fatalf("Open recovered %d records, scan said %d", len(stats.Records), len(recs))
 		}
-		next := Record{T: len(stats.Records) + 1, Lambda: 6.25, Counts: []int{1, 2}}
+		next := model.SlotInput{T: len(stats.Records) + 1, Lambda: 6.25, Counts: []int{1, 2}}
 		if _, err := l.Append(next); err != nil {
 			t.Fatalf("Append after repair: %v", err)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
-		gotHdr, gotRecs, torn, err := Read(path)
+		gotHdr, gotRecs, torn, err := read(path)
 		if err != nil || torn {
 			t.Fatalf("reread: err=%v torn=%v", err, torn)
 		}
 		if string(gotHdr) != string(openHdr) {
 			t.Fatalf("header %q lost after repair (want %q)", gotHdr, openHdr)
 		}
-		want := append(append([]Record{}, stats.Records...), next)
+		want := append(append([]model.SlotInput{}, stats.Records...), next)
 		if !reflect.DeepEqual(gotRecs, want) {
 			t.Fatalf("after repair+append got %d records, want %d", len(gotRecs), len(want))
 		}

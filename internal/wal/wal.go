@@ -7,8 +7,9 @@
 // (Castagnoli polynomial) covers the same bytes. The first frame is a
 // header ('H') carrying an opaque blob the serving layer uses to
 // rebuild a session that was never snapshotted (algorithm name + fleet
-// spec); every later frame is a slot record ('S') whose payload is
-// internal/wire's zero-alloc JSON encoding of wire.WALRecord.
+// spec); every later frame is a slot record ('S'): a model.SlotInput's
+// index, demand and counts in internal/wire's zero-alloc JSON encoding
+// of wire.WALRecord.
 //
 // The log is the delta past the newest snapshot, not a full history:
 // after a successful snapshot save the serving layer calls Reset, which
@@ -20,7 +21,9 @@
 // Opening a log scans it and truncates to the last whole, checksummed,
 // decodable record (torn-tail repair): a crash mid-append leaves a
 // partial frame that is detected and dropped, never a wedged session.
-// FuzzWALReplay hammers the scanner with arbitrary corruption.
+// Open is the only reader, so resume and crash recovery repair a log
+// the same way. FuzzWALReplay hammers the scanner with arbitrary
+// corruption.
 package wal
 
 import (
@@ -32,6 +35,7 @@ import (
 	"os"
 	"time"
 
+	"repro/internal/model"
 	"repro/internal/wire"
 )
 
@@ -127,19 +131,15 @@ func (o *Options) interval() time.Duration {
 	return 100 * time.Millisecond
 }
 
-// Record is one logged slot input: the absolute 1-based slot index
-// assigned at append time plus the slot's data. Replay skips records
-// at or below a snapshot's slot count.
-type Record struct {
-	T      int
-	Lambda float64
-	Counts []int
-}
-
 // ScanStats reports what opening a log found.
 type ScanStats struct {
-	// Records are the valid slot records, in log order.
-	Records []Record
+	// Header is the header payload the log carries once open: the
+	// caller's, or the one adopted from disk when Open was passed none.
+	Header []byte
+	// Records are the valid slot records, in log order: each slot's
+	// absolute 1-based index T (assigned at append time), demand and
+	// counts. Replay skips records at or below a snapshot's slot count.
+	Records []model.SlotInput
 	// Torn reports that a torn or corrupt tail was truncated away.
 	Torn bool
 	// TornBytes is how many trailing bytes the repair dropped.
@@ -166,6 +166,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // is unknown, so further appends would risk interleaving garbage.
 var ErrLogBroken = errors.New("wal: log broken: failed to roll back a partial append")
 
+// ErrNoHeader is Open's answer when it was asked to adopt the header on
+// disk and the file has no valid header frame; the file is left as it
+// was.
+var ErrNoHeader = errors.New("wal: no valid header frame")
+
 // Log is an open per-session write-ahead log. It is not safe for
 // concurrent use; the serving layer calls it under the session lock.
 type Log struct {
@@ -184,7 +189,9 @@ type Log struct {
 // any torn tail, and ensures its header frame equals header: a missing
 // or different header means the file is a leftover from an earlier
 // incarnation of the session id, so the log is reset to just the new
-// header and the stale records are dropped (ScanStats.Rewritten).
+// header and the stale records are dropped (ScanStats.Rewritten). A nil
+// header adopts the one on disk instead; a file without one then fails
+// with ErrNoHeader, untouched.
 func Open(path string, header []byte, opts Options) (*Log, ScanStats, error) {
 	var stats ScanStats
 	// A header frame over maxFrameLen would write fine but be rejected by
@@ -203,6 +210,14 @@ func Open(path string, header []byte, opts Options) (*Log, ScanStats, error) {
 		return nil, stats, fmt.Errorf("wal: read %s: %w", path, err)
 	}
 	hdr, recs, consumed := parseFrames(data)
+	if header == nil {
+		if hdr == nil {
+			f.Close()
+			return nil, stats, fmt.Errorf("wal: %s: %w", path, ErrNoHeader)
+		}
+		header = hdr
+	}
+	stats.Header = header
 	if int64(len(data)) > consumed {
 		// Torn or corrupt tail: drop everything past the last whole
 		// valid record.
@@ -233,9 +248,6 @@ func Open(path string, header []byte, opts Options) (*Log, ScanStats, error) {
 	return l, stats, nil
 }
 
-// Path returns the log's file path.
-func (l *Log) Path() string { return l.path }
-
 // Size returns the current end-of-log offset in bytes.
 func (l *Log) Size() int64 { return l.size }
 
@@ -245,7 +257,7 @@ func (l *Log) Size() int64 { return l.size }
 // log stays valid and never retains a record whose push was not
 // acknowledged; if the rollback itself fails, the log turns
 // sticky-broken and every later Append fails with ErrLogBroken.
-func (l *Log) Append(rec Record) (synced bool, err error) {
+func (l *Log) Append(rec model.SlotInput) (synced bool, err error) {
 	if l.broken != nil {
 		return false, l.broken
 	}
@@ -382,27 +394,11 @@ func (l *Log) Close() error {
 	return err
 }
 
-// Read parses the log file at path without taking write ownership:
-// the recovery scan uses it to inspect every leftover log. It returns
-// the header blob (nil when the file is empty or its header frame is
-// invalid), the valid slot records, and whether trailing bytes past the
-// valid prefix exist (a torn tail the next Open would repair). err is
-// only an I/O error; corruption is never an error, just a shorter
-// prefix.
-func Read(path string) (header []byte, recs []Record, torn bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	hdr, recs, consumed := parseFrames(data)
-	return hdr, recs, consumed < int64(len(data)), nil
-}
-
 // parseFrames scans data for the longest valid prefix: a header frame
 // followed by whole, checksummed, decodable slot records. It returns
 // the header payload (nil if the first frame is not a valid header),
 // the records, and the number of bytes consumed by the valid prefix.
-func parseFrames(data []byte) (hdr []byte, recs []Record, consumed int64) {
+func parseFrames(data []byte) (hdr []byte, recs []model.SlotInput, consumed int64) {
 	off := 0
 	first := true
 	for {
@@ -427,7 +423,7 @@ func parseFrames(data []byte) (hdr []byte, recs []Record, consumed int64) {
 		if err := wire.DecodeWALRecord(body[1:], &w); err != nil {
 			return hdr, recs, int64(off)
 		}
-		recs = append(recs, Record{T: int(w.T), Lambda: w.Lambda, Counts: w.Counts})
+		recs = append(recs, model.SlotInput{T: int(w.T), Lambda: w.Lambda, Counts: w.Counts})
 		off += frame
 	}
 }

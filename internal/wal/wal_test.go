@@ -7,12 +7,14 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/model"
 )
 
-func testRecords(n int) []Record {
-	recs := make([]Record, n)
+func testRecords(n int) []model.SlotInput {
+	recs := make([]model.SlotInput, n)
 	for i := range recs {
-		recs[i] = Record{T: i + 1, Lambda: float64(i) * 1.5}
+		recs[i] = model.SlotInput{T: i + 1, Lambda: float64(i) * 1.5}
 		if i%3 == 0 {
 			recs[i].Counts = []int{i + 2, i}
 		}
@@ -29,13 +31,26 @@ func mustOpen(t *testing.T, path string, header []byte, opts Options) (*Log, Sca
 	return l, stats
 }
 
-func appendAll(t *testing.T, l *Log, recs []Record) {
+func appendAll(t *testing.T, l *Log, recs []model.SlotInput) {
 	t.Helper()
 	for _, rec := range recs {
 		if _, err := l.Append(rec); err != nil {
 			t.Fatalf("Append(%+v): %v", rec, err)
 		}
 	}
+}
+
+// read inspects the log file at path without opening it: the header
+// payload (nil when the first frame is not a valid header), the valid
+// slot records, and whether bytes trail the valid prefix (a torn tail
+// the next Open repairs).
+func read(path string) (header []byte, recs []model.SlotInput, torn bool, err error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	hdr, recs, consumed := parseFrames(data)
+	return hdr, recs, consumed < int64(len(data)), nil
 }
 
 func TestLogRoundTrip(t *testing.T) {
@@ -52,7 +67,7 @@ func TestLogRoundTrip(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	gotHdr, gotRecs, torn, err := Read(path)
+	gotHdr, gotRecs, torn, err := read(path)
 	if err != nil || torn {
 		t.Fatalf("Read: err=%v torn=%v", err, torn)
 	}
@@ -90,7 +105,7 @@ func TestLogTornTailTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		_, _, torn, err := Read(path)
+		_, _, torn, err := read(path)
 		if err != nil || !torn {
 			t.Fatalf("chop %d: Read err=%v torn=%v", chop, err, torn)
 		}
@@ -104,18 +119,18 @@ func TestLogTornTailTruncation(t *testing.T) {
 		if !reflect.DeepEqual(stats.Records, recs[:len(stats.Records)]) {
 			t.Fatalf("chop %d: recovered records are not a prefix", chop)
 		}
-		next := Record{T: len(stats.Records) + 1, Lambda: 42}
+		next := model.SlotInput{T: len(stats.Records) + 1, Lambda: 42}
 		if _, err := l2.Append(next); err != nil {
 			t.Fatalf("chop %d: append after repair: %v", chop, err)
 		}
 		if err := l2.Close(); err != nil {
 			t.Fatal(err)
 		}
-		_, gotRecs, torn, err := Read(path)
+		_, gotRecs, torn, err := read(path)
 		if err != nil || torn {
 			t.Fatalf("chop %d: reread err=%v torn=%v", chop, err, torn)
 		}
-		want := append(append([]Record{}, recs[:len(stats.Records)]...), next)
+		want := append(append([]model.SlotInput{}, recs[:len(stats.Records)]...), next)
 		if !reflect.DeepEqual(gotRecs, want) {
 			t.Fatalf("chop %d: after re-append got %+v want %+v", chop, gotRecs, want)
 		}
@@ -141,7 +156,7 @@ func TestLogCorruptMiddleStopsPrefix(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, gotRecs, torn, err := Read(path)
+	_, gotRecs, torn, err := read(path)
 	if err != nil || !torn {
 		t.Fatalf("Read err=%v torn=%v", err, torn)
 	}
@@ -161,7 +176,7 @@ func TestLogReset(t *testing.T) {
 	if err := l.Reset(); err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	gotHdr, gotRecs, torn, err := Read(path)
+	gotHdr, gotRecs, torn, err := read(path)
 	if err != nil || torn {
 		t.Fatalf("Read err=%v torn=%v", err, torn)
 	}
@@ -169,13 +184,13 @@ func TestLogReset(t *testing.T) {
 		t.Fatalf("after reset: header %q records %d", gotHdr, len(gotRecs))
 	}
 	// The log keeps working after compaction.
-	if _, err := l.Append(Record{T: 6, Lambda: 1}); err != nil {
+	if _, err := l.Append(model.SlotInput{T: 6, Lambda: 1}); err != nil {
 		t.Fatalf("Append after Reset: %v", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, gotRecs, _, err = Read(path)
+	_, gotRecs, _, err = read(path)
 	if err != nil || len(gotRecs) != 1 || gotRecs[0].T != 6 {
 		t.Fatalf("after reset+append: %v %+v", err, gotRecs)
 	}
@@ -193,9 +208,51 @@ func TestLogHeaderMismatchResets(t *testing.T) {
 	if !stats.Rewritten || len(stats.Records) != 0 {
 		t.Fatalf("mismatched header: stats %+v", stats)
 	}
-	gotHdr, gotRecs, _, err := Read(path)
+	gotHdr, gotRecs, _, err := read(path)
 	if err != nil || string(gotHdr) != "incarnation-2" || len(gotRecs) != 0 {
 		t.Fatalf("after rewrite: %v %q %d", err, gotHdr, len(gotRecs))
+	}
+}
+
+// Open with no header adopts the one on disk — repairing a torn tail
+// like any open — and leaves a file without one untouched.
+func TestOpenAdoptsHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "adopt.wal")
+	l, _ := mustOpen(t, path, []byte("incarnation-1"), Options{Sync: SyncNever})
+	appendAll(t, l, testRecords(4))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, fi.Size()-2); err != nil {
+		t.Fatal(err)
+	}
+	l2, stats := mustOpen(t, path, nil, Options{Sync: SyncNever})
+	if string(stats.Header) != "incarnation-1" || stats.Rewritten || !stats.Torn {
+		t.Fatalf("adopting open: stats %+v", stats)
+	}
+	if !reflect.DeepEqual(stats.Records, testRecords(3)) {
+		t.Fatalf("adopting open kept %d records, want the 3 whole ones", len(stats.Records))
+	}
+	l2.Close()
+	if _, _, torn, err := read(path); err != nil || torn {
+		t.Fatalf("torn tail not repaired by the adopting open: torn=%v err=%v", torn, err)
+	}
+
+	for _, data := range [][]byte{nil, []byte("no header frame here")} {
+		bad := filepath.Join(t.TempDir(), "bad.wal")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(bad, nil, Options{Sync: SyncNever}); !errors.Is(err, ErrNoHeader) {
+			t.Fatalf("adopting open of %q: err %v, want ErrNoHeader", data, err)
+		}
+		if got, err := os.ReadFile(bad); err != nil || string(got) != string(data) {
+			t.Fatalf("headerless file changed to %q (%v)", got, err)
+		}
 	}
 }
 
@@ -225,7 +282,7 @@ func TestSyncPolicies(t *testing.T) {
 		l, _ := mustOpen(t, path, []byte("h"), countingOpts(&syncs, Options{Sync: SyncAlways}))
 		base := syncs // header write syncs once
 		for i := 1; i <= 5; i++ {
-			synced, err := l.Append(Record{T: i})
+			synced, err := l.Append(model.SlotInput{T: i})
 			if err != nil || !synced {
 				t.Fatalf("append %d: synced=%v err=%v", i, synced, err)
 			}
@@ -240,7 +297,7 @@ func TestSyncPolicies(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "n.wal")
 		l, _ := mustOpen(t, path, []byte("h"), countingOpts(&syncs, Options{Sync: SyncNever}))
 		for i := 1; i <= 5; i++ {
-			synced, err := l.Append(Record{T: i})
+			synced, err := l.Append(model.SlotInput{T: i})
 			if err != nil || synced {
 				t.Fatalf("append %d: synced=%v err=%v", i, synced, err)
 			}
@@ -260,7 +317,7 @@ func TestSyncPolicies(t *testing.T) {
 		base := syncs
 		for i := 1; i <= 10; i++ {
 			now = now.Add(300 * time.Millisecond)
-			if _, err := l.Append(Record{T: i}); err != nil {
+			if _, err := l.Append(model.SlotInput{T: i}); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
@@ -287,19 +344,19 @@ func TestShortWriteRollsBack(t *testing.T) {
 	fs.mu.Lock()
 	fs.cfg.ShortWriteRate = 1
 	fs.mu.Unlock()
-	if _, err := l.Append(Record{T: 1}); err == nil {
+	if _, err := l.Append(model.SlotInput{T: 1}); err == nil {
 		t.Fatal("expected injected short-write failure")
 	}
 	size := l.Size()
 	fs.Disarm()
-	if _, err := l.Append(Record{T: 1}); err != nil {
+	if _, err := l.Append(model.SlotInput{T: 1}); err != nil {
 		t.Fatalf("append after heal: %v", err)
 	}
 	if l.Size() <= size {
 		t.Fatal("append after heal did not grow the log")
 	}
 	l.Close()
-	_, recs, torn, err := Read(path)
+	_, recs, torn, err := read(path)
 	if err != nil || torn || len(recs) != 1 {
 		t.Fatalf("after rollback+retry: err=%v torn=%v recs=%d", err, torn, len(recs))
 	}
@@ -317,12 +374,12 @@ func TestTornWriteSurfacesOnReopen(t *testing.T) {
 	fs.mu.Lock()
 	fs.cfg.TornWriteRate = 1
 	fs.mu.Unlock()
-	if _, err := l.Append(Record{T: 4, Lambda: 9}); err != nil {
+	if _, err := l.Append(model.SlotInput{T: 4, Lambda: 9}); err != nil {
 		t.Fatalf("torn write must report success, got %v", err)
 	}
 	fs.Disarm()
 	l.Close()
-	_, recs, torn, err := Read(path)
+	_, recs, torn, err := read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +408,7 @@ func TestSyncErrRollsBackRecord(t *testing.T) {
 	fs.mu.Lock()
 	fs.cfg.SyncErrRate = 1
 	fs.mu.Unlock()
-	if _, err := l.Append(Record{T: 3, Lambda: 5}); err == nil {
+	if _, err := l.Append(model.SlotInput{T: 3, Lambda: 5}); err == nil {
 		t.Fatal("expected injected sync failure")
 	}
 	// The unacknowledged frame must not survive the failure: the slot
@@ -364,11 +421,11 @@ func TestSyncErrRollsBackRecord(t *testing.T) {
 	fs.Disarm()
 	// The retry carries different data (the client recomputed the slot);
 	// the retried payload, not the failed one, must be what replay sees.
-	if _, err := l.Append(Record{T: 3, Lambda: 7}); err != nil {
+	if _, err := l.Append(model.SlotInput{T: 3, Lambda: 7}); err != nil {
 		t.Fatalf("retry after sync failure: %v", err)
 	}
 	l.Close()
-	_, recs, torn, err := Read(path)
+	_, recs, torn, err := read(path)
 	if err != nil || torn {
 		t.Fatalf("err=%v torn=%v", err, torn)
 	}
@@ -388,7 +445,7 @@ func TestOversizedHeaderRejectedAtOpen(t *testing.T) {
 	l, _ := mustOpen(t, path, hdr, Options{Sync: SyncNever})
 	appendAll(t, l, testRecords(1))
 	l.Close()
-	got, recs, torn, err := Read(path)
+	got, recs, torn, err := read(path)
 	if err != nil || torn || len(got) != len(hdr) || len(recs) != 1 {
 		t.Fatalf("limit-sized header did not survive reopen: hdr=%d recs=%d torn=%v err=%v", len(got), len(recs), torn, err)
 	}
@@ -429,11 +486,11 @@ func TestFailedRollbackBreaksLog(t *testing.T) {
 	l, _ := mustOpen(t, path, []byte("h"), opts)
 	appendAll(t, l, testRecords(2))
 	bf.armed = true
-	if _, err := l.Append(Record{T: 3}); !errors.Is(err, ErrLogBroken) {
+	if _, err := l.Append(model.SlotInput{T: 3}); !errors.Is(err, ErrLogBroken) {
 		t.Fatalf("expected ErrLogBroken, got %v", err)
 	}
 	bf.armed = false
-	if _, err := l.Append(Record{T: 3}); !errors.Is(err, ErrLogBroken) {
+	if _, err := l.Append(model.SlotInput{T: 3}); !errors.Is(err, ErrLogBroken) {
 		t.Fatalf("broken log must stay broken, got %v", err)
 	}
 	l.Close()
@@ -469,13 +526,13 @@ func TestAppendZeroAllocs(t *testing.T) {
 	counts := []int{4, 2, 0}
 	i := 0
 	// Warm up the frame buffer.
-	if _, err := l.Append(Record{T: 1, Lambda: 2.5, Counts: counts}); err != nil {
+	if _, err := l.Append(model.SlotInput{T: 1, Lambda: 2.5, Counts: counts}); err != nil {
 		t.Fatal(err)
 	}
 	i = 1
 	allocs := testing.AllocsPerRun(200, func() {
 		i++
-		if _, err := l.Append(Record{T: i, Lambda: 2.5, Counts: counts}); err != nil {
+		if _, err := l.Append(model.SlotInput{T: i, Lambda: 2.5, Counts: counts}); err != nil {
 			t.Fatal(err)
 		}
 	})
