@@ -195,6 +195,7 @@ func TestAssignPanicsOnBadInput(t *testing.T) {
 		lambda  float64
 	}{
 		{"negative lambda", []Server{{Active: 1, Cap: 1, F: costfn.Constant{}}}, -1},
+		{"NaN lambda", []Server{{Active: 1, Cap: 1, F: costfn.Constant{}}}, math.NaN()},
 		{"negative count", []Server{{Active: -1, Cap: 1, F: costfn.Constant{}}}, 1},
 	} {
 		func() {

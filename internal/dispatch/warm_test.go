@@ -27,7 +27,7 @@ func (o opaqueOnly) Value(z float64) float64 { return o.p.Value(z) }
 // bit-for-bit warm-start guarantee (monotone families via the canonical
 // snap, opaque ones via the hint-free reference bisection).
 func randomFunc(rng *rand.Rand) costfn.Func {
-	switch rng.Intn(7) {
+	switch rng.Intn(9) {
 	case 0:
 		return costfn.Constant{C: 5 * rng.Float64()}
 	case 1:
@@ -43,9 +43,29 @@ func randomFunc(rng *rand.Rand) costfn.Func {
 		}
 	case 5:
 		return opaqueOnly{p: costfn.Power{Idle: rng.Float64(), Coef: 0.3 + rng.Float64(), Exp: 1.5 + rng.Float64()}}
+	case 6:
+		// Exp 1 is linear: its volume jumps from 0 to capacity at ν = Coef.
+		return costfn.Power{Idle: rng.Float64(), Coef: 0.2 + 2*rng.Float64(), Exp: 1}
+	case 7:
+		return randomPiecewise(rng)
 	default:
 		return diffOnly{p: costfn.Power{Idle: rng.Float64(), Coef: 0.3 + rng.Float64(), Exp: 1.5 + rng.Float64()}}
 	}
+}
+
+// randomPiecewise draws a convex increasing piecewise-linear cost with 1–4
+// breakpoints; its volume is a staircase that jumps at every slope.
+func randomPiecewise(rng *rand.Rand) costfn.PiecewiseLinear {
+	n := 1 + rng.Intn(4)
+	zs, vs := make([]float64, n), make([]float64, n)
+	vs[0] = 2 * rng.Float64()
+	slope := 0.0
+	for i := 1; i < n; i++ {
+		zs[i] = zs[i-1] + 0.1 + rng.Float64()
+		slope += 1.5 * rng.Float64()
+		vs[i] = vs[i-1] + slope*(zs[i]-zs[i-1])
+	}
+	return costfn.MustPiecewiseLinear(zs, vs)
 }
 
 // The tentpole's central contract: a Solver that warm-starts every solve
