@@ -12,15 +12,11 @@ import (
 // golden-section totals are not monotone and so have no fast path.
 func monotoneFunc(rng *rand.Rand) costfn.Func {
 	for {
-		if f := randomFunc(rng); !isOpaque(f) {
+		f := randomFunc(rng)
+		if _, ok := costfn.AsDifferentiable(f); ok {
 			return f
 		}
 	}
-}
-
-func isOpaque(f costfn.Func) bool {
-	_, ok := costfn.AsDifferentiable(f)
-	return !ok
 }
 
 // referenceDual is the canonical dual by its definition: 0 when the idle
@@ -83,23 +79,19 @@ func TestFastDualMatchesReferenceBisection(t *testing.T) {
 	t.Logf("%d dual solves matched the reference", solves)
 }
 
-// heterogeneousLattice is the `heterogeneous` scenario's fleet: counts
-// 10/6/3, so its DP lattice is 11×7×4.
-func heterogeneousLattice() ([]Server, []int) {
-	return []Server{
+// The dual search's work, counted rather than timed so the gate does not
+// depend on host speed: one Solver sweeps the `heterogeneous` scenario's
+// 11×7×4 lattice in the DP's grid order (last type fastest) for 200 seeded
+// demands, and must average at most 6 volume sums per lattice cell.
+// Trivial cells (λ = 0, infeasible, one active type) count as cells with
+// no sums.
+func TestDualSearchWork(t *testing.T) {
+	servers := []Server{
 		{Cap: 1, F: costfn.Constant{C: 1.2}},
 		{Cap: 2, F: costfn.Affine{Idle: 1.5, Rate: 0.6}},
 		{Cap: 4, F: costfn.Power{Idle: 2.5, Coef: 0.3, Exp: 2}},
-	}, []int{10, 6, 3}
-}
-
-// The dual search's work, counted rather than timed so the gate does not
-// depend on host speed: one Solver sweeps the heterogeneous lattice in the
-// DP's grid order (last type fastest) for 200 seeded demands, and must
-// average at most 6 volume sums per lattice cell. Trivial cells (λ = 0,
-// infeasible, one active type) count as cells with no sums.
-func TestDualSearchWork(t *testing.T) {
-	servers, counts := heterogeneousLattice()
+	}
+	counts := []int{10, 6, 3}
 	rng := rand.New(rand.NewSource(5))
 	var sv Solver
 	cells := 0
