@@ -342,10 +342,11 @@ func (sv *Solver) solveDual(lambda float64) float64 {
 	warm := sv.warm
 	if sv.opaque {
 		// Golden-section-evaluated totals jitter non-monotonically at the
-		// ~1e-13 scale — wider than a dyadic cell — so the snap's landing
-		// cell would depend on where the hint made it start. Hints are
-		// ignored and the solve runs the hint-free reference bisection:
-		// slower, but deterministic for any call history.
+		// ~1e-13 scale — wider than a dyadic cell — so the cell a
+		// bracketing search lands on would depend on where the hint made
+		// it start. Hints are ignored and the solve runs the hint-free
+		// reference bisection: slower, but deterministic for any call
+		// history.
 		warm = Warm{}
 	}
 	v0 := sv.total(0)
@@ -441,8 +442,8 @@ func (sv *Solver) solveDual(lambda float64) float64 {
 	fa, fb := va-lambda, vb-lambda
 	side := 0
 	_, n := math.Frexp((b - a) / h) // bisection needs at most n steps
-	rad := h / 2 * float64(int64(1)<<(n+dualSlack))
-	for i := 0; i < 256 && b > (math.Floor(a/h)+1)*h; i, rad = i+1, rad/2 {
+	rad := math.Ldexp(h/2, n+dualSlack)
+	for i := 0; i < maxDualSteps && b > (math.Floor(a/h)+1)*h; i, rad = i+1, rad/2 {
 		w := b - a
 		mid := a + w/2
 		r := math.Max(rad-w/2, 0)
@@ -463,28 +464,16 @@ func (sv *Solver) solveDual(lambda float64) float64 {
 		}
 	}
 
-	// Snap onto the canonical dyadic cell: the unique k with
-	// total(k·h) < lambda <= total((k+1)·h). The total is monotone, so
-	// every edge at or below a reads below lambda and every edge at or
-	// above b reads at least lambda: a bracket inside one cell is that
-	// cell, and otherwise the crossing is at an edge strictly inside the
-	// bracket, found by walking up from a's cell (a/h is exact, h being
-	// a power of two). Should a total ever jitter non-monotonically at
-	// cell scale regardless (the opaque family is already routed around
-	// this path), a small budget stops the walk and falls back to the
-	// reference bisection, which terminates unconditionally.
-	k := int64(math.Floor(a / h))
-	moved := 0
-	for moved < snapBudget && float64(k+1)*h < b && sv.total(float64(k+1)*h) < lambda {
-		k++
-		moved++
-	}
+	// The total is monotone, so every edge at or below a reads below
+	// lambda and every edge at or above b reads at least lambda: a bracket
+	// inside one cell is the canonical cell (a/h is exact, h being a power
+	// of two). Should the search ever stop short of one cell, the reference
+	// bisection, which terminates unconditionally, gives the answer.
 	var nu float64
-	if moved >= snapBudget {
+	if k := math.Floor(a / h); b > (k+1)*h {
 		nu = sv.dualBisect(hi, lambda)
 	} else {
-		lo := float64(k) * h
-		nu = lo + (float64(k+1)*h-lo)/2
+		nu = (k + 0.5) * h
 	}
 	sv.warm = Warm{Hi: hi, Nu: nu}
 	return nu
@@ -532,14 +521,15 @@ func cellEdge(s, a, b, h float64) float64 {
 // fail.
 const dualSlack = 8
 
-// snapBudget bounds the dyadic snap walk; monotone totals need at most a
-// couple of steps, so exhausting it signals a noisy (opaque) total.
-const snapBudget = 64
+// maxDualSteps caps the root search. The ITP bound keeps it to about
+// 48 + dualSlack steps, so the cap only guards against a total that is not
+// monotone after all.
+const maxDualSteps = 256
 
 // dualBisect is the legacy midpoint bisection of [0, hi]: 47 halvings,
 // then the final bracket's midpoint. It is the reference the fast path's
-// answer is defined by, and the hint-free fallback when a noisy total
-// defeats the snap.
+// answer is defined by, and the hint-free fallback for totals the fast
+// search cannot trust.
 func (sv *Solver) dualBisect(hi, lambda float64) float64 {
 	a, b := 0.0, hi
 	for i := 0; i < dualBits; i++ {

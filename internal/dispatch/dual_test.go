@@ -113,3 +113,37 @@ func TestDualSearchWork(t *testing.T) {
 		t.Errorf("dual search averages %.2f volume sums per cell, want <= 6", perCell)
 	}
 }
+
+// A saturation multiplier within an ulp of a dyadic cell edge or of the
+// previous solve's ν* leaves the bracket far narrower than a cell once the
+// breakpoint search and the edge probe have run, cold or warm. The search
+// must accept such a bracket and still return the reference's ν*.
+func TestFastDualSaturationNearCellEdge(t *testing.T) {
+	h := math.Ldexp(1, -dualBits) // cell width at hi = 1
+	for _, edge := range []float64{3.0 / 128, 0.5, 12345678901 * h, 3 * math.Ldexp(1, -40)} {
+		for _, sigma := range []float64{
+			math.Nextafter(edge, 0), edge, math.Nextafter(edge, 1),
+			math.Nextafter(edge+h/2, 0), edge + h/2, math.Nextafter(edge+h/2, 1),
+		} {
+			servers := []Server{
+				{Active: 1, Cap: 1, F: costfn.Affine{Rate: sigma}},
+				{Active: 1, Cap: 16, F: costfn.Power{Coef: 1, Exp: 2}},
+			}
+			for _, lambda := range []float64{sigma / 2, 0.5, 1 + sigma/2, 1.2, 5} {
+				// Cold, then warm from the midpoint of σ's cell and from the
+				// cell edge below it.
+				mid := (math.Floor(sigma/h) + 0.5) * h
+				for _, hint := range []Warm{{}, {Hi: 1, Nu: mid}, {Hi: 1, Nu: math.Floor(sigma/h) * h}} {
+					var sv Solver
+					sv.SetWarm(hint)
+					sv.active = append(sv.active[:0], 0, 1)
+					sv.resolvePlans(servers)
+					nu := sv.solveDual(lambda)
+					if want := referenceDual(&sv, sv.warm.Hi, lambda); math.Float64bits(nu) != math.Float64bits(want) {
+						t.Errorf("σ=%v λ=%v hint=%+v: ν* %v != reference %v", sigma, lambda, hint, nu, want)
+					}
+				}
+			}
+		}
+	}
+}
