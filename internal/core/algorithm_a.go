@@ -207,6 +207,9 @@ func (a *AlgorithmA) PrefixOpt() model.Config { return a.lastOpt }
 // prefix, exact iff the tracker follows the full lattice.
 func (a *AlgorithmA) PrefixOptCost() (float64, bool) { return a.optCost, a.tracker.Exact() }
 
+// OperatingCost implements LayerCosting.
+func (a *AlgorithmA) OperatingCost(x model.Config) (float64, bool) { return a.tracker.G(x) }
+
 // Timeout returns t̄_j for server type j.
 func (a *AlgorithmA) Timeout(j int) int { return a.types[j].Tbar() }
 

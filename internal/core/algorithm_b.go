@@ -153,6 +153,9 @@ func (b *AlgorithmB) PrefixOpt() model.Config { return b.lastOpt }
 // prefix, exact iff the tracker follows the full lattice.
 func (b *AlgorithmB) PrefixOptCost() (float64, bool) { return b.optCost, b.tracker.Exact() }
 
+// OperatingCost implements LayerCosting.
+func (b *AlgorithmB) OperatingCost(x model.Config) (float64, bool) { return b.tracker.G(x) }
+
 // CI returns the instance-dependent constant c(I) = Σ_j max_t l_{t,j}/β_j
 // appearing in Theorem 13's competitive ratio 2d+1+c(I). Types with
 // β_j = 0 and some positive idle cost make c(I) infinite (Algorithm C's

@@ -87,11 +87,9 @@ type Buffered interface {
 // wrote the state, exactly as if it had replayed the log.
 type Snapshotter interface {
 	Online
-	// Grow reserves room for n refilled slots, so a refill of a known
-	// length grows the history once.
-	Grow(n int)
-	// Refill appends a logged slot to the algorithm's input history
-	// without deciding it, validating the slot like Step's driver does.
+	// Refill consumes a logged slot as input history without deciding
+	// it, validating the slot like Step's driver does. Nothing of the
+	// slot outlives the next Refill or Step.
 	Refill(in model.SlotInput) error
 	// AppendState appends the algorithm's state after its most recent
 	// Step to dst. The encoding starts with a kind and version header
@@ -102,6 +100,19 @@ type Snapshotter interface {
 	// the slots the state covers. It rejects states of another kind or
 	// version, and states inconsistent with the refilled history.
 	RestoreState(state []byte) error
+}
+
+// LayerCosting is the optional interface of online algorithms whose
+// prefix-optimum tracker evaluates the operating cost g_t of every slot
+// they step over a whole configuration lattice (Algorithms A and B).
+// Live drivers read the cost of the configuration Step returned from
+// that layer instead of solving its dispatch program a second time.
+type LayerCosting interface {
+	Online
+	// OperatingCost returns g_t(x) for the slot of the most recent Step
+	// when x lies on the tracker's lattice, bit-identical to
+	// model.SlotEval.G; ok is false otherwise and the caller solves it.
+	OperatingCost(x model.Config) (g float64, ok bool)
 }
 
 // Run drives an online algorithm over a pre-recorded instance — the batch

@@ -64,9 +64,6 @@ func (a *AlgorithmA) AppendState(dst []byte) []byte {
 	return statebuf.AppendBytes(dst, a.tracker.AppendState(nil))
 }
 
-// Grow implements Snapshotter.
-func (a *AlgorithmA) Grow(n int) { a.tracker.Grow(n) }
-
 // Refill implements Snapshotter.
 func (a *AlgorithmA) Refill(in model.SlotInput) error { return a.tracker.Refill(in) }
 
@@ -120,9 +117,6 @@ func (b *AlgorithmB) AppendState(dst []byte) []byte {
 	}
 	return statebuf.AppendBytes(dst, b.tracker.AppendState(nil))
 }
-
-// Grow implements Snapshotter.
-func (b *AlgorithmB) Grow(n int) { b.tracker.Grow(n) }
 
 // Refill implements Snapshotter.
 func (b *AlgorithmB) Refill(in model.SlotInput) error { return b.tracker.Refill(in) }

@@ -93,3 +93,31 @@ func TestSnapshotterRejectsForeignState(t *testing.T) {
 		t.Fatalf("Algorithm B loading a state of another fleet: %v, want ErrMalformed", err)
 	}
 }
+
+// Algorithms A and B keep no input history: after 10 000 steps their
+// prefix trackers hold one slot, and a refill for a restore stores
+// nothing beyond the newest slot either.
+func TestHeldSlotsBoundedAlgorithms(t *testing.T) {
+	ins := randomStaticInstance(rand.New(rand.NewSource(8)), 2, 4, 50)
+	a, _ := NewAlgorithmA(ins.Types)
+	b, _ := NewAlgorithmB(ins.Types)
+	freshB, _ := NewAlgorithmB(ins.Types)
+	var in model.SlotInput
+	for s := 0; s < 10000; s++ {
+		ins.SlotInto(s%ins.T()+1, &in)
+		in.T = s + 1
+		a.Step(in)
+		b.Step(in)
+		if err := freshB.Refill(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, tr := range map[string]interface{ Held() int }{"A": a.tracker, "B": b.tracker, "refilled B": freshB.tracker} {
+		if h := tr.Held(); h > 1 {
+			t.Errorf("Algorithm %s's tracker holds %d slots after 10 000, want <= 1", name, h)
+		}
+	}
+	if err := freshB.RestoreState(b.AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+}

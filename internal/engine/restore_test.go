@@ -149,26 +149,51 @@ func TestRestoreSessionReplaysWithoutCodec(t *testing.T) {
 	}
 }
 
-// BenchmarkSessionResume measures one resume of a 2000-slot quickstart
-// alg-b session — the bench's hourly-resume shape — by replaying its log
-// and by restoring its saved state.
-func BenchmarkSessionResume(b *testing.B) {
+// agedQuickstart returns a 2000-slot quickstart alg-b session — the
+// bench's hourly-resume shape — with the fleet it runs on.
+func agedQuickstart(tb testing.TB) (*stream.Session, []model.ServerType) {
+	tb.Helper()
 	sc, _ := Lookup("quickstart")
 	ins := sc.Instance(1)
 	sess, err := OpenSession("alg-b", ins.Types, stream.Options{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for s := 0; s < 2000; s++ {
 		if _, err := sess.FeedDemand(ins.Lambda[s%ins.T()]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return sess, ins.Types
+}
+
+// Replaying a checkpoint allocates per session, not per slot: the log is
+// sized once and every slot goes through Push with one reused advisory
+// into one-slot accumulators. A 2000-slot resume stays within 200
+// allocations.
+func TestResumeAllocs(t *testing.T) {
+	sess, types := agedQuickstart(t)
+	cp := sess.Checkpoint()
+	avg := testing.AllocsPerRun(5, func() {
+		if _, err := ResumeSession(cp, types, stream.Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 200 {
+		t.Fatalf("resuming a %d-slot checkpoint allocates %v times, want <= 200", len(cp.Slots), avg)
+	}
+}
+
+// BenchmarkSessionResume measures one resume of a 2000-slot quickstart
+// alg-b session — the bench's hourly-resume shape — by replaying its log
+// and by restoring its saved state.
+func BenchmarkSessionResume(b *testing.B) {
+	sess, types := agedQuickstart(b)
 	cp, state := sess.Checkpoint(), sess.AppendState(nil)
 	b.Run("replay", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ResumeSession(cp, ins.Types, stream.Options{}); err != nil {
+			if _, err := ResumeSession(cp, types, stream.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -176,7 +201,7 @@ func BenchmarkSessionResume(b *testing.B) {
 	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := RestoreSession(cp, state, ins.Types, stream.Options{}); err != nil || !ok {
+			if _, ok, err := RestoreSession(cp, state, types, stream.Options{}); err != nil || !ok {
 				b.Fatal(ok, err)
 			}
 		}

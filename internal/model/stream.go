@@ -3,11 +3,9 @@ package model
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/costfn"
 	"repro/internal/dispatch"
-	"repro/internal/numeric"
 )
 
 // SlotInput is everything an online algorithm may observe about one time
@@ -75,24 +73,29 @@ func (ins *Instance) Slot(t int) SlotInput {
 	return in
 }
 
-// growingProfile is the CostProfile of an Accumulator's types: one function
-// per pushed slot.
-type growingProfile struct {
-	fs []costfn.Func
+// slotProfile is the CostProfile of an Accumulator's types: the newest
+// slot's function, whatever slot index is asked for.
+type slotProfile struct {
+	f costfn.Func
 }
 
 // At implements CostProfile.
-func (g *growingProfile) At(t int) costfn.Func { return g.fs[t-1] }
+func (p *slotProfile) At(int) costfn.Func { return p.f }
 
-// Accumulator builds an Instance incrementally from pushed SlotInputs: the
-// streaming counterpart of a struct-literal Instance. The instance it
-// exposes grows by one slot per Push and is safe to read through any
-// component holding the same *Instance pointer (Evaluator, PrefixTracker),
-// because all per-slot data is append-only.
+// Accumulator validates pushed SlotInputs against a fleet template and
+// resolves them, keeping only the newest slot: the streaming counterpart
+// of a struct-literal Instance for consumers that read nothing but the
+// slot they are evaluating. Its Instance holds one slot — slot 1 is the
+// slot of the most recent Push, overwritten in place by the next — and
+// is safe to read through any component holding the same *Instance
+// pointer (Evaluator, PrefixTracker). Cost functions are resolved at the
+// slot's absolute index, so time-varying template profiles are followed
+// exactly; only the evaluation index is 1.
 type Accumulator struct {
 	ins      *Instance
-	profiles []*growingProfile
+	profiles []*slotProfile
 	template []ServerType
+	t        int           // slots pushed so far
 	fnBuf    []costfn.Func // per-push resolution scratch
 	cntBuf   []int         // per-push counts scratch
 }
@@ -104,11 +107,14 @@ func NewAccumulator(types []ServerType) (*Accumulator, error) {
 	if len(types) == 0 {
 		return nil, fmt.Errorf("model: accumulator needs at least one server type")
 	}
+	d := len(types)
 	acc := &Accumulator{
 		template: append([]ServerType(nil), types...),
-		profiles: make([]*growingProfile, len(types)),
+		profiles: make([]*slotProfile, d),
+		fnBuf:    make([]costfn.Func, d),
+		cntBuf:   make([]int, d),
 	}
-	cloned := make([]ServerType, len(types))
+	cloned := make([]ServerType, d)
 	for j, st := range types {
 		if st.Count < 0 {
 			return nil, fmt.Errorf("model: type %d has negative count %d", j, st.Count)
@@ -119,20 +125,31 @@ func NewAccumulator(types []ServerType) (*Accumulator, error) {
 		if st.MaxLoad <= 0 {
 			return nil, fmt.Errorf("model: type %d has non-positive capacity %g", j, st.MaxLoad)
 		}
-		acc.profiles[j] = &growingProfile{}
+		acc.profiles[j] = &slotProfile{}
 		cloned[j] = st
 		cloned[j].Cost = acc.profiles[j]
 	}
-	acc.ins = &Instance{Types: cloned, Counts: [][]int{}}
+	acc.ins = &Instance{
+		Types:  cloned,
+		Lambda: make([]float64, 0, 1),
+		Counts: [][]int{make([]int, d)}[:0],
+	}
 	return acc, nil
 }
 
-// Instance returns the live growing instance. Its T() equals the number of
-// slots pushed so far.
+// Instance returns the live one-slot instance: empty before the first
+// Push, then holding the newest slot as slot 1.
 func (a *Accumulator) Instance() *Instance { return a.ins }
 
 // T returns the number of slots pushed so far.
-func (a *Accumulator) T() int { return a.ins.T() }
+func (a *Accumulator) T() int { return a.t }
+
+// Newest materialises the newest slot into in, reusing its buffers, with
+// its absolute index T. Only valid after the first Push.
+func (a *Accumulator) Newest(in *SlotInput) {
+	a.ins.SlotInto(1, in)
+	in.T = a.t
+}
 
 // resolve returns slot input's cost function for type j, falling back to
 // the template profile.
@@ -151,11 +168,12 @@ func (a *Accumulator) resolve(in SlotInput, j int) (costfn.Func, error) {
 	return nil, fmt.Errorf("model: slot %d has no cost function for type %d and the template has no profile", in.T, j)
 }
 
-// Push appends one slot. It validates the protocol (consecutive 1-based
-// slots) and the slot's feasibility: finite, non-negative demand covered
-// by the slot's total capacity.
+// Push validates one slot and makes it the newest. It checks the
+// protocol (consecutive 1-based slots) and the slot's feasibility:
+// finite, non-negative demand covered by the slot's total capacity. On
+// error the accumulator is unchanged.
 func (a *Accumulator) Push(in SlotInput) error {
-	t := a.T() + 1
+	t := a.t + 1
 	if in.T != 0 && in.T != t {
 		return fmt.Errorf("model: pushed slot %d out of order, want %d", in.T, t)
 	}
@@ -169,11 +187,7 @@ func (a *Accumulator) Push(in SlotInput) error {
 	if in.Counts != nil && len(in.Counts) != len(a.template) {
 		return fmt.Errorf("model: slot %d carries %d counts, want %d", t, len(in.Counts), len(a.template))
 	}
-	if cap(a.cntBuf) < len(a.template) {
-		a.cntBuf = make([]int, len(a.template))
-		a.fnBuf = make([]costfn.Func, len(a.template))
-	}
-	counts, fs := a.cntBuf[:len(a.template)], a.fnBuf[:len(a.template)]
+	counts, fs := a.cntBuf, a.fnBuf
 	capacity := 0.0
 	for j := range a.template {
 		c := a.template[j].Count
@@ -196,39 +210,15 @@ func (a *Accumulator) Push(in SlotInput) error {
 		}
 		fs[j] = f
 	}
-	// All checks passed; commit append-only. Rows never mutate after the
-	// append, so a slot whose counts repeat the previous slot's aliases
-	// the same backing row — steady-state pushes on a static fleet stay
-	// allocation-free.
-	row := a.cntBuf[:len(a.template)]
-	if last := len(a.ins.Counts) - 1; last >= 0 && numeric.EqualInts(a.ins.Counts[last], row) {
-		row = a.ins.Counts[last]
-	} else {
-		row = append([]int(nil), row...)
-	}
+	// All checks passed; overwrite the one slot in place.
+	a.t = t
+	a.ins.Lambda = append(a.ins.Lambda[:0], in.Lambda)
+	a.ins.Counts = a.ins.Counts[:1]
+	copy(a.ins.Counts[0], counts)
 	for j, f := range fs {
-		a.profiles[j].fs = append(a.profiles[j].fs, f)
+		a.profiles[j].f = f
 	}
-	a.ins.Counts = append(a.ins.Counts, row)
-	a.ins.Lambda = append(a.ins.Lambda, in.Lambda)
 	return nil
-}
-
-// GrowHeadroom is the number of slots Grow reserves beyond those asked
-// for: room for the pushes that follow a refill, so the first of them
-// does not re-double the arrays the refill just filled.
-const GrowHeadroom = 64
-
-// Grow reserves room for n more slots plus GrowHeadroom, so a driver
-// that knows how many slots it is about to push (a refill from a
-// replay log) grows the instance's arrays once instead of by doubling.
-func (a *Accumulator) Grow(n int) {
-	n += GrowHeadroom
-	a.ins.Lambda = slices.Grow(a.ins.Lambda, n)
-	a.ins.Counts = slices.Grow(a.ins.Counts, n)
-	for _, p := range a.profiles {
-		p.fs = slices.Grow(p.fs, n)
-	}
 }
 
 // SlotEval computes the operating cost g(x) of a configuration against one

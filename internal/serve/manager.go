@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"time"
 
 	"sync"
@@ -882,7 +883,9 @@ func (m *Manager) Checkpoint(id string) (*Snapshot, error) {
 	if serr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStore, serr)
 	}
-	out := *snap // the store may keep snap; clients get the portable log only
+	// Clients get the portable log only, detached from the live session's.
+	out := *snap
+	out.Checkpoint = &stream.Checkpoint{Alg: snap.Checkpoint.Alg, Slots: slices.Clone(snap.Checkpoint.Slots)}
 	out.State = nil
 	return &out, nil
 }
@@ -966,7 +969,9 @@ const (
 // checkpoint saves once, because the client asked for exactly one write
 // and owns the retry decision.
 func (m *Manager) persistLocked(ls *liveSession, retry bool) (*Snapshot, error) {
-	snap := &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: ls.sess.Checkpoint(), State: ls.sess.AppendState(nil)}
+	// The stores only encode the snapshot, so it shares the session's
+	// log instead of copying it (stream.Session.CheckpointView).
+	snap := &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: ls.sess.CheckpointView(), State: ls.sess.AppendState(nil)}
 	var err error
 	if retry {
 		err = m.saveWithRetry(snap)

@@ -33,7 +33,8 @@ type layerEvaluator struct {
 
 	eval *model.Evaluator // serial path
 	cfg  model.Config
-	gbuf []float64 // pure g-layer scratch for memoised slots
+	gbuf []float64 // pure g-layer scratch for slots the memo misses
+	last []float64 // pure g-layer of the last slot added: gbuf or a read-only memo entry
 	sig  gcacheSig // reusable signature buffers
 }
 
@@ -112,47 +113,54 @@ func (le *layerEvaluator) signature(t int) (*gcacheSig, bool) {
 	return s, true
 }
 
-// addG adds g_t(x) to every cell of the layer (indexed by g's lattice).
+// addG adds g_t(x) to every cell of the layer (indexed by g's lattice)
+// and keeps the slot's pure g-layer in le.last: the memo's vector on a
+// hit, gbuf otherwise. Slots the memo cannot key are evaluated into gbuf
+// too and then added, which rounds exactly like adding in place.
 func (le *layerEvaluator) addG(layer []float64, t int, g *grid.Grid) {
-	if sig, ok := le.signature(t); ok {
+	sig, memo := le.signature(t)
+	if memo {
 		if cached, hit := gcacheGet(sig); hit && len(cached) == len(layer) {
-			for i, v := range cached {
-				layer[i] += v
-			}
+			le.add(layer, cached)
 			return
 		}
-		if cap(le.gbuf) < len(layer) {
-			le.gbuf = make([]float64, len(layer))
-		}
-		gb := le.gbuf[:len(layer)]
-		le.evalCells(gb, t, g, false)
-		gcachePut(sig, gb)
-		for i, v := range gb {
-			layer[i] += v
-		}
-		return
 	}
-	le.evalCells(layer, t, g, true)
+	if cap(le.gbuf) < len(layer) {
+		le.gbuf = make([]float64, len(layer))
+	}
+	gb := le.gbuf[:len(layer)]
+	le.evalCells(gb, t, g)
+	if memo {
+		gcachePut(sig, gb)
+	}
+	le.add(layer, gb)
 }
 
-// evalCells computes g_t over the lattice into dst (add=false) or adds it
-// in place (add=true), fanning lattice lines out over the pool when one is
-// attached.
-func (le *layerEvaluator) evalCells(dst []float64, t int, g *grid.Grid, add bool) {
+// add adds the slot's g-layer gl to layer and keeps gl as the last one.
+func (le *layerEvaluator) add(layer, gl []float64) {
+	for i, v := range gl {
+		layer[i] += v
+	}
+	le.last = gl
+}
+
+// evalCells computes g_t over the lattice into dst, fanning lattice lines
+// out over the pool when one is attached.
+func (le *layerEvaluator) evalCells(dst []float64, t int, g *grid.Grid) {
 	lineLen := len(g.Axis(g.D() - 1))
 	lines := len(dst) / lineLen
 	if le.pool == nil || lines < 2 || len(dst) < 2*le.workers {
-		walkLines(le.eval, le.cfg, dst, t, g, 0, lines, add)
+		walkLines(le.eval, le.cfg, dst, t, g, 0, lines)
 		return
 	}
-	le.pool.run(dst, t, g, lines, add)
+	le.pool.run(dst, t, g, lines)
 }
 
 // walkLines evaluates lattice lines [loLine, hiLine): one Decode per line,
 // then the contiguous last-dimension run with only the final coordinate
 // changing — cheap decodes and monotone dual movement for the dispatch
 // warm start.
-func walkLines(eval *model.Evaluator, cfg model.Config, dst []float64, t int, g *grid.Grid, loLine, hiLine int, add bool) {
+func walkLines(eval *model.Evaluator, cfg model.Config, dst []float64, t int, g *grid.Grid, loLine, hiLine int) {
 	d := g.D()
 	last := g.Axis(d - 1)
 	for ln := loLine; ln < hiLine; ln++ {
@@ -160,12 +168,7 @@ func walkLines(eval *model.Evaluator, cfg model.Config, dst []float64, t int, g 
 		g.Decode(base, cfg)
 		for i, v := range last {
 			cfg[d-1] = v
-			gv := eval.G(t, cfg)
-			if add {
-				dst[base+i] += gv
-			} else {
-				dst[base+i] = gv
-			}
+			dst[base+i] = eval.G(t, cfg)
 		}
 	}
 }
@@ -190,7 +193,6 @@ type gTask struct {
 	g              *grid.Grid
 	loLine, hiLine int
 	w              int
-	add            bool
 }
 
 func newGWorkerPool(ins *model.Instance, workers int) *gWorkerPool {
@@ -216,7 +218,7 @@ func (p *gWorkerPool) work() {
 		select {
 		case task := <-p.tasks:
 			walkLines(p.evals[task.w], p.cfgs[task.w], task.dst, task.t, task.g,
-				task.loLine, task.hiLine, task.add)
+				task.loLine, task.hiLine)
 			p.wg.Done()
 		case <-p.stop:
 			return
@@ -228,7 +230,7 @@ func (p *gWorkerPool) work() {
 // Chunks are static (worker w always gets the same lines for the same
 // layer shape) and each task uses its own evaluator, so the computation
 // is deterministic regardless of scheduling.
-func (p *gWorkerPool) run(dst []float64, t int, g *grid.Grid, lines int, add bool) {
+func (p *gWorkerPool) run(dst []float64, t int, g *grid.Grid, lines int) {
 	chunk := (lines + p.workers - 1) / p.workers
 	n := 0
 	for w := 0; w < p.workers && w*chunk < lines; w++ {
@@ -241,7 +243,7 @@ func (p *gWorkerPool) run(dst []float64, t int, g *grid.Grid, lines int, add boo
 		if hi > lines {
 			hi = lines
 		}
-		p.tasks <- gTask{dst: dst, t: t, g: g, loLine: lo, hiLine: hi, w: w, add: add}
+		p.tasks <- gTask{dst: dst, t: t, g: g, loLine: lo, hiLine: hi, w: w}
 	}
 	p.wg.Wait()
 }

@@ -34,7 +34,7 @@ import (
 // satisfies the paper's requirements.
 type PrefixTracker struct {
 	ins   *model.Instance
-	acc   *model.Accumulator // non-nil in stream mode; ins aliases acc.Instance()
+	acc   *model.Accumulator // non-nil in stream mode; ins aliases acc.Instance(), one slot
 	le    *layerEvaluator
 	grids *gridSeq // batch mode lattice sequence (nil in stream mode)
 	rx    *relaxer
@@ -73,8 +73,8 @@ func NewPrefixTracker(ins *model.Instance, opts Options) (*PrefixTracker, error)
 
 // NewStreamTracker prepares a push-mode tracker for the fleet template:
 // slot data arrives through Push instead of being read from a pre-bound
-// instance. The tracker owns a model.Accumulator that grows one slot per
-// Push.
+// instance. The tracker owns a model.Accumulator holding only the slot
+// it is evaluating, so its memory does not grow with the stream.
 func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, error) {
 	acc, err := model.NewAccumulator(types)
 	if err != nil {
@@ -146,10 +146,9 @@ func (p *PrefixTracker) Push(in model.SlotInput) (model.Config, float64, error) 
 	if err := p.acc.Push(in); err != nil {
 		return nil, 0, err
 	}
-	t := p.t + 1
-	if p.curGrid == nil || !numeric.EqualInts(p.ins.Counts[t-1], p.curCounts) {
-		p.prevGrid, p.curGrid = p.curGrid, p.lattice(p.ins.Counts[t-1])
-		p.curCounts = append(p.curCounts[:0], p.ins.Counts[t-1]...)
+	if counts := p.ins.Counts[0]; p.curGrid == nil || !numeric.EqualInts(counts, p.curCounts) {
+		p.prevGrid, p.curGrid = p.curGrid, p.lattice(counts)
+		p.curCounts = append(p.curCounts[:0], counts...)
 	} else {
 		p.prevGrid = p.curGrid
 	}
@@ -176,23 +175,15 @@ const (
 	trackerStateVersion = 1
 )
 
-// Refill appends one slot to a stream tracker's instance without
+// Refill consumes one slot of a stream tracker's input without
 // advancing the DP: the first half of restoring a saved state, with
-// RestoreState the second. It validates like Push.
+// RestoreState the second. It validates like Push and, like Push, keeps
+// only the newest slot.
 func (p *PrefixTracker) Refill(in model.SlotInput) error {
 	if p.acc == nil {
 		panic("solver: Refill on a pre-bound tracker")
 	}
 	return p.acc.Push(in)
-}
-
-// Grow reserves room in a stream tracker's instance for n more refilled
-// slots (model.Accumulator.Grow).
-func (p *PrefixTracker) Grow(n int) {
-	if p.acc == nil {
-		panic("solver: Grow on a pre-bound tracker")
-	}
-	p.acc.Grow(n)
 }
 
 // AppendState appends a stream tracker's DP state to dst: the number of
@@ -212,10 +203,10 @@ func (p *PrefixTracker) AppendState(dst []byte) []byte {
 }
 
 // RestoreState loads an AppendState encoding into a fresh (never
-// pushed) stream tracker whose instance Refill has filled with exactly
-// the slots the state covers, rebuilding the current lattice from the
-// saved counts. Later Pushes then continue bit-identically to the
-// tracker that wrote the state. On error the tracker is unchanged.
+// pushed) stream tracker that Refill has fed exactly the slots the state
+// covers, rebuilding the current lattice from the saved counts. Later
+// Pushes then continue bit-identically to the tracker that wrote the
+// state. On error the tracker is unchanged.
 func (p *PrefixTracker) RestoreState(state []byte) error {
 	if p.acc == nil {
 		panic("solver: RestoreState on a pre-bound tracker")
@@ -240,8 +231,8 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 		}
 		return nil
 	}
-	if !numeric.EqualInts(counts, p.ins.Counts[t-1]) {
-		return fmt.Errorf("solver: tracker state counts %v differ from slot %d's %v: %w", counts, t, p.ins.Counts[t-1], statebuf.ErrMalformed)
+	if !numeric.EqualInts(counts, p.ins.Counts[0]) {
+		return fmt.Errorf("solver: tracker state counts %v differ from slot %d's %v: %w", counts, t, p.ins.Counts[0], statebuf.ErrMalformed)
 	}
 	g := p.lattice(counts)
 	if len(layer) != g.Size() {
@@ -275,7 +266,11 @@ func (p *PrefixTracker) step(g, prev *grid.Grid) (model.Config, float64) {
 	} else {
 		layer = p.rx.relax(p.layer, prev, g, p.grow(&p.spare, g.Size()))
 	}
-	p.le.addG(layer, t, g)
+	at := t // the evaluated slot's index in p.ins: a stream tracker's is 1
+	if p.acc != nil {
+		at = 1
+	}
+	p.le.addG(layer, at, g)
 
 	// Swap buffers: the old layer becomes next round's spare.
 	p.layer, p.spare = layer, p.layer
@@ -312,6 +307,28 @@ func (p *PrefixTracker) OptRange() (lo, hi model.Config) {
 	g.Decode(hiIdx, hi)
 	return lo, hi
 }
+
+// G returns the operating cost g_t(x) of the most recently processed
+// slot, read from the layer evaluation its step already did, when x lies
+// on that slot's lattice; ok is false otherwise (off-lattice x under a
+// reduced lattice, before the first slot, or right after RestoreState).
+// The value is bit-identical to solving x's dispatch program
+// (model.SlotEval.G): g_t is pure and the dispatch dual canonical, the
+// same guarantee the layer memo rests on.
+func (p *PrefixTracker) G(x model.Config) (g float64, ok bool) {
+	if p.le.last == nil {
+		return 0, false
+	}
+	idx, ok := p.Lattice().Encode(x)
+	if !ok {
+		return 0, false
+	}
+	return p.le.last[idx], true
+}
+
+// Held returns the number of slot inputs the tracker keeps resident: at
+// most one in stream mode, the whole pre-bound instance otherwise.
+func (p *PrefixTracker) Held() int { return p.ins.T() }
 
 // Lattice returns the lattice used at the current slot; it is only valid
 // after the first Advance/Push.

@@ -17,11 +17,15 @@
 // algorithm has a state codec (core.Snapshotter: Algorithms A and B),
 // AppendState also saves the session's decision state — the algorithm's
 // per-type machines, the tracker's last DP layer and the running sums —
-// bound to its log by length and hash. Restore then refills the input
-// history from the log without deciding anything and loads the state,
-// and falls back to replay whenever the state is absent, unknown,
-// damaged or belongs to another log. The replay log itself still grows
-// with the stream; bounding it is a separate concern.
+// bound to its log by length and hash. Restore then re-validates the
+// log's slots without deciding anything and loads the state, and falls
+// back to replay whenever the state is absent, unknown, damaged or
+// belongs to another log.
+//
+// Apart from the replay log, a session's memory does not grow with the
+// stream: the session and its algorithm's tracker keep only the slot
+// they are evaluating, plus, for a semi-online (core.Buffered)
+// algorithm, the slots fed but not yet decided.
 package stream
 
 import (
@@ -128,14 +132,16 @@ func (cp *Checkpoint) Portable() bool {
 
 // Session drives one algorithm over a live slot stream.
 type Session struct {
-	alg    core.Online
-	name   string
-	tag    string // checkpoint identifier (registry key or display name)
-	fleet  []model.ServerType
-	acc    *model.Accumulator // validated, resolved input history
-	eval   *model.SlotEval
-	opt    *solver.PrefixTracker // fallback streaming prefix optimum (telemetry)
-	shared core.OptTracking      // the algorithm's own exact tracker, when it has one
+	alg      core.Online
+	name     string
+	tag      string // checkpoint identifier (registry key or display name)
+	fleet    []model.ServerType
+	acc      *model.Accumulator // validates and resolves the newest fed slot
+	eval     *model.SlotEval
+	opt      *solver.PrefixTracker // fallback streaming prefix optimum (telemetry)
+	shared   core.OptTracking      // the algorithm's own exact tracker, when it has one
+	layer    core.LayerCosting     // the algorithm's layer costs, when it decides each slot as fed
+	buffered bool                  // the algorithm is a core.Buffered one
 
 	fed     int   // slots ingested
 	decided int   // slots decided
@@ -145,9 +151,15 @@ type Session struct {
 	swSum   float64
 	optCost float64
 	log     []SlotRecord
-	scratch model.SlotInput // slot being fed (filled by Feed)
-	lagged  model.SlotInput // older slot re-materialised for lagged decisions
+	hash    uint64            // logHash(log), kept as the log grows
+	scratch model.SlotInput   // slot being fed (filled by Push)
+	window  []model.SlotInput // a buffered algorithm's undecided slots, oldest first (deep copies)
 }
+
+// logHeadroom is the room a rebuilt session's log keeps beyond the
+// records it was rebuilt from, so the pushes that follow a resume do
+// not re-double the log they just filled.
+const logHeadroom = 64
 
 // New opens a session for a constructed (never stepped) algorithm over the
 // fleet template.
@@ -163,26 +175,30 @@ func New(alg core.Online, types []model.ServerType, opts Options) (*Session, err
 	if tag == "" {
 		tag = alg.Name()
 	}
+	_, buffered := alg.(core.Buffered)
 	s := &Session{
-		alg:   alg,
-		name:  alg.Name(),
-		tag:   tag,
-		fleet: append([]model.ServerType(nil), types...),
-		acc:   acc,
-		eval:  model.NewSlotEval(types),
-		prev:  make(model.Config, len(types)),
+		alg:      alg,
+		name:     alg.Name(),
+		tag:      tag,
+		fleet:    append([]model.ServerType(nil), types...),
+		acc:      acc,
+		eval:     model.NewSlotEval(types),
+		buffered: buffered,
+		prev:     make(model.Config, len(types)),
+		hash:     logHashSeed,
+	}
+	// Buffered algorithms are excluded from sharing their tracker: it
+	// runs at feed time while a decision (and its telemetry) lags.
+	if lc, ok := alg.(core.LayerCosting); ok && !buffered {
+		s.layer = lc
 	}
 	if !opts.DisableOpt {
 		// Algorithms that already run an exact prefix-optimum tracker
 		// (core.OptTracking) hand it to the session, which then skips its
-		// own — halving steady-state per-slot DP work. Buffered algorithms
-		// are excluded: their tracker runs at feed time while telemetry is
-		// accounted at (lagged) decision time.
-		if ot, ok := alg.(core.OptTracking); ok {
-			if _, buffered := alg.(core.Buffered); !buffered {
-				if _, exact := ot.PrefixOptCost(); exact {
-					s.shared = ot
-				}
+		// own — halving steady-state per-slot DP work.
+		if ot, ok := alg.(core.OptTracking); ok && !buffered {
+			if _, exact := ot.PrefixOptCost(); exact {
+				s.shared = ot
 			}
 		}
 		if s.shared == nil {
@@ -238,7 +254,6 @@ func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err err
 			decided, err = false, s.failed
 		}
 	}()
-	rec := SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone()
 	if err := s.acc.Push(in); err != nil {
 		return false, err
 	}
@@ -247,9 +262,14 @@ func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err err
 	// Hand the algorithm the fully-resolved slot view. The replay log is
 	// appended only after Step succeeds, so a checkpoint taken from a
 	// failed session still replays cleanly up to the last good slot.
-	s.acc.Instance().SlotInto(s.fed, &s.scratch)
+	s.acc.Newest(&s.scratch)
+	if s.buffered {
+		var w model.SlotInput
+		s.acc.Newest(&w)
+		s.window = append(s.window, w)
+	}
 	x := s.alg.Step(s.scratch)
-	s.log = append(s.log, rec)
+	s.appendLog(SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone())
 	if x == nil {
 		return false, nil
 	}
@@ -320,38 +340,29 @@ func (s *Session) Close() ([]Advisory, error) {
 	return out, nil
 }
 
+// appendLog appends one record to the replay log and its running hash.
+func (s *Session) appendLog(rec SlotRecord) {
+	s.log = append(s.log, rec)
+	s.hash = hashRecord(s.hash, rec)
+}
+
 // record accounts one decided slot and fills its advisory in place
-// (reusing adv's Config buffer). When the decision is for the slot Push
-// just resolved into s.scratch (every slot, for fully online algorithms)
-// the scratch view is reused; lagged Buffered decisions re-materialise the
-// older slot into a separate buffer (s.lagged) so s.scratch's backing
-// arrays stay untouched — Close() mixes lagged and current-slot records
-// back to back.
+// (reusing adv's Config buffer). A fully online algorithm decides the
+// slot Push just resolved into s.scratch; a buffered one decides the
+// oldest slot of its window, which record then drops.
+//
+// The slot's operating cost is read from a DP layer a tracker evaluated
+// for it — the session's telemetry tracker's, else the algorithm's —
+// when x lies on that layer's lattice, and solved otherwise.
 func (s *Session) record(x model.Config, adv *Advisory) {
 	s.decided++
-	t := s.decided
 	in := s.scratch
-	if t != s.fed {
-		s.acc.Instance().SlotInto(t, &s.lagged)
-		in = s.lagged
+	if s.buffered {
+		in = s.window[0]
+		s.window = s.window[1:]
 	}
 
-	op := s.eval.G(in, x)
-	sw := model.SwitchCostOf(s.fleet, s.prev, x)
-	s.opSum.Add(op)
-	s.swSum += sw
-	s.prev = append(s.prev[:0], x...)
-
-	*adv = Advisory{
-		Slot:      t,
-		Lambda:    in.Lambda,
-		Config:    append(adv.Config[:0], x...),
-		Active:    x.Total(),
-		Operating: op,
-		Switching: sw,
-		CumCost:   s.CumCost(),
-		Pending:   s.fed - s.decided,
-	}
+	op, ok := 0.0, false
 	switch {
 	case s.shared != nil:
 		// The algorithm's own tracker consumed this slot during Step; its
@@ -365,7 +376,30 @@ func (s *Session) record(x model.Config, adv *Advisory) {
 			panic("stream: telemetry tracker rejected a validated slot: " + err.Error())
 		}
 		s.optCost = optCost
-	default:
+		op, ok = s.opt.G(x)
+	}
+	if !ok && s.layer != nil {
+		op, ok = s.layer.OperatingCost(x)
+	}
+	if !ok {
+		op = s.eval.G(in, x)
+	}
+	sw := model.SwitchCostOf(s.fleet, s.prev, x)
+	s.opSum.Add(op)
+	s.swSum += sw
+	s.prev = append(s.prev[:0], x...)
+
+	*adv = Advisory{
+		Slot:      s.decided,
+		Lambda:    in.Lambda,
+		Config:    append(adv.Config[:0], x...),
+		Active:    x.Total(),
+		Operating: op,
+		Switching: sw,
+		CumCost:   s.CumCost(),
+		Pending:   s.fed - s.decided,
+	}
+	if s.shared == nil && s.opt == nil {
 		return
 	}
 	adv.Opt = s.optCost
@@ -377,9 +411,18 @@ func (s *Session) record(x model.Config, adv *Advisory) {
 // Checkpoint snapshots the session's replay log. The returned value is
 // independent of the session's future mutations.
 func (s *Session) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{Alg: s.tag, Slots: make([]SlotRecord, len(s.log))}
-	copy(cp.Slots, s.log)
+	cp := s.CheckpointView()
+	cp.Slots = append([]SlotRecord(nil), cp.Slots...)
 	return cp
+}
+
+// CheckpointView is Checkpoint without the copy, for callers that
+// encode the checkpoint and drop it: its Slots share the session's log,
+// capacity-capped so later feeds never show through. Records are never
+// mutated after they are logged, so the view stays valid while the
+// session runs on; callers must not modify it.
+func (s *Session) CheckpointView() *Checkpoint {
+	return &Checkpoint{Alg: s.tag, Slots: s.log[:len(s.log):len(s.log)]}
 }
 
 // ReplayDelta is the crash-recovery seam: it feeds a write-ahead log's
@@ -399,6 +442,7 @@ func (s *Session) Checkpoint() *Checkpoint {
 // applied. The replayed advisories are discarded — they were emitted
 // before the crash.
 func (s *Session) ReplayDelta(recs []model.SlotInput) (applied int, err error) {
+	var adv Advisory
 	for _, rec := range recs {
 		if rec.T <= s.fed {
 			continue
@@ -406,7 +450,7 @@ func (s *Session) ReplayDelta(recs []model.SlotInput) (applied int, err error) {
 		if rec.T != s.fed+1 {
 			return applied, fmt.Errorf("stream: replay gap: record %d after slot %d", rec.T, s.fed)
 		}
-		if _, err := s.Feed(rec); err != nil {
+		if _, err := s.Push(rec, &adv); err != nil {
 			if s.failed != nil {
 				return applied, err
 			}
@@ -426,9 +470,11 @@ func Resume(alg core.Online, types []model.ServerType, opts Options, cp *Checkpo
 	if err != nil {
 		return nil, err
 	}
+	s.log = make([]SlotRecord, 0, len(cp.Slots)+logHeadroom)
+	var adv Advisory
 	for i, rec := range cp.Slots {
 		in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
-		if _, err := s.Feed(in); err != nil {
+		if _, err := s.Push(in, &adv); err != nil {
 			return nil, fmt.Errorf("stream: replaying slot %d: %w", i+1, err)
 		}
 	}
@@ -458,7 +504,7 @@ func (s *Session) AppendState(dst []byte) []byte {
 	dst = statebuf.AppendHeader(dst, sessionStateKind, sessionStateVersion)
 	dst = statebuf.AppendInt(dst, s.fed)
 	dst = statebuf.AppendInt(dst, s.decided)
-	dst = statebuf.AppendUint64(dst, logHash(s.log))
+	dst = statebuf.AppendUint64(dst, s.hash)
 	dst = statebuf.AppendInts(dst, s.prev)
 	sum, comp := s.opSum.Parts()
 	dst = statebuf.AppendFloat(dst, sum)
@@ -477,33 +523,46 @@ func (s *Session) AppendState(dst []byte) []byte {
 // logHash is the 64-bit FNV-1a hash of a replay log's demands (as float
 // bits) and fleet counts, binding a saved state to the log it covers.
 // Explicit per-slot cost functions are not hashed; they are in-memory
-// only and never reach a portable log.
+// only and never reach a portable log. Sessions keep it incrementally
+// (hashRecord from logHashSeed, one record per append).
 func logHash(log []SlotRecord) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
+	h := uint64(logHashSeed)
 	for _, rec := range log {
-		mix(math.Float64bits(rec.Lambda))
-		mix(uint64(len(rec.Counts)))
-		for _, c := range rec.Counts {
-			mix(uint64(c))
-		}
+		h = hashRecord(h, rec)
+	}
+	return h
+}
+
+// logHashSeed is logHash of the empty log, the FNV-1a offset basis.
+const logHashSeed = 14695981039346656037
+
+// hashRecord extends a logHash h by one record.
+func hashRecord(h uint64, rec SlotRecord) uint64 {
+	h = fnvMix(h, math.Float64bits(rec.Lambda))
+	h = fnvMix(h, uint64(len(rec.Counts)))
+	for _, c := range rec.Counts {
+		h = fnvMix(h, uint64(c))
+	}
+	return h
+}
+
+// fnvMix feeds v's eight bytes, least significant first, into FNV-1a.
+func fnvMix(h, v uint64) uint64 {
+	const prime = 1099511628211
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= prime
+		v >>= 8
 	}
 	return h
 }
 
 // Restore rebuilds a session from a checkpoint and the state its session
 // saved with AppendState, without stepping the algorithm through the
-// log: it refills the session's, the algorithm's and the telemetry
-// tracker's input histories from the log (validation only — no prefix
-// optimum, no dispatch, no decision) and then loads the state. The
-// result continues bit-identically to Resume's.
+// log: it passes the log's slots through the session's, the algorithm's
+// and the telemetry tracker's validation (no prefix optimum, no
+// dispatch, no decision) and then loads the state. The result continues
+// bit-identically to Resume's.
 //
 // mk constructs a fresh algorithm, exactly as for Resume. Restore falls
 // back to Resume — replaying the log into a fresh algorithm — when the
@@ -558,15 +617,8 @@ func restoreState(alg core.Snapshotter, types []model.ServerType, opts Options, 
 	if (s.opt != nil) != (len(optState) > 0) {
 		return nil, fmt.Errorf("stream: state and session disagree on a telemetry tracker: %w", statebuf.ErrMalformed)
 	}
-	// Size every history for the whole log up front; refilling it by
-	// appends would re-double each array about a dozen times.
 	n := len(cp.Slots)
-	s.acc.Grow(n)
-	alg.Grow(n)
-	if s.opt != nil {
-		s.opt.Grow(decided)
-	}
-	s.log = make([]SlotRecord, n, n+model.GrowHeadroom)
+	s.log = make([]SlotRecord, n, n+logHeadroom)
 	for i, rec := range cp.Slots {
 		in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
 		if err := s.acc.Push(in); err != nil {
@@ -591,7 +643,7 @@ func restoreState(alg core.Snapshotter, types []model.ServerType, opts Options, 
 			return nil, err
 		}
 	}
-	s.fed, s.decided, s.prev = fed, decided, prev
+	s.fed, s.decided, s.prev, s.hash = fed, decided, prev, hash
 	s.opSum = numeric.KahanOf(sum, comp)
 	s.swSum, s.optCost = swSum, optCost
 	return s, nil
