@@ -66,6 +66,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -157,6 +158,13 @@ func main() {
 						log.Printf("idle eviction: %v", err)
 					} else if n > 0 {
 						log.Printf("evicted %d idle session(s)", n)
+						// Eviction exists to shed resident state, so hand
+						// it back now. Left to the pacer, the heap keeps
+						// the goal of its busiest moment until allocation
+						// catches up, and resumes that restore from state
+						// allocate too little to catch up for most of a
+						// minute. The janitor ticks at most once a second.
+						debug.FreeOSMemory()
 					}
 				}
 			}

@@ -61,11 +61,14 @@ func (a *AlgorithmA) AppendState(dst []byte) []byte {
 		dst = statebuf.AppendInt(dst, st.x)
 		dst = statebuf.AppendInts(dst, st.w)
 	}
-	return statebuf.AppendBytes(dst, a.tracker.AppendState(nil))
+	return statebuf.AppendNested(dst, a.tracker.AppendState)
 }
 
 // Refill implements Snapshotter.
 func (a *AlgorithmA) Refill(in model.SlotInput) error { return a.tracker.Refill(in) }
+
+// Seek implements Snapshotter.
+func (a *AlgorithmA) Seek(t int) { a.tracker.Seek(t) }
 
 // RestoreState implements Snapshotter. On error the algorithm must be
 // discarded.
@@ -115,11 +118,14 @@ func (b *AlgorithmB) AppendState(dst []byte) []byte {
 			dst = statebuf.AppendFloat(dst, e.lsum)
 		}
 	}
-	return statebuf.AppendBytes(dst, b.tracker.AppendState(nil))
+	return statebuf.AppendNested(dst, b.tracker.AppendState)
 }
 
 // Refill implements Snapshotter.
 func (b *AlgorithmB) Refill(in model.SlotInput) error { return b.tracker.Refill(in) }
+
+// Seek implements Snapshotter.
+func (b *AlgorithmB) Seek(t int) { b.tracker.Seek(t) }
 
 // RestoreState implements Snapshotter. On error the algorithm must be
 // discarded.

@@ -163,7 +163,7 @@ func ResumeSession(cp *stream.Checkpoint, types []model.ServerType, opts stream.
 // absent, unknown, damaged or for another log, or an algorithm without a
 // state codec. restored reports which path ran (see stream.Restore).
 func RestoreSession(cp *stream.Checkpoint, state []byte, types []model.ServerType, opts stream.Options) (s *stream.Session, restored bool, err error) {
-	spec, opts, err := checkpointSpec(cp, opts)
+	spec, opts, err := checkpointSpec(cp.Alg, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -171,12 +171,27 @@ func RestoreSession(cp *stream.Checkpoint, state []byte, types []model.ServerTyp
 	return stream.Restore(mk, types, opts, cp, state)
 }
 
+// RestoreSessionFromState rebuilds a live session of the named
+// algorithm from its saved state alone, for callers that keep the
+// session's log themselves (see stream.RestoreFromState).
+func RestoreSessionFromState(alg string, state []byte, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
+	spec, opts, err := checkpointSpec(alg, opts)
+	if err != nil {
+		return nil, err
+	}
+	a, err := construct(spec, types, opts)
+	if err != nil {
+		return nil, err
+	}
+	return stream.RestoreFromState(a, types, opts, state)
+}
+
 // checkpointSpec resolves the streamable algorithm a checkpoint names and
 // records its registry key in the session options.
-func checkpointSpec(cp *stream.Checkpoint, opts stream.Options) (AlgSpec, stream.Options, error) {
-	spec, ok := LookupAlgorithm(cp.Alg)
+func checkpointSpec(alg string, opts stream.Options) (AlgSpec, stream.Options, error) {
+	spec, ok := LookupAlgorithm(alg)
 	if !ok {
-		return AlgSpec{}, opts, fmt.Errorf("engine: checkpoint names unknown algorithm %q", cp.Alg)
+		return AlgSpec{}, opts, fmt.Errorf("engine: checkpoint names unknown algorithm %q", alg)
 	}
 	if !spec.Streamable() {
 		return AlgSpec{}, opts, fmt.Errorf("engine: algorithm %q is offline-only and cannot serve a live session", spec.Name)

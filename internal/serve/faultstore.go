@@ -126,12 +126,13 @@ func (s *FaultStore) Save(snap *Snapshot) error {
 		if v < tornRate {
 			s.tornSaves.Add(1)
 			// A torn write: persist a corrupted snapshot, then fail.
-			// The truncation must not alias the caller's checkpoint.
+			// The truncation must not alias the caller's checkpoint, and
+			// it keeps the log sum, which no longer matches.
 			torn := *snap
-			if snap.Checkpoint != nil {
-				cp := *snap.Checkpoint
-				cp.Slots = cp.Slots[:len(cp.Slots)/2]
-				torn.Checkpoint = &cp
+			if cp, err := snap.Log(); err == nil && cp != nil {
+				half := *cp
+				half.Slots = cp.Slots[:len(cp.Slots)/2]
+				torn.Checkpoint, torn.log = &half, nil
 			}
 			_ = s.inner.Save(&torn)
 		}

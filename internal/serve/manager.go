@@ -193,6 +193,11 @@ type liveSession struct {
 	sess     *stream.Session
 	lastUsed time.Time
 	gone     bool
+	// span is the stored form of the session's log up to its LogBase,
+	// kept as the bytes a resume read from the store (empty unless the
+	// session was restored from its state alone); saves splice it in
+	// front of the records fed since. Guarded by mu.
+	span wire.LogSpan
 	// wal is the session's write-ahead log (nil when disabled); guarded
 	// by mu like the session, appended before every algorithm step and
 	// compacted whenever a snapshot save succeeds.
@@ -371,7 +376,7 @@ func (m *Manager) Open(req OpenRequest) (SessionInfo, error) {
 	// the id is still linked, so a concurrent open of the same id cannot
 	// have created a log of its own yet.
 	if m.walEnabled() && req.Checkpoint != nil {
-		if _, err := m.persistLocked(ls, true); err != nil {
+		if err := m.persistLocked(ls, true); err != nil {
 			ls.gone = true
 			ls.closeWALLocked()
 			m.removeWAL(ls.id)
@@ -626,9 +631,7 @@ func (m *Manager) acquire(ctx context.Context, id string) (*liveSession, error) 
 	ls.mu.Unlock()
 	met := m.stripeFor(id)
 	met.resumed.Add(1)
-	if !r.restored {
-		met.resumeReplayed.Add(uint64(len(snap.Checkpoint.Slots)))
-	}
+	met.resumeReplayed.Add(uint64(r.replayed))
 	return ls, nil
 }
 
@@ -872,22 +875,39 @@ func (m *Manager) Info(id string) (SessionInfo, error) {
 // is not retried: the client asked for exactly one write and owns the
 // retry decision.
 func (m *Manager) Checkpoint(id string) (*Snapshot, error) {
-	var snap *Snapshot
-	var serr error
+	var out *Snapshot
+	var serr, lerr error
 	err := m.withSession(id, func(ls *liveSession) {
-		snap, serr = m.persistLocked(ls, false)
+		if serr = m.persistLocked(ls, false); serr != nil {
+			return
+		}
+		var cp *stream.Checkpoint
+		if cp, lerr = ls.portableLocked(); lerr == nil {
+			out = &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: cp}
+		}
 	})
+	switch {
+	case err != nil:
+		return nil, err
+	case serr != nil:
+		return nil, fmt.Errorf("%w: %v", ErrStore, serr)
+	case lerr != nil:
+		return nil, fmt.Errorf("serve: checkpoint %s: %v", id, lerr)
+	}
+	return out, nil
+}
+
+// portableLocked returns the session's whole replay log, detached from
+// the live session: its stored span decoded, then the records fed since.
+func (ls *liveSession) portableLocked() (*stream.Checkpoint, error) {
+	head, err := wire.DecodeLogRecords(append(slices.Clip(ls.span.Bytes), ']'))
 	if err != nil {
 		return nil, err
 	}
-	if serr != nil {
-		return nil, fmt.Errorf("%w: %v", ErrStore, serr)
+	if len(head) == 0 {
+		head = nil
 	}
-	// Clients get the portable log only, detached from the live session's.
-	out := *snap
-	out.Checkpoint = &stream.Checkpoint{Alg: snap.Checkpoint.Alg, Slots: slices.Clone(snap.Checkpoint.Slots)}
-	out.State = nil
-	return &out, nil
+	return &stream.Checkpoint{Alg: ls.sess.Alg(), Slots: append(head, ls.sess.LogTail()...)}, nil
 }
 
 // Delete ends a session: a live one is closed (semi-online algorithms
@@ -945,13 +965,16 @@ func (m *Manager) deleteSnapshot(id string) (*CloseResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
+	fed, err := snap.fed()
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrStore, err)
+	}
 	if err := m.store.Delete(id); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrStore, err)
 	}
 	m.removeWAL(id)
 	m.stripeFor(id).deleted.Add(1)
-	info := SessionInfo{ID: id, Alg: snap.Checkpoint.Alg, Fed: len(snap.Checkpoint.Slots)}
-	return &CloseResult{Info: info}, nil
+	return &CloseResult{Info: SessionInfo{ID: id, Alg: snap.alg(), Fed: fed}}, nil
 }
 
 // The store-save retry policy of saveWithRetry.
@@ -968,21 +991,32 @@ const (
 // (saveWithRetry): a flaky store should cost latency, not sessions. A
 // checkpoint saves once, because the client asked for exactly one write
 // and owns the retry decision.
-func (m *Manager) persistLocked(ls *liveSession, retry bool) (*Snapshot, error) {
-	// The stores only encode the snapshot, so it shares the session's
-	// log instead of copying it (stream.Session.CheckpointView).
-	snap := &Snapshot{ID: ls.id, Fleet: ls.fleet, Checkpoint: ls.sess.CheckpointView(), State: ls.sess.AppendState(nil)}
-	var err error
+//
+// The snapshot holds its log as stored bytes: the span the session
+// resumed from, shared rather than copied, and the records fed since,
+// encoded here; the log sum is the span's extended over them and sealed
+// to the state, so a save costs nothing per slot of the span.
+func (m *Manager) persistLocked(ls *liveSession, retry bool) error {
+	tail := ls.sess.LogTail()
+	enc, err := wire.AppendLogRecords(make([]byte, 0, wire.LogRecordsLen(tail)), tail, len(ls.span.Bytes) > 1)
+	if err != nil {
+		return err
+	}
+	snap := &Snapshot{ID: ls.id, Fleet: ls.fleet, State: ls.sess.AppendState(nil),
+		log: &storedLog{alg: ls.sess.Alg(), span: ls.span, tail: enc}}
+	if len(snap.State) > 0 {
+		snap.LogSum = ls.span.Seal(enc, snap.State)
+	}
 	if retry {
 		err = m.saveWithRetry(snap)
 	} else {
 		err = m.store.Save(snap)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ls.compactWALLocked()
-	return snap, nil
+	return nil
 }
 
 // saveWithRetry writes snap to the store, retrying transient failures
@@ -1018,7 +1052,7 @@ func (m *Manager) saveWithRetry(snap *Snapshot) error {
 // attempt overwrites it.
 func (m *Manager) evictHoldingBoth(sh *shard, ls *liveSession) error {
 	sh.mu.Unlock()
-	_, err := m.persistLocked(ls, true)
+	err := m.persistLocked(ls, true)
 	if err == nil {
 		ls.gone = true
 		ls.closeWALLocked()
@@ -1176,7 +1210,7 @@ func (m *Manager) Close() error {
 		for _, ls := range live {
 			ls.mu.Lock() // blocks until any in-flight push completes
 			if !ls.gone && ls.sess != nil {
-				if _, err := m.persistLocked(ls, true); err != nil && firstErr == nil {
+				if err := m.persistLocked(ls, true); err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("%w: %v", ErrStore, err)
 				}
 				ls.gone = true

@@ -13,6 +13,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/stream"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // A session's durable record is the store's snapshot plus the
@@ -115,7 +116,7 @@ func (m *Manager) recoverLog(id string, rep *RecoverReport) {
 		rep.Corrupt++
 		return
 	}
-	if _, err := m.persistLocked(ls, true); err != nil {
+	if err := m.persistLocked(ls, true); err != nil {
 		rep.Failed = append(rep.Failed, id)
 		return
 	}
@@ -132,7 +133,7 @@ var errBadLog = errors.New("serve: wal names no session to rebuild")
 
 // rebuilt reports what rebuildLocked did.
 type rebuilt struct {
-	restored bool // the snapshot's saved state was restored, its log not replayed
+	replayed int  // snapshot log slots replayed (0 when its saved state was restored)
 	torn     bool // the session log's torn tail was repaired
 	applied  int  // session-log records replayed past the snapshot
 	gapped   bool // the log did not continue the session (see replayLocked)
@@ -149,7 +150,7 @@ type rebuilt struct {
 // rebuild is errBadLog.
 func (m *Manager) rebuildLocked(ls *liveSession, snap *Snapshot, how walAttach) (r rebuilt, err error) {
 	if snap != nil {
-		if r.restored, err = m.buildLocked(ls, snap.Checkpoint.Alg, snap.Fleet, snap); err != nil {
+		if r.replayed, err = m.buildLocked(ls, snap.alg(), snap.Fleet, snap); err != nil {
 			return r, err
 		}
 	}
@@ -178,27 +179,48 @@ func (m *Manager) rebuildLocked(ls *liveSession, snap *Snapshot, how walAttach) 
 
 // buildLocked makes ls's session and records its identity on ls: from a
 // snapshot, by resolving the fleet and restoring the saved state (or
-// replaying the checkpoint's log when the state does not fit; restored
-// reports which), and without one as a fresh session of alg. Open,
-// resume and recovery all build sessions here.
-func (m *Manager) buildLocked(ls *liveSession, alg string, fleet FleetJSON, snap *Snapshot) (restored bool, err error) {
+// replaying the checkpoint's log when the state does not fit; replayed
+// counts the slots replayed), and without one as a fresh session of alg.
+// Open, resume and recovery all build sessions here.
+//
+// A snapshot that holds its log as stored bytes had its log sum checked
+// by the store's load, which vouches that the state covers exactly that
+// log: the session is restored from the state alone and keeps the bytes
+// as its span, decoding none of them. Should the state still not
+// restore, the log is decoded and takes the checked path.
+func (m *Manager) buildLocked(ls *liveSession, alg string, fleet FleetJSON, snap *Snapshot) (replayed int, err error) {
 	types, err := fleet.Resolve()
 	if err != nil {
-		return false, err
+		return 0, err
 	}
-	if snap != nil {
-		ls.sess, restored, err = engine.RestoreSession(snap.Checkpoint, snap.State, types, stream.Options{})
-	} else {
+	ls.span = wire.EmptyLogSpan()
+	switch {
+	case snap == nil:
 		ls.sess, err = engine.OpenSession(alg, types, stream.Options{})
+	case snap.log != nil && len(snap.log.tail) == 0:
+		if ls.sess, err = engine.RestoreSessionFromState(alg, snap.State, types, stream.Options{}); err == nil {
+			ls.span = snap.log.span
+			break
+		}
+		fallthrough
+	default:
+		var cp *stream.Checkpoint
+		if cp, err = snap.Log(); err != nil {
+			break
+		}
+		var restored bool
+		if ls.sess, restored, err = engine.RestoreSession(cp, snap.State, types, stream.Options{}); !restored {
+			replayed = len(cp.Slots)
+		}
 	}
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	if spec, ok := engine.LookupAlgorithm(alg); ok {
 		alg = spec.Key
 	}
 	ls.alg, ls.fleet = alg, fleet
-	return restored, nil
+	return replayed, nil
 }
 
 // replayLocked applies a session log's delta to ls.sess: the one replay
@@ -220,7 +242,7 @@ func (m *Manager) replayLocked(ls *liveSession, recs []model.SlotInput) (applied
 	}
 	ls.closeWALLocked()
 	if applied > 0 {
-		if _, err := m.persistLocked(ls, true); err != nil {
+		if err := m.persistLocked(ls, true); err != nil {
 			return applied, true, fmt.Errorf("%w: %v", ErrStore, err)
 		}
 	}

@@ -62,45 +62,148 @@ func (f *FleetJSON) Resolve() ([]model.ServerType, error) {
 // accepts any JSON whitespace, so files written indented by earlier
 // versions load unchanged.
 //
-// State is store-internal: the session's saved decision state
-// (stream.Session.AppendState), bound to the checkpoint's log, which
-// lets a resume skip replaying the log. It is absent for algorithms
-// without a state codec and never leaves the daemon — the checkpoint
-// endpoint strips it, and client-supplied checkpoints always replay.
+// State and LogSum are store-internal. State is the session's saved
+// decision state (stream.Session.AppendState), bound to the log, which
+// lets a resume skip replaying the log. LogSum seals the log's stored
+// bytes to the state (wire.LogSpan.Seal): when it matches, a resume
+// restores the state alone and keeps the log as the bytes it read,
+// decoding none of it; otherwise it decodes the log and restores or
+// replays as the state allows. Both are absent for algorithms without
+// a state codec, and neither leaves the daemon — the checkpoint
+// endpoint strips them, and client-supplied checkpoints always replay.
+//
+// A snapshot the manager saves, or a store loads with a matching sum,
+// holds its log as those stored bytes instead: Checkpoint is nil, and
+// Log decodes the log on demand.
 type Snapshot struct {
 	ID         string             `json:"id"`
 	Fleet      FleetJSON          `json:"fleet"`
 	Checkpoint *stream.Checkpoint `json:"checkpoint"`
 	State      []byte             `json:"state,omitempty"`
+	LogSum     uint32             `json:"log_sum,omitempty"`
+
+	log *storedLog // the log as stored bytes, when Checkpoint is nil
+}
+
+// storedLog is a snapshot's replay log held as its stored bytes: the
+// span a resume read (or an empty one) and the records encoded past it.
+type storedLog struct {
+	alg  string
+	span wire.LogSpan
+	tail []byte
+}
+
+// Log returns the snapshot's whole replay log, decoding it when the
+// snapshot holds it as stored bytes.
+func (s *Snapshot) Log() (*stream.Checkpoint, error) {
+	lg := s.log
+	if lg == nil {
+		return s.Checkpoint, nil
+	}
+	b := make([]byte, 0, len(lg.span.Bytes)+len(lg.tail)+1)
+	slots, err := wire.DecodeLogRecords(append(append(append(b, lg.span.Bytes...), lg.tail...), ']'))
+	if err != nil {
+		return nil, err
+	}
+	return &stream.Checkpoint{Alg: lg.alg, Slots: slots}, nil
+}
+
+// alg returns the algorithm the snapshot's log names.
+func (s *Snapshot) alg() string {
+	if s.log != nil {
+		return s.log.alg
+	}
+	return s.Checkpoint.Alg
+}
+
+// fed returns the number of slots in the snapshot's log: for a log held
+// as stored bytes, the count its sealed state records.
+func (s *Snapshot) fed() (int, error) {
+	if s.log != nil {
+		return stream.StateFed(s.State)
+	}
+	return len(s.Checkpoint.Slots), nil
 }
 
 // encodeSnapshot appends snap's stored form to dst: exactly the bytes
-// json.Marshal(snap) produces.
+// json.Marshal produces of the snapshot with its whole log decoded.
 func encodeSnapshot(dst []byte, snap *Snapshot) ([]byte, error) {
+	if snap.log == nil {
+		return appendDecoded(dst, snap)
+	}
+	pieces, err := storedPieces(snap)
+	for _, p := range pieces {
+		dst = append(dst, p...)
+	}
+	return dst, err
+}
+
+// appendDecoded appends the stored form of a snapshot whose log is
+// decoded.
+func appendDecoded(dst []byte, snap *Snapshot) ([]byte, error) {
 	fleet, err := json.Marshal(&snap.Fleet)
 	if err != nil {
 		return dst, err
 	}
-	return wire.AppendSnapshot(dst, &wire.Snapshot{ID: snap.ID, Fleet: fleet, Checkpoint: snap.Checkpoint, State: snap.State})
+	return wire.AppendSnapshot(dst, &wire.Snapshot{ID: snap.ID, Fleet: fleet, Checkpoint: snap.Checkpoint, State: snap.State, LogSum: snap.LogSum})
+}
+
+// storedPieces returns snap's stored form as pieces to write in order.
+// A log held as stored bytes is spliced between the snapshot's head and
+// trailer as it is, not copied, so saving an aged session encodes only
+// the records fed since its resume.
+func storedPieces(snap *Snapshot) ([][]byte, error) {
+	lg := snap.log
+	if lg == nil {
+		data, err := appendDecoded(make([]byte, 0, snapshotSize(snap)), snap)
+		return [][]byte{data}, err
+	}
+	fleet, err := json.Marshal(&snap.Fleet)
+	if err != nil {
+		return nil, err
+	}
+	// Both ends are sized once (a string escapes to at most 6 bytes a
+	// byte), so what a save allocates does not vary with the log.
+	head := make([]byte, 0, 64+len(fleet)+6*(len(snap.ID)+len(lg.alg)))
+	trailer := make([]byte, 0, wire.SnapshotTrailerLen(len(snap.State)))
+	return [][]byte{
+		wire.AppendSnapshotHead(head, snap.ID, fleet, lg.alg),
+		lg.span.Bytes,
+		lg.tail,
+		wire.AppendSnapshotTrailer(trailer, snap.State, snap.LogSum),
+	}, nil
 }
 
 // snapshotSize bounds the stored size of snap from above for the usual
-// logs, so a save encodes into one buffer: a slot takes about 25 of its
-// 32 bytes, the base64 state 4/3 of its raw size.
+// snapshots, so a save encodes into one buffer. A decoded slot is given
+// 32 bytes and takes about 26, the base64 state is given twice its raw
+// size and takes 4/3 of it, and 256 bytes cover the id, a scenario fleet
+// and the log sum; an inline fleet may outgrow them, costing a regrowth.
 func snapshotSize(snap *Snapshot) int {
 	n := 256 + 2*len(snap.State)
-	if snap.Checkpoint != nil {
+	switch {
+	case snap.log != nil:
+		n += len(snap.log.span.Bytes) + len(snap.log.tail)
+	case snap.Checkpoint != nil:
 		n += 32 * len(snap.Checkpoint.Slots)
 	}
 	return n
 }
 
 // decodeSnapshot decodes the stored form of session id. A snapshot
-// that does not decode, has no checkpoint or names another session is
-// not id's session and reports an error; the stores turn it into
+// whose log sum matches is read without decoding its log (see
+// Snapshot); any other is decoded in full. A snapshot that does not
+// decode, has no checkpoint or names another session is not id's
+// session and reports an error; the stores turn it into
 // ErrSnapshotCorrupt, so the id reads as a clean miss instead of
 // failing every request for it.
 func decodeSnapshot(id string, data []byte) (*Snapshot, error) {
+	if ss, ok := wire.ReadSealedSnapshot(data); ok && ss.ID == id {
+		snap := &Snapshot{ID: ss.ID, State: ss.State, LogSum: ss.Log.Seal(nil, ss.State), log: &storedLog{alg: ss.Alg, span: ss.Log}}
+		if err := json.Unmarshal(ss.Fleet, &snap.Fleet); err == nil {
+			return snap, nil
+		}
+	}
 	var ws wire.Snapshot
 	if err := wire.DecodeSnapshot(data, &ws); err != nil {
 		return nil, err
@@ -111,7 +214,7 @@ func decodeSnapshot(id string, data []byte) (*Snapshot, error) {
 	if ws.ID != id {
 		return nil, fmt.Errorf("snapshot of session %q", ws.ID)
 	}
-	snap := &Snapshot{ID: ws.ID, Checkpoint: ws.Checkpoint, State: ws.State}
+	snap := &Snapshot{ID: ws.ID, Checkpoint: ws.Checkpoint, State: ws.State, LogSum: ws.LogSum}
 	if ws.Fleet != nil {
 		if err := json.Unmarshal(ws.Fleet, &snap.Fleet); err != nil {
 			return nil, err
@@ -123,6 +226,8 @@ func decodeSnapshot(id string, data []byte) (*Snapshot, error) {
 // SnapshotStore persists evicted sessions. Implementations must be safe
 // for concurrent use; Load reports ok=false for unknown ids and
 // ErrSnapshotCorrupt for a stored snapshot that is not the id's session.
+// A snapshot handed to Save may hold its log as stored bytes (see
+// Snapshot); a store that keeps its own format reads it through Log.
 type SnapshotStore interface {
 	Save(snap *Snapshot) error
 	Load(id string) (snap *Snapshot, ok bool, err error)
@@ -132,7 +237,9 @@ type SnapshotStore interface {
 // MemStore is the in-memory SnapshotStore: eviction sheds a live session
 // down to its replay log and saved state, and snapshots die with the
 // process. It keeps each snapshot in its stored form, the same bytes
-// DirStore writes, so both stores exercise one codec.
+// DirStore writes, so both stores exercise one codec. A stored form is
+// never written to after it is saved, so a loaded snapshot's log may
+// alias it.
 type MemStore struct {
 	mu    sync.Mutex
 	snaps map[string][]byte
@@ -190,7 +297,9 @@ type DirStore struct {
 }
 
 // NewDirStore creates the directory if needed, fsyncs its parent so the
-// creation itself is durable, and returns the store.
+// creation itself is durable, and returns the store. Temp files a save
+// left behind — a crash between creating one and renaming it over its
+// snapshot orphans it — are removed first.
 func NewDirStore(dir string) (*DirStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -198,10 +307,37 @@ func NewDirStore(dir string) (*DirStore, error) {
 	if err := syncDir(filepath.Dir(dir)); err != nil {
 		return nil, err
 	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range entries {
+		if e.Type().IsRegular() && isSaveTemp(e.Name()) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil && !os.IsNotExist(err) {
+				return nil, err
+			}
+		}
+	}
 	if err := syncDir(dir); err != nil {
 		return nil, err
 	}
 	return &DirStore{dir: dir}, nil
+}
+
+// isSaveTemp reports whether a file name is one Save's temp files take,
+// .<id>-<random digits>. No snapshot is named so: ids never start with
+// a dot (validID).
+func isSaveTemp(name string) bool {
+	i := strings.LastIndexByte(name, '-')
+	if !strings.HasPrefix(name, ".") || i < 0 || i == len(name)-1 || !validID(name[1:i]) {
+		return false
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // syncDir fsyncs a directory so entries renamed or created in it are on
@@ -234,9 +370,10 @@ func (s *DirStore) path(id string) string {
 // so a crashed daemon never leaves a torn snapshot behind and a power
 // cut after Save returns cannot roll the rename back. Without the data
 // fsync before the rename, a crash could durably commit the new name to
-// an empty file — atomic, but atomically wrong.
+// an empty file — atomic, but atomically wrong. A log held as stored
+// bytes is written straight from them (storedPieces).
 func (s *DirStore) Save(snap *Snapshot) error {
-	data, err := encodeSnapshot(make([]byte, 0, snapshotSize(snap)), snap)
+	pieces, err := storedPieces(snap)
 	if err != nil {
 		return err
 	}
@@ -244,10 +381,12 @@ func (s *DirStore) Save(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	for _, p := range pieces {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return err
+		}
 	}
 	s.traceOp("write-temp", tmp.Name())
 	if err := tmp.Sync(); err != nil {

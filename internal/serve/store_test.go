@@ -215,3 +215,55 @@ func TestDirStoreLoadsLegacyIndented(t *testing.T) {
 		t.Fatalf("push after indented resume = %+v, want %+v", res.Advisory, want.Advisory)
 	}
 }
+
+// A save's temp file orphaned by a crash between its creation and its
+// rename is removed when the store opens the directory again; snapshots,
+// quarantined files and other files are left alone.
+func TestDirStoreRemovesOrphanedTemps(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snaps")
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(&Snapshot{ID: "web-1", Fleet: quickstartFleet(), Checkpoint: &stream.Checkpoint{Alg: "alg-b"}}); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		".web-1-123456789":   "a torn save",
+		".web-1-42":          "",
+		"web-1.json.corrupt": "quarantined",
+		".keep":              "not a temp file",
+		".web-1-12ab":        "not a temp file",
+		"notes.txt":          "not a snapshot",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot, err := os.ReadFile(filepath.Join(dir, "web-1.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDirStore(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if isSaveTemp(name) {
+			if !os.IsNotExist(err) {
+				t.Errorf("orphaned temp file %s survived the reopen (err %v)", name, err)
+			}
+			continue
+		}
+		if err != nil || string(got) != body {
+			t.Errorf("%s after the reopen: %q, %v; want it untouched", name, got, err)
+		}
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "web-1.json")); err != nil || !bytes.Equal(got, snapshot) {
+		t.Fatalf("snapshot after the reopen: %q, %v", got, err)
+	}
+	if !isSaveTemp(".web-1-123456789") || isSaveTemp(".keep") || isSaveTemp("web-1.json") {
+		t.Fatal("isSaveTemp misclassifies")
+	}
+}

@@ -186,6 +186,16 @@ func (p *PrefixTracker) Refill(in model.SlotInput) error {
 	return p.acc.Push(in)
 }
 
+// Seek positions a fresh stream tracker after slot t without its input
+// (model.Accumulator.Seek): the alternative to t Refills when the
+// caller trusts the state it restores next to cover exactly t slots.
+func (p *PrefixTracker) Seek(t int) {
+	if p.acc == nil {
+		panic("solver: Seek on a pre-bound tracker")
+	}
+	p.acc.Seek(t)
+}
+
 // AppendState appends a stream tracker's DP state to dst: the number of
 // slots processed, the counts the current lattice was built for and the
 // current layer D_t (whose +Inf cells survive, floats being stored as
@@ -203,10 +213,11 @@ func (p *PrefixTracker) AppendState(dst []byte) []byte {
 }
 
 // RestoreState loads an AppendState encoding into a fresh (never
-// pushed) stream tracker that Refill has fed exactly the slots the state
-// covers, rebuilding the current lattice from the saved counts. Later
-// Pushes then continue bit-identically to the tracker that wrote the
-// state. On error the tracker is unchanged.
+// pushed) stream tracker that Refill has fed, or Seek positioned past,
+// exactly the slots the state covers, rebuilding the current lattice
+// from the saved counts; after Refill they must be the newest slot's.
+// Later Pushes then continue bit-identically to the tracker that wrote
+// the state. On error the tracker is unchanged.
 func (p *PrefixTracker) RestoreState(state []byte) error {
 	if p.acc == nil {
 		panic("solver: RestoreState on a pre-bound tracker")
@@ -231,7 +242,7 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 		}
 		return nil
 	}
-	if !numeric.EqualInts(counts, p.ins.Counts[0]) {
+	if p.ins.T() > 0 && !numeric.EqualInts(counts, p.ins.Counts[0]) {
 		return fmt.Errorf("solver: tracker state counts %v differ from slot %d's %v: %w", counts, t, p.ins.Counts[0], statebuf.ErrMalformed)
 	}
 	g := p.lattice(counts)

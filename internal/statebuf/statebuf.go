@@ -67,6 +67,22 @@ func AppendBytes(dst, b []byte) []byte {
 	return append(dst, b...)
 }
 
+// AppendNested appends the state appendState appends as a
+// length-prefixed byte string: the bytes of AppendBytes(dst,
+// appendState(nil)), written in place instead of through a buffer of
+// their own. appendState must only append to the slice it is given.
+func AppendNested(dst []byte, appendState func([]byte) []byte) []byte {
+	const room = binary.MaxVarintLen64
+	start := len(dst)
+	dst = appendState(append(dst, make([]byte, room)...))
+	n := len(dst) - start - room
+	var prefix [room]byte
+	w := binary.PutVarint(prefix[:], int64(n))
+	copy(dst[start+w:], dst[start+room:])
+	copy(dst[start:], prefix[:w])
+	return dst[:start+w+n]
+}
+
 // AppendChecksum appends the CRC-32C of dst[start:], sealing the
 // encoding that began at start.
 func AppendChecksum(dst []byte, start int) []byte {

@@ -1,6 +1,7 @@
 package statebuf
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -77,5 +78,23 @@ func TestMalformed(t *testing.T) {
 	r = NewReader(AppendInt(nil, 1<<40))
 	if got := r.Floats(); got != nil || !errors.Is(r.Err(), ErrMalformed) {
 		t.Fatalf("oversized length prefix: %v, %v", got, r.Err())
+	}
+}
+
+// AppendNested writes exactly AppendBytes's bytes for every nested
+// length, whatever dst already holds and whatever room it has.
+func TestAppendNestedMatchesAppendBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 127, 128, 300, 1 << 14, 1<<14 + 1} {
+		inner := make([]byte, n)
+		for i := range inner {
+			inner[i] = byte(i*7 + n)
+		}
+		for _, dst := range [][]byte{nil, []byte("head"), make([]byte, 3, 1<<16)} {
+			want := AppendBytes(append([]byte(nil), dst...), inner)
+			got := AppendNested(dst, func(b []byte) []byte { return append(b, inner...) })
+			if !bytes.Equal(got, want) {
+				t.Fatalf("n=%d, dst of %d: AppendNested differs from AppendBytes", n, len(dst))
+			}
+		}
 	}
 }

@@ -229,3 +229,79 @@ func TestSessionRejectsNonFiniteDemand(t *testing.T) {
 		t.Fatalf("checkpoint after rejected demands does not marshal: %v", err)
 	}
 }
+
+// A session restored from its state alone continues bit-identically to
+// the uninterrupted session at every cut point — advisories, costs and
+// the state it saves later — while holding only the slots fed after the
+// restore. Its running hash still covers the whole log, so the state it
+// saves binds to the whole log when one is decoded.
+func TestRestoreFromStateBitIdentical(t *testing.T) {
+	const n = 36
+	for _, c := range restoreCases() {
+		t.Run(c.name, func(t *testing.T) {
+			whole := newCaseSession(t, c)
+			want := feedTo(t, whole, n)
+			for cut := 0; cut <= n; cut++ {
+				part := newCaseSession(t, c)
+				feedTo(t, part, cut)
+				alg, err := c.mk()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RestoreFromState(alg, sharingFleet(), c.opts, part.AppendState(nil))
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+				if got.Fed() != cut || got.LogBase() != cut || len(got.LogTail()) != 0 || !sameBits(got.CumCost(), part.CumCost()) {
+					t.Fatalf("cut %d: restored fed=%d base=%d tail=%d cum=%v, want %d, %d, 0 and %v",
+						cut, got.Fed(), got.LogBase(), len(got.LogTail()), got.CumCost(), cut, cut, part.CumCost())
+				}
+				checkContinuation(t, c.name, got, want, n)
+				if len(got.LogTail()) != n-cut || got.hash != whole.hash {
+					t.Fatalf("cut %d: tail of %d records, hash %x; want %d and the whole log's %x", cut, len(got.LogTail()), got.hash, n-cut, whole.hash)
+				}
+				state := got.AppendState(nil)
+				if string(state) != string(whole.AppendState(nil)) {
+					t.Fatalf("cut %d: the restored session saves another state than the uninterrupted one", cut)
+				}
+				if _, restored, err := Restore(c.mk, sharingFleet(), c.opts, whole.Checkpoint(), state); err != nil || !restored {
+					t.Fatalf("cut %d: its state does not restore over the whole log: restored=%v err=%v", cut, restored, err)
+				}
+			}
+		})
+	}
+}
+
+// RestoreFromState refuses what it cannot restore — a damaged state, an
+// algorithm without a codec — and a session restored past slot 0 cannot
+// checkpoint the log it does not hold.
+func TestRestoreFromStateRefuses(t *testing.T) {
+	c := restoreCases()[1] // alg-b
+	part := newCaseSession(t, c)
+	feedTo(t, part, 12)
+	state := part.AppendState(nil)
+	damaged := append([]byte(nil), state...)
+	damaged[len(damaged)/2] ^= 1
+	fresh, _ := c.mk()
+	if _, err := RestoreFromState(fresh, sharingFleet(), c.opts, damaged); err == nil {
+		t.Fatal("damaged state restored")
+	}
+	alg, err := core.NewAlgorithmC(sharingFleet(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreFromState(alg, sharingFleet(), c.opts, state); err == nil {
+		t.Fatal("state restored into an algorithm without a codec")
+	}
+	fresh, _ = c.mk()
+	got, err := RestoreFromState(fresh, sharingFleet(), c.opts, state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Checkpoint of a session restored past slot 12 did not panic")
+		}
+	}()
+	got.Checkpoint()
+}

@@ -20,7 +20,11 @@
 // bound to its log by length and hash. Restore then re-validates the
 // log's slots without deciding anything and loads the state, and falls
 // back to replay whenever the state is absent, unknown, damaged or
-// belongs to another log.
+// belongs to another log. A caller that keeps the log itself, and can
+// prove the state belongs to it (the serving layer seals both with one
+// checksum), restores from the state alone (RestoreFromState): the
+// session then holds only the slots fed after the restore, and LogBase
+// counts the ones before.
 //
 // Apart from the replay log, a session's memory does not grow with the
 // stream: the session and its algorithm's tracker keep only the slot
@@ -31,6 +35,7 @@ package stream
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/costfn"
@@ -144,16 +149,19 @@ type Session struct {
 	buffered bool                  // the algorithm is a core.Buffered one
 
 	fed     int   // slots ingested
+	base    int   // slots fed before log[0] (a session restored from its state alone)
 	decided int   // slots decided
 	failed  error // sticky algorithm failure; the session refuses further feeds
 	prev    model.Config
 	opSum   numeric.Kahan
 	swSum   float64
 	optCost float64
-	log     []SlotRecord
-	hash    uint64            // logHash(log), kept as the log grows
+	log     []SlotRecord      // the replay log past base
+	hash    uint64            // logHash of the whole log, kept as it grows
 	scratch model.SlotInput   // slot being fed (filled by Push)
 	window  []model.SlotInput // a buffered algorithm's undecided slots, oldest first (deep copies)
+
+	stateSize int // size of the state the session was restored from, if any
 }
 
 // logHeadroom is the room a rebuilt session's log keeps beyond the
@@ -217,6 +225,10 @@ func (s *Session) SharesOptTracker() bool { return s.shared != nil }
 
 // Name returns the wrapped algorithm's display name.
 func (s *Session) Name() string { return s.name }
+
+// Alg returns the algorithm identifier the session's checkpoints record
+// (Options.Alg, defaulting to the display name).
+func (s *Session) Alg() string { return s.tag }
 
 // Err returns the session's sticky failure, if any: once the algorithm
 // rejects a slot the session refuses further feeds and reports why here.
@@ -409,20 +421,27 @@ func (s *Session) record(x model.Config, adv *Advisory) {
 }
 
 // Checkpoint snapshots the session's replay log. The returned value is
-// independent of the session's future mutations.
+// independent of the session's future mutations. It panics on a session
+// restored from its state alone (LogBase > 0), which does not hold the
+// head of its log: its caller owns that head and joins it to LogTail.
 func (s *Session) Checkpoint() *Checkpoint {
-	cp := s.CheckpointView()
-	cp.Slots = append([]SlotRecord(nil), cp.Slots...)
-	return cp
+	if s.base > 0 {
+		panic(fmt.Sprintf("stream: Checkpoint of a session that holds its log only past slot %d", s.base))
+	}
+	return &Checkpoint{Alg: s.tag, Slots: append([]SlotRecord(nil), s.log...)}
 }
 
-// CheckpointView is Checkpoint without the copy, for callers that
-// encode the checkpoint and drop it: its Slots share the session's log,
+// LogBase returns how many of the fed slots precede the session's own
+// log: 0, unless the session was restored from its state alone.
+func (s *Session) LogBase() int { return s.base }
+
+// LogTail returns the replay log past LogBase without a copy, for
+// callers that encode it and drop it: it shares the session's records,
 // capacity-capped so later feeds never show through. Records are never
 // mutated after they are logged, so the view stays valid while the
 // session runs on; callers must not modify it.
-func (s *Session) CheckpointView() *Checkpoint {
-	return &Checkpoint{Alg: s.tag, Slots: s.log[:len(s.log):len(s.log)]}
+func (s *Session) LogTail() []SlotRecord {
+	return s.log[:len(s.log):len(s.log)]
 }
 
 // ReplayDelta is the crash-recovery seam: it feeds a write-ahead log's
@@ -494,12 +513,14 @@ const (
 // the algorithm and of the session's own telemetry tracker (if any),
 // sealed with a CRC-32C. It returns dst unchanged when the algorithm has
 // no state codec (not a core.Snapshotter) or the session has failed;
-// such sessions resume by replay only.
+// such sessions resume by replay only. Room for the state is reserved
+// up front from the size of the state the session was restored from.
 func (s *Session) AppendState(dst []byte) []byte {
 	alg, ok := s.alg.(core.Snapshotter)
 	if !ok || s.failed != nil {
 		return dst
 	}
+	dst = slices.Grow(dst, s.stateSize+stateSlack)
 	start := len(dst)
 	dst = statebuf.AppendHeader(dst, sessionStateKind, sessionStateVersion)
 	dst = statebuf.AppendInt(dst, s.fed)
@@ -511,14 +532,19 @@ func (s *Session) AppendState(dst []byte) []byte {
 	dst = statebuf.AppendFloat(dst, comp)
 	dst = statebuf.AppendFloat(dst, s.swSum)
 	dst = statebuf.AppendFloat(dst, s.optCost)
-	dst = statebuf.AppendBytes(dst, alg.AppendState(nil))
-	var opt []byte
+	dst = statebuf.AppendNested(dst, alg.AppendState)
 	if s.opt != nil {
-		opt = s.opt.AppendState(nil)
+		dst = statebuf.AppendNested(dst, s.opt.AppendState)
+	} else {
+		dst = statebuf.AppendBytes(dst, nil)
 	}
-	dst = statebuf.AppendBytes(dst, opt)
 	return statebuf.AppendChecksum(dst, start)
 }
+
+// stateSlack is the room AppendState reserves beyond the size of the
+// state the session was restored from: what one push adds to a state
+// (a wider slot count, a few more pending power-ups).
+const stateSlack = 256
 
 // logHash is the 64-bit FNV-1a hash of a replay log's demands (as float
 // bits) and fleet counts, binding a saved state to the log it covers.
@@ -588,63 +614,142 @@ func Restore(mk func() (core.Online, error), types []model.ServerType, opts Opti
 	return s, false, err
 }
 
-// restoreState is Restore's state path. Every check that needs no
-// refill runs first.
-func restoreState(alg core.Snapshotter, types []model.ServerType, opts Options, cp *Checkpoint, state []byte) (*Session, error) {
+// savedState is a decoded AppendState encoding.
+type savedState struct {
+	fed, decided              int
+	hash                      uint64
+	prev                      model.Config
+	sum, comp, swSum, optCost float64
+	alg, opt                  []byte
+	size                      int // the encoding's length
+}
+
+// readState decodes and checks a session state on its own.
+func readState(state []byte) (st savedState, err error) {
 	body, err := statebuf.Verify(state)
 	if err != nil {
-		return nil, err
+		return st, err
 	}
 	r := statebuf.NewReader(body)
 	r.Header(sessionStateKind, sessionStateVersion)
-	fed, decided, hash := r.Int(), r.Int(), r.Uint64()
-	prev := r.Ints()
-	sum, comp, swSum, optCost := r.Float(), r.Float(), r.Float(), r.Float()
-	algState, optState := r.Bytes(), r.Bytes()
+	st.fed, st.decided, st.hash = r.Int(), r.Int(), r.Uint64()
+	st.prev = r.Ints()
+	st.sum, st.comp, st.swSum, st.optCost = r.Float(), r.Float(), r.Float(), r.Float()
+	st.alg, st.opt = r.Bytes(), r.Bytes()
+	st.size = len(state)
 	if err := r.Done(); err != nil {
+		return st, err
+	}
+	if st.decided < 0 || st.decided > st.fed {
+		return st, statebuf.ErrMalformed
+	}
+	return st, nil
+}
+
+// StateFed returns the number of slots a session state covers, the fed
+// count of the session that saved it, after checking the state's seal.
+func StateFed(state []byte) (int, error) {
+	st, err := readState(state)
+	return st.fed, err
+}
+
+// restoreState is Restore's state path. Every check that needs no
+// refill runs first.
+func restoreState(alg core.Snapshotter, types []model.ServerType, opts Options, cp *Checkpoint, state []byte) (*Session, error) {
+	st, err := readState(state)
+	if err != nil {
 		return nil, err
 	}
-	if fed != len(cp.Slots) || hash != logHash(cp.Slots) {
+	if st.fed != len(cp.Slots) || st.hash != logHash(cp.Slots) {
 		return nil, fmt.Errorf("stream: state covers another log: %w", statebuf.ErrMalformed)
 	}
-	if decided < 0 || decided > fed || len(prev) != len(types) {
+	return loadState(alg, types, opts, st, func(s *Session) error {
+		n := len(cp.Slots)
+		s.log = make([]SlotRecord, n, n+logHeadroom)
+		for i, rec := range cp.Slots {
+			in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
+			if err := s.acc.Push(in); err != nil {
+				return err
+			}
+			if err := alg.Refill(in); err != nil {
+				return err
+			}
+			// The telemetry tracker consumes slots at decision time.
+			if s.opt != nil && i < st.decided {
+				if err := s.opt.Refill(in); err != nil {
+					return err
+				}
+			}
+			s.log[i] = rec.clone()
+		}
+		return nil
+	})
+}
+
+// RestoreFromState rebuilds a session from the state its session saved
+// with AppendState alone, for a caller that keeps the replay log the
+// state covers and has made sure the state belongs to it: nothing ties
+// the two together here. Neither the log's slots nor its hash are
+// checked; the session's accumulators and trackers are positioned past
+// them (their next slot resolves costs at its absolute index), its log
+// starts empty with LogBase at the restored fed count, and its running
+// log hash continues from the state's, so a later state still binds to
+// the caller's whole log. The result continues bit-identically to
+// Restore's. alg must be freshly constructed and have a state codec
+// (core.Snapshotter); on any error the caller falls back to Restore with
+// the decoded log.
+func RestoreFromState(alg core.Online, types []model.ServerType, opts Options, state []byte) (*Session, error) {
+	sn, ok := alg.(core.Snapshotter)
+	if !ok {
+		return nil, fmt.Errorf("stream: %s has no state codec", alg.Name())
+	}
+	st, err := readState(state)
+	if err != nil {
+		return nil, err
+	}
+	s, err := loadState(sn, types, opts, st, func(s *Session) error {
+		s.acc.Seek(st.fed)
+		sn.Seek(st.fed)
+		if s.opt != nil {
+			s.opt.Seek(st.decided)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	s.base = st.fed
+	return s, nil
+}
+
+// loadState builds a session around alg and loads st into it, once
+// position has brought the accumulators and trackers to the slots the
+// state covers.
+func loadState(alg core.Snapshotter, types []model.ServerType, opts Options, st savedState, position func(*Session) error) (*Session, error) {
+	if len(st.prev) != len(types) {
 		return nil, statebuf.ErrMalformed
 	}
 	s, err := New(alg, types, opts)
 	if err != nil {
 		return nil, err
 	}
-	if (s.opt != nil) != (len(optState) > 0) {
+	if (s.opt != nil) != (len(st.opt) > 0) {
 		return nil, fmt.Errorf("stream: state and session disagree on a telemetry tracker: %w", statebuf.ErrMalformed)
 	}
-	n := len(cp.Slots)
-	s.log = make([]SlotRecord, n, n+logHeadroom)
-	for i, rec := range cp.Slots {
-		in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
-		if err := s.acc.Push(in); err != nil {
-			return nil, err
-		}
-		if err := alg.Refill(in); err != nil {
-			return nil, err
-		}
-		// The telemetry tracker consumes slots at decision time.
-		if s.opt != nil && i < decided {
-			if err := s.opt.Refill(in); err != nil {
-				return nil, err
-			}
-		}
-		s.log[i] = rec.clone()
+	if err := position(s); err != nil {
+		return nil, err
 	}
-	if err := alg.RestoreState(algState); err != nil {
+	if err := alg.RestoreState(st.alg); err != nil {
 		return nil, err
 	}
 	if s.opt != nil {
-		if err := s.opt.RestoreState(optState); err != nil {
+		if err := s.opt.RestoreState(st.opt); err != nil {
 			return nil, err
 		}
 	}
-	s.fed, s.decided, s.prev, s.hash = fed, decided, prev, hash
-	s.opSum = numeric.KahanOf(sum, comp)
-	s.swSum, s.optCost = swSum, optCost
+	s.fed, s.decided, s.prev, s.hash = st.fed, st.decided, st.prev, st.hash
+	s.stateSize = st.size
+	s.opSum = numeric.KahanOf(st.sum, st.comp)
+	s.swSum, s.optCost = st.swSum, st.optCost
 	return s, nil
 }

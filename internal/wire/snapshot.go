@@ -2,8 +2,10 @@ package wire
 
 import (
 	"encoding/base64"
+	"hash/crc32"
 	"math"
 	"slices"
+	"strconv"
 	"unicode/utf8"
 
 	"repro/internal/stream"
@@ -15,9 +17,19 @@ import (
 // The fleet descriptor is the one sub-value this codec does not own: it
 // arrives encoded (the serving layer marshals its small tagged union
 // with encoding/json) and leaves as its raw bytes. Everything else —
-// the id, the replay log and the base64 state — is encoded and decoded
-// here without reflection. FuzzSnapshotCodec holds both directions to
-// encoding/json.
+// the id, the replay log, the base64 state and the log sum — is encoded
+// and decoded here without reflection. FuzzSnapshotCodec holds both
+// directions to encoding/json.
+//
+// The replay log is the one part that grows with a session's age, so
+// the store also handles it as bytes. The log sum seals the log's
+// stored bytes to the state: it is the CRC-32 of the "slots" array
+// without its closing bracket (a LogSpan), extended by the raw state.
+// ReadSealedSnapshot reads a stored snapshot whose sum matches without
+// decoding its log, and a writer extends a span by the records fed
+// since (AppendLogRecords) and splices span and records between
+// AppendSnapshotHead and AppendSnapshotTrailer — byte-identical to
+// AppendSnapshot of the whole decoded log (FuzzSealedSnapshot).
 
 // Snapshot is serve.Snapshot with its fleet descriptor as raw JSON.
 type Snapshot struct {
@@ -29,68 +41,157 @@ type Snapshot struct {
 	Fleet      []byte
 	Checkpoint *stream.Checkpoint
 	State      []byte
+	// LogSum seals the stored log to State (LogSpan.Seal); 0 is none.
+	LogSum uint32
 }
 
-// AppendSnapshot appends snap as a JSON object, byte-identical to
-// json.Marshal of serve.Snapshot: {"id","fleet","checkpoint"} and
-// "state" (base64) when non-empty. Non-finite demands report
-// ErrUnsupportedValue, exactly where json.Marshal fails.
-func AppendSnapshot(dst []byte, snap *Snapshot) ([]byte, error) {
-	dst = append(dst, `{"id":`...)
-	dst = AppendString(dst, snap.ID)
-	dst = append(dst, `,"fleet":`...)
-	if len(snap.Fleet) == 0 {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, snap.Fleet...)
-	}
-	dst = append(dst, `,"checkpoint":`...)
-	dst, err := appendCheckpoint(dst, snap.Checkpoint)
-	if err != nil {
-		return dst, err
-	}
-	if len(snap.State) > 0 {
-		dst = append(dst, `,"state":"`...)
-		dst = base64.StdEncoding.AppendEncode(dst, snap.State)
-		dst = append(dst, '"')
-	}
-	return append(dst, '}'), nil
+// A LogSpan is a stored replay log as its bytes: the "slots" array
+// without its closing bracket — "[" and the records, comma-separated —
+// so more records append to it, and Sum, the CRC-32 of those bytes.
+//
+// The sum is the IEEE CRC-32, not the state codec's CRC-32C: a state
+// ends in its own CRC-32C, and a CRC-32C run on over a message and its
+// CRC-32C comes out the same for every message of that length, so a
+// CRC-32C seal could not tell one state from another.
+type LogSpan struct {
+	Bytes []byte
+	Sum   uint32
 }
 
-// appendCheckpoint appends a stream.Checkpoint (or null): "alg" when
-// set, then the replay log, each slot's in-memory cost functions
-// omitted as their `json:"-"` tag omits them.
-func appendCheckpoint(dst []byte, cp *stream.Checkpoint) ([]byte, error) {
-	if cp == nil {
-		return append(dst, "null"...), nil
-	}
-	dst = append(dst, '{')
-	if cp.Alg != "" {
-		dst = append(dst, `"alg":`...)
-		dst = AppendString(dst, cp.Alg)
-		dst = append(dst, ',')
-	}
-	dst = append(dst, `"slots":`...)
-	if cp.Slots == nil {
-		return append(dst, "null}"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range cp.Slots {
+// EmptyLogSpan returns the span of a log with no records.
+func EmptyLogSpan() LogSpan {
+	return LogSpan{Bytes: []byte{'['}, Sum: crc32.ChecksumIEEE([]byte{'['})}
+}
+
+// Seal returns the log sum of the span followed by more, records
+// AppendLogRecords encoded after it, bound to a state: the CRC-32 of
+// the span, more and the state's bytes.
+func (sp LogSpan) Seal(more, state []byte) uint32 {
+	return crc32.Update(crc32.Update(sp.Sum, crc32.IEEETable, more), crc32.IEEETable, state)
+}
+
+// AppendLogRecords appends recs as they follow the records already in a
+// span (a comma before each one when more is true, and before every one
+// but the first otherwise): the stored form AppendSnapshot gives them.
+// Non-finite demands report ErrUnsupportedValue.
+func AppendLogRecords(dst []byte, recs []stream.SlotRecord, more bool) ([]byte, error) {
+	for i := range recs {
 		var err error
-		if i > 0 {
+		if more || i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"lambda":`...)
-		if dst, err = AppendFloat(dst, cp.Slots[i].Lambda); err != nil {
+		if dst, err = AppendFloat(dst, recs[i].Lambda); err != nil {
 			return dst, err
 		}
-		if len(cp.Slots[i].Counts) > 0 {
+		if len(recs[i].Counts) > 0 {
 			dst = append(dst, `,"counts":`...)
-			dst = appendInts(dst, cp.Slots[i].Counts)
+			dst = appendInts(dst, recs[i].Counts)
 		}
 		dst = append(dst, '}')
 	}
-	return append(dst, ']', '}'), nil
+	return dst, nil
+}
+
+// LogRecordsLen bounds from above what AppendLogRecords appends for
+// recs, so a caller can size its buffer once.
+func LogRecordsLen(recs []stream.SlotRecord) int {
+	const maxFloat, maxInt = len("-2.2250738585072014e-308"), len("-9223372036854775808")
+	n := 0
+	for i := range recs {
+		n += len(`,{"lambda":}`) + maxFloat
+		if c := len(recs[i].Counts); c > 0 {
+			n += len(`,"counts":[]`) + c*(maxInt+1)
+		}
+	}
+	return n
+}
+
+// AppendSnapshotHead appends the stored form of a snapshot up to its
+// log: everything before the "slots" array. A span, any records past
+// it and AppendSnapshotTrailer complete it.
+func AppendSnapshotHead(dst []byte, id string, fleet []byte, alg string) []byte {
+	dst = appendSnapshotOpen(dst, id, fleet)
+	return appendCheckpointOpen(dst, alg)
+}
+
+// AppendSnapshotTrailer appends what follows a stored snapshot's log
+// records: the closing bracket of the array and brace of the checkpoint,
+// then the state and log sum members and the snapshot's closing brace.
+// It appends at most SnapshotTrailerLen(len(state)) bytes.
+func AppendSnapshotTrailer(dst []byte, state []byte, sum uint32) []byte {
+	return appendSnapshotClose(append(dst, ']', '}'), state, sum)
+}
+
+// SnapshotTrailerLen bounds from above what AppendSnapshotTrailer
+// appends for a state of n bytes.
+func SnapshotTrailerLen(n int) int {
+	return len(`]},"state":"","log_sum":4294967295}`) + base64.StdEncoding.EncodedLen(n)
+}
+
+// appendSnapshotOpen appends the members before the checkpoint.
+func appendSnapshotOpen(dst []byte, id string, fleet []byte) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = AppendString(dst, id)
+	dst = append(dst, `,"fleet":`...)
+	if len(fleet) == 0 {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, fleet...)
+	}
+	return append(dst, `,"checkpoint":`...)
+}
+
+// appendCheckpointOpen appends a checkpoint object up to its log.
+func appendCheckpointOpen(dst []byte, alg string) []byte {
+	dst = append(dst, '{')
+	if alg != "" {
+		dst = append(dst, `"alg":`...)
+		dst = AppendString(dst, alg)
+		dst = append(dst, ',')
+	}
+	return append(dst, `"slots":`...)
+}
+
+// appendSnapshotClose appends the members after the checkpoint and the
+// closing brace.
+func appendSnapshotClose(dst, state []byte, sum uint32) []byte {
+	if len(state) > 0 {
+		dst = append(dst, `,"state":"`...)
+		dst = base64.StdEncoding.AppendEncode(dst, state)
+		dst = append(dst, '"')
+	}
+	if sum != 0 {
+		dst = append(dst, `,"log_sum":`...)
+		dst = strconv.AppendUint(dst, uint64(sum), 10)
+	}
+	return append(dst, '}')
+}
+
+// AppendSnapshot appends snap as a JSON object, byte-identical to
+// json.Marshal of serve.Snapshot: {"id","fleet","checkpoint"}, then
+// "state" (base64) when non-empty and "log_sum" when non-zero. The
+// checkpoint holds "alg" when set and the replay log, each slot's
+// in-memory cost functions omitted as their `json:"-"` tag omits them.
+// Non-finite demands report ErrUnsupportedValue, exactly where
+// json.Marshal fails.
+func AppendSnapshot(dst []byte, snap *Snapshot) ([]byte, error) {
+	dst = appendSnapshotOpen(dst, snap.ID, snap.Fleet)
+	cp := snap.Checkpoint
+	switch {
+	case cp == nil:
+		dst = append(dst, "null"...)
+	case cp.Slots == nil:
+		dst = append(appendCheckpointOpen(dst, cp.Alg), "null}"...)
+	default:
+		dst = append(appendCheckpointOpen(dst, cp.Alg), '[')
+		var err error
+		if dst, err = AppendLogRecords(dst, cp.Slots, false); err != nil {
+			return dst, err
+		}
+		return AppendSnapshotTrailer(dst, snap.State, snap.LogSum), nil
+	}
+	return appendSnapshotClose(dst, snap.State, snap.LogSum), nil
 }
 
 // DecodeSnapshot decodes a stored snapshot (or null) into dst. Unlike
@@ -144,6 +245,8 @@ func (d *decoder) snapshotObject(dst *Snapshot) error {
 			err = d.checkpointValue(&dst.Checkpoint)
 		case string(key) == "state" || foldEqual(key, "STATE"):
 			err = d.bytesValue(&dst.State)
+		case string(key) == "log_sum" || foldEqual(key, "LOG_SUM"):
+			err = d.uint32Value(&dst.LogSum)
 		default:
 			err = d.skipValue()
 		}
@@ -322,6 +425,141 @@ func (d *decoder) bytesValue(dst *[]byte) error {
 	}
 	*dst = b[:n]
 	return nil
+}
+
+// uint32Value decodes a uint32 (or null no-op) into dst as
+// encoding/json decodes one: any number that is not an integer in
+// range is an error.
+func (d *decoder) uint32Value(dst *uint32) error {
+	if c, _ := d.peek(); c == 'n' {
+		return d.null()
+	}
+	lit, err := d.scanNumber()
+	if err != nil {
+		return err
+	}
+	n, err := strconv.ParseUint(unsafeString(lit), 10, 32)
+	if err != nil {
+		return d.fail("number is not a uint32")
+	}
+	*dst = uint32(n)
+	return nil
+}
+
+// DecodeLogRecords decodes a whole stored replay log — a "slots" array
+// and nothing else, such as a span and its closing bracket — with
+// DecodeSnapshot's rules: "[]" is a non-nil empty log, null a nil one.
+func DecodeLogRecords(data []byte) ([]stream.SlotRecord, error) {
+	d := decoder{data: data}
+	d.skipWS()
+	var slots []stream.SlotRecord
+	if err := d.slotsValue(&slots); err != nil {
+		return nil, err
+	}
+	if d.skipWS(); d.pos != len(d.data) {
+		return nil, d.fail("data after the log")
+	}
+	return slots, nil
+}
+
+// A SealedSnapshot is a stored snapshot read without decoding its log.
+type SealedSnapshot struct {
+	ID string
+	// Fleet is the descriptor's raw JSON, aliasing the input.
+	Fleet []byte
+	Alg   string
+	State []byte
+	// Log is the stored log, aliasing the input with its capacity
+	// capped, so appending to it never writes into the input.
+	Log LogSpan
+}
+
+// ReadSealedSnapshot reads a snapshot in the exact compact layout
+// AppendSnapshot writes, with a state and a log sum, and checks the sum:
+// the log's bytes are summed, not decoded. It reports ok=false for
+// anything else — another layout (an indented file), no state or sum,
+// or a sum that does not match (a flipped byte, a state from another
+// log) — and the caller then decodes the input in full with
+// DecodeSnapshot. Whatever it accepts, DecodeSnapshot accepts with the
+// same id, fleet, algorithm, state and log (FuzzSealedSnapshot): the
+// head and the state are parsed here, and the sum vouches for the log,
+// which only a writer that encoded it could have sealed.
+func ReadSealedSnapshot(data []byte) (s SealedSnapshot, ok bool) {
+	d := decoder{data: data}
+	if !d.skipLit(`{"id":`) || !d.at('"') || d.stringValue(&s.ID) != nil || !d.skipLit(`,"fleet":`) {
+		return s, false
+	}
+	start := d.pos
+	if d.skipValue() != nil {
+		return s, false
+	}
+	s.Fleet = data[start:d.pos:d.pos]
+	if !d.skipLit(`,"checkpoint":{`) {
+		return s, false
+	}
+	if d.skipLit(`"alg":`) && (!d.at('"') || d.stringValue(&s.Alg) != nil || !d.skipLit(",")) {
+		return s, false
+	}
+	if !d.skipLit(`"slots":[`) {
+		return s, false
+	}
+	spanStart := d.pos - 1
+
+	// The rest is read from the end: "log_sum" is the last member and
+	// "state" the one before, behind the log's closing brackets.
+	i := len(data) - 1
+	if i < spanStart || data[i] != '}' {
+		return s, false
+	}
+	j := i
+	for j > spanStart && isDigit(data[j-1]) {
+		j--
+	}
+	sum, err := strconv.ParseUint(unsafeString(data[j:i]), 10, 32)
+	if err != nil || sum == 0 || data[j] == '0' {
+		return s, false
+	}
+	const sumKey, stateKey = `,"log_sum":`, `,"state":"`
+	if j -= len(sumKey); j < spanStart || string(data[j:j+len(sumKey)]) != sumKey || data[j-1] != '"' {
+		return s, false
+	}
+	end := j - 1
+	k := end
+	for k > spanStart && data[k-1] != '"' {
+		if c := data[k-1]; c < ' ' || c == '\\' {
+			return s, false
+		}
+		k--
+	}
+	b64 := data[k:end]
+	if k -= len(stateKey); k-2 <= spanStart || string(data[k:k+len(stateKey)]) != stateKey || data[k-1] != '}' || data[k-2] != ']' {
+		return s, false
+	}
+	s.State = make([]byte, base64.StdEncoding.DecodedLen(len(b64)))
+	n, err := base64.StdEncoding.Decode(s.State, b64)
+	if err != nil || n == 0 {
+		return s, false
+	}
+	s.State = s.State[:n]
+	spanEnd := k - 2
+	s.Log = LogSpan{Bytes: data[spanStart:spanEnd:spanEnd]}
+	s.Log.Sum = crc32.ChecksumIEEE(s.Log.Bytes)
+	return s, s.Log.Seal(nil, s.State) == uint32(sum)
+}
+
+// skipLit consumes lit if the input continues with it.
+func (d *decoder) skipLit(lit string) bool {
+	if len(d.data)-d.pos < len(lit) || string(d.data[d.pos:d.pos+len(lit)]) != lit {
+		return false
+	}
+	d.pos += len(lit)
+	return true
+}
+
+// at reports whether the next input byte is c.
+func (d *decoder) at(c byte) bool {
+	b, ok := d.peek()
+	return ok && b == c
 }
 
 // skipValue consumes one JSON value of any kind, checking its syntax
