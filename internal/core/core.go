@@ -80,30 +80,24 @@ type Buffered interface {
 // decision state has a compact binary encoding (Algorithms A and B), so
 // a live driver can save it beside its replay log and later resume
 // without stepping the algorithm through the whole log again
-// (stream.Restore). Restoring takes two steps on a freshly constructed
-// algorithm: Refill re-ingests each logged slot as input history only —
-// no prefix optimum, no decision — or Seek skips past them when the
-// driver trusts the state without its log, and RestoreState then loads
-// the saved state. The algorithm continues bit-identically to the one
-// that wrote the state, exactly as if it had replayed the log.
+// (stream.RestoreFromState). Restoring takes two steps on a freshly
+// constructed algorithm: Seek skips the slots the state covers, and
+// RestoreState loads the state. The algorithm then continues
+// bit-identically to the one that wrote the state, exactly as if it had
+// replayed the log.
 type Snapshotter interface {
 	Online
-	// Refill consumes a logged slot as input history without deciding
-	// it, validating the slot like Step's driver does. Nothing of the
-	// slot outlives the next Refill or Step.
-	Refill(in model.SlotInput) error
-	// Seek positions an algorithm that was never stepped or refilled
-	// after slot t without its history; the next Step is slot t+1.
+	// Seek positions an algorithm that was never stepped after slot t
+	// without its history; the next Step is slot t+1.
 	Seek(t int)
 	// AppendState appends the algorithm's state after its most recent
 	// Step to dst. The encoding starts with a kind and version header
 	// (internal/statebuf).
 	AppendState(dst []byte) []byte
 	// RestoreState loads an AppendState encoding into an algorithm that
-	// was never stepped and whose history Refill has filled with (or
-	// Seek skipped) exactly the slots the state covers. It rejects
-	// states of another kind or version, and states inconsistent with
-	// the refilled history.
+	// was never stepped and that Seek positioned after exactly the slots
+	// the state covers. It rejects states of another kind or version,
+	// and states that do not fit the fleet or the Seek.
 	RestoreState(state []byte) error
 }
 

@@ -11,7 +11,7 @@ import (
 // The state codecs of Algorithms A and B (core.Snapshotter). Each state
 // holds the slot count, the prefix optimum of the last step with its
 // cost, the d per-type power-down machines and the prefix tracker's DP
-// state; the slot inputs themselves are refilled from the driver's log.
+// state. No slot input is saved: a restore Seeks past them.
 const (
 	stateVersion = 1
 	stateKindA   = 'A'
@@ -43,8 +43,8 @@ func readAlgState(r *statebuf.Reader, kind byte, d int) (t int, optCost float64,
 	return t, optCost, lastOpt, nil
 }
 
-// checkSlots verifies that a restored state covers exactly the slots the
-// tracker was refilled and restored with.
+// checkSlots verifies that a restored state covers exactly the slots its
+// tracker was positioned past and restored with.
 func checkSlots(t, tracked int) error {
 	if t != tracked {
 		return fmt.Errorf("core: state covers %d slots, its tracker %d: %w", t, tracked, statebuf.ErrMalformed)
@@ -63,9 +63,6 @@ func (a *AlgorithmA) AppendState(dst []byte) []byte {
 	}
 	return statebuf.AppendNested(dst, a.tracker.AppendState)
 }
-
-// Refill implements Snapshotter.
-func (a *AlgorithmA) Refill(in model.SlotInput) error { return a.tracker.Refill(in) }
 
 // Seek implements Snapshotter.
 func (a *AlgorithmA) Seek(t int) { a.tracker.Seek(t) }
@@ -120,9 +117,6 @@ func (b *AlgorithmB) AppendState(dst []byte) []byte {
 	}
 	return statebuf.AppendNested(dst, b.tracker.AppendState)
 }
-
-// Refill implements Snapshotter.
-func (b *AlgorithmB) Refill(in model.SlotInput) error { return b.tracker.Refill(in) }
 
 // Seek implements Snapshotter.
 func (b *AlgorithmB) Seek(t int) { b.tracker.Seek(t) }

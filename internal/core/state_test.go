@@ -12,7 +12,7 @@ import (
 )
 
 // restoreAt steps alg over slots 1..cut of ins, saves its state, and
-// restores it into the never-stepped fresh after refilling those slots.
+// restores it into the never-stepped fresh after a Seek past those slots.
 func restoreAt(t *testing.T, ins *model.Instance, alg, fresh Snapshotter, cut int) {
 	t.Helper()
 	var in model.SlotInput
@@ -20,12 +20,7 @@ func restoreAt(t *testing.T, ins *model.Instance, alg, fresh Snapshotter, cut in
 		ins.SlotInto(s, &in)
 		alg.Step(in)
 	}
-	for s := 1; s <= cut; s++ {
-		ins.SlotInto(s, &in)
-		if err := fresh.Refill(in); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fresh.Seek(cut)
 	if err := fresh.RestoreState(alg.AppendState(nil)); err != nil {
 		t.Fatalf("cut %d: %v", cut, err)
 	}
@@ -83,41 +78,35 @@ func TestSnapshotterRejectsForeignState(t *testing.T) {
 	other := append([]model.ServerType(nil), ins.Types...)
 	other[0].SwitchCost++
 	b2, _ := NewAlgorithmB(other)
-	for s := 1; s <= ins.T(); s++ {
-		ins.SlotInto(s, &in)
-		if err := b2.Refill(in); err != nil {
-			t.Fatal(err)
-		}
-	}
+	b2.Seek(ins.T())
 	if err := b2.RestoreState(b.AppendState(nil)); !errors.Is(err, statebuf.ErrMalformed) {
 		t.Fatalf("Algorithm B loading a state of another fleet: %v, want ErrMalformed", err)
 	}
 }
 
 // Algorithms A and B keep no input history: after 10 000 steps their
-// prefix trackers hold one slot, and a refill for a restore stores
-// nothing beyond the newest slot either.
+// prefix trackers hold one slot, and one restored after a Seek past
+// them holds none.
 func TestHeldSlotsBoundedAlgorithms(t *testing.T) {
 	ins := randomStaticInstance(rand.New(rand.NewSource(8)), 2, 4, 50)
 	a, _ := NewAlgorithmA(ins.Types)
 	b, _ := NewAlgorithmB(ins.Types)
 	freshB, _ := NewAlgorithmB(ins.Types)
 	var in model.SlotInput
-	for s := 0; s < 10000; s++ {
+	const n = 10000
+	for s := 0; s < n; s++ {
 		ins.SlotInto(s%ins.T()+1, &in)
 		in.T = s + 1
 		a.Step(in)
 		b.Step(in)
-		if err := freshB.Refill(in); err != nil {
-			t.Fatal(err)
-		}
 	}
-	for name, tr := range map[string]interface{ Held() int }{"A": a.tracker, "B": b.tracker, "refilled B": freshB.tracker} {
+	freshB.Seek(n)
+	if err := freshB.RestoreState(b.AppendState(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]interface{ Held() int }{"A": a.tracker, "B": b.tracker, "restored B": freshB.tracker} {
 		if h := tr.Held(); h > 1 {
 			t.Errorf("Algorithm %s's tracker holds %d slots after 10 000, want <= 1", name, h)
 		}
-	}
-	if err := freshB.RestoreState(b.AppendState(nil)); err != nil {
-		t.Fatal(err)
 	}
 }

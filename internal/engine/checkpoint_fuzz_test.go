@@ -2,9 +2,11 @@ package engine
 
 import (
 	"encoding/json"
+	"hash/crc32"
 	"math"
 	"testing"
 
+	"repro/internal/statebuf"
 	"repro/internal/stream"
 )
 
@@ -17,9 +19,11 @@ import (
 //
 // For algorithms with a state codec (alg-a, alg-b) the state path must
 // agree with replay as well: restoring the resumed session's saved state
-// over its log is bit-identical to the replayed session, also on the
-// next pushes, and a truncated or bit-flipped state (position chosen by
-// the input) falls back to replay rather than to a divergent session.
+// alone is bit-identical to the replayed session, also on the next
+// pushes. A truncated or bit-flipped state (position chosen by the
+// input) is refused with an error. A state whose body byte is rewritten
+// and resealed with a fresh CRC-32C passes the checksum, so the
+// decoders must refuse it or restore it without panicking.
 //
 // The seed corpus lives under testdata/fuzz/FuzzCheckpointResume.
 func FuzzCheckpointResume(f *testing.F) {
@@ -96,40 +100,43 @@ func FuzzCheckpointResume(f *testing.F) {
 		for _, c := range []struct {
 			name  string
 			state []byte
-			want  bool
 		}{
-			{"intact", state, true},
-			{"truncated", state[:len(data)%len(state)], false},
-			{"bit-flipped", damaged, false},
+			{"truncated", state[:len(data)%len(state)]},
+			{"bit-flipped", damaged},
 		} {
-			got, restored, err := RestoreSession(cp2, c.state, types, stream.Options{})
-			if err != nil {
-				t.Fatalf("%s state: %v", c.name, err)
+			if _, err := RestoreSessionFromState(cp2.Alg, c.state, types, stream.Options{}); err == nil {
+				t.Fatalf("%s state restored", c.name)
 			}
-			if restored != c.want {
-				t.Fatalf("%s state: restored=%v, want %v", c.name, restored, c.want)
-			}
-			ref, err := ResumeSession(cp2, types, stream.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+		}
+		h := crc32.ChecksumIEEE(data)
+		body := append([]byte(nil), state[:len(state)-4]...)
+		body[int(h>>8)%len(body)] ^= byte(h) | 1
+		if got, err := RestoreSessionFromState(cp2.Alg, statebuf.AppendChecksum(body, 0), types, stream.Options{}); err == nil {
 			for _, lambda := range []float64{0, 1.5, 7.25} {
-				a, aerr := got.FeedDemand(lambda)
-				b, berr := ref.FeedDemand(lambda)
-				if (aerr == nil) != (berr == nil) || len(a) != len(b) {
-					t.Fatalf("%s state: push %v diverged: %v/%v, %d/%d advisories", c.name, lambda, aerr, berr, len(a), len(b))
-				}
-				for i := range a {
-					if !sameAdvisory(a[i], b[i]) {
-						t.Fatalf("%s state: push %v advisory %+v, replay %+v", c.name, lambda, a[i], b[i])
-					}
+				got.FeedDemand(lambda) // may fail the algorithm, never the process
+			}
+		}
+
+		got, err := RestoreSessionFromState(cp2.Alg, state, types, stream.Options{})
+		if err != nil {
+			t.Fatalf("intact state: %v", err)
+		}
+		for _, lambda := range []float64{0, 1.5, 7.25} {
+			a, aerr := got.FeedDemand(lambda)
+			b, berr := again.FeedDemand(lambda)
+			if (aerr == nil) != (berr == nil) || len(a) != len(b) {
+				t.Fatalf("push %v diverged: %v/%v, %d/%d advisories", lambda, aerr, berr, len(a), len(b))
+			}
+			for i := range a {
+				if !sameAdvisory(a[i], b[i]) {
+					t.Fatalf("push %v advisory %+v, replay %+v", lambda, a[i], b[i])
 				}
 			}
-			if got.Fed() != ref.Fed() || got.Decided() != ref.Decided() ||
-				math.Float64bits(got.CumCost()) != math.Float64bits(ref.CumCost()) {
-				t.Fatalf("%s state: fed %d/%d decided %d/%d cum %v/%v", c.name,
-					got.Fed(), ref.Fed(), got.Decided(), ref.Decided(), got.CumCost(), ref.CumCost())
-			}
+		}
+		if got.Fed() != again.Fed() || got.Decided() != again.Decided() ||
+			math.Float64bits(got.CumCost()) != math.Float64bits(again.CumCost()) {
+			t.Fatalf("restored vs replayed: fed %d/%d decided %d/%d cum %v/%v",
+				got.Fed(), again.Fed(), got.Decided(), again.Decided(), got.CumCost(), again.CumCost())
 		}
 	})
 }

@@ -153,51 +153,37 @@ func construct(spec AlgSpec, types []model.ServerType, opts stream.Options) (cor
 // ResumeSession rebuilds a live session from a checkpoint, resolving the
 // algorithm recorded in it and replaying the log.
 func ResumeSession(cp *stream.Checkpoint, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
-	s, _, err := RestoreSession(cp, nil, types, opts)
-	return s, err
-}
-
-// RestoreSession is ResumeSession from a checkpoint plus the state its
-// session saved (stream.Session.AppendState): it restores the state
-// without replaying the log when it can, and replays otherwise — state
-// absent, unknown, damaged or for another log, or an algorithm without a
-// state codec. restored reports which path ran (see stream.Restore).
-func RestoreSession(cp *stream.Checkpoint, state []byte, types []model.ServerType, opts stream.Options) (s *stream.Session, restored bool, err error) {
-	spec, opts, err := checkpointSpec(cp.Alg, opts)
+	alg, opts, err := checkpointAlg(cp.Alg, types, opts)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	mk := func() (core.Online, error) { return construct(spec, types, opts) }
-	return stream.Restore(mk, types, opts, cp, state)
+	return stream.Resume(alg, types, opts, cp)
 }
 
 // RestoreSessionFromState rebuilds a live session of the named
 // algorithm from its saved state alone, for callers that keep the
 // session's log themselves (see stream.RestoreFromState).
-func RestoreSessionFromState(alg string, state []byte, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
-	spec, opts, err := checkpointSpec(alg, opts)
+func RestoreSessionFromState(name string, state []byte, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
+	alg, opts, err := checkpointAlg(name, types, opts)
 	if err != nil {
 		return nil, err
 	}
-	a, err := construct(spec, types, opts)
-	if err != nil {
-		return nil, err
-	}
-	return stream.RestoreFromState(a, types, opts, state)
+	return stream.RestoreFromState(alg, types, opts, state)
 }
 
-// checkpointSpec resolves the streamable algorithm a checkpoint names and
-// records its registry key in the session options.
-func checkpointSpec(alg string, opts stream.Options) (AlgSpec, stream.Options, error) {
-	spec, ok := LookupAlgorithm(alg)
+// checkpointAlg constructs the streamable algorithm a checkpoint names
+// and records its registry key in the session options.
+func checkpointAlg(name string, types []model.ServerType, opts stream.Options) (core.Online, stream.Options, error) {
+	spec, ok := LookupAlgorithm(name)
 	if !ok {
-		return AlgSpec{}, opts, fmt.Errorf("engine: checkpoint names unknown algorithm %q", alg)
+		return nil, opts, fmt.Errorf("engine: checkpoint names unknown algorithm %q", name)
 	}
 	if !spec.Streamable() {
-		return AlgSpec{}, opts, fmt.Errorf("engine: algorithm %q is offline-only and cannot serve a live session", spec.Name)
+		return nil, opts, fmt.Errorf("engine: algorithm %q is offline-only and cannot serve a live session", spec.Name)
 	}
 	if opts.Alg == "" {
 		opts.Alg = spec.Key
 	}
-	return spec, opts, nil
+	alg, err := construct(spec, types, opts)
+	return alg, opts, err
 }

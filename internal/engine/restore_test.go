@@ -52,10 +52,11 @@ func sameSession(t *testing.T, label string, got, want *stream.Session) {
 }
 
 // The state path's contract, over every scenario for both algorithms
-// with a state codec: a session restored from its saved state at any cut
-// point — the checkpoint JSON round-tripped, as the snapshot stores do —
-// is bit-identical to the replay-resumed session and to an uninterrupted
-// one, both at the cut and on every advisory after it.
+// with a state codec: a session restored from its saved state alone at
+// any cut point is bit-identical to the session replayed from the
+// checkpoint — its JSON round-tripped, as the snapshot stores do — and
+// to an uninterrupted one, both at the cut and on every advisory after
+// it.
 func TestRestoreMatchesReplayAllScenarios(t *testing.T) {
 	const seed = 5
 	rng := rand.New(rand.NewSource(13))
@@ -93,9 +94,9 @@ func TestRestoreMatchesReplayAllScenarios(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					restored, ok, err := RestoreSession(&cp, state, ins.Types, stream.Options{})
-					if err != nil || !ok {
-						t.Fatalf("cut %d: RestoreSession restored=%v err=%v", cut, ok, err)
+					restored, err := RestoreSessionFromState(cp.Alg, state, ins.Types, stream.Options{})
+					if err != nil {
+						t.Fatalf("cut %d: RestoreSessionFromState: %v", cut, err)
 					}
 					replayed, err := ResumeSession(&cp, ins.Types, stream.Options{})
 					if err != nil {
@@ -124,8 +125,8 @@ func TestRestoreMatchesReplayAllScenarios(t *testing.T) {
 	}
 }
 
-// Algorithms without a state codec resume by replay: RestoreSession
-// reports it and the session matches ResumeSession's.
+// Algorithms without a state codec save none, and refuse to restore
+// even a foreign state: they resume by replay only.
 func TestRestoreSessionReplaysWithoutCodec(t *testing.T) {
 	sc, _ := Lookup("quickstart")
 	ins := sc.Instance(1)
@@ -138,12 +139,14 @@ func TestRestoreSessionReplaysWithoutCodec(t *testing.T) {
 		if st := sess.AppendState(nil); st != nil {
 			t.Fatalf("%s saved %d bytes of state without a codec", key, len(st))
 		}
-		// Even a foreign state must not be applied.
 		b, _ := OpenSession("alg-b", ins.Types, stream.Options{})
 		feedAll(t, b, ins, 1, 20)
-		got, ok, err := RestoreSession(sess.Checkpoint(), b.AppendState(nil), ins.Types, stream.Options{})
-		if err != nil || ok {
-			t.Fatalf("%s: RestoreSession restored=%v err=%v, want a replay", key, ok, err)
+		if _, err := RestoreSessionFromState(key, b.AppendState(nil), ins.Types, stream.Options{}); err == nil {
+			t.Fatalf("%s: restored a foreign state without a codec", key)
+		}
+		got, err := ResumeSession(sess.Checkpoint(), ins.Types, stream.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
 		sameSession(t, key, got, sess)
 	}
@@ -186,7 +189,7 @@ func TestResumeAllocs(t *testing.T) {
 
 // BenchmarkSessionResume measures one resume of a 2000-slot quickstart
 // alg-b session — the bench's hourly-resume shape — by replaying its log
-// and by restoring its saved state.
+// and by restoring its saved state alone.
 func BenchmarkSessionResume(b *testing.B) {
 	sess, types := agedQuickstart(b)
 	cp, state := sess.Checkpoint(), sess.AppendState(nil)
@@ -201,8 +204,8 @@ func BenchmarkSessionResume(b *testing.B) {
 	b.Run("restore", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, ok, err := RestoreSession(cp, state, types, stream.Options{}); err != nil || !ok {
-				b.Fatal(ok, err)
+			if _, err := RestoreSessionFromState(cp.Alg, state, types, stream.Options{}); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

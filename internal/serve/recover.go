@@ -178,16 +178,17 @@ func (m *Manager) rebuildLocked(ls *liveSession, snap *Snapshot, how walAttach) 
 }
 
 // buildLocked makes ls's session and records its identity on ls: from a
-// snapshot, by resolving the fleet and restoring the saved state (or
-// replaying the checkpoint's log when the state does not fit; replayed
-// counts the slots replayed), and without one as a fresh session of alg.
-// Open, resume and recovery all build sessions here.
+// snapshot, by resolving the fleet and then restoring the saved state or
+// replaying the log (replayed counts the slots replayed), and without
+// one as a fresh session of alg. Open, resume and recovery all build
+// sessions here.
 //
-// A snapshot that holds its log as stored bytes had its log sum checked
-// by the store's load, which vouches that the state covers exactly that
-// log: the session is restored from the state alone and keeps the bytes
-// as its span, decoding none of them. Should the state still not
-// restore, the log is decoded and takes the checked path.
+// Only a snapshot that holds its log as stored bytes restores: the
+// store's load checked its log sum, which vouches that the state covers
+// exactly that log, so the session is restored from the state alone and
+// keeps the bytes as its span, decoding none of them. Any other
+// snapshot, and one whose state does not restore, has its log decoded
+// and replayed.
 func (m *Manager) buildLocked(ls *liveSession, alg string, fleet FleetJSON, snap *Snapshot) (replayed int, err error) {
 	types, err := fleet.Resolve()
 	if err != nil {
@@ -205,11 +206,8 @@ func (m *Manager) buildLocked(ls *liveSession, alg string, fleet FleetJSON, snap
 		fallthrough
 	default:
 		var cp *stream.Checkpoint
-		if cp, err = snap.Log(); err != nil {
-			break
-		}
-		var restored bool
-		if ls.sess, restored, err = engine.RestoreSession(cp, snap.State, types, stream.Options{}); !restored {
+		if cp, err = snap.Log(); err == nil {
+			ls.sess, err = engine.ResumeSession(cp, types, stream.Options{})
 			replayed = len(cp.Slots)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/statebuf"
 	"repro/internal/stream"
 	"repro/internal/wire"
 )
@@ -214,13 +215,15 @@ func fastResumeRun(t *testing.T, store SnapshotStore, fleet FleetJSON, key strin
 	checkStoredCanonical(t, store, id, ins.T())
 }
 
-// Stored snapshots the fast path must not trust resume through the
-// decode → Restore path, with results identical to an uninterrupted
+// Stored snapshots the fast path must not trust resume by decoding and
+// replaying their log, with results identical to an uninterrupted
 // session's: a file written indented, one from before log sums, one
 // with a byte of its log flipped (to a case-folded key that decodes to
 // the same log), one with its sum flipped, and one carrying another
-// session's state. The next eviction writes a sealed file again, which
-// the following resume trusts.
+// session's state. So does a sealed file whose state the codec refuses
+// (a state of the previous version, resealed): the fast reader accepts
+// it, the restore fails, and the log replays. The next eviction writes
+// a sealed file again, which the following resume trusts.
 func TestFastResumeFallbacks(t *testing.T) {
 	const cut, cut2 = 20, 30
 	trace := quickstartTrace(t)
@@ -254,10 +257,12 @@ func TestFastResumeFallbacks(t *testing.T) {
 			return out
 		}
 	}
+	oldVersion := func(data []byte) []byte { return resealPreviousVersion(t, data) }
 	cases := []struct {
 		name     string
 		tamper   func([]byte) []byte
 		replayed bool // the state no longer fits the log, so the log replays
+		sealed   bool // the tampered file still passes the fast reader
 	}{
 		{"indented", func(data []byte) []byte {
 			var snap Snapshot
@@ -269,8 +274,8 @@ func TestFastResumeFallbacks(t *testing.T) {
 				t.Fatal(err)
 			}
 			return out
-		}, false},
-		{"no-sum", reencode(func(ws *wire.Snapshot) { ws.LogSum = 0 }), false},
+		}, true, false},
+		{"no-sum", reencode(func(ws *wire.Snapshot) { ws.LogSum = 0 }), true, false},
 		{"span-byte", func(data []byte) []byte {
 			i := bytes.Index(data, []byte(`"slots":[{"lambda"`))
 			if i < 0 {
@@ -279,9 +284,10 @@ func TestFastResumeFallbacks(t *testing.T) {
 			out := slices.Clone(data)
 			out[i+len(`"slots":[{"`)] ^= 0x20 // "lambda" → "Lambda"
 			return out
-		}, false},
-		{"sum", reencode(func(ws *wire.Snapshot) { ws.LogSum ^= 1 << 7 }), false},
-		{"foreign-state", reencode(func(ws *wire.Snapshot) { ws.State = foreign.State }), true},
+		}, true, false},
+		{"sum", reencode(func(ws *wire.Snapshot) { ws.LogSum ^= 1 << 7 }), true, false},
+		{"foreign-state", reencode(func(ws *wire.Snapshot) { ws.State = foreign.State }), true, false},
+		{"sealed-old-state", oldVersion, true, true},
 	}
 	for _, kind := range []string{"dir", "mem"} {
 		for _, c := range cases {
@@ -305,8 +311,8 @@ func TestFastResumeFallbacks(t *testing.T) {
 					t.Fatal(err)
 				}
 				tampered := c.tamper(storedBytes(t, store, id))
-				if _, ok := wire.ReadSealedSnapshot(tampered); ok {
-					t.Fatalf("the fast reader accepts the tampered file %s", tampered)
+				if _, ok := wire.ReadSealedSnapshot(tampered); ok != c.sealed {
+					t.Fatalf("the fast reader accepts the tampered file: %v, want %v", ok, c.sealed)
 				}
 				replaceStored(t, store, id, tampered)
 				for i := cut; i < len(trace); i++ {
@@ -345,8 +351,34 @@ func TestFastResumeFallbacks(t *testing.T) {
 	}
 }
 
+// resealPreviousVersion rewrites the sealed state in a stored file to
+// the previous state version and reseals the file, so the fast reader
+// accepts it and only the state codec can refuse it.
+func resealPreviousVersion(t *testing.T, data []byte) []byte {
+	t.Helper()
+	ss, ok := wire.ReadSealedSnapshot(data)
+	if !ok {
+		t.Fatal("the evicted file is not sealed")
+	}
+	body := slices.Clone(ss.State[:len(ss.State)-4])
+	body[1]--
+	state := statebuf.AppendChecksum(body, 0)
+	var ws wire.Snapshot
+	if err := wire.DecodeSnapshot(data, &ws); err != nil {
+		t.Fatal(err)
+	}
+	ws.State, ws.LogSum = state, ss.Log.Seal(nil, state)
+	out, err := wire.AppendSnapshot(nil, &ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // Deleting an evicted session reports its fed count from the sealed
-// state, without decoding the stored log.
+// state, without decoding the stored log. A sealed file whose state
+// the codec refuses (one of the previous state version) reports the
+// decoded log's length instead.
 func TestDeleteEvictedReadsFedFromState(t *testing.T) {
 	store := NewMemStore()
 	m := NewManager(Options{Store: store})
@@ -369,6 +401,25 @@ func TestDeleteEvictedReadsFedFromState(t *testing.T) {
 	res, err := m.Delete("del")
 	if err != nil || res.Info.Fed != 17 || res.Info.Alg != "alg-b" {
 		t.Fatalf("delete of the evicted session: %+v, %v", res, err)
+	}
+
+	if _, err := m.Open(OpenRequest{ID: "old", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
+		t.Fatal(err)
+	}
+	pushAll(t, m, "old", quickstartTrace(t), 0, 17)
+	if err := m.Evict("old"); err != nil {
+		t.Fatal(err)
+	}
+	replaceStored(t, store, "old", resealPreviousVersion(t, storedBytes(t, store, "old")))
+	if snap, ok, err := store.Load("old"); err != nil || !ok || snap.log == nil {
+		t.Fatalf("load: ok=%v err=%v, want a sealed snapshot", ok, err)
+	}
+	res, err = m.Delete("old")
+	if err != nil || res.Info.Fed != 17 || res.Info.Alg != "alg-b" {
+		t.Fatalf("delete of a session evicted with a previous-version state: %+v, %v", res, err)
+	}
+	if _, ok, err := store.Load("old"); err != nil || ok {
+		t.Fatalf("the deleted session is still stored: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -63,14 +63,15 @@ func (f *FleetJSON) Resolve() ([]model.ServerType, error) {
 // versions load unchanged.
 //
 // State and LogSum are store-internal. State is the session's saved
-// decision state (stream.Session.AppendState), bound to the log, which
-// lets a resume skip replaying the log. LogSum seals the log's stored
-// bytes to the state (wire.LogSpan.Seal): when it matches, a resume
-// restores the state alone and keeps the log as the bytes it read,
-// decoding none of it; otherwise it decodes the log and restores or
-// replays as the state allows. Both are absent for algorithms without
-// a state codec, and neither leaves the daemon — the checkpoint
-// endpoint strips them, and client-supplied checkpoints always replay.
+// decision state (stream.Session.AppendState), which lets a resume skip
+// replaying the log. LogSum seals the log's stored bytes to the state
+// (wire.LogSpan.Seal), the one thing that binds the two: when it
+// matches, a resume restores the state alone and keeps the log as the
+// bytes it read, decoding none of it; otherwise — or should the state
+// not restore — it decodes the log and replays it. Both are absent for
+// algorithms without a state codec, and neither leaves the daemon — the
+// checkpoint endpoint strips them, and client-supplied checkpoints
+// always replay.
 //
 // A snapshot the manager saves, or a store loads with a matching sum,
 // holds its log as those stored bytes instead: Checkpoint is nil, and
@@ -117,12 +118,21 @@ func (s *Snapshot) alg() string {
 }
 
 // fed returns the number of slots in the snapshot's log: for a log held
-// as stored bytes, the count its sealed state records.
+// as stored bytes, the count its sealed state records, or the decoded
+// log's length when the state does not load (as for a state an older
+// version wrote, which a resume replays).
 func (s *Snapshot) fed() (int, error) {
-	if s.log != nil {
-		return stream.StateFed(s.State)
+	if s.log == nil {
+		return len(s.Checkpoint.Slots), nil
 	}
-	return len(s.Checkpoint.Slots), nil
+	if fed, err := stream.StateFed(s.State); err == nil {
+		return fed, nil
+	}
+	cp, err := s.Log()
+	if err != nil {
+		return 0, err
+	}
+	return len(cp.Slots), nil
 }
 
 // encodeSnapshot appends snap's stored form to dst: exactly the bytes

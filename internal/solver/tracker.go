@@ -2,6 +2,7 @@ package solver
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/grid"
 	"repro/internal/model"
@@ -175,20 +176,9 @@ const (
 	trackerStateVersion = 1
 )
 
-// Refill consumes one slot of a stream tracker's input without
-// advancing the DP: the first half of restoring a saved state, with
-// RestoreState the second. It validates like Push and, like Push, keeps
-// only the newest slot.
-func (p *PrefixTracker) Refill(in model.SlotInput) error {
-	if p.acc == nil {
-		panic("solver: Refill on a pre-bound tracker")
-	}
-	return p.acc.Push(in)
-}
-
 // Seek positions a fresh stream tracker after slot t without its input
-// (model.Accumulator.Seek): the alternative to t Refills when the
-// caller trusts the state it restores next to cover exactly t slots.
+// (model.Accumulator.Seek), for a caller that restores a state covering
+// exactly t slots next (RestoreState).
 func (p *PrefixTracker) Seek(t int) {
 	if p.acc == nil {
 		panic("solver: Seek on a pre-bound tracker")
@@ -199,9 +189,9 @@ func (p *PrefixTracker) Seek(t int) {
 // AppendState appends a stream tracker's DP state to dst: the number of
 // slots processed, the counts the current lattice was built for and the
 // current layer D_t (whose +Inf cells survive, floats being stored as
-// bits). The instance is not part of the state — a restore refills it
-// from the session's log — and neither is the previous lattice, which
-// the next Push replaces before reading.
+// bits). The instance is not part of the state — a restore Seeks past
+// it — and neither is the previous lattice, which the next Push
+// replaces before reading.
 func (p *PrefixTracker) AppendState(dst []byte) []byte {
 	if p.acc == nil {
 		panic("solver: AppendState on a pre-bound tracker")
@@ -213,11 +203,12 @@ func (p *PrefixTracker) AppendState(dst []byte) []byte {
 }
 
 // RestoreState loads an AppendState encoding into a fresh (never
-// pushed) stream tracker that Refill has fed, or Seek positioned past,
-// exactly the slots the state covers, rebuilding the current lattice
-// from the saved counts; after Refill they must be the newest slot's.
+// pushed) stream tracker that Seek positioned past exactly the slots the
+// state covers, rebuilding the current lattice from the saved counts.
 // Later Pushes then continue bit-identically to the tracker that wrote
-// the state. On error the tracker is unchanged.
+// the state. The state is outside input: counts that cannot describe
+// the saved layer on this fleet are refused before any lattice is
+// built. On error the tracker is unchanged.
 func (p *PrefixTracker) RestoreState(state []byte) error {
 	if p.acc == nil {
 		panic("solver: RestoreState on a pre-bound tracker")
@@ -242,16 +233,59 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 		}
 		return nil
 	}
-	if p.ins.T() > 0 && !numeric.EqualInts(counts, p.ins.Counts[0]) {
-		return fmt.Errorf("solver: tracker state counts %v differ from slot %d's %v: %w", counts, t, p.ins.Counts[0], statebuf.ErrMalformed)
-	}
-	g := p.lattice(counts)
-	if len(layer) != g.Size() {
-		return fmt.Errorf("solver: tracker state layer has %d cells, the lattice %d: %w", len(layer), g.Size(), statebuf.ErrMalformed)
+	if !p.fits(counts, len(layer)) {
+		return fmt.Errorf("solver: tracker state counts %v do not fit a %d-type fleet with a %d-cell layer: %w", counts, p.ins.D(), len(layer), statebuf.ErrMalformed)
 	}
 	p.t, p.layer = t, layer
-	p.prevGrid, p.curGrid, p.curCounts = nil, g, counts
+	p.prevGrid, p.curGrid, p.curCounts = nil, p.lattice(counts), counts
 	return nil
+}
+
+// maxRestoredCount bounds a restored lattice count: every count up to
+// it converts to and from float64 exactly, so a reduced axis's powers
+// of γ never leave int's range.
+const maxRestoredCount = 1 << 52
+
+// fits reports whether the lattice of counts has exactly n cells on the
+// tracker's fleet: one count in [0, maxRestoredCount] per type. It
+// multiplies axis lengths without building a full axis, and builds a
+// reduced one only once its cheap lower bound fits, stopping once the
+// product exceeds n, so hostile counts cost no memory.
+func (p *PrefixTracker) fits(counts []int, n int) bool {
+	if len(counts) != p.ins.D() {
+		return false
+	}
+	size := 1
+	for _, m := range counts {
+		if m < 0 || m > maxRestoredCount {
+			return false
+		}
+		k := m + 1
+		if p.gamma > 1 {
+			if reducedLevels(m, p.gamma, n/size) > n/size {
+				return false
+			}
+			k = len(grid.ReducedAxis(m, p.gamma))
+		}
+		if k > n/size {
+			return false
+		}
+		size *= k
+	}
+	return size == n
+}
+
+// reducedLevels returns a lower bound on the length of m's reduced axis
+// (grid.ReducedAxis): zero plus the distinct values of ⌊γ^k⌋ ≤ m. It
+// stops counting past limit, so its cost does not grow with m.
+func reducedLevels(m int, gamma float64, limit int) int {
+	n, last := 1, 0.0
+	for pw := 1.0; pw <= float64(m) && n <= limit; pw *= gamma {
+		if f := math.Floor(pw); f != last {
+			n, last = n+1, f
+		}
+	}
+	return n
 }
 
 // step advances the DP layer onto lattice g for slot p.t+1; prev is the

@@ -5,55 +5,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/model"
 )
-
-// The running log hash a saved state is bound by stays equal to the hash
-// of the whole log on every path that grows or rebuilds a log: fresh
-// pushes, a rejected slot, Resume, Restore and ReplayDelta.
-func TestRunningLogHash(t *testing.T) {
-	check := func(label string, s *Session) {
-		t.Helper()
-		if want := logHash(s.log); s.hash != want {
-			t.Fatalf("%s: running hash %x, logHash %x", label, s.hash, want)
-		}
-	}
-	for _, c := range restoreCases() {
-		s := newCaseSession(t, c)
-		check(c.name+" fresh", s)
-		feedTo(t, s, 25)
-		check(c.name+" pushed", s)
-		if _, err := s.Feed(model.SlotInput{Lambda: -1}); err == nil {
-			t.Fatalf("%s: negative demand accepted", c.name)
-		}
-		check(c.name+" rejected slot", s)
-
-		cp, state := s.Checkpoint(), s.AppendState(nil)
-		alg, _ := c.mk()
-		resumed, err := Resume(alg, sharingFleet(), c.opts, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(c.name+" resumed", resumed)
-		restored, ok, err := Restore(c.mk, sharingFleet(), c.opts, cp, state)
-		if err != nil || !ok {
-			t.Fatalf("%s: restored=%v err=%v", c.name, ok, err)
-		}
-		check(c.name+" restored", restored)
-		var delta []model.SlotInput
-		for i := 20; i <= 32; i++ {
-			in := restoreInput(i)
-			in.T = i
-			delta = append(delta, in)
-		}
-		if _, err := restored.ReplayDelta(delta); err != nil {
-			t.Fatal(err)
-		}
-		check(c.name+" replayed", restored)
-		feedTo(t, restored, 40)
-		check(c.name+" pushed after restore", restored)
-	}
-}
 
 // held counts the slot inputs a session keeps resident besides its
 // replay log: its accumulator's, its buffered window's and its own

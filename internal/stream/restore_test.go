@@ -74,6 +74,30 @@ func newCaseSession(t *testing.T, c restoreCase) *Session {
 	return s
 }
 
+// restore restores a fresh algorithm of the case from state alone.
+func (c restoreCase) restore(t *testing.T, state []byte) (*Session, error) {
+	t.Helper()
+	alg, err := c.mk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RestoreFromState(alg, sharingFleet(), c.opts, state)
+}
+
+// replay resumes a fresh algorithm of the case from cp's log.
+func (c restoreCase) replay(t *testing.T, cp *Checkpoint) *Session {
+	t.Helper()
+	alg, err := c.mk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Resume(alg, sharingFleet(), c.opts, cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // checkContinuation feeds got to slot n and checks progress, cost and
@@ -92,9 +116,10 @@ func checkContinuation(t *testing.T, label string, got *Session, want []Advisory
 	}
 }
 
-// Restoring from saved state at every cut point continues bit-identically
-// to the uninterrupted session, for both algorithms with a codec, with
-// and without a session-owned telemetry tracker.
+// Restoring from saved state at every cut point matches replaying the
+// log — the same progress, cost and saved state — and both continue
+// bit-identically to the uninterrupted session, for both algorithms
+// with a codec, with and without a session-owned telemetry tracker.
 func TestRestoreBitIdentical(t *testing.T) {
 	const n = 36
 	for _, c := range restoreCases() {
@@ -104,22 +129,28 @@ func TestRestoreBitIdentical(t *testing.T) {
 				part := newCaseSession(t, c)
 				feedTo(t, part, cut)
 				state := part.AppendState(nil)
-				got, restored, err := Restore(c.mk, sharingFleet(), c.opts, part.Checkpoint(), state)
-				if err != nil || !restored {
-					t.Fatalf("cut %d: restored=%v err=%v", cut, restored, err)
+				got, err := c.restore(t, state)
+				if err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
 				}
-				if got.Fed() != cut || !sameBits(got.CumCost(), part.CumCost()) {
-					t.Fatalf("cut %d: restored fed=%d cum=%v, want %d and %v", cut, got.Fed(), got.CumCost(), cut, part.CumCost())
+				replayed := c.replay(t, part.Checkpoint())
+				if got.Fed() != cut || got.Decided() != replayed.Decided() || !sameBits(got.CumCost(), replayed.CumCost()) {
+					t.Fatalf("cut %d: restored fed=%d decided=%d cum=%v, replayed %d, %d and %v",
+						cut, got.Fed(), got.Decided(), got.CumCost(), replayed.Fed(), replayed.Decided(), replayed.CumCost())
 				}
-				checkContinuation(t, c.name, got, want, n)
+				if string(got.AppendState(nil)) != string(state) || string(replayed.AppendState(nil)) != string(state) {
+					t.Fatalf("cut %d: restored and replayed sessions save another state than the one restored", cut)
+				}
+				checkContinuation(t, c.name+" restored", got, want, n)
+				checkContinuation(t, c.name+" replayed", replayed, want, n)
 			}
 		})
 	}
 }
 
-// Damaged, foreign and mismatched states never yield a divergent
-// session: Restore falls back to replay, which still continues
-// bit-identically.
+// Absent, damaged and foreign states are refused with an error, never
+// restored into a divergent session; the replay the caller then runs
+// continues bit-identically.
 func TestRestoreFallsBackToReplay(t *testing.T) {
 	const cut, n = 17, 30
 	c := restoreCases()[1] // alg-b
@@ -129,16 +160,12 @@ func TestRestoreFallsBackToReplay(t *testing.T) {
 	state := part.AppendState(nil)
 	cp := part.Checkpoint()
 
-	fallsBack := func(label string, cp *Checkpoint, st []byte) {
+	fallsBack := func(label string, st []byte) {
 		t.Helper()
-		got, restored, err := Restore(c.mk, sharingFleet(), c.opts, cp, st)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+		if got, err := c.restore(t, st); err == nil {
+			t.Fatalf("%s: restored a state that should have been refused (fed %d)", label, got.Fed())
 		}
-		if restored {
-			t.Fatalf("%s: restored from a state that should have been refused", label)
-		}
-		checkContinuation(t, label, got, want, n)
+		checkContinuation(t, label, c.replay(t, cp), want, n)
 	}
 	// reseal rewrites one byte of the state body and recomputes the
 	// checksum, so the decoder — not the CRC — must catch it.
@@ -148,47 +175,29 @@ func TestRestoreFallsBackToReplay(t *testing.T) {
 		return statebuf.AppendChecksum(body, 0)
 	}
 
-	fallsBack("absent", cp, nil)
+	fallsBack("absent", nil)
 	for l := 0; l < len(state); l++ {
-		fallsBack("truncated", cp, state[:l])
+		fallsBack("truncated", state[:l])
 	}
 	for bit := 0; bit < 8*len(state); bit++ {
 		flipped := append([]byte(nil), state...)
 		flipped[bit/8] ^= 1 << (bit % 8)
-		fallsBack("bit-flipped", cp, flipped)
+		fallsBack("bit-flipped", flipped)
 	}
-	fallsBack("unknown version", cp, reseal(1, sessionStateVersion+1))
-	fallsBack("unknown kind", cp, reseal(0, 'Z'))
+	fallsBack("unknown version", reseal(1, sessionStateVersion+1))
+	fallsBack("previous version", reseal(1, sessionStateVersion-1))
+	fallsBack("unknown kind", reseal(0, 'Z'))
 
-	// The same state against other logs: one more slot, or the same
-	// length with one demand changed.
-	longer := newCaseSession(t, c)
-	feedTo(t, longer, cut+1)
-	got, restored, err := Restore(c.mk, sharingFleet(), c.opts, longer.Checkpoint(), state)
-	if err != nil || restored || got.Fed() != cut+1 {
-		t.Fatalf("longer log: restored=%v fed=%d err=%v, want a replay to %d", restored, got.Fed(), err, cut+1)
-	}
-	other := part.Checkpoint()
-	other.Slots[3].Lambda += 0.5
-	got, restored, err = Restore(c.mk, sharingFleet(), c.opts, other, state)
-	if err != nil || restored {
-		t.Fatalf("altered log: restored=%v err=%v, want a replay", restored, err)
-	}
-	if replayed, _ := Resume(mustAlgB(t, sharingFleet()), sharingFleet(), c.opts, other); !sameBits(got.CumCost(), replayed.CumCost()) {
-		t.Fatalf("altered log: cum %v, replay %v", got.CumCost(), replayed.CumCost())
-	}
-
-	// A well-formed state of the other algorithm over the same log passes
-	// the checksum and the log binding, and is refused by the algorithm
-	// after the refill; the replay must then run on a fresh algorithm.
+	// A well-formed state of the other algorithm passes the checksum and
+	// is refused by the algorithm.
 	a := restoreCases()[0]
 	aPart := newCaseSession(t, a)
 	feedTo(t, aPart, cut)
-	fallsBack("foreign algorithm", cp, aPart.AppendState(nil))
+	fallsBack("foreign algorithm", aPart.AppendState(nil))
 }
 
 // A session whose algorithm has no state codec appends nothing, and
-// Restore replays its log even when handed another session's state.
+// RestoreFromState refuses another session's state for it.
 func TestAppendStateWithoutCodec(t *testing.T) {
 	types := sharingFleet()
 	sess, err := New(hideOptTracking{mustAlgB(t, types)}, types, Options{})
@@ -199,13 +208,10 @@ func TestAppendStateWithoutCodec(t *testing.T) {
 	if st := sess.AppendState([]byte("x")); string(st) != "x" {
 		t.Fatalf("AppendState without a codec appended %q", st[1:])
 	}
-	c := restoreCases()[1]
-	part := newCaseSession(t, c)
+	part := newCaseSession(t, restoreCases()[1])
 	feedTo(t, part, 5)
-	mk := func() (core.Online, error) { return hideOptTracking{mustAlgB(t, types)}, nil }
-	got, restored, err := Restore(mk, types, Options{}, sess.Checkpoint(), part.AppendState(nil))
-	if err != nil || restored || got.Fed() != 5 {
-		t.Fatalf("no codec: restored=%v fed=%d err=%v, want a replay", restored, got.Fed(), err)
+	if _, err := RestoreFromState(hideOptTracking{mustAlgB(t, types)}, types, Options{}, part.AppendState(nil)); err == nil {
+		t.Fatal("a state restored into an algorithm without a codec")
 	}
 }
 
@@ -232,9 +238,8 @@ func TestSessionRejectsNonFiniteDemand(t *testing.T) {
 
 // A session restored from its state alone continues bit-identically to
 // the uninterrupted session at every cut point — advisories, costs and
-// the state it saves later — while holding only the slots fed after the
-// restore. Its running hash still covers the whole log, so the state it
-// saves binds to the whole log when one is decoded.
+// the state it saves later, which restores in turn — while holding only
+// the slots fed after the restore.
 func TestRestoreFromStateBitIdentical(t *testing.T) {
 	const n = 36
 	for _, c := range restoreCases() {
@@ -244,11 +249,7 @@ func TestRestoreFromStateBitIdentical(t *testing.T) {
 			for cut := 0; cut <= n; cut++ {
 				part := newCaseSession(t, c)
 				feedTo(t, part, cut)
-				alg, err := c.mk()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := RestoreFromState(alg, sharingFleet(), c.opts, part.AppendState(nil))
+				got, err := c.restore(t, part.AppendState(nil))
 				if err != nil {
 					t.Fatalf("cut %d: %v", cut, err)
 				}
@@ -257,15 +258,15 @@ func TestRestoreFromStateBitIdentical(t *testing.T) {
 						cut, got.Fed(), got.LogBase(), len(got.LogTail()), got.CumCost(), cut, cut, part.CumCost())
 				}
 				checkContinuation(t, c.name, got, want, n)
-				if len(got.LogTail()) != n-cut || got.hash != whole.hash {
-					t.Fatalf("cut %d: tail of %d records, hash %x; want %d and the whole log's %x", cut, len(got.LogTail()), got.hash, n-cut, whole.hash)
+				if len(got.LogTail()) != n-cut {
+					t.Fatalf("cut %d: tail of %d records, want %d", cut, len(got.LogTail()), n-cut)
 				}
 				state := got.AppendState(nil)
 				if string(state) != string(whole.AppendState(nil)) {
 					t.Fatalf("cut %d: the restored session saves another state than the uninterrupted one", cut)
 				}
-				if _, restored, err := Restore(c.mk, sharingFleet(), c.opts, whole.Checkpoint(), state); err != nil || !restored {
-					t.Fatalf("cut %d: its state does not restore over the whole log: restored=%v err=%v", cut, restored, err)
+				if again, err := c.restore(t, state); err != nil || again.LogBase() != n {
+					t.Fatalf("cut %d: its state does not restore again: %v", cut, err)
 				}
 			}
 		})
@@ -304,4 +305,31 @@ func TestRestoreFromStateRefuses(t *testing.T) {
 		}
 	}()
 	got.Checkpoint()
+}
+
+// A state body rewritten byte by byte and resealed with a fresh
+// checksum passes the CRC, so the decoders alone stand between it and
+// the session: none may panic or allocate by a hostile count. What they
+// accept may still fail the algorithm on a later slot, which the
+// session turns into its sticky error.
+func TestRestoreFromStateResealedBytes(t *testing.T) {
+	for _, c := range restoreCases() {
+		part := newCaseSession(t, c)
+		feedTo(t, part, 15)
+		state := part.AppendState(nil)
+		body := state[:len(state)-4]
+		for i := range body {
+			for _, b := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff, body[i] ^ 1} {
+				mutated := append([]byte(nil), body...)
+				mutated[i] = b
+				got, err := c.restore(t, statebuf.AppendChecksum(mutated, 0))
+				if err != nil {
+					continue
+				}
+				for s, end := got.Fed()+1, got.Fed()+3; s <= end; s++ {
+					got.Feed(restoreInput(s))
+				}
+			}
+		}
+	}
 }

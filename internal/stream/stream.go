@@ -16,15 +16,12 @@
 // prefix-optimum tracker again, so its cost grows with the log. When the
 // algorithm has a state codec (core.Snapshotter: Algorithms A and B),
 // AppendState also saves the session's decision state — the algorithm's
-// per-type machines, the tracker's last DP layer and the running sums —
-// bound to its log by length and hash. Restore then re-validates the
-// log's slots without deciding anything and loads the state, and falls
-// back to replay whenever the state is absent, unknown, damaged or
-// belongs to another log. A caller that keeps the log itself, and can
-// prove the state belongs to it (the serving layer seals both with one
-// checksum), restores from the state alone (RestoreFromState): the
-// session then holds only the slots fed after the restore, and LogBase
-// counts the ones before.
+// per-type machines, the tracker's last DP layer and the running sums.
+// A caller that keeps the log itself, and can prove the state belongs
+// to it (the serving layer seals both with one checksum), restores from
+// the state alone (RestoreFromState): the session then holds only the
+// slots fed after the restore, and LogBase counts the ones before.
+// Without a state, or when it does not restore, the log replays.
 //
 // Apart from the replay log, a session's memory does not grow with the
 // stream: the session and its algorithm's tracker keep only the slot
@@ -34,7 +31,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -157,7 +153,6 @@ type Session struct {
 	swSum   float64
 	optCost float64
 	log     []SlotRecord      // the replay log past base
-	hash    uint64            // logHash of the whole log, kept as it grows
 	scratch model.SlotInput   // slot being fed (filled by Push)
 	window  []model.SlotInput // a buffered algorithm's undecided slots, oldest first (deep copies)
 
@@ -193,7 +188,6 @@ func New(alg core.Online, types []model.ServerType, opts Options) (*Session, err
 		eval:     model.NewSlotEval(types),
 		buffered: buffered,
 		prev:     make(model.Config, len(types)),
-		hash:     logHashSeed,
 	}
 	// Buffered algorithms are excluded from sharing their tracker: it
 	// runs at feed time while a decision (and its telemetry) lags.
@@ -281,7 +275,7 @@ func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err err
 		s.window = append(s.window, w)
 	}
 	x := s.alg.Step(s.scratch)
-	s.appendLog(SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone())
+	s.log = append(s.log, SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone())
 	if x == nil {
 		return false, nil
 	}
@@ -350,12 +344,6 @@ func (s *Session) Close() ([]Advisory, error) {
 		out = append(out, adv)
 	}
 	return out, nil
-}
-
-// appendLog appends one record to the replay log and its running hash.
-func (s *Session) appendLog(rec SlotRecord) {
-	s.log = append(s.log, rec)
-	s.hash = hashRecord(s.hash, rec)
 }
 
 // record accounts one decided slot and fills its advisory in place
@@ -503,18 +491,19 @@ func Resume(alg core.Online, types []model.ServerType, opts Options, cp *Checkpo
 // The session state codec (see AppendState).
 const (
 	sessionStateKind    = 'S'
-	sessionStateVersion = 1
+	sessionStateVersion = 2
 )
 
 // AppendState appends the session's decision state to dst: the fed and
-// decided counts, a 64-bit hash of the replay log that binds the state
-// to it, the last configuration, both Kahan words of the operating-cost
-// sum, the switching and prefix-optimum totals, and the nested states of
-// the algorithm and of the session's own telemetry tracker (if any),
-// sealed with a CRC-32C. It returns dst unchanged when the algorithm has
-// no state codec (not a core.Snapshotter) or the session has failed;
-// such sessions resume by replay only. Room for the state is reserved
-// up front from the size of the state the session was restored from.
+// decided counts, the last configuration, both Kahan words of the
+// operating-cost sum, the switching and prefix-optimum totals, and the
+// nested states of the algorithm and of the session's own telemetry
+// tracker (if any), sealed with a CRC-32C. Nothing in it names the log
+// it covers: a caller that stores both binds them itself. It returns
+// dst unchanged when the algorithm has no state codec (not a
+// core.Snapshotter) or the session has failed; such sessions resume by
+// replay only. Room for the state is reserved up front from the size of
+// the state the session was restored from.
 func (s *Session) AppendState(dst []byte) []byte {
 	alg, ok := s.alg.(core.Snapshotter)
 	if !ok || s.failed != nil {
@@ -525,7 +514,6 @@ func (s *Session) AppendState(dst []byte) []byte {
 	dst = statebuf.AppendHeader(dst, sessionStateKind, sessionStateVersion)
 	dst = statebuf.AppendInt(dst, s.fed)
 	dst = statebuf.AppendInt(dst, s.decided)
-	dst = statebuf.AppendUint64(dst, s.hash)
 	dst = statebuf.AppendInts(dst, s.prev)
 	sum, comp := s.opSum.Parts()
 	dst = statebuf.AppendFloat(dst, sum)
@@ -546,78 +534,9 @@ func (s *Session) AppendState(dst []byte) []byte {
 // (a wider slot count, a few more pending power-ups).
 const stateSlack = 256
 
-// logHash is the 64-bit FNV-1a hash of a replay log's demands (as float
-// bits) and fleet counts, binding a saved state to the log it covers.
-// Explicit per-slot cost functions are not hashed; they are in-memory
-// only and never reach a portable log. Sessions keep it incrementally
-// (hashRecord from logHashSeed, one record per append).
-func logHash(log []SlotRecord) uint64 {
-	h := uint64(logHashSeed)
-	for _, rec := range log {
-		h = hashRecord(h, rec)
-	}
-	return h
-}
-
-// logHashSeed is logHash of the empty log, the FNV-1a offset basis.
-const logHashSeed = 14695981039346656037
-
-// hashRecord extends a logHash h by one record.
-func hashRecord(h uint64, rec SlotRecord) uint64 {
-	h = fnvMix(h, math.Float64bits(rec.Lambda))
-	h = fnvMix(h, uint64(len(rec.Counts)))
-	for _, c := range rec.Counts {
-		h = fnvMix(h, uint64(c))
-	}
-	return h
-}
-
-// fnvMix feeds v's eight bytes, least significant first, into FNV-1a.
-func fnvMix(h, v uint64) uint64 {
-	const prime = 1099511628211
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= prime
-		v >>= 8
-	}
-	return h
-}
-
-// Restore rebuilds a session from a checkpoint and the state its session
-// saved with AppendState, without stepping the algorithm through the
-// log: it passes the log's slots through the session's, the algorithm's
-// and the telemetry tracker's validation (no prefix optimum, no
-// dispatch, no decision) and then loads the state. The result continues
-// bit-identically to Resume's.
-//
-// mk constructs a fresh algorithm, exactly as for Resume. Restore falls
-// back to Resume — replaying the log into a fresh algorithm — when the
-// state is absent, has an unknown kind or version, fails its checksum or
-// does not match the checkpoint's log, or when the algorithm has no
-// state codec. restored reports which path ran.
-func Restore(mk func() (core.Online, error), types []model.ServerType, opts Options, cp *Checkpoint, state []byte) (s *Session, restored bool, err error) {
-	alg, err := mk()
-	if err != nil {
-		return nil, false, err
-	}
-	if sn, ok := alg.(core.Snapshotter); ok && state != nil {
-		if s, err := restoreState(sn, types, opts, cp, state); err == nil {
-			return s, true, nil
-		}
-		// The failed restore may have refilled or partly loaded the
-		// algorithm; replay needs a fresh one.
-		if alg, err = mk(); err != nil {
-			return nil, false, err
-		}
-	}
-	s, err = Resume(alg, types, opts, cp)
-	return s, false, err
-}
-
 // savedState is a decoded AppendState encoding.
 type savedState struct {
 	fed, decided              int
-	hash                      uint64
 	prev                      model.Config
 	sum, comp, swSum, optCost float64
 	alg, opt                  []byte
@@ -632,7 +551,7 @@ func readState(state []byte) (st savedState, err error) {
 	}
 	r := statebuf.NewReader(body)
 	r.Header(sessionStateKind, sessionStateVersion)
-	st.fed, st.decided, st.hash = r.Int(), r.Int(), r.Uint64()
+	st.fed, st.decided = r.Int(), r.Int()
 	st.prev = r.Ints()
 	st.sum, st.comp, st.swSum, st.optCost = r.Float(), r.Float(), r.Float(), r.Float()
 	st.alg, st.opt = r.Bytes(), r.Bytes()
@@ -653,51 +572,18 @@ func StateFed(state []byte) (int, error) {
 	return st.fed, err
 }
 
-// restoreState is Restore's state path. Every check that needs no
-// refill runs first.
-func restoreState(alg core.Snapshotter, types []model.ServerType, opts Options, cp *Checkpoint, state []byte) (*Session, error) {
-	st, err := readState(state)
-	if err != nil {
-		return nil, err
-	}
-	if st.fed != len(cp.Slots) || st.hash != logHash(cp.Slots) {
-		return nil, fmt.Errorf("stream: state covers another log: %w", statebuf.ErrMalformed)
-	}
-	return loadState(alg, types, opts, st, func(s *Session) error {
-		n := len(cp.Slots)
-		s.log = make([]SlotRecord, n, n+logHeadroom)
-		for i, rec := range cp.Slots {
-			in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
-			if err := s.acc.Push(in); err != nil {
-				return err
-			}
-			if err := alg.Refill(in); err != nil {
-				return err
-			}
-			// The telemetry tracker consumes slots at decision time.
-			if s.opt != nil && i < st.decided {
-				if err := s.opt.Refill(in); err != nil {
-					return err
-				}
-			}
-			s.log[i] = rec.clone()
-		}
-		return nil
-	})
-}
-
 // RestoreFromState rebuilds a session from the state its session saved
-// with AppendState alone, for a caller that keeps the replay log the
-// state covers and has made sure the state belongs to it: nothing ties
-// the two together here. Neither the log's slots nor its hash are
-// checked; the session's accumulators and trackers are positioned past
-// them (their next slot resolves costs at its absolute index), its log
-// starts empty with LogBase at the restored fed count, and its running
-// log hash continues from the state's, so a later state still binds to
-// the caller's whole log. The result continues bit-identically to
-// Restore's. alg must be freshly constructed and have a state codec
-// (core.Snapshotter); on any error the caller falls back to Restore with
-// the decoded log.
+// with AppendState, for a caller that keeps the replay log the state
+// covers and has made sure the state belongs to it: nothing ties the
+// two together here. The session's accumulators and trackers are
+// positioned past the covered slots without their inputs (their next
+// slot resolves costs at its absolute index), and its log starts empty
+// with LogBase at the restored fed count. The result continues
+// bit-identically to the session Resume replays from the whole log.
+// alg must be freshly constructed and have a state codec
+// (core.Snapshotter). Any error — a damaged state, another version,
+// algorithm or fleet — leaves alg unusable, and the caller resumes by
+// replaying its log into a fresh one.
 func RestoreFromState(alg core.Online, types []model.ServerType, opts Options, state []byte) (*Session, error) {
 	sn, ok := alg.(core.Snapshotter)
 	if !ok {
@@ -707,25 +593,6 @@ func RestoreFromState(alg core.Online, types []model.ServerType, opts Options, s
 	if err != nil {
 		return nil, err
 	}
-	s, err := loadState(sn, types, opts, st, func(s *Session) error {
-		s.acc.Seek(st.fed)
-		sn.Seek(st.fed)
-		if s.opt != nil {
-			s.opt.Seek(st.decided)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.base = st.fed
-	return s, nil
-}
-
-// loadState builds a session around alg and loads st into it, once
-// position has brought the accumulators and trackers to the slots the
-// state covers.
-func loadState(alg core.Snapshotter, types []model.ServerType, opts Options, st savedState, position func(*Session) error) (*Session, error) {
 	if len(st.prev) != len(types) {
 		return nil, statebuf.ErrMalformed
 	}
@@ -736,18 +603,19 @@ func loadState(alg core.Snapshotter, types []model.ServerType, opts Options, st 
 	if (s.opt != nil) != (len(st.opt) > 0) {
 		return nil, fmt.Errorf("stream: state and session disagree on a telemetry tracker: %w", statebuf.ErrMalformed)
 	}
-	if err := position(s); err != nil {
-		return nil, err
-	}
-	if err := alg.RestoreState(st.alg); err != nil {
+	s.acc.Seek(st.fed)
+	sn.Seek(st.fed)
+	if err := sn.RestoreState(st.alg); err != nil {
 		return nil, err
 	}
 	if s.opt != nil {
+		// The telemetry tracker consumes slots at decision time.
+		s.opt.Seek(st.decided)
 		if err := s.opt.RestoreState(st.opt); err != nil {
 			return nil, err
 		}
 	}
-	s.fed, s.decided, s.prev, s.hash = st.fed, st.decided, st.prev, st.hash
+	s.fed, s.base, s.decided, s.prev = st.fed, st.fed, st.decided, st.prev
 	s.stateSize = st.size
 	s.opSum = numeric.KahanOf(st.sum, st.comp)
 	s.swSum, s.optCost = st.swSum, st.optCost
