@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/perfref"
 )
 
 func requirePass(b *testing.B, rep experiments.Report) {
@@ -207,57 +208,116 @@ func BenchmarkE12ProofTerms(b *testing.B) {
 
 // ---------- scenario engine ----------
 
-// benchmarkSuite runs the whole stock registry through the engine with
-// the given worker count; serial vs. parallel quantifies the suite
-// runner's fan-out win (results are bit-identical either way).
-func benchmarkSuite(b *testing.B, workers int) {
+// Wall-time gates (see perfref.Gate): ns/op over the reference task's,
+// recorded on a 2-vCPU Xeon @ 2.1 GHz, Go 1.24, 2026-10-17.
+const (
+	suiteSerialRatio   = 178.5
+	streamSessionRatio = 0.1776
+)
+
+// runSuite runs the whole stock registry through the engine with the
+// given worker count; serial vs. parallel quantifies the suite runner's
+// fan-out win (results are bit-identical either way).
+func runSuite(tb testing.TB, scs []Scenario, workers int) {
+	res, err := RunSuite(scs, SuiteOptions{Workers: workers, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(res.Results) != len(scs) {
+		tb.Fatalf("got %d results for %d scenarios", len(res.Results), len(scs))
+	}
+}
+
+func BenchmarkSuiteSerial(b *testing.B) {
 	scs := Scenarios()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := RunSuite(scs, SuiteOptions{Workers: workers, Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Results) != len(scs) {
-			b.Fatalf("got %d results for %d scenarios", len(res.Results), len(scs))
-		}
+		runSuite(b, scs, 1)
+	}
+	perfref.Gate(b, suiteSerialRatio, func() { runSuite(b, scs, 1) })
+}
+
+func BenchmarkSuiteParallel(b *testing.B) {
+	scs := Scenarios()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runSuite(b, scs, AutoWorkers)
 	}
 }
 
-func BenchmarkSuiteSerial(b *testing.B)   { benchmarkSuite(b, 1) }
-func BenchmarkSuiteParallel(b *testing.B) { benchmarkSuite(b, AutoWorkers) }
+// A serial suite run allocates no more objects than when the bound was
+// set: 33 710, or 33 711 in about one process in twenty.
+func TestSuiteSerialAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	scs := Scenarios()
+	if a := testing.AllocsPerRun(2, func() { runSuite(t, scs, 1) }); a > 33711 {
+		t.Fatalf("suite allocates %v per run, want <= 33711", a)
+	}
+}
+
+// BenchmarkScaling gates how the parallel suite scales with GOMAXPROCS
+// (see perfref.Scale). Chunked distribution over 8 uneven scenarios
+// bounds the speedup by the heaviest chunk, hence the low floor.
+func BenchmarkScaling(b *testing.B) {
+	b.Run("SuiteParallel", func(b *testing.B) {
+		scs := Scenarios()
+		perfref.Scale(b, 0.35, 1.5, func() { runSuite(b, scs, AutoWorkers) })
+	})
+}
 
 // ---------- live advisory sessions ----------
 
-// benchmarkStreamSession drives the full session loop — validation,
-// algorithm step, cost accounting and (optionally) the prefix-optimum
-// telemetry tracker — over a two-day trace, the per-slot hot path of
+// streamSession drives the full session loop — validation, algorithm
+// step, cost accounting and (optionally) the prefix-optimum telemetry
+// tracker — over a two-day trace, the per-slot hot path of
 // `rightsize -stream`.
-func benchmarkStreamSession(b *testing.B, opts SessionOptions) {
-	ins := benchmarkInstance(48)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sess, err := OpenSession("alg-b", ins.Types, opts)
-		if err != nil {
-			b.Fatal(err)
+func streamSession(tb testing.TB, ins *Instance, opts SessionOptions) {
+	sess, err := OpenSession("alg-b", ins.Types, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, l := range ins.Lambda {
+		if _, err := sess.FeedDemand(l); err != nil {
+			tb.Fatal(err)
 		}
-		for _, l := range ins.Lambda {
-			if _, err := sess.FeedDemand(l); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if _, err := sess.Close(); err != nil {
-			b.Fatal(err)
-		}
-		if sess.Decided() != ins.T() {
-			b.Fatalf("decided %d slots, want %d", sess.Decided(), ins.T())
-		}
+	}
+	if _, err := sess.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	if sess.Decided() != ins.T() {
+		tb.Fatalf("decided %d slots, want %d", sess.Decided(), ins.T())
 	}
 }
 
-func BenchmarkStreamSession(b *testing.B) { benchmarkStreamSession(b, SessionOptions{}) }
+func BenchmarkStreamSession(b *testing.B) {
+	ins := benchmarkInstance(48)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		streamSession(b, ins, SessionOptions{})
+	}
+	perfref.Gate(b, streamSessionRatio, func() { streamSession(b, ins, SessionOptions{}) })
+}
+
 func BenchmarkStreamSessionNoTelemetry(b *testing.B) {
-	benchmarkStreamSession(b, SessionOptions{DisableOpt: true})
+	ins := benchmarkInstance(48)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		streamSession(b, ins, SessionOptions{DisableOpt: true})
+	}
+}
+
+// A 48-slot session allocates no more objects than when the bound was
+// set.
+func TestStreamSessionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	ins := benchmarkInstance(48)
+	if a := testing.AllocsPerRun(20, func() { streamSession(t, ins, SessionOptions{}) }); a > 172 {
+		t.Fatalf("session allocates %v per run, want <= 172", a)
+	}
 }
 
 // BenchmarkScaleApproxT720 exercises production scale: a month of hourly

@@ -58,6 +58,12 @@ func (s *TypeB) Step(l float64, xhat int) int {
 		s.x -= s.events[s.head].count
 		s.head++
 	}
+	// Drop the expired prefix once it is half the queue, so the queue
+	// holds O(live) events however old the session: amortised O(1).
+	if s.head > len(s.events)/2 {
+		s.events = s.events[:copy(s.events, s.events[s.head:])]
+		s.head = 0
+	}
 	if s.x <= xhat {
 		if up := xhat - s.x; up > 0 {
 			s.events = append(s.events, eventB{slot: s.t, count: up, lsum: s.lsum})

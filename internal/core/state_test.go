@@ -84,16 +84,17 @@ func TestSnapshotterRejectsForeignState(t *testing.T) {
 	}
 }
 
-// Algorithms A and B keep no input history: after 10 000 steps their
-// prefix trackers hold one slot, and one restored after a Seek past
-// them holds none.
+// Algorithms A and B keep no input history: after 100 000 steps their
+// prefix trackers hold one slot, one restored after a Seek past them
+// holds none, and Algorithm B's power-up queue holds room for a few
+// events, not one per power-up so far.
 func TestHeldSlotsBoundedAlgorithms(t *testing.T) {
 	ins := randomStaticInstance(rand.New(rand.NewSource(8)), 2, 4, 50)
 	a, _ := NewAlgorithmA(ins.Types)
 	b, _ := NewAlgorithmB(ins.Types)
 	freshB, _ := NewAlgorithmB(ins.Types)
 	var in model.SlotInput
-	const n = 10000
+	const n = 100000
 	for s := 0; s < n; s++ {
 		ins.SlotInto(s%ins.T()+1, &in)
 		in.T = s + 1
@@ -106,7 +107,12 @@ func TestHeldSlotsBoundedAlgorithms(t *testing.T) {
 	}
 	for name, tr := range map[string]interface{ Held() int }{"A": a.tracker, "B": b.tracker, "restored B": freshB.tracker} {
 		if h := tr.Held(); h > 1 {
-			t.Errorf("Algorithm %s's tracker holds %d slots after 10 000, want <= 1", name, h)
+			t.Errorf("Algorithm %s's tracker holds %d slots after 100 000, want <= 1", name, h)
+		}
+	}
+	for j, st := range b.types {
+		if c := cap(st.events); c > 16 {
+			t.Errorf("Algorithm B's type %d keeps room for %d power-up events after 100 000 slots, want <= 16", j, c)
 		}
 	}
 }

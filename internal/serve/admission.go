@@ -12,8 +12,8 @@ import (
 // bounded in-flight budget (concurrent push requests), and a
 // per-session token bucket checked once the session is held. All three
 // are wait-free on the accept path (atomic loads and CAS, no locks, no
-// allocations — BenchmarkAdmission/admit gates 0 allocs/op in
-// scripts/benchsmoke.sh), so shedding stays far cheaper than serving:
+// allocations — TestAdmissionAllocs holds the accept path at exactly 0),
+// so shedding stays far cheaper than serving:
 // a denied request costs one small error allocation and touches no
 // algorithm state.
 //

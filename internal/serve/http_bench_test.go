@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/perfref"
 	"repro/internal/wire"
 )
 
@@ -21,9 +22,9 @@ import (
 // serving stack, wire codec, manager). The client is a raw-socket
 // harness — preassembled request bytes on a persistent connection,
 // responses read into a reused buffer — so allocs/op is the server-side
-// cost, not client churn; BenchmarkHTTPPush/codec=wire is gated by
-// scripts/benchsmoke.sh against BENCH_serve.json and the parallel
-// variant is swept across -cpu by scripts/benchscale.sh.
+// cost, not client churn. BenchmarkHTTPPush/codec=wire/batch=1 and
+// BenchmarkHTTPPushHandler are wall-gated, and BenchmarkScaling sweeps
+// the parallel workload across GOMAXPROCS.
 
 // pushConn is the benchmark's raw HTTP/1.1 client: one keep-alive
 // connection, hand-assembled requests, zero per-request allocation
@@ -33,11 +34,11 @@ type pushConn struct {
 	br   *bufio.Reader
 }
 
-func dialPush(b *testing.B, srv *httptest.Server) *pushConn {
-	b.Helper()
+func dialPush(tb testing.TB, srv *httptest.Server) *pushConn {
+	tb.Helper()
 	conn, err := net.Dial("tcp", srv.Listener.Addr().String())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &pushConn{conn: conn, br: bufio.NewReaderSize(conn, 16<<10)}
 }
@@ -121,14 +122,14 @@ func (c *pushConn) roundTrip(req []byte) (int, error) {
 func (c *pushConn) close() { c.conn.Close() }
 
 // benchServer starts a server with an opened session per id and returns it.
-func benchServer(b *testing.B, ids []string) *httptest.Server {
-	b.Helper()
+func benchServer(tb testing.TB, ids []string) *httptest.Server {
+	tb.Helper()
 	m := NewManager(Options{MaxSessions: len(ids) + 1, Shards: 16})
 	srv := httptest.NewServer(NewHandler(m))
-	b.Cleanup(srv.Close)
+	tb.Cleanup(srv.Close)
 	for _, id := range ids {
 		if _, err := m.Open(OpenRequest{ID: id, Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return srv
@@ -137,15 +138,15 @@ func benchServer(b *testing.B, ids []string) *httptest.Server {
 // traceBodies wire-encodes the quickstart trace as request bodies:
 // batch=1 yields one single-slot object per slot, batch>1 yields array
 // bodies of that many slots.
-func traceBodies(b *testing.B, batch int) [][]byte {
-	b.Helper()
-	trace := quickstartTrace(b)
+func traceBodies(tb testing.TB, batch int) [][]byte {
+	tb.Helper()
+	trace := quickstartTrace(tb)
 	var bodies [][]byte
 	if batch == 1 {
 		for _, lambda := range trace {
 			body, err := wire.AppendPushRequest(nil, &PushRequest{Lambda: lambda})
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			bodies = append(bodies, body)
 		}
@@ -158,96 +159,156 @@ func traceBodies(b *testing.B, batch int) [][]byte {
 		}
 		body, err := wire.AppendPushRequests(nil, reqs)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		bodies = append(bodies, body)
 	}
 	return bodies
 }
 
+// Wall-time gates (see perfref.Gate): ns/op over the reference task's,
+// recorded on a 2-vCPU Xeon @ 2.1 GHz, Go 1.24, 2026-10-17.
+const (
+	httpPushRatio        = 0.0234
+	httpPushHandlerRatio = 0.003372
+)
+
+// httpPush is BenchmarkHTTPPush's client: one long-lived session on a
+// live server and the trace's requests for it, in batch-slot bodies.
+type httpPush struct {
+	conn *pushConn
+	reqs [][]byte
+	n    int
+}
+
+func newHTTPPush(tb testing.TB, batch int) *httpPush {
+	srv := benchServer(tb, []string{"bench"})
+	p := &httpPush{conn: dialPush(tb, srv)}
+	tb.Cleanup(p.conn.close)
+	for _, body := range traceBodies(tb, batch) {
+		p.reqs = append(p.reqs, pushRequest("/v1/sessions/bench/push", body))
+	}
+	return p
+}
+
+// push sends the next request, the trace repeating.
+func (p *httpPush) push() error {
+	status, err := p.conn.roundTrip(p.reqs[p.n%len(p.reqs)])
+	p.n++
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("HTTP %d", status)
+	}
+	return err
+}
+
 // BenchmarkHTTPPush measures one serial push request end to end —
 // loopback TCP, net/http, codec, manager. One long-lived session absorbs
 // all pushes (the trace repeats), so the op is the steady-state
 // per-request cost: for batch=1 one slot per request, for batch=16 a
-// 16-slot array. The codec=wire level keeps the names BENCH_serve.json
-// records (its "previous" blocks are the encoding/json codec this
-// replaced); codec=wire/batch=1 is gated by scripts/benchsmoke.sh.
+// 16-slot array. codec=wire/batch=1 is wall-gated.
 func BenchmarkHTTPPush(b *testing.B) {
 	b.Run("codec=wire", func(b *testing.B) {
 		for _, batch := range []int{1, 16} {
 			b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-				srv := benchServer(b, []string{"bench"})
-				reqs := make([][]byte, 0, 48)
-				for _, body := range traceBodies(b, batch) {
-					reqs = append(reqs, pushRequest("/v1/sessions/bench/push", body))
+				p := newHTTPPush(b, batch)
+				op := func() {
+					if err := p.push(); err != nil {
+						b.Fatal(err)
+					}
 				}
-				conn := dialPush(b, srv)
-				defer conn.close()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					status, err := conn.roundTrip(reqs[i%len(reqs)])
-					if err != nil {
-						b.Fatal(err)
-					}
-					if status != http.StatusOK {
-						b.Fatalf("HTTP %d", status)
-					}
+					op()
+				}
+				if batch == 1 {
+					perfref.Gate(b, httpPushRatio, op)
 				}
 			})
 		}
 	})
 }
 
+// A push over loopback HTTP allocates no more objects, client and
+// server together, than when the bound was set.
+func TestHTTPPushAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	p := newHTTPPush(t, 1)
+	a := testing.AllocsPerRun(2000, func() {
+		if err := p.push(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if a > 29 {
+		t.Fatalf("an HTTP push allocates %v end to end, want <= 29", a)
+	}
+}
+
+// httpParallel is BenchmarkHTTPPushParallel's client: nSessions
+// persistent sessions, each on its own keep-alive connection, and the
+// trace's requests for each in batch-slot bodies.
+type httpParallel struct {
+	conns []*pushConn
+	reqs  [][][]byte
+}
+
+func newHTTPParallel(tb testing.TB, batch int) *httpParallel {
+	ids := make([]string, nSessions)
+	for s := range ids {
+		ids[s] = fmt.Sprintf("bench-%d", s)
+	}
+	srv := benchServer(tb, ids)
+	bodies := traceBodies(tb, batch)
+	p := &httpParallel{conns: make([]*pushConn, nSessions), reqs: make([][][]byte, nSessions)}
+	for s := range p.conns {
+		p.conns[s] = dialPush(tb, srv)
+		tb.Cleanup(p.conns[s].close)
+		for _, body := range bodies {
+			p.reqs[s] = append(p.reqs[s], pushRequest("/v1/sessions/"+ids[s]+"/push", body))
+		}
+	}
+	return p
+}
+
+// op drives the full trace through every session concurrently.
+func (p *httpParallel) op() error {
+	var wg sync.WaitGroup
+	errs := make(chan error, nSessions)
+	for s := range p.conns {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for _, req := range p.reqs[s] {
+				status, err := p.conns[s].roundTrip(req)
+				if err == nil && status != http.StatusOK {
+					err = fmt.Errorf("HTTP %d", status)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs
+}
+
 // BenchmarkHTTPPushParallel is BenchmarkServePushParallel moved up to
 // the HTTP layer: 16 persistent sessions on 16 keep-alive connections,
 // each op drives the full 48-slot trace through every session
-// concurrently (768 slots per op, matching scripts/benchscale.sh's
-// -slots), unbatched and in 16-slot batches.
+// concurrently (768 slots per op), unbatched and in 16-slot batches.
 func BenchmarkHTTPPushParallel(b *testing.B) {
-	const nSessions = 16
 	for _, batch := range []int{1, 16} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			ids := make([]string, nSessions)
-			for s := range ids {
-				ids[s] = fmt.Sprintf("bench-%d", s)
-			}
-			srv := benchServer(b, ids)
-			bodies := traceBodies(b, batch)
-			conns := make([]*pushConn, nSessions)
-			reqs := make([][][]byte, nSessions)
-			for s := range conns {
-				conns[s] = dialPush(b, srv)
-				defer conns[s].close()
-				for _, body := range bodies {
-					reqs[s] = append(reqs[s], pushRequest("/v1/sessions/"+ids[s]+"/push", body))
-				}
-			}
+			p := newHTTPParallel(b, batch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				errs := make(chan error, nSessions)
-				for s := 0; s < nSessions; s++ {
-					wg.Add(1)
-					go func(s int) {
-						defer wg.Done()
-						for _, req := range reqs[s] {
-							status, err := conns[s].roundTrip(req)
-							if err != nil {
-								errs <- err
-								return
-							}
-							if status != http.StatusOK {
-								errs <- fmt.Errorf("HTTP %d", status)
-								return
-							}
-						}
-					}(s)
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
+				if err := p.op(); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -255,41 +316,85 @@ func BenchmarkHTTPPushParallel(b *testing.B) {
 	}
 }
 
+// handlerPush calls a handler's ServeHTTP directly with a reused
+// request and a discarding response writer, one trace slot per call.
+type handlerPush struct {
+	h      http.Handler
+	bodies [][]byte
+	rd     *bytes.Reader
+	body   io.ReadCloser
+	req    *http.Request
+	w      *discardResponseWriter
+	n      int
+}
+
+func newHandlerPush(tb testing.TB) *handlerPush {
+	m := NewManager(Options{})
+	if _, err := m.Open(OpenRequest{ID: "bench", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
+		tb.Fatal(err)
+	}
+	p := &handlerPush{h: NewHandler(m), bodies: traceBodies(tb, 1), rd: bytes.NewReader(nil)}
+	p.body = io.NopCloser(p.rd)
+	req, err := http.NewRequest("POST", "/v1/sessions/bench/push", p.body)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.req, p.w = req, &discardResponseWriter{header: make(http.Header, 4)}
+	return p
+}
+
+func (p *handlerPush) push() error {
+	b := p.bodies[p.n%len(p.bodies)]
+	p.n++
+	p.rd.Reset(b)
+	p.req.Body = p.body
+	p.req.ContentLength = int64(len(b))
+	p.w.status = 0
+	clear(p.w.header)
+	p.h.ServeHTTP(p.w, p.req)
+	if p.w.status != http.StatusOK {
+		return fmt.Errorf("HTTP %d", p.w.status)
+	}
+	return nil
+}
+
 // BenchmarkHTTPPushHandler isolates the handler + codec from the
 // network: ServeHTTP invoked directly with a reused request and a
 // discarding response writer, so the codec's allocations are undiluted
 // by the ~24 allocs/op of net/http connection machinery paid end to
-// end. This is where the push path's allocs/op is gated; the sub-
-// benchmark name matches BenchmarkHTTPPush's.
+// end. The sub-benchmark name matches BenchmarkHTTPPush's.
 func BenchmarkHTTPPushHandler(b *testing.B) {
 	b.Run("codec=wire", func(b *testing.B) {
-		m := NewManager(Options{})
-		if _, err := m.Open(OpenRequest{ID: "bench", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
-			b.Fatal(err)
+		p := newHandlerPush(b)
+		op := func() {
+			if err := p.push(); err != nil {
+				b.Fatal(err)
+			}
 		}
-		h := NewHandler(m)
-		bodies := traceBodies(b, 1)
-		rd := bytes.NewReader(nil)
-		body := io.NopCloser(rd)
-		req, err := http.NewRequest("POST", "/v1/sessions/bench/push", body)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w := &discardResponseWriter{header: make(http.Header, 4)}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rd.Reset(bodies[i%len(bodies)])
-			req.Body = body
-			req.ContentLength = int64(len(bodies[i%len(bodies)]))
-			w.status = 0
-			clear(w.header)
-			h.ServeHTTP(w, req)
-			if w.status != http.StatusOK {
-				b.Fatalf("HTTP %d", w.status)
-			}
+			op()
+		}
+		perfref.Gate(b, httpPushHandlerRatio, op)
+	})
+}
+
+// A push through the handler allocates no more objects than when the
+// bound was set.
+func TestHTTPPushHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	p := newHandlerPush(t)
+	a := testing.AllocsPerRun(2000, func() {
+		if err := p.push(); err != nil {
+			t.Fatal(err)
 		}
 	})
+	if a > 5 {
+		t.Fatalf("a handler push allocates %v, want <= 5", a)
+	}
 }
 
 type discardResponseWriter struct {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/perfref"
 	"repro/internal/promlint"
 )
 
@@ -178,22 +179,51 @@ func TestMetricsScrapeLockFree(t *testing.T) {
 	}
 }
 
-func BenchmarkMetricsScrape(b *testing.B) {
+// scrapeManager is a manager with one session 32 slots old, the state
+// BenchmarkMetricsScrape scrapes.
+func scrapeManager(tb testing.TB) *Manager {
 	m := NewManager(Options{})
-	defer m.Close()
+	tb.Cleanup(func() { m.Close() })
 	if _, err := m.Open(OpenRequest{ID: "s", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for slot := 0; slot < 32; slot++ {
 		if _, err := m.Push("s", PushRequest{Lambda: float64(1 + slot%5)}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
+	return m
+}
+
+// metricsScrapeRatio is BenchmarkMetricsScrape's wall-time gate (see
+// perfref.Gate): ns/op over the reference task's, recorded on a 2-vCPU
+// Xeon @ 2.1 GHz, Go 1.24, 2026-10-17.
+const metricsScrapeRatio = 0.003038
+
+// The scrape runs on every prometheus poll and must stay microseconds
+// even with all 256 histogram buckets folded.
+func BenchmarkMetricsScrape(b *testing.B) {
+	m := scrapeManager(b)
 	var buf []byte
+	op := func() { buf = m.appendPromText(buf[:0]) }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = m.appendPromText(buf[:0])
+		op()
 	}
-	_ = buf
+	perfref.Gate(b, metricsScrapeRatio, op)
+}
+
+// appendPromText writes into the caller's reused buffer from atomic
+// loads only, so any allocation means the exporter grew per-scrape
+// intermediate state.
+func TestMetricsScrapeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	m := scrapeManager(t)
+	buf := m.appendPromText(nil)
+	if a := testing.AllocsPerRun(100, func() { buf = m.appendPromText(buf[:0]) }); a != 0 {
+		t.Fatalf("a scrape allocates %v, want 0", a)
+	}
 }

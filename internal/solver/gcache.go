@@ -34,8 +34,9 @@ import (
 // generation map through an atomic pointer — reads are lock-free and
 // inserts are copy-on-write under a per-shard mutex (RCU). Sixteen
 // concurrent serving sessions therefore share read-only cache lines on
-// the hit path instead of funnelling through one process-global mutex;
-// see BenchmarkGCacheParallel / BENCH_solver.json for the before/after.
+// the hit path instead of funnelling through one process-global mutex.
+// BenchmarkScaling/GCacheParallel gates how that scales; README's
+// multi-core scaling table has the before/after.
 
 // gcacheMaxFloats bounds the memo's payload (~32 MB of float64s) across
 // all shards. When an insert would exceed a shard's slice of the budget

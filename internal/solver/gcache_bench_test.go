@@ -1,10 +1,13 @@
 package solver
 
 import (
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/costfn"
+	"repro/internal/perfref"
 )
 
 // benchSig builds a distinct, fully fingerprintable layer signature. The
@@ -37,10 +40,46 @@ func benchSig(i uint64) *gcacheSig {
 // cached vectors have production-shaped payloads.
 const benchLayerLen = 175
 
+// warmSigs fills the memo with 64 layers and returns their signatures.
+func warmSigs() []*gcacheSig {
+	sigs := make([]*gcacheSig, 64)
+	g := make([]float64, benchLayerLen)
+	for i := range g {
+		g[i] = float64(i)
+	}
+	for i := range sigs {
+		sigs[i] = benchSig(uint64(i))
+		gcachePut(sigs[i], g)
+	}
+	return sigs
+}
+
+// hit looks up the i-th warm layer.
+func hit(sigs []*gcacheSig, i int) {
+	if _, ok := gcacheGet(sigs[i%len(sigs)]); !ok {
+		panic("warm entry missing")
+	}
+}
+
+// insert looks up a fresh layer, numbered by seq, and inserts it.
+func insert(seq *atomic.Uint64, g []float64) {
+	sig := benchSig(seq.Add(1))
+	if _, ok := gcacheGet(sig); !ok {
+		gcachePut(sig, g)
+	}
+}
+
+// newSeq numbers fresh layers disjoint from the warm ones.
+func newSeq() *atomic.Uint64 {
+	seq := new(atomic.Uint64)
+	seq.Store(1 << 32)
+	return seq
+}
+
 // BenchmarkGCacheParallel measures memo contention under concurrent
 // sessions — the serving tier's steady state, where every push on every
-// core consults the process-global layer memo. Run with -cpu 1,2,4,8 via
-// scripts/benchscale.sh; recorded in BENCH_solver.json.
+// core consults the process-global layer memo. BenchmarkScaling sweeps
+// it across GOMAXPROCS.
 //
 //	hit:    every lookup is served from a warm memo (periodic traces in
 //	        steady state). The reference single-mutex design serializes
@@ -49,41 +88,55 @@ const benchLayerLen = 175
 //	        many distinct fleets). Writers contend on one shard at worst.
 func BenchmarkGCacheParallel(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
-		const warm = 64
-		sigs := make([]*gcacheSig, warm)
-		g := make([]float64, benchLayerLen)
-		for i := range g {
-			g[i] = float64(i)
-		}
-		for i := range sigs {
-			sigs[i] = benchSig(uint64(i))
-			gcachePut(sigs[i], g)
-		}
+		sigs := warmSigs()
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				if _, ok := gcacheGet(sigs[i%warm]); !ok {
-					b.Fatal("warm entry missing")
-				}
-				i++
+			for i := 0; pb.Next(); i++ {
+				hit(sigs, i)
 			}
 		})
 	})
 	b.Run("insert", func(b *testing.B) {
-		var seq atomic.Uint64
-		seq.Store(1 << 32) // disjoint from the hit variant's warm keys
-		g := make([]float64, benchLayerLen)
+		seq, g := newSeq(), make([]float64, benchLayerLen)
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				sig := benchSig(seq.Add(1))
-				if _, ok := gcacheGet(sig); !ok {
-					gcachePut(sig, g)
-				}
+				insert(seq, g)
 			}
 		})
 	})
+}
+
+// BenchmarkScaling gates how the memo scales with GOMAXPROCS (see
+// perfref.Scale): hits must scale, and inserts, which copy-on-write
+// serialises per shard, must not collapse when oversubscribed.
+func BenchmarkScaling(b *testing.B) {
+	b.Run("GCacheParallel/hit", func(b *testing.B) {
+		sigs := warmSigs()
+		perfref.Scale(b, 0.5, 1.6, func() { spread(func(i int) { hit(sigs, i) }) })
+	})
+	b.Run("GCacheParallel/insert", func(b *testing.B) {
+		seq, g := newSeq(), make([]float64, benchLayerLen)
+		perfref.Scale(b, 0, 1.75, func() { spread(func(int) { insert(seq, g) }) })
+	})
+}
+
+// spread runs op(0..4095) over GOMAXPROCS goroutines, as b.RunParallel
+// would.
+func spread(op func(i int)) {
+	const n = 4096
+	p := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for g := range p {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < n; i += p {
+				op(i)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,12 +5,19 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/perfref"
 )
 
+// walAppendRatio is BenchmarkWALAppend/sync=never's wall-time gate (see
+// perfref.Gate): ns/op over the reference task's, recorded on a 2-vCPU
+// Xeon @ 2.1 GHz, Go 1.24, 2026-10-17.
+const walAppendRatio = 0.000757
+
 // BenchmarkWALAppend measures the per-slot cost of the write-ahead
-// path. sync=never is the hot-path figure benchsmoke.sh gates (0
-// allocs/op); sync=always is dominated by fsync latency and recorded
-// for orientation only.
+// path. sync=never is the hot-path figure: a page-cache write plus the
+// encode, wall-gated, and held at 0 allocs/op by TestAppendZeroAllocs.
+// sync=always is dominated by fsync latency and recorded for
+// orientation only.
 func BenchmarkWALAppend(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -27,12 +34,17 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 			defer l.Close()
 			counts := []int{48, 32, 16}
+			t := 0
+			op := func() {
+				t++
+				if _, err := l.Append(model.SlotInput{T: t, Lambda: 123.456, Counts: counts}); err != nil {
+					b.Fatal(err)
+				}
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.Append(model.SlotInput{T: i + 1, Lambda: 123.456, Counts: counts}); err != nil {
-					b.Fatal(err)
-				}
+				op()
 				if l.Size() > 1<<26 {
 					b.StopTimer()
 					if err := l.Reset(); err != nil {
@@ -40,6 +52,9 @@ func BenchmarkWALAppend(b *testing.B) {
 					}
 					b.StartTimer()
 				}
+			}
+			if tc.sync == SyncNever {
+				perfref.Gate(b, walAppendRatio, op)
 			}
 		})
 	}
