@@ -216,8 +216,7 @@ const (
 )
 
 // runSuite runs the whole stock registry through the engine with the
-// given worker count; serial vs. parallel quantifies the suite runner's
-// fan-out win (results are bit-identical either way).
+// given worker count; results are bit-identical either way.
 func runSuite(tb testing.TB, scs []Scenario, workers int) {
 	res, err := RunSuite(scs, SuiteOptions{Workers: workers, Seed: 1})
 	if err != nil {
@@ -235,14 +234,6 @@ func BenchmarkSuiteSerial(b *testing.B) {
 		runSuite(b, scs, 1)
 	}
 	perfref.Gate(b, suiteSerialRatio, func() { runSuite(b, scs, 1) })
-}
-
-func BenchmarkSuiteParallel(b *testing.B) {
-	scs := Scenarios()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		runSuite(b, scs, AutoWorkers)
-	}
 }
 
 // A serial suite run allocates no more objects than when the bound was

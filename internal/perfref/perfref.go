@@ -45,10 +45,11 @@ func refRound(rec *record) {
 // a pair alike. It reports the median pair's time per op over the
 // round's as the metric ref_ratio, and fails b when that exceeds twice
 // recorded, the ratio recorded when the gate was set. Call it after the
-// timed loop; it gates only runs of more than one op lasting at least
-// 100 ms, not the harness's runs sizing b.N.
+// timed loop; it gates every run lasting at least 100 ms, which leaves
+// out the harness's short runs sizing b.N but not a single op slow
+// enough to end the sizing.
 func Gate(b *testing.B, recorded float64, op func()) {
-	if b.N == 1 || b.Elapsed() < 100*time.Millisecond {
+	if b.Elapsed() < 100*time.Millisecond {
 		return
 	}
 	b.StopTimer()

@@ -246,9 +246,9 @@ func TestHTTPPushAllocs(t *testing.T) {
 	}
 }
 
-// httpParallel is BenchmarkHTTPPushParallel's client: nSessions
-// persistent sessions, each on its own keep-alive connection, and the
-// trace's requests for each in batch-slot bodies.
+// httpParallel is BenchmarkServePushParallel moved up to the HTTP
+// layer: nSessions persistent sessions, each on its own keep-alive
+// connection, and the trace's requests for each in batch-slot bodies.
 type httpParallel struct {
 	conns []*pushConn
 	reqs  [][][]byte
@@ -295,25 +295,6 @@ func (p *httpParallel) op() error {
 	wg.Wait()
 	close(errs)
 	return <-errs
-}
-
-// BenchmarkHTTPPushParallel is BenchmarkServePushParallel moved up to
-// the HTTP layer: 16 persistent sessions on 16 keep-alive connections,
-// each op drives the full 48-slot trace through every session
-// concurrently (768 slots per op), unbatched and in 16-slot batches.
-func BenchmarkHTTPPushParallel(b *testing.B) {
-	for _, batch := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			p := newHTTPParallel(b, batch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := p.op(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // handlerPush calls a handler's ServeHTTP directly with a reused

@@ -76,42 +76,11 @@ func newSeq() *atomic.Uint64 {
 	return seq
 }
 
-// BenchmarkGCacheParallel measures memo contention under concurrent
-// sessions — the serving tier's steady state, where every push on every
-// core consults the process-global layer memo. BenchmarkScaling sweeps
-// it across GOMAXPROCS.
-//
-//	hit:    every lookup is served from a warm memo (periodic traces in
-//	        steady state). The reference single-mutex design serializes
-//	        all readers here; the sharded RCU design takes no lock.
-//	insert: every lookup misses and inserts a fresh layer (cold start,
-//	        many distinct fleets). Writers contend on one shard at worst.
-func BenchmarkGCacheParallel(b *testing.B) {
-	b.Run("hit", func(b *testing.B) {
-		sigs := warmSigs()
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for i := 0; pb.Next(); i++ {
-				hit(sigs, i)
-			}
-		})
-	})
-	b.Run("insert", func(b *testing.B) {
-		seq, g := newSeq(), make([]float64, benchLayerLen)
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				insert(seq, g)
-			}
-		})
-	})
-}
-
 // BenchmarkScaling gates how the memo scales with GOMAXPROCS (see
-// perfref.Scale): hits must scale, and inserts, which copy-on-write
-// serialises per shard, must not collapse when oversubscribed.
+// perfref.Scale) under concurrent sessions, the serving tier's steady
+// state. Hits, served lock-free from a warm memo, must scale; inserts,
+// which copy-on-write serialises per shard, must not collapse when
+// oversubscribed.
 func BenchmarkScaling(b *testing.B) {
 	b.Run("GCacheParallel/hit", func(b *testing.B) {
 		sigs := warmSigs()
