@@ -92,12 +92,14 @@ func (p *slotProfile) At(int) costfn.Func { return p.f }
 // slot's absolute index, so time-varying template profiles are followed
 // exactly; only the evaluation index is 1.
 type Accumulator struct {
-	ins      *Instance
-	profiles []*slotProfile
+	ins      Instance
+	profiles []slotProfile
 	template []ServerType
 	t        int           // slots pushed so far
 	fnBuf    []costfn.Func // per-push resolution scratch
 	cntBuf   []int         // per-push counts scratch
+	lambda   [1]float64    // backing array of ins.Lambda
+	counts   [1][]int      // backing array of ins.Counts
 }
 
 // NewAccumulator prepares an accumulator for the fleet template. The
@@ -108,11 +110,12 @@ func NewAccumulator(types []ServerType) (*Accumulator, error) {
 		return nil, fmt.Errorf("model: accumulator needs at least one server type")
 	}
 	d := len(types)
+	ints := make([]int, 2*d) // cntBuf and the one Counts row
 	acc := &Accumulator{
 		template: append([]ServerType(nil), types...),
-		profiles: make([]*slotProfile, d),
+		profiles: make([]slotProfile, d),
 		fnBuf:    make([]costfn.Func, d),
-		cntBuf:   make([]int, d),
+		cntBuf:   ints[:d:d],
 	}
 	cloned := make([]ServerType, d)
 	for j, st := range types {
@@ -125,21 +128,21 @@ func NewAccumulator(types []ServerType) (*Accumulator, error) {
 		if st.MaxLoad <= 0 {
 			return nil, fmt.Errorf("model: type %d has non-positive capacity %g", j, st.MaxLoad)
 		}
-		acc.profiles[j] = &slotProfile{}
 		cloned[j] = st
-		cloned[j].Cost = acc.profiles[j]
+		cloned[j].Cost = &acc.profiles[j]
 	}
-	acc.ins = &Instance{
+	acc.counts[0] = ints[d:]
+	acc.ins = Instance{
 		Types:  cloned,
-		Lambda: make([]float64, 0, 1),
-		Counts: [][]int{make([]int, d)}[:0],
+		Lambda: acc.lambda[:0],
+		Counts: acc.counts[:0],
 	}
 	return acc, nil
 }
 
 // Instance returns the live one-slot instance: empty before the first
 // Push, then holding the newest slot as slot 1.
-func (a *Accumulator) Instance() *Instance { return a.ins }
+func (a *Accumulator) Instance() *Instance { return &a.ins }
 
 // T returns the number of slots pushed so far.
 func (a *Accumulator) T() int { return a.t }

@@ -31,10 +31,11 @@ import (
 //
 // Concurrency: the memo is sharded (power-of-two stripes keyed by the
 // structural fingerprint) and each shard publishes an immutable
-// generation map through an atomic pointer — reads are lock-free and
-// inserts are copy-on-write under a per-shard mutex (RCU). Sixteen
-// concurrent serving sessions therefore share read-only cache lines on
-// the hit path instead of funnelling through one process-global mutex.
+// generation map through an atomic pointer — reads of merged layers are
+// lock-free and inserts are copy-on-write under a per-shard mutex (RCU).
+// Sixteen concurrent serving sessions therefore share read-only cache
+// lines on the hit path instead of funnelling through one process-global
+// mutex.
 // BenchmarkScaling/GCacheParallel gates how that scales; README's
 // multi-core scaling table has the before/after.
 
@@ -260,8 +261,10 @@ func fnEqual(a, b costfn.Func) bool {
 // over immutable entries — concurrent readers on different cores share
 // nothing writable. Only a miss on the merged generation falls back to
 // scanning the shard's short write-behind buffer under the shard mutex,
-// so recently inserted layers are visible immediately without ever
-// putting a lock on the hit path.
+// so recently inserted layers are visible immediately. A hit there
+// merges the buffer, so each layer takes the lock on at most one hit:
+// without that, a shard holding fewer than gcachePendingMax layers
+// would never merge and every hit on it would lock.
 func gcacheGet(sig *gcacheSig) ([]float64, bool) {
 	return gcache.get(sig)
 }
@@ -280,10 +283,12 @@ func (c *gMemo) get(sig *gcacheSig) ([]float64, bool) {
 	sh.mu.Lock()
 	for _, e := range sh.pending {
 		if e.sig.hash == sig.hash && e.sig.equal(sig) {
-			g := e.g
+			// A layer looked up once is likely looked up again: merge
+			// the buffer now so those hits skip the lock.
+			c.mergeLocked(sh, sh.cur.Load())
 			sh.mu.Unlock()
 			st.hits.Add(1)
-			return g, true
+			return e.g, true
 		}
 	}
 	sh.mu.Unlock()

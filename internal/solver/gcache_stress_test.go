@@ -22,23 +22,32 @@ func TestGCacheShardPadding(t *testing.T) {
 // A layer just inserted must be visible to lookups immediately — served
 // from the write-behind buffer before the batch merge, from the merged
 // generation after it — and merging must not drop or duplicate entries.
+// A hit in the buffer merges it, so the next hit is lock-free.
 func TestGCachePendingVisibleBeforeMerge(t *testing.T) {
 	swapGcache(t, 1, gcacheMaxFloats)
 	g := []float64{1, 2, 3}
 	first := benchSig(1 << 40)
 	gcachePut(first, g)
+	sh := &gcache.shards[0]
+	pending := func() int {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return len(sh.pending)
+	}
+	if pending() != 1 {
+		t.Fatalf("pending buffer holds %d entries after one insert, want 1", pending())
+	}
 	if got, ok := gcacheGet(first); !ok || len(got) != len(g) || got[0] != 1 {
 		t.Fatalf("pre-merge lookup: got %v, %v; want the pending entry", got, ok)
+	}
+	if n := pending(); n != 0 || len(sh.cur.Load().m) != 1 {
+		t.Fatalf("a buffer hit left %d entries pending, %d merged; want 0, 1", n, len(sh.cur.Load().m))
 	}
 	for i := 0; i < gcachePendingMax; i++ {
 		gcachePut(benchSig(uint64(1<<40+i+1)), g)
 	}
-	sh := &gcache.shards[0]
-	sh.mu.Lock()
-	pending := len(sh.pending)
-	sh.mu.Unlock()
-	if pending >= gcachePendingMax {
-		t.Fatalf("pending buffer never merged: %d entries", pending)
+	if n := pending(); n >= gcachePendingMax {
+		t.Fatalf("pending buffer never merged: %d entries", n)
 	}
 	if got, ok := gcacheGet(first); !ok || len(got) != len(g) || got[2] != 3 {
 		t.Fatalf("post-merge lookup: got %v, %v; want the merged entry", got, ok)

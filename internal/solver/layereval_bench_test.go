@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/costfn"
+	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -22,25 +23,31 @@ func benchLayerInstance() *model.Instance {
 	}
 }
 
+// fullGrid is the full lattice of a static instance's fleet.
+func fullGrid(ins *model.Instance) *grid.Grid {
+	counts := make([]int, ins.D())
+	for j, st := range ins.Types {
+		counts[j] = st.Count
+	}
+	return grid.NewFull(counts)
+}
+
 // benchmarkLayerEval sweeps all T layers of the instance through one
 // layerEvaluator — the solver's dominant kernel (every cell solves a
 // dispatch program, warm-started along lattice lines).
 func benchmarkLayerEval(b *testing.B, opts Options) {
 	ins := benchLayerInstance()
-	grids, err := buildGrids(ins, opts.Gamma)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := fullGrid(ins)
 	le := newLayerEvaluator(ins, opts)
 	defer le.close()
-	layer := make([]float64, grids.at(1).Size())
+	layer := make([]float64, g.Size())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for t := 1; t <= ins.T(); t++ {
 			for j := range layer {
 				layer[j] = 0
 			}
-			le.addG(layer, t, grids.at(t))
+			le.addG(layer, t, g)
 		}
 	}
 }

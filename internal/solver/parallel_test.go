@@ -65,15 +65,12 @@ func TestLayerEvaluatorSmallLayerStaysSerial(t *testing.T) {
 	// exercises the code path.
 	ins := randomInstance(rand.New(rand.NewSource(83)), 1, 1, 2)
 	le := newLayerEvaluator(ins, Options{Workers: 8})
-	g, err := buildGrids(ins, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layer := make([]float64, g.at(1).Size())
-	le.addG(layer, 1, g.at(1))
+	g := fullGrid(ins)
+	layer := make([]float64, g.Size())
+	le.addG(layer, 1, g)
 	le2 := newLayerEvaluator(ins, Options{Workers: 1})
-	layer2 := make([]float64, g.at(1).Size())
-	le2.addG(layer2, 1, g.at(1))
+	layer2 := make([]float64, g.Size())
+	le2.addG(layer2, 1, g)
 	for i := range layer {
 		if layer[i] != layer2[i] {
 			t.Fatal("small-layer path diverged from serial")

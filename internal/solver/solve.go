@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/model"
-	"repro/internal/numeric"
 )
 
-// Options controls the offline solvers.
+// Options controls the offline solvers and the prefix trackers they
+// sweep with. LowMemory concerns Solve alone.
 type Options struct {
 	// Gamma selects the lattice. Values <= 1 (including 0) solve exactly
 	// on the full lattice M (Section 4.1). Values > 1 solve on the
@@ -17,19 +17,16 @@ type Options struct {
 	// by Theorem 16.
 	Gamma float64
 
-	// Naive switches the layer transition to the O(|M|²) reference
-	// implementation. Exposed for differential testing and benchmarks.
-	Naive bool
-
 	// Workers fans the per-layer operating-cost evaluations (the convex
 	// dispatch programs dominating the runtime) out over a goroutine
 	// pool: 0 or 1 evaluates serially, AutoWorkers uses one worker per
 	// CPU. Results are deterministic regardless of the worker count.
 	Workers int
 
-	// LowMemory reconstructs the schedule with ⌈√T⌉-strided layer
-	// checkpointing: memory drops from O(T·|M|) to O(√T·|M|) for one
-	// extra forward sweep. Results are identical to the default path.
+	// LowMemory reconstructs the schedule from blocks of ⌈√T⌉ slots,
+	// recomputing each block from its saved start during the backward
+	// walk: memory drops from O(T·|M|) to O(√T·|M|) for one extra forward
+	// sweep. Results are identical to the default path.
 	LowMemory bool
 
 	// NoMemo disables the process-global operating-cost layer memo (see
@@ -68,176 +65,137 @@ func SolveApprox(ins *model.Instance, eps float64) (*Result, error) {
 	return Solve(ins, Options{Gamma: 1 + eps/2})
 }
 
-// Solve runs the layered shortest-path DP with the given options.
+// Solve runs the layered shortest-path DP with the given options: one
+// forward sweep of a PrefixTracker over the instance, recording the layers
+// and their lattices, then a backward walk that re-finds an argmin
+// predecessor per slot. The sweep is cut into blocks of span slots — the
+// whole horizon by default, ⌈√T⌉ under LowMemory. Only the last block's
+// layers survive the forward sweep; every earlier block is recomputed
+// from its saved start state (AppendState) when the walk reaches it.
 func Solve(ins *model.Instance, opts Options) (*Result, error) {
-	if err := ins.Validate(); err != nil {
-		return nil, err
-	}
-	if opts.LowMemory {
-		return solveLowMem(ins, opts)
-	}
-	grids, err := buildGrids(ins, opts.Gamma)
+	tr, err := NewPrefixTracker(ins, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	T := ins.T()
-	d := ins.D()
-	eval := model.NewEvaluator(ins)
-	le := newLayerEvaluator(ins, opts)
-	defer le.close()
-	betas := make([]float64, d)
-	for j, st := range ins.Types {
-		betas[j] = st.SwitchCost
-	}
-	rx := newRelaxer(betas)
-
-	// Forward sweep, storing every layer for reconstruction. All layers
-	// are carved out of a single arena (one allocation for the whole
-	// sweep instead of one per slot).
-	layers := make([][]float64, T)
-	arenaSize := 0
-	for t := 1; t <= T; t++ {
-		arenaSize += grids.at(t).Size()
-	}
-	arena := make([]float64, arenaSize)
-	maxSize := 0
-	cfg := make(model.Config, d)
-	for t := 1; t <= T; t++ {
-		g := grids.at(t)
-		if g.Size() > maxSize {
-			maxSize = g.Size()
-		}
-		layer := arena[:g.Size():g.Size()]
-		arena = arena[g.Size():]
-		if t == 1 {
-			// Transition from the all-off boundary state x_0 = 0:
-			// switching cost Σ_j β_j x_j.
-			for idx := range layer {
-				g.Decode(idx, cfg)
-				sw := 0.0
-				for j := 0; j < d; j++ {
-					sw += betas[j] * float64(cfg[j])
-				}
-				layer[idx] = sw
-			}
-		} else if opts.Naive {
-			layer = relaxNaive(layers[t-2], grids.at(t-1), g, betas)
-		} else {
-			layer = rx.relax(layers[t-2], grids.at(t-1), g, layer)
-		}
-		le.addG(layer, t, g)
-		layers[t-1] = layer
+	defer tr.le.close()
+	T, d := ins.T(), ins.D()
+	span := T
+	if opts.LowMemory {
+		span = int(math.Ceil(math.Sqrt(float64(T))))
 	}
 
+	var (
+		starts [][]byte     // tracker state before each block's first slot
+		arena  []float64    // the current block's layers, back to back
+		grids  []*grid.Grid // their lattices
+	)
+	for first := 1; first <= T; first += span {
+		starts = append(starts, tr.AppendState(nil))
+		arena, grids = record(tr, span, arena[:0], grids[:0])
+	}
 	// The final power-down to x_{T+1} = 0 is free, so the optimal cost is
 	// the minimum over the last layer.
-	lastGrid := grids.at(T)
-	bestIdx, bestVal := argmin(layers[T-1])
-	if math.IsInf(bestVal, 1) {
+	if _, best := argmin(tr.layer); math.IsInf(best, 1) {
 		return nil, fmt.Errorf("solver: instance is infeasible (no finite schedule)")
 	}
 
-	// Backward reconstruction: re-find an argmin predecessor per slot.
+	// Backward walk from x_{T+1} = 0, block by block.
 	sched := make(model.Schedule, T)
-	cur := make(model.Config, d)
-	lastGrid.Decode(bestIdx, cur)
-	sched[T-1] = cur.Clone()
-	prevCfg := make(model.Config, d)
-	for t := T; t >= 2; t-- {
-		prevGrid := grids.at(t - 1)
-		layer := layers[t-2]
-		bIdx, bVal := -1, math.Inf(1)
-		for i := range layer {
-			prevGrid.Decode(i, prevCfg)
-			c := layer[i]
-			for j := 0; j < d; j++ {
-				if up := cur[j] - prevCfg[j]; up > 0 {
-					c += betas[j] * float64(up)
-				}
+	cells := make([]int, (T+1)*d)
+	next, scratch := model.Config(cells[T*d:]), make(model.Config, d)
+	maxSize := 0
+	for b := len(starts) - 1; b >= 0; b-- {
+		first := b*span + 1
+		if b < len(starts)-1 {
+			bt, err := resume(ins, opts, first-1, starts[b])
+			if err != nil {
+				return nil, err
 			}
-			if c < bVal {
-				bVal, bIdx = c, i
-			}
+			arena, grids = record(bt, span, arena[:0], grids[:0])
+			bt.le.close()
 		}
-		prevGrid.Decode(bIdx, cur)
-		sched[t-2] = cur.Clone()
+		end := len(arena)
+		for t := first + len(grids) - 1; t >= first; t-- {
+			g := grids[t-first]
+			layer := arena[end-g.Size() : end]
+			end -= g.Size()
+			x := model.Config(cells[(t-1)*d : t*d : t*d])
+			g.Decode(predecessor(layer, g, tr.betas, next, scratch), x)
+			sched[t-1], next = x, x
+			maxSize = max(maxSize, g.Size())
+		}
 	}
 
-	res := &Result{
+	return &Result{
 		Schedule:    sched,
-		Breakdown:   eval.Cost(sched),
+		Breakdown:   model.NewEvaluator(ins).Cost(sched),
 		LatticeSize: maxSize,
+	}, nil
+}
+
+// record advances tr by up to n slots, stopping at the end of its
+// instance, and appends each layer to arena and its lattice to grids.
+func record(tr *PrefixTracker, n int, arena []float64, grids []*grid.Grid) ([]float64, []*grid.Grid) {
+	for ; n > 0 && !tr.Done(); n-- {
+		tr.next()
+		if cap(arena) == 0 {
+			arena = make([]float64, 0, n*len(tr.layer))
+		}
+		arena, grids = append(arena, tr.layer...), append(grids, tr.curGrid)
 	}
-	return res, nil
+	return arena, grids
+}
+
+// resume returns a tracker for ins positioned after slot t by a state
+// AppendState saved there.
+func resume(ins *model.Instance, opts Options, t int, state []byte) (*PrefixTracker, error) {
+	tr, err := bind(ins, opts)
+	if err != nil {
+		return nil, err
+	}
+	tr.Seek(t)
+	if err := tr.RestoreState(state); err != nil {
+		tr.le.close()
+		return nil, err
+	}
+	return tr, nil
+}
+
+// predecessor returns the index on g of the argmin over x' of
+// layer[x'] + Σ_j β_j (next_j − x'_j)^+ — the configuration an optimal
+// schedule holds before moving to next — with ties towards the lowest
+// index. scratch decodes the candidates.
+func predecessor(layer []float64, g *grid.Grid, betas []float64, next, scratch model.Config) int {
+	bIdx, bVal := 0, math.Inf(1)
+	for i, c := range layer {
+		g.Decode(i, scratch)
+		for j, beta := range betas {
+			if up := next[j] - scratch[j]; up > 0 {
+				c += beta * float64(up)
+			}
+		}
+		if c < bVal {
+			bVal, bIdx = c, i
+		}
+	}
+	return bIdx
 }
 
 // OptimalCost returns only the optimal total cost (no schedule); it avoids
 // storing DP layers, so memory is O(|M|) instead of O(T·|M|).
 func OptimalCost(ins *model.Instance) (float64, error) {
-	if err := ins.Validate(); err != nil {
-		return 0, err
-	}
 	tr, err := NewPrefixTracker(ins, Options{})
 	if err != nil {
 		return 0, err
 	}
 	var last float64
-	for t := 1; t <= ins.T(); t++ {
-		_, last = tr.Advance()
+	for !tr.Done() {
+		_, last = tr.next()
 	}
 	if math.IsInf(last, 1) {
 		return 0, fmt.Errorf("solver: instance is infeasible")
 	}
 	return last, nil
-}
-
-// gridSeq yields the per-slot lattice. For static sizes a single grid is
-// shared across slots.
-type gridSeq struct {
-	static *grid.Grid
-	perT   []*grid.Grid
-}
-
-func (s *gridSeq) at(t int) *grid.Grid {
-	if s.static != nil {
-		return s.static
-	}
-	return s.perT[t-1]
-}
-
-// buildGrids constructs the lattice sequence for an instance. gamma <= 1
-// selects full lattices; gamma > 1 selects M^γ (Sections 4.2/4.3).
-func buildGrids(ins *model.Instance, gamma float64) (*gridSeq, error) {
-	axisFor := func(m int) grid.Axis {
-		if gamma > 1 {
-			return grid.ReducedAxis(m, gamma)
-		}
-		return grid.FullAxis(m)
-	}
-	if !ins.TimeVarying() {
-		axes := make([]grid.Axis, ins.D())
-		for j, st := range ins.Types {
-			axes[j] = axisFor(st.Count)
-		}
-		return &gridSeq{static: grid.New(axes)}, nil
-	}
-	seq := &gridSeq{perT: make([]*grid.Grid, ins.T())}
-	// Counts often repeat across consecutive slots; reuse the previous
-	// grid when the row is identical to keep memory proportional to the
-	// number of distinct size regimes.
-	for t := 1; t <= ins.T(); t++ {
-		if t > 1 && numeric.EqualInts(ins.Counts[t-1], ins.Counts[t-2]) {
-			seq.perT[t-1] = seq.perT[t-2]
-			continue
-		}
-		axes := make([]grid.Axis, ins.D())
-		for j := range ins.Types {
-			axes[j] = axisFor(ins.CountAt(t, j))
-		}
-		seq.perT[t-1] = grid.New(axes)
-	}
-	return seq, nil
 }
 
 // argmin returns the lowest index attaining the minimum value.

@@ -232,24 +232,6 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestSolveNaiveMatchesFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for i := 0; i < 30; i++ {
-		ins := randomInstance(rng, 3, 3, 5)
-		fast, err := Solve(ins, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, err := Solve(ins, Options{Naive: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !numeric.AlmostEqual(fast.Cost(), naive.Cost(), 1e-9) {
-			t.Fatalf("case %d: fast %g vs naive %g", i, fast.Cost(), naive.Cost())
-		}
-	}
-}
-
 func TestSolveInfeasibleInstance(t *testing.T) {
 	ins := &model.Instance{
 		Types: []model.ServerType{{
@@ -614,25 +596,6 @@ func TestPrefixTrackerPanicsPastEnd(t *testing.T) {
 		}
 	}()
 	tr.Advance()
-}
-
-func TestPrefixTrackerNaiveMatchesFast(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for i := 0; i < 15; i++ {
-		ins := randomInstance(rng, 3, 3, 5)
-		a, _ := NewPrefixTracker(ins, Options{})
-		b, _ := NewPrefixTracker(ins, Options{Naive: true})
-		for tt := 1; tt <= ins.T(); tt++ {
-			xa, va := a.Advance()
-			xb, vb := b.Advance()
-			if !numeric.AlmostEqual(va, vb, 1e-9) {
-				t.Fatalf("case %d t=%d: values differ %g vs %g", i, tt, va, vb)
-			}
-			if !xa.Equal(xb) {
-				t.Fatalf("case %d t=%d: argmin configs differ %v vs %v", i, tt, xa, xb)
-			}
-		}
-	}
 }
 
 func TestPrefixTrackerLatticeAccess(t *testing.T) {

@@ -16,30 +16,24 @@ import (
 // an optimal schedule for I_t; because power-downs are free, that is the
 // argmin of the forward DP layer — so the whole online run costs no more
 // than a single offline DP sweep, O(T·|M|·d) plus T·|M| operating-cost
-// evaluations.
+// evaluations. Its step is the package's only forward DP step: Solve and
+// OptimalCost sweep an instance through a tracker too.
 //
-// The tracker has two construction modes:
-//
-//   - NewPrefixTracker pre-binds a full instance and consumes it slot by
-//     slot via Advance (the batch/replay driver). Only slot t's job volume
-//     and cost functions are read during the t-th Advance call, so the
-//     online information model is respected even though the Instance value
-//     is materialised up front.
-//   - NewStreamTracker binds only the fleet template; slot data arrives
-//     push-style via Push(SlotInput), making the information model hold by
-//     construction. Both modes share the same relax/evaluate code path and
-//     produce bit-identical layers for equal slot data.
+// Slot data arrives push-style via Push(SlotInput), so the online
+// information model holds by construction: the tracker owns a
+// model.Accumulator holding only the slot it is evaluating. A tracker
+// built by NewPrefixTracker also binds an instance, and Advance pushes
+// that instance's next slot.
 //
 // Ties in the argmin are broken towards the lowest lattice index, i.e. the
 // lexicographically smallest configuration; any deterministic rule
 // satisfies the paper's requirements.
 type PrefixTracker struct {
-	ins   *model.Instance
-	acc   *model.Accumulator // non-nil in stream mode; ins aliases acc.Instance(), one slot
+	ins   *model.Instance // acc.Instance(): the slot being evaluated, as slot 1
+	acc   *model.Accumulator
+	src   *model.Instance // the instance Advance reads; nil unless bound
 	le    *layerEvaluator
-	grids *gridSeq // batch mode lattice sequence (nil in stream mode)
 	rx    *relaxer
-	naive bool
 	gamma float64
 	betas []float64
 
@@ -48,59 +42,60 @@ type PrefixTracker struct {
 	spare []float64 // ping-pong buffer for the next layer
 	cfg   model.Config
 
-	// Stream-mode lattice state: the previous and current slot's grids plus
-	// the counts the current grid was built for (grids are reused while the
-	// counts stay identical, so static fleets keep a single grid).
+	// The previous and current slot's lattices plus the counts the current
+	// one was built for (lattices are reused while the counts stay
+	// identical, so static fleets keep a single grid).
 	prevGrid, curGrid *grid.Grid
 	curCounts         []int
 }
 
-// NewPrefixTracker prepares a tracker for a pre-bound instance. Options
-// follow Solve: Gamma > 1 tracks prefix optima over the reduced lattice
-// (used by the scalable variants of the online algorithms; the competitive
-// proofs assume the exact lattice).
+// NewPrefixTracker prepares a tracker bound to an instance, consumed slot
+// by slot via Advance. Only slot t's job volume and cost functions are
+// read during the t-th Advance call, so the online information model is
+// respected even though the Instance value is materialised up front.
+// Options follow Solve: Gamma > 1 tracks prefix optima over the reduced
+// lattice (used by the scalable variants of the online algorithms; the
+// competitive proofs assume the exact lattice).
 func NewPrefixTracker(ins *model.Instance, opts Options) (*PrefixTracker, error) {
 	if err := ins.Validate(); err != nil {
 		return nil, err
 	}
-	grids, err := buildGrids(ins, opts.Gamma)
+	return bind(ins, opts)
+}
+
+// bind is NewPrefixTracker for an instance already validated.
+func bind(ins *model.Instance, opts Options) (*PrefixTracker, error) {
+	p, err := NewStreamTracker(ins.Types, opts)
 	if err != nil {
 		return nil, err
 	}
-	p := newTracker(ins, opts)
-	p.grids = grids
+	p.src = ins
 	return p, nil
 }
 
-// NewStreamTracker prepares a push-mode tracker for the fleet template:
-// slot data arrives through Push instead of being read from a pre-bound
-// instance. The tracker owns a model.Accumulator holding only the slot
-// it is evaluating, so its memory does not grow with the stream.
+// NewStreamTracker prepares a tracker for the fleet template: slot data
+// arrives through Push, and its memory does not grow with the stream.
 func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, error) {
 	acc, err := model.NewAccumulator(types)
 	if err != nil {
 		return nil, err
 	}
-	p := newTracker(acc.Instance(), opts)
-	p.acc = acc
-	return p, nil
-}
-
-// newTracker builds the mode-independent parts.
-func newTracker(ins *model.Instance, opts Options) *PrefixTracker {
-	betas := make([]float64, ins.D())
-	for j, st := range ins.Types {
+	d := len(types)
+	betas := make([]float64, d)
+	for j, st := range types {
 		betas[j] = st.SwitchCost
 	}
+	ints := make([]int, 2*d) // cfg and curCounts
 	return &PrefixTracker{
-		ins:   ins,
-		le:    newLayerEvaluator(ins, opts),
-		rx:    newRelaxer(betas),
-		naive: opts.Naive,
-		gamma: opts.Gamma,
-		betas: betas,
-		cfg:   make(model.Config, ins.D()),
-	}
+		ins:       acc.Instance(),
+		acc:       acc,
+		le:        newLayerEvaluator(acc.Instance(), opts),
+		rx:        newRelaxer(betas),
+		gamma:     opts.Gamma,
+		betas:     betas,
+		cfg:       ints[:d:d],
+		curCounts: ints[d:d],
+	}, nil
 }
 
 // T returns the number of slots processed so far.
@@ -112,28 +107,37 @@ func (p *PrefixTracker) T() int { return p.t }
 // exact trackers.
 func (p *PrefixTracker) Exact() bool { return p.gamma <= 1 }
 
-// Done reports whether every slot of a pre-bound instance has been
-// consumed. Stream-mode trackers have no horizon and are never done.
-func (p *PrefixTracker) Done() bool { return p.acc == nil && p.t >= p.ins.T() }
+// Done reports whether every slot of the bound instance has been
+// consumed. A tracker built by NewStreamTracker has no horizon and is
+// never done.
+func (p *PrefixTracker) Done() bool { return p.src != nil && p.t >= p.src.T() }
 
-// Advance consumes the next time slot of the pre-bound instance and
-// returns x̂^t_t — the final configuration of an optimal schedule for the
-// prefix instance I_t — along with C(X̂^t), the optimal prefix cost. The
+// Advance consumes the next time slot of the bound instance and returns
+// x̂^t_t — the final configuration of an optimal schedule for the prefix
+// instance I_t — along with C(X̂^t), the optimal prefix cost. The
 // returned configuration is a fresh copy. Advance panics when all slots
-// are consumed or when the tracker is in stream mode.
+// are consumed or when no instance is bound.
 func (p *PrefixTracker) Advance() (model.Config, float64) {
-	if p.acc != nil {
-		panic("solver: Advance on a stream tracker (use Push)")
-	}
-	if p.Done() {
-		panic("solver: PrefixTracker advanced past the last slot")
-	}
-	var prev *grid.Grid
-	if p.t >= 1 {
-		prev = p.grids.at(p.t)
-	}
-	cfg, val := p.step(p.grids.at(p.t+1), prev)
+	cfg, val := p.next()
 	return cfg.Clone(), val
+}
+
+// next is Advance returning tracker-owned scratch, valid until the next
+// step. The slot's costs are left to the accumulator, which resolves the
+// bound instance's profiles at the slot's absolute index.
+func (p *PrefixTracker) next() (model.Config, float64) {
+	if p.src == nil || p.Done() {
+		panic("solver: PrefixTracker advanced past the last slot of its instance")
+	}
+	in := model.SlotInput{T: p.t + 1, Lambda: p.src.Lambda[p.t]}
+	if p.src.Counts != nil {
+		in.Counts = p.src.Counts[p.t]
+	}
+	cfg, val, err := p.Push(in)
+	if err != nil {
+		panic(err) // the bound instance was validated
+	}
+	return cfg, val
 }
 
 // Push appends one slot of data and returns x̂^t_t and the optimal prefix
@@ -141,9 +145,6 @@ func (p *PrefixTracker) Advance() (model.Config, float64) {
 // the next Push; clone it to retain. Push reports an error for infeasible
 // or out-of-order slots (the layer is unchanged in that case).
 func (p *PrefixTracker) Push(in model.SlotInput) (model.Config, float64, error) {
-	if p.acc == nil {
-		panic("solver: Push on a pre-bound tracker (use Advance)")
-	}
 	if err := p.acc.Push(in); err != nil {
 		return nil, 0, err
 	}
@@ -153,11 +154,11 @@ func (p *PrefixTracker) Push(in model.SlotInput) (model.Config, float64, error) 
 	} else {
 		p.prevGrid = p.curGrid
 	}
-	cfg, val := p.step(p.curGrid, p.prevGrid)
+	cfg, val := p.step()
 	return cfg, val, nil
 }
 
-// lattice builds the stream-mode lattice for one slot's counts.
+// lattice builds the lattice for one slot's counts.
 func (p *PrefixTracker) lattice(counts []int) *grid.Grid {
 	axes := make([]grid.Axis, len(counts))
 	for j, m := range counts {
@@ -170,32 +171,24 @@ func (p *PrefixTracker) lattice(counts []int) *grid.Grid {
 	return grid.New(axes)
 }
 
-// The stream tracker's state codec (see AppendState).
+// The tracker's state codec (see AppendState).
 const (
 	trackerStateKind    = 'T'
 	trackerStateVersion = 1
 )
 
-// Seek positions a fresh stream tracker after slot t without its input
+// Seek positions a fresh tracker after slot t without its input
 // (model.Accumulator.Seek), for a caller that restores a state covering
 // exactly t slots next (RestoreState).
-func (p *PrefixTracker) Seek(t int) {
-	if p.acc == nil {
-		panic("solver: Seek on a pre-bound tracker")
-	}
-	p.acc.Seek(t)
-}
+func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
 
-// AppendState appends a stream tracker's DP state to dst: the number of
+// AppendState appends the tracker's DP state to dst: the number of
 // slots processed, the counts the current lattice was built for and the
 // current layer D_t (whose +Inf cells survive, floats being stored as
 // bits). The instance is not part of the state — a restore Seeks past
 // it — and neither is the previous lattice, which the next Push
 // replaces before reading.
 func (p *PrefixTracker) AppendState(dst []byte) []byte {
-	if p.acc == nil {
-		panic("solver: AppendState on a pre-bound tracker")
-	}
 	dst = statebuf.AppendHeader(dst, trackerStateKind, trackerStateVersion)
 	dst = statebuf.AppendInt(dst, p.t)
 	dst = statebuf.AppendInts(dst, p.curCounts)
@@ -203,16 +196,13 @@ func (p *PrefixTracker) AppendState(dst []byte) []byte {
 }
 
 // RestoreState loads an AppendState encoding into a fresh (never
-// pushed) stream tracker that Seek positioned past exactly the slots the
+// pushed) tracker that Seek positioned past exactly the slots the
 // state covers, rebuilding the current lattice from the saved counts.
 // Later Pushes then continue bit-identically to the tracker that wrote
 // the state. The state is outside input: counts that cannot describe
 // the saved layer on this fleet are refused before any lattice is
 // built. On error the tracker is unchanged.
 func (p *PrefixTracker) RestoreState(state []byte) error {
-	if p.acc == nil {
-		panic("solver: RestoreState on a pre-bound tracker")
-	}
 	if p.t != 0 {
 		return fmt.Errorf("solver: RestoreState on a tracker that already advanced")
 	}
@@ -288,15 +278,14 @@ func reducedLevels(m int, gamma float64, limit int) int {
 	return n
 }
 
-// step advances the DP layer onto lattice g for slot p.t+1; prev is the
-// previous slot's lattice (ignored for the first slot). It returns
-// tracker-owned scratch.
-func (p *PrefixTracker) step(g, prev *grid.Grid) (model.Config, float64) {
+// step advances the DP layer by one slot onto the current lattice,
+// relaxing from the previous slot's layer (from the all-off state x_0 = 0
+// at the first slot). It returns tracker-owned scratch.
+func (p *PrefixTracker) step() (model.Config, float64) {
 	p.t++
-	t := p.t
-
+	g := p.curGrid
 	var layer []float64
-	if t == 1 {
+	if p.t == 1 {
 		layer = p.grow(&p.spare, g.Size())
 		for idx := range layer {
 			g.Decode(idx, p.cfg)
@@ -306,16 +295,10 @@ func (p *PrefixTracker) step(g, prev *grid.Grid) (model.Config, float64) {
 			}
 			layer[idx] = sw
 		}
-	} else if p.naive {
-		layer = relaxNaive(p.layer, prev, g, p.betas)
 	} else {
-		layer = p.rx.relax(p.layer, prev, g, p.grow(&p.spare, g.Size()))
+		layer = p.rx.relax(p.layer, p.prevGrid, g, p.grow(&p.spare, g.Size()))
 	}
-	at := t // the evaluated slot's index in p.ins: a stream tracker's is 1
-	if p.acc != nil {
-		at = 1
-	}
-	p.le.addG(layer, at, g)
+	p.le.addG(layer, 1, g) // the accumulator holds the slot as slot 1
 
 	// Swap buffers: the old layer becomes next round's spare.
 	p.layer, p.spare = layer, p.layer
@@ -372,7 +355,8 @@ func (p *PrefixTracker) G(x model.Config) (g float64, ok bool) {
 }
 
 // Held returns the number of slot inputs the tracker keeps resident: at
-// most one in stream mode, the whole pre-bound instance otherwise.
+// most one, the slot it evaluated last. A bound instance is read in
+// place, not held.
 func (p *PrefixTracker) Held() int { return p.ins.T() }
 
 // Lattice returns the lattice used at the current slot; it is only valid
@@ -381,10 +365,7 @@ func (p *PrefixTracker) Lattice() *grid.Grid {
 	if p.t == 0 {
 		panic("solver: Lattice before first slot")
 	}
-	if p.acc != nil {
-		return p.curGrid
-	}
-	return p.grids.at(p.t)
+	return p.curGrid
 }
 
 // grow resizes *buf to n elements, allocating if needed.

@@ -145,7 +145,7 @@ func NewPiecewiseLinear(zs, vs []float64) (PiecewiseLinear, error) {
 // SolveResult is an offline solver's output.
 type SolveResult = solver.Result
 
-// SolveOptions controls Solve (lattice choice, reference transition).
+// SolveOptions controls Solve (lattice choice, workers, low memory, memo).
 type SolveOptions = solver.Options
 
 // SolveOptimal computes an optimal schedule (Section 4.1).
