@@ -139,7 +139,7 @@ func record(tr *PrefixTracker, n int, arena []float64, grids []*grid.Grid) ([]fl
 	for ; n > 0 && !tr.Done(); n-- {
 		tr.next()
 		if cap(arena) == 0 {
-			arena = make([]float64, 0, n*len(tr.layer))
+			arena, grids = make([]float64, 0, n*len(tr.layer)), make([]*grid.Grid, 0, n)
 		}
 		arena, grids = append(arena, tr.layer...), append(grids, tr.curGrid)
 	}
