@@ -123,7 +123,7 @@ func main() {
 	var health struct {
 		OK bool `json:"ok"`
 	}
-	if err := cl.call("GET", "/v1/healthz", nil, &health); err != nil || !health.OK {
+	if err := cl.Call("GET", "/v1/healthz", nil, &health); err != nil || !health.OK {
 		log.Fatalf("daemon not healthy at %s: %v", *url, err)
 	}
 
@@ -313,13 +313,13 @@ func driveSession(cl *client, id, alg, fleet string, seed int64, trace []float64
 	open := serve.OpenRequest{ID: id, Alg: alg}
 	open.Fleet.Scenario = fleet
 	open.Fleet.Seed = seed
-	if err := cl.call("POST", "/v1/sessions", open, nil); err != nil {
+	if err := cl.Call("POST", "/v1/sessions", open, nil); err != nil {
 		res.err = err
 		return
 	}
 	if !keep {
 		defer func() {
-			if err := cl.call("DELETE", "/v1/sessions/"+id, nil, nil); err != nil && res.err == nil {
+			if err := cl.Call("DELETE", "/v1/sessions/"+id, nil, nil); err != nil && res.err == nil {
 				res.err = err
 			}
 		}()
@@ -408,13 +408,13 @@ func runOverload(cl *client, trace []float64, sessions, batch int, alg, fleet st
 		open := serve.OpenRequest{ID: ids[i], Alg: alg}
 		open.Fleet.Scenario = fleet
 		open.Fleet.Seed = seed
-		if err := cl.call("POST", "/v1/sessions", open, nil); err != nil {
+		if err := cl.Call("POST", "/v1/sessions", open, nil); err != nil {
 			log.Fatalf("open %s: %v", ids[i], err)
 		}
 	}
 	defer func() {
 		for _, id := range ids {
-			if err := cl.call("DELETE", "/v1/sessions/"+id, nil, nil); err != nil {
+			if err := cl.Call("DELETE", "/v1/sessions/"+id, nil, nil); err != nil {
 				log.Printf("delete %s: %v", id, err)
 			}
 		}
@@ -541,11 +541,11 @@ func (st *streamTally) stamp(first, n int) {
 // has acknowledged the stream (HTTP 200), so advisories for pushes made
 // after start cannot be missed.
 func (st *streamTally) start(c *client, path string) error {
-	req, err := http.NewRequest("GET", c.base+path, nil)
+	req, err := http.NewRequest("GET", c.Base+path, nil)
 	if err != nil {
 		return err
 	}
-	resp, err := c.http.Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
 	}
@@ -623,20 +623,19 @@ func newPushWorker() *pushWorker {
 	return &pushWorker{body: make([]byte, 0, 512), rd: bytes.NewReader(nil)}
 }
 
-// client is a minimal JSON-over-HTTP caller for the rightsized API. Its
-// transport keeps one idle connection per concurrent session
+// client is the rightsized API client plus loadgen's pooled-buffer
+// push. Its transport keeps one idle connection per concurrent session
 // (DefaultTransport caps at 2 per host, which would force most workers
 // to redial every push).
 type client struct {
-	base string
-	http http.Client
+	serve.Client
 }
 
 func newClient(base string, sessions int) *client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
 	tr.MaxIdleConns = sessions + 2
 	tr.MaxIdleConnsPerHost = sessions + 2
-	return &client{base: base, http: http.Client{Transport: tr}}
+	return &client{serve.Client{Base: base, HTTP: http.Client{Transport: tr}}}
 }
 
 // pushOutcome is one push response, classified enough for the retry
@@ -655,12 +654,12 @@ type pushOutcome struct {
 // the caller to classify.
 func (c *client) push(path string, w *pushWorker) (pushOutcome, error) {
 	w.rd.Reset(w.body)
-	req, err := http.NewRequest("POST", c.base+path, w.rd)
+	req, err := http.NewRequest("POST", c.Base+path, w.rd)
 	if err != nil {
 		return pushOutcome{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return pushOutcome{}, err
 	}
@@ -687,44 +686,4 @@ func (c *client) push(path string, w *pushWorker) (pushOutcome, error) {
 		}
 	}
 	return o, nil
-}
-
-func (c *client) call(method, path string, body, into any) error {
-	var rd io.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(data)
-	}
-	req, err := http.NewRequest(method, c.base+path, rd)
-	if err != nil {
-		return err
-	}
-	if rd != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode >= 300 {
-		var eb struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			return fmt.Errorf("%s %s: %s (HTTP %d)", method, path, eb.Error, resp.StatusCode)
-		}
-		return fmt.Errorf("%s %s: HTTP %d", method, path, resp.StatusCode)
-	}
-	if into == nil {
-		return nil
-	}
-	return json.Unmarshal(data, into)
 }

@@ -43,15 +43,10 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
 	rightsizing "repro"
 	"repro/internal/engine"
@@ -92,21 +87,20 @@ func main() {
 		listAlgorithms()
 	case *streamMode:
 		// Streams default to serial trackers (per-slot lattices are small);
-		// an explicit -workers is plumbed into the algorithm's prefix
-		// tracker and the session's telemetry tracker.
-		streamWorkers := 0
+		// an explicit -workers is plumbed into the in-process session's
+		// trackers.
+		a := streamArgs{alg: *alg, fleet: *fleet, input: *input, seed: *seed, replay: *replay,
+			interval: *interval, checkpoint: *checkpoint, resume: *resume, serveURL: *serveURL, batch: *batch}
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				streamWorkers = *workers
+			switch f.Name {
+			case "alg":
+				a.algSet = true
+			case "workers":
+				a.workers = *workers
 			}
 		})
-		if *batch < 1 {
-			log.Fatalf("-batch must be >= 1, got %d", *batch)
-		}
-		if *serveURL != "" {
-			runStreamRemote(*serveURL, *alg, *fleet, *input, *seed, *replay, *interval, *checkpoint, *resume, *batch)
-		} else {
-			runStream(*alg, *fleet, *input, *seed, *replay, *interval, *checkpoint, *resume, streamWorkers, *batch)
+		if err := runStream(a, os.Stdin, os.Stdout, os.Stderr); err != nil {
+			log.Fatal(err)
 		}
 	case *suite:
 		runScenarios(rightsizing.Scenarios(), *seed, *workers, *format, false)
@@ -149,157 +143,6 @@ func listAlgorithms() {
 	fmt.Print(t)
 }
 
-// streamFleet resolves the stream mode's fleet template and optional
-// replay trace.
-func streamFleet(fleet, input string, seed int64) ([]rightsizing.ServerType, []float64) {
-	if input != "" {
-		f, err := os.Open(input)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ins, err := rightsizing.ParseInstance(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		return ins.Types, ins.Lambda
-	}
-	sc, ok := rightsizing.LookupScenario(fleet)
-	if !ok {
-		log.Fatalf("unknown fleet scenario %q; -list shows the registry", fleet)
-	}
-	ins := sc.Instance(seed)
-	return ins.Types, ins.Lambda
-}
-
-// runStream drives a live advisory session: demand arrives on stdin (one
-// value per line) or from the replayed trace, and one JSON advisory is
-// written per decided slot. Demands are fed in batches of batch slots
-// (Session.PushBatch); advisories are identical for any batch size.
-func runStream(alg, fleet, input string, seed int64, replay bool, interval time.Duration, checkpointPath, resumePath string, workers, batch int) {
-	types, trace := streamFleet(fleet, input, seed)
-	opts := rightsizing.SessionOptions{Workers: workers}
-
-	var sess *rightsizing.Session
-	var err error
-	if resumePath != "" {
-		// The checkpoint names the algorithm; an explicit -alg alongside
-		// -resume is a conflict, not a silent override.
-		algSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "alg" {
-				algSet = true
-			}
-		})
-		if algSet {
-			log.Fatal("-alg cannot be combined with -resume: the checkpoint determines the algorithm")
-		}
-		data, rerr := os.ReadFile(resumePath)
-		if rerr != nil {
-			log.Fatal(rerr)
-		}
-		var cp rightsizing.SessionCheckpoint
-		if jerr := json.Unmarshal(data, &cp); jerr != nil {
-			log.Fatal(jerr)
-		}
-		sess, err = rightsizing.ResumeSession(&cp, types, opts)
-		if err == nil {
-			fmt.Fprintf(os.Stderr, "rightsize: resumed %s at slot %d (cum cost %.4f)\n",
-				sess.Name(), sess.Fed(), sess.CumCost())
-		}
-	} else {
-		sess, err = rightsizing.OpenSession(alg, types, opts)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	emit := func(advs []rightsizing.Advisory) {
-		for _, adv := range advs {
-			if err := enc.Encode(adv); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-
-	pending := make([]rightsizing.SlotInput, 0, batch)
-	advBuf := make([]rightsizing.Advisory, batch)
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		n, err := sess.PushBatch(pending, advBuf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit(advBuf[:n])
-		pending = pending[:0]
-	}
-	feed := func(lambda float64) {
-		pending = append(pending, rightsizing.SlotInput{Lambda: lambda})
-		if len(pending) >= batch {
-			flush()
-		}
-	}
-
-	if replay {
-		// A resumed session already holds its checkpointed prefix; replay
-		// only the remainder of the trace so slots are not fed twice.
-		if done := sess.Fed(); done < len(trace) {
-			trace = trace[done:]
-		} else {
-			trace = nil
-		}
-		for _, lambda := range trace {
-			feed(lambda)
-			if interval > 0 && len(pending) == 0 { // a batch just flushed
-				time.Sleep(interval)
-			}
-		}
-	} else {
-		scan := bufio.NewScanner(os.Stdin)
-		for scan.Scan() {
-			line := strings.TrimSpace(scan.Text())
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			lambda, err := strconv.ParseFloat(line, 64)
-			if err != nil {
-				log.Fatalf("bad demand line %q: %v", line, err)
-			}
-			feed(lambda)
-		}
-		if err := scan.Err(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	flush()
-
-	advs, err := sess.Close()
-	if err != nil {
-		log.Fatal(err)
-	}
-	emit(advs)
-	fmt.Fprintf(os.Stderr, "rightsize: %s advised %d slots, total cost %.4f\n",
-		sess.Name(), sess.Decided(), sess.CumCost())
-
-	if checkpointPath != "" {
-		cp := sess.Checkpoint()
-		if !cp.Portable() {
-			log.Fatal("session fed explicit cost functions; checkpoint is not JSON-portable")
-		}
-		data, err := json.MarshalIndent(cp, "", " ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(checkpointPath, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "rightsize: checkpoint written to %s\n", checkpointPath)
-	}
-}
-
 // runScenarios routes one or all scenarios through the engine's suite
 // runner and the selected result sink.
 func runScenarios(scs []rightsizing.Scenario, seed int64, workers int, format string, render bool) {
@@ -329,13 +172,18 @@ func runScenarios(scs []rightsizing.Scenario, seed int64, workers int, format st
 	}
 }
 
-func runInstanceFile(input, mode string, eps float64, printSched, render, compare bool, workers int) {
-	f, err := os.Open(input)
+// readInstance parses the instance JSON file at path.
+func readInstance(path string) (*rightsizing.Instance, error) {
+	f, err := os.Open(path)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
-	ins, err := rightsizing.ParseInstance(f)
-	f.Close()
+	defer f.Close()
+	return rightsizing.ParseInstance(f)
+}
+
+func runInstanceFile(input, mode string, eps float64, printSched, render, compare bool, workers int) {
+	ins, err := readInstance(input)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,9 +55,6 @@ func NewLookahead(types []model.ServerType, w int) (*Lookahead, error) {
 // literature name (the Lookahead type is the streaming wrapper around it).
 func (l *Lookahead) Name() string { return fmt.Sprintf("RecedingHorizon(w=%d)", l.w) }
 
-// Window returns the lookahead width w.
-func (l *Lookahead) Window() int { return l.w }
-
 // Step implements core.Online: it buffers the slot and, once the window
 // holds w slots, decides and returns the oldest undecided slot's
 // configuration. While the window fills it returns nil.

@@ -43,24 +43,6 @@ func (c *Comparison) RunOnline(alg core.Online) Metrics {
 	return c.Add(alg.Name(), sched)
 }
 
-// RunSpec runs an AlgSpec and records it; a skipped spec returns
-// (Metrics{}, false, nil).
-func (c *Comparison) RunSpec(spec AlgSpec) (Metrics, bool, error) {
-	if spec.Skip != nil {
-		if reason := spec.Skip(c.Ins); reason != "" {
-			return Metrics{}, false, nil
-		}
-	}
-	sched, err := spec.Run(c.Ins)
-	if err != nil {
-		return Metrics{}, false, err
-	}
-	if err := c.Ins.Feasible(sched); err != nil {
-		return Metrics{}, false, fmt.Errorf("engine: %s produced an infeasible schedule: %v", spec.Name, err)
-	}
-	return c.Add(spec.Name, sched), true, nil
-}
-
 // Add records a pre-computed schedule under the given name.
 func (c *Comparison) Add(name string, sched model.Schedule) Metrics {
 	m := MeasureWith(c.ev, sched, name, c.Opt)

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -95,13 +94,6 @@ func Algorithms() []AlgSpec {
 	for _, k := range algSeq {
 		out = append(out, algReg[k])
 	}
-	return out
-}
-
-// AlgorithmsSorted returns every registered algorithm sorted by key.
-func AlgorithmsSorted() []AlgSpec {
-	out := Algorithms()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

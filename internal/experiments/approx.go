@@ -100,6 +100,7 @@ func E5ApproxRuntime() Report {
 	return rep
 }
 
+// latticeSize returns the size of ins's γ-reduced lattice M^γ.
 func latticeSize(ins *model.Instance, gamma float64) int {
 	size := 1
 	for _, st := range ins.Types {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/costfn"
 	"repro/internal/engine"
 	"repro/internal/fractional"
-	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -140,7 +139,7 @@ func E10ScaledTracker(seed int64, instances int) Report {
 				max = r
 			}
 			full := float64((60 + 1) * (30 + 1))
-			shrink = full / float64(reducedSize(c.ins, gamma))
+			shrink = full / float64(latticeSize(c.ins, gamma))
 		}
 		// Sanity: the heuristic should stay within a small multiple of
 		// the exact variant on these benign workloads.
@@ -155,14 +154,6 @@ func E10ScaledTracker(seed int64, instances int) Report {
 	rep.Notes = append(rep.Notes,
 		"The reduced tracker trades a provable guarantee for a 30-100x smaller per-slot DP; on diurnal fleets the measured ratios barely move. The paper's guarantee applies only to the exact tracker (γ column 'exact').")
 	return rep
-}
-
-func reducedSize(ins *model.Instance, gamma float64) int {
-	size := 1
-	for _, st := range ins.Types {
-		size *= len(grid.ReducedAxis(st.Count, gamma))
-	}
-	return size
 }
 
 func affine(idle, rate float64) costfn.Func { return costfn.Affine{Idle: idle, Rate: rate} }

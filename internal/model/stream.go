@@ -147,16 +147,14 @@ func (a *Accumulator) Instance() *Instance { return &a.ins }
 // T returns the number of slots pushed so far.
 func (a *Accumulator) T() int { return a.t }
 
-// Seek positions a fresh accumulator after slot t without any slot
-// data: the next Push is slot t+1, its costs resolved at that absolute
-// index, and Instance stays empty until then. It lets a consumer resume
-// from a saved state that covers the first t slots instead of pushing
-// them again.
+// Seek positions the accumulator after slot t without any slot data,
+// dropping the slot it held: the next Push is slot t+1, its costs
+// resolved at that absolute index, and Instance stays empty until then.
+// It lets a consumer resume from a saved state that covers the first t
+// slots instead of pushing them again.
 func (a *Accumulator) Seek(t int) {
-	if a.t != 0 {
-		panic("model: Seek on an accumulator that already holds slots")
-	}
 	a.t = t
+	a.ins.Lambda, a.ins.Counts = a.ins.Lambda[:0], a.ins.Counts[:0]
 }
 
 // Newest materialises the newest slot into in, reusing its buffers, with

@@ -736,43 +736,14 @@ func (m *Manager) Push(id string, req PushRequest) (PushResult, error) {
 // per-session rate) runs first and sheds with ErrThrottled /
 // ErrOverloaded carrying a Retry-After; past admission, the lock wait
 // and any store resume are bounded and time out with ErrDeadline
-// having fed nothing.
+// having fed nothing. It is PushBatchCtx of one slot.
 func (m *Manager) PushCtx(ctx context.Context, id string, req PushRequest) (PushResult, error) {
-	start := m.nowFn()
-	met := m.stripeFor(id)
-	if err := m.admitPush(met, start, 1); err != nil {
+	var out [1]PushResult
+	res, err := m.push(ctx, id, []PushRequest{req}, out[:0])
+	if err != nil {
 		return PushResult{}, err
 	}
-	defer m.releasePush()
-	ctx, cancel := m.pushContext(ctx)
-	if cancel != nil {
-		defer cancel()
-	}
-	var res PushResult
-	var perr error
-	err := m.withSessionCtx(ctx, id, func(ls *liveSession) {
-		now := m.nowFn()
-		if perr = m.admitSession(ls, met, now, 1); perr != nil {
-			return
-		}
-		if ctx.Err() != nil {
-			// The deadline passed while waiting for the lock; nothing
-			// has been fed, so answer the clean timeout.
-			perr = deadlineErr(ctx)
-			return
-		}
-		perr = m.pushLocked(ls, met, req, &res)
-		ls.lastUsed = m.nowFn()
-	})
-	if err == nil {
-		err = perr
-	}
-	if err != nil {
-		return PushResult{}, m.countPushErr(met, err)
-	}
-	met.pushes.Add(1)
-	met.observe(m.nowFn().Sub(start))
-	return res, nil
+	return res[0], nil
 }
 
 // countPushErr files a failed push under the right counter: admission
@@ -810,6 +781,12 @@ func (m *Manager) PushBatch(id string, reqs []PushRequest) ([]PushResult, error)
 // so an ErrDeadline always means nothing was committed and the whole
 // batch is safe to retry.
 func (m *Manager) PushBatchCtx(ctx context.Context, id string, reqs []PushRequest) ([]PushResult, error) {
+	return m.push(ctx, id, reqs, nil)
+}
+
+// push is PushBatchCtx appending the results to out, which is allocated
+// once admission passes when nil.
+func (m *Manager) push(ctx context.Context, id string, reqs []PushRequest, out []PushResult) ([]PushResult, error) {
 	start := m.nowFn()
 	met := m.stripeFor(id)
 	if err := m.admitPush(met, start, len(reqs)); err != nil {
@@ -820,7 +797,9 @@ func (m *Manager) PushBatchCtx(ctx context.Context, id string, reqs []PushReques
 	if cancel != nil {
 		defer cancel()
 	}
-	out := make([]PushResult, 0, len(reqs))
+	if out == nil {
+		out = make([]PushResult, 0, len(reqs))
+	}
 	var perr error
 	err := m.withSessionCtx(ctx, id, func(ls *liveSession) {
 		now := m.nowFn()
@@ -828,6 +807,8 @@ func (m *Manager) PushBatchCtx(ctx context.Context, id string, reqs []PushReques
 			return
 		}
 		if ctx.Err() != nil {
+			// The deadline passed while waiting for the lock; nothing
+			// has been fed, so answer the clean timeout.
 			perr = deadlineErr(ctx)
 			return
 		}

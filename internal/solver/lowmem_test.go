@@ -116,3 +116,19 @@ func BenchmarkSolveLowMemoryT96(b *testing.B) {
 		}
 	}
 }
+
+// LowMemory recomputes its blocks on the sweep's own tracker, rewound to
+// each block's start, instead of building a tracker (accumulator, layer
+// evaluator, worker pool) per block. On the T = 96 bench instance
+// (10 blocks) that is 180 allocations; a tracker per block made 366.
+func TestSolveLowMemoryAllocs(t *testing.T) {
+	ins := benchInstance(96, 16)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Solve(ins, Options{LowMemory: true}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Fatalf("LowMemory Solve allocates %v times, want <= 200", allocs)
+	}
+}

@@ -71,7 +71,8 @@ func SolveApprox(ins *model.Instance, eps float64) (*Result, error) {
 // predecessor per slot. The sweep is cut into blocks of span slots — the
 // whole horizon by default, ⌈√T⌉ under LowMemory. Only the last block's
 // layers survive the forward sweep; every earlier block is recomputed
-// from its saved start state (AppendState) when the walk reaches it.
+// from its saved start state (AppendState) when the walk reaches it, by
+// the same tracker rewound there.
 func Solve(ins *model.Instance, opts Options) (*Result, error) {
 	tr, err := NewPrefixTracker(ins, opts)
 	if err != nil {
@@ -107,12 +108,10 @@ func Solve(ins *model.Instance, opts Options) (*Result, error) {
 	for b := len(starts) - 1; b >= 0; b-- {
 		first := b*span + 1
 		if b < len(starts)-1 {
-			bt, err := resume(ins, opts, first-1, starts[b])
-			if err != nil {
+			if err := tr.rewind(first-1, starts[b]); err != nil {
 				return nil, err
 			}
-			arena, grids = record(bt, span, arena[:0], grids[:0])
-			bt.le.close()
+			arena, grids = record(tr, span, arena[:0], grids[:0])
 		}
 		end := len(arena)
 		for t := first + len(grids) - 1; t >= first; t-- {
@@ -144,21 +143,6 @@ func record(tr *PrefixTracker, n int, arena []float64, grids []*grid.Grid) ([]fl
 		arena, grids = append(arena, tr.layer...), append(grids, tr.curGrid)
 	}
 	return arena, grids
-}
-
-// resume returns a tracker for ins positioned after slot t by a state
-// AppendState saved there.
-func resume(ins *model.Instance, opts Options, t int, state []byte) (*PrefixTracker, error) {
-	tr, err := bind(ins, opts)
-	if err != nil {
-		return nil, err
-	}
-	tr.Seek(t)
-	if err := tr.RestoreState(state); err != nil {
-		tr.le.close()
-		return nil, err
-	}
-	return tr, nil
 }
 
 // predecessor returns the index on g of the argmin over x' of

@@ -182,6 +182,15 @@ const (
 // exactly t slots next (RestoreState).
 func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
 
+// rewind positions the tracker after slot t with the state AppendState
+// saved there, as Seek and RestoreState do on a fresh tracker, but
+// keeping its accumulator, layer evaluator and buffers.
+func (p *PrefixTracker) rewind(t int, state []byte) error {
+	p.t, p.le.last = 0, nil
+	p.acc.Seek(t)
+	return p.RestoreState(state)
+}
+
 // AppendState appends the tracker's DP state to dst: the number of
 // slots processed, the counts the current lattice was built for and the
 // current layer D_t (whose +Inf cells survive, floats being stored as
