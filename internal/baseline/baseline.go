@@ -142,9 +142,10 @@ func (l *LoadTracking) bestConfig(in model.SlotInput) model.Config {
 	g := l.lattice(in.Counts)
 	best := math.Inf(1)
 	bestIdx := -1
+	l.eval.Prepare(in)
 	for idx := 0; idx < g.Size(); idx++ {
 		g.Decode(idx, l.cfg)
-		if v := l.eval.G(in, l.cfg); v < best {
+		if v := l.eval.GPrepared(l.cfg); v < best {
 			best = v
 			bestIdx = idx
 		}

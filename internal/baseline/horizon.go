@@ -97,9 +97,10 @@ func (l *Lookahead) decideOne() model.Config {
 		in := l.buf[k]
 		g := grid.NewFull(in.Counts)
 		cur := make([]float64, g.Size())
+		l.eval.Prepare(in)
 		for idx := range cur {
 			g.Decode(idx, cfg)
-			op := l.eval.G(in, cfg)
+			op := l.eval.GPrepared(cfg)
 			if math.IsInf(op, 1) {
 				cur[idx] = op
 				continue

@@ -299,3 +299,50 @@ func BenchmarkPiecewiseLinearValue(b *testing.B) {
 		_ = f.Value(float64(i%100) / 100)
 	}
 }
+
+// Power.Value forms the quadratic's square as z·z from 2^-500 on and the
+// linear power as z, and InvDeriv the quadratic's root as a quotient;
+// each must equal the math.Pow formula bit for bit: around the guard,
+// where z² or Coef·z² is subnormal or underflows, at 0, where it
+// overflows to +Inf, and on random loads of every magnitude.
+func TestPowerValueMatchesPow(t *testing.T) {
+	zs := []float64{
+		0, math.SmallestNonzeroFloat64, 0x1p-1074, 0x1p-600, 0x1p-537,
+		math.Nextafter(0x1p-500, 0), 0x1p-500, math.Nextafter(0x1p-500, 1), 0x1.8p-500,
+		0x1p-511, 0x1p-512, 0x1p-520, 1e-150, 1e-100, 0.5, 1, 3, 1e100,
+		0x1p511, math.Nextafter(0x1p512, 0), 0x1p512, 1e155, 1e200, math.MaxFloat64, math.Inf(1),
+	}
+	rng := rand.New(rand.NewSource(2))
+	for range 200000 {
+		zs = append(zs, math.Ldexp(rng.Float64(), rng.Intn(2100)-1050))
+	}
+	coefs := []float64{0, 1, 0.6, 2, 1e-300, 1e300, math.MaxFloat64}
+	for _, coef := range coefs {
+		for _, idle := range []float64{0, 1.5} {
+			quad := Power{Idle: idle, Coef: coef, Exp: 2}
+			lin := Power{Idle: idle, Coef: coef, Exp: 1}
+			for _, z := range zs {
+				want := idle
+				if z > 0 {
+					want = idle + coef*math.Pow(z, 2)
+				}
+				if got := quad.Value(z); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v.Value(%v) = %v, want %v", quad, z, got, want)
+				}
+				if z > 0 {
+					want = idle + coef*math.Pow(z, 1)
+				}
+				if got := lin.Value(z); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v.Value(%v) = %v, want %v", lin, z, got, want)
+				}
+				if coef == 0 {
+					continue
+				}
+				want = math.Pow(z/(coef*2), 1)
+				if got := quad.InvDeriv(z); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v.InvDeriv(%v) = %v, want %v", quad, z, got, want)
+				}
+			}
+		}
+	}
+}

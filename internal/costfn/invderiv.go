@@ -49,6 +49,10 @@ func (p Power) InvDeriv(nu float64) float64 {
 		}
 		return 0
 	}
+	if p.Exp == 2 {
+		// The power 1/(Exp−1) is 1, which math.Pow returns its base for.
+		return nu / (p.Coef * 2)
+	}
 	// z = (nu / (Coef·Exp))^(1/(Exp−1)); nu = 0 gives z = 0.
 	return math.Pow(nu/(p.Coef*p.Exp), 1/(p.Exp-1))
 }
@@ -88,17 +92,24 @@ func (s Scaled) InvDeriv(nu float64) float64 {
 }
 
 // AsInvertible returns f as Invertible if it (after unwrapping Scaled
-// layers) supports analytic derivative inversion.
+// layers) supports analytic derivative inversion. Like AsDifferentiable
+// it returns f itself, so it does not allocate.
 func AsInvertible(f Func) (Invertible, bool) {
+	if !invertible(f) {
+		return nil, false
+	}
+	return f.(Invertible), true
+}
+
+// invertible reports whether f supports analytic derivative inversion,
+// unwrapping Scaled.
+func invertible(f Func) bool {
 	switch v := f.(type) {
 	case Scaled:
-		if _, ok := AsInvertible(v.F); !ok {
-			return nil, false
-		}
-		return v, true
+		return invertible(v.F)
 	case Invertible:
-		return v, true
+		return true
 	default:
-		return nil, false
+		return false
 	}
 }

@@ -50,6 +50,20 @@
 // the volume is monotone, a bracket inside one cell is that cell: no sum
 // at its edges is needed. On the heterogeneous fleet's 11×7×4 lattice
 // this averages about two volume sums per cell (TestDualSearchWork).
+//
+// # Per-slot type tables
+//
+// A DP layer solves this program for every cell of a lattice, and the
+// cells of one slot differ only in their active counts. Solver.Prepare
+// therefore resolves the slot's types once into a table: each type's
+// plan kind, capacity, f_j(0) and σ_j, plus the σ_j sorted for the
+// breakpoint search. A cell (CostPrepared, AssignPrepared) then reads
+// only its counts and λ. The stock families Constant, Affine and Power
+// are kept as concrete values and called directly, and their volume
+// y_j(ν) is written out: a step at σ_j for Constant, Affine and linear
+// Power, ν/(2·Coef) for the quadratic. Every other family keeps the
+// interface it resolved to. Both give the interface methods' bits
+// (TestPreparedTableMatchesInterfacePath).
 package dispatch
 
 import (
@@ -112,13 +126,20 @@ type Warm struct {
 // buffers across calls, and carries the previous solve's dual as a warm
 // start for the next one. The zero value is ready to use. A Solver is not
 // safe for concurrent use; create one per goroutine.
+//
+// A slot is solved in two steps: Prepare resolves the slot's server types
+// into a type table once, then CostPrepared and AssignPrepared solve one
+// cell each from the active counts and λ alone. Cost and AssignInto do
+// both steps for a single cell.
 type Solver struct {
-	active []int
-	lo, hi []float64
+	types  []plan    // the prepared slot's type table, one plan per type
+	order  []int     // monotone types by ascending σ_j (ties by index)
+	counts []int     // Cost and AssignInto's active counts
+	active []int     // the cell's active types (Active > 0, Cap > 0)
+	lo, hi []float64 // fillVolumes scratch, per active type
 	y      []float64
-	plans  []plan
 	brk    []float64 // sorted saturation multipliers inside the bracket
-	opaque bool      // any plan on the golden-section fallback this solve
+	opaque bool      // any active type on the golden-section fallback
 	warm   Warm
 	evals  int // total() calls so far: the dual search's unit of work
 }
@@ -127,17 +148,73 @@ type Solver struct {
 // lambda to the given active servers — without allocating. Consecutive
 // calls warm-start each other; results are identical to a cold solve.
 func (sv *Solver) Cost(servers []Server, lambda float64) float64 {
-	if cap(sv.y) < len(servers) {
-		sv.y = make([]float64, len(servers))
-	}
-	return sv.solve(servers, lambda, sv.y[:len(servers)])
+	return sv.CostPrepared(sv.prepareCell(servers), lambda)
 }
 
 // AssignInto computes Assign's result into res, reusing its Y/Z buffers —
 // the allocation-free path for callers that hold an Assignment across
 // calls (model.Evaluator.Split reports per-slot load splits through it).
 func (sv *Solver) AssignInto(servers []Server, lambda float64, res *Assignment) {
+	sv.AssignPrepared(sv.prepareCell(servers), lambda, res)
+}
+
+// prepareCell prepares the servers' types and returns their active
+// counts in the solver's buffer.
+func (sv *Solver) prepareCell(servers []Server) []int {
+	sv.Prepare(servers)
+	for j, s := range servers {
+		sv.counts[j] = s.Active
+	}
+	return sv.counts
+}
+
+// Prepare resolves the slot's server types into the solver's type table:
+// each type's capacity and cost function (Active is not read), its plan
+// kind, f_j(0) and saturation multiplier σ_j = f_j'(Cap). Cells of the
+// slot are then solved by CostPrepared and AssignPrepared, which repeat
+// none of this per cell. Prepare allocates only when the number of types
+// grows.
+func (sv *Solver) Prepare(servers []Server) {
 	d := len(servers)
+	if cap(sv.types) < d {
+		ints := make([]int, 3*d)
+		sv.types, sv.brk = make([]plan, d), make([]float64, 0, d)
+		sv.counts, sv.order, sv.active = ints[:d:d], ints[d:d:2*d], ints[2*d:2*d]
+	}
+	sv.types, sv.counts = sv.types[:d], sv.counts[:d]
+	order := sv.order[:0]
+	for j, s := range servers {
+		p := &sv.types[j]
+		p.resolve(s)
+		if p.kind == planOpaque || p.sigma != p.sigma {
+			continue // no breakpoint: opaque, or a NaN σ no bracket holds
+		}
+		// Insertion sort: d is small, and equal σ keep index order.
+		k := len(order)
+		order = append(order, j)
+		for k > 0 && sv.types[order[k-1]].sigma > p.sigma {
+			order[k] = order[k-1]
+			k--
+		}
+		order[k] = j
+	}
+	sv.order = order
+}
+
+// CostPrepared returns g_t(x) for the prepared slot with counts[j]
+// active servers of type j: Cost for the same servers, bit for bit.
+// counts must have one entry per prepared type.
+func (sv *Solver) CostPrepared(counts []int, lambda float64) float64 {
+	if cap(sv.y) < len(counts) {
+		sv.y = make([]float64, len(counts))
+	}
+	return sv.solve(counts, lambda, sv.y[:len(counts)])
+}
+
+// AssignPrepared is AssignInto for the prepared slot with counts[j]
+// active servers of type j.
+func (sv *Solver) AssignPrepared(counts []int, lambda float64, res *Assignment) {
+	d := len(counts)
 	if cap(res.Y) < d {
 		res.Y = make([]float64, d)
 	}
@@ -145,7 +222,7 @@ func (sv *Solver) AssignInto(servers []Server, lambda float64, res *Assignment) 
 		res.Z = make([]float64, d)
 	}
 	res.Y, res.Z = res.Y[:d], res.Z[:d]
-	res.Cost = sv.solve(servers, lambda, res.Y)
+	res.Cost = sv.solve(counts, lambda, res.Y)
 	for j := range res.Z {
 		res.Z[j] = 0
 	}
@@ -166,25 +243,43 @@ func (sv *Solver) SetWarm(w Warm) { sv.warm = w }
 // ResetWarm clears the warm-start state (the next solve runs cold).
 func (sv *Solver) ResetWarm() { sv.warm = Warm{} }
 
-// solve computes the optimal cost and writes the per-type volumes into y
-// (which must have len(servers) entries).
-func (sv *Solver) solve(servers []Server, lambda float64, y []float64) float64 {
+// solve computes the optimal cost of the prepared slot's cell with
+// counts[j] active servers of type j, and writes the per-type volumes into
+// y (which must have len(counts) entries).
+func (sv *Solver) solve(counts []int, lambda float64, y []float64) float64 {
 	if !(lambda >= 0) {
 		panic("dispatch: negative or NaN job volume")
+	}
+	if len(counts) != len(sv.types) {
+		panic("dispatch: active counts do not match the prepared types")
 	}
 	for j := range y {
 		y[j] = 0
 	}
 
+	// One pass plans the cell: the idle cost and capacity of every type
+	// with servers, and the active types' per-cell fields.
 	idle := 0.0
 	totalCap := 0.0
-	for _, s := range servers {
-		if s.Active < 0 {
+	sv.active = sv.active[:0]
+	sv.opaque = false
+	for j, c := range counts {
+		if c < 0 {
 			panic("dispatch: negative active-server count")
 		}
-		if s.Active > 0 {
-			idle += float64(s.Active) * s.F.Value(0)
-			totalCap += float64(s.Active) * s.Cap
+		p := &sv.types[j]
+		p.on = false
+		if c == 0 {
+			continue
+		}
+		p.x = float64(c)
+		p.cap = p.x * p.zmax
+		idle += p.x * p.f0
+		totalCap += p.cap
+		if p.zmax > 0 {
+			p.on = true
+			sv.active = append(sv.active, j)
+			sv.opaque = sv.opaque || p.kind == planOpaque
 		}
 	}
 
@@ -194,107 +289,152 @@ func (sv *Solver) solve(servers []Server, lambda float64, y []float64) float64 {
 	if totalCap < lambda*(1-1e-12) {
 		return math.Inf(1)
 	}
-
-	sv.active = sv.active[:0]
-	for j, s := range servers {
-		if s.Active > 0 && s.Cap > 0 {
-			sv.active = append(sv.active, j)
-		}
-	}
 	if len(sv.active) == 1 {
-		j := sv.active[0]
-		y[j] = math.Min(lambda, float64(servers[j].Active)*servers[j].Cap)
-		return phi(servers[j], y[j])
+		p := &sv.types[sv.active[0]]
+		y[sv.active[0]] = math.Min(lambda, p.cap)
+		return p.phi(y[sv.active[0]])
 	}
 
-	sv.resolvePlans(servers)
 	nuStar := sv.solveDual(lambda)
-	sv.fillVolumes(servers, lambda, nuStar, y)
+	sv.fillVolumes(lambda, nuStar, y)
 
-	// phi(s, y) is the complete cost (idle + load) of a type's active
+	// phi(y) is the complete cost (idle + load) of a type's active
 	// servers, so summing over active types is the whole slot cost.
 	cost := 0.0
 	for _, j := range sv.active {
-		cost += phi(servers[j], y[j])
+		cost += sv.types[j].phi(y[j])
 	}
 	return cost
 }
 
-// phi evaluates φ_j(y) = x_j f_j(y/x_j), the total cost of type j's active
-// servers when routed volume y.
-func phi(s Server, y float64) float64 {
-	x := float64(s.Active)
-	if y <= 0 {
-		return x * s.F.Value(0)
-	}
-	return x * s.F.Value(y/x)
-}
-
-// plan caches the resolved evaluation strategy of one active type for the
-// duration of a solve, so the dual search does not re-unwrap cost-function
-// interfaces on every probe.
+// plan is one server type's entry in the solver's type table: what
+// Prepare resolved for the slot, plus the fields of the cell being
+// solved. The stock families Constant, Affine and Power keep their
+// concrete values, so the water-filling calls their methods directly —
+// bit-identical to the interface calls, without the dynamic dispatch;
+// every other family keeps the interface it resolved to.
 type plan struct {
-	kind uint8   // planInvertible | planDifferentiable | planOpaque
-	x    float64 // float64(Active)
-	cap  float64 // x·Cap
-	srv  Server
-
-	inv costfn.Invertible
-
-	deriv func(float64) float64 // hoisted Deriv for the bisection path
-	d0    float64               // Deriv(0)
-	// sigma = f'(Cap) is the saturation multiplier: y(ν) = cap for ν ≥ σ.
+	kind uint8   // planConstant … planOpaque
+	zmax float64 // per-server capacity zmax_j
+	f0   float64 // f_j(0), the idle cost of one server
+	d0   float64 // f_j'(0) (differentiable plans)
+	// sigma = f'(zmax) is the saturation multiplier: y(ν) = cap for ν ≥ σ.
 	// The total jumps there for Constant, Affine and linear Power, and
 	// has a kink for the strictly convex families.
 	sigma float64
 
-	lag func(float64) float64 // per-solve Lagrangian for the opaque path
-	nu  float64               // multiplier read by lag
+	// Constant, Affine and linear Power absorb nothing below the
+	// multiplier thr and their whole capacity from it on: a step.
+	step bool
+	thr  float64
+
+	con  costfn.Constant
+	aff  costfn.Affine
+	pow  costfn.Power
+	c2   float64               // 2·Coef (planQuadratic)
+	inv  costfn.Invertible     // planInvertible
+	diff costfn.Differentiable // planDifferentiable
+	f    costfn.Func
+
+	// The cell being solved.
+	on  bool    // active in the cell
+	x   float64 // float64(Active)
+	cap float64 // x·zmax
+	nu  float64 // multiplier read by lagrangian (opaque plans)
 }
 
 const (
-	planInvertible = iota
-	planDifferentiable
-	planOpaque
+	planConstant       = iota // costfn.Constant: a volume step at ν = 0
+	planAffine                // costfn.Affine: a volume step at ν = Rate
+	planQuadratic             // costfn.Power, Exp 2, Coef ≠ 0: volume x·ν/(2·Coef), inline
+	planPower                 // other costfn.Power, called directly; Exp 1 and Coef ≥ 0 step at ν = Coef
+	planInvertible            // any other costfn.Invertible: closed-form volumes
+	planDifferentiable        // derivative bisection
+	planOpaque                // golden-section search on the Lagrangian
 )
 
-// resolvePlans rebuilds sv.plans for the active types, in active order.
-func (sv *Solver) resolvePlans(servers []Server) {
-	if cap(sv.plans) < len(sv.active) {
-		sv.plans = make([]plan, len(sv.active))
-		sv.brk = make([]float64, 0, len(sv.active))
-	}
-	sv.plans = sv.plans[:len(sv.active)]
-	sv.opaque = false
-	for i, j := range sv.active {
-		s := servers[j]
-		p := &sv.plans[i]
-		x := float64(s.Active)
-		p.x, p.cap, p.srv = x, x*s.Cap, s
-		p.lag = nil
-		if inv, ok := costfn.AsInvertible(s.F); ok {
+// resolve fills the plan's slot fields for server type s.
+func (p *plan) resolve(s Server) {
+	*p = plan{zmax: s.Cap, f: s.F}
+	switch f := s.F.(type) {
+	case costfn.Constant:
+		p.kind, p.con = planConstant, f
+		p.step, p.thr = true, 0
+	case costfn.Affine:
+		p.kind, p.aff = planAffine, f
+		p.step, p.thr = true, f.Rate
+	case costfn.Power:
+		p.kind, p.pow = planPower, f
+		switch {
+		case f.Exp == 1 && f.Coef >= 0:
+			p.step, p.thr = true, f.Coef
+		case f.Exp == 2 && f.Coef != 0:
+			p.kind, p.c2 = planQuadratic, f.Coef*2
+		}
+	default:
+		if inv, ok := costfn.AsInvertible(f); ok {
 			p.kind, p.inv = planInvertible, inv
-			p.sigma = inv.Deriv(s.Cap)
-		} else if diff, ok := costfn.AsDifferentiable(s.F); ok {
-			p.kind = planDifferentiable
-			p.deriv = diff.Deriv
-			p.d0, p.sigma = diff.Deriv(0), diff.Deriv(s.Cap)
+		} else if diff, ok := costfn.AsDifferentiable(f); ok {
+			p.kind, p.diff = planDifferentiable, diff
+			p.d0 = diff.Deriv(0)
 		} else {
 			p.kind = planOpaque
-			p.lag = func(y float64) float64 { return phi(p.srv, y) - p.nu*y }
-			sv.opaque = true
 		}
 	}
+	p.f0 = s.F.Value(0)
+	if p.kind != planOpaque {
+		p.sigma = s.F.(costfn.Differentiable).Deriv(s.Cap)
+	}
 }
+
+// value returns f_j(z).
+func (p *plan) value(z float64) float64 {
+	switch p.kind {
+	case planConstant:
+		return p.con.Value(z)
+	case planAffine:
+		return p.aff.Value(z)
+	case planPower, planQuadratic:
+		return p.pow.Value(z)
+	}
+	return p.f.Value(z)
+}
+
+// phi evaluates φ_j(y) = x_j f_j(y/x_j), the total cost of the cell's
+// type-j servers when routed volume y.
+func (p *plan) phi(y float64) float64 {
+	if y <= 0 {
+		return p.x * p.f0
+	}
+	return p.x * p.value(y/p.x)
+}
+
+// lagrangian is φ_j(y) − ν·y, which the opaque path minimises.
+func (p *plan) lagrangian(y float64) float64 { return p.phi(y) - p.nu*y }
 
 // volumeAt returns y_j(ν): the volume type j absorbs at dual multiplier ν.
 // It is the minimiser of φ_j(y) − ν·y over [0, cap_j], which for convex φ
 // is the largest y in the capacity interval with φ'_j(y) ≤ ν.
 func (p *plan) volumeAt(nu float64) float64 {
+	if p.step {
+		// InvDeriv is +Inf from thr on and 0 below it.
+		if nu >= p.thr {
+			return p.cap
+		}
+		return 0
+	}
+	var z float64 // φ'(y) = f'(y/x) ≤ ν  ⇔  y ≤ x·z
 	switch p.kind {
+	case planQuadratic:
+		// Power.InvDeriv of a quadratic with Coef ≠ 0, inline.
+		if nu < 0 {
+			return 0
+		}
+		z = nu / p.c2
+	case planPower:
+		z = p.pow.InvDeriv(nu)
 	case planInvertible:
-		z := p.inv.InvDeriv(nu) // φ'(y) = f'(y/x) ≤ ν  ⇔  y ≤ x·InvDeriv(ν)
-		return numeric.Clamp(p.x*z, 0, p.cap)
+		z = p.inv.InvDeriv(nu)
 	case planDifferentiable:
 		if p.d0 >= nu {
 			return 0
@@ -302,22 +442,21 @@ func (p *plan) volumeAt(nu float64) float64 {
 		if p.sigma <= nu {
 			return p.cap
 		}
-		z := numeric.BisectIncreasing(p.deriv, nu, 0, p.srv.Cap, 1e-13*p.srv.Cap)
-		return numeric.Clamp(p.x*z, 0, p.cap)
+		z = numeric.BisectIncreasing(p.diff.Deriv, nu, 0, p.zmax, 1e-13*p.zmax)
 	default:
-		// Opaque function: golden-section on the per-type Lagrangian.
 		p.nu = nu
-		y, _ := numeric.MinimizeConvex(p.lag, 0, p.cap, 1e-13*math.Max(p.cap, 1))
+		y, _ := numeric.MinimizeConvex(p.lagrangian, 0, p.cap, 1e-13*math.Max(p.cap, 1))
 		return y
 	}
+	return numeric.Clamp(p.x*z, 0, p.cap)
 }
 
 // total returns Σ_j y_j(ν) over the active types, non-decreasing in ν.
 func (sv *Solver) total(nu float64) float64 {
 	sv.evals++
 	sum := 0.0
-	for i := range sv.plans {
-		sum += sv.plans[i].volumeAt(nu)
+	for _, j := range sv.active {
+		sum += sv.types[j].volumeAt(nu)
 	}
 	return sum
 }
@@ -479,25 +618,20 @@ func (sv *Solver) solveDual(lambda float64) float64 {
 	return nu
 }
 
-// breakpoints returns the plans' saturation multipliers strictly inside
-// (a, b), sorted and without duplicates, in the solver's reused buffer.
+// breakpoints returns the active types' saturation multipliers strictly
+// inside (a, b), sorted and without duplicates, in the solver's reused
+// buffer. Prepare sorted them for the slot, so a cell only filters.
 func (sv *Solver) breakpoints(a, b float64) []float64 {
 	brk := sv.brk[:0]
-	for i := range sv.plans {
-		s := sv.plans[i].sigma
-		if !(s > a && s < b) {
+	for _, j := range sv.order {
+		p := &sv.types[j]
+		if !p.on || !(p.sigma > a && p.sigma < b) {
 			continue
 		}
-		k := len(brk)
-		for k > 0 && brk[k-1] > s {
-			k--
-		}
-		if k > 0 && brk[k-1] == s {
+		if n := len(brk); n > 0 && brk[n-1] == p.sigma {
 			continue
 		}
-		brk = append(brk, 0)
-		copy(brk[k+1:], brk[k:])
-		brk[k] = s
+		brk = append(brk, p.sigma)
 	}
 	sv.brk = brk
 	return brk
@@ -548,7 +682,7 @@ func (sv *Solver) dualBisect(hi, lambda float64) float64 {
 // segments), it interpolates between the volumes just below and just above
 // ν*; any point on that segment has identical marginal cost, so the
 // interpolation preserves optimality while making Σ y_j = λ exact.
-func (sv *Solver) fillVolumes(servers []Server, lambda, nuStar float64, y []float64) {
+func (sv *Solver) fillVolumes(lambda, nuStar float64, y []float64) {
 	active := sv.active
 	delta := 1e-9 * (1 + math.Abs(nuStar))
 	if cap(sv.lo) < len(active) {
@@ -557,9 +691,9 @@ func (sv *Solver) fillVolumes(servers []Server, lambda, nuStar float64, y []floa
 	}
 	lo, hi := sv.lo[:len(active)], sv.hi[:len(active)]
 	var sumLo, sumHi float64
-	for i := range active {
-		lo[i] = sv.plans[i].volumeAt(nuStar - delta)
-		hi[i] = sv.plans[i].volumeAt(nuStar + delta)
+	for i, j := range active {
+		lo[i] = sv.types[j].volumeAt(nuStar - delta)
+		hi[i] = sv.types[j].volumeAt(nuStar + delta)
 		sumLo += lo[i]
 		sumHi += hi[i]
 	}
@@ -580,8 +714,7 @@ func (sv *Solver) fillVolumes(servers []Server, lambda, nuStar float64, y []floa
 		if residual == 0 {
 			break
 		}
-		cap := float64(servers[j].Active) * servers[j].Cap
-		adj := numeric.Clamp(y[j]+residual, 0, cap) - y[j]
+		adj := numeric.Clamp(y[j]+residual, 0, sv.types[j].cap) - y[j]
 		y[j] += adj
 		residual -= adj
 	}

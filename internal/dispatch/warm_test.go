@@ -27,7 +27,7 @@ func (o opaqueOnly) Value(z float64) float64 { return o.p.Value(z) }
 // bit-for-bit warm-start guarantee (monotone families via the canonical
 // snap, opaque ones via the hint-free reference bisection).
 func randomFunc(rng *rand.Rand) costfn.Func {
-	switch rng.Intn(9) {
+	switch rng.Intn(11) {
 	case 0:
 		return costfn.Constant{C: 5 * rng.Float64()}
 	case 1:
@@ -48,6 +48,14 @@ func randomFunc(rng *rand.Rand) costfn.Func {
 		return costfn.Power{Idle: rng.Float64(), Coef: 0.2 + 2*rng.Float64(), Exp: 1}
 	case 7:
 		return randomPiecewise(rng)
+	case 8:
+		// The quadratic the solver's type table calls directly.
+		return costfn.Power{Idle: rng.Float64(), Coef: 0.2 + 2*rng.Float64(), Exp: 2}
+	case 9:
+		return costfn.Scaled{
+			F:      costfn.Power{Idle: rng.Float64(), Coef: 0.2 + 2*rng.Float64(), Exp: 1},
+			Factor: 0.3 + 2*rng.Float64(),
+		}
 	default:
 		return diffOnly{p: costfn.Power{Idle: rng.Float64(), Coef: 0.3 + rng.Float64(), Exp: 1.5 + rng.Float64()}}
 	}

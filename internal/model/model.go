@@ -44,6 +44,9 @@ type Varying struct {
 // At implements CostProfile.
 func (v Varying) At(t int) costfn.Func { return v.Fs[t-1] }
 
+// Horizon returns the number of slots the profile defines.
+func (v Varying) Horizon() int { return len(v.Fs) }
+
 // Modulated scales a base function by a per-slot factor (e.g. an
 // electricity price signal): f_{t,j}(z) = Scale[t-1] · F(z).
 type Modulated struct {
@@ -54,6 +57,14 @@ type Modulated struct {
 // At implements CostProfile.
 func (m Modulated) At(t int) costfn.Func {
 	return costfn.Scaled{F: m.F, Factor: m.Scale[t-1]}
+}
+
+// Horizon returns the number of slots the profile defines.
+func (m Modulated) Horizon() int { return len(m.Scale) }
+
+// bounded is a CostProfile defined for slots 1..Horizon() only.
+type bounded interface {
+	Horizon() int
 }
 
 // ServerType describes one of the d heterogeneous server types.
@@ -259,9 +270,15 @@ func (b CostBreakdown) Total() float64 { return b.Operating + b.Switching }
 // Evaluator computes operating costs g_t(x) and schedule costs for one
 // instance, reusing scratch buffers. Create one per goroutine with
 // NewEvaluator; it is not safe for concurrent use.
+//
+// Costs of many configurations in one slot resolve the slot once:
+// PrepareSlot(t), then GPrepared(x) per configuration. G and SplitInto
+// are both steps for a single configuration.
 type Evaluator struct {
 	ins     *Instance
 	servers []dispatch.Server
+	counts  []int   // the prepared slot's m_{t,j}
+	lambda  float64 // the prepared slot's λ_t
 	solver  dispatch.Solver
 }
 
@@ -270,30 +287,57 @@ func NewEvaluator(ins *Instance) *Evaluator {
 	return &Evaluator{
 		ins:     ins,
 		servers: make([]dispatch.Server, ins.D()),
+		counts:  make([]int, ins.D()),
 	}
 }
 
 // Instance returns the instance the evaluator was built for.
 func (e *Evaluator) Instance() *Instance { return e.ins }
 
+// PrepareSlot resolves slot t (1-based) for GPrepared: its server counts,
+// job volume, capacities and cost functions, and the dispatch solver's
+// type table built from them.
+func (e *Evaluator) PrepareSlot(t int) {
+	for j := range e.servers {
+		e.counts[j] = e.ins.CountAt(t, j)
+		e.servers[j] = dispatch.Server{
+			Cap: e.ins.Types[j].MaxLoad,
+			F:   e.ins.Types[j].Cost.At(t),
+		}
+	}
+	e.lambda = e.ins.Lambda[t-1]
+	e.solver.Prepare(e.servers)
+}
+
+// GPrepared returns g_t(x) for the slot t of the last PrepareSlot call,
+// bit-identical to G(t, x).
+func (e *Evaluator) GPrepared(x Config) float64 {
+	if !fitsCounts(x, e.counts) {
+		return math.Inf(1)
+	}
+	return e.solver.CostPrepared(x, e.lambda)
+}
+
+// fitsCounts reports whether 0 <= x_j <= counts_j for every type. A
+// configuration of the wrong dimension panics.
+func fitsCounts(x Config, counts []int) bool {
+	if len(x) != len(counts) {
+		panic("model: configuration dimension mismatch")
+	}
+	for j, c := range counts {
+		if x[j] < 0 || x[j] > c {
+			return false
+		}
+	}
+	return true
+}
+
 // G returns the operating cost g_t(x) for slot t (1-based). Configurations
 // exceeding the per-slot server counts yield +Inf (they correspond to
 // vertices absent from the paper's graph).
 func (e *Evaluator) G(t int, x Config) float64 {
-	if len(x) != e.ins.D() {
-		panic("model: configuration dimension mismatch")
-	}
-	for j := range e.servers {
-		if x[j] < 0 || x[j] > e.ins.CountAt(t, j) {
-			return math.Inf(1)
-		}
-		e.servers[j] = dispatch.Server{
-			Active: x[j],
-			Cap:    e.ins.Types[j].MaxLoad,
-			F:      e.ins.Types[j].Cost.At(t),
-		}
-	}
-	return e.solver.Cost(e.servers, e.ins.Lambda[t-1])
+	e.PrepareSlot(t)
+	return e.GPrepared(x)
 }
 
 // Split returns the optimal load split (volumes and fractions) behind
@@ -309,29 +353,23 @@ func (e *Evaluator) Split(t int, x Config) dispatch.Assignment {
 // reusing its volume/fraction buffers and the evaluator's scratch — the
 // allocation-free counterpart of Split.
 func (e *Evaluator) SplitInto(t int, x Config, res *dispatch.Assignment) {
-	d := e.ins.D()
-	for j := range e.servers {
-		if x[j] < 0 || x[j] > e.ins.CountAt(t, j) {
-			if cap(res.Y) < d {
-				res.Y = make([]float64, d)
-			}
-			if cap(res.Z) < d {
-				res.Z = make([]float64, d)
-			}
-			res.Y, res.Z = res.Y[:d], res.Z[:d]
-			res.Cost = math.Inf(1)
-			for i := 0; i < d; i++ {
-				res.Y[i], res.Z[i] = 0, 0
-			}
-			return
-		}
-		e.servers[j] = dispatch.Server{
-			Active: x[j],
-			Cap:    e.ins.Types[j].MaxLoad,
-			F:      e.ins.Types[j].Cost.At(t),
-		}
+	e.PrepareSlot(t)
+	if fitsCounts(x, e.counts) {
+		e.solver.AssignPrepared(x, e.lambda, res)
+		return
 	}
-	e.solver.AssignInto(e.servers, e.ins.Lambda[t-1], res)
+	d := len(x)
+	if cap(res.Y) < d {
+		res.Y = make([]float64, d)
+	}
+	if cap(res.Z) < d {
+		res.Z = make([]float64, d)
+	}
+	res.Y, res.Z = res.Y[:d], res.Z[:d]
+	res.Cost = math.Inf(1)
+	for i := 0; i < d; i++ {
+		res.Y[i], res.Z[i] = 0, 0
+	}
 }
 
 // SwitchCost returns Σ_j β_j (cur_j − prev_j)^+, the cost of moving from

@@ -165,7 +165,8 @@ func (a *Accumulator) Newest(in *SlotInput) {
 }
 
 // resolve returns slot input's cost function for type j, falling back to
-// the template profile.
+// the template profile: an error past the end of a profile with a
+// horizon (Varying, Modulated), which has no function there.
 func (a *Accumulator) resolve(in SlotInput, j int) (costfn.Func, error) {
 	if in.Costs != nil {
 		if len(in.Costs) != len(a.template) {
@@ -176,6 +177,9 @@ func (a *Accumulator) resolve(in SlotInput, j int) (costfn.Func, error) {
 		}
 	}
 	if tpl := a.template[j].Cost; tpl != nil {
+		if b, ok := tpl.(bounded); ok && in.T > b.Horizon() {
+			return nil, fmt.Errorf("model: slot %d is past the %d slots type %d's cost profile defines", in.T, b.Horizon(), j)
+		}
 		return tpl.At(in.T), nil
 	}
 	return nil, fmt.Errorf("model: slot %d has no cost function for type %d and the template has no profile", in.T, j)
@@ -237,10 +241,12 @@ func (a *Accumulator) Push(in SlotInput) error {
 // SlotEval computes the operating cost g(x) of a configuration against one
 // SlotInput, without materialising an Instance. It reuses scratch buffers
 // and is not safe for concurrent use. Costs must be resolved (non-nil) in
-// the inputs it evaluates.
+// the inputs it evaluates. Like Evaluator, it resolves a slot once for
+// many configurations with Prepare and GPrepared.
 type SlotEval struct {
 	caps    []float64
 	servers []dispatch.Server
+	in      SlotInput // the prepared slot
 	solver  dispatch.Solver
 }
 
@@ -254,22 +260,29 @@ func NewSlotEval(types []ServerType) *SlotEval {
 	return &SlotEval{caps: caps, servers: make([]dispatch.Server, len(types))}
 }
 
+// Prepare resolves the slot for GPrepared: its cost functions and the
+// dispatch solver's type table. The evaluator keeps in (not a copy of
+// its Costs and Counts) until the next Prepare.
+func (e *SlotEval) Prepare(in SlotInput) {
+	for j := range e.servers {
+		e.servers[j] = dispatch.Server{Cap: e.caps[j], F: in.Costs[j]}
+	}
+	e.in = in
+	e.solver.Prepare(e.servers)
+}
+
+// GPrepared returns g(x) for the slot of the last Prepare call.
+func (e *SlotEval) GPrepared(x Config) float64 {
+	if !fitsCounts(x, e.in.Counts) {
+		return math.Inf(1)
+	}
+	return e.solver.CostPrepared(x, e.in.Lambda)
+}
+
 // G returns g(x) for the slot: +Inf when x exceeds the slot's counts (or
 // is negative), else the optimal dispatch cost. It mirrors Evaluator.G
 // bit-for-bit for equal inputs.
 func (e *SlotEval) G(in SlotInput, x Config) float64 {
-	if len(x) != len(e.caps) {
-		panic("model: configuration dimension mismatch")
-	}
-	for j := range e.servers {
-		if x[j] < 0 || x[j] > in.Counts[j] {
-			return math.Inf(1)
-		}
-		e.servers[j] = dispatch.Server{
-			Active: x[j],
-			Cap:    e.caps[j],
-			F:      in.Costs[j],
-		}
-	}
-	return e.solver.Cost(e.servers, in.Lambda)
+	e.Prepare(in)
+	return e.GPrepared(x)
 }

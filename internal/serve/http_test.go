@@ -172,3 +172,31 @@ func TestHTTPAlgsAndHealthz(t *testing.T) {
 		t.Fatalf("latency quantiles look wrong: %+v", health.Metrics)
 	}
 }
+
+// The price-modulated scenario defines its costs for 48 slots. Slot 49
+// is a bad slot (422), not a failed session (409): the session keeps its
+// state and stays usable.
+func TestHTTPPushPastProfileHorizon(t *testing.T) {
+	m := NewManager(Options{})
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m))
+	defer srv.Close()
+	cl := &httpClient{t: t, base: srv.URL}
+	cl.mustDo("POST", "/v1/sessions", OpenRequest{ID: "priced", Alg: "alg-b", Fleet: FleetJSON{Scenario: "price-modulated", Seed: 1}}, nil, http.StatusCreated)
+	for range 48 {
+		cl.mustDo("POST", "/v1/sessions/priced/push", PushRequest{Lambda: 3}, nil, http.StatusOK)
+	}
+	var before SessionInfo
+	cl.mustDo("GET", "/v1/sessions/priced", nil, &before, http.StatusOK)
+	for range 2 {
+		status, raw := cl.do("POST", "/v1/sessions/priced/push", PushRequest{Lambda: 3}, nil)
+		if status != http.StatusUnprocessableEntity || !strings.Contains(raw, "slot 49") {
+			t.Fatalf("push past the horizon: HTTP %d %s, want 422 naming slot 49", status, raw)
+		}
+	}
+	var after SessionInfo
+	cl.mustDo("GET", "/v1/sessions/priced", nil, &after, http.StatusOK)
+	if after != before || after.Fed != 48 || after.Failed != "" {
+		t.Fatalf("refused pushes changed the session: %+v, want %+v", after, before)
+	}
+}

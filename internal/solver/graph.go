@@ -69,13 +69,14 @@ func BuildGraph(ins *model.Instance) (*Graph, error) {
 	cfg := make(model.Config, ins.D())
 
 	for t := 1; t <= T; t++ {
+		eval.PrepareSlot(t)
 		for idx := 0; idx < g.Size(); idx++ {
 			g.Decode(idx, cfg)
 			// Operating edge v↑ → v↓.
 			gr.Edges = append(gr.Edges, Edge{
 				From:   gr.Vertex(t, dirUp, idx),
 				To:     gr.Vertex(t, dirDown, idx),
-				Weight: eval.G(t, cfg),
+				Weight: eval.GPrepared(cfg),
 				Kind:   "op",
 				Type:   -1,
 			})

@@ -6,6 +6,7 @@ import (
 	"repro/internal/costfn"
 	"repro/internal/grid"
 	"repro/internal/model"
+	"repro/internal/perfref"
 	"repro/internal/workload"
 )
 
@@ -32,31 +33,62 @@ func fullGrid(ins *model.Instance) *grid.Grid {
 	return grid.NewFull(counts)
 }
 
-// benchmarkLayerEval sweeps all T layers of the instance through one
-// layerEvaluator — the solver's dominant kernel (every cell solves a
-// dispatch program, warm-started along lattice lines).
-func benchmarkLayerEval(b *testing.B, opts Options) {
+// layerSweep returns one op of the layer benchmarks: all T layers of
+// the instance through one layerEvaluator — the solver's dominant kernel
+// (every cell solves a dispatch program, warm-started along lattice
+// lines).
+func layerSweep(opts Options) (op func(), close func()) {
 	ins := benchLayerInstance()
 	g := fullGrid(ins)
 	le := newLayerEvaluator(ins, opts)
-	defer le.close()
 	layer := make([]float64, g.Size())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		for t := 1; t <= ins.T(); t++ {
 			for j := range layer {
 				layer[j] = 0
 			}
 			le.addG(layer, t, g)
 		}
-	}
+	}, le.close
 }
+
+// layerEvalRatio is BenchmarkLayerEval's wall-time gate (see
+// perfref.Gate): ns/op over the reference task's, recorded on a 2-vCPU
+// Xeon @ 2.1 GHz, Go 1.24, 2026-10-18.
+const layerEvalRatio = 0.714
 
 // BenchmarkLayerEval measures the raw warm-started sweep (memo off: every
 // cell of every slot is solved).
-func BenchmarkLayerEval(b *testing.B) { benchmarkLayerEval(b, Options{NoMemo: true}) }
+func BenchmarkLayerEval(b *testing.B) {
+	op, close := layerSweep(Options{NoMemo: true})
+	defer close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	perfref.Gate(b, layerEvalRatio, op)
+}
 
 // BenchmarkLayerEvalMemo measures the steady-state path with the layer
 // memo on: the periodic trace repeats slot content, so most layers are
 // served from cache.
-func BenchmarkLayerEvalMemo(b *testing.B) { benchmarkLayerEval(b, Options{}) }
+func BenchmarkLayerEvalMemo(b *testing.B) {
+	op, close := layerSweep(Options{})
+	defer close()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// With the memo off, a layer's evaluation allocates nothing once the
+// evaluator's buffers are sized: preparing each slot's dispatch type
+// table reuses the solver's, and every cell is solved in place.
+func TestLayerEvalAllocs(t *testing.T) {
+	op, close := layerSweep(Options{NoMemo: true})
+	defer close()
+	op()
+	if a := testing.AllocsPerRun(5, op); a != 0 {
+		t.Fatalf("a memo-off layer sweep allocates %v times, want 0", a)
+	}
+}

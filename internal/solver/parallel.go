@@ -156,11 +156,13 @@ func (le *layerEvaluator) evalCells(dst []float64, t int, g *grid.Grid) {
 	le.pool.run(dst, t, g, lines)
 }
 
-// walkLines evaluates lattice lines [loLine, hiLine): one Decode per line,
-// then the contiguous last-dimension run with only the final coordinate
-// changing — cheap decodes and monotone dual movement for the dispatch
-// warm start.
+// walkLines evaluates lattice lines [loLine, hiLine) of slot t, which it
+// resolves once (counts, capacities, cost functions and the dispatch type
+// table): one Decode per line, then the contiguous last-dimension run
+// with only the final coordinate changing — cheap decodes and monotone
+// dual movement for the dispatch warm start.
 func walkLines(eval *model.Evaluator, cfg model.Config, dst []float64, t int, g *grid.Grid, loLine, hiLine int) {
+	eval.PrepareSlot(t)
 	d := g.D()
 	last := g.Axis(d - 1)
 	for ln := loLine; ln < hiLine; ln++ {
@@ -168,7 +170,7 @@ func walkLines(eval *model.Evaluator, cfg model.Config, dst []float64, t int, g 
 		g.Decode(base, cfg)
 		for i, v := range last {
 			cfg[d-1] = v
-			dst[base+i] = eval.G(t, cfg)
+			dst[base+i] = eval.GPrepared(cfg)
 		}
 	}
 }

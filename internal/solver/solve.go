@@ -86,12 +86,14 @@ func Solve(ins *model.Instance, opts Options) (*Result, error) {
 	}
 
 	var (
-		starts [][]byte     // tracker state before each block's first slot
+		starts []byte       // tracker states before each block's first slot, back to back
+		ends   []int        // block b's state is starts[ends[b-1]:ends[b]]
 		arena  []float64    // the current block's layers, back to back
 		grids  []*grid.Grid // their lattices
 	)
 	for first := 1; first <= T; first += span {
-		starts = append(starts, tr.AppendState(nil))
+		starts = tr.AppendState(starts)
+		ends = append(ends, len(starts))
 		arena, grids = record(tr, span, arena[:0], grids[:0])
 	}
 	// The final power-down to x_{T+1} = 0 is free, so the optimal cost is
@@ -105,10 +107,14 @@ func Solve(ins *model.Instance, opts Options) (*Result, error) {
 	cells := make([]int, (T+1)*d)
 	next, scratch := model.Config(cells[T*d:]), make(model.Config, d)
 	maxSize := 0
-	for b := len(starts) - 1; b >= 0; b-- {
+	for b := len(ends) - 1; b >= 0; b-- {
 		first := b*span + 1
-		if b < len(starts)-1 {
-			if err := tr.rewind(first-1, starts[b]); err != nil {
+		if b < len(ends)-1 {
+			from := 0
+			if b > 0 {
+				from = ends[b-1]
+			}
+			if err := tr.rewind(first-1, starts[from:ends[b]]); err != nil {
 				return nil, err
 			}
 			arena, grids = record(tr, span, arena[:0], grids[:0])

@@ -47,6 +47,7 @@ type PrefixTracker struct {
 	// identical, so static fleets keep a single grid).
 	prevGrid, curGrid *grid.Grid
 	curCounts         []int
+	readCounts        []int // RestoreState's decoding scratch
 }
 
 // NewPrefixTracker prepares a tracker bound to an instance, consumed slot
@@ -85,16 +86,17 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 	for j, st := range types {
 		betas[j] = st.SwitchCost
 	}
-	ints := make([]int, 2*d) // cfg and curCounts
+	ints := make([]int, 3*d) // cfg, curCounts and readCounts
 	return &PrefixTracker{
-		ins:       acc.Instance(),
-		acc:       acc,
-		le:        newLayerEvaluator(acc.Instance(), opts),
-		rx:        newRelaxer(betas),
-		gamma:     opts.Gamma,
-		betas:     betas,
-		cfg:       ints[:d:d],
-		curCounts: ints[d:d],
+		ins:        acc.Instance(),
+		acc:        acc,
+		le:         newLayerEvaluator(acc.Instance(), opts),
+		rx:         newRelaxer(betas),
+		gamma:      opts.Gamma,
+		betas:      betas,
+		cfg:        ints[:d:d],
+		curCounts:  ints[d : d : 2*d],
+		readCounts: ints[2*d : 2*d],
 	}, nil
 }
 
@@ -184,7 +186,9 @@ func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
 
 // rewind positions the tracker after slot t with the state AppendState
 // saved there, as Seek and RestoreState do on a fresh tracker, but
-// keeping its accumulator, layer evaluator and buffers.
+// keeping its accumulator, layer evaluator and buffers: the restored
+// layer is decoded into the spare layer buffer, and the current lattice
+// is kept when the saved counts are the ones it was built for.
 func (p *PrefixTracker) rewind(t int, state []byte) error {
 	p.t, p.le.last = 0, nil
 	p.acc.Seek(t)
@@ -206,11 +210,12 @@ func (p *PrefixTracker) AppendState(dst []byte) []byte {
 
 // RestoreState loads an AppendState encoding into a fresh (never
 // pushed) tracker that Seek positioned past exactly the slots the
-// state covers, rebuilding the current lattice from the saved counts.
+// state covers, building the current lattice for the saved counts
+// unless the tracker already holds it.
 // Later Pushes then continue bit-identically to the tracker that wrote
 // the state. The state is outside input: counts that cannot describe
 // the saved layer on this fleet are refused before any lattice is
-// built. On error the tracker is unchanged.
+// built. On error the tracker is unchanged but for its scratch buffers.
 func (p *PrefixTracker) RestoreState(state []byte) error {
 	if p.t != 0 {
 		return fmt.Errorf("solver: RestoreState on a tracker that already advanced")
@@ -218,8 +223,9 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 	r := statebuf.NewReader(state)
 	r.Header(trackerStateKind, trackerStateVersion)
 	t := r.Int()
-	counts := r.Ints()
-	layer := r.Floats()
+	counts := r.IntsInto(p.readCounts)
+	layer := r.FloatsInto(p.spare) // spare holds no state; layer keeps p.layer intact
+	p.readCounts, p.spare = counts[:0], layer[:0]
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("solver: tracker state: %w", err)
 	}
@@ -227,7 +233,7 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 		return fmt.Errorf("solver: tracker state covers %d slots, the instance holds %d: %w", t, p.acc.T(), statebuf.ErrMalformed)
 	}
 	if t == 0 {
-		if counts != nil || layer != nil {
+		if len(counts) != 0 || len(layer) != 0 {
 			return fmt.Errorf("solver: tracker state has a layer before the first slot: %w", statebuf.ErrMalformed)
 		}
 		return nil
@@ -235,8 +241,12 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 	if !p.fits(counts, len(layer)) {
 		return fmt.Errorf("solver: tracker state counts %v do not fit a %d-type fleet with a %d-cell layer: %w", counts, p.ins.D(), len(layer), statebuf.ErrMalformed)
 	}
-	p.t, p.layer = t, layer
-	p.prevGrid, p.curGrid, p.curCounts = nil, p.lattice(counts), counts
+	p.t, p.layer, p.spare = t, layer, p.layer
+	if p.curGrid == nil || !numeric.EqualInts(counts, p.curCounts) {
+		p.curGrid = p.lattice(counts)
+		p.curCounts = append(p.curCounts[:0], counts...)
+	}
+	p.prevGrid = nil
 	return nil
 }
 

@@ -182,29 +182,37 @@ func (r *Reader) length(minSize int) int {
 }
 
 // Ints consumes a length-prefixed int slice (nil when empty).
-func (r *Reader) Ints() []int {
+func (r *Reader) Ints() []int { return r.IntsInto(nil) }
+
+// IntsInto is Ints decoding into dst's storage, which it grows only when
+// too small: the result is dst[:n] or a new slice.
+func (r *Reader) IntsInto(dst []int) []int {
 	n := r.length(1)
-	if n == 0 {
-		return nil
+	if cap(dst) < n {
+		dst = make([]int, n)
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.Int()
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = r.Int()
 	}
-	return out
+	return dst
 }
 
 // Floats consumes a length-prefixed float slice (nil when empty).
-func (r *Reader) Floats() []float64 {
+func (r *Reader) Floats() []float64 { return r.FloatsInto(nil) }
+
+// FloatsInto is Floats decoding into dst's storage, which it grows only
+// when too small: the result is dst[:n] or a new slice.
+func (r *Reader) FloatsInto(dst []float64) []float64 {
 	n := r.length(8)
-	if n == 0 {
-		return nil
+	if cap(dst) < n {
+		dst = make([]float64, n)
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.Float()
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = r.Float()
 	}
-	return out
+	return dst
 }
 
 // Bytes consumes a length-prefixed byte string. The result aliases the

@@ -39,6 +39,32 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// IntsInto and FloatsInto decode into the storage they are given when
+// it is large enough, and into a new slice when it is not.
+func TestDecodeInto(t *testing.T) {
+	body, err := Verify(encodeSample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(body)
+	r.Header('X', 1)
+	r.Int()
+	r.Float()
+	r.Float()
+	intBuf, floatBuf := make([]int, 0, 3), make([]float64, 0, 1)
+	ints, floats := r.IntsInto(intBuf), r.FloatsInto(floatBuf)
+	r.Bytes()
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ints) != 3 || &ints[0] != &intBuf[:1][0] || ints[2] != -1<<40 {
+		t.Fatalf("ints %v not decoded into the given buffer", ints)
+	}
+	if len(floats) != 2 || &floats[0] == &floatBuf[:1][0] || floats[0] != 1.5 || !math.IsInf(floats[1], 1) {
+		t.Fatalf("floats %v: want a new slice holding [1.5 +Inf]", floats)
+	}
+}
+
 // Truncation, trailing bytes, a foreign header and a length prefix the
 // input cannot hold are all errors, never panics or huge allocations.
 func TestMalformed(t *testing.T) {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
@@ -277,5 +278,46 @@ func TestNewSessionValidation(t *testing.T) {
 	alg, _ := core.NewAlgorithmA(fleet())
 	if _, err := New(alg, nil, Options{}); err == nil {
 		t.Error("empty fleet must be rejected")
+	}
+}
+
+// A time-dependent fleet defines its costs for a fixed number of slots.
+// A push past them is a bad slot, refused like an infeasible one: the
+// session is unchanged and keeps accepting slots that carry their own
+// costs.
+func TestPushPastProfileHorizon(t *testing.T) {
+	price := []float64{1, 1.5, 0.5}
+	types := []model.ServerType{
+		{Name: "slow", Count: 4, SwitchCost: 2, MaxLoad: 1,
+			Cost: model.Modulated{F: costfn.Affine{Idle: 1, Rate: 1}, Scale: price}},
+		{Name: "fast", Count: 2, SwitchCost: 8, MaxLoad: 4,
+			Cost: model.Varying{Fs: []costfn.Func{costfn.Affine{Idle: 3, Rate: 0.5}, costfn.Constant{C: 2}, costfn.Affine{Idle: 1, Rate: 1}}}},
+	}
+	alg, err := core.NewAlgorithmB(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(alg, types, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range price {
+		if _, err := s.FeedDemand(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cost := s.CumCost()
+	for range 2 {
+		_, err := s.FeedDemand(2)
+		if err == nil || !strings.Contains(err.Error(), "slot 4") {
+			t.Fatalf("push past the profiles: err %v, want a slot-4 error", err)
+		}
+		if s.Err() != nil || s.Fed() != 3 || s.CumCost() != cost {
+			t.Fatalf("refused push changed the session: err %v, fed %d, cost %v (want %v)", s.Err(), s.Fed(), s.CumCost(), cost)
+		}
+	}
+	in := model.SlotInput{Lambda: 2, Costs: []costfn.Func{costfn.Affine{Idle: 1, Rate: 1}, costfn.Constant{C: 2}}}
+	if _, err := s.Feed(in); err != nil || s.Fed() != 4 {
+		t.Fatalf("slot with its own costs after the refusal: err %v, fed %d", err, s.Fed())
 	}
 }
