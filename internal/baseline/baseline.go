@@ -36,26 +36,6 @@ func resolveInto(in model.SlotInput, fleet []model.ServerType, costs []costfn.Fu
 	return model.SlotInput{T: in.T, Lambda: in.Lambda, Costs: costs, Counts: counts}
 }
 
-// validateFleet checks the static per-type parameters shared by every
-// baseline constructor.
-func validateFleet(types []model.ServerType) error {
-	if len(types) == 0 {
-		return fmt.Errorf("baseline: fleet has no server types")
-	}
-	for j, st := range types {
-		if st.Count < 0 {
-			return fmt.Errorf("baseline: type %d has negative count %d", j, st.Count)
-		}
-		if st.SwitchCost < 0 {
-			return fmt.Errorf("baseline: type %d has negative switching cost %g", j, st.SwitchCost)
-		}
-		if st.MaxLoad <= 0 {
-			return fmt.Errorf("baseline: type %d has non-positive capacity %g", j, st.MaxLoad)
-		}
-	}
-	return nil
-}
-
 // AllOn keeps the whole fleet powered for the entire horizon: the
 // "static provisioning" strategy right-sizing is measured against. With
 // time-varying sizes it keeps every available server powered.
@@ -66,7 +46,7 @@ type AllOn struct {
 
 // NewAllOn builds the baseline for a fleet template.
 func NewAllOn(types []model.ServerType) (*AllOn, error) {
-	if err := validateFleet(types); err != nil {
+	if err := model.ValidateFleet(types); err != nil {
 		return nil, err
 	}
 	return &AllOn{
@@ -93,39 +73,31 @@ func (a *AllOn) Step(in model.SlotInput) model.Config {
 // toward the lexicographically smallest configuration.
 type LoadTracking struct {
 	fleet  []model.ServerType
-	eval   *model.SlotEval
+	eval   *model.Evaluator
 	g      *grid.Grid   // lattice cached while the counts stay unchanged
 	gm     []int        // counts the cached lattice was built for
 	cfg    model.Config // decode scratch
 	out    model.Config // scratch returned by Step
-	costs  []costfn.Func
-	counts []int
+	counts []int        // the slot's resolved counts
 }
 
 // NewLoadTracking builds the baseline for a fleet template.
 func NewLoadTracking(types []model.ServerType) (*LoadTracking, error) {
-	if err := validateFleet(types); err != nil {
+	if err := model.ValidateFleet(types); err != nil {
 		return nil, err
 	}
 	d := len(types)
 	return &LoadTracking{
 		fleet:  append([]model.ServerType(nil), types...),
-		eval:   model.NewSlotEval(types),
+		eval:   model.NewEvaluator(&model.Instance{Types: types}),
 		cfg:    make(model.Config, d),
 		out:    make(model.Config, d),
-		costs:  make([]costfn.Func, d),
 		counts: make([]int, d),
 	}, nil
 }
 
 // Name implements core.Online.
 func (l *LoadTracking) Name() string { return "LoadTracking" }
-
-// Step implements core.Online.
-func (l *LoadTracking) Step(in model.SlotInput) model.Config {
-	rin := resolveInto(in, l.fleet, l.costs, l.counts)
-	return l.bestConfig(rin)
-}
 
 // lattice returns the slot's full configuration lattice, rebuilding only
 // when the counts changed (static fleets keep one grid for the whole run).
@@ -137,9 +109,13 @@ func (l *LoadTracking) lattice(counts []int) *grid.Grid {
 	return l.g
 }
 
-// bestConfig scans the slot's full lattice for the cheapest configuration.
-func (l *LoadTracking) bestConfig(in model.SlotInput) model.Config {
-	g := l.lattice(in.Counts)
+// Step implements core.Online: it scans the slot's full lattice for the
+// cheapest configuration.
+func (l *LoadTracking) Step(in model.SlotInput) model.Config {
+	for j := range l.counts {
+		l.counts[j] = in.Count(j, l.fleet[j].Count)
+	}
+	g := l.lattice(l.counts)
 	best := math.Inf(1)
 	bestIdx := -1
 	l.eval.Prepare(in)

@@ -26,7 +26,7 @@ import (
 type Lookahead struct {
 	fleet []model.ServerType
 	w     int
-	eval  *model.SlotEval
+	eval  *model.Evaluator
 	buf   []model.SlotInput // ingested, undecided slots (deep copies)
 	x     model.Config      // configuration committed for the newest decided slot
 	out   model.Config      // scratch returned by Step
@@ -36,7 +36,7 @@ type Lookahead struct {
 // only the current slot: greedy with switching awareness, and decisions
 // never lag).
 func NewLookahead(types []model.ServerType, w int) (*Lookahead, error) {
-	if err := validateFleet(types); err != nil {
+	if err := model.ValidateFleet(types); err != nil {
 		return nil, err
 	}
 	if w < 1 {
@@ -45,7 +45,7 @@ func NewLookahead(types []model.ServerType, w int) (*Lookahead, error) {
 	return &Lookahead{
 		fleet: append([]model.ServerType(nil), types...),
 		w:     w,
-		eval:  model.NewSlotEval(types),
+		eval:  model.NewEvaluator(&model.Instance{Types: types}),
 		x:     make(model.Config, len(types)),
 		out:   make(model.Config, len(types)),
 	}, nil

@@ -20,15 +20,11 @@ import (
 type LCP struct {
 	tracker *solver.PrefixTracker
 	x       int
-	optCost float64
 	out     model.Config
 }
 
 // NewLCP builds the baseline; it requires a homogeneous fleet (d = 1).
 func NewLCP(types []model.ServerType) (*LCP, error) {
-	if err := validateFleet(types); err != nil {
-		return nil, err
-	}
 	if len(types) != 1 {
 		return nil, fmt.Errorf("baseline: LCP requires d = 1, got %d server types", len(types))
 	}
@@ -44,17 +40,15 @@ func (l *LCP) Name() string { return "LCP" }
 
 // Step implements core.Online.
 func (l *LCP) Step(in model.SlotInput) model.Config {
-	_, optCost, err := l.tracker.Push(in)
-	if err != nil {
+	if _, _, err := l.tracker.Push(in); err != nil {
 		panic("baseline: " + err.Error())
 	}
-	l.optCost = optCost
 	lo, hi := l.tracker.OptRange()
 	l.x = numeric.ClampInt(l.x, lo[0], hi[0])
 	l.out[0] = l.x
 	return l.out
 }
 
-// PrefixOptCost implements core.OptTracking: LCP's corridor tracker is
-// always exact, so sessions reuse it for telemetry.
-func (l *LCP) PrefixOptCost() (float64, bool) { return l.optCost, true }
+// Tracker implements core.Tracked: LCP's corridor tracker is always
+// exact, so sessions reuse it for telemetry.
+func (l *LCP) Tracker() *solver.PrefixTracker { return l.tracker }

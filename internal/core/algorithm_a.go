@@ -48,11 +48,13 @@ func TimeoutA(beta, idle float64) int {
 	if idle == 0 {
 		return noTimeout
 	}
-	t := int(math.Ceil(beta / idle))
-	if t < 1 {
-		t = 1
+	// Clamp before converting: a ratio beyond int's range would convert
+	// to a negative t̄ and end up as 1.
+	r := math.Ceil(beta / idle)
+	if !(r < noTimeout) {
+		return noTimeout
 	}
-	return t
+	return max(int(r), 1)
 }
 
 // Tbar returns the timeout t̄.
@@ -115,13 +117,53 @@ func (s *TypeA) ClampTo(m int) int {
 // AlgorithmA is the (2d+1)-competitive online algorithm of Section 2 for
 // time-independent operating cost functions.
 type AlgorithmA struct {
+	prefixRule
+	types []*TypeA
+}
+
+// prefixRule is the power-up rule Algorithms A and B share: each slot is
+// fed to the prefix tracker first, and x̂^t_t, the last configuration of
+// an optimal schedule for the prefix, is the least the per-type machines
+// keep running.
+type prefixRule struct {
 	fleet   []model.ServerType
 	tracker *solver.PrefixTracker
-	types   []*TypeA
 	lastOpt model.Config
-	optCost float64
 	out     model.Config // scratch returned by Step
 }
+
+func newPrefixRule(types []model.ServerType, opts Options) (prefixRule, error) {
+	tracker, err := solver.NewStreamTracker(types, opts.solverOptions())
+	if err != nil {
+		return prefixRule{}, err
+	}
+	return prefixRule{
+		fleet:   append([]model.ServerType(nil), types...),
+		tracker: tracker,
+		out:     make(model.Config, len(types)),
+	}, nil
+}
+
+// push feeds one slot to the tracker and returns x̂^t_t.
+func (r *prefixRule) push(in model.SlotInput) model.Config {
+	xhat, _, err := r.tracker.Push(in)
+	if err != nil {
+		panic("core: " + err.Error())
+	}
+	r.lastOpt = append(r.lastOpt[:0], xhat...)
+	return xhat
+}
+
+// PrefixOpt returns x̂^t_t from the most recent Step: the final
+// configuration of an optimal schedule for the prefix instance. Useful for
+// instrumentation and for verifying the invariant x_{t,j} >= x̂^t_{t,j}.
+func (r *prefixRule) PrefixOpt() model.Config { return r.lastOpt }
+
+// Tracker implements Tracked.
+func (r *prefixRule) Tracker() *solver.PrefixTracker { return r.tracker }
+
+// Seek implements Snapshotter.
+func (r *prefixRule) Seek(t int) { r.tracker.Seek(t) }
 
 // Options tunes the online algorithms' internal prefix-optimum tracker.
 // The zero value reproduces the paper exactly.
@@ -160,16 +202,11 @@ func NewAlgorithmAWithOptions(types []model.ServerType, opts Options) (*Algorith
 			return nil, fmt.Errorf("core: Algorithm A requires time-independent operating costs")
 		}
 	}
-	tracker, err := solver.NewStreamTracker(types, opts.solverOptions())
+	rule, err := newPrefixRule(types, opts)
 	if err != nil {
 		return nil, err
 	}
-	a := &AlgorithmA{
-		fleet:   append([]model.ServerType(nil), types...),
-		tracker: tracker,
-		types:   make([]*TypeA, len(types)),
-		out:     make(model.Config, len(types)),
-	}
+	a := &AlgorithmA{prefixRule: rule, types: make([]*TypeA, len(types))}
 	for j, st := range types {
 		a.types[j] = NewTypeA(TimeoutA(st.SwitchCost, st.Cost.At(1).Value(0)))
 	}
@@ -181,12 +218,7 @@ func (a *AlgorithmA) Name() string { return "AlgorithmA" }
 
 // Step implements Online.
 func (a *AlgorithmA) Step(in model.SlotInput) model.Config {
-	xhat, optCost, err := a.tracker.Push(in)
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	a.optCost = optCost
-	a.lastOpt = append(a.lastOpt[:0], xhat...)
+	xhat := a.push(in)
 	for j, st := range a.types {
 		st.Step(xhat[j])
 		// Fleet shrinkage (Section 4.3 extension): release the newest
@@ -197,18 +229,6 @@ func (a *AlgorithmA) Step(in model.SlotInput) model.Config {
 	}
 	return a.out
 }
-
-// PrefixOpt returns x̂^t_t from the most recent Step: the final
-// configuration of an optimal schedule for the prefix instance. Useful for
-// instrumentation and for verifying the invariant x^A_{t,j} >= x̂^t_{t,j}.
-func (a *AlgorithmA) PrefixOpt() model.Config { return a.lastOpt }
-
-// PrefixOptCost implements OptTracking: the optimal cost of the consumed
-// prefix, exact iff the tracker follows the full lattice.
-func (a *AlgorithmA) PrefixOptCost() (float64, bool) { return a.optCost, a.tracker.Exact() }
-
-// OperatingCost implements LayerCosting.
-func (a *AlgorithmA) OperatingCost(x model.Config) (float64, bool) { return a.tracker.G(x) }
 
 // Timeout returns t̄_j for server type j.
 func (a *AlgorithmA) Timeout(j int) int { return a.types[j].Tbar() }

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/model"
-	"repro/internal/solver"
 )
 
 // TypeB is the per-type state machine of Algorithm B for one server type
@@ -98,12 +97,8 @@ func (s *TypeB) ClampTo(m int) int {
 // Section 3.1 for time-dependent operating cost functions, where
 // c(I) = Σ_j max_t f_{t,j}(0)/β_j.
 type AlgorithmB struct {
-	fleet   []model.ServerType
-	tracker *solver.PrefixTracker
-	types   []*TypeB
-	lastOpt model.Config
-	optCost float64
-	out     model.Config // scratch returned by Step
+	prefixRule
+	types []*TypeB
 }
 
 // NewAlgorithmB prepares Algorithm B for a fleet template. Per-slot cost
@@ -116,16 +111,11 @@ func NewAlgorithmB(types []model.ServerType) (*AlgorithmB, error) {
 // NewAlgorithmBWithOptions is NewAlgorithmB with tracker tuning (see
 // Options).
 func NewAlgorithmBWithOptions(types []model.ServerType, opts Options) (*AlgorithmB, error) {
-	tracker, err := solver.NewStreamTracker(types, opts.solverOptions())
+	rule, err := newPrefixRule(types, opts)
 	if err != nil {
 		return nil, err
 	}
-	b := &AlgorithmB{
-		fleet:   append([]model.ServerType(nil), types...),
-		tracker: tracker,
-		types:   make([]*TypeB, len(types)),
-		out:     make(model.Config, len(types)),
-	}
+	b := &AlgorithmB{prefixRule: rule, types: make([]*TypeB, len(types))}
 	for j, st := range types {
 		b.types[j] = NewTypeB(st.SwitchCost)
 	}
@@ -137,12 +127,7 @@ func (b *AlgorithmB) Name() string { return "AlgorithmB" }
 
 // Step implements Online.
 func (b *AlgorithmB) Step(in model.SlotInput) model.Config {
-	xhat, optCost, err := b.tracker.Push(in)
-	if err != nil {
-		panic("core: " + err.Error())
-	}
-	b.optCost = optCost
-	b.lastOpt = append(b.lastOpt[:0], xhat...)
+	xhat := b.push(in)
 	for j, st := range b.types {
 		l := in.Cost(j, b.fleet[j].Cost).Value(0)
 		st.Step(l, xhat[j])
@@ -151,16 +136,6 @@ func (b *AlgorithmB) Step(in model.SlotInput) model.Config {
 	}
 	return b.out
 }
-
-// PrefixOpt returns x̂^t_t from the most recent Step.
-func (b *AlgorithmB) PrefixOpt() model.Config { return b.lastOpt }
-
-// PrefixOptCost implements OptTracking: the optimal cost of the consumed
-// prefix, exact iff the tracker follows the full lattice.
-func (b *AlgorithmB) PrefixOptCost() (float64, bool) { return b.optCost, b.tracker.Exact() }
-
-// OperatingCost implements LayerCosting.
-func (b *AlgorithmB) OperatingCost(x model.Config) (float64, bool) { return b.tracker.G(x) }
 
 // CI returns the instance-dependent constant c(I) = Σ_j max_t l_{t,j}/β_j
 // appearing in Theorem 13's competitive ratio 2d+1+c(I). Types with

@@ -27,14 +27,12 @@ type AlgorithmC struct {
 	fleet []model.ServerType
 	eps   float64
 	inner *AlgorithmB
-	eval  *model.SlotEval
 	t     int // original slots processed
 	u     int // sub-slots pushed into the inner algorithm
 	maxN  int
 
-	best   model.Config  // scratch returned by Step
-	costs  []costfn.Func // scratch: scaled sub-slot cost functions
-	counts []int         // scratch: resolved sub-slot counts
+	best  model.Config  // scratch returned by Step
+	costs []costfn.Func // scratch: scaled sub-slot cost functions
 }
 
 // NewAlgorithmC prepares Algorithm C for accuracy parameter eps > 0.
@@ -56,14 +54,12 @@ func NewAlgorithmC(types []model.ServerType, eps float64) (*AlgorithmC, error) {
 		return nil, err
 	}
 	return &AlgorithmC{
-		fleet:  append([]model.ServerType(nil), types...),
-		eps:    eps,
-		inner:  inner,
-		eval:   model.NewSlotEval(types),
-		maxN:   1,
-		best:   make(model.Config, len(types)),
-		costs:  make([]costfn.Func, len(types)),
-		counts: make([]int, len(types)),
+		fleet: append([]model.ServerType(nil), types...),
+		eps:   eps,
+		inner: inner,
+		maxN:  1,
+		best:  make(model.Config, len(types)),
+		costs: make([]costfn.Func, len(types)),
 	}, nil
 }
 
@@ -86,7 +82,6 @@ func (c *AlgorithmC) Step(in model.SlotInput) model.Config {
 	d := float64(len(c.fleet))
 	ratio := 0.0
 	for j := range c.fleet {
-		c.counts[j] = in.Count(j, c.fleet[j].Count)
 		if r := in.Cost(j, c.fleet[j].Cost).Value(0) / c.fleet[j].SwitchCost; r > ratio {
 			ratio = r
 		}
@@ -110,11 +105,16 @@ func (c *AlgorithmC) Step(in model.SlotInput) model.Config {
 	bestVal := math.Inf(1)
 	for k := 0; k < n; k++ {
 		c.u++
-		sub := model.SlotInput{T: c.u, Lambda: in.Lambda, Costs: c.costs, Counts: c.counts}
-		x := c.inner.Step(sub)
+		x := c.inner.Step(model.SlotInput{T: c.u, Lambda: in.Lambda, Costs: c.costs, Counts: in.Counts})
 		// All sub-slots of an original slot have identical g̃_u up to the
-		// 1/ñ_t factor, so comparing g̃ values is comparing g values.
-		if v := c.eval.G(sub, x); v < bestVal {
+		// 1/ñ_t factor, so comparing g̃ values is comparing g values. The
+		// inner B's exact tracker just evaluated g̃_u over a lattice that
+		// holds x^B_u, so its layer answers bit-identically to a solve.
+		v, ok := c.inner.tracker.G(x)
+		if !ok {
+			panic(fmt.Sprintf("core: sub-slot %d configuration %v is off its tracker's lattice", c.u, x))
+		}
+		if v < bestVal {
 			bestVal = v
 			copy(c.best, x)
 		}

@@ -12,7 +12,10 @@
 // All three share the same power-up rule — never run fewer servers of any
 // type than the final configuration x̂^t_t of an optimal schedule for the
 // prefix instance I_t — and differ in their power-down rule (a ski-rental
-// style timeout measured in accumulated idle cost).
+// style timeout measured in accumulated idle cost). Algorithms A and B
+// share that rule's code too, and expose the prefix tracker behind it
+// through Tracked, the one seam live drivers read telemetry from;
+// Algorithm C reads its sub-slot costs from its inner B's tracker.
 //
 // The API is push-based: algorithms are constructed from the fleet
 // template ([]model.ServerType) alone and receive each slot's demand, cost
@@ -23,6 +26,7 @@ package core
 
 import (
 	"repro/internal/model"
+	"repro/internal/solver"
 )
 
 // Online is a deterministic push-based online right-sizing algorithm. A
@@ -44,21 +48,18 @@ type Online interface {
 	Step(in model.SlotInput) model.Config
 }
 
-// OptTracking is the optional interface of online algorithms that already
-// maintain a streaming prefix-optimum tracker as part of their decision
-// rule (Algorithms A and B, LCP). Live drivers (stream.Session) reuse it
-// for their Opt/Ratio telemetry instead of running a second tracker —
-// halving steady-state per-slot work — and fall back to a dedicated
-// tracker for algorithms that do not implement it.
-type OptTracking interface {
+// Tracked is the optional interface of online algorithms that run a
+// streaming prefix-optimum tracker as part of their decision rule
+// (Algorithms A and B, LCP). The tracker's last step is the DP layer of
+// the slot the algorithm last stepped, so a live driver (stream.Session)
+// reads its telemetry from it — the prefix optimum's cost (Opt) when the
+// tracker is exact, and the decided configuration's operating cost (G) —
+// instead of running a second tracker or solving the slot again.
+type Tracked interface {
 	Online
-	// PrefixOptCost returns C(X̂^t), the optimal cost of serving the
-	// prefix consumed by the most recent Step (0 before the first), and
-	// whether the value is exact. Reduced-lattice tracker variants
-	// (Options.TrackerGamma > 1) report exact == false and consumers fall
-	// back to their own exact tracker. The method is callable at any
-	// point, including before the first Step.
-	PrefixOptCost() (cost float64, exact bool)
+	// Tracker returns the algorithm's prefix tracker; callers only read
+	// it.
+	Tracker() *solver.PrefixTracker
 }
 
 // Buffered is the optional interface of semi-online algorithms whose
@@ -99,19 +100,6 @@ type Snapshotter interface {
 	// the state covers. It rejects states of another kind or version,
 	// and states that do not fit the fleet or the Seek.
 	RestoreState(state []byte) error
-}
-
-// LayerCosting is the optional interface of online algorithms whose
-// prefix-optimum tracker evaluates the operating cost g_t of every slot
-// they step over a whole configuration lattice (Algorithms A and B).
-// Live drivers read the cost of the configuration Step returned from
-// that layer instead of solving its dispatch program a second time.
-type LayerCosting interface {
-	Online
-	// OperatingCost returns g_t(x) for the slot of the most recent Step
-	// when x lies on the tracker's lattice, bit-identical to
-	// model.SlotEval.G; ok is false otherwise and the caller solves it.
-	OperatingCost(x model.Config) (g float64, ok bool)
 }
 
 // Run drives an online algorithm over a pre-recorded instance — the batch

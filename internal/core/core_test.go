@@ -113,6 +113,11 @@ func TestTimeoutA(t *testing.T) {
 		{5, 5, 1},
 		{0, 3, 1},  // β=0 still serves the mandated slot
 		{3, 0, -1}, // infinite: checked separately
+		// β/f(0) beyond int's range clamps to the infinite timeout
+		// instead of converting to a negative t̄.
+		{1, 1e-19, -1},
+		{1, 1e-300, -1},
+		{1, 5e-324, -1},
 	}
 	for _, c := range cases {
 		got := TimeoutA(c.beta, c.idle)
@@ -135,6 +140,28 @@ func TestTimeoutA(t *testing.T) {
 			}()
 			TimeoutA(bad[0], bad[1])
 		}()
+	}
+}
+
+// A type whose idle cost is positive but tiny next to its switching
+// cost keeps its servers up for ⌈β/f(0)⌉ slots — for all practical
+// purposes forever — even though the prefix optimum drops to zero once
+// demand is gone.
+func TestAlgorithmATinyIdleCostKeepsServersUp(t *testing.T) {
+	types := []model.ServerType{{Count: 4, SwitchCost: 1, MaxLoad: 1,
+		Cost: model.Static{F: costfn.Affine{Idle: 1e-19, Rate: 1}}}}
+	a, err := NewAlgorithmA(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Timeout(0); got != noTimeout {
+		t.Fatalf("t̄ = %d, want %d", got, noTimeout)
+	}
+	for s, lambda := range []float64{4, 0, 0, 0, 0, 0} {
+		x := a.Step(model.SlotInput{T: s + 1, Lambda: lambda})
+		if x[0] != 4 {
+			t.Fatalf("slot %d: %d servers up (prefix optimum %v), want all 4 kept", s+1, x[0], a.PrefixOpt())
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/model"
 	"repro/internal/statebuf"
 )
 
@@ -18,44 +17,90 @@ const (
 	stateKindB   = 'B'
 )
 
-// appendAlgState appends the fields Algorithms A and B share, in front
-// of the per-type machines.
-func appendAlgState(dst []byte, kind byte, t int, optCost float64, lastOpt model.Config) []byte {
+// appendState appends the fields Algorithms A and B share, in front of
+// the per-type machines: the slot count and the tracker's prefix optimum,
+// its cost and configuration.
+func (r *prefixRule) appendState(dst []byte, kind byte, t int) []byte {
 	dst = statebuf.AppendHeader(dst, kind, stateVersion)
 	dst = statebuf.AppendInt(dst, t)
-	dst = statebuf.AppendFloat(dst, optCost)
-	return statebuf.AppendInts(dst, lastOpt)
+	dst = statebuf.AppendFloat(dst, r.tracker.Opt())
+	return statebuf.AppendInts(dst, r.lastOpt)
 }
 
-// readAlgState reads what appendAlgState wrote. lastOpt is nil exactly
-// before the first slot and holds one count per fleet type after it.
-func readAlgState(r *statebuf.Reader, kind byte, d int) (t int, optCost float64, lastOpt model.Config, err error) {
+// restore loads a state appendState began: the shared fields, then each
+// type's machine through readType, then the tracker's nested state, which
+// must cover the same slots and carry, bit for bit, the same
+// prefix-optimum cost. lastOpt is nil exactly before the first slot and
+// holds one count per fleet type after it.
+func (p *prefixRule) restore(state []byte, kind byte, readType func(r *statebuf.Reader, j, t int) error) error {
+	r := statebuf.NewReader(state)
 	r.Header(kind, stateVersion)
-	t = r.Int()
-	optCost = r.Float()
-	lastOpt = r.Ints()
+	t, optCost, lastOpt := r.Int(), r.Float(), r.Ints()
 	if err := r.Err(); err != nil {
-		return 0, 0, nil, err
+		return fmt.Errorf("core: Algorithm %c state: %w", kind, err)
 	}
-	if t < 0 || (t == 0) != (lastOpt == nil) || lastOpt != nil && len(lastOpt) != d {
-		return 0, 0, nil, statebuf.ErrMalformed
+	if t < 0 || (t == 0) != (lastOpt == nil) || lastOpt != nil && len(lastOpt) != len(p.fleet) {
+		return fmt.Errorf("core: Algorithm %c state: %w", kind, statebuf.ErrMalformed)
 	}
-	return t, optCost, lastOpt, nil
+	for j := range p.fleet {
+		if err := readType(r, j, t); err != nil {
+			return err
+		}
+	}
+	tracker := r.Bytes()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("core: Algorithm %c state: %w", kind, err)
+	}
+	if err := p.tracker.RestoreState(tracker); err != nil {
+		return err
+	}
+	if t != p.tracker.T() {
+		return fmt.Errorf("core: state covers %d slots, its tracker %d: %w", t, p.tracker.T(), statebuf.ErrMalformed)
+	}
+	if math.Float64bits(optCost) != math.Float64bits(p.tracker.Opt()) {
+		return fmt.Errorf("core: state's prefix optimum costs %v, its tracker's %v: %w", optCost, p.tracker.Opt(), statebuf.ErrMalformed)
+	}
+	p.lastOpt = lastOpt
+	return nil
 }
 
-// checkSlots verifies that a restored state covers exactly the slots its
-// tracker was positioned past and restored with.
-func checkSlots(t, tracked int) error {
-	if t != tracked {
-		return fmt.Errorf("core: state covers %d slots, its tracker %d: %w", t, tracked, statebuf.ErrMalformed)
+// valid reports whether a restored machine is consistent: no power-up
+// count is negative, and x is the number of servers powered up inside
+// the window [t−t̄+1, t].
+func (s *TypeA) valid() bool {
+	live := 0
+	for i, w := range s.w {
+		switch {
+		case w < 0:
+			return false
+		case i >= s.t-s.tbar: // slot i+1 is inside the window
+			if w > s.x-live {
+				return false
+			}
+			live += w
+		}
 	}
-	return nil
+	return live == s.x
+}
+
+// valid reports whether a restored machine is consistent: x is the sum
+// of the pending power-ups' counts, which are non-negative, at strictly
+// increasing slots in [1, t].
+func (s *TypeB) valid() bool {
+	live, last := 0, 0
+	for _, e := range s.events[s.head:] {
+		if e.count < 0 || e.count > s.x-live || e.slot <= last || e.slot > s.t {
+			return false
+		}
+		live, last = live+e.count, e.slot
+	}
+	return live == s.x
 }
 
 // AppendState implements Snapshotter. Each type's power-up history w is
 // kept whole, so PowerUpHistory survives a restore too.
 func (a *AlgorithmA) AppendState(dst []byte) []byte {
-	dst = appendAlgState(dst, stateKindA, a.types[0].t, a.optCost, a.lastOpt)
+	dst = a.appendState(dst, stateKindA, a.types[0].t)
 	for _, st := range a.types {
 		dst = statebuf.AppendInt(dst, st.tbar)
 		dst = statebuf.AppendInt(dst, st.x)
@@ -64,45 +109,23 @@ func (a *AlgorithmA) AppendState(dst []byte) []byte {
 	return statebuf.AppendNested(dst, a.tracker.AppendState)
 }
 
-// Seek implements Snapshotter.
-func (a *AlgorithmA) Seek(t int) { a.tracker.Seek(t) }
-
 // RestoreState implements Snapshotter. On error the algorithm must be
 // discarded.
 func (a *AlgorithmA) RestoreState(state []byte) error {
-	r := statebuf.NewReader(state)
-	t, optCost, lastOpt, err := readAlgState(r, stateKindA, len(a.types))
-	if err != nil {
-		return fmt.Errorf("core: Algorithm A state: %w", err)
-	}
-	types := make([]TypeA, len(a.types))
-	for j := range types {
-		types[j] = TypeA{tbar: r.Int(), t: t, x: r.Int(), w: r.Ints()}
-		if r.Err() == nil && (types[j].tbar != a.types[j].tbar || len(types[j].w) != t) {
+	return a.restore(state, stateKindA, func(r *statebuf.Reader, j, t int) error {
+		st := TypeA{tbar: r.Int(), t: t, x: r.Int(), w: r.Ints()}
+		if r.Err() == nil && (st.tbar != a.types[j].tbar || len(st.w) != t || !st.valid()) {
 			return fmt.Errorf("core: Algorithm A state does not fit type %d: %w", j, statebuf.ErrMalformed)
 		}
-	}
-	tracker := r.Bytes()
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("core: Algorithm A state: %w", err)
-	}
-	if err := a.tracker.RestoreState(tracker); err != nil {
-		return err
-	}
-	if err := checkSlots(t, a.tracker.T()); err != nil {
-		return err
-	}
-	for j := range types {
-		*a.types[j] = types[j]
-	}
-	a.optCost, a.lastOpt = optCost, lastOpt
-	return nil
+		*a.types[j] = st
+		return nil
+	})
 }
 
 // AppendState implements Snapshotter. Only each type's unexpired
 // power-ups are kept: the expired head of the FIFO never matters again.
 func (b *AlgorithmB) AppendState(dst []byte) []byte {
-	dst = appendAlgState(dst, stateKindB, b.types[0].t, b.optCost, b.lastOpt)
+	dst = b.appendState(dst, stateKindB, b.types[0].t)
 	for _, st := range b.types {
 		dst = statebuf.AppendFloat(dst, st.beta)
 		dst = statebuf.AppendFloat(dst, st.lsum)
@@ -118,19 +141,10 @@ func (b *AlgorithmB) AppendState(dst []byte) []byte {
 	return statebuf.AppendNested(dst, b.tracker.AppendState)
 }
 
-// Seek implements Snapshotter.
-func (b *AlgorithmB) Seek(t int) { b.tracker.Seek(t) }
-
 // RestoreState implements Snapshotter. On error the algorithm must be
 // discarded.
 func (b *AlgorithmB) RestoreState(state []byte) error {
-	r := statebuf.NewReader(state)
-	t, optCost, lastOpt, err := readAlgState(r, stateKindB, len(b.types))
-	if err != nil {
-		return fmt.Errorf("core: Algorithm B state: %w", err)
-	}
-	types := make([]TypeB, len(b.types))
-	for j := range types {
+	return b.restore(state, stateKindB, func(r *statebuf.Reader, j, t int) error {
 		st := TypeB{beta: r.Float(), t: t, lsum: r.Float(), x: r.Int()}
 		if r.Err() == nil && math.Float64bits(st.beta) != math.Float64bits(b.types[j].beta) {
 			return fmt.Errorf("core: Algorithm B state does not fit type %d: %w", j, statebuf.ErrMalformed)
@@ -145,21 +159,10 @@ func (b *AlgorithmB) RestoreState(state []byte) error {
 				st.events[i] = eventB{slot: r.Int(), count: r.Int(), lsum: r.Float()}
 			}
 		}
-		types[j] = st
-	}
-	tracker := r.Bytes()
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("core: Algorithm B state: %w", err)
-	}
-	if err := b.tracker.RestoreState(tracker); err != nil {
-		return err
-	}
-	if err := checkSlots(t, b.tracker.T()); err != nil {
-		return err
-	}
-	for j := range types {
-		*b.types[j] = types[j]
-	}
-	b.optCost, b.lastOpt = optCost, lastOpt
-	return nil
+		if r.Err() == nil && !st.valid() {
+			return fmt.Errorf("core: Algorithm B state's type %d power-ups do not add up: %w", j, statebuf.ErrMalformed)
+		}
+		*b.types[j] = st
+		return nil
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/costfn"
 	"repro/internal/model"
 	"repro/internal/statebuf"
 )
@@ -48,8 +49,8 @@ func TestSnapshotterRestoresBitIdentically(t *testing.T) {
 			ins.SlotInto(s, &in)
 			for _, p := range [][2]Snapshotter{{a, freshA}, {b, freshB}} {
 				want, got := p[0].Step(in).Clone(), p[1].Step(in)
-				wc, _ := p[0].(OptTracking).PrefixOptCost()
-				gc, _ := p[1].(OptTracking).PrefixOptCost()
+				wc := p[0].(Tracked).Tracker().Opt()
+				gc := p[1].(Tracked).Tracker().Opt()
 				if !want.Equal(got) || math.Float64bits(wc) != math.Float64bits(gc) {
 					t.Fatalf("trial %d slot %d %s: %v (opt %v), restored %v (opt %v)", trial, s, p[0].Name(), want, wc, got, gc)
 				}
@@ -113,6 +114,96 @@ func TestHeldSlotsBoundedAlgorithms(t *testing.T) {
 	for j, st := range b.types {
 		if c := cap(st.events); c > 16 {
 			t.Errorf("Algorithm B's type %d keeps room for %d power-up events after 100 000 slots, want <= 16", j, c)
+		}
+	}
+}
+
+// inconsistentFleet and inconsistentDemand step Algorithms A and B into a
+// state with live power-ups on both types: demand rises for six slots,
+// and type 0's t̄ = 2 has expired the first four slots' power-ups.
+func inconsistentFleet() []model.ServerType {
+	return []model.ServerType{
+		{Count: 8, SwitchCost: 2, MaxLoad: 1, Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 0.5}}},
+		{Count: 3, SwitchCost: 12, MaxLoad: 4, Cost: model.Static{F: costfn.Affine{Idle: 3, Rate: 0.3}}},
+	}
+}
+
+var inconsistentDemand = []float64{2, 5, 9, 13, 16, 18}
+
+// A state that decodes but whose power-down machines break their
+// invariants, or whose prefix-optimum cost is not its tracker's, is
+// refused as malformed, so a session restoring it replays its log
+// instead: restored, it would panic (ClampTo accounting mismatch) or
+// diverge on a later slot.
+func TestRestoreRejectsInconsistentState(t *testing.T) {
+	types := inconsistentFleet()
+	cut := len(inconsistentDemand)
+	stepped := func(alg Snapshotter) Snapshotter {
+		for s, l := range inconsistentDemand {
+			alg.Step(model.SlotInput{T: s + 1, Lambda: l})
+		}
+		return alg
+	}
+	newA := func() Snapshotter { a, _ := NewAlgorithmA(types); return a }
+	newB := func() Snapshotter { b, _ := NewAlgorithmB(types); return b }
+	// flipOpt changes the saved prefix-optimum cost by one ulp.
+	flipOpt := func(state []byte, kind byte) {
+		state[len(statebuf.AppendInt(statebuf.AppendHeader(nil, kind, stateVersion), cut))] ^= 1
+	}
+	liveB := func(alg Snapshotter) []eventB {
+		live := alg.(*AlgorithmB).types[0]
+		if ev := live.events[live.head:]; len(ev) >= 2 {
+			return ev
+		}
+		t.Fatal("type 0 has fewer than two live power-ups; the stream no longer covers the ordering check")
+		return nil
+	}
+	cases := []struct {
+		name   string
+		mk     func() Snapshotter
+		breakA func(alg Snapshotter)     // breaks the live algorithm before AppendState
+		breakS func(state []byte) []byte // breaks the state bytes after it
+	}{
+		{"A/x-off-window", newA, func(alg Snapshotter) { alg.(*AlgorithmA).types[0].x++ }, nil},
+		{"A/negative-expired-power-up", newA, func(alg Snapshotter) { alg.(*AlgorithmA).types[0].w[0] = -1 }, nil},
+		{"A/negative-live-power-up", newA, func(alg Snapshotter) {
+			st := alg.(*AlgorithmA).types[1]
+			st.w[cut-1], st.w[cut-2] = -1, st.w[cut-2]+st.w[cut-1]+1
+		}, nil},
+		{"A/opt-cost", newA, nil, func(state []byte) []byte { flipOpt(state, stateKindA); return state }},
+		{"B/x-off-events", newB, func(alg Snapshotter) { alg.(*AlgorithmB).types[1].x++ }, nil},
+		{"B/negative-count", newB, func(alg Snapshotter) {
+			ev := liveB(alg)
+			ev[0].count, ev[1].count = -1, ev[1].count+ev[0].count+1
+		}, nil},
+		{"B/slots-out-of-order", newB, func(alg Snapshotter) {
+			ev := liveB(alg)
+			ev[0].slot, ev[1].slot = ev[1].slot, ev[0].slot
+		}, nil},
+		{"B/slot-past-t", newB, func(alg Snapshotter) {
+			ev := liveB(alg)
+			ev[len(ev)-1].slot = cut + 1
+		}, nil},
+		{"B/opt-cost", newB, nil, func(state []byte) []byte { flipOpt(state, stateKindB); return state }},
+	}
+	for _, c := range cases {
+		fresh := c.mk()
+		fresh.Seek(cut)
+		if err := fresh.RestoreState(stepped(c.mk()).AppendState(nil)); err != nil {
+			t.Fatalf("%s: the intact state is refused: %v", c.name, err)
+		}
+		alg := stepped(c.mk())
+		if c.breakA != nil {
+			c.breakA(alg)
+		}
+		state := alg.AppendState(nil)
+		if c.breakS != nil {
+			state = c.breakS(state)
+		}
+		fresh = c.mk()
+		fresh.Seek(cut)
+		if err := fresh.RestoreState(state); !errors.Is(err, statebuf.ErrMalformed) {
+			t.Errorf("%s: restore returned %v, want ErrMalformed", c.name, err)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func unmemoised(types []model.ServerType) []model.ServerType {
 // after each decided push.
 func checkOperating(t *testing.T, sess *stream.Session, ins *model.Instance, types []model.ServerType, after func(adv stream.Advisory)) {
 	t.Helper()
-	eval := model.NewSlotEval(types)
+	eval := model.NewEvaluator(&model.Instance{Types: types})
 	check := func(adv stream.Advisory) {
 		t.Helper()
 		s := adv.Slot
@@ -66,7 +66,8 @@ func checkOperating(t *testing.T, sess *stream.Session, ins *model.Instance, typ
 			in.Costs[j] = st.Cost.At(s)
 			in.Counts[j] = ins.CountAt(s, j)
 		}
-		if want := eval.G(in, adv.Config); math.Float64bits(adv.Operating) != math.Float64bits(want) {
+		eval.Prepare(in)
+		if want := eval.GPrepared(adv.Config); math.Float64bits(adv.Operating) != math.Float64bits(want) {
 			t.Fatalf("slot %d config %v: operating %v, dispatch solve %v", s, adv.Config, adv.Operating, want)
 		}
 	}
@@ -96,8 +97,10 @@ func checkOperating(t *testing.T, sess *stream.Session, ins *model.Instance, typ
 // tracker already evaluated for it instead of solving its dispatch
 // program again; the value must be the solve's, bit for bit. Covered for
 // every scenario and every streamable algorithm — Algorithms A and B
-// through their own trackers, the others through the session's
+// and LCP through their own trackers, the others through the session's
 // telemetry tracker — and for A and B also without the layer memo.
+// Algorithm C's sub-slot costs, read from its inner B's layers, are
+// checked the same way by core's TestSubSlotCostFromLayerMatchesSolve.
 func TestOperatingFromLayerMatchesSolve(t *testing.T) {
 	const seed = 4
 	for _, sc := range Scenarios() {
@@ -133,9 +136,9 @@ func TestOperatingFromLayerMatchesSolve(t *testing.T) {
 					// An exact tracker's lattice holds every feasible
 					// configuration, so it must answer each one itself.
 					var after func(stream.Advisory)
-					if lc, ok := alg.(core.LayerCosting); ok {
+					if tr, ok := alg.(core.Tracked); ok {
 						after = func(adv stream.Advisory) {
-							if _, ok := lc.OperatingCost(adv.Config); !ok {
+							if _, ok := tr.Tracker().G(adv.Config); !ok {
 								t.Fatalf("slot %d: the tracker declined %v", adv.Slot, adv.Config)
 							}
 						}
@@ -167,7 +170,7 @@ func TestOperatingFromReducedLatticeFallsBack(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkOperating(t, sess, ins, ins.Types, func(adv stream.Advisory) {
-					if _, ok := alg.OperatingCost(adv.Config); !ok {
+					if _, ok := alg.Tracker().G(adv.Config); !ok {
 						if gamma <= 1 {
 							t.Fatalf("%s slot %d: the exact tracker declined %v", sc.Name, adv.Slot, adv.Config)
 						}

@@ -111,13 +111,40 @@ func (ins *Instance) TimeVarying() bool { return ins.Counts != nil }
 // dimensions, non-negative parameters, per-slot feasibility (total capacity
 // covers each λ_t), and well-formed Counts if present.
 func (ins *Instance) Validate() error {
-	if ins.D() == 0 {
-		return fmt.Errorf("model: instance has no server types")
+	if err := ValidateFleet(ins.Types); err != nil {
+		return err
 	}
 	if ins.T() == 0 {
 		return fmt.Errorf("model: instance has no time slots")
 	}
 	for j, st := range ins.Types {
+		if st.Cost == nil {
+			return fmt.Errorf("model: type %d has no cost profile", j)
+		}
+	}
+	if ins.Counts != nil && len(ins.Counts) != ins.T() {
+		return fmt.Errorf("model: Counts has %d slots, want %d", len(ins.Counts), ins.T())
+	}
+	for t := 1; t <= ins.T(); t++ {
+		var counts []int
+		if ins.Counts != nil {
+			counts = ins.Counts[t-1]
+		}
+		if err := checkSlot(ins.Types, t, ins.Lambda[t-1], counts); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ValidateFleet checks a fleet template's static per-type parameters:
+// at least one type, and for each a non-negative count and switching
+// cost and a positive capacity. Cost profiles are not checked.
+func ValidateFleet(types []ServerType) error {
+	if len(types) == 0 {
+		return fmt.Errorf("model: fleet has no server types")
+	}
+	for j, st := range types {
 		if st.Count < 0 {
 			return fmt.Errorf("model: type %d has negative count %d", j, st.Count)
 		}
@@ -127,35 +154,36 @@ func (ins *Instance) Validate() error {
 		if st.MaxLoad <= 0 {
 			return fmt.Errorf("model: type %d has non-positive capacity %g", j, st.MaxLoad)
 		}
-		if st.Cost == nil {
-			return fmt.Errorf("model: type %d has no cost profile", j)
-		}
 	}
-	if ins.Counts != nil && len(ins.Counts) != ins.T() {
-		return fmt.Errorf("model: Counts has %d slots, want %d", len(ins.Counts), ins.T())
+	return nil
+}
+
+// checkSlot checks slot t's demand λ_t against the fleet: finite and
+// non-negative, and covered by the total capacity of the slot's counts —
+// one non-negative count per type, nil meaning the template counts.
+func checkSlot(types []ServerType, t int, lambda float64, counts []int) error {
+	if lambda < 0 {
+		return fmt.Errorf("model: negative job volume %g at slot %d", lambda, t)
 	}
-	for t := 1; t <= ins.T(); t++ {
-		if ins.Lambda[t-1] < 0 {
-			return fmt.Errorf("model: negative job volume %g at slot %d", ins.Lambda[t-1], t)
+	if math.IsNaN(lambda) || math.IsInf(lambda, 1) {
+		return fmt.Errorf("model: non-finite job volume %g at slot %d", lambda, t)
+	}
+	if counts != nil && len(counts) != len(types) {
+		return fmt.Errorf("model: slot %d carries %d counts, want %d", t, len(counts), len(types))
+	}
+	capacity := 0.0
+	for j, st := range types {
+		c := st.Count
+		if counts != nil {
+			c = counts[j]
 		}
-		if math.IsNaN(ins.Lambda[t-1]) || math.IsInf(ins.Lambda[t-1], 1) {
-			return fmt.Errorf("model: non-finite job volume %g at slot %d", ins.Lambda[t-1], t)
+		if c < 0 {
+			return fmt.Errorf("model: negative count at slot %d type %d", t, j)
 		}
-		if ins.Counts != nil && len(ins.Counts[t-1]) != ins.D() {
-			return fmt.Errorf("model: Counts[%d] has %d types, want %d", t-1, len(ins.Counts[t-1]), ins.D())
-		}
-		cap := 0.0
-		for j := range ins.Types {
-			c := ins.CountAt(t, j)
-			if c < 0 {
-				return fmt.Errorf("model: negative count at slot %d type %d", t, j)
-			}
-			cap += float64(c) * ins.Types[j].MaxLoad
-		}
-		if cap < ins.Lambda[t-1]*(1-1e-12) {
-			return fmt.Errorf("model: slot %d demand %g exceeds total capacity %g",
-				t, ins.Lambda[t-1], cap)
-		}
+		capacity += float64(c) * st.MaxLoad
+	}
+	if capacity < lambda*(1-1e-12) {
+		return fmt.Errorf("model: slot %d demand %g exceeds total capacity %g", t, lambda, capacity)
 	}
 	return nil
 }
@@ -272,8 +300,10 @@ func (b CostBreakdown) Total() float64 { return b.Operating + b.Switching }
 // NewEvaluator; it is not safe for concurrent use.
 //
 // Costs of many configurations in one slot resolve the slot once:
-// PrepareSlot(t), then GPrepared(x) per configuration. G and SplitInto
-// are both steps for a single configuration.
+// PrepareSlot(t), or Prepare(in) for a streamed slot, then GPrepared(x)
+// per configuration. G and SplitInto are both steps for a single
+// configuration. An evaluator for streamed slots alone needs only the
+// fleet template: NewEvaluator(&Instance{Types: types}).
 type Evaluator struct {
 	ins     *Instance
 	servers []dispatch.Server
@@ -298,19 +328,27 @@ func (e *Evaluator) Instance() *Instance { return e.ins }
 // job volume, capacities and cost functions, and the dispatch solver's
 // type table built from them.
 func (e *Evaluator) PrepareSlot(t int) {
-	for j := range e.servers {
-		e.counts[j] = e.ins.CountAt(t, j)
-		e.servers[j] = dispatch.Server{
-			Cap: e.ins.Types[j].MaxLoad,
-			F:   e.ins.Types[j].Cost.At(t),
-		}
+	in := SlotInput{T: t, Lambda: e.ins.Lambda[t-1]}
+	if e.ins.Counts != nil {
+		in.Counts = e.ins.Counts[t-1]
 	}
-	e.lambda = e.ins.Lambda[t-1]
+	e.Prepare(in)
+}
+
+// Prepare is PrepareSlot for a slot that arrives as a SlotInput rather
+// than as a slot of the instance: its omitted costs and counts fall back
+// to the instance's types, as SlotInput.Cost and Count do.
+func (e *Evaluator) Prepare(in SlotInput) {
+	for j, st := range e.ins.Types {
+		e.counts[j] = in.Count(j, st.Count)
+		e.servers[j] = dispatch.Server{Cap: st.MaxLoad, F: in.Cost(j, st.Cost)}
+	}
+	e.lambda = in.Lambda
 	e.solver.Prepare(e.servers)
 }
 
-// GPrepared returns g_t(x) for the slot t of the last PrepareSlot call,
-// bit-identical to G(t, x).
+// GPrepared returns g_t(x) for the slot of the last PrepareSlot or
+// Prepare call, bit-identical to G(t, x).
 func (e *Evaluator) GPrepared(x Config) float64 {
 	if !fitsCounts(x, e.counts) {
 		return math.Inf(1)

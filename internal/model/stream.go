@@ -2,10 +2,8 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/costfn"
-	"repro/internal/dispatch"
 )
 
 // SlotInput is everything an online algorithm may observe about one time
@@ -97,7 +95,6 @@ type Accumulator struct {
 	template []ServerType
 	t        int           // slots pushed so far
 	fnBuf    []costfn.Func // per-push resolution scratch
-	cntBuf   []int         // per-push counts scratch
 	lambda   [1]float64    // backing array of ins.Lambda
 	counts   [1][]int      // backing array of ins.Counts
 }
@@ -106,32 +103,21 @@ type Accumulator struct {
 // template's per-type Count, SwitchCost and MaxLoad must be valid; Cost
 // profiles are optional fallbacks for pushes that omit Costs.
 func NewAccumulator(types []ServerType) (*Accumulator, error) {
-	if len(types) == 0 {
-		return nil, fmt.Errorf("model: accumulator needs at least one server type")
+	if err := ValidateFleet(types); err != nil {
+		return nil, err
 	}
 	d := len(types)
-	ints := make([]int, 2*d) // cntBuf and the one Counts row
 	acc := &Accumulator{
 		template: append([]ServerType(nil), types...),
 		profiles: make([]slotProfile, d),
 		fnBuf:    make([]costfn.Func, d),
-		cntBuf:   ints[:d:d],
 	}
 	cloned := make([]ServerType, d)
 	for j, st := range types {
-		if st.Count < 0 {
-			return nil, fmt.Errorf("model: type %d has negative count %d", j, st.Count)
-		}
-		if st.SwitchCost < 0 {
-			return nil, fmt.Errorf("model: type %d has negative switching cost %g", j, st.SwitchCost)
-		}
-		if st.MaxLoad <= 0 {
-			return nil, fmt.Errorf("model: type %d has non-positive capacity %g", j, st.MaxLoad)
-		}
 		cloned[j] = st
 		cloned[j].Cost = &acc.profiles[j]
 	}
-	acc.counts[0] = ints[d:]
+	acc.counts[0] = make([]int, d)
 	acc.ins = Instance{
 		Types:  cloned,
 		Lambda: acc.lambda[:0],
@@ -195,31 +181,10 @@ func (a *Accumulator) Push(in SlotInput) error {
 		return fmt.Errorf("model: pushed slot %d out of order, want %d", in.T, t)
 	}
 	in.T = t
-	if in.Lambda < 0 {
-		return fmt.Errorf("model: negative job volume %g at slot %d", in.Lambda, t)
+	if err := checkSlot(a.template, t, in.Lambda, in.Counts); err != nil {
+		return err
 	}
-	if math.IsNaN(in.Lambda) || math.IsInf(in.Lambda, 1) {
-		return fmt.Errorf("model: non-finite job volume %g at slot %d", in.Lambda, t)
-	}
-	if in.Counts != nil && len(in.Counts) != len(a.template) {
-		return fmt.Errorf("model: slot %d carries %d counts, want %d", t, len(in.Counts), len(a.template))
-	}
-	counts, fs := a.cntBuf, a.fnBuf
-	capacity := 0.0
-	for j := range a.template {
-		c := a.template[j].Count
-		if in.Counts != nil {
-			c = in.Counts[j]
-		}
-		if c < 0 {
-			return fmt.Errorf("model: negative count at slot %d type %d", t, j)
-		}
-		counts[j] = c
-		capacity += float64(c) * a.template[j].MaxLoad
-	}
-	if capacity < in.Lambda*(1-1e-12) {
-		return fmt.Errorf("model: slot %d demand %g exceeds total capacity %g", t, in.Lambda, capacity)
-	}
+	fs := a.fnBuf
 	for j := range a.template {
 		f, err := a.resolve(in, j)
 		if err != nil {
@@ -231,58 +196,9 @@ func (a *Accumulator) Push(in SlotInput) error {
 	a.t = t
 	a.ins.Lambda = append(a.ins.Lambda[:0], in.Lambda)
 	a.ins.Counts = a.ins.Counts[:1]
-	copy(a.ins.Counts[0], counts)
 	for j, f := range fs {
+		a.ins.Counts[0][j] = in.Count(j, a.template[j].Count)
 		a.profiles[j].f = f
 	}
 	return nil
-}
-
-// SlotEval computes the operating cost g(x) of a configuration against one
-// SlotInput, without materialising an Instance. It reuses scratch buffers
-// and is not safe for concurrent use. Costs must be resolved (non-nil) in
-// the inputs it evaluates. Like Evaluator, it resolves a slot once for
-// many configurations with Prepare and GPrepared.
-type SlotEval struct {
-	caps    []float64
-	servers []dispatch.Server
-	in      SlotInput // the prepared slot
-	solver  dispatch.Solver
-}
-
-// NewSlotEval builds an evaluator for the fleet template (only the
-// per-type MaxLoad capacities are read).
-func NewSlotEval(types []ServerType) *SlotEval {
-	caps := make([]float64, len(types))
-	for j, st := range types {
-		caps[j] = st.MaxLoad
-	}
-	return &SlotEval{caps: caps, servers: make([]dispatch.Server, len(types))}
-}
-
-// Prepare resolves the slot for GPrepared: its cost functions and the
-// dispatch solver's type table. The evaluator keeps in (not a copy of
-// its Costs and Counts) until the next Prepare.
-func (e *SlotEval) Prepare(in SlotInput) {
-	for j := range e.servers {
-		e.servers[j] = dispatch.Server{Cap: e.caps[j], F: in.Costs[j]}
-	}
-	e.in = in
-	e.solver.Prepare(e.servers)
-}
-
-// GPrepared returns g(x) for the slot of the last Prepare call.
-func (e *SlotEval) GPrepared(x Config) float64 {
-	if !fitsCounts(x, e.in.Counts) {
-		return math.Inf(1)
-	}
-	return e.solver.CostPrepared(x, e.in.Lambda)
-}
-
-// G returns g(x) for the slot: +Inf when x exceeds the slot's counts (or
-// is negative), else the optimal dispatch cost. It mirrors Evaluator.G
-// bit-for-bit for equal inputs.
-func (e *SlotEval) G(in SlotInput, x Config) float64 {
-	e.Prepare(in)
-	return e.GPrepared(x)
 }

@@ -39,13 +39,14 @@ func TestTrackerGMatchesSlotEval(t *testing.T) {
 			if _, ok := tr.G(make(model.Config, ins.D())); ok {
 				t.Fatal("G answered before the first slot")
 			}
-			eval := model.NewSlotEval(ins.Types)
+			eval := model.NewEvaluator(&model.Instance{Types: ins.Types})
 			var in model.SlotInput
 			for s := 1; s <= ins.T(); s++ {
 				ins.SlotInto(s, &in)
 				if _, _, err := tr.Push(in); err != nil {
 					t.Fatal(err)
 				}
+				eval.Prepare(in)
 				full := grid.NewFull(in.Counts)
 				x := make(model.Config, ins.D())
 				for idx := 0; idx < full.Size(); idx++ {
@@ -55,7 +56,7 @@ func TestTrackerGMatchesSlotEval(t *testing.T) {
 					if ok != onLattice {
 						t.Fatalf("trial %d %+v slot %d x=%v: ok=%v, on lattice %v", trial, opts, s, x, ok, onLattice)
 					}
-					if want := eval.G(in, x); ok && math.Float64bits(g) != math.Float64bits(want) {
+					if want := eval.GPrepared(x); ok && math.Float64bits(g) != math.Float64bits(want) {
 						t.Fatalf("trial %d %+v slot %d x=%v: layer %v, solve %v", trial, opts, s, x, g, want)
 					}
 				}
@@ -75,15 +76,16 @@ func TestTrackerGUnmemoisable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eval := model.NewSlotEval(types)
+	eval := model.NewEvaluator(&model.Instance{Types: types})
 	for s, lambda := range []float64{0.5, 3.2, 6.9, 1.1} {
 		if _, _, err := tr.Push(model.SlotInput{Lambda: lambda}); err != nil {
 			t.Fatal(err)
 		}
 		in := model.SlotInput{T: s + 1, Lambda: lambda, Costs: []costfn.Func{opaqueFn{rate: 0.7}, costfn.Affine{Idle: 1, Rate: 0.4}}, Counts: []int{3, 2}}
+		eval.Prepare(in)
 		for _, x := range []model.Config{{0, 0}, {3, 2}, {1, 2}, {3, 0}} {
 			g, ok := tr.G(x)
-			if want := eval.G(in, x); !ok || math.Float64bits(g) != math.Float64bits(want) {
+			if want := eval.GPrepared(x); !ok || math.Float64bits(g) != math.Float64bits(want) {
 				t.Fatalf("slot %d x=%v: layer (%v, %v), solve %v", s+1, x, g, ok, want)
 			}
 		}

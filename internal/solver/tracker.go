@@ -38,6 +38,7 @@ type PrefixTracker struct {
 	betas []float64
 
 	t     int       // slots processed so far
+	opt   float64   // min D_t: the prefix optimum's cost, 0 before slot 1
 	layer []float64 // D_t over the slot-t lattice
 	spare []float64 // ping-pong buffer for the next layer
 	cfg   model.Config
@@ -102,6 +103,11 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 
 // T returns the number of slots processed so far.
 func (p *PrefixTracker) T() int { return p.t }
+
+// Opt returns C(X̂^t), the optimal cost of the prefix consumed so far:
+// 0 before the first slot, and after RestoreState the minimum of the
+// restored layer, which is what the step that built it returned.
+func (p *PrefixTracker) Opt() float64 { return p.opt }
 
 // Exact reports whether the tracker follows the full configuration
 // lattice (Gamma <= 1), i.e. its prefix optima are exact rather than
@@ -190,7 +196,7 @@ func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
 // layer is decoded into the spare layer buffer, and the current lattice
 // is kept when the saved counts are the ones it was built for.
 func (p *PrefixTracker) rewind(t int, state []byte) error {
-	p.t, p.le.last = 0, nil
+	p.t, p.opt, p.le.last = 0, 0, nil
 	p.acc.Seek(t)
 	return p.RestoreState(state)
 }
@@ -242,6 +248,7 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 		return fmt.Errorf("solver: tracker state counts %v do not fit a %d-type fleet with a %d-cell layer: %w", counts, p.ins.D(), len(layer), statebuf.ErrMalformed)
 	}
 	p.t, p.layer, p.spare = t, layer, p.layer
+	_, p.opt = argmin(layer)
 	if p.curGrid == nil || !numeric.EqualInts(counts, p.curCounts) {
 		p.curGrid = p.lattice(counts)
 		p.curCounts = append(p.curCounts[:0], counts...)
@@ -324,6 +331,7 @@ func (p *PrefixTracker) step() (model.Config, float64) {
 
 	idx, val := argmin(layer)
 	g.Decode(idx, p.cfg)
+	p.opt = val
 	return p.cfg, val
 }
 
@@ -360,7 +368,7 @@ func (p *PrefixTracker) OptRange() (lo, hi model.Config) {
 // on that slot's lattice; ok is false otherwise (off-lattice x under a
 // reduced lattice, before the first slot, or right after RestoreState).
 // The value is bit-identical to solving x's dispatch program
-// (model.SlotEval.G): g_t is pure and the dispatch dual canonical, the
+// (model.Evaluator.G): g_t is pure and the dispatch dual canonical, the
 // same guarantee the layer memo rests on.
 func (p *PrefixTracker) G(x model.Config) (g float64, ok bool) {
 	if p.le.last == nil {

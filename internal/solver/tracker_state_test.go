@@ -35,6 +35,36 @@ func pushedTracker(t *testing.T, opts Options, lambdas []float64, n int) *Prefix
 	return tr
 }
 
+// Opt reports the prefix optimum of the tracker's last step: 0 before
+// the first slot, what Push returned after each, and after RestoreState
+// the saving tracker's, bit for bit, recomputed from the restored layer.
+func TestTrackerOpt(t *testing.T) {
+	lambdas := []float64{3, 11.5, 0.5, 20, 7.25, 14}
+	for _, opts := range []Options{{}, {Gamma: 2}} {
+		tr := pushedTracker(t, opts, lambdas, 0)
+		if tr.Opt() != 0 {
+			t.Fatalf("gamma %v: Opt %v before the first slot", opts.Gamma, tr.Opt())
+		}
+		for i, l := range lambdas {
+			_, c, _ := tr.Push(model.SlotInput{Lambda: l})
+			if math.Float64bits(tr.Opt()) != math.Float64bits(c) {
+				t.Fatalf("gamma %v slot %d: Opt %v, Push %v", opts.Gamma, i+1, tr.Opt(), c)
+			}
+			got, err := NewStreamTracker(stateFleet(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Seek(i + 1)
+			if err := got.RestoreState(tr.AppendState(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got.Opt()) != math.Float64bits(c) {
+				t.Fatalf("gamma %v slot %d: restored Opt %v, saved %v", opts.Gamma, i+1, got.Opt(), c)
+			}
+		}
+	}
+}
+
 // A tracker restored from its state after Seek continues bit-identically
 // to the one that saved it, on the full and on the reduced lattice.
 func TestTrackerRestoreStateContinues(t *testing.T) {

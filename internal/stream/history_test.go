@@ -12,8 +12,8 @@ import (
 // telemetry tracker's.
 func held(s *Session) int {
 	n := s.acc.Instance().T() + len(s.window)
-	if s.opt != nil {
-		n += s.opt.Held()
+	if s.ownsTel() {
+		n += s.tel.Held()
 	}
 	return n
 }

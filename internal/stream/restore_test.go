@@ -200,7 +200,7 @@ func TestRestoreFallsBackToReplay(t *testing.T) {
 // RestoreFromState refuses another session's state for it.
 func TestAppendStateWithoutCodec(t *testing.T) {
 	types := sharingFleet()
-	sess, err := New(hideOptTracking{mustAlgB(t, types)}, types, Options{})
+	sess, err := New(hideTracker{mustAlgB(t, types)}, types, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestAppendStateWithoutCodec(t *testing.T) {
 	}
 	part := newCaseSession(t, restoreCases()[1])
 	feedTo(t, part, 5)
-	if _, err := RestoreFromState(hideOptTracking{mustAlgB(t, types)}, types, Options{}, part.AppendState(nil)); err == nil {
+	if _, err := RestoreFromState(hideTracker{mustAlgB(t, types)}, types, Options{}, part.AppendState(nil)); err == nil {
 		t.Fatal("a state restored into an algorithm without a codec")
 	}
 }

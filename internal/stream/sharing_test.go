@@ -29,9 +29,9 @@ func sharingTrace() []float64 {
 	return out
 }
 
-// hideOptTracking wraps an algorithm so only the plain Online interface
+// hideTracker wraps an algorithm so only the plain Online interface
 // shows, forcing the session onto its dedicated telemetry tracker.
-type hideOptTracking struct{ core.Online }
+type hideTracker struct{ core.Online }
 
 // Telemetry sharing is pure plumbing: a session reusing the algorithm's
 // prefix tracker must emit advisories bit-identical — including Opt and
@@ -45,7 +45,7 @@ func TestSharedTelemetryMatchesDedicatedTracker(t *testing.T) {
 		}
 		var online core.Online = alg
 		if hide {
-			online = hideOptTracking{alg}
+			online = hideTracker{alg}
 		}
 		sess, err := New(online, types, Options{})
 		if err != nil {

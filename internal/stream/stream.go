@@ -6,6 +6,13 @@
 // the same algorithm code path, so a session's summed advisory cost equals
 // the batch schedule cost bit-for-bit.
 //
+// The telemetry comes from one prefix-optimum tracker: the algorithm's
+// own (core.Tracked) when it is exact and the algorithm decides each
+// slot as it is fed, else one the session runs. Each decided slot's
+// operating cost is read from that tracker's DP layer, else from the
+// algorithm's tracker's, and solved only when neither holds the decided
+// configuration.
+//
 // Sessions are checkpointable: the fed inputs form a deterministic replay
 // log, so Checkpoint captures everything needed to rebuild an identical
 // session (event-sourcing style) and Resume replays it into a fresh
@@ -44,8 +51,8 @@ import (
 // Options tunes a session. The zero value enables full telemetry.
 type Options struct {
 	// DisableOpt turns off the session's Opt/Ratio telemetry entirely:
-	// neither a dedicated prefix-optimum tracker nor the algorithm's own
-	// (see core.OptTracking) is consulted.
+	// the session runs no prefix-optimum tracker of its own and reads no
+	// prefix optimum from the algorithm's (see core.Tracked).
 	DisableOpt bool
 	// Workers parallelises the session's fallback telemetry tracker
 	// (solver.Options.Workers semantics; only relevant for algorithms
@@ -133,16 +140,15 @@ func (cp *Checkpoint) Portable() bool {
 
 // Session drives one algorithm over a live slot stream.
 type Session struct {
-	alg      core.Online
-	name     string
-	tag      string // checkpoint identifier (registry key or display name)
-	fleet    []model.ServerType
-	acc      *model.Accumulator // validates and resolves the newest fed slot
-	eval     *model.SlotEval
-	opt      *solver.PrefixTracker // fallback streaming prefix optimum (telemetry)
-	shared   core.OptTracking      // the algorithm's own exact tracker, when it has one
-	layer    core.LayerCosting     // the algorithm's layer costs, when it decides each slot as fed
-	buffered bool                  // the algorithm is a core.Buffered one
+	alg        core.Online
+	name       string
+	tag        string // checkpoint identifier (registry key or display name)
+	fleet      []model.ServerType
+	acc        *model.Accumulator    // validates and resolves the newest fed slot
+	eval       *model.Evaluator      // solves the costs no tracker layer holds
+	tel        *solver.PrefixTracker // telemetry tracker: algTracker or the session's own
+	algTracker *solver.PrefixTracker // the algorithm's tracker, when it decides each slot as fed
+	buffered   bool                  // the algorithm is a core.Buffered one
 
 	fed     int   // slots ingested
 	base    int   // slots fed before log[0] (a session restored from its state alone)
@@ -185,29 +191,22 @@ func New(alg core.Online, types []model.ServerType, opts Options) (*Session, err
 		tag:      tag,
 		fleet:    append([]model.ServerType(nil), types...),
 		acc:      acc,
-		eval:     model.NewSlotEval(types),
+		eval:     model.NewEvaluator(acc.Instance()), // only its fleet template is read
 		buffered: buffered,
 		prev:     make(model.Config, len(types)),
 	}
-	// Buffered algorithms are excluded from sharing their tracker: it
-	// runs at feed time while a decision (and its telemetry) lags.
-	if lc, ok := alg.(core.LayerCosting); ok && !buffered {
-		s.layer = lc
+	// A buffered algorithm's tracker runs at feed time while its
+	// decisions lag, so its layer is never the decided slot's.
+	if tr, ok := alg.(core.Tracked); ok && !buffered {
+		s.algTracker = tr.Tracker()
 	}
 	if !opts.DisableOpt {
-		// Algorithms that already run an exact prefix-optimum tracker
-		// (core.OptTracking) hand it to the session, which then skips its
-		// own — halving steady-state per-slot DP work.
-		if ot, ok := alg.(core.OptTracking); ok && !buffered {
-			if _, exact := ot.PrefixOptCost(); exact {
-				s.shared = ot
-			}
-		}
-		if s.shared == nil {
-			s.opt, err = solver.NewStreamTracker(types, solver.Options{Workers: opts.Workers})
-			if err != nil {
-				return nil, err
-			}
+		// An exact algorithm tracker serves telemetry too, which halves
+		// the steady-state per-slot DP work.
+		if s.algTracker != nil && s.algTracker.Exact() {
+			s.tel = s.algTracker
+		} else if s.tel, err = solver.NewStreamTracker(types, solver.Options{Workers: opts.Workers}); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
@@ -215,7 +214,11 @@ func New(alg core.Online, types []model.ServerType, opts Options) (*Session, err
 
 // SharesOptTracker reports whether Opt/Ratio telemetry is served by the
 // algorithm's own prefix tracker rather than a session-owned one.
-func (s *Session) SharesOptTracker() bool { return s.shared != nil }
+func (s *Session) SharesOptTracker() bool { return s.tel != nil && s.tel == s.algTracker }
+
+// ownsTel reports whether the session runs its own telemetry tracker,
+// which it feeds at decision time and saves in its state.
+func (s *Session) ownsTel() bool { return s.tel != nil && s.tel != s.algTracker }
 
 // Name returns the wrapped algorithm's display name.
 func (s *Session) Name() string { return s.name }
@@ -351,9 +354,10 @@ func (s *Session) Close() ([]Advisory, error) {
 // slot Push just resolved into s.scratch; a buffered one decides the
 // oldest slot of its window, which record then drops.
 //
-// The slot's operating cost is read from a DP layer a tracker evaluated
-// for it — the session's telemetry tracker's, else the algorithm's —
-// when x lies on that layer's lattice, and solved otherwise.
+// Opt is the telemetry tracker's prefix optimum. The slot's operating
+// cost is read from a DP layer a tracker evaluated for it — the
+// telemetry tracker's, else the algorithm's — when x lies on that
+// layer's lattice, and solved otherwise.
 func (s *Session) record(x model.Config, adv *Advisory) {
 	s.decided++
 	in := s.scratch
@@ -363,26 +367,26 @@ func (s *Session) record(x model.Config, adv *Advisory) {
 	}
 
 	op, ok := 0.0, false
-	switch {
-	case s.shared != nil:
-		// The algorithm's own tracker consumed this slot during Step; its
-		// prefix cost is bit-identical to what a dedicated session tracker
-		// fed the same inputs would produce.
-		s.optCost, _ = s.shared.PrefixOptCost()
-	case s.opt != nil:
-		_, optCost, err := s.opt.Push(in)
-		if err != nil {
-			// The accumulator accepted the slot, so the tracker must too.
-			panic("stream: telemetry tracker rejected a validated slot: " + err.Error())
+	if s.tel != nil {
+		// A session tracker consumes the slot at decision time. The
+		// algorithm's consumed it during Step, and its prefix optimum is
+		// bit-identical to what a session tracker fed the same inputs
+		// produces.
+		if s.ownsTel() {
+			if _, _, err := s.tel.Push(in); err != nil {
+				// The accumulator accepted the slot, so the tracker must too.
+				panic("stream: telemetry tracker rejected a validated slot: " + err.Error())
+			}
 		}
-		s.optCost = optCost
-		op, ok = s.opt.G(x)
+		s.optCost = s.tel.Opt()
+		op, ok = s.tel.G(x)
 	}
-	if !ok && s.layer != nil {
-		op, ok = s.layer.OperatingCost(x)
+	if !ok && s.algTracker != nil {
+		op, ok = s.algTracker.G(x)
 	}
 	if !ok {
-		op = s.eval.G(in, x)
+		s.eval.Prepare(in)
+		op = s.eval.GPrepared(x)
 	}
 	sw := model.SwitchCostOf(s.fleet, s.prev, x)
 	s.opSum.Add(op)
@@ -399,7 +403,7 @@ func (s *Session) record(x model.Config, adv *Advisory) {
 		CumCost:   s.CumCost(),
 		Pending:   s.fed - s.decided,
 	}
-	if s.shared == nil && s.opt == nil {
+	if s.tel == nil {
 		return
 	}
 	adv.Opt = s.optCost
@@ -521,8 +525,8 @@ func (s *Session) AppendState(dst []byte) []byte {
 	dst = statebuf.AppendFloat(dst, s.swSum)
 	dst = statebuf.AppendFloat(dst, s.optCost)
 	dst = statebuf.AppendNested(dst, alg.AppendState)
-	if s.opt != nil {
-		dst = statebuf.AppendNested(dst, s.opt.AppendState)
+	if s.ownsTel() {
+		dst = statebuf.AppendNested(dst, s.tel.AppendState)
 	} else {
 		dst = statebuf.AppendBytes(dst, nil)
 	}
@@ -600,7 +604,7 @@ func RestoreFromState(alg core.Online, types []model.ServerType, opts Options, s
 	if err != nil {
 		return nil, err
 	}
-	if (s.opt != nil) != (len(st.opt) > 0) {
+	if s.ownsTel() != (len(st.opt) > 0) {
 		return nil, fmt.Errorf("stream: state and session disagree on a telemetry tracker: %w", statebuf.ErrMalformed)
 	}
 	s.acc.Seek(st.fed)
@@ -608,10 +612,10 @@ func RestoreFromState(alg core.Online, types []model.ServerType, opts Options, s
 	if err := sn.RestoreState(st.alg); err != nil {
 		return nil, err
 	}
-	if s.opt != nil {
+	if s.ownsTel() {
 		// The telemetry tracker consumes slots at decision time.
-		s.opt.Seek(st.decided)
-		if err := s.opt.RestoreState(st.opt); err != nil {
+		s.tel.Seek(st.decided)
+		if err := s.tel.RestoreState(st.opt); err != nil {
 			return nil, err
 		}
 	}
