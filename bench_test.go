@@ -237,14 +237,14 @@ func BenchmarkSuiteSerial(b *testing.B) {
 }
 
 // A serial suite run allocates no more objects than when the bound was
-// set: 14 785 in most processes, and from 14 784 to 14 787 over 70.
+// set: from 12 702 to 12 704 over 8 processes.
 func TestSuiteSerialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
 	scs := Scenarios()
-	if a := testing.AllocsPerRun(2, func() { runSuite(t, scs, 1) }); a > 14787 {
-		t.Fatalf("suite allocates %v per run, want <= 14787", a)
+	if a := testing.AllocsPerRun(2, func() { runSuite(t, scs, 1) }); a > 12704 {
+		t.Fatalf("suite allocates %v per run, want <= 12704", a)
 	}
 }
 
@@ -300,14 +300,14 @@ func BenchmarkStreamSessionNoTelemetry(b *testing.B) {
 }
 
 // A 48-slot session allocates no more objects than when the bound was
-// set: 163 in every one of 30 processes.
+// set: 161 in every one of 11 processes.
 func TestStreamSessionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
 	ins := benchmarkInstance(48)
-	if a := testing.AllocsPerRun(20, func() { streamSession(t, ins, SessionOptions{}) }); a > 163 {
-		t.Fatalf("session allocates %v per run, want <= 163", a)
+	if a := testing.AllocsPerRun(20, func() { streamSession(t, ins, SessionOptions{}) }); a > 161 {
+		t.Fatalf("session allocates %v per run, want <= 161", a)
 	}
 }
 

@@ -143,6 +143,7 @@ type Grid struct {
 	axes    []Axis
 	strides []int
 	size    int
+	small   [4]int // strides' backing array for lattices of up to four dimensions
 }
 
 // New builds a grid from the given axes (one per server type). The axes
@@ -151,7 +152,9 @@ func New(axes []Axis) *Grid {
 	if len(axes) == 0 {
 		panic("grid: no axes")
 	}
-	g := &Grid{axes: axes, strides: make([]int, len(axes))}
+	g := &Grid{axes: axes}
+	g.strides = g.small[:0]
+	g.strides = append(g.strides, make([]int, len(axes))...)
 	size := 1
 	for j := len(axes) - 1; j >= 0; j-- {
 		if err := axes[j].validate(); err != nil {
@@ -166,11 +169,30 @@ func New(axes []Axis) *Grid {
 
 // NewFull builds the complete lattice for counts m (Section 4.1).
 func NewFull(m []int) *Grid {
+	return New(FullAxes(m))
+}
+
+// FullAxes returns FullAxis(m_j) for every count, sharing one backing
+// array.
+func FullAxes(m []int) []Axis {
+	n := 0
+	for _, mj := range m {
+		if mj < 0 {
+			panic("grid: negative server count")
+		}
+		n += mj + 1
+	}
+	levels := make([]int, n)
 	axes := make([]Axis, len(m))
 	for j, mj := range m {
-		axes[j] = FullAxis(mj)
+		a := Axis(levels[: mj+1 : mj+1])
+		levels = levels[mj+1:]
+		for i := range a {
+			a[i] = i
+		}
+		axes[j] = a
 	}
-	return New(axes)
+	return axes
 }
 
 // NewReduced builds the γ-reduced lattice M^γ (Section 4.2).

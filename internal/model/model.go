@@ -160,7 +160,9 @@ func ValidateFleet(types []ServerType) error {
 
 // checkSlot checks slot t's demand λ_t against the fleet: finite and
 // non-negative, and covered by the total capacity of the slot's counts —
-// one non-negative count per type, nil meaning the template counts.
+// one count per type between 0 and the template's Count (the paper's
+// m_j = max_t m_{t,j}, Section 4.3, which bounds the slot's lattice),
+// nil meaning the template counts.
 func checkSlot(types []ServerType, t int, lambda float64, counts []int) error {
 	if lambda < 0 {
 		return fmt.Errorf("model: negative job volume %g at slot %d", lambda, t)
@@ -179,6 +181,9 @@ func checkSlot(types []ServerType, t int, lambda float64, counts []int) error {
 		}
 		if c < 0 {
 			return fmt.Errorf("model: negative count at slot %d type %d", t, j)
+		}
+		if c > st.Count {
+			return fmt.Errorf("model: slot %d has %d servers of type %d, above the fleet's %d", t, c, j, st.Count)
 		}
 		capacity += float64(c) * st.MaxLoad
 	}

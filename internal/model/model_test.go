@@ -400,3 +400,24 @@ func TestNonFiniteDemandRejected(t *testing.T) {
 		}
 	}
 }
+
+// A slot's count may not exceed its type's template Count, the paper's
+// m_j = max_t m_{t,j} (Section 4.3): instance validation and the
+// accumulator refuse it as a bad slot, and the accumulator stays usable.
+func TestCheckSlotRefusesCountAboveTemplate(t *testing.T) {
+	ins := twoTypeInstance()
+	ins.Counts = [][]int{{3, 2}, {2, 2}, {4, 2}, {3, 1}}
+	if err := ins.Validate(); err == nil || !strings.Contains(err.Error(), "above the fleet's 3") {
+		t.Fatalf("slot 3 with 4 servers of a 3-server type validated: %v", err)
+	}
+	acc, err := NewAccumulator(ins.Types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := acc.Push(SlotInput{Lambda: 1, Counts: []int{3, 3}}); err == nil {
+		t.Fatal("the accumulator took 3 servers of a 2-server type")
+	}
+	if err := acc.Push(SlotInput{Lambda: 1, Counts: []int{3, 2}}); err != nil || acc.T() != 1 {
+		t.Fatalf("the accumulator refused the template's own counts after a bad slot: %v (T=%d)", err, acc.T())
+	}
+}

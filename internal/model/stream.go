@@ -107,12 +107,13 @@ func NewAccumulator(types []ServerType) (*Accumulator, error) {
 		return nil, err
 	}
 	d := len(types)
+	fleets := make([]ServerType, 2*d) // the template, then its clone reading the profiles
 	acc := &Accumulator{
-		template: append([]ServerType(nil), types...),
+		template: append(fleets[:0:d], types...),
 		profiles: make([]slotProfile, d),
 		fnBuf:    make([]costfn.Func, d),
 	}
-	cloned := make([]ServerType, d)
+	cloned := fleets[d:]
 	for j, st := range types {
 		cloned[j] = st
 		cloned[j].Cost = &acc.profiles[j]

@@ -70,8 +70,8 @@ func TestServePushAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if a > 184 {
-		t.Fatalf("a pushed 48-slot session allocates %v, want <= 184", a)
+	if a > 172 {
+		t.Fatalf("a pushed 48-slot session allocates %v, want <= 172", a)
 	}
 }
 

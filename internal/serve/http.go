@@ -221,7 +221,7 @@ func httpStatus(err error) int {
 		return http.StatusConflict
 	case errors.Is(err, ErrSessionLimit), errors.Is(err, ErrThrottled):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrBadSlot):
+	case errors.Is(err, ErrBadSlot), errors.Is(err, ErrFleetTooLarge):
 		return http.StatusUnprocessableEntity
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrOverloaded):
 		return http.StatusServiceUnavailable

@@ -57,6 +57,7 @@ var (
 	ErrSessionLimit   = errors.New("serve: live session limit reached")
 	ErrSessionFailed  = errors.New("serve: session algorithm failed")
 	ErrBadSlot        = errors.New("serve: slot rejected")
+	ErrFleetTooLarge  = errors.New("serve: fleet lattice exceeds the cell budget")
 	ErrBusy           = errors.New("serve: session is busy")
 	ErrClosed         = errors.New("serve: manager is shut down")
 	ErrStore          = errors.New("serve: snapshot store")

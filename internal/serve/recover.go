@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/solver"
 	"repro/internal/stream"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -193,6 +194,9 @@ func (m *Manager) buildLocked(ls *liveSession, alg string, fleet FleetJSON, snap
 	types, err := fleet.Resolve()
 	if err != nil {
 		return 0, err
+	}
+	if _, ok := solver.LatticeCells(types, solver.MaxLatticeCells); !ok {
+		return 0, fmt.Errorf("%w: more than %d configurations", ErrFleetTooLarge, solver.MaxLatticeCells)
 	}
 	ls.span = wire.EmptyLogSpan()
 	switch {

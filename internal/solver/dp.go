@@ -25,10 +25,12 @@ import (
 
 // relaxer performs the min-plus transition between consecutive DP layers,
 // including between different lattices (time-varying sizes or γ-reduction
-// with per-slot counts). It owns the ping-pong scratch buffers.
+// with per-slot counts). It owns the ping-pong scratch buffers and
+// relaxDimSame's table of β_j·v, plus the per-cell lower bounds of the
+// tracker's pruning pass (prune.go).
 type relaxer struct {
 	betas []float64    // β_j per dimension
-	bufs  [2][]float64 // alternating scratch for intermediate sweeps
+	bufs  [4][]float64 // scratch: two sweeps, β_j·v, LB
 	shape []int        // current mixed shape during a sweep
 }
 
@@ -36,10 +38,19 @@ func newRelaxer(betas []float64) *relaxer {
 	return &relaxer{betas: betas, shape: make([]int, len(betas))}
 }
 
-// scratch returns scratch buffer i resized to n elements.
+// scratch returns scratch buffer i resized to n elements. The buffers
+// share one allocation, regrown together: a sweep that outgrows one
+// keeps reading the old array through its own slice header.
 func (r *relaxer) scratch(i, n int) []float64 {
 	if cap(r.bufs[i]) < n {
-		r.bufs[i] = make([]float64, n)
+		c := n
+		for _, b := range r.bufs {
+			c = max(c, cap(b))
+		}
+		arena := make([]float64, len(r.bufs)*c)
+		for k := range r.bufs {
+			r.bufs[k] = arena[k*c : (k+1)*c : (k+1)*c]
+		}
 	}
 	return r.bufs[i][:n]
 }
@@ -89,7 +100,11 @@ func (r *relaxer) relax(prev []float64, from, to *grid.Grid, dst []float64) []fl
 			out = r.scratch(j%2, newSize)
 		}
 
-		r.relaxDim(cur, out, j, fromAxis, toAxis)
+		if from == to {
+			r.relaxDimSame(cur, out, j, toAxis)
+		} else {
+			r.relaxDim(cur, out, j, fromAxis, toAxis)
+		}
 
 		cur = out
 		r.shape[j] = len(toAxis)
@@ -154,6 +169,72 @@ func (r *relaxer) relaxDim(in, out []float64, j int, fromAxis, toAxis grid.Axis)
 				}
 				if idx := baseOut + k*inner; best < out[idx] {
 					out[idx] = best
+				}
+			}
+		}
+	}
+}
+
+// relaxDimSame is relaxDim for fromAxis == toAxis, the static-fleet
+// case: each target level reads exactly its own source level, so the
+// merge cursors go and the float operations, hence the bits, stay those
+// of relaxDim. The products β_j·v come from a table (scratch 2) filled
+// once per sweep, and a contiguous line (the last dimension) is walked
+// through subslices.
+func (r *relaxer) relaxDimSame(in, out []float64, j int, axis grid.Axis) {
+	beta := r.betas[j]
+	n := len(axis)
+	inner := 1
+	for k := j + 1; k < len(r.shape); k++ {
+		inner *= r.shape[k]
+	}
+	bv := r.scratch(2, n)
+	for k, v := range axis {
+		bv[k] = beta * float64(v)
+	}
+	inf := math.Inf(1)
+	outer := n * inner
+	if inner == 1 {
+		for a := 0; a+n <= len(in); a += n {
+			src, dst := in[a:a+n], out[a:a+n]
+			best := inf
+			for k, c := range bv[:len(src)] {
+				if cand := src[k] - c; cand < best {
+					best = cand
+				}
+				dst[k] = best + c
+			}
+			best = inf
+			for k := len(src) - 1; k >= 0; k-- {
+				if c := src[k]; c < best {
+					best = c
+				}
+				if best < dst[k] {
+					dst[k] = best
+				}
+			}
+		}
+		return
+	}
+	for a := 0; a < len(in); a += outer {
+		for b := a; b < a+inner; b++ {
+			best := inf
+			i := b
+			for _, c := range bv {
+				if cand := in[i] - c; cand < best {
+					best = cand
+				}
+				out[i] = best + c
+				i += inner
+			}
+			best = inf
+			for k := n - 1; k >= 0; k-- {
+				i -= inner
+				if c := in[i]; c < best {
+					best = c
+				}
+				if best < out[i] {
+					out[i] = best
 				}
 			}
 		}

@@ -24,6 +24,20 @@ import (
 // internal/dispatch), so hits and misses — including racy double-computes
 // under concurrent suite workers — never change results, only speed.
 //
+// Admission: a tracker that prunes dominated cells (see prune.go) solves
+// only part of a layer, and a partial layer cannot be cached. On a miss
+// it therefore evaluates the pruned layer, inserts nothing, and records
+// the signature's digest in its shard's doorkeeper, a small Bloom filter
+// cleared every gcacheDoorReset digests (the doorkeeper of TinyLFU,
+// Einziger et al., ACM TOS 2017). A later miss on a recorded digest
+// evaluates the full layer and inserts it; when that miss comes right
+// after the pruned one, as Algorithm C's sub-slots do, it keeps the
+// cells already solved. Slots whose content never repeats, such as noisy
+// demand, thus never pay for an insert nobody reads; a repeating slot
+// pays one extra miss. Layers evaluated in full anyway (a first slot, a
+// lattice change, an unprunable slot) are inserted at once, and so is
+// every layer of a tracker bound to an instance (an offline sweep).
+//
 // Cost functions are fingerprinted by value for the stock families
 // (Constant, Affine, Power, Exponential, PiecewiseLinear, Scaled); slots
 // carrying any other implementation are not memoised. Hash collisions are
@@ -62,6 +76,23 @@ type gcacheGen struct {
 	floats int
 }
 
+// A shard's doorkeeper is a Bloom filter of gcacheDoorBits bits with
+// two probes, cleared after gcacheDoorReset digests: at most ≈ 1.4% of
+// first sightings then read as second ones and insert a layer early. A
+// false answer either way costs speed, never a wrong result.
+const (
+	gcacheDoorBits  = 4096
+	gcacheDoorReset = 256
+)
+
+// gcacheDoor is one shard's doorkeeper, padded to whole cache lines:
+// every memo miss on a stream writes it.
+type gcacheDoor struct {
+	bits  [gcacheDoorBits / 64]atomic.Uint64
+	added atomic.Uint32
+	_     [60]byte
+}
+
 // gcachePendingMax bounds a shard's write-behind buffer. Cloning the
 // whole generation map on every insert would make a cold sweep's misses
 // O(shard size) each; batching gcachePendingMax inserts per clone
@@ -79,8 +110,21 @@ type gcacheShard struct {
 	mu            sync.Mutex     // serializes inserts, merges, resets
 	pending       []*gcacheEntry // inserted but not yet merged into cur
 	pendingFloats int
-	_             [16]byte // 48 bytes of fields -> one full cache line
+	entries       []gcacheEntry // slab the next inserts' entries are carved from
+	floats        []float64     // slab the next inserts' layer copies are carved from
+	_             [32]byte      // 96 bytes of fields -> two full cache lines
 }
+
+// Inserts carve their entry and layer copy from per-shard slabs of
+// gcacheEntrySlab entries and gcacheFloatSlab floats, and a fleet of up
+// to four types keeps its key in the entry: an insert allocates about
+// once per sixteen instead of five times. A layer larger than the float
+// slab gets its own array. A slab is freed once no entry in it is
+// reachable, so it retains at most one slab's worth after a reset.
+const (
+	gcacheEntrySlab = 16
+	gcacheFloatSlab = 2048
+)
 
 // gcacheStats is one shard's hit/miss tally, padded to a whole cache
 // line: the counters are written on every lookup, so if they shared a
@@ -96,11 +140,12 @@ type gcacheStats struct {
 }
 
 // gMemo is the sharded layer memo. The zero shard count is invalid; use
-// newGMemo. Shard selection reuses the signature's FNV-1a digest: the
+// newGMemo. Shard selection reuses the signature's keyHash digest: the
 // digest's low bits pick the stripe, the full digest keys the map inside.
 type gMemo struct {
 	shards []gcacheShard
 	stats  []gcacheStats // indexed in lockstep with shards
+	door   []gcacheDoor  // the admission doorkeepers, in lockstep with shards
 	mask   uint64
 	budget int // per-shard float budget
 }
@@ -115,6 +160,7 @@ func newGMemo(shards, totalFloats int) *gMemo {
 	return &gMemo{
 		shards: make([]gcacheShard, shards),
 		stats:  make([]gcacheStats, shards),
+		door:   make([]gcacheDoor, shards),
 		mask:   uint64(shards - 1),
 		budget: totalFloats / shards,
 	}
@@ -128,10 +174,15 @@ type gcacheEntry struct {
 	sig  gcacheSig
 	g    []float64
 	next *gcacheEntry
+
+	// Backing arrays of sig's slices for fleets of up to four types.
+	counts [4]int
+	caps   [4]float64
+	fns    [4]costfn.Func
 }
 
 // gcacheSig is the full structural key of one slot's layer; hash is the
-// FNV-1a digest of the remaining fields.
+// keyHash digest of the remaining fields.
 type gcacheSig struct {
 	hash   uint64
 	lambda float64
@@ -139,6 +190,14 @@ type gcacheSig struct {
 	counts []int
 	caps   []float64
 	fns    []costfn.Func
+}
+
+// copyFrom makes s a copy of o, reusing s's slices.
+func (s *gcacheSig) copyFrom(o *gcacheSig) {
+	s.hash, s.lambda, s.gamma = o.hash, o.lambda, o.gamma
+	s.counts = append(s.counts[:0], o.counts...)
+	s.caps = append(s.caps[:0], o.caps...)
+	s.fns = append(s.fns[:0], o.fns...)
 }
 
 func (s *gcacheSig) equal(o *gcacheSig) bool {
@@ -162,26 +221,26 @@ func (s *gcacheSig) equal(o *gcacheSig) bool {
 	return true
 }
 
-// fnv1a is an incremental 64-bit FNV-1a hasher.
-type fnv1a uint64
+// keyHash is an incremental 64-bit hash of a layer signature, one word
+// per round: xor the word in, multiply by an odd constant, and fold the
+// high half onto the low one, so the low bits (the shard index) depend
+// on every bit seen. Every layer hashes its key, hit or miss, so a round
+// per word rather than per byte matters; a collision costs a key
+// comparison, never a wrong answer.
+type keyHash uint64
 
-func newFnv() fnv1a { return 0xcbf29ce484222325 }
+func newKeyHash() keyHash { return 0xcbf29ce484222325 }
 
-func (h *fnv1a) u64(v uint64) {
-	x := uint64(*h)
-	for i := 0; i < 8; i++ {
-		x ^= v & 0xff
-		x *= 0x100000001b3
-		v >>= 8
-	}
-	*h = fnv1a(x)
+func (h *keyHash) u64(v uint64) {
+	x := (uint64(*h) ^ v) * 0x9e3779b97f4a7c15
+	*h = keyHash(x ^ x>>32)
 }
 
-func (h *fnv1a) f64(v float64) { h.u64(math.Float64bits(v)) }
+func (h *keyHash) f64(v float64) { h.u64(math.Float64bits(v)) }
 
 // fnFingerprint mixes f's structural identity into h and reports whether
 // the function belongs to a fingerprintable family.
-func fnFingerprint(h *fnv1a, f costfn.Func) bool {
+func fnFingerprint(h *keyHash, f costfn.Func) bool {
 	switch v := f.(type) {
 	case costfn.Constant:
 		h.u64(1)
@@ -312,6 +371,34 @@ func MemoStats() (hits, misses uint64) {
 	return hits, misses
 }
 
+// gcacheSeen reports whether an earlier miss recorded sig's digest in
+// the doorkeeper, and records it otherwise: true admits sig's full layer
+// into the memo (see the package comment on admission). Lock-free; a
+// racing session at worst admits a layer one miss early or late.
+func gcacheSeen(sig *gcacheSig) bool {
+	return gcache.seen(sig.hash)
+}
+
+func (c *gMemo) seen(hash uint64) bool {
+	d := &c.door[hash&c.mask]
+	// The digest's low bits picked the shard; its upper bits probe.
+	b1, b2 := (hash>>16)%gcacheDoorBits, (hash>>40)%gcacheDoorBits
+	w1, m1 := &d.bits[b1/64], uint64(1)<<(b1%64)
+	w2, m2 := &d.bits[b2/64], uint64(1)<<(b2%64)
+	if w1.Load()&m1 != 0 && w2.Load()&m2 != 0 {
+		return true
+	}
+	w1.Or(m1)
+	w2.Or(m2)
+	if d.added.Add(1) >= gcacheDoorReset {
+		d.added.Store(0)
+		for i := range d.bits {
+			d.bits[i].Store(0)
+		}
+	}
+	return false
+}
+
 // gcachePut stores a layer under sig, copying the key material and the
 // vector so callers may reuse their buffers. Writes land in the shard's
 // pending buffer under the shard mutex; every gcachePendingMax inserts
@@ -326,17 +413,6 @@ func gcachePut(sig *gcacheSig, g []float64) {
 }
 
 func (c *gMemo) put(sig *gcacheSig, g []float64) {
-	stored := &gcacheEntry{
-		sig: gcacheSig{
-			hash:   sig.hash,
-			lambda: sig.lambda,
-			gamma:  sig.gamma,
-			counts: append([]int(nil), sig.counts...),
-			caps:   append([]float64(nil), sig.caps...),
-			fns:    append([]costfn.Func(nil), sig.fns...),
-		},
-		g: append([]float64(nil), g...),
-	}
 	sh := &c.shards[sig.hash&c.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -365,11 +441,41 @@ func (c *gMemo) put(sig *gcacheSig, g []float64) {
 		sh.pendingFloats = 0
 		gen = nil
 	}
-	sh.pending = append(sh.pending, stored)
+	sh.pending = append(sh.pending, sh.newEntry(sig, g))
 	sh.pendingFloats += len(g)
 	if len(sh.pending) >= gcachePendingMax {
 		c.mergeLocked(sh, gen)
 	}
+}
+
+// newEntry copies sig and g into an entry carved from the shard's slabs.
+// Caller holds sh.mu.
+func (sh *gcacheShard) newEntry(sig *gcacheSig, g []float64) *gcacheEntry {
+	if len(sh.entries) == 0 {
+		sh.entries = make([]gcacheEntry, gcacheEntrySlab)
+	}
+	e := &sh.entries[0]
+	sh.entries = sh.entries[1:]
+	e.sig = gcacheSig{
+		hash:   sig.hash,
+		lambda: sig.lambda,
+		gamma:  sig.gamma,
+		counts: append(e.counts[:0], sig.counts...),
+		caps:   append(e.caps[:0], sig.caps...),
+		fns:    append(e.fns[:0], sig.fns...),
+	}
+	n := len(g)
+	switch {
+	case n > gcacheFloatSlab:
+		e.g = append([]float64(nil), g...)
+		return e
+	case len(sh.floats) < n:
+		sh.floats = make([]float64, gcacheFloatSlab)
+	}
+	e.g = sh.floats[:n:n]
+	sh.floats = sh.floats[n:]
+	copy(e.g, g)
+	return e
 }
 
 // mergeLocked folds the shard's pending buffer into a fresh immutable

@@ -24,7 +24,7 @@ func benchSig(i uint64) *gcacheSig {
 			costfn.Affine{Idle: 4, Rate: 0.3},
 		},
 	}
-	h := newFnv()
+	h := newKeyHash()
 	h.f64(s.lambda)
 	h.f64(s.gamma)
 	for j := range s.counts {

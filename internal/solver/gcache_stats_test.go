@@ -63,3 +63,11 @@ func TestMemoStats(t *testing.T) {
 		t.Errorf("warm solve recorded no hits (hits %d -> %d)", h1, h2)
 	}
 }
+
+// The doorkeepers stay whole cache lines, like the shards they sit
+// beside.
+func TestGCacheDoorPadding(t *testing.T) {
+	if s := unsafe.Sizeof(gcacheDoor{}); s%64 != 0 {
+		t.Errorf("gcacheDoor is %d bytes, not a multiple of the 64-byte cache line", s)
+	}
+}

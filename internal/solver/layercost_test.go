@@ -20,6 +20,8 @@ func TestTrackerGMatchesSlotEval(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		ins := randomInstance(rng, 3, 5, 12)
 		if trial%2 == 1 {
+			// The template holds one more server of each type than most
+			// slots, which a third of the slots bring online.
 			ins.Counts = make([][]int, ins.T())
 			for s := range ins.Counts {
 				ins.Counts[s] = make([]int, ins.D())
@@ -29,6 +31,9 @@ func TestTrackerGMatchesSlotEval(t *testing.T) {
 						ins.Counts[s][j] = st.Count + 1
 					}
 				}
+			}
+			for j := range ins.Types {
+				ins.Types[j].Count++
 			}
 		}
 		for _, opts := range []Options{{}, {NoMemo: true}, {Workers: 3}, {Gamma: 2}, {Gamma: 2, NoMemo: true}} {
@@ -96,17 +101,21 @@ func TestTrackerGUnmemoisable(t *testing.T) {
 // pushes, over static and time-varying fleets, it holds one slot.
 func TestHeldSlotsBoundedTracker(t *testing.T) {
 	ins := randomInstance(rand.New(rand.NewSource(5)), 2, 3, 40)
+	// Most slots run one server of each type fewer than the template;
+	// every seventh brings them online.
+	counts := make([]int, ins.D())
+	for j := range ins.Types {
+		counts[j] = ins.Types[j].Count
+		ins.Types[j].Count++
+	}
 	tr, err := NewStreamTracker(ins.Types, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 10000; s++ {
-		in := model.SlotInput{Lambda: ins.Lambda[s%ins.T()]}
+		in := model.SlotInput{Lambda: ins.Lambda[s%ins.T()], Counts: counts}
 		if s%7 == 3 {
-			in.Counts = make([]int, ins.D())
-			for j, st := range ins.Types {
-				in.Counts[j] = st.Count + 1
-			}
+			in.Counts = nil
 		}
 		if _, _, err := tr.Push(in); err != nil {
 			t.Fatal(err)

@@ -122,8 +122,8 @@ func BenchmarkSolveLowMemoryT96(b *testing.B) {
 // evaluator, worker pool) per block. A rewind decodes the block's saved
 // state into the tracker's buffers and keeps its lattice, and the saved
 // states share one buffer. On the T = 96 bench instance (10 blocks) that
-// is 62 allocations against 43–47 for the default path; a fresh layer
-// and lattice per rewind made 180, a tracker per block 366.
+// is 59 allocations, 60 under the race detector; a fresh layer and
+// lattice per rewind made 180, a tracker per block 366.
 func TestSolveLowMemoryAllocs(t *testing.T) {
 	ins := benchInstance(96, 16)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -131,7 +131,7 @@ func TestSolveLowMemoryAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 62 {
-		t.Fatalf("LowMemory Solve allocates %v times, want <= 62", allocs)
+	if allocs > 60 {
+		t.Fatalf("LowMemory Solve allocates %v times, want <= 60", allocs)
 	}
 }

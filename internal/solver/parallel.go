@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"runtime"
 	"sync"
 
@@ -36,6 +37,24 @@ type layerEvaluator struct {
 	gbuf []float64 // pure g-layer scratch for slots the memo misses
 	last []float64 // pure g-layer of the last slot added: gbuf or a read-only memo entry
 	sig  gcacheSig // reusable signature buffers
+
+	t      int  // the slot of the last layer
+	ready  bool // eval is prepared for slot t
+	solved int  // dispatch programs solved for layers, over the evaluator's life
+
+	// partial reports that gbuf holds a partial g-layer (begin returned
+	// nil) of the slot keyed prev. A memo-admitted evaluation of the same
+	// key right after it, as Algorithm C's sub-slots make, keeps its
+	// solved cells.
+	partial bool
+	prev    gcacheSig
+
+	// admit makes begin insert every layer it misses at first sight,
+	// bypassing the doorkeeper. Trackers bound to an instance set it:
+	// an offline sweep's layers are typically swept again (LowMemory's
+	// backward pass, the suite's online algorithms over the instance
+	// its optimum was solved on).
+	admit bool
 }
 
 // newLayerEvaluator builds an evaluator; opts.Workers <= 1 evaluates
@@ -51,18 +70,23 @@ func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
 	le := &layerEvaluator{
 		ins:     ins,
 		gamma:   opts.Gamma,
-		noMemo:  opts.NoMemo,
+		noMemo:  opts.NoMemo || memoOff,
 		workers: workers,
 		eval:    model.NewEvaluator(ins),
 		cfg:     make(model.Config, ins.D()),
 	}
+	d := ins.D()
 	le.sig.gamma = opts.Gamma
-	le.sig.caps = make([]float64, ins.D())
+	le.sig.caps = make([]float64, d)
 	for j, st := range ins.Types {
 		le.sig.caps[j] = st.MaxLoad
 	}
-	le.sig.counts = make([]int, 0, ins.D())
-	le.sig.fns = make([]costfn.Func, 0, ins.D())
+	// The remembered key shares the signature's allocations; the
+	// capacities are the evaluator's own, so both read one array.
+	counts, fns := make([]int, 2*d), make([]costfn.Func, 2*d)
+	le.sig.counts, le.prev.counts = counts[:0:d], counts[d:d]
+	le.sig.fns, le.prev.fns = fns[:0:d], fns[d:d]
+	le.prev.caps = le.sig.caps
 	if workers > 1 {
 		le.pool = newGWorkerPool(ins, workers)
 		// The pool's goroutines reference only the pool, so the cleanup
@@ -95,7 +119,7 @@ func (le *layerEvaluator) signature(t int) (*gcacheSig, bool) {
 	s.lambda = le.ins.Lambda[t-1]
 	s.counts = s.counts[:0]
 	s.fns = s.fns[:0]
-	h := newFnv()
+	h := newKeyHash()
 	h.f64(s.lambda)
 	h.f64(s.gamma)
 	for j := 0; j < le.ins.D(); j++ {
@@ -118,6 +142,7 @@ func (le *layerEvaluator) signature(t int) (*gcacheSig, bool) {
 // hit, gbuf otherwise. Slots the memo cannot key are evaluated into gbuf
 // too and then added, which rounds exactly like adding in place.
 func (le *layerEvaluator) addG(layer []float64, t int, g *grid.Grid) {
+	le.t, le.ready, le.partial = t, false, false
 	sig, memo := le.signature(t)
 	if memo {
 		if cached, hit := gcacheGet(sig); hit && len(cached) == len(layer) {
@@ -125,11 +150,7 @@ func (le *layerEvaluator) addG(layer []float64, t int, g *grid.Grid) {
 			return
 		}
 	}
-	if cap(le.gbuf) < len(layer) {
-		le.gbuf = make([]float64, len(layer))
-	}
-	gb := le.gbuf[:len(layer)]
-	le.evalCells(gb, t, g)
+	gb := le.full(len(layer), t, g)
 	if memo {
 		gcachePut(sig, gb)
 	}
@@ -144,35 +165,154 @@ func (le *layerEvaluator) add(layer, gl []float64) {
 	le.last = gl
 }
 
-// evalCells computes g_t over the lattice into dst, fanning lattice lines
+// full evaluates every cell of slot t's layer into gbuf and returns it.
+func (le *layerEvaluator) full(n, t int, g *grid.Grid) []float64 {
+	gb := le.buf(n)
+	le.walk(gb, nil, false, t, g)
+	le.solved += n
+	return gb
+}
+
+// buf returns gbuf resized to n cells.
+func (le *layerEvaluator) buf(n int) []float64 {
+	if cap(le.gbuf) < n {
+		le.gbuf = make([]float64, n)
+	}
+	return le.gbuf[:n]
+}
+
+// begin opens slot t's layer for a caller that solves only some of its
+// cells (see prune.go) and returns the whole g-layer when it is at hand:
+// a memo hit, or a layer it admits into the memo, evaluated in full and
+// inserted — under le.admit every one, else one whose signature the
+// memo has seen once before (the doorkeeper, see gcache.go). Otherwise
+// it returns nil and le.last is gbuf with every cell unsolved (NaN), for
+// the caller to mark cells unsolvedMark and solve them with
+// solveMarked; no layer of it enters the memo.
+func (le *layerEvaluator) begin(n, t int, g *grid.Grid) []float64 {
+	le.t, le.ready = t, false
+	partial := le.partial
+	le.partial = false
+	sig, memo := le.signature(t)
+	if memo {
+		if cached, hit := gcacheGet(sig); hit && len(cached) == n {
+			le.last = cached
+			return cached
+		}
+		if le.admit || gcacheSeen(sig) {
+			var gb []float64
+			if partial && le.prev.equal(sig) && len(le.gbuf) >= n {
+				// g_t is pure: the partial layer's solved cells stand.
+				gb = le.gbuf[:n]
+				for i, v := range gb {
+					if v != v {
+						gb[i] = unsolvedMark
+					}
+				}
+				le.walk(gb, nil, true, t, g)
+			} else {
+				gb = le.full(n, t, g)
+			}
+			gcachePut(sig, gb)
+			le.last = gb
+			return gb
+		}
+		le.prev.copyFrom(sig)
+		le.partial = true
+	}
+	gb := le.buf(n)
+	nan := math.NaN()
+	for i := range gb {
+		gb[i] = nan
+	}
+	le.last = gb
+	return nil
+}
+
+// unsolvedMark marks a cell of a partial g-layer (begin returned nil)
+// for solveMarked; an unmarked cell stays NaN, unsolved. No g of a
+// family the tracker prunes can be −Inf: its lower bound is finite.
+var unsolvedMark = math.Inf(-1)
+
+// solveMarked solves every cell of the partial g-layer le.last that is
+// marked unsolvedMark, in lattice order, and adds each g to the same
+// cell of layer.
+func (le *layerEvaluator) solveMarked(layer []float64, g *grid.Grid) {
+	le.walk(le.last, layer, true, le.t, g)
+}
+
+// cell returns g_t(x) of the last slot's layer at index idx, solving it
+// on demand when the layer left it unsolved.
+func (le *layerEvaluator) cell(idx int, x model.Config) float64 {
+	if v := le.last[idx]; v == v {
+		return v
+	}
+	le.prepare()
+	return le.eval.GPrepared(x)
+}
+
+// prepare resolves slot le.t on the serial evaluator, once per layer.
+func (le *layerEvaluator) prepare() {
+	if !le.ready {
+		le.eval.PrepareSlot(le.t)
+		le.ready = true
+	}
+}
+
+// walk computes g_t into dst as walkLines does, fanning lattice lines
 // out over the pool when one is attached.
-func (le *layerEvaluator) evalCells(dst []float64, t int, g *grid.Grid) {
+func (le *layerEvaluator) walk(dst, add []float64, marked bool, t int, g *grid.Grid) {
 	lineLen := len(g.Axis(g.D() - 1))
 	lines := len(dst) / lineLen
 	if le.pool == nil || lines < 2 || len(dst) < 2*le.workers {
-		walkLines(le.eval, le.cfg, dst, t, g, 0, lines)
+		le.prepare()
+		le.solved += walkLines(le.eval, le.cfg, dst, add, marked, g, 0, lines)
 		return
 	}
-	le.pool.run(dst, t, g, lines)
+	le.solved += le.pool.run(dst, add, marked, t, g, lines)
 }
 
-// walkLines evaluates lattice lines [loLine, hiLine) of slot t, which it
-// resolves once (counts, capacities, cost functions and the dispatch type
-// table): one Decode per line, then the contiguous last-dimension run
-// with only the final coordinate changing — cheap decodes and monotone
-// dual movement for the dispatch warm start.
-func walkLines(eval *model.Evaluator, cfg model.Config, dst []float64, t int, g *grid.Grid, loLine, hiLine int) {
-	eval.PrepareSlot(t)
+// walkLines evaluates lattice lines [loLine, hiLine) of the slot eval is
+// prepared for (counts, capacities, cost functions and the dispatch type
+// table, resolved once): one Decode per line, then the contiguous
+// last-dimension run with only the final coordinate changing — cheap
+// decodes and monotone dual movement for the dispatch warm start. With
+// marked set only the cells marked unsolvedMark are solved, still in
+// lattice order, and their g is added to add too unless add is nil. It
+// returns the number of cells a marked walk solved.
+func walkLines(eval *model.Evaluator, cfg model.Config, dst, add []float64, marked bool, g *grid.Grid, loLine, hiLine int) int {
 	d := g.D()
 	last := g.Axis(d - 1)
+	solved := 0
 	for ln := loLine; ln < hiLine; ln++ {
 		base := ln * len(last)
-		g.Decode(base, cfg)
+		if !marked {
+			g.Decode(base, cfg)
+			for i, v := range last {
+				cfg[d-1] = v
+				dst[base+i] = eval.GPrepared(cfg)
+			}
+			continue
+		}
+		decoded := false
 		for i, v := range last {
+			if dst[base+i] != unsolvedMark {
+				continue
+			}
+			if !decoded {
+				g.Decode(base, cfg)
+				decoded = true
+			}
 			cfg[d-1] = v
-			dst[base+i] = eval.GPrepared(cfg)
+			gv := eval.GPrepared(cfg)
+			dst[base+i] = gv
+			if add != nil {
+				add[base+i] += gv
+			}
+			solved++
 		}
 	}
+	return solved
 }
 
 // gWorkerPool is a persistent pool of layer-evaluation goroutines. One
@@ -182,6 +322,7 @@ type gWorkerPool struct {
 	workers int
 	evals   []*model.Evaluator
 	cfgs    []model.Config
+	solved  []int // per worker, cells its last task solved
 	tasks   chan gTask
 	wg      sync.WaitGroup
 	once    sync.Once
@@ -190,7 +331,8 @@ type gWorkerPool struct {
 
 // gTask is one worker's share of a layer: lattice lines [loLine, hiLine).
 type gTask struct {
-	dst            []float64
+	dst, add       []float64
+	marked         bool
 	t              int
 	g              *grid.Grid
 	loLine, hiLine int
@@ -202,6 +344,7 @@ func newGWorkerPool(ins *model.Instance, workers int) *gWorkerPool {
 		workers: workers,
 		evals:   make([]*model.Evaluator, workers),
 		cfgs:    make([]model.Config, workers),
+		solved:  make([]int, workers),
 		tasks:   make(chan gTask, workers),
 		stop:    make(chan struct{}),
 	}
@@ -219,8 +362,9 @@ func (p *gWorkerPool) work() {
 	for {
 		select {
 		case task := <-p.tasks:
-			walkLines(p.evals[task.w], p.cfgs[task.w], task.dst, task.t, task.g,
-				task.loLine, task.hiLine)
+			p.evals[task.w].PrepareSlot(task.t)
+			p.solved[task.w] = walkLines(p.evals[task.w], p.cfgs[task.w], task.dst, task.add,
+				task.marked, task.g, task.loLine, task.hiLine)
 			p.wg.Done()
 		case <-p.stop:
 			return
@@ -228,11 +372,12 @@ func (p *gWorkerPool) work() {
 	}
 }
 
-// run evaluates one layer through the pool and blocks until it is done.
-// Chunks are static (worker w always gets the same lines for the same
-// layer shape) and each task uses its own evaluator, so the computation
-// is deterministic regardless of scheduling.
-func (p *gWorkerPool) run(dst []float64, t int, g *grid.Grid, lines int) {
+// run evaluates one layer through the pool, as walkLines does, and
+// blocks until it is done; it returns the cells a marked walk solved
+// (0 for a full one). Chunks are static (worker w always gets the same
+// lines for the same layer shape) and each task uses its own evaluator,
+// so the computation is deterministic regardless of scheduling.
+func (p *gWorkerPool) run(dst, add []float64, marked bool, t int, g *grid.Grid, lines int) int {
 	chunk := (lines + p.workers - 1) / p.workers
 	n := 0
 	for w := 0; w < p.workers && w*chunk < lines; w++ {
@@ -245,9 +390,14 @@ func (p *gWorkerPool) run(dst []float64, t int, g *grid.Grid, lines int) {
 		if hi > lines {
 			hi = lines
 		}
-		p.tasks <- gTask{dst: dst, t: t, g: g, loLine: lo, hiLine: hi, w: w}
+		p.tasks <- gTask{dst: dst, add: add, marked: marked, t: t, g: g, loLine: lo, hiLine: hi, w: w}
 	}
 	p.wg.Wait()
+	solved := 0
+	for w := 0; w < n; w++ {
+		solved += p.solved[w]
+	}
+	return solved
 }
 
 func (p *gWorkerPool) close() {

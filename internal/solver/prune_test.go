@@ -1,0 +1,401 @@
+package solver
+
+import (
+	"bytes"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/costfn"
+	"repro/internal/grid"
+	"repro/internal/model"
+	"repro/internal/workload"
+)
+
+// unpruned makes the trackers built inside fn evaluate every cell.
+func unpruned[T any](fn func() T) T {
+	pruneOff = true
+	defer func() { pruneOff = false }()
+	return fn()
+}
+
+// randomFamily draws a cost function of every stock family, wrapped in
+// Scaled now and then, plus the opaque one the tracker must not prune.
+func randomFamily(rng *rand.Rand) costfn.Func {
+	var f costfn.Func
+	switch rng.Intn(8) {
+	case 0:
+		f = costfn.Constant{C: rng.Float64() * 3}
+	case 1:
+		f = costfn.Affine{Idle: rng.Float64() * 2, Rate: rng.Float64() * 3}
+	case 2:
+		f = costfn.Power{Idle: rng.Float64(), Coef: 0.1 + rng.Float64()*2, Exp: 2}
+	case 3:
+		f = costfn.Power{Idle: rng.Float64(), Coef: rng.Float64() * 2, Exp: 1 + rng.Float64()*2}
+	case 4:
+		f = costfn.Exponential{Idle: rng.Float64(), Amp: 0.05 + rng.Float64(), Rate: 0.1 + rng.Float64()}
+	case 5:
+		s1 := rng.Float64()
+		s2 := s1 + rng.Float64()
+		v0 := rng.Float64()
+		f = costfn.MustPiecewiseLinear([]float64{0, 0.5, 1}, []float64{v0, v0 + s1*0.5, v0 + s1*0.5 + s2*0.5})
+	case 6:
+		f = opaqueFn{rate: 0.2 + rng.Float64()}
+	default:
+		f = costfn.Power{Idle: rng.Float64(), Coef: rng.Float64(), Exp: 1}
+	}
+	if rng.Intn(4) == 0 {
+		f = costfn.Scaled{F: f, Factor: 0.25 + rng.Float64()*2}
+	}
+	return f
+}
+
+// randomPruneInstance draws a fleet of 1–3 types over every family with
+// noisy demand and switching costs from 10⁻³ to 10⁴; with counts set,
+// each slot's counts lie at or below the template's.
+func randomPruneInstance(rng *rand.Rand, T int, counts bool) *model.Instance {
+	d := 1 + rng.Intn(3)
+	types := make([]model.ServerType, d)
+	capacity := 0.0
+	for j := range types {
+		types[j] = model.ServerType{
+			Count:      1 + rng.Intn(7),
+			SwitchCost: rng.Float64() * math.Pow(10, float64(rng.Intn(8)-3)),
+			MaxLoad:    0.5 + rng.Float64()*3,
+			Cost:       model.Static{F: randomFamily(rng)},
+		}
+		capacity += float64(types[j].Count) * types[j].MaxLoad
+	}
+	ins := &model.Instance{Types: types, Lambda: make([]float64, T)}
+	if counts {
+		ins.Counts = make([][]int, T)
+	}
+	for t := range ins.Lambda {
+		slotCap := capacity
+		if counts {
+			ins.Counts[t] = make([]int, d)
+			slotCap = 0
+			for j, st := range types {
+				c := st.Count
+				if rng.Intn(4) == 0 {
+					c = rng.Intn(st.Count + 1)
+				}
+				ins.Counts[t][j] = c
+				slotCap += float64(c) * st.MaxLoad
+			}
+		}
+		ins.Lambda[t] = rng.Float64() * slotCap * 0.95
+	}
+	return ins
+}
+
+// comparePruned streams ins through a pruned and an unpruned tracker
+// together and fails unless they agree bit for bit: the prefix optimum
+// and its argmin, every cell the pruned layer keeps, and g_t on every
+// cell. A cell it prunes must be strictly dominated in the unpruned
+// layer. It returns the pruned tracker's saved states, one per slot.
+func comparePruned(t *testing.T, ins *model.Instance, opts Options) [][]byte {
+	t.Helper()
+	pr, err := NewStreamTracker(ins.Types, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pr.le.close()
+	// The twin stays off the memo, so the pruned tracker's memo paths are
+	// its own.
+	twin := opts
+	twin.NoMemo = true
+	full := unpruned(func() *PrefixTracker {
+		p, err := NewStreamTracker(ins.Types, twin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	})
+	defer full.le.close()
+	var states [][]byte
+	var in model.SlotInput
+	x := make(model.Config, ins.D())
+	y := make(model.Config, ins.D())
+	for s := 1; s <= ins.T(); s++ {
+		ins.SlotInto(s, &in)
+		cp, vp, err := pr.Push(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, vf, err := full.Push(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(vp) != math.Float64bits(vf) || !cp.Equal(cf) {
+			t.Fatalf("slot %d: pruned (%v, %v) != unpruned (%v, %v)", pr.T(), cp, vp, cf, vf)
+		}
+		g := pr.Lattice()
+		for i, v := range pr.layer {
+			w := full.layer[i]
+			g.Decode(i, x)
+			if gp, gf := mustG(t, pr, x), mustG(t, full, x); math.Float64bits(gp) != math.Float64bits(gf) {
+				t.Fatalf("slot %d x=%v: G pruned %v != unpruned %v", pr.T(), x, gp, gf)
+			}
+			if math.Float64bits(v) == math.Float64bits(w) {
+				continue
+			}
+			if !math.IsInf(v, 1) {
+				t.Fatalf("slot %d x=%v: surviving cell %v != unpruned %v", pr.T(), x, v, w)
+			}
+			dominated := false
+			for k, u := range full.layer {
+				g.Decode(k, y)
+				if k != i && u+model.SwitchCostOf(ins.Types, y, x) < w {
+					dominated = true
+					break
+				}
+			}
+			if !dominated {
+				t.Fatalf("slot %d x=%v: pruned a cell (%v) no other cell dominates", pr.T(), x, w)
+			}
+		}
+		states = append(states, pr.AppendState(nil))
+	}
+	return states
+}
+
+func mustG(t *testing.T, p *PrefixTracker, x model.Config) float64 {
+	t.Helper()
+	g, ok := p.G(x)
+	if !ok {
+		t.Fatalf("G(%v) declined an on-lattice cell", x)
+	}
+	return g
+}
+
+// doubled feeds every slot of ins twice in a row, as Algorithm C's
+// sub-slots do: the memo admits the repeat, completing the partial
+// layer the first evaluation left.
+func doubled(ins *model.Instance) *model.Instance {
+	out := &model.Instance{Types: ins.Types}
+	for s, lambda := range ins.Lambda {
+		out.Lambda = append(out.Lambda, lambda, lambda)
+		if ins.Counts != nil {
+			out.Counts = append(out.Counts, ins.Counts[s], ins.Counts[s])
+		}
+	}
+	return out
+}
+
+// Pruning changes no decision, optimum, surviving cell or g_t, on random
+// fleets of every cost family, static and time-varying, exact and
+// γ-reduced, with the memo off, missing and hitting (also on a slot fed
+// twice in a row) and over a worker pool; and the pruned tracker's state
+// bytes are the same whichever of those paths evaluated its layers.
+func TestPrunedLayerMatchesUnpruned(t *testing.T) {
+	swapGcache(t, gcacheShards, gcacheMaxFloats)
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 40; trial++ {
+		ins := randomPruneInstance(rng, 24, trial%3 == 2)
+		if trial%4 == 1 {
+			ins = doubled(ins)
+		}
+		var want [][]byte
+		for _, opts := range []Options{{NoMemo: true}, {}, {}, {}, {Workers: 2, NoMemo: true}, {Workers: 2}} {
+			// Memo runs: the first misses, the second admits, the third hits.
+			states := comparePruned(t, ins, opts)
+			if want == nil {
+				want = states
+				continue
+			}
+			for s := range want {
+				if !bytes.Equal(states[s], want[s]) {
+					t.Fatalf("trial %d %+v slot %d: tracker state differs across memo paths", trial, opts, s+1)
+				}
+			}
+		}
+		comparePruned(t, ins, Options{Gamma: 1.5, NoMemo: true})
+	}
+}
+
+// FuzzPrunedLayer compares the pruned and the unpruned tracker bit for
+// bit (comparePruned) on random fleets of every cost family, with random
+// demands and counts.
+func FuzzPrunedLayer(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(6+seed), seed%2 == 1)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, slots uint8, counts bool) {
+		ins := randomPruneInstance(rand.New(rand.NewSource(seed)), 1+int(slots%40), counts)
+		comparePruned(t, ins, Options{NoMemo: true})
+	})
+}
+
+// Solve's schedules, by the default and the LowMemory path, are the
+// unpruned ones.
+func TestPrunedSolveMatchesUnpruned(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 20; trial++ {
+		ins := randomPruneInstance(rng, 30, trial%2 == 1)
+		for _, opts := range []Options{{}, {LowMemory: true}, {Workers: 2, NoMemo: true}, {Gamma: 2}} {
+			got, err := Solve(ins, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := unpruned(func() *Result {
+				r, err := Solve(ins, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			})
+			if math.Float64bits(got.Cost()) != math.Float64bits(want.Cost()) {
+				t.Fatalf("trial %d %+v: cost %v != unpruned %v", trial, opts, got.Cost(), want.Cost())
+			}
+			for s := range want.Schedule {
+				if !got.Schedule[s].Equal(want.Schedule[s]) {
+					t.Fatalf("trial %d %+v slot %d: schedule %v != unpruned %v", trial, opts, s+1, got.Schedule[s], want.Schedule[s])
+				}
+			}
+		}
+	}
+}
+
+// A state written by an unpruned tracker, whose dominated cells hold
+// finite values, restores into a pruned one that then continues bit for
+// bit like the pruned tracker that never stopped: the tracker state
+// version need not change.
+func TestPrunedRestoresUnprunedState(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 10; trial++ {
+		ins := randomPruneInstance(rng, 20, false)
+		cut := 1 + rng.Intn(ins.T()-1)
+		old := unpruned(func() *PrefixTracker {
+			p, err := NewPrefixTracker(ins, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		})
+		ref, _ := NewPrefixTracker(ins, Options{})
+		for old.T() < cut {
+			old.Advance()
+			ref.Advance()
+		}
+		resumed, _ := NewPrefixTracker(ins, Options{})
+		resumed.Seek(cut)
+		if err := resumed.RestoreState(old.AppendState(nil)); err != nil {
+			t.Fatal(err)
+		}
+		for !ref.Done() {
+			cr, vr := ref.Advance()
+			cs, vs := resumed.Advance()
+			if math.Float64bits(vr) != math.Float64bits(vs) || !cr.Equal(cs) {
+				t.Fatalf("trial %d slot %d: resumed (%v, %v) != uninterrupted (%v, %v)", trial, ref.T(), cs, vs, cr, vr)
+			}
+			if !bytes.Equal(ref.AppendState(nil), resumed.AppendState(nil)) {
+				t.Fatalf("trial %d slot %d: resumed state differs", trial, ref.T())
+			}
+		}
+	}
+}
+
+// heterogeneousFleet is the stock heterogeneous scenario's fleet: three
+// server generations, a 308-cell lattice.
+func heterogeneousFleet() []model.ServerType {
+	return []model.ServerType{
+		{Name: "gen1", Count: 10, SwitchCost: 1.5, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Constant{C: 1.2}}},
+		{Name: "gen2", Count: 6, SwitchCost: 4, MaxLoad: 2,
+			Cost: model.Static{F: costfn.Affine{Idle: 1.5, Rate: 0.6}}},
+		{Name: "gen3", Count: 3, SwitchCost: 11, MaxLoad: 4,
+			Cost: model.Static{F: costfn.Power{Idle: 2.5, Coef: 0.3, Exp: 2}}},
+	}
+}
+
+// On the heterogeneous fleet under fresh demand (a diurnal trace times
+// 0.9+0.2U, so no layer repeats), the tracker solves at most 40% of the
+// feasible cells it would otherwise solve.
+func TestPrunedLayerSolvesFewCells(t *testing.T) {
+	types := heterogeneousFleet()
+	rng := rand.New(rand.NewSource(3))
+	trace := workload.Clamp(workload.DiurnalNoisy(rng, 480, 3, 14, 24, 0.15), 30)
+	tr, err := NewStreamTracker(types, Options{NoMemo: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := model.NewEvaluator(&model.Instance{Types: types})
+	g := grid.NewFull([]int{10, 6, 3})
+	x := make(model.Config, len(types))
+	feasible := 0
+	for _, lambda := range trace {
+		in := model.SlotInput{Lambda: lambda * (0.9 + 0.2*rng.Float64())}
+		if _, _, err := tr.Push(in); err != nil {
+			t.Fatal(err)
+		}
+		eval.Prepare(in)
+		for i := 0; i < g.Size(); i++ {
+			g.Decode(i, x)
+			if !math.IsInf(eval.GPrepared(x), 1) {
+				feasible++
+			}
+		}
+	}
+	share := float64(tr.le.solved) / float64(feasible)
+	t.Logf("solved %d of %d feasible cells (%.1f%%) over %d slots", tr.le.solved, feasible, 100*share, len(trace))
+	if share > 0.40 {
+		t.Fatalf("the tracker solved %.1f%% of the feasible cells, want <= 40%%", 100*share)
+	}
+}
+
+// freshSeed gives every benchmark run its own demand noise.
+var freshSeed int64
+
+// BenchmarkTrackerStep times one tracker step on the heterogeneous
+// fleet, pruned and unpruned, with the memo on: under fresh demand
+// (the trace times 0.9+0.2U, so every layer misses, as on a serving
+// tier's noisy traffic) and under the bare trace, whose layers the memo
+// holds after the first pass.
+func BenchmarkTrackerStep(b *testing.B) {
+	for _, fleet := range []string{"heterogeneous", "quickstart"} {
+		types := heterogeneousFleet()
+		trace := workload.Clamp(workload.DiurnalNoisy(rand.New(rand.NewSource(1)), 48, 3, 14, 24, 0.15), 30)
+		if fleet == "quickstart" {
+			types = []model.ServerType{
+				{Name: "slow", Count: 8, SwitchCost: 3, MaxLoad: 1,
+					Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 1}}},
+				{Name: "fast", Count: 3, SwitchCost: 12, MaxLoad: 4,
+					Cost: model.Static{F: costfn.Power{Idle: 3, Coef: 0.4, Exp: 2}}},
+			}
+			trace = workload.Diurnal(48, 2, 16, 24, 0)
+		}
+		benchTrackerStep(b, fleet, types, trace)
+	}
+}
+
+func benchTrackerStep(b *testing.B, fleet string, types []model.ServerType, trace []float64) {
+	for _, demand := range []string{"fresh", "hit"} {
+		for _, name := range []string{"pruned", "unpruned"} {
+			b.Run(fleet+"/"+demand+"/"+name, func(b *testing.B) {
+				pruneOff = name == "unpruned"
+				defer func() { pruneOff = false }()
+				tr, err := NewStreamTracker(types, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				freshSeed++
+				rng := rand.New(rand.NewSource(freshSeed))
+				noise := func() float64 { return 0.9 + 0.2*rng.Float64() }
+				if demand == "hit" {
+					noise = func() float64 { return 1 }
+					for i := 0; i < 2*len(trace); i++ { // the memo admits each layer
+						tr.Push(model.SlotInput{Lambda: trace[i%len(trace)]})
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := tr.Push(model.SlotInput{Lambda: trace[i%len(trace)] * noise()}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

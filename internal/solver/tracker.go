@@ -15,9 +15,13 @@ import (
 // Sections 2 and 3 need, at every slot t, the last configuration x̂^t_t of
 // an optimal schedule for I_t; because power-downs are free, that is the
 // argmin of the forward DP layer — so the whole online run costs no more
-// than a single offline DP sweep, O(T·|M|·d) plus T·|M| operating-cost
-// evaluations. Its step is the package's only forward DP step: Solve and
-// OptimalCost sweep an instance through a tracker too.
+// than a single offline DP sweep: O(T·|M|·d) for the relax sweeps, plus
+// at most T·|M| operating-cost evaluations. Dominance pruning (prune.go)
+// evaluates only the cells a lower bound cannot prove dominated, about
+// two fifths of them on the heterogeneous fleet, and sets the rest to +Inf;
+// no decision, optimum or surviving cell changes. Its step is the
+// package's only forward DP step: Solve and OptimalCost sweep an
+// instance through a tracker too.
 //
 // Slot data arrives push-style via Push(SlotInput), so the online
 // information model holds by construction: the tracker owns a
@@ -36,6 +40,10 @@ type PrefixTracker struct {
 	rx    *relaxer
 	gamma float64
 	betas []float64
+	prune bool         // prune dominated cells (prune.go)
+	f0    []float64    // the slot's f_{t,j}(0), for pruning's lower bound
+	zmax  []float64    // the fleet's capacities, likewise
+	cand  model.Config // pruning's candidate cell
 
 	t     int       // slots processed so far
 	opt   float64   // min D_t: the prefix optimum's cost, 0 before slot 1
@@ -71,7 +79,7 @@ func bind(ins *model.Instance, opts Options) (*PrefixTracker, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.src = ins
+	p.src, p.le.admit = ins, true
 	return p, nil
 }
 
@@ -83,11 +91,12 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 		return nil, err
 	}
 	d := len(types)
-	betas := make([]float64, d)
+	floats := make([]float64, 3*d) // betas, f0 and zmax
+	betas := floats[:d:d]
 	for j, st := range types {
 		betas[j] = st.SwitchCost
 	}
-	ints := make([]int, 3*d) // cfg, curCounts and readCounts
+	ints := make([]int, 4*d) // cfg, curCounts, readCounts and cand
 	return &PrefixTracker{
 		ins:        acc.Instance(),
 		acc:        acc,
@@ -95,9 +104,13 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 		rx:         newRelaxer(betas),
 		gamma:      opts.Gamma,
 		betas:      betas,
+		prune:      !pruneOff,
+		f0:         floats[d : 2*d : 2*d],
+		zmax:       floats[2*d:],
 		cfg:        ints[:d:d],
 		curCounts:  ints[d : d : 2*d],
-		readCounts: ints[2*d : 2*d],
+		readCounts: ints[2*d : 2*d : 3*d],
+		cand:       ints[3*d:],
 	}, nil
 }
 
@@ -168,13 +181,12 @@ func (p *PrefixTracker) Push(in model.SlotInput) (model.Config, float64, error) 
 
 // lattice builds the lattice for one slot's counts.
 func (p *PrefixTracker) lattice(counts []int) *grid.Grid {
+	if p.gamma <= 1 {
+		return grid.NewFull(counts)
+	}
 	axes := make([]grid.Axis, len(counts))
 	for j, m := range counts {
-		if p.gamma > 1 {
-			axes[j] = grid.ReducedAxis(m, p.gamma)
-		} else {
-			axes[j] = grid.FullAxis(m)
-		}
+		axes[j] = grid.ReducedAxis(m, p.gamma)
 	}
 	return grid.New(axes)
 }
@@ -196,7 +208,7 @@ func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
 // layer is decoded into the spare layer buffer, and the current lattice
 // is kept when the saved counts are the ones it was built for.
 func (p *PrefixTracker) rewind(t int, state []byte) error {
-	p.t, p.opt, p.le.last = 0, 0, nil
+	p.t, p.opt, p.le.last, p.le.partial = 0, 0, nil, false
 	p.acc.Seek(t)
 	return p.RestoreState(state)
 }
@@ -291,6 +303,29 @@ func (p *PrefixTracker) fits(counts []int, n int) bool {
 	return size == n
 }
 
+// MaxLatticeCells is the largest exact lattice, Π_j (m_j + 1) cells, a
+// serving tier accepts for a fleet. A stream tracker on the pruned path
+// costs 120–200 ns of CPU per cell on a memo-miss push and holds ≈ 70 B
+// per cell (layer buffers, g-layer and relax scratch), measured on a
+// 2-vCPU Xeon @ 2.1 GHz over lattices of 663 to 40 501 cells. So a
+// session at the budget costs 30–50 ms a push and ≈ 18 MB resident, and
+// one request can no longer take a daemon down.
+const MaxLatticeCells = 1 << 18
+
+// LatticeCells returns the number of cells of the fleet's exact lattice
+// when it is at most limit; ok is false otherwise, or for a negative
+// count. It multiplies without overflow, as fits does, for any counts.
+func LatticeCells(types []model.ServerType, limit int) (cells int, ok bool) {
+	cells = 1
+	for _, st := range types {
+		if st.Count < 0 || st.Count >= limit || st.Count+1 > limit/cells {
+			return 0, false
+		}
+		cells *= st.Count + 1
+	}
+	return cells, true
+}
+
 // reducedLevels returns a lower bound on the length of m's reduced axis
 // (grid.ReducedAxis): zero plus the distinct values of ⌊γ^k⌋ ≤ m. It
 // stops counting past limit, so its cost does not grow with m.
@@ -324,7 +359,12 @@ func (p *PrefixTracker) step() (model.Config, float64) {
 	} else {
 		layer = p.rx.relax(p.layer, p.prevGrid, g, p.grow(&p.spare, g.Size()))
 	}
-	p.le.addG(layer, 1, g) // the accumulator holds the slot as slot 1
+	// The accumulator holds the slot as slot 1.
+	if p.t > 1 && p.prevGrid == g && p.floors() {
+		p.prunedStep(layer, g)
+	} else {
+		p.le.addG(layer, 1, g)
+	}
 
 	// Swap buffers: the old layer becomes next round's spare.
 	p.layer, p.spare = layer, p.layer
@@ -364,12 +404,13 @@ func (p *PrefixTracker) OptRange() (lo, hi model.Config) {
 }
 
 // G returns the operating cost g_t(x) of the most recently processed
-// slot, read from the layer evaluation its step already did, when x lies
-// on that slot's lattice; ok is false otherwise (off-lattice x under a
-// reduced lattice, before the first slot, or right after RestoreState).
-// The value is bit-identical to solving x's dispatch program
-// (model.Evaluator.G): g_t is pure and the dispatch dual canonical, the
-// same guarantee the layer memo rests on.
+// slot when x lies on that slot's lattice: read from the layer
+// evaluation its step already did, or, for a cell the step pruned,
+// solved on demand with the evaluator prepared for the slot. ok is false
+// otherwise (off-lattice x under a reduced lattice, before the first
+// slot, or right after RestoreState). The value is bit-identical to
+// solving x's dispatch program (model.Evaluator.G): g_t is pure and the
+// dispatch dual canonical, the same guarantee the layer memo rests on.
 func (p *PrefixTracker) G(x model.Config) (g float64, ok bool) {
 	if p.le.last == nil {
 		return 0, false
@@ -378,7 +419,7 @@ func (p *PrefixTracker) G(x model.Config) (g float64, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	return p.le.last[idx], true
+	return p.le.cell(idx, x), true
 }
 
 // Held returns the number of slot inputs the tracker keeps resident: at

@@ -157,3 +157,34 @@ func TestTrackerRestoreStateHugeReducedCountIsCheap(t *testing.T) {
 		t.Fatalf("refusing the count allocated %d bytes", b)
 	}
 }
+
+// LatticeCells multiplies the axis lengths without overflow, for any
+// counts, and refuses a lattice over the limit.
+func TestLatticeCells(t *testing.T) {
+	fleet := func(counts ...int) []model.ServerType {
+		types := make([]model.ServerType, len(counts))
+		for j, c := range counts {
+			types[j] = model.ServerType{Count: c, MaxLoad: 1}
+		}
+		return types
+	}
+	for _, c := range []struct {
+		counts []int
+		cells  int
+		ok     bool
+	}{
+		{[]int{10, 6, 3}, 308, true},
+		{[]int{0}, 1, true},
+		{[]int{511, 511}, 1 << 18, true},
+		{[]int{511, 512}, 0, false},
+		{[]int{1 << 62, 1 << 62}, 0, false},
+		{[]int{math.MaxInt}, 0, false},
+		{[]int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0, false},
+		{[]int{-1}, 0, false},
+	} {
+		cells, ok := LatticeCells(fleet(c.counts...), MaxLatticeCells)
+		if cells != c.cells || ok != c.ok {
+			t.Errorf("counts %v: (%d, %v), want (%d, %v)", c.counts, cells, ok, c.cells, c.ok)
+		}
+	}
+}

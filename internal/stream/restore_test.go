@@ -333,3 +333,50 @@ func TestRestoreFromStateResealedBytes(t *testing.T) {
 		}
 	}
 }
+
+// A state saved with telemetry does not restore into a DisableOpt
+// session, nor the reverse: the caller replays instead, and the session
+// it gets saves, right away and after two more slots, the same bytes as
+// a session of its own kind fed the same slots. Restored as it was, the
+// session kept the other kind's prefix optimum in every state it saved.
+func TestRestoreFromStateRefusesTelemetryMismatch(t *testing.T) {
+	types := sharingFleet()
+	mk := func() core.Online {
+		b, err := core.NewAlgorithmB(types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name            string
+		saved, restored Options
+	}{
+		{"telemetry into DisableOpt", Options{}, Options{DisableOpt: true}},
+		{"DisableOpt into telemetry", Options{DisableOpt: true}, Options{}},
+	} {
+		saver, err := New(mk(), types, c.saved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedTo(t, saver, 10)
+		got, err := RestoreFromState(mk(), types, c.restored, saver.AppendState(nil))
+		if err == nil {
+			t.Errorf("%s: the state restored", c.name)
+		} else if got, err = Resume(mk(), types, c.restored, saver.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(mk(), types, c.restored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedTo(t, want, 10)
+		for _, n := range []int{10, 12} {
+			feedTo(t, got, n)
+			feedTo(t, want, n)
+			if string(got.AppendState(nil)) != string(want.AppendState(nil)) {
+				t.Fatalf("%s, slot %d: the resumed session saves another state than one fed from the start", c.name, n)
+			}
+		}
+	}
+}

@@ -38,6 +38,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/core"
@@ -618,6 +619,17 @@ func RestoreFromState(alg core.Online, types []model.ServerType, opts Options, s
 		if err := s.tel.RestoreState(st.opt); err != nil {
 			return nil, err
 		}
+	}
+	// The saved prefix optimum is the one the session's telemetry reports
+	// after the restore, 0 without telemetry: a state saved with
+	// telemetry on does not restore into a DisableOpt session, or the
+	// reverse, whose replay would save another optimum.
+	opt := 0.0
+	if s.tel != nil {
+		opt = s.tel.Opt()
+	}
+	if math.Float64bits(st.optCost) != math.Float64bits(opt) {
+		return nil, fmt.Errorf("stream: state saved prefix optimum %v, the session's telemetry reports %v: %w", st.optCost, opt, statebuf.ErrMalformed)
 	}
 	s.fed, s.base, s.decided, s.prev = st.fed, st.fed, st.decided, st.prev
 	s.stateSize = st.size
