@@ -12,7 +12,7 @@ func TestFacadeWrappers(t *testing.T) {
 	ins := twoType()
 
 	// Solve with explicit options.
-	res, err := Solve(ins, SolveOptions{Gamma: 1.5, Workers: 2, LowMemory: true})
+	res, err := Solve(ins, SolveOptions{Gamma: 1.5, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,12 +136,12 @@ func TestIntegrationMatrix(t *testing.T) {
 				if diff := res.Cost() - opt; diff > 1e-9*(1+opt) || diff < -1e-9*(1+opt) {
 					t.Errorf("SolveOptimal %g vs OptimalCost %g", res.Cost(), opt)
 				}
-				low, err := Solve(ins, SolveOptions{LowMemory: true})
+				par, err := Solve(ins, SolveOptions{Workers: 2})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if low.Cost() != res.Cost() {
-					t.Errorf("LowMemory %g vs default %g", low.Cost(), res.Cost())
+				if par.Cost() != res.Cost() {
+					t.Errorf("2 workers %g vs serial %g", par.Cost(), res.Cost())
 				}
 				apx, err := SolveApprox(ins, 0.5)
 				if err != nil {

@@ -12,8 +12,8 @@ import (
 
 // The hidden* wrappers keep a cost function's values and derivative
 // interfaces but hide it from the layer memo's fingerprint: slots
-// carrying them take the evaluator's unmemoised path, as
-// solver.Options.NoMemo does.
+// carrying them take the evaluator's unmemoised path, as the solver's
+// memo-off test switch (solver.SetMemo) does.
 type (
 	hiddenFn   struct{ costfn.Func }
 	hiddenDiff struct{ costfn.Differentiable }

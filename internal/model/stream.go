@@ -93,10 +93,9 @@ type Accumulator struct {
 	ins      Instance
 	profiles []slotProfile
 	template []ServerType
-	t        int           // slots pushed so far
-	fnBuf    []costfn.Func // per-push resolution scratch
-	lambda   [1]float64    // backing array of ins.Lambda
-	counts   [1][]int      // backing array of ins.Counts
+	t        int        // slots pushed so far
+	lambda   [1]float64 // backing array of ins.Lambda
+	counts   [1][]int   // backing array of ins.Counts
 }
 
 // NewAccumulator prepares an accumulator for the fleet template. The
@@ -111,7 +110,6 @@ func NewAccumulator(types []ServerType) (*Accumulator, error) {
 	acc := &Accumulator{
 		template: append(fleets[:0:d], types...),
 		profiles: make([]slotProfile, d),
-		fnBuf:    make([]costfn.Func, d),
 	}
 	cloned := fleets[d:]
 	for j, st := range types {
@@ -151,55 +149,53 @@ func (a *Accumulator) Newest(in *SlotInput) {
 	in.T = a.t
 }
 
-// resolve returns slot input's cost function for type j, falling back to
-// the template profile: an error past the end of a profile with a
-// horizon (Varying, Modulated), which has no function there.
-func (a *Accumulator) resolve(in SlotInput, j int) (costfn.Func, error) {
-	if in.Costs != nil {
-		if len(in.Costs) != len(a.template) {
-			return nil, fmt.Errorf("model: slot %d carries %d cost functions, want %d", in.T, len(in.Costs), len(a.template))
-		}
-		if f := in.Costs[j]; f != nil {
-			return f, nil
-		}
-	}
-	if tpl := a.template[j].Cost; tpl != nil {
-		if b, ok := tpl.(bounded); ok && in.T > b.Horizon() {
-			return nil, fmt.Errorf("model: slot %d is past the %d slots type %d's cost profile defines", in.T, b.Horizon(), j)
-		}
-		return tpl.At(in.T), nil
-	}
-	return nil, fmt.Errorf("model: slot %d has no cost function for type %d and the template has no profile", in.T, j)
-}
-
-// Push validates one slot and makes it the newest. It checks the
-// protocol (consecutive 1-based slots) and the slot's feasibility:
-// finite, non-negative demand covered by the slot's total capacity. On
-// error the accumulator is unchanged.
-func (a *Accumulator) Push(in SlotInput) error {
+// Check reports the error Push would return for in, changing nothing:
+// the protocol (consecutive 1-based slots) and the slot's feasibility —
+// finite, non-negative demand covered by the slot's total capacity,
+// counts within the template's, and a cost function for every type,
+// either carried by the slot or defined by the template's profile there.
+func (a *Accumulator) Check(in SlotInput) error {
 	t := a.t + 1
 	if in.T != 0 && in.T != t {
 		return fmt.Errorf("model: pushed slot %d out of order, want %d", in.T, t)
 	}
-	in.T = t
 	if err := checkSlot(a.template, t, in.Lambda, in.Counts); err != nil {
 		return err
 	}
-	fs := a.fnBuf
-	for j := range a.template {
-		f, err := a.resolve(in, j)
-		if err != nil {
-			return err
-		}
-		fs[j] = f
+	if in.Costs != nil && len(in.Costs) != len(a.template) {
+		return fmt.Errorf("model: slot %d carries %d cost functions, want %d", t, len(in.Costs), len(a.template))
 	}
-	// All checks passed; overwrite the one slot in place.
-	a.t = t
+	for j, st := range a.template {
+		switch tpl := st.Cost; {
+		case in.Costs != nil && in.Costs[j] != nil:
+		case tpl == nil:
+			return fmt.Errorf("model: slot %d has no cost function for type %d and the template has no profile", t, j)
+		default:
+			if b, ok := tpl.(bounded); ok && t > b.Horizon() {
+				return fmt.Errorf("model: slot %d is past the %d slots type %d's cost profile defines", t, b.Horizon(), j)
+			}
+		}
+	}
+	return nil
+}
+
+// Push validates one slot (Check) and makes it the newest, resolving
+// each type's cost function at the slot's absolute index. On error the
+// accumulator is unchanged.
+func (a *Accumulator) Push(in SlotInput) error {
+	if err := a.Check(in); err != nil {
+		return err
+	}
+	a.t++
 	a.ins.Lambda = append(a.ins.Lambda[:0], in.Lambda)
 	a.ins.Counts = a.ins.Counts[:1]
-	for j, f := range fs {
-		a.ins.Counts[0][j] = in.Count(j, a.template[j].Count)
-		a.profiles[j].f = f
+	for j, st := range a.template {
+		a.ins.Counts[0][j] = in.Count(j, st.Count)
+		if in.Costs != nil && in.Costs[j] != nil {
+			a.profiles[j].f = in.Costs[j]
+		} else {
+			a.profiles[j].f = st.Cost.At(a.t)
+		}
 	}
 	return nil
 }

@@ -576,6 +576,51 @@ func TestSyncWALsFlushesIdleIntervalLog(t *testing.T) {
 	}
 }
 
+// A push the session refuses (422) is refused before the WAL append: it
+// writes and fsyncs nothing, and the session goes on logging the slots
+// it accepts.
+func TestRefusedPushesStayOutOfWAL(t *testing.T) {
+	walDir := t.TempDir()
+	m := NewManager(Options{WALDir: walDir, WALSync: wal.SyncAlways})
+	defer m.Close()
+	if _, err := m.Open(OpenRequest{ID: "r", Alg: "alg-b", Fleet: quickstartFleet()}); err != nil {
+		t.Fatal(err)
+	}
+	walPath := filepath.Join(walDir, "r.wal")
+	size := func() int64 {
+		fi, err := os.Stat(walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before, met := size(), m.Metrics()
+	// The quickstart fleet has 8 slow servers of capacity 1 and 3 fast
+	// ones of capacity 4.
+	for i, req := range []PushRequest{
+		{Lambda: 3, Counts: []int{9, 3}},
+		{Lambda: 3, Counts: []int{8, 4}},
+		{Lambda: 21},
+		{Lambda: 3, Counts: []int{0, 0}},
+		{Lambda: -1},
+	} {
+		if _, err := m.Push("r", req); !errors.Is(err, ErrBadSlot) {
+			t.Fatalf("push %d %+v: %v, want ErrBadSlot", i+1, req, err)
+		}
+	}
+	after := m.Metrics()
+	if got := size(); got != before || after.WALAppends != met.WALAppends || after.WALFsyncs != met.WALFsyncs {
+		t.Fatalf("5 refused pushes: WAL %d -> %d bytes, wal_appends %d -> %d, wal_fsyncs %d -> %d; want all unchanged",
+			before, got, met.WALAppends, after.WALAppends, met.WALFsyncs, after.WALFsyncs)
+	}
+	if _, err := m.Push("r", PushRequest{Lambda: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := size(); got <= before || m.Metrics().WALAppends != met.WALAppends+1 {
+		t.Fatalf("an accepted push after the refused ones was not logged (%d bytes)", got)
+	}
+}
+
 // A checkpoint-open whose store save fails must leave nothing behind
 // for the next start: its fresh WAL used to survive with only the
 // header, RecoverWAL rebuilt it into an empty session under the id,

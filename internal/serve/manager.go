@@ -695,11 +695,16 @@ func (m *Manager) pushContext(ctx context.Context) (context.Context, context.Can
 // — a retry appends the same slot index afresh, so replay never sees a
 // failed push's payload shadowing an acknowledged one. If the rollback
 // itself could not truncate, the log is sticky-broken and every later
-// push fails rather than risking an inconsistent tail. Slots the
-// algorithm then rejects (validation) stay in the log as orphans; replay
-// skips them the same way the live path did.
+// push fails rather than risking an inconsistent tail. A slot the
+// session refuses (validation) is refused before the append, so it
+// writes nothing; replay still skips such orphans in logs written by
+// earlier versions, which appended first.
 func (m *Manager) pushLocked(ls *liveSession, met *counterStripe, req PushRequest, res *PushResult) error {
+	in := model.SlotInput{Lambda: req.Lambda, Counts: req.Counts}
 	if ls.wal != nil && ls.sess.Err() == nil {
+		if err := ls.sess.Check(in); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadSlot, err)
+		}
 		synced, werr := ls.wal.Append(model.SlotInput{T: ls.sess.Fed() + 1, Lambda: req.Lambda, Counts: req.Counts})
 		if werr != nil {
 			return fmt.Errorf("%w: wal: %v", ErrStore, werr)
@@ -710,7 +715,7 @@ func (m *Manager) pushLocked(ls *liveSession, met *counterStripe, req PushReques
 		}
 	}
 	adv := &stream.Advisory{}
-	decided, perr := ls.sess.Push(model.SlotInput{Lambda: req.Lambda, Counts: req.Counts}, adv)
+	decided, perr := ls.sess.Push(in, adv)
 	if perr != nil {
 		if ls.sess.Err() != nil {
 			return fmt.Errorf("%w: %v", ErrSessionFailed, perr)

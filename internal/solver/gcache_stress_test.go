@@ -75,7 +75,7 @@ func TestGCacheShardStress(t *testing.T) {
 	wants := make([]baseline, 0, nInstances)
 	for i := 0; i < nInstances; i++ {
 		ins := randomInstance(rng, 2, 4, 8)
-		plain, err := Solve(ins, Options{NoMemo: true})
+		plain, err := memoless(func() (*Result, error) { return Solve(ins, Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,11 +99,7 @@ func TestGCacheShardStress(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				k := (g + r) % nInstances
-				opts := Options{}
-				if g%4 == 3 {
-					opts.NoMemo = true // mix memo-off traffic into the race
-				}
-				res, err := Solve(inss[k], opts)
+				res, err := Solve(inss[k], Options{})
 				if err != nil {
 					t.Error(err)
 					return

@@ -84,7 +84,7 @@ func TestLayerMemoBitIdentical(t *testing.T) {
 	}
 	for name, ins := range instances {
 		t.Run(name, func(t *testing.T) {
-			plain, err := Solve(ins, Options{NoMemo: true})
+			plain, err := memoless(func() (*Result, error) { return Solve(ins, Options{}) })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestTrackerMemoBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewPrefixTracker(ins, Options{NoMemo: true})
+		b, err := memoless(func() (*PrefixTracker, error) { return NewPrefixTracker(ins, Options{}) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestMemoKeySeparates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want2, err := Solve(ins2, Options{NoMemo: true})
+	want2, err := memoless(func() (*Result, error) { return Solve(ins2, Options{}) })
 	if err != nil {
 		t.Fatal(err)
 	}

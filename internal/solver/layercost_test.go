@@ -13,7 +13,7 @@ import (
 // A stream tracker answers g_t(x) from the layer its step evaluated, bit
 // for bit what solving x's dispatch program gives, for every x of the
 // slot's full lattice that lies on the tracker's lattice — with the memo,
-// without it, over a worker pool and over time-varying fleets — and
+// without it, over workers and over time-varying fleets — and
 // declines exactly the x a reduced lattice does not hold.
 func TestTrackerGMatchesSlotEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -36,8 +36,14 @@ func TestTrackerGMatchesSlotEval(t *testing.T) {
 				ins.Types[j].Count++
 			}
 		}
-		for _, opts := range []Options{{}, {NoMemo: true}, {Workers: 3}, {Gamma: 2}, {Gamma: 2, NoMemo: true}} {
+		for _, run := range []struct {
+			opts Options
+			memo bool
+		}{{Options{}, true}, {Options{}, false}, {Options{Workers: 3}, true}, {Options{Gamma: 2}, true}, {Options{Gamma: 2}, false}} {
+			opts := run.opts
+			restore := SetMemo(run.memo)
 			tr, err := NewStreamTracker(ins.Types, opts)
+			restore()
 			if err != nil {
 				t.Fatal(err)
 			}

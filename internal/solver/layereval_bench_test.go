@@ -34,22 +34,19 @@ func fullGrid(ins *model.Instance) *grid.Grid {
 }
 
 // layerSweep returns one op of the layer benchmarks: all T layers of
-// the instance through one layerEvaluator — the solver's dominant kernel
-// (every cell solves a dispatch program, warm-started along lattice
-// lines).
-func layerSweep(opts Options) (op func(), close func()) {
+// the instance through one layerEvaluator, on the layer memo or off it
+// — the solver's dominant kernel (every cell solves a dispatch program,
+// warm-started along lattice lines).
+func layerSweep(memo bool) func() {
 	ins := benchLayerInstance()
 	g := fullGrid(ins)
-	le := newLayerEvaluator(ins, opts)
-	layer := make([]float64, g.Size())
+	defer SetMemo(memo)()
+	le := newLayerEvaluator(ins, Options{})
 	return func() {
 		for t := 1; t <= ins.T(); t++ {
-			for j := range layer {
-				layer[j] = 0
-			}
-			le.addG(layer, t, g)
+			le.begin(g.Size(), t, g, true)
 		}
-	}, le.close
+	}
 }
 
 // layerEvalRatio is BenchmarkLayerEval's wall-time gate (see
@@ -60,8 +57,7 @@ const layerEvalRatio = 0.714
 // BenchmarkLayerEval measures the raw warm-started sweep (memo off: every
 // cell of every slot is solved).
 func BenchmarkLayerEval(b *testing.B) {
-	op, close := layerSweep(Options{NoMemo: true})
-	defer close()
+	op := layerSweep(false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		op()
@@ -73,8 +69,7 @@ func BenchmarkLayerEval(b *testing.B) {
 // memo on: the periodic trace repeats slot content, so most layers are
 // served from cache.
 func BenchmarkLayerEvalMemo(b *testing.B) {
-	op, close := layerSweep(Options{})
-	defer close()
+	op := layerSweep(true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		op()
@@ -85,8 +80,7 @@ func BenchmarkLayerEvalMemo(b *testing.B) {
 // evaluator's buffers are sized: preparing each slot's dispatch type
 // table reuses the solver's, and every cell is solved in place.
 func TestLayerEvalAllocs(t *testing.T) {
-	op, close := layerSweep(Options{NoMemo: true})
-	defer close()
+	op := layerSweep(false)
 	op()
 	if a := testing.AllocsPerRun(5, op); a != 0 {
 		t.Fatalf("a memo-off layer sweep allocates %v times, want 0", a)

@@ -10,37 +10,42 @@ import (
 	"repro/internal/model"
 )
 
-// layerEvaluator adds the operating costs g_t(x) of a whole DP layer. It
-// owns the two fast paths of the solver's dominant kernel:
+// layerEvaluator evaluates the operating costs g_t(x) of a whole DP
+// layer. It owns the two fast paths of the solver's dominant kernel:
 //
 //   - A slot-keyed layer memo: slots with identical content (λ, counts,
 //     capacities, cost functions, γ) share one evaluation process-wide
 //     (see gcache.go) — periodic traces, Algorithm C's sub-slots and the
 //     suite's OPT-plus-trackers pile-up all collapse to single sweeps.
-//   - A persistent worker pool: with Workers > 1 the lattice lines are
-//     statically partitioned over goroutines started once per evaluator
-//     (not per layer). Workers own their model.Evaluator (scratch buffers
-//     and the dispatch warm-start state are not safe for concurrent use)
-//     and walk their lines in grid order, so the dispatch dual moves
-//     monotonically along each line and successive solves warm-start each
-//     other. Results are bit-identical for any worker count: g_t is a pure
-//     function and the warm-started dual is canonical (hint-independent).
+//   - A fan-out per layer: with Workers > 1 the lattice lines of a layer
+//     are statically partitioned over goroutines started for that layer
+//     and joined before it returns, so none outlives the layer. Each
+//     share owns its model.Evaluator (scratch buffers and the dispatch
+//     warm-start state are not safe for concurrent use) and walks its
+//     lines in grid order, so the dispatch dual moves monotonically along
+//     each line and successive solves warm-start each other. Results are
+//     bit-identical for any worker count: g_t is a pure function and the
+//     warm-started dual is canonical (hint-independent).
 type layerEvaluator struct {
 	ins     *model.Instance
-	gamma   float64
 	noMemo  bool
 	workers int
-	pool    *gWorkerPool // non-nil when workers > 1
 
 	eval *model.Evaluator // serial path
 	cfg  model.Config
 	gbuf []float64 // pure g-layer scratch for slots the memo misses
-	last []float64 // pure g-layer of the last slot added: gbuf or a read-only memo entry
+	last []float64 // pure g-layer of the last slot begun: gbuf or a read-only memo entry
 	sig  gcacheSig // reusable signature buffers
 
 	t      int  // the slot of the last layer
 	ready  bool // eval is prepared for slot t
 	solved int  // dispatch programs solved for layers, over the evaluator's life
+
+	// The fan-out (workers > 1): one share per worker, the walk they
+	// share and the group joining them.
+	shares []lineShare
+	job    lineJob
+	wg     sync.WaitGroup
 
 	// partial reports that gbuf holds a partial g-layer (begin returned
 	// nil) of the slot keyed prev. A memo-admitted evaluation of the same
@@ -51,9 +56,8 @@ type layerEvaluator struct {
 
 	// admit makes begin insert every layer it misses at first sight,
 	// bypassing the doorkeeper. Trackers bound to an instance set it:
-	// an offline sweep's layers are typically swept again (LowMemory's
-	// backward pass, the suite's online algorithms over the instance
-	// its optimum was solved on).
+	// an offline sweep's layers are typically swept again (the suite's
+	// online algorithms over the instance its optimum was solved on).
 	admit bool
 }
 
@@ -69,8 +73,7 @@ func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
 	}
 	le := &layerEvaluator{
 		ins:     ins,
-		gamma:   opts.Gamma,
-		noMemo:  opts.NoMemo || memoOff,
+		noMemo:  memoOff,
 		workers: workers,
 		eval:    model.NewEvaluator(ins),
 		cfg:     make(model.Config, ins.D()),
@@ -88,21 +91,14 @@ func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
 	le.sig.fns, le.prev.fns = fns[:0:d], fns[d:d]
 	le.prev.caps = le.sig.caps
 	if workers > 1 {
-		le.pool = newGWorkerPool(ins, workers)
-		// The pool's goroutines reference only the pool, so the cleanup
-		// can stop them once the evaluator itself becomes unreachable
-		// (long-lived PrefixTrackers are never explicitly closed).
-		runtime.AddCleanup(le, func(p *gWorkerPool) { p.close() }, le.pool)
+		le.shares = make([]lineShare, workers)
+		for w := range le.shares {
+			s := &le.shares[w]
+			s.le, s.eval, s.cfg = le, model.NewEvaluator(ins), make(model.Config, d)
+			s.run = s.walk
+		}
 	}
 	return le
-}
-
-// close releases the worker pool early (function-scoped solvers defer it;
-// the AddCleanup above covers everyone else). Idempotent.
-func (le *layerEvaluator) close() {
-	if le.pool != nil {
-		le.pool.close()
-	}
 }
 
 // AutoWorkers selects one DP worker per available CPU.
@@ -137,34 +133,6 @@ func (le *layerEvaluator) signature(t int) (*gcacheSig, bool) {
 	return s, true
 }
 
-// addG adds g_t(x) to every cell of the layer (indexed by g's lattice)
-// and keeps the slot's pure g-layer in le.last: the memo's vector on a
-// hit, gbuf otherwise. Slots the memo cannot key are evaluated into gbuf
-// too and then added, which rounds exactly like adding in place.
-func (le *layerEvaluator) addG(layer []float64, t int, g *grid.Grid) {
-	le.t, le.ready, le.partial = t, false, false
-	sig, memo := le.signature(t)
-	if memo {
-		if cached, hit := gcacheGet(sig); hit && len(cached) == len(layer) {
-			le.add(layer, cached)
-			return
-		}
-	}
-	gb := le.full(len(layer), t, g)
-	if memo {
-		gcachePut(sig, gb)
-	}
-	le.add(layer, gb)
-}
-
-// add adds the slot's g-layer gl to layer and keeps gl as the last one.
-func (le *layerEvaluator) add(layer, gl []float64) {
-	for i, v := range gl {
-		layer[i] += v
-	}
-	le.last = gl
-}
-
 // full evaluates every cell of slot t's layer into gbuf and returns it.
 func (le *layerEvaluator) full(n, t int, g *grid.Grid) []float64 {
 	gb := le.buf(n)
@@ -181,15 +149,16 @@ func (le *layerEvaluator) buf(n int) []float64 {
 	return le.gbuf[:n]
 }
 
-// begin opens slot t's layer for a caller that solves only some of its
-// cells (see prune.go) and returns the whole g-layer when it is at hand:
-// a memo hit, or a layer it admits into the memo, evaluated in full and
-// inserted — under le.admit every one, else one whose signature the
-// memo has seen once before (the doorkeeper, see gcache.go). Otherwise
-// it returns nil and le.last is gbuf with every cell unsolved (NaN), for
-// the caller to mark cells unsolvedMark and solve them with
-// solveMarked; no layer of it enters the memo.
-func (le *layerEvaluator) begin(n, t int, g *grid.Grid) []float64 {
+// begin opens slot t's layer and returns its whole g-layer when it is
+// at hand: a memo hit, or a layer evaluated in full — every layer when
+// whole is set (a slot the caller does not prune), else one the memo
+// admits: under le.admit every one, else one whose signature the memo
+// has seen once before (the doorkeeper, see gcache.go). A layer
+// evaluated in full enters the memo at once when it can be keyed.
+// Otherwise begin returns nil and le.last is gbuf with every cell
+// unsolved (NaN), for the caller to mark cells unsolvedMark and solve
+// them with solveMarked; no layer of it enters the memo.
+func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
 	le.t, le.ready = t, false
 	partial := le.partial
 	le.partial = false
@@ -199,24 +168,28 @@ func (le *layerEvaluator) begin(n, t int, g *grid.Grid) []float64 {
 			le.last = cached
 			return cached
 		}
-		if le.admit || gcacheSeen(sig) {
-			var gb []float64
-			if partial && le.prev.equal(sig) && len(le.gbuf) >= n {
-				// g_t is pure: the partial layer's solved cells stand.
-				gb = le.gbuf[:n]
-				for i, v := range gb {
-					if v != v {
-						gb[i] = unsolvedMark
-					}
+	}
+	if whole || memo && (le.admit || gcacheSeen(sig)) {
+		var gb []float64
+		if partial && memo && le.prev.equal(sig) && len(le.gbuf) >= n {
+			// g_t is pure: the partial layer's solved cells stand.
+			gb = le.gbuf[:n]
+			for i, v := range gb {
+				if v != v {
+					gb[i] = unsolvedMark
 				}
-				le.walk(gb, nil, true, t, g)
-			} else {
-				gb = le.full(n, t, g)
 			}
-			gcachePut(sig, gb)
-			le.last = gb
-			return gb
+			le.walk(gb, nil, true, t, g)
+		} else {
+			gb = le.full(n, t, g)
 		}
+		if memo {
+			gcachePut(sig, gb)
+		}
+		le.last = gb
+		return gb
+	}
+	if memo {
 		le.prev.copyFrom(sig)
 		le.partial = true
 	}
@@ -260,16 +233,57 @@ func (le *layerEvaluator) prepare() {
 }
 
 // walk computes g_t into dst as walkLines does, fanning lattice lines
-// out over the pool when one is attached.
+// out over one goroutine per share when the evaluator has shares and
+// the layer is large enough. Shares are static (share w always gets the
+// same lines for the same layer shape) and each walks with its own
+// evaluator, so the result does not depend on scheduling.
 func (le *layerEvaluator) walk(dst, add []float64, marked bool, t int, g *grid.Grid) {
-	lineLen := len(g.Axis(g.D() - 1))
-	lines := len(dst) / lineLen
-	if le.pool == nil || lines < 2 || len(dst) < 2*le.workers {
+	lines := len(dst) / len(g.Axis(g.D()-1))
+	if le.shares == nil || lines < 2 || len(dst) < 2*le.workers {
 		le.prepare()
 		le.solved += walkLines(le.eval, le.cfg, dst, add, marked, g, 0, lines)
 		return
 	}
-	le.solved += le.pool.run(dst, add, marked, t, g, lines)
+	le.job = lineJob{dst: dst, add: add, marked: marked, t: t, g: g}
+	chunk := (lines + le.workers - 1) / le.workers
+	shares := le.shares[:(lines+chunk-1)/chunk]
+	le.wg.Add(len(shares))
+	for w := range shares {
+		s := &shares[w]
+		s.lo, s.hi = w*chunk, min((w+1)*chunk, lines)
+		go s.run()
+	}
+	le.wg.Wait()
+	for w := range shares {
+		le.solved += shares[w].solved
+	}
+}
+
+// lineJob is the layer walk a fan-out's shares split between them.
+type lineJob struct {
+	dst, add []float64
+	marked   bool
+	t        int
+	g        *grid.Grid
+}
+
+// lineShare is one worker's part of a fan-out: lattice lines [lo, hi)
+// of the evaluator's job, walked with the share's own evaluator.
+type lineShare struct {
+	le     *layerEvaluator
+	eval   *model.Evaluator
+	cfg    model.Config
+	lo, hi int
+	solved int    // cells the share's last marked walk solved
+	run    func() // walk, bound once: starting it allocates nothing
+}
+
+// walk is the body of a share's goroutine.
+func (s *lineShare) walk() {
+	j := &s.le.job
+	s.eval.PrepareSlot(j.t)
+	s.solved = walkLines(s.eval, s.cfg, j.dst, j.add, j.marked, j.g, s.lo, s.hi)
+	s.le.wg.Done()
 }
 
 // walkLines evaluates lattice lines [loLine, hiLine) of the slot eval is
@@ -313,93 +327,4 @@ func walkLines(eval *model.Evaluator, cfg model.Config, dst, add []float64, mark
 		}
 	}
 	return solved
-}
-
-// gWorkerPool is a persistent pool of layer-evaluation goroutines. One
-// task per worker and per layer is sent over a buffered channel; the
-// static line partition keeps the output independent of scheduling.
-type gWorkerPool struct {
-	workers int
-	evals   []*model.Evaluator
-	cfgs    []model.Config
-	solved  []int // per worker, cells its last task solved
-	tasks   chan gTask
-	wg      sync.WaitGroup
-	once    sync.Once
-	stop    chan struct{}
-}
-
-// gTask is one worker's share of a layer: lattice lines [loLine, hiLine).
-type gTask struct {
-	dst, add       []float64
-	marked         bool
-	t              int
-	g              *grid.Grid
-	loLine, hiLine int
-	w              int
-}
-
-func newGWorkerPool(ins *model.Instance, workers int) *gWorkerPool {
-	p := &gWorkerPool{
-		workers: workers,
-		evals:   make([]*model.Evaluator, workers),
-		cfgs:    make([]model.Config, workers),
-		solved:  make([]int, workers),
-		tasks:   make(chan gTask, workers),
-		stop:    make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		p.evals[i] = model.NewEvaluator(ins)
-		p.cfgs[i] = make(model.Config, ins.D())
-	}
-	for i := 0; i < workers; i++ {
-		go p.work()
-	}
-	return p
-}
-
-func (p *gWorkerPool) work() {
-	for {
-		select {
-		case task := <-p.tasks:
-			p.evals[task.w].PrepareSlot(task.t)
-			p.solved[task.w] = walkLines(p.evals[task.w], p.cfgs[task.w], task.dst, task.add,
-				task.marked, task.g, task.loLine, task.hiLine)
-			p.wg.Done()
-		case <-p.stop:
-			return
-		}
-	}
-}
-
-// run evaluates one layer through the pool, as walkLines does, and
-// blocks until it is done; it returns the cells a marked walk solved
-// (0 for a full one). Chunks are static (worker w always gets the same
-// lines for the same layer shape) and each task uses its own evaluator,
-// so the computation is deterministic regardless of scheduling.
-func (p *gWorkerPool) run(dst, add []float64, marked bool, t int, g *grid.Grid, lines int) int {
-	chunk := (lines + p.workers - 1) / p.workers
-	n := 0
-	for w := 0; w < p.workers && w*chunk < lines; w++ {
-		n++
-	}
-	p.wg.Add(n)
-	for w := 0; w < n; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > lines {
-			hi = lines
-		}
-		p.tasks <- gTask{dst: dst, add: add, marked: marked, t: t, g: g, loLine: lo, hiLine: hi, w: w}
-	}
-	p.wg.Wait()
-	solved := 0
-	for w := 0; w < n; w++ {
-		solved += p.solved[w]
-	}
-	return solved
-}
-
-func (p *gWorkerPool) close() {
-	p.once.Do(func() { close(p.stop) })
 }

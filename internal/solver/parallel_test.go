@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/costfn"
 	"repro/internal/model"
@@ -64,13 +65,10 @@ func TestLayerEvaluatorSmallLayerStaysSerial(t *testing.T) {
 	// Layers smaller than 2× the worker count skip the fan-out; this just
 	// exercises the code path.
 	ins := randomInstance(rand.New(rand.NewSource(83)), 1, 1, 2)
-	le := newLayerEvaluator(ins, Options{Workers: 8})
+	defer SetMemo(false)() // each evaluator solves its own layer
 	g := fullGrid(ins)
-	layer := make([]float64, g.Size())
-	le.addG(layer, 1, g)
-	le2 := newLayerEvaluator(ins, Options{Workers: 1})
-	layer2 := make([]float64, g.Size())
-	le2.addG(layer2, 1, g)
+	layer := newLayerEvaluator(ins, Options{Workers: 8}).begin(g.Size(), 1, g, true)
+	layer2 := newLayerEvaluator(ins, Options{Workers: 1}).begin(g.Size(), 1, g, true)
 	for i := range layer {
 		if layer[i] != layer2[i] {
 			t.Fatal("small-layer path diverged from serial")
@@ -122,4 +120,47 @@ func BenchmarkSolveParallelAuto(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// A tracker's fan-out goroutines live for one layer: between pushes of a
+// Workers: 4 stream tracker that is still reachable, the process runs
+// as many goroutines as before the tracker was built.
+func TestFanOutGoroutinesEndWithTheLayer(t *testing.T) {
+	defer SetMemo(false)() // every layer is walked
+	types := heterogeneousFleet()
+	base := settledGoroutines()
+	tr, err := NewStreamTracker(types, Options{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, lambda := range workload.Diurnal(6, 3, 14, 6, 0) {
+		if _, _, err := tr.Push(model.SlotInput{Lambda: lambda}); err != nil {
+			t.Fatal(err)
+		}
+		if n := settledGoroutines(); n > base {
+			t.Fatalf("after push %d: %d goroutines, %d before the tracker", s+1, n, base)
+		}
+	}
+	if tr.le.solved == 0 {
+		t.Fatal("no layer was walked")
+	}
+	runtime.KeepAlive(tr)
+}
+
+// settledGoroutines returns the goroutine count once it has stopped
+// falling for 50 ms, or after 2 s: goroutines that signalled their
+// group may still be returning, and collected garbage may still be
+// releasing its own.
+func settledGoroutines() int {
+	runtime.GC()
+	n, stable := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); stable < 10 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, stable = m, 0
+		} else {
+			stable++
+		}
+	}
+	return n
 }

@@ -36,7 +36,8 @@ import (
 // Which cells a layer prunes is a function of h_t and the slot alone, and
 // pruning changes no cell of h_t (a pruned cell never wins relax's min):
 // a memo hit applies the same rule to the cached layer, and a hit, a
-// miss, NoMemo and every worker count leave the same bytes. The first
+// miss, the memo switched off and every worker count leave the same
+// bytes. The first
 // slot, a slot whose lattice changed and a slot with a cost function not
 // known to be nondecreasing are not pruned.
 //
@@ -52,7 +53,7 @@ const pruneMargin = 1e-9
 // Test switches, for the differentials that compare pruned and
 // unpruned sweeps (export_test.go): trackers built while pruneOff is set
 // evaluate every cell, and layer evaluators built while memoOff is set
-// run as under Options.NoMemo.
+// neither read nor fill the layer memo.
 var pruneOff, memoOff bool
 
 // floors resolves the slot's lower-bound table, f_{t,j}(0) and the
@@ -164,10 +165,10 @@ func nextLine(g *grid.Grid, lvl []int) {
 
 // prunedStep adds slot 1's operating costs to the relaxed layer h,
 // turning it into D_t with the dominated cells pruned to +Inf (see
-// above).
-func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid) {
+// above). full is the slot's whole g-layer when begin had it at hand,
+// else nil and the cells are solved as they are marked.
+func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 	le := p.le
-	full := le.begin(len(h), 1, g)
 	gl := le.last
 	lb, a := p.floorLayer(h, g)
 	inf := math.Inf(1)

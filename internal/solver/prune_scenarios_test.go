@@ -123,8 +123,8 @@ func checkPrunedRun(t *testing.T, label string, got, want sessionRun) (pruned in
 // fresh memo (every layer a miss), on its second sweep (the memo admits
 // the layers) and on its third (every layer a hit) — and the pruned
 // runs' saved states are the same bytes on all four memo paths. The
-// offline solve, by default and under LowMemory, returns the unpruned
-// schedules on the same paths.
+// offline solve, serial and over 2 workers, returns the unpruned
+// schedules on a memo miss, a hit and with the memo off.
 func TestPrunedMatchesUnprunedAllScenarios(t *testing.T) {
 	pruned := 0
 	defer func() {
@@ -159,7 +159,7 @@ func TestPrunedMatchesUnprunedAllScenarios(t *testing.T) {
 					}
 				}
 			}
-			for _, opts := range []solver.Options{{}, {LowMemory: true}, {LowMemory: true, Workers: 2}, {LowMemory: true, NoMemo: true}} {
+			for _, opts := range []solver.Options{{}, {Workers: 2}} {
 				restorePrune := solver.SetPruning(false)
 				want, err := solver.Solve(ins, opts)
 				restorePrune()
@@ -167,8 +167,10 @@ func TestPrunedMatchesUnprunedAllScenarios(t *testing.T) {
 					t.Fatal(err)
 				}
 				restoreFresh := solver.FreshMemo()
-				for round := 0; round < 2; round++ { // a miss, then a hit
+				for round := 0; round < 3; round++ { // a miss, a hit, the memo off
+					restoreMemo := solver.SetMemo(round < 2)
 					got, err := solver.Solve(ins, opts)
+					restoreMemo()
 					if err != nil {
 						t.Fatal(err)
 					}

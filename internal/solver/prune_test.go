@@ -19,6 +19,12 @@ func unpruned[T any](fn func() T) T {
 	return fn()
 }
 
+// memoless makes the layer evaluators built inside fn bypass the memo.
+func memoless[T any](fn func() (T, error)) (T, error) {
+	defer SetMemo(false)()
+	return fn()
+}
+
 // randomFamily draws a cost function of every stock family, wrapped in
 // Scaled now and then, plus the opaque one the tracker must not prune.
 func randomFamily(rng *rand.Rand) costfn.Func {
@@ -93,26 +99,25 @@ func randomPruneInstance(rng *rand.Rand, T int, counts bool) *model.Instance {
 // together and fails unless they agree bit for bit: the prefix optimum
 // and its argmin, every cell the pruned layer keeps, and g_t on every
 // cell. A cell it prunes must be strictly dominated in the unpruned
-// layer. It returns the pruned tracker's saved states, one per slot.
-func comparePruned(t *testing.T, ins *model.Instance, opts Options) [][]byte {
+// layer. The pruned tracker reads and fills the layer memo when memo is
+// set. It returns the pruned tracker's saved states, one per slot.
+func comparePruned(t *testing.T, ins *model.Instance, opts Options, memo bool) [][]byte {
 	t.Helper()
+	restore := SetMemo(memo)
 	pr, err := NewStreamTracker(ins.Types, opts)
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pr.le.close()
 	// The twin stays off the memo, so the pruned tracker's memo paths are
 	// its own.
-	twin := opts
-	twin.NoMemo = true
 	full := unpruned(func() *PrefixTracker {
-		p, err := NewStreamTracker(ins.Types, twin)
+		p, err := memoless(func() (*PrefixTracker, error) { return NewStreamTracker(ins.Types, opts) })
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	})
-	defer full.le.close()
 	var states [][]byte
 	var in model.SlotInput
 	x := make(model.Config, ins.D())
@@ -186,7 +191,7 @@ func doubled(ins *model.Instance) *model.Instance {
 // Pruning changes no decision, optimum, surviving cell or g_t, on random
 // fleets of every cost family, static and time-varying, exact and
 // γ-reduced, with the memo off, missing and hitting (also on a slot fed
-// twice in a row) and over a worker pool; and the pruned tracker's state
+// twice in a row) and over workers; and the pruned tracker's state
 // bytes are the same whichever of those paths evaluated its layers.
 func TestPrunedLayerMatchesUnpruned(t *testing.T) {
 	swapGcache(t, gcacheShards, gcacheMaxFloats)
@@ -197,20 +202,23 @@ func TestPrunedLayerMatchesUnpruned(t *testing.T) {
 			ins = doubled(ins)
 		}
 		var want [][]byte
-		for _, opts := range []Options{{NoMemo: true}, {}, {}, {}, {Workers: 2, NoMemo: true}, {Workers: 2}} {
+		for _, run := range []struct {
+			opts Options
+			memo bool
+		}{{Options{}, false}, {Options{}, true}, {Options{}, true}, {Options{}, true}, {Options{Workers: 2}, false}, {Options{Workers: 2}, true}} {
 			// Memo runs: the first misses, the second admits, the third hits.
-			states := comparePruned(t, ins, opts)
+			states := comparePruned(t, ins, run.opts, run.memo)
 			if want == nil {
 				want = states
 				continue
 			}
 			for s := range want {
 				if !bytes.Equal(states[s], want[s]) {
-					t.Fatalf("trial %d %+v slot %d: tracker state differs across memo paths", trial, opts, s+1)
+					t.Fatalf("trial %d %+v slot %d: tracker state differs across memo paths", trial, run, s+1)
 				}
 			}
 		}
-		comparePruned(t, ins, Options{Gamma: 1.5, NoMemo: true})
+		comparePruned(t, ins, Options{Gamma: 1.5}, false)
 	}
 }
 
@@ -223,20 +231,26 @@ func FuzzPrunedLayer(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, slots uint8, counts bool) {
 		ins := randomPruneInstance(rand.New(rand.NewSource(seed)), 1+int(slots%40), counts)
-		comparePruned(t, ins, Options{NoMemo: true})
+		comparePruned(t, ins, Options{}, false)
 	})
 }
 
-// Solve's schedules, by the default and the LowMemory path, are the
-// unpruned ones.
+// Solve's schedules, serial and over workers, with the memo on and off,
+// are the unpruned ones.
 func TestPrunedSolveMatchesUnpruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 20; trial++ {
 		ins := randomPruneInstance(rng, 30, trial%2 == 1)
-		for _, opts := range []Options{{}, {LowMemory: true}, {Workers: 2, NoMemo: true}, {Gamma: 2}} {
-			got, err := Solve(ins, opts)
-			if err != nil {
-				t.Fatal(err)
+		for _, opts := range []Options{{}, {Workers: 2}, {Gamma: 2}} {
+			var got [2]*Result // with the memo on, then off
+			for i, memo := range []bool{true, false} {
+				restore := SetMemo(memo)
+				r, err := Solve(ins, opts)
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = r
 			}
 			want := unpruned(func() *Result {
 				r, err := Solve(ins, opts)
@@ -245,12 +259,14 @@ func TestPrunedSolveMatchesUnpruned(t *testing.T) {
 				}
 				return r
 			})
-			if math.Float64bits(got.Cost()) != math.Float64bits(want.Cost()) {
-				t.Fatalf("trial %d %+v: cost %v != unpruned %v", trial, opts, got.Cost(), want.Cost())
-			}
-			for s := range want.Schedule {
-				if !got.Schedule[s].Equal(want.Schedule[s]) {
-					t.Fatalf("trial %d %+v slot %d: schedule %v != unpruned %v", trial, opts, s+1, got.Schedule[s], want.Schedule[s])
+			for i, r := range got {
+				if math.Float64bits(r.Cost()) != math.Float64bits(want.Cost()) {
+					t.Fatalf("trial %d %+v run %d: cost %v != unpruned %v", trial, opts, i, r.Cost(), want.Cost())
+				}
+				for s := range want.Schedule {
+					if !r.Schedule[s].Equal(want.Schedule[s]) {
+						t.Fatalf("trial %d %+v run %d slot %d: schedule %v != unpruned %v", trial, opts, i, s+1, r.Schedule[s], want.Schedule[s])
+					}
 				}
 			}
 		}
@@ -316,7 +332,7 @@ func TestPrunedLayerSolvesFewCells(t *testing.T) {
 	types := heterogeneousFleet()
 	rng := rand.New(rand.NewSource(3))
 	trace := workload.Clamp(workload.DiurnalNoisy(rng, 480, 3, 14, 24, 0.15), 30)
-	tr, err := NewStreamTracker(types, Options{NoMemo: true})
+	tr, err := memoless(func() (*PrefixTracker, error) { return NewStreamTracker(types, Options{}) })
 	if err != nil {
 		t.Fatal(err)
 	}

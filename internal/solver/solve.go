@@ -9,7 +9,7 @@ import (
 )
 
 // Options controls the offline solvers and the prefix trackers they
-// sweep with. LowMemory concerns Solve alone.
+// sweep with.
 type Options struct {
 	// Gamma selects the lattice. Values <= 1 (including 0) solve exactly
 	// on the full lattice M (Section 4.1). Values > 1 solve on the
@@ -17,22 +17,12 @@ type Options struct {
 	// by Theorem 16.
 	Gamma float64
 
-	// Workers fans the per-layer operating-cost evaluations (the convex
-	// dispatch programs dominating the runtime) out over a goroutine
-	// pool: 0 or 1 evaluates serially, AutoWorkers uses one worker per
-	// CPU. Results are deterministic regardless of the worker count.
+	// Workers fans each layer's operating-cost evaluations (the convex
+	// dispatch programs dominating the runtime) out over goroutines
+	// started for that layer: 0 or 1 evaluates serially, AutoWorkers uses
+	// one worker per CPU. Results are deterministic regardless of the
+	// worker count.
 	Workers int
-
-	// LowMemory reconstructs the schedule from blocks of ⌈√T⌉ slots,
-	// recomputing each block from its saved start during the backward
-	// walk: memory drops from O(T·|M|) to O(√T·|M|) for one extra forward
-	// sweep. Results are identical to the default path.
-	LowMemory bool
-
-	// NoMemo disables the process-global operating-cost layer memo (see
-	// gcache.go). Results are identical either way; the switch exists for
-	// differential testing and memory-austere runs.
-	NoMemo bool
 }
 
 // Result is an offline solver's output.
@@ -66,35 +56,24 @@ func SolveApprox(ins *model.Instance, eps float64) (*Result, error) {
 }
 
 // Solve runs the layered shortest-path DP with the given options: one
-// forward sweep of a PrefixTracker over the instance, recording the layers
-// and their lattices, then a backward walk that re-finds an argmin
-// predecessor per slot. The sweep is cut into blocks of span slots — the
-// whole horizon by default, ⌈√T⌉ under LowMemory. Only the last block's
-// layers survive the forward sweep; every earlier block is recomputed
-// from its saved start state (AppendState) when the walk reaches it, by
-// the same tracker rewound there.
+// forward sweep of a PrefixTracker over the instance, recording every
+// layer and its lattice, then a backward walk that re-finds an argmin
+// predecessor per slot. The recorded layers take O(T·|M|) memory;
+// OptimalCost returns the cost alone in O(|M|).
 func Solve(ins *model.Instance, opts Options) (*Result, error) {
 	tr, err := NewPrefixTracker(ins, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer tr.le.close()
 	T, d := ins.T(), ins.D()
-	span := T
-	if opts.LowMemory {
-		span = int(math.Ceil(math.Sqrt(float64(T))))
-	}
-
-	var (
-		starts []byte       // tracker states before each block's first slot, back to back
-		ends   []int        // block b's state is starts[ends[b-1]:ends[b]]
-		arena  []float64    // the current block's layers, back to back
-		grids  []*grid.Grid // their lattices
-	)
-	for first := 1; first <= T; first += span {
-		starts = tr.AppendState(starts)
-		ends = append(ends, len(starts))
-		arena, grids = record(tr, span, arena[:0], grids[:0])
+	var arena []float64 // every layer, back to back
+	grids := make([]*grid.Grid, 0, T)
+	for !tr.Done() {
+		tr.next()
+		if arena == nil {
+			arena = make([]float64, 0, T*len(tr.layer))
+		}
+		arena, grids = append(arena, tr.layer...), append(grids, tr.curGrid)
 	}
 	// The final power-down to x_{T+1} = 0 is free, so the optimal cost is
 	// the minimum over the last layer.
@@ -102,33 +81,19 @@ func Solve(ins *model.Instance, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("solver: instance is infeasible (no finite schedule)")
 	}
 
-	// Backward walk from x_{T+1} = 0, block by block.
+	// Backward walk from x_{T+1} = 0.
 	sched := make(model.Schedule, T)
 	cells := make([]int, (T+1)*d)
 	next, scratch := model.Config(cells[T*d:]), make(model.Config, d)
-	maxSize := 0
-	for b := len(ends) - 1; b >= 0; b-- {
-		first := b*span + 1
-		if b < len(ends)-1 {
-			from := 0
-			if b > 0 {
-				from = ends[b-1]
-			}
-			if err := tr.rewind(first-1, starts[from:ends[b]]); err != nil {
-				return nil, err
-			}
-			arena, grids = record(tr, span, arena[:0], grids[:0])
-		}
-		end := len(arena)
-		for t := first + len(grids) - 1; t >= first; t-- {
-			g := grids[t-first]
-			layer := arena[end-g.Size() : end]
-			end -= g.Size()
-			x := model.Config(cells[(t-1)*d : t*d : t*d])
-			g.Decode(predecessor(layer, g, tr.betas, next, scratch), x)
-			sched[t-1], next = x, x
-			maxSize = max(maxSize, g.Size())
-		}
+	maxSize, end := 0, len(arena)
+	for t := T; t >= 1; t-- {
+		g := grids[t-1]
+		layer := arena[end-g.Size() : end]
+		end -= g.Size()
+		x := model.Config(cells[(t-1)*d : t*d : t*d])
+		g.Decode(predecessor(layer, g, tr.betas, next, scratch), x)
+		sched[t-1], next = x, x
+		maxSize = max(maxSize, g.Size())
 	}
 
 	return &Result{
@@ -136,19 +101,6 @@ func Solve(ins *model.Instance, opts Options) (*Result, error) {
 		Breakdown:   model.NewEvaluator(ins).Cost(sched),
 		LatticeSize: maxSize,
 	}, nil
-}
-
-// record advances tr by up to n slots, stopping at the end of its
-// instance, and appends each layer to arena and its lattice to grids.
-func record(tr *PrefixTracker, n int, arena []float64, grids []*grid.Grid) ([]float64, []*grid.Grid) {
-	for ; n > 0 && !tr.Done(); n-- {
-		tr.next()
-		if cap(arena) == 0 {
-			arena, grids = make([]float64, 0, n*len(tr.layer)), make([]*grid.Grid, 0, n)
-		}
-		arena, grids = append(arena, tr.layer...), append(grids, tr.curGrid)
-	}
-	return arena, grids
 }
 
 // predecessor returns the index on g of the argmin over x' of

@@ -10,6 +10,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/numeric"
+	"repro/internal/workload"
 )
 
 // ---------- helpers ----------
@@ -242,6 +243,65 @@ func TestSolveInfeasibleInstance(t *testing.T) {
 	}
 	if _, err := SolveOptimal(ins); err == nil {
 		t.Error("expected error for infeasible instance")
+	}
+}
+
+// A γ-reduced solve over a fleet that shrinks for five slots records
+// layers of two lattice sizes in its arena and walks back over both.
+func TestSolveWithGammaAndTimeVarying(t *testing.T) {
+	ins := &model.Instance{
+		Types: []model.ServerType{
+			{Count: 20, SwitchCost: 3, MaxLoad: 1,
+				Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 1}}},
+			{Count: 10, SwitchCost: 8, MaxLoad: 4,
+				Cost: model.Static{F: costfn.Affine{Idle: 3, Rate: 0.5}}},
+		},
+		Lambda: workload.Diurnal(30, 2, 18, 10, 0),
+	}
+	counts := make([][]int, ins.T())
+	for t := range counts {
+		counts[t] = []int{20, 10}
+		if t >= 10 && t < 15 {
+			counts[t] = []int{8, 10}
+		}
+	}
+	ins.Counts = counts
+
+	res, err := Solve(ins, Options{Gamma: 1.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ins.Feasible(res.Schedule); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := memoless(func() (*Result, error) { return Solve(ins, Options{Gamma: 1.5}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(res.Cost()) != math.Float64bits(plain.Cost()) {
+		t.Fatalf("cost %v != memo-off %v", res.Cost(), plain.Cost())
+	}
+	for s := range plain.Schedule {
+		if !res.Schedule[s].Equal(plain.Schedule[s]) {
+			t.Fatalf("slot %d: schedule %v != memo-off %v", s+1, res.Schedule[s], plain.Schedule[s])
+		}
+	}
+}
+
+func TestSolveSingleSlot(t *testing.T) {
+	ins := &model.Instance{
+		Types: []model.ServerType{{
+			Count: 2, SwitchCost: 1, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Constant{C: 1}},
+		}},
+		Lambda: []float64{1},
+	}
+	res, err := Solve(ins, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !numeric.AlmostEqual(res.Cost(), 2, 1e-12) { // β + idle
+		t.Errorf("cost = %v, want 2", res.Cost())
 	}
 }
 
@@ -643,6 +703,24 @@ func BenchmarkSolveOptimalT48M16(b *testing.B) {
 		if _, err := SolveOptimal(ins); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// Solve records every layer in one arena and walks back over it. On the
+// T = 96 bench instance, on a fresh memo that holds every layer after
+// the first run, that is 46 allocations, 47 under the race detector. (A
+// memo other tests filled merges differently, so without the swap the
+// count would depend on the test order.)
+func TestSolveAllocs(t *testing.T) {
+	swapGcache(t, gcacheShards, gcacheMaxFloats)
+	ins := benchInstance(96, 16)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Solve(ins, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 47 {
+		t.Fatalf("Solve allocates %v times, want <= 47", allocs)
 	}
 }
 

@@ -56,7 +56,6 @@ type PrefixTracker struct {
 	// identical, so static fleets keep a single grid).
 	prevGrid, curGrid *grid.Grid
 	curCounts         []int
-	readCounts        []int // RestoreState's decoding scratch
 }
 
 // NewPrefixTracker prepares a tracker bound to an instance, consumed slot
@@ -96,21 +95,20 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 	for j, st := range types {
 		betas[j] = st.SwitchCost
 	}
-	ints := make([]int, 4*d) // cfg, curCounts, readCounts and cand
+	ints := make([]int, 3*d) // cfg, curCounts and cand
 	return &PrefixTracker{
-		ins:        acc.Instance(),
-		acc:        acc,
-		le:         newLayerEvaluator(acc.Instance(), opts),
-		rx:         newRelaxer(betas),
-		gamma:      opts.Gamma,
-		betas:      betas,
-		prune:      !pruneOff,
-		f0:         floats[d : 2*d : 2*d],
-		zmax:       floats[2*d:],
-		cfg:        ints[:d:d],
-		curCounts:  ints[d : d : 2*d],
-		readCounts: ints[2*d : 2*d : 3*d],
-		cand:       ints[3*d:],
+		ins:       acc.Instance(),
+		acc:       acc,
+		le:        newLayerEvaluator(acc.Instance(), opts),
+		rx:        newRelaxer(betas),
+		gamma:     opts.Gamma,
+		betas:     betas,
+		prune:     !pruneOff,
+		f0:        floats[d : 2*d : 2*d],
+		zmax:      floats[2*d:],
+		cfg:       ints[:d:d],
+		curCounts: ints[d : d : 2*d],
+		cand:      ints[2*d:],
 	}, nil
 }
 
@@ -202,17 +200,6 @@ const (
 // exactly t slots next (RestoreState).
 func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
 
-// rewind positions the tracker after slot t with the state AppendState
-// saved there, as Seek and RestoreState do on a fresh tracker, but
-// keeping its accumulator, layer evaluator and buffers: the restored
-// layer is decoded into the spare layer buffer, and the current lattice
-// is kept when the saved counts are the ones it was built for.
-func (p *PrefixTracker) rewind(t int, state []byte) error {
-	p.t, p.opt, p.le.last, p.le.partial = 0, 0, nil, false
-	p.acc.Seek(t)
-	return p.RestoreState(state)
-}
-
 // AppendState appends the tracker's DP state to dst: the number of
 // slots processed, the counts the current lattice was built for and the
 // current layer D_t (whose +Inf cells survive, floats being stored as
@@ -228,12 +215,11 @@ func (p *PrefixTracker) AppendState(dst []byte) []byte {
 
 // RestoreState loads an AppendState encoding into a fresh (never
 // pushed) tracker that Seek positioned past exactly the slots the
-// state covers, building the current lattice for the saved counts
-// unless the tracker already holds it.
+// state covers, and builds the current lattice for the saved counts.
 // Later Pushes then continue bit-identically to the tracker that wrote
 // the state. The state is outside input: counts that cannot describe
 // the saved layer on this fleet are refused before any lattice is
-// built. On error the tracker is unchanged but for its scratch buffers.
+// built. On error the tracker is unchanged.
 func (p *PrefixTracker) RestoreState(state []byte) error {
 	if p.t != 0 {
 		return fmt.Errorf("solver: RestoreState on a tracker that already advanced")
@@ -241,9 +227,8 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 	r := statebuf.NewReader(state)
 	r.Header(trackerStateKind, trackerStateVersion)
 	t := r.Int()
-	counts := r.IntsInto(p.readCounts)
-	layer := r.FloatsInto(p.spare) // spare holds no state; layer keeps p.layer intact
-	p.readCounts, p.spare = counts[:0], layer[:0]
+	counts := r.IntsInto(p.curCounts[:0]) // empty until a restore succeeds
+	layer := r.Floats()
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("solver: tracker state: %w", err)
 	}
@@ -256,51 +241,45 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 		}
 		return nil
 	}
-	if !p.fits(counts, len(layer)) {
+	if cells, ok := latticeCells(counts, p.gamma, len(layer)); !ok || len(counts) != p.ins.D() || cells != len(layer) {
 		return fmt.Errorf("solver: tracker state counts %v do not fit a %d-type fleet with a %d-cell layer: %w", counts, p.ins.D(), len(layer), statebuf.ErrMalformed)
 	}
-	p.t, p.layer, p.spare = t, layer, p.layer
+	p.t, p.layer, p.curCounts = t, layer, counts
 	_, p.opt = argmin(layer)
-	if p.curGrid == nil || !numeric.EqualInts(counts, p.curCounts) {
-		p.curGrid = p.lattice(counts)
-		p.curCounts = append(p.curCounts[:0], counts...)
-	}
-	p.prevGrid = nil
+	p.curGrid = p.lattice(counts)
 	return nil
 }
 
-// maxRestoredCount bounds a restored lattice count: every count up to
-// it converts to and from float64 exactly, so a reduced axis's powers
-// of γ never leave int's range.
+// maxRestoredCount bounds a lattice count: every count up to it
+// converts to and from float64 exactly, so a reduced axis's powers of γ
+// never leave int's range.
 const maxRestoredCount = 1 << 52
 
-// fits reports whether the lattice of counts has exactly n cells on the
-// tracker's fleet: one count in [0, maxRestoredCount] per type. It
-// multiplies axis lengths without building a full axis, and builds a
-// reduced one only once its cheap lower bound fits, stopping once the
-// product exceeds n, so hostile counts cost no memory.
-func (p *PrefixTracker) fits(counts []int, n int) bool {
-	if len(counts) != p.ins.D() {
-		return false
-	}
-	size := 1
+// latticeCells returns the number of cells of the lattice of counts —
+// Π_j (m_j + 1) for γ <= 1, the product of the reduced axes' lengths
+// otherwise — when it is at most limit; ok is false otherwise, or for a
+// count outside [0, maxRestoredCount]. It multiplies without overflow
+// and builds a reduced axis only once its cheap lower bound fits, so
+// hostile counts cost no memory.
+func latticeCells(counts []int, gamma float64, limit int) (cells int, ok bool) {
+	cells = 1
 	for _, m := range counts {
 		if m < 0 || m > maxRestoredCount {
-			return false
+			return 0, false
 		}
 		k := m + 1
-		if p.gamma > 1 {
-			if reducedLevels(m, p.gamma, n/size) > n/size {
-				return false
+		if gamma > 1 {
+			if reducedLevels(m, gamma, limit/cells) > limit/cells {
+				return 0, false
 			}
-			k = len(grid.ReducedAxis(m, p.gamma))
+			k = len(grid.ReducedAxis(m, gamma))
 		}
-		if k > n/size {
-			return false
+		if k > limit/cells {
+			return 0, false
 		}
-		size *= k
+		cells *= k
 	}
-	return size == n
+	return cells, true
 }
 
 // MaxLatticeCells is the largest exact lattice, Π_j (m_j + 1) cells, a
@@ -314,16 +293,13 @@ const MaxLatticeCells = 1 << 18
 
 // LatticeCells returns the number of cells of the fleet's exact lattice
 // when it is at most limit; ok is false otherwise, or for a negative
-// count. It multiplies without overflow, as fits does, for any counts.
+// count. It multiplies without overflow, for any counts.
 func LatticeCells(types []model.ServerType, limit int) (cells int, ok bool) {
-	cells = 1
-	for _, st := range types {
-		if st.Count < 0 || st.Count >= limit || st.Count+1 > limit/cells {
-			return 0, false
-		}
-		cells *= st.Count + 1
+	counts := make([]int, len(types))
+	for j, st := range types {
+		counts[j] = st.Count
 	}
-	return cells, true
+	return latticeCells(counts, 0, limit)
 }
 
 // reducedLevels returns a lower bound on the length of m's reduced axis
@@ -360,10 +336,14 @@ func (p *PrefixTracker) step() (model.Config, float64) {
 		layer = p.rx.relax(p.layer, p.prevGrid, g, p.grow(&p.spare, g.Size()))
 	}
 	// The accumulator holds the slot as slot 1.
-	if p.t > 1 && p.prevGrid == g && p.floors() {
-		p.prunedStep(layer, g)
+	prune := p.t > 1 && p.prevGrid == g && p.floors()
+	full := p.le.begin(len(layer), 1, g, !prune)
+	if prune {
+		p.prunedStep(layer, g, full)
 	} else {
-		p.le.addG(layer, 1, g)
+		for i, v := range full {
+			layer[i] += v
+		}
 	}
 
 	// Swap buffers: the old layer becomes next round's spare.

@@ -242,6 +242,28 @@ func (s *Session) Decided() int { return s.decided }
 // prefix. After Close it equals the batch schedule cost bit-for-bit.
 func (s *Session) CumCost() float64 { return s.opSum.Sum() + s.swSum }
 
+// Check reports the error Push would return for in before the algorithm
+// sees it — a failed session, a slot out of order or one the fleet
+// refuses (model.Accumulator.Check) — changing nothing. A slot it
+// accepts can still fail the algorithm.
+func (s *Session) Check(in model.SlotInput) error {
+	if err := s.takes(in); err != nil {
+		return err
+	}
+	return s.acc.Check(in)
+}
+
+// takes reports a failed session or a slot out of order.
+func (s *Session) takes(in model.SlotInput) error {
+	if s.failed != nil {
+		return s.failed
+	}
+	if in.T != 0 && in.T != s.fed+1 {
+		return fmt.Errorf("stream: fed slot %d out of order, want %d", in.T, s.fed+1)
+	}
+	return nil
+}
+
 // Push ingests one slot and, when it unlocks a decision, writes the
 // advisory into *adv, reusing adv's buffers — the allocation-free core of
 // Feed: steady-state pushes on a static fleet perform zero allocations.
@@ -252,11 +274,8 @@ func (s *Session) CumCost() float64 { return s.opSum.Sum() + s.swSum }
 // and the session refuses further feeds: a live advisory server degrades
 // to an error response instead of crashing.
 func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err error) {
-	if s.failed != nil {
-		return false, s.failed
-	}
-	if in.T != 0 && in.T != s.fed+1 {
-		return false, fmt.Errorf("stream: fed slot %d out of order, want %d", in.T, s.fed+1)
+	if err := s.takes(in); err != nil {
+		return false, err
 	}
 	defer func() {
 		if r := recover(); r != nil {

@@ -145,7 +145,8 @@ func NewPiecewiseLinear(zs, vs []float64) (PiecewiseLinear, error) {
 // SolveResult is an offline solver's output.
 type SolveResult = solver.Result
 
-// SolveOptions controls Solve (lattice choice, workers, low memory, memo).
+// SolveOptions controls Solve: the lattice (Gamma) and the number of
+// goroutines each DP layer's evaluations fan out over (Workers).
 type SolveOptions = solver.Options
 
 // SolveOptimal computes an optimal schedule (Section 4.1).
