@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rightsize -input instance.json [-mode optimal|approx|online-a|online-b|online-c]
-//	          [-eps 0.5] [-schedule] [-render] [-compare]
+//	          [-eps 0.5] [-workers N] [-schedule] [-render] [-compare]
 //	rightsize -scenario diurnal [-seed 1] [-format text|json|csv|markdown] [-render]
 //	rightsize -suite [-workers N] [-seed 1] [-format text|json|csv|markdown]
 //	rightsize -stream [-alg algA] [-fleet quickstart | -input instance.json]
@@ -39,7 +39,10 @@
 // -schedule prints the slot-by-slot configurations; -compare runs every
 // applicable algorithm through the scenario engine and prints a table.
 // -scenario runs one registered scenario; -suite runs the whole registry
-// concurrently (deterministic for any -workers value).
+// concurrently. -workers sizes -suite's scenario pool and the per-layer
+// fan-out of -input's optimal and approx solves; output is identical for
+// any value. -stream ignores it: a streamed slot solves one small,
+// mostly pruned layer, where the fan-out costs more than it saves.
 package main
 
 import (
@@ -67,7 +70,7 @@ func main() {
 	list := flag.Bool("list", false, "list registered scenarios and exit")
 	listAlgs := flag.Bool("list-algs", false, "list registered algorithms and exit")
 	seed := flag.Int64("seed", 1, "scenario seed (workload randomness)")
-	workers := flag.Int("workers", rightsizing.AutoWorkers, "suite worker pool size (-1 = one per CPU)")
+	workers := flag.Int("workers", rightsizing.AutoWorkers, "-suite worker pool and -input solve fan-out (-1 = one per CPU; -stream ignores it)")
 	format := flag.String("format", "text", "result format: text | json | csv | markdown")
 	streamMode := flag.Bool("stream", false, "advise a live demand stream (stdin lines or -replay)")
 	alg := flag.String("alg", "alg-a", "stream algorithm (registry name; see -list-algs)")
@@ -86,17 +89,11 @@ func main() {
 	case *listAlgs:
 		listAlgorithms()
 	case *streamMode:
-		// Streams default to serial trackers (per-slot lattices are small);
-		// an explicit -workers is plumbed into the in-process session's
-		// trackers.
 		a := streamArgs{alg: *alg, fleet: *fleet, input: *input, seed: *seed, replay: *replay,
 			interval: *interval, checkpoint: *checkpoint, resume: *resume, serveURL: *serveURL, batch: *batch}
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "alg":
+			if f.Name == "alg" {
 				a.algSet = true
-			case "workers":
-				a.workers = *workers
 			}
 		})
 		if err := runStream(a, os.Stdin, os.Stdout, os.Stderr); err != nil {

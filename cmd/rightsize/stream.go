@@ -24,7 +24,6 @@ type streamArgs struct {
 	interval           time.Duration
 	checkpoint, resume string
 	serveURL           string
-	workers            int // in-process tracker pool; 0 unless -workers was given
 	batch              int
 }
 
@@ -170,7 +169,7 @@ func runStream(a streamArgs, stdin io.Reader, stdout, stderr io.Writer) error {
 }
 
 // localSession is an in-process session. It takes -input fleets with
-// time-dependent costs and plumbs -workers into its trackers.
+// time-dependent costs.
 type localSession struct {
 	sess *rightsizing.Session
 	advs []rightsizing.Advisory
@@ -179,12 +178,11 @@ type localSession struct {
 // openLocal opens (or with cp, resumes) an in-process session and
 // returns it with the number of slots it already holds.
 func openLocal(a streamArgs, types []rightsizing.ServerType, cp *rightsizing.SessionCheckpoint, stderr io.Writer) (*localSession, int, error) {
-	opts := rightsizing.SessionOptions{Workers: a.workers}
 	var sess *rightsizing.Session
 	var err error
 	if cp == nil {
-		sess, err = rightsizing.OpenSession(a.alg, types, opts)
-	} else if sess, err = rightsizing.ResumeSession(cp, types, opts); err == nil {
+		sess, err = rightsizing.OpenSession(a.alg, types, rightsizing.SessionOptions{})
+	} else if sess, err = rightsizing.ResumeSession(cp, types, rightsizing.SessionOptions{}); err == nil {
 		fmt.Fprintf(stderr, "rightsize: resumed %s at slot %d (cum cost %.4f)\n",
 			sess.Name(), sess.Fed(), sess.CumCost())
 	}

@@ -133,7 +133,7 @@ type prefixRule struct {
 }
 
 func newPrefixRule(types []model.ServerType, opts Options) (prefixRule, error) {
-	tracker, err := solver.NewStreamTracker(types, opts.solverOptions())
+	tracker, err := solver.NewStreamTracker(types, solver.Options{Gamma: opts.TrackerGamma})
 	if err != nil {
 		return prefixRule{}, err
 	}
@@ -175,13 +175,6 @@ type Options struct {
 	// assumes exact targets, so this is a *scalable heuristic variant* —
 	// experiment E10 measures how little it costs in practice.
 	TrackerGamma float64
-	// TrackerWorkers parallelises the tracker's layer evaluations
-	// (solver.Options.Workers semantics).
-	TrackerWorkers int
-}
-
-func (o Options) solverOptions() solver.Options {
-	return solver.Options{Gamma: o.TrackerGamma, Workers: o.TrackerWorkers}
 }
 
 // NewAlgorithmA prepares Algorithm A for a fleet template. Every type must

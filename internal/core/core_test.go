@@ -669,21 +669,3 @@ func TestAlgorithmCRejectsExcessiveSubdivision(t *testing.T) {
 	}()
 	Run(c, ins)
 }
-
-func TestAlgorithmAWithOptionsParallelTracker(t *testing.T) {
-	ins := benchStaticInstance(24, 8)
-	exact, err := NewAlgorithmA(ins.Types)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewAlgorithmAWithOptions(ins.Types, Options{TrackerWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	se, sp := Run(exact, ins), Run(par, ins)
-	for i := range se {
-		if !se[i].Equal(sp[i]) {
-			t.Fatalf("slot %d: parallel tracker changed decisions", i+1)
-		}
-	}
-}

@@ -129,11 +129,6 @@ type AlgSpec struct {
 	// New constructs the push-based online algorithm for a fleet
 	// template; nil for offline-only policies.
 	New func(types []model.ServerType) (core.Online, error)
-	// NewTuned, when non-nil, constructs the algorithm with solver tuning
-	// (core.Options). Session openers use it to plumb a worker count into
-	// the algorithm's internal prefix tracker; plain New remains the
-	// batch/default path.
-	NewTuned func(types []model.ServerType, opts core.Options) (core.Online, error)
 	// Offline, when non-nil, computes a hindsight schedule directly and
 	// takes precedence over New in batch runs.
 	Offline func(ins *model.Instance) (model.Schedule, error)
@@ -249,9 +244,6 @@ func init() {
 		New: func(types []model.ServerType) (core.Online, error) {
 			return core.NewAlgorithmA(types)
 		},
-		NewTuned: func(types []model.ServerType, opts core.Options) (core.Online, error) {
-			return core.NewAlgorithmAWithOptions(types, opts)
-		},
 		Skip: func(ins *model.Instance) string {
 			if !ins.TimeIndependent() {
 				return "requires time-independent operating costs"
@@ -267,9 +259,6 @@ func init() {
 		Applies: "any instance",
 		New: func(types []model.ServerType) (core.Online, error) {
 			return core.NewAlgorithmB(types)
-		},
-		NewTuned: func(types []model.ServerType, opts core.Options) (core.Online, error) {
-			return core.NewAlgorithmBWithOptions(types, opts)
 		},
 	})
 	mustRegisterAlgorithm(AlgorithmCSpec(1))

@@ -112,9 +112,7 @@ func algorithmsByKey(keys ...string) []AlgSpec {
 }
 
 // OpenSession resolves an algorithm by name and opens a live advisory
-// session over the fleet template. A non-zero opts.Workers is plumbed into
-// the algorithm's internal prefix tracker when the spec supports tuning
-// (and into the session's fallback telemetry tracker either way).
+// session over the fleet template.
 func OpenSession(name string, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
 	spec, ok := LookupAlgorithm(name)
 	if !ok {
@@ -123,7 +121,7 @@ func OpenSession(name string, types []model.ServerType, opts stream.Options) (*s
 	if !spec.Streamable() {
 		return nil, fmt.Errorf("engine: algorithm %q is offline-only and cannot serve a live session", spec.Name)
 	}
-	alg, err := construct(spec, types, opts)
+	alg, err := spec.New(types)
 	if err != nil {
 		return nil, err
 	}
@@ -131,15 +129,6 @@ func OpenSession(name string, types []model.ServerType, opts stream.Options) (*s
 		opts.Alg = spec.Key
 	}
 	return stream.New(alg, types, opts)
-}
-
-// construct builds the spec's algorithm, using the tuned constructor when
-// the session options ask for a specific tracker worker count.
-func construct(spec AlgSpec, types []model.ServerType, opts stream.Options) (core.Online, error) {
-	if opts.Workers != 0 && spec.NewTuned != nil {
-		return spec.NewTuned(types, core.Options{TrackerWorkers: opts.Workers})
-	}
-	return spec.New(types)
 }
 
 // ResumeSession rebuilds a live session from a checkpoint, resolving the
@@ -176,6 +165,6 @@ func checkpointAlg(name string, types []model.ServerType, opts stream.Options) (
 	if opts.Alg == "" {
 		opts.Alg = spec.Key
 	}
-	alg, err := construct(spec, types, opts)
+	alg, err := spec.New(types)
 	return alg, opts, err
 }

@@ -145,37 +145,6 @@ func checkSchedules(t *testing.T, label string, batch model.Schedule, streamed [
 	}
 }
 
-// A worker count in the session options reaches the algorithm's tracker
-// (NewTuned) and must not change a single bit of the advisory stream.
-func TestOpenSessionWorkersBitIdentical(t *testing.T) {
-	sc, _ := Lookup("quickstart")
-	ins := sc.Instance(1)
-	open := func(workers int) *stream.Session {
-		sess, err := OpenSession("alg-b", ins.Types, stream.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sess
-	}
-	serial, pooled := open(0), open(4)
-	if !serial.SharesOptTracker() || !pooled.SharesOptTracker() {
-		t.Fatal("Algorithm B sessions should share the algorithm's tracker")
-	}
-	for ts := 1; ts <= ins.T(); ts++ {
-		a, err := serial.Feed(feedInput(ins, ts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := pooled.Feed(feedInput(ins, ts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a[0].Config.Equal(b[0].Config) || a[0].CumCost != b[0].CumCost || a[0].Opt != b[0].Opt {
-			t.Fatalf("slot %d: workers change the advisory: %+v vs %+v", ts, a[0], b[0])
-		}
-	}
-}
-
 // The registry resolves keys, display names and convenient spellings:
 // lookup normalises to lower-case alphanumerics, so punctuation, case and
 // separators never matter, and near-misses still fail loudly.

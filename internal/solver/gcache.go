@@ -126,25 +126,35 @@ const (
 	gcacheFloatSlab = 2048
 )
 
-// gcacheStats is one shard's hit/miss tally, padded to a whole cache
-// line: the counters are written on every lookup, so if they shared a
-// line with a neighbouring shard's counters (or with the read-hot
-// generation pointer) the write traffic would reintroduce exactly the
-// cross-core sharing the sharded memo exists to avoid. They live in a
-// parallel array, not inside gcacheShard, so the shard's generation
-// pointer stays on a line that hit-path writes never touch.
+// gcacheStats is one stripe of the memo's hit/miss tally, padded to a
+// whole cache line. Every lookup writes a counter, so the stripe is the
+// caller's, not the looked-up layer's: each layerEvaluator takes its own
+// stripe at construction (newMemoStripe), and two evaluators hitting the
+// same layer on two cores write two lines. Keyed by the layer, every
+// core hitting one layer would write one line, and the lock-free hit
+// path would not scale. MemoStats sums the stripes.
 type gcacheStats struct {
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	_      [48]byte // 16 bytes of counters -> one full 64-byte line
 }
 
+// gcacheStripes is the number of stat stripes. newMemoStripe hands them
+// out round-robin, so this many evaluators built in a row count on
+// distinct lines.
+const gcacheStripes = 16
+
+var gcacheNextStripe atomic.Uint32
+
+// newMemoStripe returns the next stat stripe, for a new memo caller.
+func newMemoStripe() uint32 { return gcacheNextStripe.Add(1) % gcacheStripes }
+
 // gMemo is the sharded layer memo. The zero shard count is invalid; use
 // newGMemo. Shard selection reuses the signature's keyHash digest: the
-// digest's low bits pick the stripe, the full digest keys the map inside.
+// digest's low bits pick the shard, the full digest keys the map inside.
 type gMemo struct {
 	shards []gcacheShard
-	stats  []gcacheStats // indexed in lockstep with shards
+	stats  []gcacheStats // gcacheStripes stripes, indexed by the caller
 	door   []gcacheDoor  // the admission doorkeepers, in lockstep with shards
 	mask   uint64
 	budget int // per-shard float budget
@@ -159,7 +169,7 @@ type gMemo struct {
 func newGMemo(shards, totalFloats int) *gMemo {
 	return &gMemo{
 		shards: make([]gcacheShard, shards),
-		stats:  make([]gcacheStats, shards),
+		stats:  make([]gcacheStats, gcacheStripes),
 		door:   make([]gcacheDoor, shards),
 		mask:   uint64(shards - 1),
 		budget: totalFloats / shards,
@@ -323,14 +333,15 @@ func fnEqual(a, b costfn.Func) bool {
 // so recently inserted layers are visible immediately. A hit there
 // merges the buffer, so each layer takes the lock on at most one hit:
 // without that, a shard holding fewer than gcachePendingMax layers
-// would never merge and every hit on it would lock.
-func gcacheGet(sig *gcacheSig) ([]float64, bool) {
-	return gcache.get(sig)
+// would never merge and every hit on it would lock. The lookup counts
+// on the caller's stat stripe (see gcacheStats).
+func gcacheGet(sig *gcacheSig, stripe uint32) ([]float64, bool) {
+	return gcache.get(sig, stripe)
 }
 
-func (c *gMemo) get(sig *gcacheSig) ([]float64, bool) {
+func (c *gMemo) get(sig *gcacheSig, stripe uint32) ([]float64, bool) {
 	sh := &c.shards[sig.hash&c.mask]
-	st := &c.stats[sig.hash&c.mask]
+	st := &c.stats[stripe]
 	if gen := sh.cur.Load(); gen != nil {
 		for e := gen.m[sig.hash]; e != nil; e = e.next {
 			if e.sig.equal(sig) {
@@ -359,7 +370,7 @@ func (c *gMemo) get(sig *gcacheSig) ([]float64, bool) {
 // tally: hits (the layer vector was served from cache) and misses (it
 // had to be computed; unmemoisable slots — custom cost-function
 // implementations — are not lookups and count in neither). The counters
-// are striped with the memo's shards and read without locks, so a
+// are striped by caller (see gcacheStats) and read without locks, so a
 // metrics scrape never contends with the DP hot path. Serving-tier
 // exporters (internal/serve's /metrics endpoint) surface these.
 func MemoStats() (hits, misses uint64) {

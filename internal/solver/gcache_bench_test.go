@@ -54,17 +54,18 @@ func warmSigs() []*gcacheSig {
 	return sigs
 }
 
-// hit looks up the i-th warm layer.
-func hit(sigs []*gcacheSig, i int) {
-	if _, ok := gcacheGet(sigs[i%len(sigs)]); !ok {
+// hit looks up the i-th warm layer, counting on stripe.
+func hit(sigs []*gcacheSig, stripe uint32, i int) {
+	if _, ok := gcacheGet(sigs[i%len(sigs)], stripe); !ok {
 		panic("warm entry missing")
 	}
 }
 
-// insert looks up a fresh layer, numbered by seq, and inserts it.
-func insert(seq *atomic.Uint64, g []float64) {
+// insert looks up a fresh layer, numbered by seq, counting on stripe,
+// and inserts it.
+func insert(seq *atomic.Uint64, g []float64, stripe uint32) {
 	sig := benchSig(seq.Add(1))
-	if _, ok := gcacheGet(sig); !ok {
+	if _, ok := gcacheGet(sig, stripe); !ok {
 		gcachePut(sig, g)
 	}
 }
@@ -84,17 +85,18 @@ func newSeq() *atomic.Uint64 {
 func BenchmarkScaling(b *testing.B) {
 	b.Run("GCacheParallel/hit", func(b *testing.B) {
 		sigs := warmSigs()
-		perfref.Scale(b, 0.5, 1.6, func() { spread(func(i int) { hit(sigs, i) }) })
+		perfref.Scale(b, 0.5, 1.6, func() { spread(func(stripe uint32, i int) { hit(sigs, stripe, i) }) })
 	})
 	b.Run("GCacheParallel/insert", func(b *testing.B) {
 		seq, g := newSeq(), make([]float64, benchLayerLen)
-		perfref.Scale(b, 0, 1.75, func() { spread(func(int) { insert(seq, g) }) })
+		perfref.Scale(b, 0, 1.75, func() { spread(func(stripe uint32, _ int) { insert(seq, g, stripe) }) })
 	})
 }
 
 // spread runs op(0..4095) over GOMAXPROCS goroutines, as b.RunParallel
-// would.
-func spread(op func(i int)) {
+// would. Each goroutine takes a memo stat stripe, as each session's
+// layerEvaluator does, and passes it to its ops.
+func spread(op func(stripe uint32, i int)) {
 	const n = 4096
 	p := runtime.GOMAXPROCS(0)
 	var wg sync.WaitGroup
@@ -102,8 +104,9 @@ func spread(op func(i int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			stripe := newMemoStripe()
 			for i := g; i < n; i += p {
-				op(i)
+				op(stripe, i)
 			}
 		}()
 	}

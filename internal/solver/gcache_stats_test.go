@@ -71,3 +71,19 @@ func TestGCacheDoorPadding(t *testing.T) {
 		t.Errorf("gcacheDoor is %d bytes, not a multiple of the 64-byte cache line", s)
 	}
 }
+
+// Evaluators built in a row count their memo lookups on distinct stat
+// stripes, so sessions hitting one layer on two cores write two lines.
+func TestLayerEvaluatorsTakeDistinctStripes(t *testing.T) {
+	ins := &model.Instance{
+		Types:  []model.ServerType{{Count: 2, SwitchCost: 1, MaxLoad: 1, Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 1}}}},
+		Lambda: []float64{1},
+	}
+	seen := map[uint32]bool{}
+	for range gcacheStripes {
+		seen[newLayerEvaluator(ins, Options{}).stripe] = true
+	}
+	if len(seen) != gcacheStripes {
+		t.Errorf("%d evaluators in a row took %d distinct stripes, want %d", gcacheStripes, len(seen), gcacheStripes)
+	}
+}

@@ -37,7 +37,7 @@ func TestGCachePendingVisibleBeforeMerge(t *testing.T) {
 	if pending() != 1 {
 		t.Fatalf("pending buffer holds %d entries after one insert, want 1", pending())
 	}
-	if got, ok := gcacheGet(first); !ok || len(got) != len(g) || got[0] != 1 {
+	if got, ok := gcacheGet(first, 0); !ok || len(got) != len(g) || got[0] != 1 {
 		t.Fatalf("pre-merge lookup: got %v, %v; want the pending entry", got, ok)
 	}
 	if n := pending(); n != 0 || len(sh.cur.Load().m) != 1 {
@@ -49,7 +49,7 @@ func TestGCachePendingVisibleBeforeMerge(t *testing.T) {
 	if n := pending(); n >= gcachePendingMax {
 		t.Fatalf("pending buffer never merged: %d entries", n)
 	}
-	if got, ok := gcacheGet(first); !ok || len(got) != len(g) || got[2] != 3 {
+	if got, ok := gcacheGet(first, 0); !ok || len(got) != len(g) || got[2] != 3 {
 		t.Fatalf("post-merge lookup: got %v, %v; want the merged entry", got, ok)
 	}
 }

@@ -29,6 +29,7 @@ import (
 type layerEvaluator struct {
 	ins     *model.Instance
 	noMemo  bool
+	stripe  uint32 // the memo stat stripe this evaluator counts on
 	workers int
 
 	eval *model.Evaluator // serial path
@@ -74,6 +75,7 @@ func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
 	le := &layerEvaluator{
 		ins:     ins,
 		noMemo:  memoOff,
+		stripe:  newMemoStripe(),
 		workers: workers,
 		eval:    model.NewEvaluator(ins),
 		cfg:     make(model.Config, ins.D()),
@@ -164,7 +166,7 @@ func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
 	le.partial = false
 	sig, memo := le.signature(t)
 	if memo {
-		if cached, hit := gcacheGet(sig); hit && len(cached) == n {
+		if cached, hit := gcacheGet(sig, le.stripe); hit && len(cached) == n {
 			le.last = cached
 			return cached
 		}

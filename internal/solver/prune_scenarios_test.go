@@ -2,7 +2,6 @@ package solver_test
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"testing"
 
@@ -17,7 +16,7 @@ import (
 // trackedAlg builds one of the algorithms that sweep a prefix tracker.
 type trackedAlg struct {
 	name string
-	new  func(types []model.ServerType, workers int) (core.Online, error)
+	new  func(types []model.ServerType) (core.Online, error)
 }
 
 // trackedAlgs returns Algorithms A, B and C and LCP where they apply to
@@ -25,19 +24,19 @@ type trackedAlg struct {
 func trackedAlgs(ins *model.Instance) []trackedAlg {
 	var algs []trackedAlg
 	if ins.TimeIndependent() {
-		algs = append(algs, trackedAlg{"alg-a", func(types []model.ServerType, w int) (core.Online, error) {
-			return core.NewAlgorithmAWithOptions(types, core.Options{TrackerWorkers: w})
+		algs = append(algs, trackedAlg{"alg-a", func(types []model.ServerType) (core.Online, error) {
+			return core.NewAlgorithmA(types)
 		}})
 	}
 	algs = append(algs,
-		trackedAlg{"alg-b", func(types []model.ServerType, w int) (core.Online, error) {
-			return core.NewAlgorithmBWithOptions(types, core.Options{TrackerWorkers: w})
+		trackedAlg{"alg-b", func(types []model.ServerType) (core.Online, error) {
+			return core.NewAlgorithmB(types)
 		}},
-		trackedAlg{"alg-c", func(types []model.ServerType, _ int) (core.Online, error) {
+		trackedAlg{"alg-c", func(types []model.ServerType) (core.Online, error) {
 			return core.NewAlgorithmC(types, 1)
 		}})
 	if ins.D() == 1 {
-		algs = append(algs, trackedAlg{"lcp", func(types []model.ServerType, _ int) (core.Online, error) {
+		algs = append(algs, trackedAlg{"lcp", func(types []model.ServerType) (core.Online, error) {
 			return baseline.NewLCP(types)
 		}})
 	}
@@ -53,13 +52,13 @@ type sessionRun struct {
 	states [][]byte
 }
 
-func runSession(t *testing.T, ins *model.Instance, alg trackedAlg, workers int) sessionRun {
+func runSession(t *testing.T, ins *model.Instance, alg trackedAlg) sessionRun {
 	t.Helper()
-	a, err := alg.new(ins.Types, workers)
+	a, err := alg.new(ins.Types)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := stream.New(a, ins.Types, stream.Options{Workers: workers})
+	s, err := stream.New(a, ins.Types, stream.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +117,8 @@ func checkPrunedRun(t *testing.T, label string, got, want sessionRun) (pruned in
 }
 
 // Dominance pruning is invisible in every stock scenario: each tracked
-// algorithm (A, B, C and LCP), at 1 and 2 tracker workers, advises and
-// reports bit for bit what it does unpruned — with the memo off, on a
+// algorithm (A, B, C and LCP) advises and reports bit for bit what it
+// does unpruned — with the memo off, on a
 // fresh memo (every layer a miss), on its second sweep (the memo admits
 // the layers) and on its third (every layer a hit) — and the pruned
 // runs' saved states are the same bytes on all four memo paths. The
@@ -136,25 +135,22 @@ func TestPrunedMatchesUnprunedAllScenarios(t *testing.T) {
 		ins := sc.Instance(1)
 		t.Run(sc.Name, func(t *testing.T) {
 			for _, alg := range trackedAlgs(ins) {
-				for _, workers := range []int{1, 2} {
-					label := fmt.Sprintf("%s/workers=%d", alg.name, workers)
-					restorePrune := solver.SetPruning(false)
-					want := runSession(t, ins, alg, workers)
-					restorePrune()
-					restoreMemo := solver.SetMemo(false)
-					runs := map[string]sessionRun{"memo off": runSession(t, ins, alg, workers)}
-					restoreMemo()
-					restoreFresh := solver.FreshMemo()
-					for _, path := range []string{"memo miss", "memo admit", "memo hit"} {
-						runs[path] = runSession(t, ins, alg, workers)
-					}
-					restoreFresh()
-					for path, run := range runs {
-						pruned += checkPrunedRun(t, label+" "+path, run, want)
-						for s := range run.states {
-							if !bytes.Equal(run.states[s], runs["memo off"].states[s]) {
-								t.Fatalf("%s %s slot %d: saved state differs from the memo-off run's", label, path, s+1)
-							}
+				restorePrune := solver.SetPruning(false)
+				want := runSession(t, ins, alg)
+				restorePrune()
+				restoreMemo := solver.SetMemo(false)
+				runs := map[string]sessionRun{"memo off": runSession(t, ins, alg)}
+				restoreMemo()
+				restoreFresh := solver.FreshMemo()
+				for _, path := range []string{"memo miss", "memo admit", "memo hit"} {
+					runs[path] = runSession(t, ins, alg)
+				}
+				restoreFresh()
+				for path, run := range runs {
+					pruned += checkPrunedRun(t, alg.name+" "+path, run, want)
+					for s := range run.states {
+						if !bytes.Equal(run.states[s], runs["memo off"].states[s]) {
+							t.Fatalf("%s %s slot %d: saved state differs from the memo-off run's", alg.name, path, s+1)
 						}
 					}
 				}

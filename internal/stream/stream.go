@@ -55,10 +55,6 @@ type Options struct {
 	// the session runs no prefix-optimum tracker of its own and reads no
 	// prefix optimum from the algorithm's (see core.Tracked).
 	DisableOpt bool
-	// Workers parallelises the session's fallback telemetry tracker
-	// (solver.Options.Workers semantics; only relevant for algorithms
-	// without a reusable tracker of their own).
-	Workers int
 	// Alg overrides the algorithm identifier recorded in checkpoints
 	// (defaults to the algorithm's display name). Registry-based openers
 	// set it to the registry key so Resume can re-resolve the algorithm.
@@ -206,7 +202,7 @@ func New(alg core.Online, types []model.ServerType, opts Options) (*Session, err
 		// the steady-state per-slot DP work.
 		if s.algTracker != nil && s.algTracker.Exact() {
 			s.tel = s.algTracker
-		} else if s.tel, err = solver.NewStreamTracker(types, solver.Options{Workers: opts.Workers}); err != nil {
+		} else if s.tel, err = solver.NewStreamTracker(types, solver.Options{}); err != nil {
 			return nil, err
 		}
 	}
