@@ -42,11 +42,13 @@ import (
 // those of pushing one at a time, where each committed slot's advisory
 // was delivered before the error.
 //
-// Request body buffers and response encoders are pooled (sync.Pool),
-// and the hot path — push in both forms, session info, healthz, every
-// error — runs on the zero-reflection internal/wire codec. Every
-// request body is bounded: pushes by maxPushBody, open/checkpoint-resume
-// bodies by maxOpenBody, both answering 413 beyond the cap.
+// Request body buffers and response encoders are pooled (sync.Pool).
+// Push and open bodies are decoded, and every response but the list,
+// delete and algs bodies (writeJSON) is encoded, by the zero-reflection
+// internal/wire codec; only an open's small fleet descriptor goes
+// through encoding/json. Every request body is bounded: pushes by
+// maxPushBody, open/checkpoint-resume bodies by maxOpenBody, both
+// answering 413 beyond the cap.
 
 // maxPushBody bounds a push request body. The largest legitimate bodies
 // are batch pushes — a full 768-slot trace with per-slot counts is
@@ -88,8 +90,14 @@ func NewHandler(m *Manager) http.Handler {
 }
 
 func (a *api) open(w http.ResponseWriter, r *http.Request) {
-	var req OpenRequest
-	if !decodeBody(w, r, &req) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	buf.Reset()
+	if !readBounded(w, r, buf, maxOpenBody) {
+		return
+	}
+	req, ok := decodeOpen(w, buf.Bytes())
+	if !ok {
 		return
 	}
 	info, err := a.m.Open(req)
@@ -97,7 +105,7 @@ func (a *api) open(w http.ResponseWriter, r *http.Request) {
 		writeWireError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, info)
+	writeSessionInfo(w, http.StatusCreated, &info)
 }
 
 func (a *api) list(w http.ResponseWriter, r *http.Request) {
@@ -112,7 +120,7 @@ func (a *api) info(w http.ResponseWriter, r *http.Request) {
 		writeWireError(w, err)
 		return
 	}
-	writeSessionInfo(w, &info)
+	writeSessionInfo(w, http.StatusOK, &info)
 }
 
 func (a *api) push(w http.ResponseWriter, r *http.Request) {
@@ -295,19 +303,6 @@ func readBounded(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, limi
 		return false
 	}
 	return true
-}
-
-// decodeBody strictly decodes a JSON request body — bounded by
-// maxOpenBody — answering 400/413 itself when it cannot; the caller
-// proceeds only on true.
-func decodeBody(w http.ResponseWriter, r *http.Request, into any) bool {
-	buf := bodyPool.Get().(*bytes.Buffer)
-	defer putBody(buf)
-	buf.Reset()
-	if !readBounded(w, r, buf, maxOpenBody) {
-		return false
-	}
-	return decodeStrict(w, buf.Bytes(), into)
 }
 
 // decodeStrict decodes one JSON value with unknown fields rejected,

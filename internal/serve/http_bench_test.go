@@ -3,16 +3,19 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/perfref"
+	"repro/internal/stream"
 	"repro/internal/wire"
 )
 
@@ -386,3 +389,117 @@ type discardResponseWriter struct {
 func (w *discardResponseWriter) Header() http.Header         { return w.header }
 func (w *discardResponseWriter) WriteHeader(status int)      { w.status = status }
 func (w *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// handlerOpen opens a session from a client-held checkpoint through
+// ServeHTTP: the body a client sends to reopen a quickstart alg-b
+// session it holds at openCheckpointSlots slots, as each of the
+// benchmark's hourly-resume sessions does at set-up, encoded by
+// encoding/json as that client encodes it. The daemon decodes the body
+// and replays the log.
+type handlerOpen struct {
+	m    *Manager
+	h    http.Handler
+	body []byte
+	rd   *bytes.Reader
+	rc   io.ReadCloser
+	req  *http.Request
+	w    *discardResponseWriter
+}
+
+const openCheckpointSlots = 2000
+
+func newHandlerOpen(tb testing.TB) *handlerOpen {
+	trace := quickstartTrace(tb)
+	cp := &stream.Checkpoint{Alg: "alg-b", Slots: make([]stream.SlotRecord, openCheckpointSlots)}
+	for i := range cp.Slots {
+		cp.Slots[i].Lambda = trace[i%len(trace)]
+	}
+	body, err := json.Marshal(OpenRequest{ID: "bench", Alg: "alg-b", Fleet: quickstartFleet(), Checkpoint: cp})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := NewManager(Options{})
+	o := &handlerOpen{m: m, h: NewHandler(m), body: body, rd: bytes.NewReader(nil)}
+	o.rc = io.NopCloser(o.rd)
+	if o.req, err = http.NewRequest("POST", "/v1/sessions", nil); err != nil {
+		tb.Fatal(err)
+	}
+	o.w = &discardResponseWriter{header: make(http.Header, 4)}
+	return o
+}
+
+// open serves one open request; the session stays open until close.
+func (o *handlerOpen) open() error {
+	o.rd.Reset(o.body)
+	o.req.Body = o.rc
+	o.req.ContentLength = int64(len(o.body))
+	o.w.status = 0
+	clear(o.w.header)
+	o.h.ServeHTTP(o.w, o.req)
+	if o.w.status != http.StatusCreated {
+		return fmt.Errorf("HTTP %d", o.w.status)
+	}
+	return nil
+}
+
+// close deletes the opened session, so the next open may take its id.
+func (o *handlerOpen) close() error {
+	_, err := o.m.Delete("bench")
+	return err
+}
+
+// BenchmarkHTTPOpenCheckpoint measures one checkpoint open through the
+// handler: reading and decoding the 2 000-slot body, replaying it into
+// a session and answering 201. The delete that frees the id runs with
+// the timer stopped, so ns, bytes and allocations are the open's alone.
+func BenchmarkHTTPOpenCheckpoint(b *testing.B) {
+	o := newHandlerOpen(b)
+	b.SetBytes(int64(len(o.body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := o.open(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := o.close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}
+
+// openCheckpointAllocs bounds the objects a checkpoint open allocates:
+// 83 in each of 6 processes when it was set (108–109 when the body
+// still decoded through encoding/json).
+const openCheckpointAllocs = 83
+
+// A checkpoint open allocates no more objects than when the bound was
+// set. Like BenchmarkHTTPOpenCheckpoint it counts the open alone, not
+// the delete that frees the id.
+func TestOpenCheckpointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	o := newHandlerOpen(t)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 20
+	var before, after runtime.MemStats
+	var mallocs uint64
+	for i := 0; i <= runs; i++ {
+		runtime.ReadMemStats(&before)
+		if err := o.open(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 { // the first run warms the pools
+			mallocs += after.Mallocs - before.Mallocs
+		}
+		if err := o.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a := mallocs / runs; a > openCheckpointAllocs {
+		t.Fatalf("a checkpoint open allocates %d, want <= %d", a, openCheckpointAllocs)
+	}
+}

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 
@@ -11,13 +13,14 @@ import (
 // transport (sse.go). The handlers decide *what* to answer — status,
 // error taxonomy, Retry-After, response shape — and call the plain
 // functions below for *how* it is framed. Hot-path responses (push in
-// both forms, session info, healthz), the checkpoint body (the store's
-// own snapshot encoder), every error body and push-request decoding run
-// on the zero-reflection internal/wire codec, whose bytes are exactly
-// encoding/json's (FuzzWireCodec, FuzzSnapshotCodec,
-// TestServeWireEncoders and TestHTTPPushBodies hold it to that). Cold
-// success bodies (open, list, delete, algs) stay on writeJSON, where
-// reflection cost is irrelevant.
+// both forms, session info and the open's 201, healthz), the checkpoint
+// body (the store's own snapshot encoder), every error body and the
+// decoding of push and open requests run on the zero-reflection
+// internal/wire codec, whose bytes are exactly encoding/json's
+// (FuzzWireCodec, FuzzSnapshotCodec, FuzzOpenRequest,
+// TestServeWireEncoders, TestHTTPPushBodies and TestHTTPOpenBodies hold
+// it to that). Cold success bodies (list, delete, algs) stay on
+// writeJSON, where reflection cost is irrelevant.
 
 // encodeFailure answers the encode-failed 500. The body is a JSON
 // error object like every other error response, so the Content-Type
@@ -73,11 +76,11 @@ func writePushResults(w http.ResponseWriter, res []PushResult) {
 	writeWire(w, http.StatusOK, bp, werr)
 }
 
-func writeSessionInfo(w http.ResponseWriter, info *SessionInfo) {
+func writeSessionInfo(w http.ResponseWriter, status int, info *SessionInfo) {
 	bp := wireBuf()
 	b, werr := appendSessionInfo(*bp, info)
 	*bp = b
-	writeWire(w, http.StatusOK, bp, werr)
+	writeWire(w, status, bp, werr)
 }
 
 func writeSnapshot(w http.ResponseWriter, snap *Snapshot) {
@@ -122,4 +125,37 @@ func decodePushBatch(w http.ResponseWriter, data []byte) ([]PushRequest, bool) {
 	var slow []PushRequest
 	ok := decodeStrict(w, data, &slow)
 	return slow, ok
+}
+
+// decodeOpen is decodePushOne's twin for an open body.
+func decodeOpen(w http.ResponseWriter, data []byte) (OpenRequest, bool) {
+	var req OpenRequest
+	if decodeOpenRequest(data, &req) == nil {
+		return req, true
+	}
+	var slow OpenRequest
+	ok := decodeStrict(w, data, &slow)
+	return slow, ok
+}
+
+// decodeOpenRequest decodes an open body into dst as a strict
+// json.Decoder does. The wire scanner decodes all of it but the fleet
+// descriptor, a few dozen bytes whose model types the codec does not
+// own; its raw members are decoded here with strict encoding/json, one
+// after the other into dst.Fleet, which merges duplicates as a single
+// pass does.
+func decodeOpenRequest(data []byte, dst *OpenRequest) error {
+	var req wire.OpenRequest
+	if err := wire.DecodeOpenRequest(data, &req); err != nil {
+		return err
+	}
+	dst.ID, dst.Alg, dst.Checkpoint = req.ID, req.Alg, req.Checkpoint
+	for _, raw := range req.Fleet {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&dst.Fleet); err != nil {
+			return err
+		}
+	}
+	return nil
 }

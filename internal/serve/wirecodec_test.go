@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -240,4 +241,214 @@ func TestHTTPPushBodies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// strictDecode is the encoding/json request decoder the wire codec
+// stands in for: one JSON value, unknown fields rejected.
+func strictDecode(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// openOracle predicts an open response on the encoding/json path: the
+// body is decoded by a strict json.Decoder and opened on a reference
+// manager that sees the same requests as the server's, and the answer
+// is built with json.Encoder.
+type openOracle struct {
+	t *testing.T
+	m *Manager
+}
+
+func (o *openOracle) expect(body string) (int, string) {
+	if len(body) > maxOpenBody {
+		return http.StatusRequestEntityTooLarge,
+			jsonEncoded(o.t, errorJSON{fmt.Sprintf("request body exceeds %d bytes", maxOpenBody)})
+	}
+	var req OpenRequest
+	if err := strictDecode([]byte(body), &req); err != nil {
+		return http.StatusBadRequest, jsonEncoded(o.t, errorJSON{"malformed request body: " + err.Error()})
+	}
+	info, err := o.m.Open(req)
+	if err != nil {
+		return httpStatus(err), jsonEncoded(o.t, errorJSON{err.Error()})
+	}
+	return http.StatusCreated, jsonEncoded(o.t, info)
+}
+
+type openCase struct {
+	name   string
+	body   string
+	status int
+}
+
+// openCases are the open bodies TestHTTPOpenBodies posts in order and
+// FuzzOpenRequest starts from. Rows whose outcome depends on earlier
+// ones (a taken id, generated ids) rely on that order.
+func openCases(tb testing.TB) []openCase {
+	const qs = `{"scenario":"quickstart","seed":1}`
+	trace := quickstartTrace(tb)
+	cp := &stream.Checkpoint{Alg: "alg-b", Slots: make([]stream.SlotRecord, 200)}
+	for i := range cp.Slots {
+		cp.Slots[i].Lambda = trace[i%len(trace)]
+	}
+	long, err := json.Marshal(OpenRequest{ID: "long", Fleet: quickstartFleet(), Checkpoint: cp})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	deep := strings.Repeat("[", 200) + strings.Repeat("]", 200)
+	return []openCase{
+		// Well-formed opens.
+		{"scenario fleet", `{"id":"o1","alg":"alg-b","fleet":` + qs + `}`, http.StatusCreated},
+		{"inline fleet", `{"id":"o2","alg":"alg-a","fleet":{"types":[{"name":"srv","count":2,"switchCost":1,"maxLoad":1,` +
+			`"cost":{"kind":"affine","idle":1,"rate":1}}]}}`, http.StatusCreated},
+		{"checkpoint", `{"id":"o3","fleet":` + qs + `,"checkpoint":{"alg":"alg-b","slots":[{"lambda":3.5},{"lambda":7.25}]}}`,
+			http.StatusCreated},
+		{"checkpoint with counts", `{"id":"o4","alg":"alg-b","fleet":` + qs +
+			`,"checkpoint":{"alg":"alg-b","slots":[{"lambda":3.5,"counts":[8,3]},{"lambda":2,"counts":[6,2]}]}}`,
+			http.StatusCreated},
+		{"empty counts", `{"id":"o4e","fleet":` + qs + `,"checkpoint":{"alg":"alg-b","slots":[{"lambda":1,"counts":[]}]}}`,
+			http.StatusBadRequest},
+		{"long checkpoint", string(long), http.StatusCreated},
+		{"folded keys", `{"ID":"o5","ALG":"alg-b","Fleet":{"SCENARIO":"quickstart"},` +
+			`"checKpoint":{"Alg":"alg-b","ſlots":[{"LAMBDA":2,"Counts":[8,3]}]}}`, http.StatusCreated},
+		{"escaped keys", `{"i\u0064":"o6","\u0061lg":"alg-b","fleet":{"sc\u0065nario":"quickstart"},` +
+			`"checkpoint":{"\u0061lg":"alg-b","slot\u0073":[{"l\u0061mbda":1}]}}`, http.StatusCreated},
+		{"escaped strings", `{"id":"o\u0037","alg":"alg\u002db","fleet":{"scenario":"quick\u0073tart"}}`, http.StatusCreated},
+		{"invalid UTF-8 in alg", "{\"id\":\"o8\",\"alg\":\"alg-\xffb\",\"fleet\":" + qs + "}", http.StatusCreated},
+		{"escaped id refused", `{"id":"o\u00e9","alg":"alg-b","fleet":` + qs + `}`, http.StatusBadRequest},
+		{"duplicate fleet members merge", `{"id":"o9","alg":"alg-b","fleet":{"scenario":"quickstart"},"fleet":{"seed":1}}`,
+			http.StatusCreated},
+		{"duplicate fleet members conflict", `{"id":"o10","alg":"alg-b","fleet":{"scenario":"quickstart"},` +
+			`"fleet":{"types":[{"name":"srv","count":1,"switchCost":1,"maxLoad":1,"cost":{"kind":"constant","c":1}}]}}`,
+			http.StatusBadRequest},
+		{"duplicate slots members", `{"id":"o11","fleet":` + qs +
+			`,"checkpoint":{"alg":"alg-b","slots":[{"lambda":1},{"lambda":2}],"slots":[null]}}`, http.StatusCreated},
+		{"duplicate checkpoint members", `{"id":"o12","fleet":` + qs +
+			`,"checkpoint":{"alg":"alg-b"},"checkpoint":{"slots":[{"lambda":1}]}}`, http.StatusCreated},
+		{"duplicate ids", `{"id":"x","id":"o13","alg":"alg-b","fleet":` + qs + `}`, http.StatusCreated},
+		{"null body", `null`, http.StatusBadRequest},
+		{"null fleet", `{"id":"o14","alg":"alg-b","fleet":null}`, http.StatusBadRequest},
+		{"null fleet after fleet", `{"id":"o15","alg":"alg-b","fleet":` + qs + `,"fleet":null}`, http.StatusCreated},
+		{"null checkpoint", `{"id":"o16","alg":"alg-b","fleet":` + qs + `,"checkpoint":null}`, http.StatusCreated},
+		{"null checkpoint after checkpoint", `{"id":"o17","alg":"alg-b","fleet":` + qs +
+			`,"checkpoint":{"slots":[{"lambda":1}]},"checkpoint":null}`, http.StatusCreated},
+		{"null slots and records", `{"id":"o18","fleet":` + qs +
+			`,"checkpoint":{"alg":"alg-b","slots":[null,{"lambda":null,"counts":null}]}}`, http.StatusCreated},
+		{"null id", `{"id":null,"alg":"alg-b","fleet":` + qs + `}`, http.StatusCreated},
+		{"generated id", `{"alg":"alg-a","fleet":` + qs + `}`, http.StatusCreated},
+		{"trailing garbage", `{"id":"o19","alg":"alg-b","fleet":` + qs + `}x[`, http.StatusCreated},
+		{"whitespace", " \t\r\n{ \"id\" : \"o20\" ,\n \"alg\":\"alg-b\", \"fleet\" : { \"scenario\" : \"quickstart\" } }\n",
+			http.StatusCreated},
+		// Manager-level rejections (wire-encoded error bodies).
+		{"taken id", `{"id":"o1","alg":"alg-b","fleet":` + qs + `}`, http.StatusConflict},
+		{"algorithm conflict", `{"id":"o21","alg":"alg-a","fleet":` + qs + `,"checkpoint":{"alg":"alg-b","slots":[]}}`,
+			http.StatusBadRequest},
+		{"counts above template", `{"id":"o22","fleet":` + qs + `,"checkpoint":{"alg":"alg-b","slots":[{"lambda":1,"counts":[9,3]}]}}`,
+			http.StatusBadRequest},
+		// Malformed bodies: the fallback must reproduce encoding/json's
+		// exact error text.
+		{"unknown top-level member", `{"id":"u1","alg":"alg-b","fleet":` + qs + `,"bogus":1}`, http.StatusBadRequest},
+		{"unknown snapshot member", `{"id":"u2","alg":"alg-b","fleet":` + qs + `,"log_sum":7}`, http.StatusBadRequest},
+		{"unknown fleet member", `{"id":"u3","alg":"alg-b","fleet":{"scenario":"quickstart","bogus":1}}`, http.StatusBadRequest},
+		{"unknown inline type member", `{"id":"u4","alg":"alg-b","fleet":{"types":[{"name":"s","count":1,"bogus":1}]}}`,
+			http.StatusBadRequest},
+		{"unknown checkpoint member", `{"id":"u5","fleet":` + qs + `,"checkpoint":{"alg":"alg-b","slots":[],"state":"AQID"}}`,
+			http.StatusBadRequest},
+		{"costs in a slot record", `{"id":"u6","fleet":` + qs + `,"checkpoint":{"alg":"alg-b","slots":[{"lambda":1,"costs":[]}]}}`,
+			http.StatusBadRequest},
+		{"unknown slot member", `{"id":"u7","fleet":` + qs + `,"checkpoint":{"alg":"alg-b","slots":[{"lambda":1,"Bogus":{"a":[1]}}]}}`,
+			http.StatusBadRequest},
+		{"deep unknown member", `{"id":"u8","deep":` + deep + `}`, http.StatusBadRequest},
+		{"wrong id type", `{"id":5}`, http.StatusBadRequest},
+		{"wrong alg type", `{"alg":true}`, http.StatusBadRequest},
+		{"wrong fleet type", `{"fleet":"quickstart"}`, http.StatusBadRequest},
+		{"wrong seed type", `{"fleet":{"scenario":"quickstart","seed":"1"}}`, http.StatusBadRequest},
+		{"fractional seed", `{"fleet":{"scenario":"quickstart","seed":1.5}}`, http.StatusBadRequest},
+		{"wrong checkpoint type", `{"checkpoint":[]}`, http.StatusBadRequest},
+		{"wrong slots type", `{"checkpoint":{"slots":{}}}`, http.StatusBadRequest},
+		{"wrong lambda type", `{"checkpoint":{"slots":[{"lambda":"1"}]}}`, http.StatusBadRequest},
+		{"wrong counts type", `{"checkpoint":{"slots":[{"counts":[1.5]}]}}`, http.StatusBadRequest},
+		{"bare array", `[]`, http.StatusBadRequest},
+		{"bare number", `5`, http.StatusBadRequest},
+		{"float overflow", `{"checkpoint":{"slots":[{"lambda":1e309}]}}`, http.StatusBadRequest},
+		{"int overflow", `{"checkpoint":{"slots":[{"counts":[9223372036854775808]}]}}`, http.StatusBadRequest},
+		{"empty body", ``, http.StatusBadRequest},
+		{"truncated object", `{"id":"t1","alg":"alg-b"`, http.StatusBadRequest},
+		{"truncated fleet", `{"id":"t2","fleet":{"scenario":"quick`, http.StatusBadRequest},
+		{"truncated checkpoint", `{"id":"t3","checkpoint":{"slots":[{"lambda":1},`, http.StatusBadRequest},
+		{"trailing comma", `{"id":"t4",}`, http.StatusBadRequest},
+		{"invalid escape", `{"id":"t5\x"}`, http.StatusBadRequest},
+		{"invalid fleet syntax", `{"id":"t6","fleet":{"scenario":tru}}`, http.StatusBadRequest},
+	}
+}
+
+// TestHTTPOpenBodies is TestHTTPPushBodies for POST /v1/sessions: each
+// body's response must be exactly the encoding/json path's — status, a
+// JSON Content-Type, and the body down to encoding/json's error prose
+// and the trailing newline. The oracle's manager and the server's see
+// the same opens in the same order, so taken and generated ids agree.
+func TestHTTPOpenBodies(t *testing.T) {
+	srv := httptest.NewServer(NewHandler(NewManager(Options{})))
+	defer srv.Close()
+	oracle := &openOracle{t: t, m: NewManager(Options{})}
+
+	oversize := `{"id":"big","fleet":{"types":[` + strings.Repeat(`{},`, maxOpenBody/3) + `{}]}}`
+	cases := append(openCases(t),
+		openCase{"oversize body", oversize, http.StatusRequestEntityTooLarge},
+		openCase{"open after oversize", `{"id":"after","alg":"alg-b","fleet":{"scenario":"quickstart"}}`, http.StatusCreated})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			wantStatus, wantBody := oracle.expect(tc.body)
+			if wantStatus != tc.status {
+				t.Fatalf("oracle: HTTP %d, want %d: %s", wantStatus, tc.status, wantBody)
+			}
+			resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			data, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct := resp.Header.Get("Content-Type")
+			if resp.StatusCode != wantStatus || string(data) != wantBody || ct != "application/json" {
+				t.Errorf("response diverged from encoding/json:\n got: %d %s %q\nwant: %d application/json %q",
+					resp.StatusCode, ct, data, wantStatus, wantBody)
+			}
+		})
+	}
+}
+
+// FuzzOpenRequest holds the open decoder to a strict json.Decoder into
+// OpenRequest: for arbitrary bytes both accept or both reject, and what
+// they accept decodes to deeply equal values — nil against empty slices
+// included — with bit-identical demands. Run with
+// `go test -fuzz FuzzOpenRequest ./internal/serve`; CI runs it for 30 s.
+func FuzzOpenRequest(f *testing.F) {
+	for _, tc := range openCases(f) {
+		f.Add([]byte(tc.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var want, got OpenRequest
+		jerr := strictDecode(data, &want)
+		werr := decodeOpenRequest(data, &got)
+		if (werr == nil) != (jerr == nil) {
+			t.Fatalf("%q: wire err=%v, json err=%v", data, werr, jerr)
+		}
+		if werr != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: wire decodes %+v, json %+v", data, got, want)
+		}
+		if got.Checkpoint != nil {
+			for i, s := range got.Checkpoint.Slots {
+				if math.Float64bits(s.Lambda) != math.Float64bits(want.Checkpoint.Slots[i].Lambda) {
+					t.Fatalf("%q: slot %d lambda %v, json %v", data, i, s.Lambda, want.Checkpoint.Slots[i].Lambda)
+				}
+			}
+		}
+	})
 }

@@ -8,6 +8,8 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 	"unsafe"
+
+	"repro/internal/stream"
 )
 
 // The decoder: a hand-rolled scanner over the raw request bytes with no
@@ -15,8 +17,8 @@ import (
 // the target Counts/batch slices themselves). It accepts exactly the
 // inputs a strict json.Decoder (DisallowUnknownFields) accepts and
 // produces identical values — including the obscure corners, which the
-// encoding/json oracle tests (FuzzWireCodec, serve's TestHTTPPushBodies)
-// hold it to:
+// encoding/json oracle tests (FuzzWireCodec, serve's TestHTTPPushBodies,
+// TestHTTPOpenBodies and FuzzOpenRequest) hold it to:
 //
 //   - trailing bytes after the top-level value are ignored, even
 //     syntactically invalid ones ("{}x", "nullx"): the reference
@@ -87,6 +89,78 @@ func DecodePushRequests(data []byte, dst *[]PushRequest) error {
 	return d.fail("expected array or null")
 }
 
+// OpenRequest is serve.OpenRequest, the POST /v1/sessions body, with
+// its fleet descriptor left raw as Snapshot leaves it: the serving
+// layer owns the descriptor's types and decodes it.
+type OpenRequest struct {
+	ID  string
+	Alg string
+	// Fleet holds the value of every "fleet" member, in input order,
+	// aliasing the input. Decoding each in turn into one descriptor
+	// merges duplicates exactly as one pass of json.Decoder does.
+	Fleet      [][]byte
+	Checkpoint *stream.Checkpoint
+}
+
+// DecodeOpenRequest decodes an open body (or null) into dst under the
+// strict request rules above: an unknown member anywhere — at the top
+// level, in the checkpoint or in a slot record, "costs" included — is
+// an error, and trailing bytes after the value are ignored. A "fleet"
+// member's value is only checked for syntax and kept raw. On error dst
+// may hold partially decoded state.
+func DecodeOpenRequest(data []byte, dst *OpenRequest) error {
+	d := decoder{data: data, strict: true}
+	d.skipWS()
+	c, ok := d.peek()
+	switch {
+	case !ok:
+		return d.fail("unexpected end of input")
+	case c == '{':
+		return d.openObject(dst)
+	case c == 'n':
+		return d.null()
+	}
+	return d.fail("expected object or null")
+}
+
+func (d *decoder) openObject(dst *OpenRequest) error {
+	var buf [64]byte
+	done, err := d.begin('}')
+	for !done && err == nil {
+		var key []byte
+		if key, err = d.memberKey(buf[:0]); err != nil {
+			break
+		}
+		switch {
+		case string(key) == "id" || foldEqual(key, "ID"):
+			err = d.stringValue(&dst.ID)
+		case string(key) == "alg" || foldEqual(key, "ALG"):
+			err = d.stringValue(&dst.Alg)
+		case string(key) == "fleet" || foldEqual(key, "FLEET"):
+			start := d.pos
+			if err = d.skipValue(); err == nil {
+				dst.Fleet = append(dst.Fleet, d.data[start:d.pos])
+			}
+		case string(key) == "checkpoint" || foldEqual(key, "CHECKPOINT"):
+			err = d.checkpointValue(&dst.Checkpoint)
+		default:
+			err = d.unknown()
+		}
+		if err == nil {
+			done, err = d.next('}')
+		}
+	}
+	return err
+}
+
+// unknown handles the value of a member no field matches.
+func (d *decoder) unknown() error {
+	if d.strict {
+		return d.fail("unknown field")
+	}
+	return d.skipValue()
+}
+
 var (
 	emptyInts     = make([]int, 0)
 	emptyRequests = make([]PushRequest, 0)
@@ -100,6 +174,11 @@ type decoder struct {
 	data  []byte
 	pos   int
 	depth int // open objects and arrays
+	// strict makes a member no field matches an error, as
+	// DisallowUnknownFields does; otherwise its value is skipped, as
+	// json.Unmarshal skips it. DecodeOpenRequest sets it for the
+	// checkpoint code it shares with DecodeSnapshot.
+	strict bool
 }
 
 func (d *decoder) fail(msg string) error {

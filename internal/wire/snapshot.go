@@ -288,7 +288,7 @@ func (d *decoder) checkpointValue(dst **stream.Checkpoint) error {
 		case string(key) == "slots" || foldEqual(key, "SLOTS"):
 			err = d.slotsValue(&cp.Slots)
 		default:
-			err = d.skipValue()
+			err = d.unknown()
 		}
 		if err == nil {
 			done, err = d.next('}')
@@ -364,7 +364,7 @@ func (d *decoder) slotObject(dst *stream.SlotRecord) error {
 		case string(key) == "counts" || foldEqual(key, "COUNTS"):
 			err = d.intsValue(&dst.Counts)
 		default:
-			err = d.skipValue()
+			err = d.unknown()
 		}
 		if err == nil {
 			done, err = d.next('}')

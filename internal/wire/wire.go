@@ -1,10 +1,12 @@
 // Package wire is the hand-rolled JSON codec of the serving tier: an
 // append-based encoder and a streaming scanner decoder for the wire
 // types that cross the HTTP boundary on every slot (PushRequest in,
-// PushResult/stream.Advisory out), for the write-ahead log's slot
+// PushResult/stream.Advisory out), for the open request that carries a
+// client-held replay log (OpenRequest), for the write-ahead log's slot
 // records, and for the snapshot store's sessions (Snapshot: id, replay
-// log and saved state, with the fleet descriptor carried as raw JSON),
-// with no encoding/json and no reflection anywhere on the happy path.
+// log and saved state), with no encoding/json and no reflection
+// anywhere on the happy path. Opens and snapshots carry the fleet
+// descriptor as raw JSON, which the serving layer decodes.
 //
 // The codec is not "JSON-ish": it is byte-for-byte and accept-for-accept
 // compatible with the reflection-based encoding/json code it replaces,
@@ -21,7 +23,10 @@
 //     including case-folded field names, escaped keys, null no-ops,
 //     duplicate keys with json's merge semantics, and ignored trailing
 //     data — and decodes them to identical values. FuzzWireCodec
-//     hammers both directions against encoding/json.
+//     hammers both directions against encoding/json. DecodeOpenRequest
+//     checks only the syntax of the raw fleet members; serve's
+//     FuzzOpenRequest holds it, with serve's strict decoding of those
+//     members, to a strict json.Decoder of the whole body.
 //   - DecodeSnapshot follows json.Unmarshal instead, as the stores
 //     always did: unknown members are skipped, trailing data is an
 //     error, and any JSON whitespace is accepted, so indented files load.
