@@ -2,11 +2,10 @@ package baseline
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/costfn"
-	"repro/internal/grid"
 	"repro/internal/model"
+	"repro/internal/solver"
 )
 
 // Lookahead is receding-horizon control (model-predictive control) recast
@@ -20,23 +19,23 @@ import (
 // exactly the classic receding-horizon policy, which assumed oracle access
 // to the next w slots.
 //
-// The window DP is the naive O(w·|M|²·d) transition; the wrapper runs on
-// small lattices, and keeping it independent of the solver package's fast
-// sweep gives the tests another differential oracle.
+// solver.Window plans each window from the committed configuration:
+// O(w·d·|M|) a decision plus dispatch solves the layer memo shares
+// between the w windows a slot sits in. Decisions lag slots by w−1.
 type Lookahead struct {
 	fleet []model.ServerType
 	w     int
-	eval  *model.Evaluator
+	win   *solver.Window
 	buf   []model.SlotInput // ingested, undecided slots (deep copies)
 	x     model.Config      // configuration committed for the newest decided slot
-	out   model.Config      // scratch returned by Step
 }
 
 // NewLookahead builds the wrapper with lookahead window w >= 1 (w = 1 sees
 // only the current slot: greedy with switching awareness, and decisions
 // never lag).
 func NewLookahead(types []model.ServerType, w int) (*Lookahead, error) {
-	if err := model.ValidateFleet(types); err != nil {
+	win, err := solver.NewWindow(types)
+	if err != nil {
 		return nil, err
 	}
 	if w < 1 {
@@ -45,9 +44,8 @@ func NewLookahead(types []model.ServerType, w int) (*Lookahead, error) {
 	return &Lookahead{
 		fleet: append([]model.ServerType(nil), types...),
 		w:     w,
-		eval:  model.NewEvaluator(&model.Instance{Types: types}),
+		win:   win,
 		x:     make(model.Config, len(types)),
-		out:   make(model.Config, len(types)),
 	}, nil
 }
 
@@ -82,59 +80,15 @@ func (l *Lookahead) Flush() []model.Config {
 	return out
 }
 
-// decideOne solves the buffered window [t, t+len(buf)-1] by backward DP
-// and commits the first decision: V_k[x] = g_k(x) + min_{x'} (sw(x→x') +
-// V_{k+1}[x']). The first-slot argmin including the switch from the
-// current configuration is the committed decision.
+// decideOne plans the buffered window [t, t+len(buf)-1] from the
+// committed configuration and commits the plan's first decision, which
+// it returns as the window's scratch.
 func (l *Lookahead) decideOne() model.Config {
-	d := len(l.fleet)
-	cfg := make(model.Config, d)
-	next := make(model.Config, d)
-
-	var value []float64 // V_{k+1}
-	var vGrid *grid.Grid
-	for k := len(l.buf) - 1; k >= 0; k-- {
-		in := l.buf[k]
-		g := grid.NewFull(in.Counts)
-		cur := make([]float64, g.Size())
-		l.eval.Prepare(in)
-		for idx := range cur {
-			g.Decode(idx, cfg)
-			op := l.eval.GPrepared(cfg)
-			if math.IsInf(op, 1) {
-				cur[idx] = op
-				continue
-			}
-			future := 0.0
-			if value != nil {
-				best := math.Inf(1)
-				for nIdx := range value {
-					vGrid.Decode(nIdx, next)
-					c := value[nIdx] + model.SwitchCostOf(l.fleet, cfg, next)
-					if c < best {
-						best = c
-					}
-				}
-				future = best
-			}
-			cur[idx] = op + future
-		}
-		value, vGrid = cur, g
+	first, _, err := l.win.Plan(l.x, l.buf)
+	if err != nil {
+		panic(fmt.Sprintf("baseline: no feasible window plan at slot %d: %v", l.buf[0].T, err))
 	}
-
-	bestIdx, bestVal := -1, math.Inf(1)
-	for idx := range value {
-		vGrid.Decode(idx, cfg)
-		c := value[idx] + model.SwitchCostOf(l.fleet, l.x, cfg)
-		if c < bestVal {
-			bestVal, bestIdx = c, idx
-		}
-	}
-	if bestIdx < 0 {
-		panic(fmt.Sprintf("baseline: no feasible window plan at slot %d", l.buf[0].T))
-	}
-	vGrid.Decode(bestIdx, l.x)
+	copy(l.x, first)
 	l.buf = l.buf[1:]
-	copy(l.out, l.x)
-	return l.out
+	return first
 }

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/model"
@@ -58,49 +59,112 @@ func SolveApprox(ins *model.Instance, eps float64) (*Result, error) {
 // Solve runs the layered shortest-path DP with the given options: one
 // forward sweep of a PrefixTracker over the instance, recording every
 // layer and its lattice, then a backward walk that re-finds an argmin
-// predecessor per slot. The recorded layers take O(T·|M|) memory;
-// OptimalCost returns the cost alone in O(|M|).
+// predecessor per slot (Window.sweep). The recorded layers take
+// O(T·|M|) memory; OptimalCost returns the cost alone in O(|M|).
 func Solve(ins *model.Instance, opts Options) (*Result, error) {
 	tr, err := NewPrefixTracker(ins, opts)
 	if err != nil {
 		return nil, err
 	}
-	T, d := ins.T(), ins.D()
-	var arena []float64 // every layer, back to back
-	grids := make([]*grid.Grid, 0, T)
-	for !tr.Done() {
-		tr.next()
-		if arena == nil {
-			arena = make([]float64, 0, T*len(tr.layer))
-		}
-		arena, grids = append(arena, tr.layer...), append(grids, tr.curGrid)
+	w := Window{tr: tr}
+	if _, err := w.sweep(ins.T(), func(int) error { tr.next(); return nil }); err != nil {
+		return nil, err
 	}
-	// The final power-down to x_{T+1} = 0 is free, so the optimal cost is
-	// the minimum over the last layer.
-	if _, best := argmin(tr.layer); math.IsInf(best, 1) {
-		return nil, fmt.Errorf("solver: instance is infeasible (no finite schedule)")
-	}
-
-	// Backward walk from x_{T+1} = 0.
-	sched := make(model.Schedule, T)
-	cells := make([]int, (T+1)*d)
-	next, scratch := model.Config(cells[T*d:]), make(model.Config, d)
-	maxSize, end := 0, len(arena)
-	for t := T; t >= 1; t-- {
-		g := grids[t-1]
-		layer := arena[end-g.Size() : end]
-		end -= g.Size()
-		x := model.Config(cells[(t-1)*d : t*d : t*d])
-		g.Decode(predecessor(layer, g, tr.betas, next, scratch), x)
-		sched[t-1], next = x, x
+	d, maxSize := ins.D(), 0
+	sched := make(model.Schedule, ins.T())
+	for t, g := range w.grids {
+		sched[t] = model.Config(w.cells[t*d : (t+1)*d : (t+1)*d])
 		maxSize = max(maxSize, g.Size())
 	}
-
 	return &Result{
 		Schedule:    sched,
 		Breakdown:   model.NewEvaluator(ins).Cost(sched),
 		LatticeSize: maxSize,
 	}, nil
+}
+
+// Window plans receding-horizon control's windows: each Plan is an
+// offline solve of a few slots that starts from a held configuration
+// instead of all-off. A Window keeps its stream tracker and its recorded
+// layers for its life, so a w-slot plan costs O(w·d·|M|) plus the
+// dispatch solves, which the layer memo shares between the overlapping
+// windows of a stream.
+type Window struct {
+	tr    *PrefixTracker
+	arena []float64    // every layer of the last sweep, back to back
+	grids []*grid.Grid // and their lattices
+	cells []int        // its schedule: slot i at [i·d, (i+1)·d), then x_{n+1} = 0
+}
+
+// NewWindow prepares a planner for the fleet template, on the exact
+// lattice and evaluating serially.
+func NewWindow(types []model.ServerType) (*Window, error) {
+	tr, err := NewStreamTracker(types, Options{})
+	if err != nil {
+		return nil, err
+	}
+	return &Window{tr: tr}, nil
+}
+
+// Plan returns the first configuration of an optimal schedule for the
+// slots, held at start just before them, and the schedule's cost:
+// Σ_j β_j (x_j − start_j)⁺ into the first slot, operating and switching
+// costs within, and a free power-down after the last. The slots follow
+// slot slots[0].T − 1 in order (a zero T reads as 1). Ties go as Solve's
+// do: the last slot's lowest-index argmin, then lowest-index
+// predecessors. The configuration is scratch, valid until the next Plan.
+func (w *Window) Plan(start model.Config, slots []model.SlotInput) (model.Config, float64, error) {
+	p := w.tr
+	if len(slots) == 0 || len(start) != len(p.start) {
+		return nil, 0, fmt.Errorf("solver: no window of %d slots from %v on a %d-type fleet", len(slots), start, len(p.start))
+	}
+	p.acc.Seek(max(slots[0].T-1, 0))
+	p.t = 0
+	copy(p.start, start)
+	cost, err := w.sweep(len(slots), func(i int) error {
+		_, _, err := p.Push(slots[i])
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return w.cells[:len(start):len(start)], cost, nil
+}
+
+// sweep steps the tracker n times, push(i) feeding its i-th slot, and
+// records each layer; then it walks back from the free power-down to
+// x_{n+1} = 0, leaving an optimal schedule in w.cells. It returns the
+// schedule's cost, the minimum of the last layer.
+func (w *Window) sweep(n int, push func(i int) error) (float64, error) {
+	tr := w.tr
+	w.arena, w.grids = w.arena[:0], w.grids[:0]
+	for i := 0; i < n; i++ {
+		if err := push(i); err != nil {
+			return 0, err
+		}
+		if w.arena == nil {
+			w.arena, w.grids = make([]float64, 0, n*len(tr.layer)), make([]*grid.Grid, 0, n)
+		}
+		w.arena, w.grids = append(w.arena, tr.layer...), append(w.grids, tr.curGrid)
+	}
+	if math.IsInf(tr.opt, 1) {
+		return 0, fmt.Errorf("solver: instance is infeasible (no finite schedule)")
+	}
+
+	d := len(tr.betas)
+	w.cells = slices.Grow(w.cells[:0], (n+1)*d)[:(n+1)*d]
+	next := model.Config(w.cells[n*d:])
+	clear(next)
+	end := len(w.arena)
+	for t := n - 1; t >= 0; t-- {
+		g := w.grids[t]
+		layer := w.arena[end-g.Size() : end]
+		end -= g.Size()
+		x := model.Config(w.cells[t*d : (t+1)*d : (t+1)*d])
+		g.Decode(predecessor(layer, g, tr.betas, next, tr.cand), x) // pruning's scratch is free
+		next = x
+	}
+	return tr.opt, nil
 }
 
 // predecessor returns the index on g of the argmin over x' of

@@ -763,3 +763,30 @@ func BenchmarkRelaxNaiveD3(b *testing.B) {
 		relaxNaive(prev, g, g, betas)
 	}
 }
+
+// relaxNaive is the O(|from|·|to|·d) reference transition used for
+// differential testing of the fast sweep.
+func relaxNaive(prev []float64, from, to *grid.Grid, betas []float64) []float64 {
+	d := from.D()
+	out := make([]float64, to.Size())
+	xf := make([]int, d)
+	xt := make([]int, d)
+	for k := 0; k < to.Size(); k++ {
+		to.Decode(k, xt)
+		best := math.Inf(1)
+		for i := 0; i < from.Size(); i++ {
+			from.Decode(i, xf)
+			cost := prev[i]
+			for j := 0; j < d; j++ {
+				if up := xt[j] - xf[j]; up > 0 {
+					cost += betas[j] * float64(up)
+				}
+			}
+			if cost < best {
+				best = cost
+			}
+		}
+		out[k] = best
+	}
+	return out
+}

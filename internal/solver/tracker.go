@@ -20,8 +20,8 @@ import (
 // evaluates only the cells a lower bound cannot prove dominated, about
 // two fifths of them on the heterogeneous fleet, and sets the rest to +Inf;
 // no decision, optimum or surviving cell changes. Its step is the
-// package's only forward DP step: Solve and OptimalCost sweep an
-// instance through a tracker too.
+// package's only forward DP step: Solve, OptimalCost and Window sweep
+// their slots through a tracker too.
 //
 // Slot data arrives push-style via Push(SlotInput), so the online
 // information model holds by construction: the tracker owns a
@@ -44,6 +44,7 @@ type PrefixTracker struct {
 	f0    []float64    // the slot's f_{t,j}(0), for pruning's lower bound
 	zmax  []float64    // the fleet's capacities, likewise
 	cand  model.Config // pruning's candidate cell
+	start model.Config // x_0, which slot 1 relaxes from: all-off but in a Window
 
 	t     int       // slots processed so far
 	opt   float64   // min D_t: the prefix optimum's cost, 0 before slot 1
@@ -95,7 +96,7 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 	for j, st := range types {
 		betas[j] = st.SwitchCost
 	}
-	ints := make([]int, 3*d) // cfg, curCounts and cand
+	ints := make([]int, 4*d) // cfg, curCounts, cand and start
 	return &PrefixTracker{
 		ins:       acc.Instance(),
 		acc:       acc,
@@ -108,7 +109,8 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 		zmax:      floats[2*d:],
 		cfg:       ints[:d:d],
 		curCounts: ints[d : d : 2*d],
-		cand:      ints[2*d:],
+		cand:      ints[2*d : 3*d : 3*d],
+		start:     ints[3*d:],
 	}, nil
 }
 
@@ -287,8 +289,11 @@ func latticeCells(counts []int, gamma float64, limit int) (cells int, ok bool) {
 // costs 120–200 ns of CPU per cell on a memo-miss push and holds ≈ 70 B
 // per cell (layer buffers, g-layer and relax scratch), measured on a
 // 2-vCPU Xeon @ 2.1 GHz over lattices of 663 to 40 501 cells. So a
-// session at the budget costs 30–50 ms a push and ≈ 18 MB resident, and
-// one request can no longer take a daemon down.
+// session at the budget costs 30–50 ms a push and ≈ 18 MB resident.
+// Every registered algorithm's push is linear in the lattice; the
+// costliest, receding horizon (w = 3), took 27–29 ms a memo-miss push at
+// 2^16 cells (alg-b 7–9 ms) and holds w·|M| floats, 1.5 MiB, for its
+// window. So one request can no longer take a daemon down.
 const MaxLatticeCells = 1 << 18
 
 // LatticeCells returns the number of cells of the fleet's exact lattice
@@ -316,8 +321,8 @@ func reducedLevels(m int, gamma float64, limit int) int {
 }
 
 // step advances the DP layer by one slot onto the current lattice,
-// relaxing from the previous slot's layer (from the all-off state x_0 = 0
-// at the first slot). It returns tracker-owned scratch.
+// relaxing from the previous slot's layer (from x_0 = p.start at the
+// first slot). It returns tracker-owned scratch.
 func (p *PrefixTracker) step() (model.Config, float64) {
 	p.t++
 	g := p.curGrid
@@ -327,8 +332,10 @@ func (p *PrefixTracker) step() (model.Config, float64) {
 		for idx := range layer {
 			g.Decode(idx, p.cfg)
 			sw := 0.0
-			for j := range p.betas {
-				sw += p.betas[j] * float64(p.cfg[j])
+			for j, beta := range p.betas {
+				if up := p.cfg[j] - p.start[j]; up > 0 {
+					sw += beta * float64(up)
+				}
 			}
 			layer[idx] = sw
 		}
