@@ -210,9 +210,9 @@ func BenchmarkE12ProofTerms(b *testing.B) {
 
 // Wall-time gates (see perfref.Gate): ns/op over the reference task's,
 // recorded on a 2-vCPU Xeon @ 2.1 GHz, Go 1.24: the stream session on
-// 2026-10-17, the suite (median of 5 runs) on 2026-10-19.
+// 2026-10-17, the suite (median of 5 runs, 15.09–15.37) on 2026-10-19.
 const (
-	suiteSerialRatio   = 19.1
+	suiteSerialRatio   = 15.1
 	streamSessionRatio = 0.1776
 )
 

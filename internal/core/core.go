@@ -93,7 +93,9 @@ type Snapshotter interface {
 	Seek(t int)
 	// AppendState appends the algorithm's state after its most recent
 	// Step to dst. The encoding starts with a kind and version header
-	// (internal/statebuf).
+	// (internal/statebuf). It may write the algorithm (a prefix tracker
+	// runs a deferred prune pass first), so, like Step, it must not run
+	// concurrently with any other method.
 	AppendState(dst []byte) []byte
 	// RestoreState loads an AppendState encoding into an algorithm that
 	// was never stepped and that Seek positioned after exactly the slots

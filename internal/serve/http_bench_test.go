@@ -170,10 +170,12 @@ func traceBodies(tb testing.TB, batch int) [][]byte {
 }
 
 // Wall-time gates (see perfref.Gate): ns/op over the reference task's,
-// recorded on a 2-vCPU Xeon @ 2.1 GHz, Go 1.24, 2026-10-17.
+// recorded on a 2-vCPU Xeon @ 2.1 GHz, Go 1.24: the pushes on
+// 2026-10-17, the checkpoint open (median of 5 runs) on 2026-10-19.
 const (
-	httpPushRatio        = 0.0234
-	httpPushHandlerRatio = 0.003372
+	httpPushRatio           = 0.0234
+	httpPushHandlerRatio    = 0.003372
+	httpOpenCheckpointRatio = 1.58
 )
 
 // httpPush is BenchmarkHTTPPush's client: one long-lived session on a
@@ -451,7 +453,8 @@ func (o *handlerOpen) close() error {
 // BenchmarkHTTPOpenCheckpoint measures one checkpoint open through the
 // handler: reading and decoding the 2 000-slot body, replaying it into
 // a session and answering 201. The delete that frees the id runs with
-// the timer stopped, so ns, bytes and allocations are the open's alone.
+// the timer stopped, so ns, bytes and allocations are the open's alone;
+// the wall gate times open and delete together.
 func BenchmarkHTTPOpenCheckpoint(b *testing.B) {
 	o := newHandlerOpen(b)
 	b.SetBytes(int64(len(o.body)))
@@ -467,16 +470,29 @@ func BenchmarkHTTPOpenCheckpoint(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+	perfref.Gate(b, httpOpenCheckpointRatio, func() {
+		if err := o.open(); err != nil {
+			b.Fatal(err)
+		}
+		if err := o.close(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
-// openCheckpointAllocs bounds the objects a checkpoint open allocates:
-// 83 in each of 6 processes when it was set (108–109 when the body
-// still decoded through encoding/json).
-const openCheckpointAllocs = 83
+// openCheckpointAllocs and openCheckpointBytes bound what a checkpoint
+// open allocates: 82 objects and 139 559 bytes in each of 4 processes
+// since the session adopts the decoded log instead of copying it (83
+// and ≈ 263 KB before; 108–109 and ≈ 612 KB when the body still decoded
+// through encoding/json).
+const (
+	openCheckpointAllocs = 82
+	openCheckpointBytes  = 144 << 10
+)
 
-// A checkpoint open allocates no more objects than when the bound was
-// set. Like BenchmarkHTTPOpenCheckpoint it counts the open alone, not
-// the delete that frees the id.
+// A checkpoint open allocates no more objects and bytes than when the
+// bounds were set. Like BenchmarkHTTPOpenCheckpoint it counts the open
+// alone, not the delete that frees the id.
 func TestOpenCheckpointAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
@@ -485,7 +501,7 @@ func TestOpenCheckpointAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 20
 	var before, after runtime.MemStats
-	var mallocs uint64
+	var mallocs, allocated uint64
 	for i := 0; i <= runs; i++ {
 		runtime.ReadMemStats(&before)
 		if err := o.open(); err != nil {
@@ -494,12 +510,17 @@ func TestOpenCheckpointAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if i > 0 { // the first run warms the pools
 			mallocs += after.Mallocs - before.Mallocs
+			allocated += after.TotalAlloc - before.TotalAlloc
 		}
 		if err := o.close(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	t.Logf("a checkpoint open allocates %d objects, %d bytes", mallocs/runs, allocated/runs)
 	if a := mallocs / runs; a > openCheckpointAllocs {
 		t.Fatalf("a checkpoint open allocates %d, want <= %d", a, openCheckpointAllocs)
+	}
+	if b := allocated / runs; b > openCheckpointBytes {
+		t.Fatalf("a checkpoint open allocates %d bytes, want <= %d", b, openCheckpointBytes)
 	}
 }

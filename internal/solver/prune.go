@@ -34,12 +34,18 @@ import (
 // their bits. It also lies far outside OptRange's 1e-12 tie band.
 //
 // Which cells a layer prunes is a function of h_t and the slot alone, and
-// pruning changes no cell of h_t (a pruned cell never wins relax's min):
-// a memo hit applies the same rule to the cached layer, and a hit, a
-// miss, the memo switched off and every worker count leave the same
-// bytes. The first
-// slot, a slot whose lattice changed and a slot with a cost function not
-// known to be nondecreasing are not pruned.
+// pruning changes no cell of the next h (a pruned cell never wins relax's
+// min). The rule saves dispatch solves only on a partial layer, a memo
+// miss's: a memo hit, like any step whose g-layer begin evaluated whole,
+// defers the rule to AppendState, the one reader that sees +Inf cells.
+// Its step adds the whole g-layer to every cell, which leaves every
+// surviving cell, optimum, argmin, OptRange and relax of the layer bit
+// for bit those of the pruned layer; settle later recomputes
+// h_t = relax(D_{t−1}) and runs the pass against the same g-layer, as the
+// miss would have. So a hit, a miss, the memo switched off and every
+// worker count leave the same bytes. The first slot, a slot whose
+// lattice changed and a slot with a cost function not known to be
+// nondecreasing are not pruned.
 //
 // One dominator is enough: on the heterogeneous fleet under fresh demand
 // the tracker solves 37.7% of the feasible cells with it. Relaxing the
@@ -165,9 +171,10 @@ func nextLine(g *grid.Grid, lvl []int) {
 
 // prunedStep adds slot 1's operating costs to the relaxed layer h,
 // turning it into D_t with the dominated cells pruned to +Inf (see
-// above). full is the slot's whole g-layer when begin had it at hand,
-// else nil and the cells are solved as they are marked.
+// above). full is the slot's whole g-layer (settle), else nil and the
+// cells are solved as they are marked.
 func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
+	p.prunes++
 	le := p.le
 	gl := le.last
 	lb, a := p.floorLayer(h, g)
@@ -236,4 +243,23 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 	if marked {
 		le.solveMarked(h, g)
 	}
+}
+
+// settle runs the prune pass a step deferred (see above): it relaxes
+// D_{t−1}, still in spare, into relaxer scratch, prunes that against the
+// slot's whole g-layer le.last, which begin left in place (a memo entry
+// is immutable), and copies the result over the layer. The step's floors
+// still hold f0 and zmax, and its lattice is the previous one. The
+// scratch is the one relax would write its last sweep to next, so the
+// rebuild costs no memory: the four scratch buffers are already sized
+// to the layer, and neither sweep nor pass regrows them.
+func (p *PrefixTracker) settle() {
+	if !p.deferred {
+		return
+	}
+	p.deferred = false
+	g := p.curGrid
+	h := p.rx.relax(p.spare, g, g, p.rx.scratch((g.D()-1)%2, len(p.layer)))
+	p.prunedStep(h, g, p.le.last)
+	copy(p.layer, h)
 }

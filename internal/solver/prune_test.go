@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/costfn"
@@ -222,9 +223,121 @@ func TestPrunedLayerMatchesUnpruned(t *testing.T) {
 	}
 }
 
+// thrice feeds the slots of ins three times over: a stream tracker on a
+// fresh memo misses each memoisable layer on its first pass (pruning as
+// it solves), evaluates it whole on the second (the memo admits it) and
+// hits it on the third, but for a quarter of the third pass's slots,
+// whose demand is scaled down so that they miss again.
+func thrice(ins *model.Instance, rng *rand.Rand) *model.Instance {
+	out := &model.Instance{Types: ins.Types}
+	for pass := range 3 {
+		for _, lambda := range ins.Lambda {
+			if pass == 2 && rng.Intn(4) == 0 {
+				lambda *= 0.8 + 0.2*rng.Float64()
+			}
+			out.Lambda = append(out.Lambda, lambda)
+		}
+		if ins.Counts != nil {
+			out.Counts = append(out.Counts, ins.Counts...)
+		}
+	}
+	return out
+}
+
+// compareDeferred streams thrice(ins) through a pruned tracker on the
+// memo and a memo-off twin, which prunes every layer as it solves it.
+// From its second pass on the memo-on tracker defers the prune pass of
+// each repeating layer and relaxes the unpruned layer into the next
+// step, be it a hit, a miss or a lattice change. Its state is read only at sparse random slots and at the end,
+// where it must equal the twin's byte for byte; at every slot the
+// optimum, its argmin, OptRange and g_t agree bit for bit, and a cell
+// the two layers disagree on is one the tracker deferred and the twin
+// pruned to +Inf. It returns how many deferred layers were relaxed
+// without a state read between, and how many of those into a lattice of
+// other counts.
+func compareDeferred(t *testing.T, ins *model.Instance, opts Options, rng *rand.Rand) (relaxed, recounted int) {
+	t.Helper()
+	ins = thrice(ins, rng)
+	pr, err := NewStreamTracker(ins.Types, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := memoless(func() (*PrefixTracker, error) { return NewStreamTracker(ins.Types, opts) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var in model.SlotInput
+	x := make(model.Config, ins.D())
+	for s := 1; s <= ins.T(); s++ {
+		ins.SlotInto(s, &in)
+		if pr.deferred {
+			relaxed++
+			if !slices.Equal(in.Counts, pr.curCounts) {
+				recounted++
+			}
+		}
+		cp, vp, err := pr.Push(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, vt, err := twin.Push(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(vp) != math.Float64bits(vt) || !cp.Equal(ct) {
+			t.Fatalf("slot %d: memo on (%v, %v) != memo off (%v, %v)", s, cp, vp, ct, vt)
+		}
+		lp, hp := pr.OptRange()
+		lt, ht := twin.OptRange()
+		if !lp.Equal(lt) || !hp.Equal(ht) {
+			t.Fatalf("slot %d: OptRange memo on [%v, %v] != memo off [%v, %v]", s, lp, hp, lt, ht)
+		}
+		g := pr.Lattice()
+		for i, v := range pr.layer {
+			g.Decode(i, x)
+			if gp, gt := mustG(t, pr, x), mustG(t, twin, x); math.Float64bits(gp) != math.Float64bits(gt) {
+				t.Fatalf("slot %d x=%v: G memo on %v != memo off %v", s, x, gp, gt)
+			}
+			if w := twin.layer[i]; math.Float64bits(v) != math.Float64bits(w) && !(pr.deferred && math.IsInf(w, 1)) {
+				t.Fatalf("slot %d x=%v: cell memo on %v != memo off %v (deferred %v)", s, x, v, w, pr.deferred)
+			}
+		}
+		if s == ins.T() || rng.Intn(6) == 0 {
+			if sp, st := pr.AppendState(nil), twin.AppendState(nil); !bytes.Equal(sp, st) {
+				t.Fatalf("slot %d: state memo on differs from memo off", s)
+			}
+		}
+	}
+	return relaxed, recounted
+}
+
+// A deferred prune pass changes nothing a reader sees: a tracker on the
+// memo, whose repeating layers are evaluated whole and pruned only when
+// its state is read, agrees with a memo-off tracker bit for bit on
+// random fleets of every cost family, static and time-varying, exact and
+// γ-reduced, serial and over workers; deferred layers are relaxed into
+// the next step, also into a lattice of other counts.
+func TestDeferredPruneMatchesMemoOff(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	relaxed, recounted := 0, 0
+	for trial := 0; trial < 30; trial++ {
+		swapGcache(t, gcacheShards, gcacheMaxFloats) // every trial's first pass misses
+		ins := randomPruneInstance(rng, 16, trial%2 == 1)
+		r, c := compareDeferred(t, ins, []Options{{}, {Workers: 2}, {Gamma: 1.5}}[trial%3], rng)
+		relaxed += r
+		recounted += c
+	}
+	t.Logf("%d deferred layers relaxed unsettled, %d of them into other counts", relaxed, recounted)
+	if relaxed == 0 || recounted == 0 {
+		t.Fatalf("%d deferred layers relaxed unsettled, %d into other counts: want both > 0", relaxed, recounted)
+	}
+}
+
 // FuzzPrunedLayer compares the pruned and the unpruned tracker bit for
 // bit (comparePruned) on random fleets of every cost family, with random
-// demands and counts.
+// demands and counts; then, on a fresh memo, the tracker whose later
+// passes over the slots hit the memo with a memo-off one
+// (compareDeferred).
 func FuzzPrunedLayer(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint8(6+seed), seed%2 == 1)
@@ -232,7 +345,102 @@ func FuzzPrunedLayer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, slots uint8, counts bool) {
 		ins := randomPruneInstance(rand.New(rand.NewSource(seed)), 1+int(slots%40), counts)
 		comparePruned(t, ins, Options{}, false)
+		swapGcache(t, gcacheShards, gcacheMaxFloats)
+		compareDeferred(t, ins, Options{}, rand.New(rand.NewSource(seed)))
 	})
+}
+
+// A memo-hit step runs no prune pass: replaying memo-hit slots without
+// reading the state runs none, one AppendState then runs exactly one,
+// for the last layer alone, and a second read runs none. The rebuild
+// allocates nothing: it works in the relaxer's scratch.
+func TestHitStepsDeferPrunePass(t *testing.T) {
+	swapGcache(t, gcacheShards, gcacheMaxFloats)
+	trace := workload.Diurnal(24, 3, 14, 24, 0)
+	tr, err := NewStreamTracker(heterogeneousFleet(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, _, err := tr.Push(model.SlotInput{Lambda: trace[i%len(trace)]}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	push(2 * len(trace)) // the memo admits each layer
+	const replayed = 200
+	hits, misses := MemoStats()
+	passes := tr.prunes
+	push(replayed)
+	if h, m := MemoStats(); h-hits != replayed || m != misses {
+		t.Fatalf("replay: %d memo hits and %d misses, want %d and 0", h-hits, m-misses, replayed)
+	}
+	if n := tr.prunes - passes; n != 0 {
+		t.Fatalf("%d memo-hit slots ran the prune pass %d times, want 0", replayed, n)
+	}
+	tr.AppendState(nil)
+	tr.AppendState(nil)
+	if n := tr.prunes - passes; n != 1 {
+		t.Fatalf("two state reads after the replay ran the prune pass %d times, want 1", n)
+	}
+	dst := make([]byte, 0, 1<<12)
+	if a := testing.AllocsPerRun(5, func() { push(1); tr.AppendState(dst) }); a != 0 {
+		t.Fatalf("a memo-hit step and the state read that settles it allocate %v times, want 0", a)
+	}
+}
+
+// predecessor's line walk picks the index a walk decoding every cell
+// picks, its sums bit for bit, on full and reduced lattices of 1–3
+// types whose layers hold +Inf cells and ties, towards on- and
+// off-lattice configurations.
+func TestPredecessorMatchesDecodeWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + rng.Intn(3)
+		counts, betas := make([]int, d), make([]float64, d)
+		axes := make([]grid.Axis, d)
+		for j := range counts {
+			counts[j] = rng.Intn(7)
+			betas[j] = rng.Float64() * math.Pow(10, float64(rng.Intn(5)-2))
+			axes[j] = grid.ReducedAxis(counts[j], 1.5)
+		}
+		g := grid.NewFull(counts)
+		if trial%3 == 2 {
+			g = grid.New(axes)
+		}
+		layer := make([]float64, g.Size())
+		for i := range layer {
+			switch rng.Intn(5) {
+			case 0:
+				layer[i] = math.Inf(1)
+			case 1:
+				layer[i] = float64(rng.Intn(3))
+			default:
+				layer[i] = rng.Float64() * 10
+			}
+		}
+		next := make(model.Config, d)
+		for j := range next {
+			next[j] = rng.Intn(counts[j] + 2)
+		}
+		want, bVal := 0, math.Inf(1)
+		x := make(model.Config, d)
+		for i, c := range layer {
+			g.Decode(i, x)
+			for j, beta := range betas {
+				if up := next[j] - x[j]; up > 0 {
+					c += beta * float64(up)
+				}
+			}
+			if c < bVal {
+				bVal, want = c, i
+			}
+		}
+		if got := predecessor(layer, g, betas, next, make(model.Config, d), make(model.Config, d)); got != want {
+			t.Fatalf("trial %d (lattice %v, next %v): predecessor %d, decode walk %d", trial, counts, next, got, want)
+		}
+	}
 }
 
 // Solve's schedules, serial and over workers, with the memo on and off,

@@ -161,7 +161,7 @@ func (w *Window) sweep(n int, push func(i int) error) (float64, error) {
 		layer := w.arena[end-g.Size() : end]
 		end -= g.Size()
 		x := model.Config(w.cells[t*d : (t+1)*d : (t+1)*d])
-		g.Decode(predecessor(layer, g, tr.betas, next, tr.cand), x) // pruning's scratch is free
+		g.Decode(predecessor(layer, g, tr.betas, next, tr.cand, tr.cfg), x) // the step's scratch is free
 		next = x
 	}
 	return tr.opt, nil
@@ -170,19 +170,35 @@ func (w *Window) sweep(n int, push func(i int) error) (float64, error) {
 // predecessor returns the index on g of the argmin over x' of
 // layer[x'] + Σ_j β_j (next_j − x'_j)^+ — the configuration an optimal
 // schedule holds before moving to next — with ties towards the lowest
-// index. scratch decodes the candidates.
-func predecessor(layer []float64, g *grid.Grid, betas []float64, next, scratch model.Config) int {
+// index. It walks the lattice line by line, its levels of every type but
+// the last in lvl (nextLine) and their power-ups to next in ups, instead
+// of decoding each cell; the terms still add in type order, so the sums
+// keep their bits.
+func predecessor(layer []float64, g *grid.Grid, betas []float64, next, lvl, ups model.Config) int {
+	d := g.D()
+	last, nextL, betaL := g.Axis(d-1), next[d-1], betas[d-1]
+	lvl, ups = lvl[:d-1], ups[:d-1]
+	clear(lvl)
 	bIdx, bVal := 0, math.Inf(1)
-	for i, c := range layer {
-		g.Decode(i, scratch)
-		for j, beta := range betas {
-			if up := next[j] - scratch[j]; up > 0 {
-				c += beta * float64(up)
+	for base := 0; base < len(layer); base += len(last) {
+		for j, l := range lvl {
+			ups[j] = next[j] - g.Axis(j)[l]
+		}
+		for k, v := range last {
+			c := layer[base+k]
+			for j, up := range ups {
+				if up > 0 {
+					c += betas[j] * float64(up)
+				}
+			}
+			if up := nextL - v; up > 0 {
+				c += betaL * float64(up)
+			}
+			if c < bVal {
+				bVal, bIdx = c, base+k
 			}
 		}
-		if c < bVal {
-			bVal, bIdx = c, i
-		}
+		nextLine(g, lvl)
 	}
 	return bIdx
 }

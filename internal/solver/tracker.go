@@ -19,7 +19,10 @@ import (
 // at most T·|M| operating-cost evaluations. Dominance pruning (prune.go)
 // evaluates only the cells a lower bound cannot prove dominated, about
 // two fifths of them on the heterogeneous fleet, and sets the rest to +Inf;
-// no decision, optimum or surviving cell changes. Its step is the
+// no decision, optimum or surviving cell changes. A step whose g-layer is
+// whole anyway (a memo hit, or a layer the memo admits) adds it to every
+// cell and defers the rule to AppendState, the one reader that sees +Inf
+// cells. Its step is the
 // package's only forward DP step: Solve, OptimalCost and Window sweep
 // their slots through a tracker too.
 //
@@ -49,8 +52,11 @@ type PrefixTracker struct {
 	t     int       // slots processed so far
 	opt   float64   // min D_t: the prefix optimum's cost, 0 before slot 1
 	layer []float64 // D_t over the slot-t lattice
-	spare []float64 // ping-pong buffer for the next layer
+	spare []float64 // ping-pong buffer for the next layer; D_{t−1} between steps
 	cfg   model.Config
+
+	deferred bool // layer is D_t with its dominated cells still finite (settle)
+	prunes   int  // prune passes run, over the tracker's life
 
 	// The previous and current slot's lattices plus the counts the current
 	// one was built for (lattices are reused while the counts stay
@@ -208,7 +214,13 @@ func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
 // bits). The instance is not part of the state — a restore Seeks past
 // it — and neither is the previous lattice, which the next Push
 // replaces before reading.
+//
+// A layer whose prune pass its step deferred is pruned first (settle),
+// so the bytes are those a memo miss would have left, whatever the memo
+// held. AppendState therefore writes the tracker: like Push, it must
+// not run concurrently with any other method.
 func (p *PrefixTracker) AppendState(dst []byte) []byte {
+	p.settle()
 	dst = statebuf.AppendHeader(dst, trackerStateKind, trackerStateVersion)
 	dst = statebuf.AppendInt(dst, p.t)
 	dst = statebuf.AppendInts(dst, p.curCounts)
@@ -342,16 +354,19 @@ func (p *PrefixTracker) step() (model.Config, float64) {
 	} else {
 		layer = p.rx.relax(p.layer, p.prevGrid, g, p.grow(&p.spare, g.Size()))
 	}
-	// The accumulator holds the slot as slot 1.
+	// The accumulator holds the slot as slot 1. A whole g-layer is added
+	// to every cell; its prune pass would solve nothing, so it waits for
+	// AppendState (settle).
 	prune := p.t > 1 && p.prevGrid == g && p.floors()
 	full := p.le.begin(len(layer), 1, g, !prune)
-	if prune {
-		p.prunedStep(layer, g, full)
+	if full == nil {
+		p.prunedStep(layer, g, nil)
 	} else {
 		for i, v := range full {
 			layer[i] += v
 		}
 	}
+	p.deferred = prune && full != nil
 
 	// Swap buffers: the old layer becomes next round's spare.
 	p.layer, p.spare = layer, p.layer

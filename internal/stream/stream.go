@@ -162,11 +162,6 @@ type Session struct {
 	stateSize int // size of the state the session was restored from, if any
 }
 
-// logHeadroom is the room a rebuilt session's log keeps beyond the
-// records it was rebuilt from, so the pushes that follow a resume do
-// not re-double the log they just filled.
-const logHeadroom = 64
-
 // New opens a session for a constructed (never stepped) algorithm over the
 // fleet template.
 func New(alg core.Online, types []model.ServerType, opts Options) (*Session, error) {
@@ -270,6 +265,12 @@ func (s *Session) takes(in model.SlotInput) error {
 // and the session refuses further feeds: a live advisory server degrades
 // to an error response instead of crashing.
 func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err error) {
+	return s.push(in, adv, true)
+}
+
+// push is Push, appending the slot to the replay log only when logged
+// is set: Resume adopts its checkpoint's records as the log instead.
+func (s *Session) push(in model.SlotInput, adv *Advisory, logged bool) (decided bool, err error) {
 	if err := s.takes(in); err != nil {
 		return false, err
 	}
@@ -294,7 +295,9 @@ func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err err
 		s.window = append(s.window, w)
 	}
 	x := s.alg.Step(s.scratch)
-	s.log = append(s.log, SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone())
+	if logged {
+		s.log = append(s.log, SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone())
+	}
 	if x == nil {
 		return false, nil
 	}
@@ -492,19 +495,25 @@ func (s *Session) ReplayDelta(recs []model.SlotInput) (applied int, err error) {
 // freshly constructed (never stepped) algorithm. The replayed advisories
 // are discarded — they were already emitted by the original session — and
 // the returned session continues exactly where the checkpoint was taken.
+//
+// Resume takes ownership of cp.Slots: the slice becomes the session's
+// replay log, uncopied, and the session's pushes append into its spare
+// capacity. So the caller must not modify cp.Slots or its records
+// afterwards, nor push to two sessions resumed from one cp; the
+// session's Checkpoint is an independent copy.
 func Resume(alg core.Online, types []model.ServerType, opts Options, cp *Checkpoint) (*Session, error) {
 	s, err := New(alg, types, opts)
 	if err != nil {
 		return nil, err
 	}
-	s.log = make([]SlotRecord, 0, len(cp.Slots)+logHeadroom)
 	var adv Advisory
 	for i, rec := range cp.Slots {
 		in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
-		if _, err := s.Push(in, &adv); err != nil {
+		if _, err := s.push(in, &adv, false); err != nil {
 			return nil, fmt.Errorf("stream: replaying slot %d: %w", i+1, err)
 		}
 	}
+	s.log = cp.Slots
 	return s, nil
 }
 
@@ -523,7 +532,8 @@ const (
 // dst unchanged when the algorithm has no state codec (not a
 // core.Snapshotter) or the session has failed; such sessions resume by
 // replay only. Room for the state is reserved up front from the size of
-// the state the session was restored from.
+// the state the session was restored from. Like Push, it writes the
+// session's algorithm (core.Snapshotter), so callers serialise the two.
 func (s *Session) AppendState(dst []byte) []byte {
 	alg, ok := s.alg.(core.Snapshotter)
 	if !ok || s.failed != nil {

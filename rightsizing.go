@@ -426,7 +426,10 @@ func OpenSession(name string, types []ServerType, opts SessionOptions) (*Session
 // it reconstructs the original algorithm only for checkpoints taken from
 // registry-opened sessions (OpenSession); sessions around hand-constructed
 // algorithms should resume in-process via NewSession + the stream
-// package's Resume with an identically-constructed algorithm.
+// package's Resume with an identically-constructed algorithm. The session
+// takes ownership of cp.Slots as its replay log, without a copy: do not
+// modify them afterwards, nor push to two sessions resumed from one
+// checkpoint.
 func ResumeSession(cp *SessionCheckpoint, types []ServerType, opts SessionOptions) (*Session, error) {
 	return engine.ResumeSession(cp, types, opts)
 }
