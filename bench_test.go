@@ -210,9 +210,9 @@ func BenchmarkE12ProofTerms(b *testing.B) {
 
 // Wall-time gates (see perfref.Gate): ns/op over the reference task's,
 // recorded on a 2-vCPU Xeon @ 2.1 GHz, Go 1.24: the stream session on
-// 2026-10-17, the suite (median of 5 runs, 15.09–15.37) on 2026-10-19.
+// 2026-10-17, the suite (median of 5 runs, 5.72–6.44) on 2026-10-19.
 const (
-	suiteSerialRatio   = 15.1
+	suiteSerialRatio   = 6.2
 	streamSessionRatio = 0.1776
 )
 
@@ -238,14 +238,14 @@ func BenchmarkSuiteSerial(b *testing.B) {
 }
 
 // A serial suite run allocates no more objects than when the bound was
-// set: from 8 154 to 8 156 over 8 processes.
+// set: from 8 145 to 8 147 over 8 processes.
 func TestSuiteSerialAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
 	scs := Scenarios()
-	if a := testing.AllocsPerRun(2, func() { runSuite(t, scs, 1) }); a > 8156 {
-		t.Fatalf("suite allocates %v per run, want <= 8156", a)
+	if a := testing.AllocsPerRun(2, func() { runSuite(t, scs, 1) }); a > 8147 {
+		t.Fatalf("suite allocates %v per run, want <= 8147", a)
 	}
 }
 

@@ -36,8 +36,8 @@ func NewAlgorithmBWithOptions(types []ServerType, opts AlgorithmOptions) (*Algor
 	return core.NewAlgorithmBWithOptions(types, opts)
 }
 
-// NewRandomizedTimeout is the randomized ski-rental baseline: surplus
-// servers draw their idle-cost budget from the optimal e/(e−1)
+// NewRandomizedTimeout is SkiRental's randomized variant: each surplus
+// episode draws its idle-cost budget from the optimal e/(e−1)
 // distribution. Seeded for reproducibility.
 func NewRandomizedTimeout(types []ServerType, seed int64) (Online, error) {
 	return baseline.NewRandomizedTimeout(types, seed)

@@ -8,12 +8,12 @@ package baseline
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/costfn"
-	"repro/internal/grid"
 	"repro/internal/model"
-	"repro/internal/numeric"
+	"repro/internal/solver"
 )
 
 // compile-time interface checks.
@@ -70,60 +70,37 @@ func (a *AllOn) Step(in model.SlotInput) model.Config {
 // operating cost g_t(x) while ignoring switching costs entirely — the
 // memoryless instantaneous optimiser. It thrashes on bursty loads, which
 // is exactly what the experiments need it to demonstrate. Ties break
-// toward the lexicographically smallest configuration.
+// toward the lexicographically smallest configuration. It reads g_t
+// through solver.Layer, so a slot the layer memo holds costs no dispatch
+// solve.
 type LoadTracking struct {
-	fleet  []model.ServerType
-	eval   *model.Evaluator
-	g      *grid.Grid   // lattice cached while the counts stay unchanged
-	gm     []int        // counts the cached lattice was built for
-	cfg    model.Config // decode scratch
-	out    model.Config // scratch returned by Step
-	counts []int        // the slot's resolved counts
+	layer *solver.Layer
+	out   model.Config // scratch returned by Step
 }
 
 // NewLoadTracking builds the baseline for a fleet template.
 func NewLoadTracking(types []model.ServerType) (*LoadTracking, error) {
-	if err := model.ValidateFleet(types); err != nil {
+	layer, err := solver.NewLayer(types)
+	if err != nil {
 		return nil, err
 	}
-	d := len(types)
-	return &LoadTracking{
-		fleet:  append([]model.ServerType(nil), types...),
-		eval:   model.NewEvaluator(&model.Instance{Types: types}),
-		cfg:    make(model.Config, d),
-		out:    make(model.Config, d),
-		counts: make([]int, d),
-	}, nil
+	return &LoadTracking{layer: layer, out: make(model.Config, len(types))}, nil
 }
 
 // Name implements core.Online.
 func (l *LoadTracking) Name() string { return "LoadTracking" }
 
-// lattice returns the slot's full configuration lattice, rebuilding only
-// when the counts changed (static fleets keep one grid for the whole run).
-func (l *LoadTracking) lattice(counts []int) *grid.Grid {
-	if l.g == nil || !numeric.EqualInts(counts, l.gm) {
-		l.g = grid.NewFull(counts)
-		l.gm = append(l.gm[:0], counts...)
-	}
-	return l.g
-}
-
-// Step implements core.Online: it scans the slot's full lattice for the
-// cheapest configuration.
+// Step implements core.Online: it returns the lowest-index argmin of the
+// slot's g-layer.
 func (l *LoadTracking) Step(in model.SlotInput) model.Config {
-	for j := range l.counts {
-		l.counts[j] = in.Count(j, l.fleet[j].Count)
+	gl, g, err := l.layer.Push(in)
+	if err != nil {
+		panic(fmt.Sprintf("baseline: %v", err))
 	}
-	g := l.lattice(l.counts)
-	best := math.Inf(1)
-	bestIdx := -1
-	l.eval.Prepare(in)
-	for idx := 0; idx < g.Size(); idx++ {
-		g.Decode(idx, l.cfg)
-		if v := l.eval.GPrepared(l.cfg); v < best {
-			best = v
-			bestIdx = idx
+	best, bestIdx := math.Inf(1), -1
+	for idx, v := range gl {
+		if v < best {
+			best, bestIdx = v, idx
 		}
 	}
 	if bestIdx < 0 {
@@ -135,56 +112,108 @@ func (l *LoadTracking) Step(in model.SlotInput) model.Config {
 
 // SkiRental is the classic timeout heuristic: follow the load-tracking
 // target upward immediately, but keep surplus servers powered until their
-// accumulated idle cost since becoming surplus exceeds the switching cost
-// β_j (per type), then release them. It is Algorithm B's power-down rule
-// glued to a memoryless power-up rule — competitive in neither sense, but
-// the natural operator policy.
+// accumulated idle cost since becoming surplus exceeds the episode's
+// budget, then release them. It is Algorithm B's power-down rule glued to
+// a memoryless power-up rule — competitive in neither sense, but the
+// natural operator policy. Built by NewSkiRental, the budget is the
+// switching cost β_j. Built by NewRandomizedTimeout, it is the classic
+// randomized ski-rental policy: each surplus episode draws its budget
+// from the optimal density e^{x/β}/(β(e−1)) on [0, β], which makes the
+// per-server rent-or-buy subproblem e/(e−1) ≈ 1.58-competitive instead
+// of 2 against an oblivious adversary, the randomized counterpart the
+// paper's discussion of its randomized homogeneous algorithm motivates.
+// It is seeded explicitly, so experiments remain reproducible.
 type SkiRental struct {
 	lt    *LoadTracking
 	fleet []model.ServerType
+	rng   *rand.Rand // draws the episode budgets; nil for the deterministic β_j
 	x     model.Config
 	acc   []float64 // accumulated idle cost while surplus, per type
+	cut   []float64 // the current surplus episode's budget, −1 when none is open
 }
 
-// NewSkiRental builds the baseline for a fleet template.
+// NewSkiRental builds the deterministic baseline for a fleet template.
 func NewSkiRental(types []model.ServerType) (*SkiRental, error) {
+	return newSkiRental(types, nil)
+}
+
+// NewRandomizedTimeout builds the randomized variant with the given seed.
+func NewRandomizedTimeout(types []model.ServerType, seed int64) (*SkiRental, error) {
+	return newSkiRental(types, rand.New(rand.NewSource(seed)))
+}
+
+func newSkiRental(types []model.ServerType, rng *rand.Rand) (*SkiRental, error) {
 	lt, err := NewLoadTracking(types)
 	if err != nil {
 		return nil, err
 	}
-	return &SkiRental{
+	d := len(types)
+	s := &SkiRental{
 		lt:    lt,
-		fleet: lt.fleet,
-		x:     make(model.Config, len(types)),
-		acc:   make([]float64, len(types)),
-	}, nil
+		fleet: append([]model.ServerType(nil), types...),
+		rng:   rng,
+		x:     make(model.Config, d),
+		acc:   make([]float64, d),
+		cut:   make([]float64, d),
+	}
+	for j := range s.cut {
+		s.cut[j] = -1
+	}
+	return s, nil
 }
 
 // Name implements core.Online.
-func (s *SkiRental) Name() string { return "SkiRental" }
+func (s *SkiRental) Name() string {
+	if s.rng != nil {
+		return "RandomizedTimeout"
+	}
+	return "SkiRental"
+}
 
 // Step implements core.Online.
 func (s *SkiRental) Step(in model.SlotInput) model.Config {
-	target := s.lt.Step(in) // shares the per-slot lattice scan
+	target := s.lt.Step(in) // the memoryless optimum, read off the slot's g-layer
 	for j := range s.x {
 		// Respect shrinking fleets before anything else.
 		if m := in.Count(j, s.fleet[j].Count); s.x[j] > m {
 			s.x[j] = m
-			s.acc[j] = 0
+			s.endEpisode(j)
 		}
 		switch {
 		case s.x[j] < target[j]:
 			s.x[j] = target[j]
-			s.acc[j] = 0
+			s.endEpisode(j)
 		case s.x[j] == target[j]:
-			s.acc[j] = 0
+			s.endEpisode(j)
 		default: // surplus servers: rent until the budget is spent
+			if s.cut[j] < 0 {
+				s.cut[j] = s.budget(s.fleet[j].SwitchCost)
+			}
 			s.acc[j] += in.Cost(j, s.fleet[j].Cost).Value(0)
-			if s.acc[j] > s.fleet[j].SwitchCost {
+			if s.acc[j] > s.cut[j] {
 				s.x[j] = target[j]
-				s.acc[j] = 0
+				s.endEpisode(j)
 			}
 		}
 	}
 	return s.x
+}
+
+func (s *SkiRental) endEpisode(j int) {
+	s.acc[j] = 0
+	s.cut[j] = -1
+}
+
+// budget returns a new surplus episode's budget for switching cost β:
+// β itself, or a draw from the optimal ski-rental density by inverse
+// transform, X = β·ln(1 + (e−1)·U).
+func (s *SkiRental) budget(beta float64) float64 {
+	if s.rng == nil {
+		return beta
+	}
+	if beta <= 0 {
+		return 0
+	}
+	u := s.rng.Float64()
+	return beta * math.Log(1+(math.E-1)*u)
 }

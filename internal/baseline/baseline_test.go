@@ -1,12 +1,14 @@
 package baseline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/costfn"
+	"repro/internal/grid"
 	"repro/internal/model"
 	"repro/internal/numeric"
 	"repro/internal/solver"
@@ -97,6 +99,72 @@ func TestLoadTrackingMinimisesSlotCost(t *testing.T) {
 		if !numeric.AlmostEqual(got, best, 1e-9) {
 			t.Fatalf("slot %d: G=%g, best=%g", tt, got, best)
 		}
+	}
+	// On random instances, with and without time-varying counts, every
+	// decision is the one the per-cell scan makes.
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 40; i++ {
+		ins := randomInstance(rng)
+		if i%2 == 1 {
+			withRandomCounts(rng, ins)
+		}
+		lt, err := NewLoadTracking(ins.Types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := core.Run(lt, ins), scanLoadTracking(ins)
+		for tt := range want {
+			if !got[tt].Equal(want[tt]) {
+				t.Fatalf("case %d slot %d: %v, the scan picks %v", i, tt+1, got[tt], want[tt])
+			}
+		}
+	}
+}
+
+// scanLoadTracking is LoadTracking's decision oracle: per slot, solve
+// every cell of the full lattice with a bare evaluator and keep the
+// lowest index attaining the minimum.
+func scanLoadTracking(ins *model.Instance) model.Schedule {
+	eval := model.NewEvaluator(ins)
+	var sched model.Schedule
+	for tt := 1; tt <= ins.T(); tt++ {
+		in := ins.Slot(tt)
+		counts := make([]int, ins.D())
+		for j, st := range ins.Types {
+			counts[j] = in.Count(j, st.Count)
+		}
+		g := grid.NewFull(counts)
+		eval.Prepare(in)
+		cfg := make(model.Config, ins.D())
+		best, bestIdx := math.Inf(1), -1
+		for idx := 0; idx < g.Size(); idx++ {
+			g.Decode(idx, cfg)
+			if v := eval.GPrepared(cfg); v < best {
+				best, bestIdx = v, idx
+			}
+		}
+		g.Decode(bestIdx, cfg)
+		sched = append(sched, cfg)
+	}
+	return sched
+}
+
+// withRandomCounts gives ins time-varying fleet sizes, scaling each
+// slot's demand to what the slot's fleet can serve.
+func withRandomCounts(rng *rand.Rand, ins *model.Instance) {
+	full := 0.0
+	for _, st := range ins.Types {
+		full += float64(st.Count) * st.MaxLoad
+	}
+	ins.Counts = make([][]int, ins.T())
+	for tt := range ins.Counts {
+		ins.Counts[tt] = make([]int, ins.D())
+		capacity := 0.0
+		for j, st := range ins.Types {
+			ins.Counts[tt][j] = rng.Intn(st.Count + 1)
+			capacity += float64(ins.Counts[tt][j]) * st.MaxLoad
+		}
+		ins.Lambda[tt] *= capacity / full
 	}
 }
 
@@ -307,6 +375,125 @@ func TestLookaheadBuffersAndFlushes(t *testing.T) {
 	var _ core.Buffered = rh
 }
 
+func TestRandomizedTimeoutFeasible(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 25; i++ {
+		ins := randomInstance(rng)
+		alg, err := NewRandomizedTimeout(ins.Types, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched := core.Run(alg, ins)
+		if err := ins.Feasible(sched); err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+	}
+}
+
+func TestRandomizedTimeoutDeterministicPerSeed(t *testing.T) {
+	ins := smallInstance()
+	a, _ := NewRandomizedTimeout(ins.Types, 42)
+	b, _ := NewRandomizedTimeout(smallInstance().Types, 42)
+	sa := core.Run(a, ins)
+	sb := core.Run(b, ins)
+	for i := range sa {
+		if !sa[i].Equal(sb[i]) {
+			t.Fatal("same seed must reproduce the schedule")
+		}
+	}
+}
+
+// The randomized budgets are drawn from the same source, by the same
+// formula and in the same order as before RandomizedTimeout became
+// SkiRental's seeded variant: these schedules were recorded from the
+// separate type, on the small instance and on the longer homogeneous
+// one, where the three seeds part.
+func TestRandomizedTimeoutPinnedDraws(t *testing.T) {
+	want := map[int64][2]string{
+		0: {"[(1, 0) (1, 1) (0, 1) (0, 0) (0, 1)]",
+			"[(3) (4) (5) (5) (5) (5) (2) (2) (1) (2) (3) (4) (5) (5) (5) (5) (2) (1) (1) (2) (3) (4) (5) (5) (5) (3) (3) (1) (1) (2)]"},
+		1: {"[(1, 0) (1, 1) (0, 1) (0, 1) (0, 1)]",
+			"[(3) (4) (5) (5) (5) (5) (2) (2) (2) (2) (3) (4) (5) (5) (5) (5) (2) (2) (1) (2) (3) (4) (5) (5) (5) (3) (3) (3) (1) (2)]"},
+		7: {"[(1, 0) (1, 1) (0, 1) (0, 0) (0, 1)]",
+			"[(3) (4) (5) (5) (5) (5) (2) (2) (1) (2) (3) (4) (5) (5) (5) (3) (3) (3) (1) (2) (3) (4) (5) (5) (5) (5) (2) (1) (1) (2)]"},
+	}
+	for seed, w := range want {
+		for k, ins := range []*model.Instance{smallInstance(), homogeneousInstance()} {
+			r, err := NewRandomizedTimeout(ins.Types, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprint(core.Run(r, ins)); got != w[k] {
+				t.Errorf("seed %d, instance %d: %s, want %s", seed, k, got, w[k])
+			}
+		}
+	}
+}
+
+func TestRandomizedTimeoutBudgetDistribution(t *testing.T) {
+	// The sampled budget must lie in [0, β]. With X = β·ln(1+(e−1)U),
+	// E[X] = β·∫₀¹ ln(1+(e−1)u) du = β/(e−1) ≈ 0.582β.
+	ins := smallInstance()
+	r, _ := NewRandomizedTimeout(ins.Types, 7)
+	const n = 20000
+	beta := 3.0
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		x := r.budget(beta)
+		if x < 0 || x > beta {
+			t.Fatalf("sample %g outside [0, %g]", x, beta)
+		}
+		sum += x
+	}
+	mean := sum / n
+	want := beta / (math.E - 1)
+	if math.Abs(mean-want) > 0.03*beta {
+		t.Errorf("sample mean %g, want ≈ %g", mean, want)
+	}
+	if r.budget(0) != 0 {
+		t.Error("β=0 should sample 0")
+	}
+}
+
+func TestRandomizedTimeoutReleasesEventually(t *testing.T) {
+	// Surplus servers must be gone once accumulated idle cost exceeds β
+	// (the sampled budget never exceeds β).
+	ins := &model.Instance{
+		Types: []model.ServerType{{
+			Count: 3, SwitchCost: 2, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Constant{C: 1}},
+		}},
+		Lambda: []float64{3, 0, 0, 0, 0, 0},
+	}
+	alg, _ := NewRandomizedTimeout(ins.Types, 1)
+	sched := core.Run(alg, ins)
+	if sched[0][0] != 3 {
+		t.Fatalf("slot 1: %v", sched[0])
+	}
+	// After idle costs 1+1+1 > β = 2, the surplus must be released.
+	if sched[3][0] != 0 {
+		t.Errorf("slot 4 still has %d servers; budget <= β forces release by then", sched[3][0])
+	}
+}
+
+func TestRandomizedTimeoutMeanBehaviour(t *testing.T) {
+	// Averaged over seeds, the randomized policy should not be wildly
+	// worse than the deterministic SkiRental on a bursty trace.
+	ins := smallInstance()
+	det, _ := NewSkiRental(smallInstance().Types)
+	detCost := model.NewEvaluator(ins).Cost(core.Run(det, ins)).Total()
+	sum := 0.0
+	const seeds = 20
+	for s := int64(0); s < seeds; s++ {
+		alg, _ := NewRandomizedTimeout(smallInstance().Types, s)
+		sum += model.NewEvaluator(ins).Cost(core.Run(alg, ins)).Total()
+	}
+	mean := sum / seeds
+	if mean > detCost*1.6 {
+		t.Errorf("randomized mean %g far above deterministic %g", mean, detCost)
+	}
+}
+
 func randomInstance(rng *rand.Rand) *model.Instance {
 	d := 1 + rng.Intn(2)
 	T := 2 + rng.Intn(6)
@@ -334,7 +521,11 @@ func randomInstance(rng *rand.Rand) *model.Instance {
 	return &model.Instance{Types: types, Lambda: lambda}
 }
 
+// BenchmarkLoadTrackingT48 times 48-slot runs on memo misses: every
+// iteration scales the diurnal demand by fresh noise in [0.9, 1.1), so
+// no layer repeats one the memo holds.
 func BenchmarkLoadTrackingT48(b *testing.B) {
+	diurnal := workload.Diurnal(48, 2, 40, 24, 0)
 	ins := &model.Instance{
 		Types: []model.ServerType{
 			{Count: 16, SwitchCost: 4, MaxLoad: 1,
@@ -342,10 +533,14 @@ func BenchmarkLoadTrackingT48(b *testing.B) {
 			{Count: 8, SwitchCost: 10, MaxLoad: 4,
 				Cost: model.Static{F: costfn.Power{Idle: 2, Coef: 1, Exp: 2}}},
 		},
-		Lambda: workload.Diurnal(48, 2, 40, 24, 0),
+		Lambda: make([]float64, len(diurnal)),
 	}
+	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		for t, l := range diurnal {
+			ins.Lambda[t] = l * (0.9 + 0.2*rng.Float64())
+		}
 		lt, err := NewLoadTracking(ins.Types)
 		if err != nil {
 			b.Fatal(err)

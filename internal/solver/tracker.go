@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/model"
-	"repro/internal/numeric"
 	"repro/internal/statebuf"
 )
 
@@ -22,26 +21,24 @@ import (
 // no decision, optimum or surviving cell changes. A step whose g-layer is
 // whole anyway (a memo hit, or a layer the memo admits) adds it to every
 // cell and defers the rule to AppendState, the one reader that sees +Inf
-// cells. Its step is the
-// package's only forward DP step: Solve, OptimalCost and Window sweep
-// their slots through a tracker too.
+// cells. Its step is the package's only forward DP step: Solve,
+// OptimalCost and Window sweep their slots through a tracker too.
 //
 // Slot data arrives push-style via Push(SlotInput), so the online
-// information model holds by construction: the tracker owns a
-// model.Accumulator holding only the slot it is evaluating. A tracker
-// built by NewPrefixTracker also binds an instance, and Advance pushes
-// that instance's next slot.
+// information model holds by construction. The tracker reads each slot
+// through the same front end as Layer (slotFront, layer.go): a
+// model.Accumulator holding only the slot it is evaluating, the slot's
+// lattice pair and the layer evaluator. A tracker built by
+// NewPrefixTracker also binds an instance, and Advance pushes that
+// instance's next slot.
 //
 // Ties in the argmin are broken towards the lowest lattice index, i.e. the
 // lexicographically smallest configuration; any deterministic rule
 // satisfies the paper's requirements.
 type PrefixTracker struct {
-	ins   *model.Instance // acc.Instance(): the slot being evaluated, as slot 1
-	acc   *model.Accumulator
+	slotFront
 	src   *model.Instance // the instance Advance reads; nil unless bound
-	le    *layerEvaluator
 	rx    *relaxer
-	gamma float64
 	betas []float64
 	prune bool         // prune dominated cells (prune.go)
 	f0    []float64    // the slot's f_{t,j}(0), for pruning's lower bound
@@ -57,12 +54,6 @@ type PrefixTracker struct {
 
 	deferred bool // layer is D_t with its dominated cells still finite (settle)
 	prunes   int  // prune passes run, over the tracker's life
-
-	// The previous and current slot's lattices plus the counts the current
-	// one was built for (lattices are reused while the counts stay
-	// identical, so static fleets keep a single grid).
-	prevGrid, curGrid *grid.Grid
-	curCounts         []int
 }
 
 // NewPrefixTracker prepares a tracker bound to an instance, consumed slot
@@ -92,29 +83,25 @@ func bind(ins *model.Instance, opts Options) (*PrefixTracker, error) {
 // NewStreamTracker prepares a tracker for the fleet template: slot data
 // arrives through Push, and its memory does not grow with the stream.
 func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, error) {
-	acc, err := model.NewAccumulator(types)
+	d := len(types)
+	ints := make([]int, 4*d) // curCounts, cfg, cand and start
+	front, err := newSlotFront(types, opts, ints[:0:d])
 	if err != nil {
 		return nil, err
 	}
-	d := len(types)
 	floats := make([]float64, 3*d) // betas, f0 and zmax
 	betas := floats[:d:d]
 	for j, st := range types {
 		betas[j] = st.SwitchCost
 	}
-	ints := make([]int, 4*d) // cfg, curCounts, cand and start
 	return &PrefixTracker{
-		ins:       acc.Instance(),
-		acc:       acc,
-		le:        newLayerEvaluator(acc.Instance(), opts),
+		slotFront: front,
 		rx:        newRelaxer(betas),
-		gamma:     opts.Gamma,
 		betas:     betas,
 		prune:     !pruneOff,
 		f0:        floats[d : 2*d : 2*d],
 		zmax:      floats[2*d:],
-		cfg:       ints[:d:d],
-		curCounts: ints[d : d : 2*d],
+		cfg:       ints[d : 2*d : 2*d],
 		cand:      ints[2*d : 3*d : 3*d],
 		start:     ints[3*d:],
 	}, nil
@@ -172,29 +159,11 @@ func (p *PrefixTracker) next() (model.Config, float64) {
 // the next Push; clone it to retain. Push reports an error for infeasible
 // or out-of-order slots (the layer is unchanged in that case).
 func (p *PrefixTracker) Push(in model.SlotInput) (model.Config, float64, error) {
-	if err := p.acc.Push(in); err != nil {
+	if err := p.push(in); err != nil {
 		return nil, 0, err
-	}
-	if counts := p.ins.Counts[0]; p.curGrid == nil || !numeric.EqualInts(counts, p.curCounts) {
-		p.prevGrid, p.curGrid = p.curGrid, p.lattice(counts)
-		p.curCounts = append(p.curCounts[:0], counts...)
-	} else {
-		p.prevGrid = p.curGrid
 	}
 	cfg, val := p.step()
 	return cfg, val, nil
-}
-
-// lattice builds the lattice for one slot's counts.
-func (p *PrefixTracker) lattice(counts []int) *grid.Grid {
-	if p.gamma <= 1 {
-		return grid.NewFull(counts)
-	}
-	axes := make([]grid.Axis, len(counts))
-	for j, m := range counts {
-		axes[j] = grid.ReducedAxis(m, p.gamma)
-	}
-	return grid.New(axes)
 }
 
 // The tracker's state codec (see AppendState).
