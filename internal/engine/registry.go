@@ -133,7 +133,7 @@ func OpenSession(name string, types []model.ServerType, opts stream.Options) (*s
 
 // ResumeSession rebuilds a live session from a checkpoint, resolving the
 // algorithm recorded in it and replaying the log. The session takes
-// ownership of cp.Slots (see stream.Resume).
+// ownership of cp's log (see stream.Resume).
 func ResumeSession(cp *stream.Checkpoint, types []model.ServerType, opts stream.Options) (*stream.Session, error) {
 	alg, opts, err := checkpointAlg(cp.Alg, types, opts)
 	if err != nil {

@@ -389,7 +389,7 @@ func TestTornWriteNeverServed(t *testing.T) {
 	}
 	// The store now holds a half-length checkpoint; the live session must
 	// shadow it entirely.
-	if snap, ok, _ := inner.Load("torn"); !ok || len(snap.Checkpoint.Slots) != 4 {
+	if snap, ok, _ := inner.Load("torn"); !ok || snap.Checkpoint.Len() != 4 {
 		t.Fatalf("expected a torn 4-slot snapshot in the store, got ok=%v snap=%+v", ok, snap)
 	}
 	info, err := m.Info("torn")

@@ -131,7 +131,8 @@ func (s *FaultStore) Save(snap *Snapshot) error {
 			torn := *snap
 			if cp, err := snap.Log(); err == nil && cp != nil {
 				half := *cp
-				half.Slots = cp.Slots[:len(cp.Slots)/2]
+				half.Slots, half.Log = cp.Records(), nil
+				half.Slots = half.Slots[:len(half.Slots)/2]
 				torn.Checkpoint, torn.log = &half, nil
 			}
 			_ = s.inner.Save(&torn)

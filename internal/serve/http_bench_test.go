@@ -481,13 +481,15 @@ func BenchmarkHTTPOpenCheckpoint(b *testing.B) {
 }
 
 // openCheckpointAllocs and openCheckpointBytes bound what a checkpoint
-// open allocates: 82 objects and 139 559 bytes in each of 4 processes
-// since the session adopts the decoded log instead of copying it (83
-// and ≈ 263 KB before; 108–109 and ≈ 612 KB when the body still decoded
-// through encoding/json).
+// open allocates: 76 objects and 26 016 bytes in each of 4 processes
+// since the body's log decodes into the columns the session adopts and
+// its fleet without reflection (82 and 139 559 bytes when the log
+// decoded into records; 83 and ≈ 263 KB when the session copied them;
+// 108–109 and ≈ 612 KB when the body still decoded through
+// encoding/json).
 const (
-	openCheckpointAllocs = 82
-	openCheckpointBytes  = 144 << 10
+	openCheckpointAllocs = 76
+	openCheckpointBytes  = 26 << 10
 )
 
 // A checkpoint open allocates no more objects and bytes than when the

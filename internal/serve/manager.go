@@ -486,12 +486,19 @@ func deadlineErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %v", ErrDeadline, context.Cause(ctx))
 }
 
-// loadCtx is store.Load bounded by ctx: when ctx can end, the load
-// runs on its own goroutine and a wedged store turns into a clean
-// ErrDeadline instead of an unbounded stall (the goroutine drains into
-// a buffered channel whenever the store does return).
+// loadCtx is store.Load bounded by ctx: a ctx that has ended answers
+// ErrDeadline without a load, and when ctx has a deadline the load runs
+// on its own goroutine, so a wedged store turns into a clean ErrDeadline
+// instead of an unbounded stall (the goroutine drains into a buffered
+// channel whenever the store does return). Without a deadline the load
+// runs on the caller's goroutine: a request's context can be canceled
+// (its client gone) but never times out, and a goroutine per resume
+// would cost more than the rare abandoned load it could cut short.
 func (m *Manager) loadCtx(ctx context.Context, id string) (*Snapshot, bool, error) {
-	if ctx.Done() == nil {
+	if ctx.Err() != nil {
+		return nil, false, deadlineErr(ctx)
+	}
+	if _, ok := ctx.Deadline(); !ok {
 		return m.mapCorrupt(id)(m.store.Load(id))
 	}
 	type loadResult struct {
@@ -884,17 +891,20 @@ func (m *Manager) Checkpoint(id string) (*Snapshot, error) {
 	return out, nil
 }
 
-// portableLocked returns the session's whole replay log, detached from
-// the live session: its stored span decoded, then the records fed since.
+// portableLocked returns the session's whole replay log as records,
+// detached from the live session: its stored span decoded, then the
+// records fed since.
 func (ls *liveSession) portableLocked() (*stream.Checkpoint, error) {
-	head, err := wire.DecodeLogRecords(append(slices.Clip(ls.span.Bytes), ']'))
+	head, err := wire.DecodeLog(append(slices.Clip(ls.span.Bytes), ']'))
 	if err != nil {
 		return nil, err
 	}
-	if len(head) == 0 {
-		head = nil
+	tail := ls.sess.LogTail()
+	slots := append(head.Records(), tail.Records()...)
+	if len(slots) == 0 {
+		slots = nil
 	}
-	return &stream.Checkpoint{Alg: ls.sess.Alg(), Slots: append(head, ls.sess.LogTail()...)}, nil
+	return &stream.Checkpoint{Alg: ls.sess.Alg(), Slots: slots}, nil
 }
 
 // Delete ends a session: a live one is closed (semi-online algorithms
@@ -985,7 +995,7 @@ const (
 // to the state, so a save costs nothing per slot of the span.
 func (m *Manager) persistLocked(ls *liveSession, retry bool) error {
 	tail := ls.sess.LogTail()
-	enc, err := wire.AppendLogRecords(make([]byte, 0, wire.LogRecordsLen(tail)), tail, len(ls.span.Bytes) > 1)
+	enc, err := wire.AppendLog(make([]byte, 0, wire.LogLen(&tail)), &tail, len(ls.span.Bytes) > 1)
 	if err != nil {
 		return err
 	}

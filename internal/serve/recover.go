@@ -212,7 +212,7 @@ func (m *Manager) buildLocked(ls *liveSession, alg string, fleet FleetJSON, snap
 		var cp *stream.Checkpoint
 		if cp, err = snap.Log(); err == nil {
 			ls.sess, err = engine.ResumeSession(cp, types, stream.Options{})
-			replayed = len(cp.Slots)
+			replayed = cp.Len()
 		}
 	}
 	if err != nil {

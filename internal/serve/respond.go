@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
 
@@ -141,7 +139,7 @@ func decodeOpen(w http.ResponseWriter, data []byte) (OpenRequest, bool) {
 // decodeOpenRequest decodes an open body into dst as a strict
 // json.Decoder does. The wire scanner decodes all of it but the fleet
 // descriptor, a few dozen bytes whose model types the codec does not
-// own; its raw members are decoded here with strict encoding/json, one
+// own; its raw members are decoded here (decodeFleet, strict), one
 // after the other into dst.Fleet, which merges duplicates as a single
 // pass does.
 func decodeOpenRequest(data []byte, dst *OpenRequest) error {
@@ -151,9 +149,7 @@ func decodeOpenRequest(data []byte, dst *OpenRequest) error {
 	}
 	dst.ID, dst.Alg, dst.Checkpoint = req.ID, req.Alg, req.Checkpoint
 	for _, raw := range req.Fleet {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&dst.Fleet); err != nil {
+		if err := decodeFleet(raw, &dst.Fleet, true); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -31,6 +32,30 @@ type FleetJSON struct {
 	Scenario string                 `json:"scenario,omitempty"`
 	Seed     int64                  `json:"seed,omitempty"`
 	Types    []model.ServerTypeJSON `json:"types,omitempty"`
+}
+
+// decodeFleet decodes a fleet descriptor's JSON into dst as
+// json.Unmarshal does, or with strict set as a json.Decoder that
+// disallows unknown fields does. The compact form json.Marshal writes
+// of a scenario fleet is read without reflection
+// (wire.ReadScenarioFleet); any other goes to encoding/json, which also
+// merges duplicate members.
+func decodeFleet(data []byte, dst *FleetJSON, strict bool) error {
+	if scenario, seed, ok := wire.ReadScenarioFleet(data); ok {
+		if scenario != "" {
+			dst.Scenario = scenario
+		}
+		if seed != 0 {
+			dst.Seed = seed
+		}
+		return nil
+	}
+	if !strict {
+		return json.Unmarshal(data, dst)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(dst)
 }
 
 // Resolve materialises the fleet template the descriptor names.
@@ -94,19 +119,19 @@ type storedLog struct {
 	tail []byte
 }
 
-// Log returns the snapshot's whole replay log, decoding it when the
-// snapshot holds it as stored bytes.
+// Log returns the snapshot's whole replay log, decoding it into columns
+// when the snapshot holds it as stored bytes.
 func (s *Snapshot) Log() (*stream.Checkpoint, error) {
 	lg := s.log
 	if lg == nil {
 		return s.Checkpoint, nil
 	}
 	b := make([]byte, 0, len(lg.span.Bytes)+len(lg.tail)+1)
-	slots, err := wire.DecodeLogRecords(append(append(append(b, lg.span.Bytes...), lg.tail...), ']'))
+	l, err := wire.DecodeLog(append(append(append(b, lg.span.Bytes...), lg.tail...), ']'))
 	if err != nil {
 		return nil, err
 	}
-	return &stream.Checkpoint{Alg: lg.alg, Slots: slots}, nil
+	return &stream.Checkpoint{Alg: lg.alg, Log: l}, nil
 }
 
 // alg returns the algorithm the snapshot's log names.
@@ -123,7 +148,7 @@ func (s *Snapshot) alg() string {
 // version wrote, which a resume replays).
 func (s *Snapshot) fed() (int, error) {
 	if s.log == nil {
-		return len(s.Checkpoint.Slots), nil
+		return s.Checkpoint.Len(), nil
 	}
 	if fed, err := stream.StateFed(s.State); err == nil {
 		return fed, nil
@@ -132,7 +157,7 @@ func (s *Snapshot) fed() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return len(cp.Slots), nil
+	return cp.Len(), nil
 }
 
 // encodeSnapshot appends snap's stored form to dst: exactly the bytes
@@ -195,7 +220,7 @@ func snapshotSize(snap *Snapshot) int {
 	case snap.log != nil:
 		n += len(snap.log.span.Bytes) + len(snap.log.tail)
 	case snap.Checkpoint != nil:
-		n += 32 * len(snap.Checkpoint.Slots)
+		n += 32 * snap.Checkpoint.Len()
 	}
 	return n
 }
@@ -210,7 +235,7 @@ func snapshotSize(snap *Snapshot) int {
 func decodeSnapshot(id string, data []byte) (*Snapshot, error) {
 	if ss, ok := wire.ReadSealedSnapshot(data); ok && ss.ID == id {
 		snap := &Snapshot{ID: ss.ID, State: ss.State, LogSum: ss.Log.Seal(nil, ss.State), log: &storedLog{alg: ss.Alg, span: ss.Log}}
-		if err := json.Unmarshal(ss.Fleet, &snap.Fleet); err == nil {
+		if err := decodeFleet(ss.Fleet, &snap.Fleet, false); err == nil {
 			return snap, nil
 		}
 	}
@@ -226,7 +251,7 @@ func decodeSnapshot(id string, data []byte) (*Snapshot, error) {
 	}
 	snap := &Snapshot{ID: ws.ID, Checkpoint: ws.Checkpoint, State: ws.State, LogSum: ws.LogSum}
 	if ws.Fleet != nil {
-		if err := json.Unmarshal(ws.Fleet, &snap.Fleet); err != nil {
+		if err := decodeFleet(ws.Fleet, &snap.Fleet, false); err != nil {
 			return nil, err
 		}
 	}

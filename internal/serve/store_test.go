@@ -8,8 +8,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unicode/utf8"
 
+	"repro/internal/model"
 	"repro/internal/stream"
+	"repro/internal/wire"
 )
 
 // The save path must hit its durability points in order: data written
@@ -194,6 +197,10 @@ func TestDirStoreLoadsLegacyIndented(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Load(indented) ok=%v err=%v", ok, err)
 	}
+	// The store decodes the log into columns, json.Unmarshal into records.
+	if got.Checkpoint != nil {
+		got.Checkpoint = &stream.Checkpoint{Alg: got.Checkpoint.Alg, Slots: got.Checkpoint.Records()}
+	}
 	if !reflect.DeepEqual(got, &snap) {
 		t.Fatalf("indented snapshot loads as %+v, want %+v", got, &snap)
 	}
@@ -266,4 +273,68 @@ func TestDirStoreRemovesOrphanedTemps(t *testing.T) {
 	if !isSaveTemp(".web-1-123456789") || isSaveTemp(".keep") || isSaveTemp("web-1.json") {
 		t.Fatal("isSaveTemp misclassifies")
 	}
+}
+
+// FuzzDecodeFleet holds decodeFleet to encoding/json. For arbitrary
+// bytes it decodes what json.Unmarshal decodes, and errs where it errs,
+// into a zero and into a filled descriptor (duplicate members merge);
+// strict, it does the same against a json.Decoder that disallows unknown
+// fields. The compact form json.Marshal writes of a scenario fleet whose
+// name needs no escapes takes the fast path (wire.ReadScenarioFleet),
+// and any form of a valid UTF-8 name decodes back to the descriptor
+// marshalled.
+func FuzzDecodeFleet(f *testing.F) {
+	for _, s := range []string{
+		`{"scenario":"quickstart","seed":1}`, `{"scenario":"quickstart"}`, `{"seed":-7}`, `{}`,
+		`{"scenario":"a","seed":0}`, `{"scenario":"","seed":2}`, `{"seed":1,"scenario":"a"}`,
+		`{"scenario":"a","scenario":"b"}`, `{"scenario":"ab"}`, `{"scenario":"a<b"}`,
+		`{"scenario":"é"}`, `{"scenario":"a", "seed":1}`, `{"scenario":"a","seed":01}`,
+		`{"scenario":"a","seed":1.0}`, `{"scenario":"a","seed":9223372036854775808}`,
+		`{"scenario":"a","seed":1}x`, `{"types":[{"name":"a"}]}`, `{"Scenario":"a"}`,
+		`{"scenario":"a","extra":1}`, `null`, `{"scenario":"a"`, ``,
+	} {
+		f.Add([]byte(s), "quickstart", int64(1))
+	}
+	f.Add([]byte(`{}`), "a<b>&\"\\", int64(-1))
+	f.Add([]byte(`{}`), "", int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, scenario string, seed int64) {
+		filled := func() FleetJSON {
+			return FleetJSON{Scenario: "old", Seed: 9, Types: []model.ServerTypeJSON{{Name: "t"}}}
+		}
+		for _, strict := range []bool{false, true} {
+			for _, target := range []func() FleetJSON{func() FleetJSON { return FleetJSON{} }, filled} {
+				got, want := target(), target()
+				err := decodeFleet(data, &got, strict)
+				var jerr error
+				if strict {
+					jerr = strictDecode(data, &want)
+				} else {
+					jerr = json.Unmarshal(data, &want)
+				}
+				if (err == nil) != (jerr == nil) || err == nil && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q (strict %v): decodes to %+v (%v), json %+v (%v)", data, strict, got, err, want, jerr)
+				}
+			}
+		}
+
+		fleet := FleetJSON{Scenario: scenario, Seed: seed}
+		enc, err := json.Marshal(&fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := true
+		for _, c := range []byte(scenario) {
+			plain = plain && c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+		}
+		if _, _, ok := wire.ReadScenarioFleet(enc); ok != plain {
+			t.Fatalf("%s: fast path %v, want %v", enc, ok, plain)
+		}
+		var got FleetJSON
+		if !utf8.ValidString(scenario) {
+			return // json.Marshal replaces the invalid bytes
+		}
+		if err := decodeFleet(enc, &got, true); err != nil || !reflect.DeepEqual(got, fleet) {
+			t.Fatalf("%s decodes to %+v (%v)", enc, got, err)
+		}
+	})
 }

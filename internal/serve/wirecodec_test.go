@@ -424,7 +424,8 @@ func TestHTTPOpenBodies(t *testing.T) {
 // FuzzOpenRequest holds the open decoder to a strict json.Decoder into
 // OpenRequest: for arbitrary bytes both accept or both reject, and what
 // they accept decodes to deeply equal values — nil against empty slices
-// included — with bit-identical demands. Run with
+// included, the checkpoint's log in columns against json's records —
+// with bit-identical demands. Run with
 // `go test -fuzz FuzzOpenRequest ./internal/serve`; CI runs it for 30 s.
 func FuzzOpenRequest(f *testing.F) {
 	for _, tc := range openCases(f) {
@@ -440,14 +441,23 @@ func FuzzOpenRequest(f *testing.F) {
 		if werr != nil {
 			return
 		}
-		if !reflect.DeepEqual(got, want) {
+		gotCP, wantCP := got.Checkpoint, want.Checkpoint
+		got.Checkpoint, want.Checkpoint = nil, nil
+		if !reflect.DeepEqual(got, want) || (gotCP == nil) != (wantCP == nil) {
 			t.Fatalf("%q: wire decodes %+v, json %+v", data, got, want)
 		}
-		if got.Checkpoint != nil {
-			for i, s := range got.Checkpoint.Slots {
-				if math.Float64bits(s.Lambda) != math.Float64bits(want.Checkpoint.Slots[i].Lambda) {
-					t.Fatalf("%q: slot %d lambda %v, json %v", data, i, s.Lambda, want.Checkpoint.Slots[i].Lambda)
-				}
+		if gotCP == nil {
+			return
+		}
+		// The wire decoder holds the log in columns; json.Decoder holds
+		// the same records in Slots.
+		if gotCP.Alg != wantCP.Alg || gotCP.Slots != nil || (gotCP.Log == nil) != (wantCP.Slots == nil) ||
+			!reflect.DeepEqual(gotCP.Records(), wantCP.Slots) {
+			t.Fatalf("%q: wire decodes checkpoint %+v, json %+v", data, gotCP, wantCP)
+		}
+		for i, s := range gotCP.Records() {
+			if math.Float64bits(s.Lambda) != math.Float64bits(wantCP.Slots[i].Lambda) {
+				t.Fatalf("%q: slot %d lambda %v, json %v", data, i, s.Lambda, wantCP.Slots[i].Lambda)
 			}
 		}
 	})

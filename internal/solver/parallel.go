@@ -51,8 +51,11 @@ type layerEvaluator struct {
 	// partial reports that gbuf holds a partial g-layer (begin returned
 	// nil) of the slot keyed prev. A memo-admitted evaluation of the same
 	// key right after it, as Algorithm C's sub-slots make, keeps its
-	// solved cells.
+	// solved cells. held reports that gbuf holds the whole g-layer of the
+	// slot keyed prev, which the memo did not admit: the same key right
+	// after it takes the layer as it is.
 	partial bool
+	held    bool
 	prev    gcacheSig
 
 	// admit makes begin insert every layer it misses at first sight,
@@ -154,16 +157,17 @@ func (le *layerEvaluator) buf(n int) []float64 {
 // begin opens slot t's layer and returns its whole g-layer when it is
 // at hand: a memo hit, or a layer evaluated in full — every layer when
 // whole is set (a slot the caller does not prune), else one the memo
-// admits: under le.admit every one, else one whose signature the memo
-// has seen once before (the doorkeeper, see gcache.go). A layer
-// evaluated in full enters the memo at once when it can be keyed.
-// Otherwise begin returns nil and le.last is gbuf with every cell
+// admits. The memo admits a layer it can key under le.admit, else when
+// it has seen the signature once before (the doorkeeper, see gcache.go),
+// and an admitted layer enters it at once. A whole layer it does not
+// admit stays in gbuf, and the same key right after it takes it from
+// there. Otherwise begin returns nil and le.last is gbuf with every cell
 // unsolved (NaN), for the caller to mark cells unsolvedMark and solve
 // them with solveMarked; no layer of it enters the memo.
 func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
 	le.t, le.ready = t, false
-	partial := le.partial
-	le.partial = false
+	partial, held := le.partial, le.held
+	le.partial, le.held = false, false
 	sig, memo := le.signature(t)
 	if memo {
 		if cached, hit := gcacheGet(sig, le.stripe); hit && len(cached) == n {
@@ -171,9 +175,13 @@ func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
 			return cached
 		}
 	}
-	if whole || memo && (le.admit || gcacheSeen(sig)) {
+	admitted := memo && (le.admit || gcacheSeen(sig))
+	if whole || admitted {
 		var gb []float64
-		if partial && memo && le.prev.equal(sig) && len(le.gbuf) >= n {
+		switch {
+		case held && le.prev.equal(sig) && len(le.gbuf) >= n:
+			gb = le.gbuf[:n]
+		case partial && memo && le.prev.equal(sig) && len(le.gbuf) >= n:
 			// g_t is pure: the partial layer's solved cells stand.
 			gb = le.gbuf[:n]
 			for i, v := range gb {
@@ -182,11 +190,14 @@ func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
 				}
 			}
 			le.walk(gb, nil, true, t, g)
-		} else {
+		default:
 			gb = le.full(n, t, g)
 		}
-		if memo {
+		if admitted {
 			gcachePut(sig, gb)
+		} else if memo {
+			le.prev.copyFrom(sig)
+			le.held = true
 		}
 		le.last = gb
 		return gb

@@ -253,13 +253,13 @@ func TestRestoreFromStateBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cut %d: %v", cut, err)
 				}
-				if got.Fed() != cut || got.LogBase() != cut || len(got.LogTail()) != 0 || !sameBits(got.CumCost(), part.CumCost()) {
+				if got.Fed() != cut || got.LogBase() != cut || got.LogTail().Len() != 0 || !sameBits(got.CumCost(), part.CumCost()) {
 					t.Fatalf("cut %d: restored fed=%d base=%d tail=%d cum=%v, want %d, %d, 0 and %v",
-						cut, got.Fed(), got.LogBase(), len(got.LogTail()), got.CumCost(), cut, cut, part.CumCost())
+						cut, got.Fed(), got.LogBase(), got.LogTail().Len(), got.CumCost(), cut, cut, part.CumCost())
 				}
 				checkContinuation(t, c.name, got, want, n)
-				if len(got.LogTail()) != n-cut {
-					t.Fatalf("cut %d: tail of %d records, want %d", cut, len(got.LogTail()), n-cut)
+				if got.LogTail().Len() != n-cut {
+					t.Fatalf("cut %d: tail of %d records, want %d", cut, got.LogTail().Len(), n-cut)
 				}
 				state := got.AppendState(nil)
 				if string(state) != string(whole.AppendState(nil)) {

@@ -33,7 +33,11 @@
 // Apart from the replay log, a session's memory does not grow with the
 // stream: the session and its algorithm's tracker keep only the slot
 // they are evaluating, plus, for a semi-online (core.Buffered)
-// algorithm, the slots fed but not yet decided.
+// algorithm, the slots fed but not yet decided. The log itself is kept
+// in columns (Log): 8 bytes a slot for a stream of demands alone, in an
+// array the garbage collector does not scan. A counts column, and a
+// cost-function column, is kept only once some slot carries counts or
+// cost functions.
 package stream
 
 import (
@@ -87,7 +91,8 @@ type Advisory struct {
 	Pending int `json:"pending,omitempty"`
 }
 
-// SlotRecord is one entry of a session's replay log: the raw fed input.
+// SlotRecord is one entry of a session's replay log: the raw fed input
+// (a session holds its records in columns, see Log).
 // Explicit per-slot cost functions are retained in memory for in-process
 // resume but are not JSON-portable; demand/counts streams (the CLI case,
 // costs resolved from the fleet template) round-trip losslessly.
@@ -122,12 +127,34 @@ type Checkpoint struct {
 	Alg string `json:"alg,omitempty"`
 	// Slots is the replay log, in feed order.
 	Slots []SlotRecord `json:"slots"`
+	// Log, when set, holds the replay log in columns in place of Slots:
+	// internal/wire decodes a checkpoint's log into it, so that a
+	// resume adopts the columns without a copy. encoding/json does not
+	// see it; internal/wire encodes either form.
+	Log *Log `json:"-"`
+}
+
+// Len returns the number of slots in the checkpoint's log.
+func (cp *Checkpoint) Len() int {
+	if cp.Log != nil {
+		return cp.Log.Len()
+	}
+	return len(cp.Slots)
+}
+
+// Records returns the checkpoint's log as records, whichever form holds
+// it: Slots itself, or the records of Log.
+func (cp *Checkpoint) Records() []SlotRecord {
+	if cp.Log != nil {
+		return cp.Log.Records()
+	}
+	return cp.Slots
 }
 
 // Portable reports whether the checkpoint survives JSON serialisation
 // losslessly: true when no slot carried explicit cost functions.
 func (cp *Checkpoint) Portable() bool {
-	for _, r := range cp.Slots {
+	for _, r := range cp.Records() {
 		if r.Costs != nil {
 			return false
 		}
@@ -155,7 +182,7 @@ type Session struct {
 	opSum   numeric.Kahan
 	swSum   float64
 	optCost float64
-	log     []SlotRecord      // the replay log past base
+	log     Log               // the replay log past base
 	scratch model.SlotInput   // slot being fed (filled by Push)
 	window  []model.SlotInput // a buffered algorithm's undecided slots, oldest first (deep copies)
 
@@ -269,7 +296,7 @@ func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err err
 }
 
 // push is Push, appending the slot to the replay log only when logged
-// is set: Resume adopts its checkpoint's records as the log instead.
+// is set: Resume adopts its checkpoint's log instead.
 func (s *Session) push(in model.SlotInput, adv *Advisory, logged bool) (decided bool, err error) {
 	if err := s.takes(in); err != nil {
 		return false, err
@@ -296,7 +323,7 @@ func (s *Session) push(in model.SlotInput, adv *Advisory, logged bool) (decided 
 	}
 	x := s.alg.Step(s.scratch)
 	if logged {
-		s.log = append(s.log, SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone())
+		s.log.Append(SlotRecord{Lambda: in.Lambda, Counts: in.Counts, Costs: in.Costs}.clone())
 	}
 	if x == nil {
 		return false, nil
@@ -439,7 +466,11 @@ func (s *Session) Checkpoint() *Checkpoint {
 	if s.base > 0 {
 		panic(fmt.Sprintf("stream: Checkpoint of a session that holds its log only past slot %d", s.base))
 	}
-	return &Checkpoint{Alg: s.tag, Slots: append([]SlotRecord(nil), s.log...)}
+	cp := &Checkpoint{Alg: s.tag}
+	if s.log.Len() > 0 {
+		cp.Slots = s.log.Records()
+	}
+	return cp
 }
 
 // LogBase returns how many of the fed slots precede the session's own
@@ -447,12 +478,21 @@ func (s *Session) Checkpoint() *Checkpoint {
 func (s *Session) LogBase() int { return s.base }
 
 // LogTail returns the replay log past LogBase without a copy, for
-// callers that encode it and drop it: it shares the session's records,
-// capacity-capped so later feeds never show through. Records are never
-// mutated after they are logged, so the view stays valid while the
-// session runs on; callers must not modify it.
-func (s *Session) LogTail() []SlotRecord {
-	return s.log[:len(s.log):len(s.log)]
+// callers that encode it and drop it: it shares the session's columns,
+// capacity-capped so later feeds never show through (a column the
+// session creates later is not in it). Logged entries are never mutated,
+// so the view stays valid while the session runs on; callers must not
+// modify it.
+func (s *Session) LogTail() Log {
+	n := s.log.Len()
+	tail := Log{Lambda: s.log.Lambda[:n:n]}
+	if s.log.Counts != nil {
+		tail.Counts = s.log.Counts[:n:n]
+	}
+	if s.log.Costs != nil {
+		tail.Costs = s.log.Costs[:n:n]
+	}
+	return tail
 }
 
 // ReplayDelta is the crash-recovery seam: it feeds a write-ahead log's
@@ -496,24 +536,35 @@ func (s *Session) ReplayDelta(recs []model.SlotInput) (applied int, err error) {
 // are discarded — they were already emitted by the original session — and
 // the returned session continues exactly where the checkpoint was taken.
 //
-// Resume takes ownership of cp.Slots: the slice becomes the session's
-// replay log, uncopied, and the session's pushes append into its spare
-// capacity. So the caller must not modify cp.Slots or its records
-// afterwards, nor push to two sessions resumed from one cp; the
-// session's Checkpoint is an independent copy.
+// A checkpoint that holds its log in columns (cp.Log) gives Resume
+// ownership of them: they become the session's replay log, uncopied,
+// and the session's pushes append into their spare capacity. One that
+// holds Slots has its demands copied into a column, and its records'
+// counts and cost functions shared. Either way the caller must not
+// modify the checkpoint's log afterwards, nor push to two sessions
+// resumed from one cp; the session's Checkpoint is an independent copy.
 func Resume(alg core.Online, types []model.ServerType, opts Options, cp *Checkpoint) (*Session, error) {
 	s, err := New(alg, types, opts)
 	if err != nil {
 		return nil, err
 	}
+	var lg Log
+	if cp.Log == nil {
+		lg = logOf(cp.Slots)
+	} else if err := cp.Log.check(); err != nil {
+		return nil, err
+	} else {
+		lg = *cp.Log
+	}
 	var adv Advisory
-	for i, rec := range cp.Slots {
+	for i := range lg.Len() {
+		rec := lg.at(i)
 		in := model.SlotInput{T: i + 1, Lambda: rec.Lambda, Costs: rec.Costs, Counts: rec.Counts}
 		if _, err := s.push(in, &adv, false); err != nil {
 			return nil, fmt.Errorf("stream: replaying slot %d: %w", i+1, err)
 		}
 	}
-	s.log = cp.Slots
+	s.log = lg
 	return s, nil
 }
 

@@ -21,8 +21,9 @@ type sealedRef struct {
 }
 
 // splice encodes snap the way a store saves a resumed session: the first
-// cut records as a span read back from an earlier save, the rest
-// appended to it, the two spliced between head and trailer, sealed.
+// cut records as a span read back from an earlier save, the rest, held
+// in columns as a session holds them, appended to it, the two spliced
+// between head and trailer, sealed.
 func splice(t *testing.T, snap *sealedRef, cut int) ([]byte, error) {
 	t.Helper()
 	slots := snap.Checkpoint.Slots
@@ -32,12 +33,16 @@ func splice(t *testing.T, snap *sealedRef, cut int) ([]byte, error) {
 		return nil, err
 	}
 	span = LogSpan{Bytes: b, Sum: EmptyLogSpan().Seal(b[1:], nil)}
-	tail, err := AppendLogRecords(make([]byte, 0, LogRecordsLen(slots[cut:])), slots[cut:], cut > 0)
+	var cols stream.Log
+	for _, r := range slots[cut:] {
+		cols.Append(r)
+	}
+	tail, err := AppendLog(make([]byte, 0, LogLen(&cols)), &cols, cut > 0)
 	if err != nil {
 		return nil, err
 	}
-	if n := LogRecordsLen(slots[cut:]); len(tail) > n {
-		t.Fatalf("LogRecordsLen bounds %d records at %d bytes, they take %d", len(slots)-cut, n, len(tail))
+	if n := LogLen(&cols); len(tail) > n {
+		t.Fatalf("LogLen bounds %d records at %d bytes, they take %d", len(slots)-cut, n, len(tail))
 	}
 	snap.LogSum = span.Seal(tail, snap.State)
 	out := AppendSnapshotHead(nil, snap.ID, snap.Fleet, snap.Checkpoint.Alg)
@@ -69,9 +74,9 @@ func checkSealedRead(t *testing.T, data []byte) bool {
 	if cap(ss.Log.Bytes) != len(ss.Log.Bytes) {
 		t.Fatalf("%q: the span's capacity reaches into the input", data)
 	}
-	slots, err := DecodeLogRecords(append(ss.Log.Bytes, ']'))
-	if err != nil || !reflect.DeepEqual(slots, ws.Checkpoint.Slots) {
-		t.Fatalf("%q: span decodes to %v (%v), DecodeSnapshot's log %v", data, slots, err, ws.Checkpoint.Slots)
+	l, err := DecodeLog(append(ss.Log.Bytes, ']'))
+	if err != nil || !reflect.DeepEqual(l, ws.Checkpoint.Log) {
+		t.Fatalf("%q: span decodes to %v (%v), DecodeSnapshot's log %v", data, l, err, ws.Checkpoint.Log)
 	}
 	return true
 }

@@ -77,31 +77,54 @@ func (sp LogSpan) Seal(more, state []byte) uint32 {
 func AppendLogRecords(dst []byte, recs []stream.SlotRecord, more bool) ([]byte, error) {
 	for i := range recs {
 		var err error
-		if more || i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"lambda":`...)
-		if dst, err = AppendFloat(dst, recs[i].Lambda); err != nil {
+		if dst, err = appendLogRecord(dst, recs[i].Lambda, recs[i].Counts, more || i > 0); err != nil {
 			return dst, err
 		}
-		if len(recs[i].Counts) > 0 {
-			dst = append(dst, `,"counts":`...)
-			dst = appendInts(dst, recs[i].Counts)
-		}
-		dst = append(dst, '}')
 	}
 	return dst, nil
 }
 
-// LogRecordsLen bounds from above what AppendLogRecords appends for
-// recs, so a caller can size its buffer once.
-func LogRecordsLen(recs []stream.SlotRecord) int {
+// AppendLog is AppendLogRecords of the records of a log held in
+// columns, read from the columns.
+func AppendLog(dst []byte, l *stream.Log, more bool) ([]byte, error) {
+	for i, lambda := range l.Lambda {
+		var counts []int
+		if l.Counts != nil {
+			counts = l.Counts[i]
+		}
+		var err error
+		if dst, err = appendLogRecord(dst, lambda, counts, more || i > 0); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// appendLogRecord appends one record, after a comma when comma is set.
+func appendLogRecord(dst []byte, lambda float64, counts []int, comma bool) ([]byte, error) {
+	if comma {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, `{"lambda":`...)
+	dst, err := AppendFloat(dst, lambda)
+	if err != nil {
+		return dst, err
+	}
+	if len(counts) > 0 {
+		dst = append(dst, `,"counts":`...)
+		dst = appendInts(dst, counts)
+	}
+	return append(dst, '}'), nil
+}
+
+// LogLen bounds from above what AppendLog appends for l, so a caller
+// can size its buffer once.
+func LogLen(l *stream.Log) int {
 	const maxFloat, maxInt = len("-2.2250738585072014e-308"), len("-9223372036854775808")
-	n := 0
-	for i := range recs {
-		n += len(`,{"lambda":}`) + maxFloat
-		if c := len(recs[i].Counts); c > 0 {
-			n += len(`,"counts":[]`) + c*(maxInt+1)
+	n := l.Len() * (len(`,{"lambda":}`) + maxFloat)
+	for _, c := range l.Counts {
+		if len(c) > 0 {
+			n += len(`,"counts":[]`) + len(c)*(maxInt+1)
 		}
 	}
 	return n
@@ -173,20 +196,26 @@ func appendSnapshotClose(dst, state []byte, sum uint32) []byte {
 // "state" (base64) when non-empty and "log_sum" when non-zero. The
 // checkpoint holds "alg" when set and the replay log, each slot's
 // in-memory cost functions omitted as their `json:"-"` tag omits them.
-// Non-finite demands report ErrUnsupportedValue, exactly where
-// json.Marshal fails.
+// A checkpoint whose log is in columns (stream.Checkpoint.Log) encodes
+// as json.Marshal encodes the same records as Slots. Non-finite demands
+// report ErrUnsupportedValue, exactly where json.Marshal fails.
 func AppendSnapshot(dst []byte, snap *Snapshot) ([]byte, error) {
 	dst = appendSnapshotOpen(dst, snap.ID, snap.Fleet)
 	cp := snap.Checkpoint
 	switch {
 	case cp == nil:
 		dst = append(dst, "null"...)
-	case cp.Slots == nil:
+	case cp.Slots == nil && cp.Log == nil:
 		dst = append(appendCheckpointOpen(dst, cp.Alg), "null}"...)
 	default:
 		dst = append(appendCheckpointOpen(dst, cp.Alg), '[')
 		var err error
-		if dst, err = AppendLogRecords(dst, cp.Slots, false); err != nil {
+		if cp.Log != nil {
+			dst, err = AppendLog(dst, cp.Log, false)
+		} else {
+			dst, err = AppendLogRecords(dst, cp.Slots, false)
+		}
+		if err != nil {
 			return dst, err
 		}
 		return AppendSnapshotTrailer(dst, snap.State, snap.LogSum), nil
@@ -203,7 +232,9 @@ func AppendSnapshot(dst []byte, snap *Snapshot) ([]byte, error) {
 // the same value, with json's field folding, null and merge rules, and
 // every input json.Unmarshal rejects, it rejects. The one form it
 // rejects beyond those is a state written as an array of byte values
-// rather than base64, which no encoder writes.
+// rather than base64, which no encoder writes. The checkpoint's log is
+// decoded into columns (stream.Checkpoint.Log, see logValue), holding
+// the records json.Unmarshal decodes into Slots.
 func DecodeSnapshot(data []byte, dst *Snapshot) error {
 	d := decoder{data: data}
 	d.skipWS()
@@ -286,7 +317,8 @@ func (d *decoder) checkpointValue(dst **stream.Checkpoint) error {
 		case string(key) == "alg" || foldEqual(key, "ALG"):
 			err = d.stringValue(&cp.Alg)
 		case string(key) == "slots" || foldEqual(key, "SLOTS"):
-			err = d.slotsValue(&cp.Slots)
+			cp.Slots = nil
+			err = d.logValue(&cp.Log)
 		default:
 			err = d.unknown()
 		}
@@ -297,18 +329,20 @@ func (d *decoder) checkpointValue(dst **stream.Checkpoint) error {
 	return err
 }
 
-var emptySlots = make([]stream.SlotRecord, 0)
-
 // slotBytes is about what one logged slot takes in the stored form
-// ({"lambda":12.345678901234},); slotsValue sizes the log from it.
+// ({"lambda":12.345678901234},); logValue sizes the log from it.
 const slotBytes = 24
 
-// slotsValue decodes a replay log (or null) with intsValue's slice
-// semantics. When the log outgrows its capacity it reserves room for
-// what the rest of the input could hold at slotBytes a slot, so a long
-// log grows about once instead of by many small steps; the reserved
-// elements are zero, exactly as appended ones would be.
-func (d *decoder) slotsValue(dst *[]stream.SlotRecord) error {
+// logValue decodes a replay log (or null, which sets *dst to nil) into
+// the columns of *dst, with the slice semantics intsValue gives the
+// records: "[]" yields a fresh empty log, and the array's records merge
+// into those *dst holds, a record past the length within the columns'
+// capacity re-exposed as it was last decoded (see element). A counts
+// column is created, back-filled with nils, by the first "counts" member
+// that is not null. When the log outgrows its capacity it reserves room
+// for what the rest of the input could hold at slotBytes a slot, so a
+// long log grows about once instead of by many small steps.
+func (d *decoder) logValue(dst **stream.Log) error {
 	switch c, _ := d.peek(); c {
 	case 'n':
 		if err := d.null(); err != nil {
@@ -320,16 +354,23 @@ func (d *decoder) slotsValue(dst *[]stream.SlotRecord) error {
 	default:
 		return d.fail("expected array or null")
 	}
-	s, i := *dst, 0
+	l := *dst
+	if l == nil {
+		l = new(stream.Log)
+	}
+	i := 0
 	done, err := d.begin(']')
 	for ; !done && err == nil; i++ {
-		if i == cap(s) {
-			s = slices.Grow(s, (len(d.data)-d.pos)/slotBytes+1)
+		if i == cap(l.Lambda) {
+			l.Lambda = slices.Grow(l.Lambda, (len(d.data)-d.pos)/slotBytes+1)
 		}
-		s = element(s, i)
+		l.Lambda = element(l.Lambda, i)
+		if l.Counts != nil {
+			l.Counts = element(l.Counts, i)
+		}
 		switch c, _ := d.peek(); c {
 		case '{':
-			err = d.slotObject(&s[i])
+			err = d.slotObject(l, i)
 		case 'n':
 			err = d.null()
 		default:
@@ -343,14 +384,19 @@ func (d *decoder) slotsValue(dst *[]stream.SlotRecord) error {
 		return err
 	}
 	if i == 0 {
-		*dst = emptySlots
-	} else {
-		*dst = s[:i]
+		*dst = new(stream.Log)
+		return nil
 	}
+	l.Lambda = l.Lambda[:i]
+	if l.Counts != nil {
+		l.Counts = l.Counts[:i]
+	}
+	*dst = l
 	return nil
 }
 
-func (d *decoder) slotObject(dst *stream.SlotRecord) error {
+// slotObject decodes a record object into record i of l.
+func (d *decoder) slotObject(l *stream.Log, i int) error {
 	var buf [64]byte
 	done, err := d.begin('}')
 	for !done && err == nil {
@@ -360,9 +406,16 @@ func (d *decoder) slotObject(dst *stream.SlotRecord) error {
 		}
 		switch {
 		case string(key) == "lambda" || foldEqual(key, "LAMBDA"):
-			err = d.floatValue(&dst.Lambda)
+			err = d.floatValue(&l.Lambda[i])
 		case string(key) == "counts" || foldEqual(key, "COUNTS"):
-			err = d.intsValue(&dst.Counts)
+			if c, _ := d.peek(); c == 'n' && l.Counts == nil {
+				err = d.null()
+				break
+			}
+			if l.Counts == nil {
+				l.Counts = make([][]int, i+1, cap(l.Lambda))
+			}
+			err = d.intsValue(&l.Counts[i])
 		default:
 			err = d.unknown()
 		}
@@ -446,20 +499,21 @@ func (d *decoder) uint32Value(dst *uint32) error {
 	return nil
 }
 
-// DecodeLogRecords decodes a whole stored replay log — a "slots" array
-// and nothing else, such as a span and its closing bracket — with
-// DecodeSnapshot's rules: "[]" is a non-nil empty log, null a nil one.
-func DecodeLogRecords(data []byte) ([]stream.SlotRecord, error) {
+// DecodeLog decodes a whole stored replay log — a "slots" array and
+// nothing else, such as a span and its closing bracket — into columns
+// with DecodeSnapshot's rules: "[]" is a non-nil empty log, null a nil
+// one.
+func DecodeLog(data []byte) (*stream.Log, error) {
 	d := decoder{data: data}
 	d.skipWS()
-	var slots []stream.SlotRecord
-	if err := d.slotsValue(&slots); err != nil {
+	var l *stream.Log
+	if err := d.logValue(&l); err != nil {
 		return nil, err
 	}
 	if d.skipWS(); d.pos != len(d.data) {
 		return nil, d.fail("data after the log")
 	}
-	return slots, nil
+	return l, nil
 }
 
 // A SealedSnapshot is a stored snapshot read without decoding its log.
@@ -545,6 +599,55 @@ func ReadSealedSnapshot(data []byte) (s SealedSnapshot, ok bool) {
 	s.Log = LogSpan{Bytes: data[spanStart:spanEnd:spanEnd]}
 	s.Log.Sum = crc32.ChecksumIEEE(s.Log.Bytes)
 	return s, s.Log.Seal(nil, s.State) == uint32(sum)
+}
+
+// ReadScenarioFleet reads a fleet descriptor in the exact compact form
+// json.Marshal writes of a fleet named by a scenario and seed:
+// {"scenario":"name","seed":n}, either member omitted when zero, the
+// name printable ASCII without escapes. It reports ok=false for any
+// other form, explicit zero members included, which the caller decodes
+// with encoding/json; so a member absent here is one json.Unmarshal
+// would leave as it is, and one present holds the value it decodes.
+func ReadScenarioFleet(data []byte) (scenario string, seed int64, ok bool) {
+	d := decoder{data: data}
+	if !d.skipLit("{") {
+		return "", 0, false
+	}
+	if d.skipLit(`"scenario":"`) {
+		start := d.pos
+		for d.pos < len(data) && data[d.pos] != '"' {
+			if c := data[d.pos]; c < ' ' || c == '\\' || c >= utf8.RuneSelf {
+				return "", 0, false
+			}
+			d.pos++
+		}
+		if d.pos == start || d.pos == len(data) {
+			return "", 0, false
+		}
+		scenario = string(data[start:d.pos])
+		d.pos++
+		if d.skipLit("}") {
+			return scenario, 0, d.pos == len(data)
+		}
+		if !d.skipLit(",") {
+			return "", 0, false
+		}
+	}
+	if d.skipLit(`"seed":`) {
+		lit, err := d.scanNumber()
+		if err != nil {
+			return "", 0, false
+		}
+		if seed, err = strconv.ParseInt(unsafeString(lit), 10, 64); err != nil || seed == 0 {
+			return "", 0, false
+		}
+	} else if scenario != "" {
+		return "", 0, false
+	}
+	if !d.skipLit("}") || d.pos != len(data) {
+		return "", 0, false
+	}
+	return scenario, seed, true
 }
 
 // skipLit consumes lit if the input continues with it.

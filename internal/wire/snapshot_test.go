@@ -21,8 +21,56 @@ type refSnapshot struct {
 	State      []byte             `json:"state,omitempty"`
 }
 
+// wire returns r in the wire codec's form, its checkpoint's log in
+// columns as DecodeSnapshot leaves it.
 func (r *refSnapshot) wire() *Snapshot {
-	return &Snapshot{ID: r.ID, Fleet: r.Fleet, Checkpoint: r.Checkpoint, State: r.State}
+	s := &Snapshot{ID: r.ID, Fleet: r.Fleet, Checkpoint: r.Checkpoint, State: r.State}
+	if cp := r.Checkpoint; cp != nil {
+		s.Checkpoint = &stream.Checkpoint{Alg: cp.Alg, Log: columns(cp.Slots)}
+	}
+	return s
+}
+
+// columns holds records in columns, nil for nil records. Elements past
+// the records' length within their capacity are carried over too, past
+// the columns' length, so a decoder merging into the columns re-exposes
+// what encoding/json re-exposes merging into the records.
+func columns(recs []stream.SlotRecord) *stream.Log {
+	if recs == nil {
+		return nil
+	}
+	var l stream.Log
+	for _, r := range recs[:cap(recs)] {
+		l.Append(r)
+	}
+	l.Lambda = l.Lambda[:len(recs)]
+	if l.Counts != nil {
+		l.Counts = l.Counts[:len(recs)]
+	}
+	return &l
+}
+
+// sameCheckpoint reports whether got, a checkpoint the wire decoder
+// filled, holds what json.Unmarshal decoded into want: the algorithm,
+// a log in columns exactly when want's Slots are non-nil, and the same
+// records, nil against empty counts included and demands bit for bit.
+func sameCheckpoint(got, want *stream.Checkpoint) bool {
+	if got == nil || want == nil {
+		return got == want
+	}
+	if got.Alg != want.Alg || got.Slots != nil || (got.Log == nil) != (want.Slots == nil) {
+		return false
+	}
+	recs := got.Records()
+	if !reflect.DeepEqual(recs, want.Slots) {
+		return false
+	}
+	for i := range recs {
+		if math.Float64bits(recs[i].Lambda) != math.Float64bits(want.Slots[i].Lambda) {
+			return false
+		}
+	}
+	return true
 }
 
 // realSnapshot runs a quickstart alg-b session over n slots of its
@@ -84,35 +132,30 @@ func checkSnapshotDecode(t *testing.T, data []byte, target func() *refSnapshot) 
 	if jerr != nil {
 		t.Fatalf("%q: wire accepts, json rejects: %v", data, jerr)
 	}
-	want := ref.wire()
-	if got.ID != want.ID || !bytes.Equal(got.Fleet, want.Fleet) || (got.Fleet == nil) != (want.Fleet == nil) ||
-		!reflect.DeepEqual(got.State, want.State) || !reflect.DeepEqual(got.Checkpoint, want.Checkpoint) {
-		t.Fatalf("%q: wire decodes %+v, json %+v", data, got, want)
-	}
-	if got.Checkpoint != nil {
-		for i, s := range got.Checkpoint.Slots {
-			if math.Float64bits(s.Lambda) != math.Float64bits(want.Checkpoint.Slots[i].Lambda) {
-				t.Fatalf("%q: slot %d lambda %v, json %v", data, i, s.Lambda, want.Checkpoint.Slots[i].Lambda)
-			}
-		}
+	if got.ID != ref.ID || !bytes.Equal(got.Fleet, ref.Fleet) || (got.Fleet == nil) != (ref.Fleet == nil) ||
+		!reflect.DeepEqual(got.State, ref.State) || !sameCheckpoint(got.Checkpoint, ref.Checkpoint) {
+		t.Fatalf("%q: wire decodes %+v, json %+v", data, got, ref)
 	}
 }
 
 // checkSnapshotEncode asserts AppendSnapshot(snap) == json.Marshal(snap)
-// byte for byte (or that both fail), and that both json.Marshal and
-// json.MarshalIndent output decode as json.Unmarshal decodes them.
+// byte for byte (or that both fail), with the log as records and in
+// columns, and that both json.Marshal and json.MarshalIndent output
+// decode as json.Unmarshal decodes them.
 func checkSnapshotEncode(t *testing.T, snap *refSnapshot) {
 	t.Helper()
-	got, werr := AppendSnapshot(nil, snap.wire())
 	want, jerr := json.Marshal(snap)
-	if (werr != nil) != (jerr != nil) {
-		t.Fatalf("encode: wire err=%v, json err=%v", werr, jerr)
+	for _, ws := range []*Snapshot{{ID: snap.ID, Fleet: snap.Fleet, Checkpoint: snap.Checkpoint, State: snap.State}, snap.wire()} {
+		got, werr := AppendSnapshot(nil, ws)
+		if (werr != nil) != (jerr != nil) {
+			t.Fatalf("encode: wire err=%v, json err=%v", werr, jerr)
+		}
+		if jerr == nil && !bytes.Equal(got, want) {
+			t.Fatalf("encode: wire %q != json %q", got, want)
+		}
 	}
 	if jerr != nil {
 		return
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("encode: wire %q != json %q", got, want)
 	}
 	indented, err := json.MarshalIndent(snap, "", " ")
 	if err != nil {
@@ -229,10 +272,10 @@ func TestDecodeSnapshotLegacyIndented(t *testing.T) {
 	if err := DecodeSnapshot(indented, &fromIndented); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fromCompact.Checkpoint, snap.Checkpoint) || !bytes.Equal(fromCompact.State, snap.State) {
+	if !sameCheckpoint(fromCompact.Checkpoint, snap.Checkpoint) || !bytes.Equal(fromCompact.State, snap.State) {
 		t.Fatal("compact snapshot decodes to another log or state")
 	}
-	if !reflect.DeepEqual(fromIndented.Checkpoint, snap.Checkpoint) || !bytes.Equal(fromIndented.State, snap.State) {
+	if !sameCheckpoint(fromIndented.Checkpoint, snap.Checkpoint) || !bytes.Equal(fromIndented.State, snap.State) {
 		t.Fatal("indented snapshot decodes to another log or state")
 	}
 	var fleet bytes.Buffer

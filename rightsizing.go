@@ -427,7 +427,8 @@ func OpenSession(name string, types []ServerType, opts SessionOptions) (*Session
 // registry-opened sessions (OpenSession); sessions around hand-constructed
 // algorithms should resume in-process via NewSession + the stream
 // package's Resume with an identically-constructed algorithm. The session
-// takes ownership of cp.Slots as its replay log, without a copy: do not
+// shares the counts and cost functions of cp's records (and takes the
+// columns of a log held in cp.Log as its own, without a copy): do not
 // modify them afterwards, nor push to two sessions resumed from one
 // checkpoint.
 func ResumeSession(cp *SessionCheckpoint, types []ServerType, opts SessionOptions) (*Session, error) {
