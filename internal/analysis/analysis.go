@@ -89,28 +89,49 @@ func LoadDependentWithVolumes(ins *model.Instance, t int, x model.Config, y []fl
 	return out
 }
 
-// BlockCostsA computes the H_{j,i} of Equation (4) for an Algorithm A run:
-// one block per powered-up server (power-ups at slot s with count k yield
-// k blocks), each costing β_j + t̄_j·f_j(0). Types that never power down
-// (zero idle cost, t̄ effectively infinite) account the actual remaining
-// horizon instead of t̄.
-func BlockCostsA(ins *model.Instance, powerUps [][]int, tbars []int) ([]float64, error) {
-	if len(powerUps) != ins.D() || len(tbars) != ins.D() {
-		return nil, fmt.Errorf("analysis: need per-type histories and timeouts")
+// PowerUpsA recovers the w_{t,j} of Algorithm 1, the servers Algorithm
+// A powers up at each slot, from its schedule: each runs exactly t̄_j
+// slots, so w_t = x_t − x_{t−1} + w_{t−t̄}. This is exact on the static
+// fleets Section 2 covers; a time-varying fleet, where a clamp powers
+// servers down early, is refused, as is a schedule needing a negative w.
+func PowerUpsA(ins *model.Instance, sched model.Schedule, tbars []int) ([][]int, error) {
+	if len(sched) != ins.T() || len(tbars) != ins.D() || ins.TimeVarying() {
+		return nil, fmt.Errorf("analysis: need a static fleet, a %d-slot schedule and %d timeouts", ins.T(), ins.D())
+	}
+	w := make([][]int, ins.D())
+	for j := range w {
+		w[j] = make([]int, ins.T())
+		prev := 0
+		for t, x := range sched {
+			k := x[j] - prev
+			if t >= tbars[j] {
+				k += w[j][t-tbars[j]]
+			}
+			if k < 0 {
+				return nil, fmt.Errorf("analysis: slot %d of type %d is no Algorithm A step with t̄ = %d", t+1, j, tbars[j])
+			}
+			w[j][t], prev = k, x[j]
+		}
+	}
+	return w, nil
+}
+
+// BlockCostsA computes the H_{j,i} of Equation (4) for the Algorithm A
+// run with timeouts tbars that produced sched: one block per powered-up
+// server (PowerUpsA), each costing β_j + t̄_j·f_j(0). Types that never
+// power down (zero idle cost, t̄ effectively infinite) account the
+// actual remaining horizon instead of t̄.
+func BlockCostsA(ins *model.Instance, sched model.Schedule, tbars []int) ([]float64, error) {
+	w, err := PowerUpsA(ins, sched, tbars)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]float64, ins.D())
-	for j := range ins.Types {
-		idle := ins.Types[j].Cost.At(1).Value(0)
-		beta := ins.Types[j].SwitchCost
-		for s, k := range powerUps[j] {
-			if k == 0 {
-				continue
-			}
-			span := tbars[j]
-			if remaining := ins.T() - s; span > remaining {
-				span = remaining // infinite-timeout servers run to the horizon
-			}
-			out[j] += float64(k) * (beta + float64(span)*idle)
+	for j, st := range ins.Types {
+		idle := st.Cost.At(1).Value(0)
+		for s, k := range w[j] {
+			span := min(tbars[j], ins.T()-s) // infinite-timeout servers run to the horizon
+			out[j] += float64(k) * (st.SwitchCost + float64(span)*idle)
 		}
 	}
 	return out, nil

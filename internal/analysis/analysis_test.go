@@ -3,6 +3,7 @@ package analysis
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -119,7 +120,7 @@ func TestLemma7BlockBound(t *testing.T) {
 		for j := range tbars {
 			tbars[j] = a.Timeout(j)
 		}
-		hs, err := BlockCostsA(ins, a.PowerUpHistory(), tbars)
+		hs, err := BlockCostsA(ins, sched, tbars)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,12 +215,45 @@ func TestBlockCostsInfiniteTimeoutClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	core.Run(a, ins)
-	hs, err := BlockCostsA(ins, a.PowerUpHistory(), []int{a.Timeout(0)})
+	hs, err := BlockCostsA(ins, core.Run(a, ins), []int{a.Timeout(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(hs[0]-5) > 1e-12 {
 		t.Errorf("H = %g, want 5 (single power-up, zero idle)", hs[0])
+	}
+}
+
+// PowerUpsA reads Algorithm A's power-ups off its schedule on a static
+// fleet and refuses what it cannot read them from: a fleet whose counts
+// vary (a clamp powers servers down early) and a schedule that drops
+// servers before their t̄ slots are up.
+func TestPowerUpsA(t *testing.T) {
+	ins := &model.Instance{
+		Types: []model.ServerType{{Count: 3, SwitchCost: 2, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 1}}}},
+		Lambda: []float64{2, 3, 0, 0, 1},
+	}
+	a, err := core.NewAlgorithmA(ins.Types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := core.Run(a, ins)
+	w, err := PowerUpsA(ins, sched, []int{a.Timeout(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// t̄ = 2: 2 up at slot 1, 1 more at 2; slot 3 keeps only slot 2's,
+	// and slot 5 powers one up again.
+	if want := []int{2, 1, 0, 0, 1}; !slices.Equal(w[0], want) {
+		t.Fatalf("schedule %v: power-ups %v, want %v", sched, w[0], want)
+	}
+	if _, err := PowerUpsA(ins, model.Schedule{{2}, {0}, {0}, {0}, {0}}, []int{2}); err == nil {
+		t.Error("a schedule dropping servers before t̄ was read")
+	}
+	varying := *ins
+	varying.Counts = [][]int{{3}, {3}, {3}, {3}, {3}}
+	if _, err := PowerUpsA(&varying, sched, []int{2}); err == nil {
+		t.Error("a time-varying fleet was read")
 	}
 }

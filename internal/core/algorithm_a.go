@@ -16,16 +16,16 @@ const noTimeout = math.MaxInt / 4
 // a server powered up at slot s runs for exactly t̄ slots — the block
 // A_{j,i} = [s : s+t̄−1] — and is then powered down regardless of use,
 // where t̄ = ⌈β_j / f_j(0)⌉ (ski-rental: power down once the idle cost
-// spent would have paid for the power-up).
+// spent would have paid for the power-up). Only the pending power-ups
+// are kept, at most m_j of them (see powerUps), however many slots
+// have passed.
 //
 // TypeA is exported so the paper's Figure 1 can be reproduced from the
 // production state machine; AlgorithmA composes d of them with the
 // prefix-optimum tracker.
 type TypeA struct {
+	powerUps
 	tbar int
-	t    int   // slots processed
-	w    []int // w[s-1]: servers powered up at slot s
-	x    int   // currently active servers
 }
 
 // NewTypeA builds the state machine for timeout t̄ >= 1; pass
@@ -60,58 +60,16 @@ func TimeoutA(beta, idle float64) int {
 // Tbar returns the timeout t̄.
 func (s *TypeA) Tbar() int { return s.tbar }
 
-// PowerUps returns a copy of w_{1..t}: the number of servers powered up at
-// each processed slot. Used by the proof-decomposition analysis (the
-// blocks A_{j,i} of Section 2 start at slots with w > 0).
-func (s *TypeA) PowerUps() []int {
-	return append([]int(nil), s.w...)
-}
-
 // Step advances one slot with prefix-optimum target xhat and returns the
 // number of active servers x^A_{t,j}. It implements lines 4–8 of
 // Algorithm 1: expire the servers powered up t̄ slots ago, then top up to
 // xhat.
 func (s *TypeA) Step(xhat int) int {
 	s.t++
-	s.w = append(s.w, 0)
-	if expired := s.t - s.tbar; expired >= 1 {
-		s.x -= s.w[expired-1]
+	for s.head < len(s.events) && s.events[s.head].slot <= s.t-s.tbar {
+		s.pop()
 	}
-	if s.x <= xhat {
-		s.w[s.t-1] = xhat - s.x
-		s.x = xhat
-	}
-	return s.x
-}
-
-// ClampTo forcibly powers down servers so at most m stay active,
-// releasing the most recently powered-up servers first (their book-keeping
-// entries shrink so they no longer expire later). It extends the paper's
-// algorithm — which assumes static fleet sizes — to the time-varying
-// fleets of Section 4.3; the competitive analysis does not cover this
-// case, but feasibility is preserved because prefix optima never exceed
-// the available counts.
-func (s *TypeA) ClampTo(m int) int {
-	// Only power-ups within the live window [t−t̄+1, t] are still active;
-	// older entries already expired and must stay untouched.
-	lo := s.t - s.tbar + 1
-	if lo < 1 {
-		lo = 1
-	}
-	for t := s.t; t >= lo && s.x > m; t-- {
-		drop := s.w[t-1]
-		if drop > s.x-m {
-			drop = s.x - m
-		}
-		s.w[t-1] -= drop
-		s.x -= drop
-	}
-	if s.x > m {
-		// Servers older than any recorded power-up cannot exist; guard
-		// against inconsistent use.
-		panic("core: ClampTo accounting mismatch")
-	}
-	return s.x
+	return s.topUp(xhat, 0)
 }
 
 // AlgorithmA is the (2d+1)-competitive online algorithm of Section 2 for
@@ -225,13 +183,3 @@ func (a *AlgorithmA) Step(in model.SlotInput) model.Config {
 
 // Timeout returns t̄_j for server type j.
 func (a *AlgorithmA) Timeout(j int) int { return a.types[j].Tbar() }
-
-// PowerUpHistory returns, per type, the number of servers powered up at
-// each processed slot (the w_{t,j} of Algorithm 1).
-func (a *AlgorithmA) PowerUpHistory() [][]int {
-	out := make([][]int, len(a.types))
-	for j, st := range a.types {
-		out[j] = st.PowerUps()
-	}
-	return out
-}

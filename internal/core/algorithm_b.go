@@ -20,19 +20,9 @@ import (
 // TypeB is exported so the paper's Figure 3 can be reproduced from the
 // production state machine.
 type TypeB struct {
+	powerUps
 	beta float64
-	t    int
-	lsum float64 // L[t] = Σ_{v<=t} l_v
-	x    int
-	// pending power-up events: slot u and count, with L[u] snapshotted.
-	events []eventB
-	head   int
-}
-
-type eventB struct {
-	slot  int
-	count int
-	lsum  float64 // L[u] at the power-up slot
+	lsum float64 // L[t] = Σ_{v<=t} l_v; each power-up is marked with L[u]
 }
 
 // NewTypeB builds the state machine for switching cost beta >= 0.
@@ -53,44 +43,10 @@ func (s *TypeB) Step(l float64, xhat int) int {
 	// Expire power-ups whose accumulated idle cost Σ_{v=u+1}^{t} l_v
 	// exceeds β. The set W_t contains exactly these (first crossing), and
 	// FIFO order is safe because L is non-decreasing.
-	for s.head < len(s.events) && s.lsum-s.events[s.head].lsum > s.beta {
-		s.x -= s.events[s.head].count
-		s.head++
+	for s.head < len(s.events) && s.lsum-s.events[s.head].mark > s.beta {
+		s.pop()
 	}
-	// Drop the expired prefix once it is half the queue, so the queue
-	// holds O(live) events however old the session: amortised O(1).
-	if s.head > len(s.events)/2 {
-		s.events = s.events[:copy(s.events, s.events[s.head:])]
-		s.head = 0
-	}
-	if s.x <= xhat {
-		if up := xhat - s.x; up > 0 {
-			s.events = append(s.events, eventB{slot: s.t, count: up, lsum: s.lsum})
-		}
-		s.x = xhat
-	}
-	return s.x
-}
-
-// Active returns the current number of active servers.
-func (s *TypeB) Active() int { return s.x }
-
-// ClampTo forcibly powers down servers so at most m stay active, releasing
-// the most recently powered-up servers first. Extension for time-varying
-// fleet sizes; see TypeA.ClampTo.
-func (s *TypeB) ClampTo(m int) int {
-	for i := len(s.events) - 1; i >= s.head && s.x > m; i-- {
-		drop := s.events[i].count
-		if drop > s.x-m {
-			drop = s.x - m
-		}
-		s.events[i].count -= drop
-		s.x -= drop
-	}
-	if s.x > m {
-		panic("core: ClampTo accounting mismatch")
-	}
-	return s.x
+	return s.topUp(xhat, s.lsum)
 }
 
 // AlgorithmB is the (2d+1+c(I))-competitive online algorithm of

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"math/rand"
-	"reflect"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/costfn"
@@ -29,7 +32,7 @@ func restoreAt(t *testing.T, ins *model.Instance, alg, fresh Snapshotter, cut in
 
 // Algorithms A and B restored from their state at a random cut continue
 // bit-identically to the originals — decisions, prefix optima and their
-// costs — and A keeps its whole power-up history.
+// costs — and keep the same pending power-ups.
 func TestSnapshotterRestoresBitIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -41,8 +44,12 @@ func TestSnapshotterRestoresBitIdentically(t *testing.T) {
 		freshB, _ := NewAlgorithmB(ins.Types)
 		restoreAt(t, ins, a, freshA, cut)
 		restoreAt(t, ins, b, freshB, cut)
-		if !reflect.DeepEqual(a.PowerUpHistory(), freshA.PowerUpHistory()) {
-			t.Fatalf("trial %d: power-up history %v, restored %v", trial, a.PowerUpHistory(), freshA.PowerUpHistory())
+		for j := range a.types {
+			for _, q := range [][2]*powerUps{{&a.types[j].powerUps, &freshA.types[j].powerUps}, {&b.types[j].powerUps, &freshB.types[j].powerUps}} {
+				if want, got := q[0].events[q[0].head:], q[1].events[q[1].head:]; !slices.Equal(want, got) {
+					t.Fatalf("trial %d type %d: pending power-ups %v, restored %v", trial, j, want, got)
+				}
+			}
 		}
 		var in model.SlotInput
 		for s := cut + 1; s <= ins.T(); s++ {
@@ -87,8 +94,8 @@ func TestSnapshotterRejectsForeignState(t *testing.T) {
 
 // Algorithms A and B keep no input history: after 100 000 steps their
 // prefix trackers hold one slot, one restored after a Seek past them
-// holds none, and Algorithm B's power-up queue holds room for a few
-// events, not one per power-up so far.
+// holds none, and their power-up queues hold room for a few events, not
+// one per power-up so far.
 func TestHeldSlotsBoundedAlgorithms(t *testing.T) {
 	ins := randomStaticInstance(rand.New(rand.NewSource(8)), 2, 4, 50)
 	a, _ := NewAlgorithmA(ins.Types)
@@ -111,9 +118,11 @@ func TestHeldSlotsBoundedAlgorithms(t *testing.T) {
 			t.Errorf("Algorithm %s's tracker holds %d slots after 100 000, want <= 1", name, h)
 		}
 	}
-	for j, st := range b.types {
-		if c := cap(st.events); c > 16 {
-			t.Errorf("Algorithm B's type %d keeps room for %d power-up events after 100 000 slots, want <= 16", j, c)
+	for j := range a.types {
+		for name, q := range map[string]*powerUps{"A": &a.types[j].powerUps, "B": &b.types[j].powerUps} {
+			if c := cap(q.events); c > 16 {
+				t.Errorf("Algorithm %s's type %d keeps room for %d power-up events after 100 000 slots, want <= 16", name, j, c)
+			}
 		}
 	}
 }
@@ -134,7 +143,9 @@ var inconsistentDemand = []float64{2, 5, 9, 13, 16, 18}
 // invariants, or whose prefix-optimum cost is not its tracker's, is
 // refused as malformed, so a session restoring it replays its log
 // instead: restored, it would panic (ClampTo accounting mismatch) or
-// diverge on a later slot.
+// diverge on a later slot. Both algorithms keep the same queue of
+// pending power-ups and are broken the same ways; A's must also lie in
+// its window (t − t̄, t].
 func TestRestoreRejectsInconsistentState(t *testing.T) {
 	types := inconsistentFleet()
 	cut := len(inconsistentDemand)
@@ -147,44 +158,63 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 	newA := func() Snapshotter { a, _ := NewAlgorithmA(types); return a }
 	newB := func() Snapshotter { b, _ := NewAlgorithmB(types); return b }
 	// flipOpt changes the saved prefix-optimum cost by one ulp.
-	flipOpt := func(state []byte, kind byte) {
-		state[len(statebuf.AppendInt(statebuf.AppendHeader(nil, kind, stateVersion), cut))] ^= 1
+	flipOpt := func(state []byte) []byte {
+		state[len(statebuf.AppendInt(statebuf.AppendHeader(nil, 0, 0), cut))] ^= 1
+		return state
 	}
-	liveB := func(alg Snapshotter) []eventB {
-		live := alg.(*AlgorithmB).types[0]
-		if ev := live.events[live.head:]; len(ev) >= 2 {
+	// queue returns type j's power-up queue; live its pending power-ups.
+	queue := func(alg Snapshotter, j int) *powerUps {
+		if a, ok := alg.(*AlgorithmA); ok {
+			return &a.types[j].powerUps
+		}
+		return &alg.(*AlgorithmB).types[j].powerUps
+	}
+	live := func(alg Snapshotter, j int) []powerUp {
+		q := queue(alg, j)
+		if ev := q.events[q.head:]; len(ev) >= 2 {
 			return ev
 		}
-		t.Fatal("type 0 has fewer than two live power-ups; the stream no longer covers the ordering check")
+		t.Fatalf("type %d has fewer than two live power-ups; the stream no longer covers the ordering check", j)
 		return nil
 	}
-	cases := []struct {
+	type inconsistency struct {
 		name   string
 		mk     func() Snapshotter
 		breakA func(alg Snapshotter)     // breaks the live algorithm before AppendState
 		breakS func(state []byte) []byte // breaks the state bytes after it
-	}{
-		{"A/x-off-window", newA, func(alg Snapshotter) { alg.(*AlgorithmA).types[0].x++ }, nil},
-		{"A/negative-expired-power-up", newA, func(alg Snapshotter) { alg.(*AlgorithmA).types[0].w[0] = -1 }, nil},
-		{"A/negative-live-power-up", newA, func(alg Snapshotter) {
-			st := alg.(*AlgorithmA).types[1]
-			st.w[cut-1], st.w[cut-2] = -1, st.w[cut-2]+st.w[cut-1]+1
-		}, nil},
-		{"A/opt-cost", newA, nil, func(state []byte) []byte { flipOpt(state, stateKindA); return state }},
-		{"B/x-off-events", newB, func(alg Snapshotter) { alg.(*AlgorithmB).types[1].x++ }, nil},
-		{"B/negative-count", newB, func(alg Snapshotter) {
-			ev := liveB(alg)
-			ev[0].count, ev[1].count = -1, ev[1].count+ev[0].count+1
-		}, nil},
-		{"B/slots-out-of-order", newB, func(alg Snapshotter) {
-			ev := liveB(alg)
-			ev[0].slot, ev[1].slot = ev[1].slot, ev[0].slot
-		}, nil},
-		{"B/slot-past-t", newB, func(alg Snapshotter) {
-			ev := liveB(alg)
-			ev[len(ev)-1].slot = cut + 1
-		}, nil},
-		{"B/opt-cost", newB, nil, func(state []byte) []byte { flipOpt(state, stateKindB); return state }},
+	}
+	cases := []inconsistency{
+		{"A/power-up-expired", newA, func(alg Snapshotter) { live(alg, 1)[0].slot = cut - 4 }, nil},
+		{"A/opt-cost", newA, nil, flipOpt},
+		{"B/opt-cost", newB, nil, flipOpt},
+	}
+	// Both queues are broken the same ways: A's on type 1 (t̄ = 4; type
+	// 0's t̄ = 2 leaves too few live power-ups), B's on type 0.
+	for _, alg := range []struct {
+		name string
+		mk   func() Snapshotter
+		j    int
+	}{{"A", newA, 1}, {"B", newB, 0}} {
+		j := alg.j
+		cases = append(cases,
+			inconsistency{alg.name + "/x-off-events", alg.mk, func(alg Snapshotter) { queue(alg, 1-j).x++ }, nil},
+			inconsistency{alg.name + "/negative-count", alg.mk, func(alg Snapshotter) {
+				ev := live(alg, j)
+				ev[0].count, ev[1].count = -1, ev[1].count+ev[0].count+1
+			}, nil},
+			inconsistency{alg.name + "/zero-count", alg.mk, func(alg Snapshotter) {
+				ev := live(alg, j)
+				ev[0].count, ev[1].count = 0, ev[1].count+ev[0].count
+			}, nil},
+			inconsistency{alg.name + "/slots-out-of-order", alg.mk, func(alg Snapshotter) {
+				ev := live(alg, j)
+				ev[0].slot, ev[1].slot = ev[1].slot, ev[0].slot
+			}, nil},
+			inconsistency{alg.name + "/slot-past-t", alg.mk, func(alg Snapshotter) {
+				ev := live(alg, j)
+				ev[len(ev)-1].slot = cut + 1
+			}, nil},
+		)
 	}
 	for _, c := range cases {
 		fresh := c.mk()
@@ -205,5 +235,24 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		if err := fresh.RestoreState(state); !errors.Is(err, statebuf.ErrMalformed) {
 			t.Errorf("%s: restore returned %v, want ErrMalformed", c.name, err)
 		}
+	}
+}
+
+// Version 1 of Algorithm A's state, which held each type's whole
+// power-up history, is refused: testdata/algorithm_a_v1.hex is the
+// state the version-1 codec saved after inconsistentDemand.
+func TestRestoreRefusesVersion1StateA(t *testing.T) {
+	raw, err := os.ReadFile("testdata/algorithm_a_v1.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := hex.DecodeString(strings.TrimSpace(string(raw)))
+	if err != nil || len(state) < 2 || state[0] != stateKindA || state[1] != 1 {
+		t.Fatalf("fixture is no version-1 Algorithm A state (%v)", err)
+	}
+	a, _ := NewAlgorithmA(inconsistentFleet())
+	a.Seek(len(inconsistentDemand))
+	if err := a.RestoreState(state); !errors.Is(err, statebuf.ErrVersion) {
+		t.Fatalf("restoring a version-1 state: %v, want ErrVersion", err)
 	}
 }

@@ -52,7 +52,7 @@ func E12ProofTerms(seed int64, instances int) Report {
 		for j := range tbars {
 			tbars[j] = a.Timeout(j)
 		}
-		hs, err := analysis.BlockCostsA(ins, a.PowerUpHistory(), tbars)
+		hs, err := analysis.BlockCostsA(ins, sched, tbars)
 		if err != nil {
 			panic(err)
 		}

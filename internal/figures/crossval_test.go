@@ -8,10 +8,11 @@ import (
 	"repro/internal/core"
 )
 
-// Differential tests: the production state machines (queue-based TypeB,
-// window-based TypeA) against independent reference simulations built
-// directly from the paper's formulas (W_t sets, block windows). Two
-// implementations of the same math must agree on arbitrary inputs.
+// Differential tests: the production state machines (TypeA and TypeB,
+// both queues of pending power-ups) against independent reference
+// simulations built directly from the paper's formulas (W_t sets, block
+// windows). Two implementations of the same math must agree on
+// arbitrary inputs.
 
 // referenceB simulates Algorithm B's single-type dynamics literally from
 // Algorithm 2: w_t bookkeeping plus the W_t sets computed by formula.

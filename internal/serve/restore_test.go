@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -151,5 +152,48 @@ func TestCheckpointBodyOmitsState(t *testing.T) {
 	snap, ok, err := store.Load("cp")
 	if err != nil || !ok || len(snap.State) == 0 {
 		t.Fatalf("stored checkpoint: ok=%v err=%v state=%d bytes, want a saved state", ok, err, len(snap.State))
+	}
+}
+
+// A stored alg-a snapshot whose state is version 1 of Algorithm A's
+// codec, which saved each type's whole power-up history, still resumes:
+// the state is refused, the log replays, and the session continues
+// bit-identically. testdata/legacy-a.json is such a snapshot, stored by
+// a DirStore after 30 quickstart slots.
+func TestResumeReplaysVersion1StateA(t *testing.T) {
+	const cut = 30
+	legacy, err := os.ReadFile(filepath.Join("testdata", "legacy-a.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "snaps")
+	store, err := NewDirStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "legacy-a.json"), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap, ok, err := store.Load("legacy-a")
+	if err != nil || !ok || len(snap.State) == 0 {
+		t.Fatalf("fixture: ok=%v err=%v, want a stored state", ok, err)
+	}
+	if fed, err := snap.fed(); err != nil || fed != cut {
+		t.Fatalf("fixture holds %d slots (%v), want %d", fed, err, cut)
+	}
+	m := NewManager(Options{Store: store})
+	ref := referenceRun(t, "alg-a")
+	trace := quickstartTrace(t)
+	for i := cut; i < len(trace); i++ {
+		res, err := m.Push("legacy-a", PushRequest{Lambda: trace[i]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !samePushResult(res, ref[i]) {
+			t.Fatalf("slot %d: resumed %+v, uninterrupted %+v", i+1, res.Advisory, ref[i].Advisory)
+		}
+	}
+	if got := m.Metrics(); got.SessionsResumed != 1 || got.ResumeReplayedSlots != cut {
+		t.Fatalf("resumed=%d replayed slots=%d, want 1 and %d", got.SessionsResumed, got.ResumeReplayedSlots, cut)
 	}
 }

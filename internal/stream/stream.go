@@ -33,7 +33,9 @@
 // Apart from the replay log, a session's memory does not grow with the
 // stream: the session and its algorithm's tracker keep only the slot
 // they are evaluating, plus, for a semi-online (core.Buffered)
-// algorithm, the slots fed but not yet decided. The log itself is kept
+// algorithm, the slots fed but not yet decided. Algorithms A and B keep
+// only their pending power-ups, at most m_j per server type, and save
+// no more than those in their state. The log itself is kept
 // in columns (Log): 8 bytes a slot for a stream of demands alone, in an
 // array the garbage collector does not scan. A counts column, and a
 // cost-function column, is kept only once some slot carries counts or
