@@ -49,7 +49,11 @@
 // projection towards the midpoint bounds the steps on any other. Since
 // the volume is monotone, a bracket inside one cell is that cell: no sum
 // at its edges is needed. On the heterogeneous fleet's 11×7×4 lattice
-// this averages about two volume sums per cell (TestDualSearchWork).
+// a dense walk, every cell in lattice order, averages about two volume
+// sums per cell (TestDualSearchWork) and 3.6 per dual solve under a
+// diurnal trace. A prefix tracker's memo-miss layer solves only the
+// cells its prune pass keeps, so successive solves lie farther apart:
+// 5.3 sums per dual solve on the same trace.
 //
 // # Per-slot type tables
 //
@@ -141,6 +145,8 @@ type Solver struct {
 	brk    []float64 // sorted saturation multipliers inside the bracket
 	opaque bool      // any active type on the golden-section fallback
 	warm   Warm
+	nu     float64 // the last solve's canonical ν*, when hasNu
+	hasNu  bool
 	evals  int // total() calls so far: the dual search's unit of work
 }
 
@@ -236,6 +242,19 @@ func (sv *Solver) AssignPrepared(counts []int, lambda float64, res *Assignment) 
 // Warm returns the dual warm-start state left by the last solve.
 func (sv *Solver) Warm() Warm { return sv.warm }
 
+// Dual returns the canonical dual multiplier ν* of the last solve: the
+// marginal cost at which the water-filling met the demand. Like the
+// cost, it does not depend on the warm-start history. It is NaN when the
+// last solve ran no dual search: λ = 0, an infeasible cell, a cell with
+// a single active type, or no solve yet. Warm's Nu is no substitute: a
+// solve that runs no search leaves the previous solve's hint in place.
+func (sv *Solver) Dual() float64 {
+	if !sv.hasNu {
+		return math.NaN()
+	}
+	return sv.nu
+}
+
 // SetWarm installs a warm-start hint, typically taken from a neighbouring
 // solve's Warm(). Invalid hints are ignored by the search.
 func (sv *Solver) SetWarm(w Warm) { sv.warm = w }
@@ -256,6 +275,7 @@ func (sv *Solver) solve(counts []int, lambda float64, y []float64) float64 {
 	for j := range y {
 		y[j] = 0
 	}
+	sv.hasNu = false
 
 	// One pass plans the cell: the idle cost and capacity of every type
 	// with servers, and the active types' per-cell fields.
@@ -296,6 +316,7 @@ func (sv *Solver) solve(counts []int, lambda float64, y []float64) float64 {
 	}
 
 	nuStar := sv.solveDual(lambda)
+	sv.nu, sv.hasNu = nuStar, true
 	sv.fillVolumes(lambda, nuStar, y)
 
 	// phi(y) is the complete cost (idle + load) of a type's active

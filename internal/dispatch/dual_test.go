@@ -147,3 +147,61 @@ func TestFastDualSaturationNearCellEdge(t *testing.T) {
 		}
 	}
 }
+
+// Dual reports the last solve's canonical ν*: NaN when that solve ran no
+// dual search (no solve yet, λ = 0, an infeasible cell, one active type),
+// also right after a solve that did run one, and otherwise bit for bit
+// the ν* a cold solver reports for the same cell, whatever the warm
+// solver solved before it.
+func TestDualIsCanonicalOrNaN(t *testing.T) {
+	var fresh Solver
+	if nu := fresh.Dual(); !math.IsNaN(nu) {
+		t.Fatalf("Dual before any solve = %v, want NaN", nu)
+	}
+	rng := rand.New(rand.NewSource(23))
+	var warm Solver
+	duals := 0
+	for trial := 0; trial < 400; trial++ {
+		d := 2 + rng.Intn(3)
+		servers := make([]Server, d)
+		totalCap := 0.0
+		for j := range servers {
+			servers[j] = Server{Active: 1 + rng.Intn(6), Cap: 0.25 + 3*rng.Float64(), F: monotoneFunc(rng)}
+			totalCap += float64(servers[j].Active) * servers[j].Cap
+		}
+		// A cell with a dual: the warm solver's history is every trial
+		// before this one.
+		lambda := totalCap * (0.05 + 0.9*rng.Float64())
+		warm.Cost(servers, lambda)
+		var cold Solver
+		cold.Cost(servers, lambda)
+		got, want := warm.Dual(), cold.Dual()
+		if math.IsNaN(want) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: warm Dual %v, cold %v (λ=%g, servers %+v)", trial, got, want, lambda, servers)
+		}
+		duals++
+
+		// Each solve that runs no dual search leaves NaN behind, not the
+		// previous solve's ν*.
+		single := append([]Server(nil), servers...)
+		for j := 1; j < d; j++ {
+			single[j].Active = 0
+		}
+		for _, c := range []struct {
+			name    string
+			servers []Server
+			lambda  float64
+		}{
+			{"λ = 0", servers, 0},
+			{"infeasible", servers, totalCap * 1.5},
+			{"one active type", single, single[0].Cap * float64(single[0].Active) / 2},
+		} {
+			warm.Cost(servers, lambda)
+			warm.Cost(c.servers, c.lambda)
+			if nu := warm.Dual(); !math.IsNaN(nu) {
+				t.Fatalf("trial %d, %s: Dual = %v, want NaN", trial, c.name, nu)
+			}
+		}
+	}
+	t.Logf("%d duals matched a cold solve", duals)
+}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,6 +13,28 @@ import (
 )
 
 // smallScenarios keeps determinism tests fast: a slice of the stock
+// Every stock scenario builds its fleet alone (Fleet through Types)
+// equal to its instance's, for any seed, and hands out a copy: editing
+// one fleet changes no later one.
+func TestStockScenarioFleetMatchesInstance(t *testing.T) {
+	for _, sc := range Scenarios() {
+		if sc.Types == nil {
+			t.Errorf("%s: no types-only fleet", sc.Name)
+			continue
+		}
+		for _, seed := range []int64{0, 1, 7} {
+			got, want := sc.Fleet(seed), sc.Instance(seed).Types
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: Fleet %+v != Instance types %+v", sc.Name, seed, got, want)
+			}
+			got[0].Count++
+			if again := sc.Fleet(seed); !reflect.DeepEqual(again, want) {
+				t.Fatalf("%s seed %d: editing one fleet changed the next", sc.Name, seed)
+			}
+		}
+	}
+}
+
 // registry with modest lattices.
 func smallScenarios(t *testing.T) []Scenario {
 	t.Helper()

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -24,6 +25,9 @@ type Scenario struct {
 	// in seed: the suite runner relies on this for bit-identical results
 	// across worker counts. Scenarios without randomness ignore the seed.
 	Instance func(seed int64) *model.Instance
+	// Types, when set, builds the Types of Instance(seed) alone, without
+	// the demand trace, for callers that need only the fleet (Fleet).
+	Types func(seed int64) []model.ServerType
 	// Algorithms to run and measure against the optimum; nil means
 	// DefaultAlgorithms().
 	Algorithms []AlgSpec
@@ -35,6 +39,15 @@ func (sc Scenario) specs() []AlgSpec {
 		return sc.Algorithms
 	}
 	return DefaultAlgorithms()
+}
+
+// Fleet returns the fleet template of the scenario's instance for seed:
+// Types(seed) when the scenario sets it, else Instance(seed).Types.
+func (sc Scenario) Fleet(seed int64) []model.ServerType {
+	if sc.Types != nil {
+		return sc.Types(seed)
+	}
+	return sc.Instance(seed).Types
 }
 
 // ---------- registry ----------
@@ -98,19 +111,80 @@ func maintenanceLineup() []AlgSpec {
 	return append(out, algorithmsByKey("all-on", "load-tracking")...)
 }
 
-// cpuGPU is the CPU+GPU cluster used across the experiment study: cheap
-// slow web servers and expensive fast accelerators (the paper's
-// heterogeneity motivation).
-func cpuGPU(lambda []float64) *model.Instance {
-	return &model.Instance{
-		Types: []model.ServerType{
-			{Name: "cpu", Count: 16, SwitchCost: 2, MaxLoad: 1,
-				Cost: model.Static{F: costfn.Power{Idle: 1, Coef: 0.6, Exp: 2}}},
-			{Name: "gpu", Count: 4, SwitchCost: 15, MaxLoad: 4,
-				Cost: model.Static{F: costfn.Affine{Idle: 4, Rate: 0.3}}},
-		},
-		Lambda: lambda,
+// The stock fleets. Instance and Types hand out copies of them; the cost
+// profiles they hold are immutable values, shared by every copy.
+var (
+	quickstartFleet = []model.ServerType{
+		{Name: "slow", Count: 8, SwitchCost: 3, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 1}}},
+		{Name: "fast", Count: 3, SwitchCost: 12, MaxLoad: 4,
+			Cost: model.Static{F: costfn.Power{Idle: 3, Coef: 0.4, Exp: 2}}},
 	}
+	// cpuGPUFleet is the CPU+GPU cluster used across the experiment
+	// study: cheap slow web servers and expensive fast accelerators (the
+	// paper's heterogeneity motivation).
+	cpuGPUFleet = []model.ServerType{
+		{Name: "cpu", Count: 16, SwitchCost: 2, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Power{Idle: 1, Coef: 0.6, Exp: 2}}},
+		{Name: "gpu", Count: 4, SwitchCost: 15, MaxLoad: 4,
+			Cost: model.Static{F: costfn.Affine{Idle: 4, Rate: 0.3}}},
+	}
+	onoffFleet = []model.ServerType{
+		{Name: "std", Count: 12, SwitchCost: 4, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 0.8}}},
+	}
+	heterogeneousFleet = []model.ServerType{
+		{Name: "gen1", Count: 10, SwitchCost: 1.5, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Constant{C: 1.2}}},
+		{Name: "gen2", Count: 6, SwitchCost: 4, MaxLoad: 2,
+			Cost: model.Static{F: costfn.Affine{Idle: 1.5, Rate: 0.6}}},
+		{Name: "gen3", Count: 3, SwitchCost: 11, MaxLoad: 4,
+			Cost: model.Static{F: costfn.Power{Idle: 2.5, Coef: 0.3, Exp: 2}}},
+	}
+	maintenanceFleet = []model.ServerType{
+		{Name: "old", Count: 24, SwitchCost: 2, MaxLoad: 1,
+			Cost: model.Static{F: costfn.Affine{Idle: 1.2, Rate: 1}}},
+		{Name: "new", Count: 8, SwitchCost: 9, MaxLoad: 4,
+			Cost: model.Static{F: costfn.Affine{Idle: 2.5, Rate: 0.4}}},
+	}
+	priceFleet = func() []model.ServerType {
+		price := hourlyPrice(48)
+		return []model.ServerType{
+			{Name: "standard", Count: 10, SwitchCost: 4, MaxLoad: 1,
+				Cost: model.Modulated{F: costfn.Affine{Idle: 1, Rate: 0.8}, Scale: price}},
+			{Name: "highmem", Count: 4, SwitchCost: 10, MaxLoad: 3,
+				Cost: model.Modulated{F: costfn.Affine{Idle: 2.5, Rate: 0.4}, Scale: price}},
+		}
+	}()
+)
+
+// hourlyPrice is the price-modulated scenario's electricity price over
+// T hourly slots: an evening peak and a cheap night.
+func hourlyPrice(T int) []float64 {
+	price := make([]float64, T)
+	for t := range price {
+		hour := t % 24
+		switch {
+		case hour >= 18 && hour <= 21:
+			price[t] = 1.8
+		case hour <= 5:
+			price[t] = 0.6
+		default:
+			price[t] = 1.0
+		}
+	}
+	return price
+}
+
+// fixed is the Types of a scenario whose fleet does not depend on the
+// seed: a copy of fleet.
+func fixed(fleet []model.ServerType) func(int64) []model.ServerType {
+	return func(int64) []model.ServerType { return slices.Clone(fleet) }
+}
+
+// cpuGPU is the CPU+GPU fleet under the demand trace lambda.
+func cpuGPU(lambda []float64) *model.Instance {
+	return &model.Instance{Types: slices.Clone(cpuGPUFleet), Lambda: lambda}
 }
 
 func init() {
@@ -119,15 +193,11 @@ func init() {
 		Doc:  "two-type cluster under clean diurnal load (the README example)",
 		Instance: func(int64) *model.Instance {
 			return &model.Instance{
-				Types: []model.ServerType{
-					{Name: "slow", Count: 8, SwitchCost: 3, MaxLoad: 1,
-						Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 1}}},
-					{Name: "fast", Count: 3, SwitchCost: 12, MaxLoad: 4,
-						Cost: model.Static{F: costfn.Power{Idle: 3, Coef: 0.4, Exp: 2}}},
-				},
+				Types:  slices.Clone(quickstartFleet),
 				Lambda: workload.Diurnal(48, 2, 16, 24, 0),
 			}
 		},
+		Types: fixed(quickstartFleet),
 	})
 
 	mustRegister(Scenario{
@@ -137,6 +207,7 @@ func init() {
 			rng := rand.New(rand.NewSource(seed))
 			return cpuGPU(workload.DiurnalNoisy(rng, 48, 4, 20, 24, 0.2))
 		},
+		Types: fixed(cpuGPUFleet),
 	})
 
 	mustRegister(Scenario{
@@ -146,6 +217,7 @@ func init() {
 			rng := rand.New(rand.NewSource(seed))
 			return cpuGPU(workload.Bursty(rng, 48, 5, 16, 0.15))
 		},
+		Types: fixed(cpuGPUFleet),
 	})
 
 	mustRegister(Scenario{
@@ -153,13 +225,11 @@ func init() {
 		Doc:  "adversarial on/off phases on a homogeneous fleet (LCP applies)",
 		Instance: func(int64) *model.Instance {
 			return &model.Instance{
-				Types: []model.ServerType{
-					{Name: "std", Count: 12, SwitchCost: 4, MaxLoad: 1,
-						Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 0.8}}},
-				},
+				Types:  slices.Clone(onoffFleet),
 				Lambda: workload.OnOff(48, 10, 1, 5, 3),
 			}
 		},
+		Types: fixed(onoffFleet),
 	})
 
 	mustRegister(Scenario{
@@ -169,6 +239,7 @@ func init() {
 			rng := rand.New(rand.NewSource(seed))
 			return cpuGPU(workload.RandomWalk(rng, 48, 8, 3, 0, 28))
 		},
+		Types: fixed(cpuGPUFleet),
 	})
 
 	mustRegister(Scenario{
@@ -181,17 +252,11 @@ func init() {
 				workload.Bursty(rng, 48, 0, 6, 0.1),
 			)
 			return &model.Instance{
-				Types: []model.ServerType{
-					{Name: "gen1", Count: 10, SwitchCost: 1.5, MaxLoad: 1,
-						Cost: model.Static{F: costfn.Constant{C: 1.2}}},
-					{Name: "gen2", Count: 6, SwitchCost: 4, MaxLoad: 2,
-						Cost: model.Static{F: costfn.Affine{Idle: 1.5, Rate: 0.6}}},
-					{Name: "gen3", Count: 3, SwitchCost: 11, MaxLoad: 4,
-						Cost: model.Static{F: costfn.Power{Idle: 2.5, Coef: 0.3, Exp: 2}}},
-				},
+				Types:  slices.Clone(heterogeneousFleet),
 				Lambda: workload.Clamp(trace, 30),
 			}
 		},
+		Types: fixed(heterogeneousFleet),
 	})
 
 	mustRegister(Scenario{
@@ -211,16 +276,12 @@ func init() {
 				counts[t] = []int{old, fresh}
 			}
 			return &model.Instance{
-				Types: []model.ServerType{
-					{Name: "old", Count: 24, SwitchCost: 2, MaxLoad: 1,
-						Cost: model.Static{F: costfn.Affine{Idle: 1.2, Rate: 1}}},
-					{Name: "new", Count: 8, SwitchCost: 9, MaxLoad: 4,
-						Cost: model.Static{F: costfn.Affine{Idle: 2.5, Rate: 0.4}}},
-				},
+				Types:  slices.Clone(maintenanceFleet),
 				Lambda: workload.Diurnal(T, 4, 20, 12, 0),
 				Counts: counts,
 			}
 		},
+		Types:      fixed(maintenanceFleet),
 		Algorithms: maintenanceLineup(),
 	})
 
@@ -229,28 +290,11 @@ func init() {
 		Doc:  "electricity-price signal scaling all operating costs (time-dependent f_{t,j})",
 		Instance: func(seed int64) *model.Instance {
 			rng := rand.New(rand.NewSource(seed))
-			const T = 48
-			price := make([]float64, T)
-			for t := range price {
-				hour := t % 24
-				switch {
-				case hour >= 18 && hour <= 21:
-					price[t] = 1.8
-				case hour <= 5:
-					price[t] = 0.6
-				default:
-					price[t] = 1.0
-				}
-			}
 			return &model.Instance{
-				Types: []model.ServerType{
-					{Name: "standard", Count: 10, SwitchCost: 4, MaxLoad: 1,
-						Cost: model.Modulated{F: costfn.Affine{Idle: 1, Rate: 0.8}, Scale: price}},
-					{Name: "highmem", Count: 4, SwitchCost: 10, MaxLoad: 3,
-						Cost: model.Modulated{F: costfn.Affine{Idle: 2.5, Rate: 0.4}, Scale: price}},
-				},
-				Lambda: workload.DiurnalNoisy(rng, T, 1, 10, 24, 0.3),
+				Types:  slices.Clone(priceFleet),
+				Lambda: workload.DiurnalNoisy(rng, 48, 1, 10, 24, 0.3),
 			}
 		},
+		Types: fixed(priceFleet),
 	})
 }

@@ -315,6 +315,7 @@ type Evaluator struct {
 	counts  []int   // the prepared slot's m_{t,j}
 	lambda  float64 // the prepared slot's λ_t
 	solver  dispatch.Solver
+	fit     bool // the last solved configuration fit the counts
 }
 
 // NewEvaluator returns an evaluator for the instance.
@@ -355,10 +356,22 @@ func (e *Evaluator) Prepare(in SlotInput) {
 // GPrepared returns g_t(x) for the slot of the last PrepareSlot or
 // Prepare call, bit-identical to G(t, x).
 func (e *Evaluator) GPrepared(x Config) float64 {
-	if !fitsCounts(x, e.counts) {
+	if e.fit = fitsCounts(x, e.counts); !e.fit {
 		return math.Inf(1)
 	}
 	return e.solver.CostPrepared(x, e.lambda)
+}
+
+// Dual returns the canonical dual multiplier ν* of the dispatch program
+// the last GPrepared, G or SplitInto call solved (dispatch.Solver.Dual):
+// NaN when that call ran no dual search, which includes a configuration
+// outside the slot's counts. By weak duality g_t(x) ≥ ν·λ_t + Σ_j x_j·
+// min_{0≤z≤zmax_j} (f_{t,j}(z) − ν·z) for every ν and every x.
+func (e *Evaluator) Dual() float64 {
+	if !e.fit {
+		return math.NaN()
+	}
+	return e.solver.Dual()
 }
 
 // fitsCounts reports whether 0 <= x_j <= counts_j for every type. A
@@ -397,7 +410,7 @@ func (e *Evaluator) Split(t int, x Config) dispatch.Assignment {
 // allocation-free counterpart of Split.
 func (e *Evaluator) SplitInto(t int, x Config, res *dispatch.Assignment) {
 	e.PrepareSlot(t)
-	if fitsCounts(x, e.counts) {
+	if e.fit = fitsCounts(x, e.counts); e.fit {
 		e.solver.AssignPrepared(x, e.lambda, res)
 		return
 	}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/costfn"
+	"repro/internal/dispatch"
 )
 
 // twoTypeInstance is a small heterogeneous instance used across tests:
@@ -419,5 +420,30 @@ func TestCheckSlotRefusesCountAboveTemplate(t *testing.T) {
 	}
 	if err := acc.Push(SlotInput{Lambda: 1, Counts: []int{3, 2}}); err != nil || acc.T() != 1 {
 		t.Fatalf("the accumulator refused the template's own counts after a bad slot: %v (T=%d)", err, acc.T())
+	}
+}
+
+// Evaluator.Dual passes the dispatch solver's ν* through for the
+// configuration GPrepared solved last, and is NaN for one outside the
+// slot's counts, whose program it never solves.
+func TestEvaluatorDual(t *testing.T) {
+	ins := &Instance{Types: []ServerType{
+		{Count: 4, SwitchCost: 1, MaxLoad: 1, Cost: Static{F: costfn.Affine{Idle: 1, Rate: 1}}},
+		{Count: 2, SwitchCost: 1, MaxLoad: 2, Cost: Static{F: costfn.Power{Idle: 1, Coef: 0.5, Exp: 2}}},
+	}, Lambda: []float64{3}}
+	e := NewEvaluator(ins)
+	e.PrepareSlot(1)
+	e.GPrepared(Config{3, 2})
+	var sv dispatch.Solver
+	sv.Cost([]dispatch.Server{
+		{Active: 3, Cap: 1, F: costfn.Affine{Idle: 1, Rate: 1}},
+		{Active: 2, Cap: 2, F: costfn.Power{Idle: 1, Coef: 0.5, Exp: 2}},
+	}, 3)
+	if got, want := e.Dual(), sv.Dual(); math.IsNaN(want) || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Dual = %v, dispatch's ν* = %v", got, want)
+	}
+	e.GPrepared(Config{5, 2})
+	if nu := e.Dual(); !math.IsNaN(nu) {
+		t.Fatalf("Dual after a configuration outside the counts = %v, want NaN", nu)
 	}
 }

@@ -481,14 +481,14 @@ func BenchmarkHTTPOpenCheckpoint(b *testing.B) {
 }
 
 // openCheckpointAllocs and openCheckpointBytes bound what a checkpoint
-// open allocates: 76 objects and 26 016 bytes in each of 4 processes
-// since the body's log decodes into the columns the session adopts and
-// its fleet without reflection (82 and 139 559 bytes when the log
-// decoded into records; 83 and ≈ 263 KB when the session copied them;
-// 108–109 and ≈ 612 KB when the body still decoded through
-// encoding/json).
+// open allocates: 70 objects and 25 720–25 722 bytes in each of 4
+// processes since a scenario fleet resolves its types without building
+// the scenario's demand trace (76 and 26 016 bytes before; 82 and
+// 139 559 bytes when the log decoded into records; 83 and ≈ 263 KB when
+// the session copied them; 108–109 and ≈ 612 KB when the body still
+// decoded through encoding/json).
 const (
-	openCheckpointAllocs = 76
+	openCheckpointAllocs = 70
 	openCheckpointBytes  = 26 << 10
 )
 

@@ -68,7 +68,7 @@ func (f *FleetJSON) Resolve() ([]model.ServerType, error) {
 		if !ok {
 			return nil, fmt.Errorf("serve: unknown fleet scenario %q", f.Scenario)
 		}
-		return sc.Instance(f.Seed).Types, nil
+		return sc.Fleet(f.Seed), nil
 	case len(f.Types) > 0:
 		return model.FleetTemplate(f.Types)
 	default:

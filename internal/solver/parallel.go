@@ -53,7 +53,9 @@ type layerEvaluator struct {
 	// key right after it, as Algorithm C's sub-slots make, keeps its
 	// solved cells. held reports that gbuf holds the whole g-layer of the
 	// slot keyed prev, which the memo did not admit: the same key right
-	// after it takes the layer as it is.
+	// after it takes the layer as it is. Memo hits in between do not
+	// count: a receding-horizon window's second sighting of a slot
+	// follows a hit on the window's first slot.
 	partial bool
 	held    bool
 	prev    gcacheSig
@@ -171,7 +173,10 @@ func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
 	sig, memo := le.signature(t)
 	if memo {
 		if cached, hit := gcacheGet(sig, le.stripe); hit && len(cached) == n {
-			le.last = cached
+			// A hit touches neither gbuf nor prev: a partial or held
+			// layer there still stands for the next key it matches, as
+			// a receding-horizon window's next sighting of a slot is.
+			le.last, le.partial, le.held = cached, partial, held
 			return cached
 		}
 	}
@@ -235,6 +240,20 @@ func (le *layerEvaluator) cell(idx int, x model.Config) float64 {
 	}
 	le.prepare()
 	return le.eval.GPrepared(x)
+}
+
+// dual solves cell idx, configuration x, of the last slot's layer on the
+// serial evaluator, records its g in the layer when the layer left it
+// unsolved, and returns the canonical dual of its dispatch program
+// (model.Evaluator.Dual).
+func (le *layerEvaluator) dual(idx int, x model.Config) float64 {
+	le.prepare()
+	g := le.eval.GPrepared(x)
+	le.solved++
+	if v := le.last[idx]; v != v {
+		le.last[idx] = g
+	}
+	return le.eval.Dual()
 }
 
 // prepare resolves slot le.t on the serial evaluator, once per layer.

@@ -167,3 +167,41 @@ func settledGoroutines() int {
 	}
 	return n
 }
+
+// A receding-horizon window (w = 3) solves each cell of a slot's layer
+// at most once over the three windows the slot sits in, under fresh
+// demand: its first, pruned sighting leaves a partial layer, the next
+// window's first slot hits the memo, and the second sighting completes
+// the partial layer rather than solving it again from scratch.
+func TestWindowSolvesEachCellOnce(t *testing.T) {
+	swapGcache(t, gcacheShards, gcacheMaxFloats)
+	types := []model.ServerType{
+		{Name: "a", Count: 40, SwitchCost: 3, MaxLoad: 1, Cost: model.Static{F: costfn.Affine{Idle: 1, Rate: 1}}},
+		{Name: "b", Count: 40, SwitchCost: 10, MaxLoad: 3, Cost: model.Static{F: costfn.Power{Idle: 2, Coef: 0.3, Exp: 2}}},
+	}
+	const w, decisions = 3, 60
+	rng := rand.New(rand.NewSource(11))
+	trace := workload.Diurnal(decisions+w-1, 10, 140, 24, 0)
+	slots := make([]model.SlotInput, len(trace))
+	for i, v := range trace {
+		slots[i] = model.SlotInput{T: i + 1, Lambda: v * (0.9 + 0.2*rng.Float64())}
+	}
+	win, err := NewWindow(types)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make(model.Config, len(types))
+	for s := 0; s < decisions; s++ {
+		cfg, _, err := win.Plan(x, slots[s:s+w])
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(x, cfg)
+	}
+	cells := 41 * 41
+	perCell := float64(win.tr.le.solved) / float64(cells*len(slots))
+	t.Logf("%d dispatch solves over %d slots of %d cells: %.2f per cell per slot", win.tr.le.solved, len(slots), cells, perCell)
+	if perCell > 1 {
+		t.Fatalf("the window solved %.2f dispatch programs per cell per slot, want <= 1", perCell)
+	}
+}

@@ -15,46 +15,67 @@ import (
 // inequality, so such a cell never attains a later layer's minimum, the
 // prefix optimum or a schedule's predecessor: it may as well be +Inf. A
 // strictly dominated cell can often be recognised before its dispatch
-// program is solved, because g_t(x) ≥ LB(x) = Σ_j x_j·f_{t,j}(0) for
-// nondecreasing cost functions. Per slot, with h_t = relax(D_{t−1}):
+// program is solved, from a lower bound on g_t(x). For nondecreasing
+// cost functions g_t(x) ≥ LB(x) = Σ_j x_j·f_{t,j}(0), and, by weak
+// duality for Eq. (1), g_t(x) ≥ L_ν(x) = ν·λ_t + Σ_j x_j·c_j(ν) for every
+// multiplier ν, where c_j(ν) = min over 0 ≤ z ≤ zmax_j of f_{t,j}(z) − ν·z
+// (LB is L_0). Per slot, with h_t = relax(D_{t−1}):
 //
-//   - The candidate a is the argmin of h_t + LB, the cell most likely to
-//     be the new optimum. It is solved first.
-//   - Every other cell x with h_t(x) + LB(x) > U(x) + margin, where
-//     U(x) = D_t(a) + Σ_j β_j (x_j − a_j)⁺, is strictly dominated by a:
-//     it is set to +Inf unsolved. The remaining cells are solved in
-//     lattice order.
+//   - The candidates are the pruneCands cells of least h_t + LB (ties to
+//     the lower index), the cells most likely to be the new optimum. They
+//     are solved first, on the serial evaluator, which also reports each
+//     one's canonical dual ν* (model.Evaluator.Dual).
+//   - For each candidate's ν*, c_j(ν*) is computed once per type: in
+//     closed form for Constant, Affine and linear and quadratic Power,
+//     and as f_{t,j}(0) − ν·zmax_j, a lower bound for any nondecreasing
+//     f, for the other families (dualShape).
+//   - Every other cell x whose h_t(x) + L(x), L = max(LB, L_ν* of each
+//     candidate), exceeds U_c(x) + margin, where U_c(x) = D_t(c) +
+//     Σ_j β_j (x_j − c_j)⁺, for a candidate c is strictly dominated by c:
+//     it is set to +Inf unsolved. The first candidate is tried first, the
+//     second only on the cells that survive it. The remaining cells are
+//     solved in lattice order.
 //
 // Cells whose capacity certainly falls short of λ_t are +Inf without a
-// solve. The margin, pruneMargin·(1 + |U(x)| + Σ_j β_j·m_j), exceeds
-// every rounding error of the sums and of relax's float chain, whose
-// intermediate terms reach β_j·m_j, so a pruned cell loses every min it
-// took part in by more than rounding: every later layer's surviving
-// cells, the prefix optima, their argmins and Solve's schedules keep
-// their bits. It also lies far outside OptRange's 1e-12 tie band.
+// solve. The margin, pruneMargin·(1 + |U_c(x)| + Σ_j β_j·m_j + M), with
+// M = max over the candidates of ν*·λ_t + Σ_j m_j·(|f_{t,j}(0)| +
+// ν*·zmax_j) ≥ ν*·λ_t + Σ_j x_j·|c_j(ν*)|, exceeds every rounding error
+// of the sums, of the bounds (whose terms reach M where they cancel)
+// and of relax's float chain, whose intermediate terms reach β_j·m_j.
+// So a pruned cell loses every min it took part in by more than
+// rounding: every later layer's surviving cells, the prefix optima,
+// their argmins and Solve's schedules keep their bits. It also lies far
+// outside OptRange's 1e-12 tie band.
 //
-// Which cells a layer prunes is a function of h_t and the slot alone, and
-// pruning changes no cell of the next h (a pruned cell never wins relax's
-// min). The rule saves dispatch solves only on a partial layer, a memo
-// miss's: a memo hit, like any step whose g-layer begin evaluated whole,
-// defers the rule to AppendState, the one reader that sees +Inf cells.
-// Its step adds the whole g-layer to every cell, which leaves every
-// surviving cell, optimum, argmin, OptRange and relax of the layer bit
-// for bit those of the pruned layer; settle later recomputes
-// h_t = relax(D_{t−1}) and runs the pass against the same g-layer, as the
-// miss would have. So a hit, a miss, the memo switched off and every
+// Which cells a layer prunes is a function of h_t and the slot alone:
+// the candidates' g and ν* are pure functions of the slot and the cell,
+// never of a warm start; and pruning changes no cell of the next h (a
+// pruned cell never wins relax's min). The rule saves dispatch solves
+// only on a partial layer, a memo miss's: a memo hit, like any step
+// whose g-layer begin evaluated whole, defers the rule to AppendState,
+// the one reader that sees +Inf cells. Its step adds the whole g-layer
+// to every cell, which leaves every surviving cell, optimum, argmin,
+// OptRange and relax of the layer bit for bit those of the pruned layer;
+// settle later recomputes h_t = relax(D_{t−1}), solves the candidates
+// again for their duals and runs the pass against the same g-layer, as
+// the miss would have. So a hit, a miss, the memo switched off and every
 // worker count leave the same bytes. The first slot, a slot whose
 // lattice changed and a slot with a cost function not known to be
 // nondecreasing are not pruned.
 //
-// One dominator is enough: on the heterogeneous fleet under fresh demand
-// the tracker solves 37.7% of the feasible cells with it. Relaxing the
-// cells left undominated by the previous layer as a set of dominators
-// brings that to 30.5%, but its second relax sweep costs about what the
-// extra solves do on a memo miss, and on a memo hit it is pure overhead.
+// On the heterogeneous fleet under fresh demand the tracker solves
+// 18.4% of the feasible cells (TestPrunedLayerSolvesFewCells), 48.4 a
+// slot, against 37.7% and 99.2 a slot with one candidate and LB alone.
+// A sweep of pruneCands on the same trace read 62.6, 48.4, 42.3, 39.7
+// and 36.1 solves a slot for 1, 2, 3, 4 and 6 candidates. Each candidate
+// also adds its U_c and its bound to the pass over the cells, and past
+// two the solves saved no longer clearly pay for that in push time.
 
 // pruneMargin is the relative margin of the pruning test (see above).
 const pruneMargin = 1e-9
+
+// pruneCands is the number of candidates a prune pass solves first.
+const pruneCands = 2
 
 // Test switches, for the differentials that compare pruned and
 // unpruned sweeps (export_test.go): trackers built while pruneOff is set
@@ -62,10 +83,10 @@ const pruneMargin = 1e-9
 // neither read nor fill the layer memo.
 var pruneOff, memoOff bool
 
-// floors resolves the slot's lower-bound table, f_{t,j}(0) and the
-// capacity of every type, and reports whether the slot may be pruned:
-// every cost function belongs to a family known to be nondecreasing, and
-// the table's values are finite.
+// floors resolves the slot's lower-bound table, f_{t,j}(0), the
+// capacity and the dualShape of every type, and reports whether the slot
+// may be pruned: every cost function belongs to a family known to be
+// nondecreasing, and the table's values are finite.
 func (p *PrefixTracker) floors() bool {
 	if !p.prune {
 		return false
@@ -81,8 +102,42 @@ func (p *PrefixTracker) floors() bool {
 			return false
 		}
 		p.f0[j], p.zmax[j] = f0, st.MaxLoad
+		p.rate[j], p.quad[j] = dualShape(f)
 	}
 	return true
+}
+
+// dualShape returns what dualFloor needs of a nondecreasing f to bound
+// c(ν) = min over 0 ≤ z ≤ zmax of f(z) − ν·z: the coefficient a > 0 of a
+// quadratic Power, else the rate r from which on a step family
+// (Constant, Affine, linear Power) absorbs its capacity. Every other
+// family gets r = 0, whose f(0) − ν·zmax bounds c(ν) from below for any
+// nondecreasing f and ν ≥ 0.
+func dualShape(f costfn.Func) (r, a float64) {
+	switch v := f.(type) {
+	case costfn.Affine:
+		return v.Rate, 0
+	case costfn.Power:
+		switch {
+		case v.Exp == 1:
+			return v.Coef, 0
+		case v.Exp == 2 && v.Coef > 0:
+			return 0, v.Coef
+		}
+	}
+	return 0, 0
+}
+
+// dualFloor returns c(ν), or a lower bound on it, for ν ≥ 0 and a type
+// with idle cost f0, capacity zmax and dualShape (r, a): the minimum of
+// f0 + a·z² − ν·z at z = min(ν/2a, zmax) for a quadratic, else
+// f0 − (ν − r)⁺·zmax.
+func dualFloor(f0, zmax, r, a, nu float64) float64 {
+	if a > 0 {
+		z := min(nu/(2*a), zmax)
+		return f0 + a*(z*z) - nu*z
+	}
+	return f0 - max(nu-r, 0)*zmax
 }
 
 // nondecreasing reports whether f belongs to a stock family whose
@@ -117,11 +172,12 @@ func nondecreasing(f costfn.Func) bool {
 // floorLayer writes LB(x) for every cell of g into relaxer scratch 3,
 // +Inf where x's capacity falls short of λ_t by far more than rounding
 // (dispatch's test is capacity < λ(1−1e-12)), and returns it with the
-// candidate: the lowest index minimising h + LB, or −1 when every cell
-// is +Inf there. It sums the bound and the capacity over all types but
-// the last once per lattice line, with an odometer over those types'
-// levels (in p.cfg) instead of Decode.
-func (p *PrefixTracker) floorLayer(h []float64, g *grid.Grid) (lb []float64, cand int) {
+// candidates: the pruneCands indices of least h + LB in ascending order
+// of it, ties to the lower index, −1 past the cells finite there. It
+// sums the bound and the capacity over all types but the last once per
+// lattice line, with an odometer over those types' levels (in p.cfg)
+// instead of Decode.
+func (p *PrefixTracker) floorLayer(h []float64, g *grid.Grid) (lb []float64, cands [pruneCands]int) {
 	lb = p.rx.scratch(3, len(h))
 	d := g.D()
 	last := g.Axis(d - 1)
@@ -131,7 +187,10 @@ func (p *PrefixTracker) floorLayer(h []float64, g *grid.Grid) (lb []float64, can
 		need = lambda * (1 - 1e-12) * (1 - pruneMargin)
 	}
 	inf := math.Inf(1)
-	cand, best := -1, inf
+	var best [pruneCands]float64
+	for k := range cands {
+		cands[k], best[k] = -1, inf
+	}
 	lvl := p.cfg[:d-1]
 	clear(lvl)
 	for base := 0; base < len(lb); base += len(last) {
@@ -149,13 +208,17 @@ func (p *PrefixTracker) floorLayer(h []float64, g *grid.Grid) (lb []float64, can
 				l = inf
 			}
 			line[k] = l
-			if c := hl[k] + l; c < best {
-				cand, best = base+k, c
+			if c := hl[k] + l; c < best[pruneCands-1] {
+				n := pruneCands - 1
+				for ; n > 0 && c < best[n-1]; n-- {
+					cands[n], best[n] = cands[n-1], best[n-1]
+				}
+				cands[n], best[n] = base+k, c
 			}
 		}
 		nextLine(g, lvl)
 	}
-	return lb, cand
+	return lb, cands
 }
 
 // nextLine advances lvl, the levels of every type but the last, to the
@@ -177,68 +240,115 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 	p.prunes++
 	le := p.le
 	gl := le.last
-	lb, a := p.floorLayer(h, g)
+	lb, cands := p.floorLayer(h, g)
 	inf := math.Inf(1)
-
-	// The candidate, solved first; +Inf when no cell can be feasible.
-	da := inf
-	if a >= 0 {
-		if full != nil {
-			h[a] += full[a]
-		} else {
-			gl[a] = unsolvedMark
-			le.solveMarked(h, g)
-		}
-		da = h[a]
-	}
-
-	// Prune the cells the candidate dominates by more than the margin;
-	// mark the rest for solving. U(x) − D_t(a) sums over all types but
-	// the last once per lattice line, with an odometer over their levels.
 	d := g.D()
-	xa := p.cand
-	if a >= 0 {
-		g.Decode(a, xa)
-	}
-	scale := 1.0
+	lambda := p.ins.Lambda[0]
+
+	// The candidates, solved first on the serial evaluator for their
+	// duals (settle's layer holds their g already, but not their duals).
+	// D_t(c) is +Inf for an absent candidate. A candidate without a
+	// positive finite dual bounds with c_j = f_{t,j}(0), that is with LB.
+	// slack is the margin's part that does not depend on U_c(x).
+	var da, ga, nu [pruneCands]float64
+	slack, floor, capacity := 1.0, 0.0, 0.0
 	for j, beta := range p.betas {
-		ax := g.Axis(j)
-		scale += beta * float64(ax[len(ax)-1])
+		m := float64(g.Axis(j)[len(g.Axis(j))-1])
+		slack += beta * m
+		floor += m * math.Abs(p.f0[j])
+		capacity += m * p.zmax[j]
 	}
+	bound := 0.0
+	for k, a := range cands {
+		da[k], nu[k] = inf, 0
+		if a >= 0 {
+			xa := p.cand[k*d : (k+1)*d]
+			g.Decode(a, xa)
+			if v := le.dual(a, xa); v > 0 && v < inf {
+				nu[k] = v
+			}
+			ga[k] = gl[a]
+			da[k] = h[a] + ga[k]
+		}
+		c := p.coef[k*d : (k+1)*d]
+		for j := range c {
+			c[j] = dualFloor(p.f0[j], p.zmax[j], p.rate[j], p.quad[j], nu[k])
+		}
+		bound = max(bound, nu[k]*(lambda+capacity)+floor)
+	}
+	slack += bound
+
+	// Prune the cells a candidate dominates by more than the margin; mark
+	// the rest for solving. U_c(x) − D_t(c) and the duals' bounds sum
+	// over all types but the last once per lattice line, with an odometer
+	// over their levels. The candidates go through the pass like any
+	// cell, and get their D_t and g back after it.
 	last, betaL := g.Axis(d-1), p.betas[d-1]
+	n := len(last)
+	var up0, l0, cL [pruneCands]float64
+	var aL [pruneCands]int
+	for k := range cands {
+		aL[k], cL[k] = p.cand[k*d+d-1], p.coef[k*d+d-1]
+	}
 	lvl := p.cfg[:d-1]
 	clear(lvl)
 	marked := false
-	for base := 0; base < len(h); base += len(last) {
-		up0 := da
-		for j, l := range lvl {
-			if up := g.Axis(j)[l] - xa[j]; up > 0 {
-				up0 += p.betas[j] * float64(up)
+	for base := 0; base < len(h); base += n {
+		for k := range cands {
+			xa, c := p.cand[k*d:(k+1)*d], p.coef[k*d:(k+1)*d]
+			up0[k], l0[k] = da[k], nu[k]*lambda
+			for j, l := range lvl {
+				x := g.Axis(j)[l]
+				if up := x - xa[j]; up > 0 {
+					up0[k] += p.betas[j] * float64(up)
+				}
+				l0[k] += float64(x) * c[j]
 			}
 		}
+		hs, lbs, gs := h[base:base+n], lb[base:base+n], gl[base:base+n]
+	cells:
 		for k, v := range last {
-			i := base + k
-			if i == a {
-				continue
-			}
-			u := up0
-			if up := v - xa[d-1]; up > 0 {
-				u += betaL * float64(up)
-			}
-			if h[i]+lb[i] > u+pruneMargin*(scale+math.Abs(u)) {
-				h[i] = inf // dominated, or infeasible
-				if full == nil && lb[i] == inf {
-					gl[i] = inf
+			l := lbs[k]
+			if l == inf {
+				hs[k] = inf // infeasible
+				if full == nil {
+					gs[k] = inf
 				}
 				continue
 			}
+			x := float64(v)
+			for c := range cands {
+				if b := l0[c] + x*cL[c]; b > l {
+					l = b
+				}
+			}
+			l += hs[k]
+			for c := range cands {
+				u := up0[c]
+				if up := v - aL[c]; up > 0 {
+					u += betaL * float64(up)
+				}
+				if l > u+pruneMargin*(slack+math.Abs(u)) {
+					hs[k] = inf // dominated
+					continue cells
+				}
+			}
 			if full != nil {
-				h[i] += full[i]
+				hs[k] += gs[k]
 			} else {
-				gl[i], marked = unsolvedMark, true
+				gs[k], marked = unsolvedMark, true
 			}
 		}
 		nextLine(g, lvl)
+	}
+	for k, a := range cands {
+		if a < 0 {
+			continue
+		}
+		h[a] = da[k]
+		if full == nil {
+			gl[a] = ga[k]
+		}
 	}
 	if marked {
 		le.solveMarked(h, g)
@@ -248,7 +358,8 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 // settle runs the prune pass a step deferred (see above): it relaxes
 // D_{t−1}, still in spare, into relaxer scratch, prunes that against the
 // slot's whole g-layer le.last, which begin left in place (a memo entry
-// is immutable), and copies the result over the layer. The step's floors
+// is immutable), solving the candidates again for their duals, and
+// copies the result over the layer. The step's floors
 // still hold f0 and zmax, and its lattice is the previous one. The
 // scratch is the one relax would write its last sweep to next, so the
 // rebuild costs no memory: the four scratch buffers are already sized

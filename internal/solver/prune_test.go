@@ -534,8 +534,9 @@ func heterogeneousFleet() []model.ServerType {
 }
 
 // On the heterogeneous fleet under fresh demand (a diurnal trace times
-// 0.9+0.2U, so no layer repeats), the tracker solves at most 40% of the
-// feasible cells it would otherwise solve.
+// 0.9+0.2U, so no layer repeats), the tracker solves at most 22% of the
+// feasible cells it would otherwise solve (it read 18.4% when the bound
+// was set).
 func TestPrunedLayerSolvesFewCells(t *testing.T) {
 	types := heterogeneousFleet()
 	rng := rand.New(rand.NewSource(3))
@@ -563,8 +564,8 @@ func TestPrunedLayerSolvesFewCells(t *testing.T) {
 	}
 	share := float64(tr.le.solved) / float64(feasible)
 	t.Logf("solved %d of %d feasible cells (%.1f%%) over %d slots", tr.le.solved, feasible, 100*share, len(trace))
-	if share > 0.40 {
-		t.Fatalf("the tracker solved %.1f%% of the feasible cells, want <= 40%%", 100*share)
+	if share > 0.22 {
+		t.Fatalf("the tracker solved %.1f%% of the feasible cells, want <= 22%%", 100*share)
 	}
 }
 
@@ -622,4 +623,94 @@ func benchTrackerStep(b *testing.B, fleet string, types []model.ServerType, trac
 			})
 		}
 	}
+}
+
+// boundFamily draws a cost function of every family nondecreasing
+// admits: Constant, Affine, Power with exponents below 1, 1, 2 and above
+// 2, Exponential and PiecewiseLinear, each wrapped in Scaled now and
+// then.
+func boundFamily(rng *rand.Rand) costfn.Func {
+	idle := 2 * rng.Float64()
+	var f costfn.Func
+	switch rng.Intn(8) {
+	case 0:
+		f = costfn.Constant{C: idle}
+	case 1:
+		f = costfn.Affine{Idle: idle, Rate: 3 * rng.Float64()}
+	case 2:
+		f = costfn.Power{Idle: idle, Coef: 2 * rng.Float64(), Exp: rng.Float64()}
+	case 3:
+		f = costfn.Power{Idle: idle, Coef: 2 * rng.Float64(), Exp: 1}
+	case 4:
+		f = costfn.Power{Idle: idle, Coef: 2 * rng.Float64(), Exp: 2}
+	case 5:
+		f = costfn.Power{Idle: idle, Coef: 2 * rng.Float64(), Exp: 2 + 2*rng.Float64()}
+	case 6:
+		f = costfn.Exponential{Idle: idle, Amp: 0.05 + rng.Float64(), Rate: 0.1 + rng.Float64()}
+	default:
+		s1 := rng.Float64()
+		s2 := s1 + rng.Float64()
+		f = costfn.MustPiecewiseLinear([]float64{0, 0.5, 1}, []float64{idle, idle + s1*0.5, idle + s1*0.5 + s2*0.5})
+	}
+	if rng.Intn(4) == 0 {
+		f = costfn.Scaled{F: f, Factor: 0.25 + 2*rng.Float64()}
+	}
+	return f
+}
+
+// The Lagrangian bound the prune pass tests cells with holds: for every
+// family nondecreasing admits and every multiplier ν from 0 to far above
+// every type's saturation multiplier σ_j = f_j'(zmax_j), L_ν(x) =
+// ν·λ + Σ_j x_j·dualFloor(…, ν), less its margin, is at most the
+// dispatch's g_t(x) on every cell of the lattice, feasible or not.
+func TestDualBoundBelowG(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	checked := 0
+	for trial := 0; trial < 300; trial++ {
+		d := 1 + rng.Intn(3)
+		types := make([]model.ServerType, d)
+		fns := make([]costfn.Func, d)
+		capacity, sigma := 0.0, 0.0
+		for j := range types {
+			fns[j] = boundFamily(rng)
+			if !nondecreasing(fns[j]) {
+				t.Fatalf("%v is not admitted", fns[j])
+			}
+			types[j] = model.ServerType{Count: rng.Intn(6), SwitchCost: 1, MaxLoad: 0.5 + 3*rng.Float64(), Cost: model.Static{F: fns[j]}}
+			capacity += float64(types[j].Count) * types[j].MaxLoad
+			df, _ := costfn.AsDifferentiable(fns[j])
+			sigma = max(sigma, df.Deriv(types[j].MaxLoad))
+		}
+		in := model.SlotInput{Lambda: capacity * rng.Float64()}
+		eval := model.NewEvaluator(&model.Instance{Types: types})
+		eval.Prepare(in)
+		counts := make([]int, d)
+		for j, st := range types {
+			counts[j] = st.Count
+		}
+		g := grid.NewFull(counts)
+		x := make(model.Config, d)
+		for _, nu := range []float64{0, 1e-3 * sigma, 0.5 * sigma, sigma, 2 * sigma, 10*sigma + 1, 1e6 * (sigma + 1)} {
+			c := make([]float64, d)
+			bound := nu * in.Lambda
+			for j, st := range types {
+				f0 := fns[j].Value(0)
+				r, a := dualShape(fns[j])
+				c[j] = dualFloor(f0, st.MaxLoad, r, a, nu)
+				bound += float64(st.Count) * (math.Abs(f0) + nu*st.MaxLoad)
+			}
+			for i := 0; i < g.Size(); i++ {
+				g.Decode(i, x)
+				l := nu * in.Lambda
+				for j, cj := range c {
+					l += float64(x[j]) * cj
+				}
+				if gv := eval.GPrepared(x); l-pruneMargin*bound > gv {
+					t.Fatalf("trial %d ν=%g x=%v: L_ν = %v exceeds g = %v (λ=%g, fns %v)", trial, nu, x, l, gv, in.Lambda, fns)
+				}
+				checked++
+			}
+		}
+	}
+	t.Logf("%d bounds checked", checked)
 }

@@ -16,12 +16,12 @@ import (
 // argmin of the forward DP layer — so the whole online run costs no more
 // than a single offline DP sweep: O(T·|M|·d) for the relax sweeps, plus
 // at most T·|M| operating-cost evaluations. Dominance pruning (prune.go)
-// evaluates only the cells a lower bound cannot prove dominated, about
-// two fifths of them on the heterogeneous fleet, and sets the rest to +Inf;
-// no decision, optimum or surviving cell changes. A step whose g-layer is
-// whole anyway (a memo hit, or a layer the memo admits) adds it to every
-// cell and defers the rule to AppendState, the one reader that sees +Inf
-// cells. Its step is the package's only forward DP step: Solve,
+// evaluates only the cells a lower bound cannot prove dominated, under a
+// fifth of them on the heterogeneous fleet under fresh demand, and sets
+// the rest to +Inf; no decision, optimum or surviving cell changes. A
+// step whose g-layer is whole anyway (a memo hit, or a layer the memo
+// admits) adds it to every cell and defers the rule to AppendState, the
+// one reader that sees +Inf cells. Its step is the package's only forward DP step: Solve,
 // OptimalCost and Window sweep their slots through a tracker too.
 //
 // Slot data arrives push-style via Push(SlotInput), so the online
@@ -43,7 +43,10 @@ type PrefixTracker struct {
 	prune bool         // prune dominated cells (prune.go)
 	f0    []float64    // the slot's f_{t,j}(0), for pruning's lower bound
 	zmax  []float64    // the fleet's capacities, likewise
-	cand  model.Config // pruning's candidate cell
+	rate  []float64    // the slot's dualShape per type, for the dual bounds
+	quad  []float64    // likewise
+	coef  []float64    // c_j(ν*) per candidate, pruneCands × d
+	cand  model.Config // pruning's candidate cells, pruneCands × d
 	start model.Config // x_0, which slot 1 relaxes from: all-off but in a Window
 
 	t     int       // slots processed so far
@@ -84,12 +87,12 @@ func bind(ins *model.Instance, opts Options) (*PrefixTracker, error) {
 // arrives through Push, and its memory does not grow with the stream.
 func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, error) {
 	d := len(types)
-	ints := make([]int, 4*d) // curCounts, cfg, cand and start
+	ints := make([]int, (3+pruneCands)*d) // curCounts, cfg, start and cand
 	front, err := newSlotFront(types, opts, ints[:0:d])
 	if err != nil {
 		return nil, err
 	}
-	floats := make([]float64, 3*d) // betas, f0 and zmax
+	floats := make([]float64, (5+pruneCands)*d) // betas, f0, zmax, rate, quad and coef
 	betas := floats[:d:d]
 	for j, st := range types {
 		betas[j] = st.SwitchCost
@@ -100,10 +103,13 @@ func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, e
 		betas:     betas,
 		prune:     !pruneOff,
 		f0:        floats[d : 2*d : 2*d],
-		zmax:      floats[2*d:],
+		zmax:      floats[2*d : 3*d : 3*d],
+		rate:      floats[3*d : 4*d : 4*d],
+		quad:      floats[4*d : 5*d : 5*d],
+		coef:      floats[5*d:],
 		cfg:       ints[d : 2*d : 2*d],
-		cand:      ints[2*d : 3*d : 3*d],
-		start:     ints[3*d:],
+		start:     ints[2*d : 3*d : 3*d],
+		cand:      ints[3*d:],
 	}, nil
 }
 
@@ -267,14 +273,17 @@ func latticeCells(counts []int, gamma float64, limit int) (cells int, ok bool) {
 
 // MaxLatticeCells is the largest exact lattice, Π_j (m_j + 1) cells, a
 // serving tier accepts for a fleet. A stream tracker on the pruned path
-// costs 120–200 ns of CPU per cell on a memo-miss push and holds ≈ 70 B
-// per cell (layer buffers, g-layer and relax scratch), measured on a
-// 2-vCPU Xeon @ 2.1 GHz over lattices of 663 to 40 501 cells. So a
-// session at the budget costs 30–50 ms a push and ≈ 18 MB resident.
-// Every registered algorithm's push is linear in the lattice; the
-// costliest, receding horizon (w = 3), took 27–29 ms a memo-miss push at
-// 2^16 cells (alg-b 7–9 ms) and holds w·|M| floats, 1.5 MiB, for its
-// window. So one request can no longer take a daemon down.
+// costs 55–100 ns of thread CPU per cell on a memo-miss push (the most
+// on the smallest lattice) and holds ≈ 70 B per cell (layer buffers,
+// g-layer and relax scratch), measured on a 2-vCPU Xeon @ 2.1 GHz with
+// the heterogeneous fleet's types at 1, 2, 4 and 6 times its counts,
+// 308 to 42 883 cells, under fresh demand. So a session at the budget
+// costs ≈ 15–26 ms a push and ≈ 18 MB resident. Every registered
+// algorithm's push is linear in the lattice; the costliest, receding
+// horizon (w = 3), took 27–29 ms a memo-miss push at 2^16 cells against
+// alg-b's 7–9 ms when a prune pass bounded with LB alone, and holds
+// w·|M| floats, 1.5 MiB, for its window. So one request can no longer
+// take a daemon down.
 const MaxLatticeCells = 1 << 18
 
 // LatticeCells returns the number of cells of the fleet's exact lattice
