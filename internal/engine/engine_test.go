@@ -12,13 +12,12 @@ import (
 	"repro/internal/workload"
 )
 
-// smallScenarios keeps determinism tests fast: a slice of the stock
-// Every stock scenario builds its fleet alone (Fleet through Types)
-// equal to its instance's, for any seed, and hands out a copy: editing
-// one fleet changes no later one.
+// Every stock scenario builds its fleet alone (Fleet without a demand
+// trace) equal to its instance's, for any seed, and hands out a copy:
+// editing one fleet changes no later one.
 func TestStockScenarioFleetMatchesInstance(t *testing.T) {
 	for _, sc := range Scenarios() {
-		if sc.Types == nil {
+		if sc.fleet == nil {
 			t.Errorf("%s: no types-only fleet", sc.Name)
 			continue
 		}
@@ -35,6 +34,7 @@ func TestStockScenarioFleetMatchesInstance(t *testing.T) {
 	}
 }
 
+// smallScenarios keeps determinism tests fast: a slice of the stock
 // registry with modest lattices.
 func smallScenarios(t *testing.T) []Scenario {
 	t.Helper()

@@ -25,12 +25,13 @@ type Scenario struct {
 	// in seed: the suite runner relies on this for bit-identical results
 	// across worker counts. Scenarios without randomness ignore the seed.
 	Instance func(seed int64) *model.Instance
-	// Types, when set, builds the Types of Instance(seed) alone, without
-	// the demand trace, for callers that need only the fleet (Fleet).
-	Types func(seed int64) []model.ServerType
 	// Algorithms to run and measure against the optimum; nil means
 	// DefaultAlgorithms().
 	Algorithms []AlgSpec
+
+	// fleet, set by the stock scenarios, is the seed-independent Types of
+	// every Instance(seed), so Fleet need not generate a demand trace.
+	fleet []model.ServerType
 }
 
 // specs returns the scenario's algorithm line-up.
@@ -42,10 +43,10 @@ func (sc Scenario) specs() []AlgSpec {
 }
 
 // Fleet returns the fleet template of the scenario's instance for seed:
-// Types(seed) when the scenario sets it, else Instance(seed).Types.
+// a copy of a stock scenario's fixed fleet, else Instance(seed).Types.
 func (sc Scenario) Fleet(seed int64) []model.ServerType {
-	if sc.Types != nil {
-		return sc.Types(seed)
+	if sc.fleet != nil {
+		return slices.Clone(sc.fleet)
 	}
 	return sc.Instance(seed).Types
 }
@@ -111,7 +112,7 @@ func maintenanceLineup() []AlgSpec {
 	return append(out, algorithmsByKey("all-on", "load-tracking")...)
 }
 
-// The stock fleets. Instance and Types hand out copies of them; the cost
+// The stock fleets. Instance and Fleet hand out copies of them; the cost
 // profiles they hold are immutable values, shared by every copy.
 var (
 	quickstartFleet = []model.ServerType{
@@ -176,125 +177,98 @@ func hourlyPrice(T int) []float64 {
 	return price
 }
 
-// fixed is the Types of a scenario whose fleet does not depend on the
-// seed: a copy of fleet.
-func fixed(fleet []model.ServerType) func(int64) []model.ServerType {
-	return func(int64) []model.ServerType { return slices.Clone(fleet) }
-}
-
-// cpuGPU is the CPU+GPU fleet under the demand trace lambda.
-func cpuGPU(lambda []float64) *model.Instance {
-	return &model.Instance{Types: slices.Clone(cpuGPUFleet), Lambda: lambda}
+// mustRegisterOn registers a stock scenario on a fleet that does not
+// depend on the seed: Instance(seed) is demand(seed) with a copy of fleet
+// as its Types, and Fleet hands out a copy without generating the demand.
+func mustRegisterOn(fleet []model.ServerType, sc Scenario, demand func(seed int64) *model.Instance) {
+	sc.fleet = fleet
+	sc.Instance = func(seed int64) *model.Instance {
+		ins := demand(seed)
+		ins.Types = slices.Clone(fleet)
+		return ins
+	}
+	mustRegister(sc)
 }
 
 func init() {
-	mustRegister(Scenario{
+	mustRegisterOn(quickstartFleet, Scenario{
 		Name: "quickstart",
 		Doc:  "two-type cluster under clean diurnal load (the README example)",
-		Instance: func(int64) *model.Instance {
-			return &model.Instance{
-				Types:  slices.Clone(quickstartFleet),
-				Lambda: workload.Diurnal(48, 2, 16, 24, 0),
-			}
-		},
-		Types: fixed(quickstartFleet),
+	}, func(int64) *model.Instance {
+		return &model.Instance{Lambda: workload.Diurnal(48, 2, 16, 24, 0)}
 	})
 
-	mustRegister(Scenario{
+	mustRegisterOn(cpuGPUFleet, Scenario{
 		Name: "diurnal",
 		Doc:  "CPU+GPU cluster, two days of noisy day/night load",
-		Instance: func(seed int64) *model.Instance {
-			rng := rand.New(rand.NewSource(seed))
-			return cpuGPU(workload.DiurnalNoisy(rng, 48, 4, 20, 24, 0.2))
-		},
-		Types: fixed(cpuGPUFleet),
+	}, func(seed int64) *model.Instance {
+		rng := rand.New(rand.NewSource(seed))
+		return &model.Instance{Lambda: workload.DiurnalNoisy(rng, 48, 4, 20, 24, 0.2)}
 	})
 
-	mustRegister(Scenario{
+	mustRegisterOn(cpuGPUFleet, Scenario{
 		Name: "bursty",
 		Doc:  "flat base load with random spikes (cache-miss storms)",
-		Instance: func(seed int64) *model.Instance {
-			rng := rand.New(rand.NewSource(seed))
-			return cpuGPU(workload.Bursty(rng, 48, 5, 16, 0.15))
-		},
-		Types: fixed(cpuGPUFleet),
+	}, func(seed int64) *model.Instance {
+		rng := rand.New(rand.NewSource(seed))
+		return &model.Instance{Lambda: workload.Bursty(rng, 48, 5, 16, 0.15)}
 	})
 
-	mustRegister(Scenario{
+	mustRegisterOn(onoffFleet, Scenario{
 		Name: "onoff",
 		Doc:  "adversarial on/off phases on a homogeneous fleet (LCP applies)",
-		Instance: func(int64) *model.Instance {
-			return &model.Instance{
-				Types:  slices.Clone(onoffFleet),
-				Lambda: workload.OnOff(48, 10, 1, 5, 3),
-			}
-		},
-		Types: fixed(onoffFleet),
+	}, func(int64) *model.Instance {
+		return &model.Instance{Lambda: workload.OnOff(48, 10, 1, 5, 3)}
 	})
 
-	mustRegister(Scenario{
+	mustRegisterOn(cpuGPUFleet, Scenario{
 		Name: "random-walk",
 		Doc:  "bounded mean-reverting demand drift",
-		Instance: func(seed int64) *model.Instance {
-			rng := rand.New(rand.NewSource(seed))
-			return cpuGPU(workload.RandomWalk(rng, 48, 8, 3, 0, 28))
-		},
-		Types: fixed(cpuGPUFleet),
+	}, func(seed int64) *model.Instance {
+		rng := rand.New(rand.NewSource(seed))
+		return &model.Instance{Lambda: workload.RandomWalk(rng, 48, 8, 3, 0, 28)}
 	})
 
-	mustRegister(Scenario{
+	mustRegisterOn(heterogeneousFleet, Scenario{
 		Name: "heterogeneous",
 		Doc:  "three server generations with mixed convex cost families",
-		Instance: func(seed int64) *model.Instance {
-			rng := rand.New(rand.NewSource(seed))
-			trace := workload.Add(
-				workload.DiurnalNoisy(rng, 48, 3, 14, 24, 0.15),
-				workload.Bursty(rng, 48, 0, 6, 0.1),
-			)
-			return &model.Instance{
-				Types:  slices.Clone(heterogeneousFleet),
-				Lambda: workload.Clamp(trace, 30),
-			}
-		},
-		Types: fixed(heterogeneousFleet),
+	}, func(seed int64) *model.Instance {
+		rng := rand.New(rand.NewSource(seed))
+		trace := workload.Add(
+			workload.DiurnalNoisy(rng, 48, 3, 14, 24, 0.15),
+			workload.Bursty(rng, 48, 0, 6, 0.1),
+		)
+		return &model.Instance{Lambda: workload.Clamp(trace, 30)}
 	})
 
-	mustRegister(Scenario{
-		Name: "maintenance",
-		Doc:  "time-varying fleet sizes: maintenance window then commissioning (Section 4.3)",
-		Instance: func(int64) *model.Instance {
-			const T = 36
-			counts := make([][]int, T)
-			for t := 0; t < T; t++ {
-				old, fresh := 24, 4
-				switch {
-				case t >= 12 && t < 18:
-					old = 10 // maintenance: most old servers offline
-				case t >= 24:
-					fresh = 8 // commissioning: the new rack doubles
-				}
-				counts[t] = []int{old, fresh}
-			}
-			return &model.Instance{
-				Types:  slices.Clone(maintenanceFleet),
-				Lambda: workload.Diurnal(T, 4, 20, 12, 0),
-				Counts: counts,
-			}
-		},
-		Types:      fixed(maintenanceFleet),
+	mustRegisterOn(maintenanceFleet, Scenario{
+		Name:       "maintenance",
+		Doc:        "time-varying fleet sizes: maintenance window then commissioning (Section 4.3)",
 		Algorithms: maintenanceLineup(),
+	}, func(int64) *model.Instance {
+		const T = 36
+		counts := make([][]int, T)
+		for t := 0; t < T; t++ {
+			old, fresh := 24, 4
+			switch {
+			case t >= 12 && t < 18:
+				old = 10 // maintenance: most old servers offline
+			case t >= 24:
+				fresh = 8 // commissioning: the new rack doubles
+			}
+			counts[t] = []int{old, fresh}
+		}
+		return &model.Instance{
+			Lambda: workload.Diurnal(T, 4, 20, 12, 0),
+			Counts: counts,
+		}
 	})
 
-	mustRegister(Scenario{
+	mustRegisterOn(priceFleet, Scenario{
 		Name: "price-modulated",
 		Doc:  "electricity-price signal scaling all operating costs (time-dependent f_{t,j})",
-		Instance: func(seed int64) *model.Instance {
-			rng := rand.New(rand.NewSource(seed))
-			return &model.Instance{
-				Types:  slices.Clone(priceFleet),
-				Lambda: workload.DiurnalNoisy(rng, 48, 1, 10, 24, 0.3),
-			}
-		},
-		Types: fixed(priceFleet),
+	}, func(seed int64) *model.Instance {
+		rng := rand.New(rand.NewSource(seed))
+		return &model.Instance{Lambda: workload.DiurnalNoisy(rng, 48, 1, 10, 24, 0.3)}
 	})
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/costfn"
 	"repro/internal/grid"
@@ -250,7 +251,7 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 	// D_t(c) is +Inf for an absent candidate. A candidate without a
 	// positive finite dual bounds with c_j = f_{t,j}(0), that is with LB.
 	// slack is the margin's part that does not depend on U_c(x).
-	var da, ga, nu [pruneCands]float64
+	var da, nu [pruneCands]float64
 	slack, floor, capacity := 1.0, 0.0, 0.0
 	for j, beta := range p.betas {
 		m := float64(g.Axis(j)[len(g.Axis(j))-1])
@@ -267,8 +268,7 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 			if v := le.dual(a, xa); v > 0 && v < inf {
 				nu[k] = v
 			}
-			ga[k] = gl[a]
-			da[k] = h[a] + ga[k]
+			da[k] = h[a] + gl[a]
 		}
 		c := p.coef[k*d : (k+1)*d]
 		for j := range c {
@@ -281,8 +281,8 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 	// Prune the cells a candidate dominates by more than the margin; mark
 	// the rest for solving. U_c(x) − D_t(c) and the duals' bounds sum
 	// over all types but the last once per lattice line, with an odometer
-	// over their levels. The candidates go through the pass like any
-	// cell, and get their D_t and g back after it.
+	// over their levels. The candidates, solved already, are tested like
+	// any cell but never marked, and get their D_t back after the pass.
 	last, betaL := g.Axis(d-1), p.betas[d-1]
 	n := len(last)
 	var up0, l0, cL [pruneCands]float64
@@ -335,19 +335,15 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 			}
 			if full != nil {
 				hs[k] += gs[k]
-			} else {
+			} else if !slices.Contains(cands[:], base+k) {
 				gs[k], marked = unsolvedMark, true
 			}
 		}
 		nextLine(g, lvl)
 	}
 	for k, a := range cands {
-		if a < 0 {
-			continue
-		}
-		h[a] = da[k]
-		if full == nil {
-			gl[a] = ga[k]
+		if a >= 0 {
+			h[a] = da[k]
 		}
 	}
 	if marked {
