@@ -84,7 +84,7 @@ func main() {
 	snapshotDir := flag.String("snapshot-dir", "", "persist evicted sessions as JSON here (default: in-memory)")
 	walDir := flag.String("wal-dir", "", "write-ahead-log every accepted slot here; recovered on startup (default: off)")
 	walSync := flag.String("wal-sync", "always", "WAL append durability: always | interval | never")
-	walSyncInterval := flag.Duration("wal-sync-interval", 0, "fsync cadence for -wal-sync interval (0 = 100ms)")
+	walSyncInterval := flag.Duration("wal-sync-interval", wal.DefaultSyncInterval, "fsync cadence for -wal-sync interval; idle logs are swept on it too")
 	shards := flag.Int("shards", 0, "session registry lock stripes, rounded up to a power of two (0 = one per CPU)")
 	rate := flag.Float64("rate", 0, "admitted slots/sec across all sessions, shed with 429 beyond (0 = unlimited)")
 	burst := flag.Int("burst", 0, "global rate-limit burst capacity (0 = one second of -rate)")
@@ -171,32 +171,6 @@ func main() {
 		}()
 	}
 
-	// The WAL flusher makes the interval policy's loss bound hold on idle
-	// sessions: Append only fsyncs when appends arrive, so without a
-	// background sweep a session whose pushes stop would keep its
-	// unsynced tail dirty indefinitely.
-	stopFlusher := make(chan struct{})
-	if opts.WALDir != "" && opts.WALSync == wal.SyncInterval {
-		cadence := opts.WALSyncInterval
-		if cadence <= 0 {
-			cadence = 100 * time.Millisecond
-		}
-		go func() {
-			tick := time.NewTicker(cadence)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopFlusher:
-					return
-				case <-tick.C:
-					if _, err := m.SyncWALs(); err != nil {
-						log.Printf("wal flush: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
 	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(m)}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -213,7 +187,6 @@ func main() {
 
 	log.Print("shutting down")
 	close(stopJanitor)
-	close(stopFlusher)
 
 	// One deadline bounds the whole drain — in-flight HTTP requests plus
 	// the checkpoint of every live session. Without it a single wedged

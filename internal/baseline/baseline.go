@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/costfn"
 	"repro/internal/model"
 	"repro/internal/solver"
 )
@@ -25,16 +24,6 @@ var (
 	_ core.Online   = (*Lookahead)(nil)
 	_ core.Buffered = (*Lookahead)(nil)
 )
-
-// resolveInto materialises the input's template fallbacks into the given
-// scratch slices and returns a fully-resolved SlotInput.
-func resolveInto(in model.SlotInput, fleet []model.ServerType, costs []costfn.Func, counts []int) model.SlotInput {
-	for j := range fleet {
-		costs[j] = in.Cost(j, fleet[j].Cost)
-		counts[j] = in.Count(j, fleet[j].Count)
-	}
-	return model.SlotInput{T: in.T, Lambda: in.Lambda, Costs: costs, Counts: counts}
-}
 
 // AllOn keeps the whole fleet powered for the entire horizon: the
 // "static provisioning" strategy right-sizing is measured against. With
@@ -104,7 +93,7 @@ func (l *LoadTracking) Step(in model.SlotInput) model.Config {
 		}
 	}
 	if bestIdx < 0 {
-		panic(fmt.Sprintf("baseline: no feasible configuration at slot %d", in.T))
+		panic(fmt.Sprintf("baseline: no feasible configuration at slot %d", l.layer.Slot().T))
 	}
 	g.Decode(bestIdx, l.out)
 	return l.out
@@ -170,12 +159,14 @@ func (s *SkiRental) Name() string {
 	return "SkiRental"
 }
 
-// Step implements core.Online.
+// Step implements core.Online. It reads the slot's idle costs and counts
+// as its layer resolved them, at the layer's own slot index.
 func (s *SkiRental) Step(in model.SlotInput) model.Config {
 	target := s.lt.Step(in) // the memoryless optimum, read off the slot's g-layer
+	cur := s.lt.layer.Slot()
 	for j := range s.x {
 		// Respect shrinking fleets before anything else.
-		if m := in.Count(j, s.fleet[j].Count); s.x[j] > m {
+		if m := cur.Counts[j]; s.x[j] > m {
 			s.x[j] = m
 			s.endEpisode(j)
 		}
@@ -189,7 +180,7 @@ func (s *SkiRental) Step(in model.SlotInput) model.Config {
 			if s.cut[j] < 0 {
 				s.cut[j] = s.budget(s.fleet[j].SwitchCost)
 			}
-			s.acc[j] += in.Cost(j, s.fleet[j].Cost).Value(0)
+			s.acc[j] += cur.Costs[j].Value(0)
 			if s.acc[j] > s.cut[j] {
 				s.x[j] = target[j]
 				s.endEpisode(j)

@@ -3,7 +3,6 @@ package baseline
 import (
 	"fmt"
 
-	"repro/internal/costfn"
 	"repro/internal/model"
 	"repro/internal/solver"
 )
@@ -26,7 +25,8 @@ type Lookahead struct {
 	fleet []model.ServerType
 	w     int
 	win   *solver.Window
-	buf   []model.SlotInput // ingested, undecided slots (deep copies)
+	fed   int               // slots ingested
+	buf   []model.SlotInput // ingested, undecided slots, resolved (deep copies)
 	x     model.Config      // configuration committed for the newest decided slot
 }
 
@@ -57,10 +57,10 @@ func (l *Lookahead) Name() string { return fmt.Sprintf("RecedingHorizon(w=%d)", 
 // holds w slots, decides and returns the oldest undecided slot's
 // configuration. While the window fills it returns nil.
 func (l *Lookahead) Step(in model.SlotInput) model.Config {
-	d := len(l.fleet)
-	costs := make([]costfn.Func, d)
-	counts := make([]int, d)
-	l.buf = append(l.buf, resolveInto(in, l.fleet, costs, counts))
+	l.fed++
+	var slot model.SlotInput
+	model.ResolveSlot(l.fleet, l.fed, in, &slot)
+	l.buf = append(l.buf, slot)
 	if len(l.buf) < l.w {
 		return nil
 	}

@@ -81,14 +81,15 @@ func NewAlgorithmBWithOptions(types []model.ServerType, opts Options) (*Algorith
 // Name implements Online.
 func (b *AlgorithmB) Name() string { return "AlgorithmB" }
 
-// Step implements Online.
+// Step implements Online. It reads the slot's idle costs and counts as
+// its tracker resolved them, at the tracker's own slot index.
 func (b *AlgorithmB) Step(in model.SlotInput) model.Config {
 	xhat := b.push(in)
+	cur := b.tracker.Slot()
 	for j, st := range b.types {
-		l := in.Cost(j, b.fleet[j].Cost).Value(0)
-		st.Step(l, xhat[j])
+		st.Step(cur.Costs[j].Value(0), xhat[j])
 		// Fleet shrinkage extension; see AlgorithmA.Step.
-		b.out[j] = st.ClampTo(in.Count(j, b.fleet[j].Count))
+		b.out[j] = st.ClampTo(cur.Counts[j])
 	}
 	return b.out
 }

@@ -31,8 +31,9 @@ type AlgorithmC struct {
 	u     int // sub-slots pushed into the inner algorithm
 	maxN  int
 
-	best  model.Config  // scratch returned by Step
-	costs []costfn.Func // scratch: scaled sub-slot cost functions
+	cur   model.SlotInput // the arrived slot, resolved at t
+	best  model.Config    // scratch returned by Step
+	costs []costfn.Func   // scratch: scaled sub-slot cost functions
 }
 
 // NewAlgorithmC prepares Algorithm C for accuracy parameter eps > 0.
@@ -79,10 +80,11 @@ func (c *AlgorithmC) Step(in model.SlotInput) model.Config {
 	if in.T != 0 && in.T != c.t {
 		panic(fmt.Sprintf("core: Algorithm C fed slot %d out of order, want %d", in.T, c.t))
 	}
+	model.ResolveSlot(c.fleet, c.t, in, &c.cur)
 	d := float64(len(c.fleet))
 	ratio := 0.0
-	for j := range c.fleet {
-		if r := in.Cost(j, c.fleet[j].Cost).Value(0) / c.fleet[j].SwitchCost; r > ratio {
+	for j, f := range c.cur.Costs {
+		if r := f.Value(0) / c.fleet[j].SwitchCost; r > ratio {
 			ratio = r
 		}
 	}
@@ -99,13 +101,13 @@ func (c *AlgorithmC) Step(in model.SlotInput) model.Config {
 	}
 
 	factor := 1.0 / float64(n)
-	for j := range c.fleet {
-		c.costs[j] = costfn.Scaled{F: in.Cost(j, c.fleet[j].Cost), Factor: factor}
+	for j, f := range c.cur.Costs {
+		c.costs[j] = costfn.Scaled{F: f, Factor: factor}
 	}
 	bestVal := math.Inf(1)
 	for k := 0; k < n; k++ {
 		c.u++
-		x := c.inner.Step(model.SlotInput{T: c.u, Lambda: in.Lambda, Costs: c.costs, Counts: in.Counts})
+		x := c.inner.Step(model.SlotInput{T: c.u, Lambda: in.Lambda, Costs: c.costs, Counts: c.cur.Counts})
 		// All sub-slots of an original slot have identical g̃_u up to the
 		// 1/ñ_t factor, so comparing g̃ values is comparing g values. The
 		// inner B's exact tracker just evaluated g̃_u over a lattice that

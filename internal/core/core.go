@@ -35,11 +35,13 @@ import (
 type Online interface {
 	// Name identifies the algorithm in reports.
 	Name() string
-	// Step consumes slot in.T (slots must arrive consecutively, starting
-	// at 1) and returns the configuration the algorithm keeps active
-	// during it. The returned slice is algorithm-owned scratch, valid only
-	// until the next Step; clone it to retain. Step panics on infeasible
-	// or out-of-order input — live drivers validate before stepping (see
+	// Step consumes the next slot (slots arrive consecutively, starting
+	// at 1; in.T is that index or 0) and returns the configuration the
+	// algorithm keeps active during it. Costs the slot omits resolve
+	// from the template's profiles at the algorithm's own slot index.
+	// The returned slice is algorithm-owned scratch, valid only until
+	// the next Step; clone it to retain. Step panics on infeasible or
+	// out-of-order input — live drivers validate before stepping (see
 	// internal/stream.Session).
 	//
 	// Semi-online algorithms (see Buffered) may return nil while their

@@ -171,9 +171,11 @@ func agedQuickstart(tb testing.TB) (*stream.Session, []model.ServerType) {
 }
 
 // Replaying a checkpoint allocates per session, not per slot: the log is
-// sized once and every slot goes through Push with one reused advisory
-// into one-slot accumulators. A 2000-slot resume stays within 200
-// allocations.
+// sized once and every slot goes through Push with one reused advisory,
+// resolved into the one slot each consumer keeps. A 2000-slot resume
+// allocates 47 objects in each of 5 processes (52 before a slot was
+// resolved into the SlotInput its consumer keeps). Under the race
+// detector, whose counts vary, the bound stays at its earlier 200.
 func TestResumeAllocs(t *testing.T) {
 	sess, types := agedQuickstart(t)
 	cp := sess.Checkpoint()
@@ -182,8 +184,12 @@ func TestResumeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if avg > 200 {
-		t.Fatalf("resuming a %d-slot checkpoint allocates %v times, want <= 200", len(cp.Slots), avg)
+	limit := 47.0
+	if raceEnabled {
+		limit = 200
+	}
+	if avg > limit {
+		t.Fatalf("resuming a %d-slot checkpoint allocates %v times, want <= %v", len(cp.Slots), avg, limit)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // feedInput builds the demand-only stream input for slot t of a recorded
-// instance: costs resolve from the fleet template (the session's
-// accumulator holds the same profiles), counts are passed explicitly only
-// when the instance has time-varying sizes.
+// instance: costs resolve from the fleet template (the session resolves
+// the same profiles at the slot's index), counts are passed explicitly
+// only when the instance has time-varying sizes.
 func feedInput(ins *model.Instance, t int) model.SlotInput {
 	in := model.SlotInput{Lambda: ins.Lambda[t-1]}
 	if ins.Counts != nil {

@@ -342,12 +342,14 @@ func (e *Evaluator) PrepareSlot(t int) {
 }
 
 // Prepare is PrepareSlot for a slot that arrives as a SlotInput rather
-// than as a slot of the instance: its omitted costs and counts fall back
-// to the instance's types, as SlotInput.Cost and Count do.
+// than as a slot of the instance: its omitted counts fall back to the
+// instance's types, and its omitted costs to their profiles at in.T, so
+// a slot that omits any must carry its absolute index (ResolveSlot
+// resolves it for a stream).
 func (e *Evaluator) Prepare(in SlotInput) {
 	for j, st := range e.ins.Types {
 		e.counts[j] = in.Count(j, st.Count)
-		e.servers[j] = dispatch.Server{Cap: st.MaxLoad, F: in.Cost(j, st.Cost)}
+		e.servers[j] = dispatch.Server{Cap: st.MaxLoad, F: slotCost(in, j, st.Cost, in.T)}
 	}
 	e.lambda = in.Lambda
 	e.solver.Prepare(e.servers)

@@ -377,7 +377,7 @@ func TestScheduleClone(t *testing.T) {
 }
 
 // Non-finite demand is rejected by batch validation and by the streaming
-// accumulator alike. NaN slips past both ordered comparisons (negative
+// slot check alike. NaN slips past both ordered comparisons (negative
 // demand, demand above capacity), so it needs its own check; +Inf gets
 // the same message instead of a capacity complaint.
 func TestNonFiniteDemandRejected(t *testing.T) {
@@ -387,39 +387,50 @@ func TestNonFiniteDemandRejected(t *testing.T) {
 		if err := ins.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite") {
 			t.Errorf("Validate with demand %v: err = %v, want a non-finite demand error", lambda, err)
 		}
-
-		acc, err := NewAccumulator(twoTypeInstance().Types)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = acc.Push(SlotInput{Lambda: lambda})
+		err := CheckSlot(ins.Types, 1, SlotInput{Lambda: lambda})
 		if err == nil || !strings.Contains(err.Error(), "non-finite") {
-			t.Errorf("Accumulator.Push(%v): err = %v, want a non-finite demand error", lambda, err)
-		}
-		if acc.T() != 0 {
-			t.Errorf("Accumulator.Push(%v) kept the slot: T = %d", lambda, acc.T())
+			t.Errorf("CheckSlot(%v): err = %v, want a non-finite demand error", lambda, err)
 		}
 	}
 }
 
 // A slot's count may not exceed its type's template Count, the paper's
-// m_j = max_t m_{t,j} (Section 4.3): instance validation and the
-// accumulator refuse it as a bad slot, and the accumulator stays usable.
+// m_j = max_t m_{t,j} (Section 4.3): instance validation and the slot
+// check refuse it as a bad slot, and take the template's own counts.
 func TestCheckSlotRefusesCountAboveTemplate(t *testing.T) {
 	ins := twoTypeInstance()
 	ins.Counts = [][]int{{3, 2}, {2, 2}, {4, 2}, {3, 1}}
 	if err := ins.Validate(); err == nil || !strings.Contains(err.Error(), "above the fleet's 3") {
 		t.Fatalf("slot 3 with 4 servers of a 3-server type validated: %v", err)
 	}
-	acc, err := NewAccumulator(ins.Types)
-	if err != nil {
-		t.Fatal(err)
+	if err := CheckSlot(ins.Types, 1, SlotInput{Lambda: 1, Counts: []int{3, 3}}); err == nil {
+		t.Fatal("the slot check took 3 servers of a 2-server type")
 	}
-	if err := acc.Push(SlotInput{Lambda: 1, Counts: []int{3, 3}}); err == nil {
-		t.Fatal("the accumulator took 3 servers of a 2-server type")
+	if err := CheckSlot(ins.Types, 1, SlotInput{Lambda: 1, Counts: []int{3, 2}}); err != nil {
+		t.Fatalf("the slot check refused the template's own counts: %v", err)
 	}
-	if err := acc.Push(SlotInput{Lambda: 1, Counts: []int{3, 2}}); err != nil || acc.T() != 1 {
-		t.Fatalf("the accumulator refused the template's own counts after a bad slot: %v (T=%d)", err, acc.T())
+}
+
+// ResolveSlot resolves omitted costs at the slot index it is given, not
+// at in.T, and copies a resolved slot as it is; Instance.SlotInto is it
+// over the instance's own slot.
+func TestResolveSlotAtGivenIndex(t *testing.T) {
+	fs := []costfn.Func{costfn.Constant{C: 1}, costfn.Constant{C: 2}, costfn.Constant{C: 3}}
+	types := []ServerType{{Count: 2, SwitchCost: 1, MaxLoad: 1, Cost: Varying{Fs: fs}}}
+	var dst SlotInput
+	ResolveSlot(types, 3, SlotInput{Lambda: 1.5}, &dst)
+	if dst.T != 3 || dst.Lambda != 1.5 || dst.Costs[0] != fs[2] || dst.Counts[0] != 2 {
+		t.Fatalf("ResolveSlot at 3 = %+v", dst)
+	}
+	var cp SlotInput
+	ResolveSlot(types, 2, dst, &cp)
+	if cp.T != 2 || cp.Costs[0] != fs[2] {
+		t.Fatalf("a resolved slot resolved again: %+v", cp)
+	}
+	ins := &Instance{Types: types, Lambda: []float64{1, 1, 1}, Counts: [][]int{{2}, {1}, {2}}}
+	ins.SlotInto(2, &dst)
+	if dst.T != 2 || dst.Costs[0] != fs[1] || dst.Counts[0] != 1 {
+		t.Fatalf("SlotInto(2) = %+v", dst)
 	}
 }
 

@@ -576,6 +576,57 @@ func TestSyncWALsFlushesIdleIntervalLog(t *testing.T) {
 	}
 }
 
+// A manager under the interval policy sweeps idle logs itself: with a
+// WAL clock that never advances, so that no append fsyncs, the log a
+// session leaves dirty when its pushes stop is fsynced within two
+// intervals, with no SyncWALs call. Close stops the sweep, and a manager
+// under another policy runs none.
+func TestManagerSweepsIdleIntervalLog(t *testing.T) {
+	const every = 100 * time.Millisecond
+	jb := crashJobs(t, 7)[0]
+	m := NewManager(Options{WALDir: t.TempDir(), WALSync: wal.SyncInterval, WALSyncInterval: every})
+	frozen := time.Now()
+	m.nowFn = func() time.Time { return frozen }
+	if _, err := m.Open(OpenRequest{ID: jb.id, Alg: jb.spec.Key, Fleet: FleetJSON{Scenario: jb.sc, Seed: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	feedSlots(t, m, jb, 1, 2, 0)
+	start := time.Now()
+	for walDirty(m, jb.id) {
+		if time.Since(start) > 2*every {
+			t.Fatalf("an idle dirty log is still unsynced %v after its last push", time.Since(start))
+		}
+		time.Sleep(every / 20)
+	}
+	if got := m.Metrics().WALFsyncs; got == 0 {
+		t.Fatal("the log is clean but nothing fsynced it")
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-m.flushDone:
+	default:
+		t.Fatal("the sweep outlived Close")
+	}
+	always := NewManager(Options{WALDir: t.TempDir(), WALSync: wal.SyncAlways})
+	defer always.Close()
+	if always.flushStop != nil {
+		t.Fatal("a manager under wal.SyncAlways started a sweep")
+	}
+}
+
+// walDirty reports whether the live session's log holds unsynced writes.
+func walDirty(m *Manager, id string) bool {
+	sh := m.shardFor(id)
+	sh.mu.Lock()
+	ls := sh.live[id]
+	sh.mu.Unlock()
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	return ls.wal != nil && ls.wal.Dirty()
+}
+
 // A push the session refuses (422) is refused before the WAL append: it
 // writes and fsyncs nothing, and the session goes on logging the slots
 // it accepts.

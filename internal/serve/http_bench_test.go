@@ -481,15 +481,16 @@ func BenchmarkHTTPOpenCheckpoint(b *testing.B) {
 }
 
 // openCheckpointAllocs and openCheckpointBytes bound what a checkpoint
-// open allocates: 70 objects and 25 720–25 722 bytes in each of 4
-// processes since a scenario fleet resolves its types without building
-// the scenario's demand trace (76 and 26 016 bytes before; 82 and
-// 139 559 bytes when the log decoded into records; 83 and ≈ 263 KB when
-// the session copied them; 108–109 and ≈ 612 KB when the body still
-// decoded through encoding/json).
+// open allocates: 65 objects and 25 224–25 228 bytes in each of 4
+// processes since a slot is resolved into the SlotInput its consumer
+// keeps (70 and 25 720 bytes before; 76 and 26 016 bytes before a
+// scenario fleet resolved its types without building the scenario's
+// demand trace; 82 and 139 559 bytes when the log decoded into records;
+// 83 and ≈ 263 KB when the session copied them; 108–109 and ≈ 612 KB
+// when the body still decoded through encoding/json).
 const (
-	openCheckpointAllocs = 70
-	openCheckpointBytes  = 26 << 10
+	openCheckpointAllocs = 65
+	openCheckpointBytes  = 25 << 10
 )
 
 // A checkpoint open allocates no more objects and bytes than when the

@@ -113,7 +113,9 @@ type Options struct {
 	// wal.SyncInterval (group fsync on a timer) or wal.SyncNever (page
 	// cache only; durability against process death, not power loss).
 	WALSync wal.SyncPolicy
-	// WALSyncInterval is SyncInterval's cadence; <= 0 means 100ms.
+	// WALSyncInterval is SyncInterval's cadence; <= 0 means the wal
+	// package's default. Under SyncInterval the manager also sweeps idle
+	// dirty logs on it (SyncWALs) until Close.
 	WALSyncInterval time.Duration
 	// WALOpenFile overrides how WAL files are opened — the fault
 	// injection seam (see wal.FaultFS); nil means the real filesystem.
@@ -259,6 +261,10 @@ type Manager struct {
 	_          [40]byte
 	closed     atomic.Bool
 
+	// flushStop ends the idle-log sweep under wal.SyncInterval (nil
+	// otherwise), which closes flushDone as it returns.
+	flushStop, flushDone chan struct{}
+
 	// met is striped in lockstep with shards (see counterStripe).
 	met counters
 }
@@ -299,6 +305,11 @@ func NewManager(opts Options) *Manager {
 	}
 	for i := range m.shards {
 		m.shards[i].live = map[string]*liveSession{}
+	}
+	if m.walEnabled() && opts.WALSync == wal.SyncInterval {
+		m.flushStop, m.flushDone = make(chan struct{}), make(chan struct{})
+		wo := m.walOptions()
+		go m.sweepWALs(wo.Interval())
 	}
 	return m
 }
@@ -1193,6 +1204,10 @@ func (m *Manager) Metrics() Metrics {
 func (m *Manager) Close() error {
 	if m.closed.Swap(true) {
 		return nil
+	}
+	if m.flushStop != nil {
+		close(m.flushStop)
+		<-m.flushDone
 	}
 	var firstErr error
 	for i := range m.shards {

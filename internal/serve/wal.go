@@ -2,8 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"log"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/internal/wal"
 )
@@ -108,8 +110,8 @@ func (ls *liveSession) closeWALLocked() {
 // policy. Append only fsyncs when appends arrive, so without this sweep
 // an idle session under SyncInterval would keep its unsynced tail dirty
 // indefinitely and the policy's bounded-loss promise would only hold
-// under a steady push stream; the daemon runs it on the interval
-// cadence. Sessions mid-push are skipped — their own append path syncs
+// under a steady push stream; a manager under SyncInterval runs it on
+// the interval cadence (sweepWALs). Sessions mid-push are skipped — their own append path syncs
 // by policy, and the next sweep retries. Returns how many logs were
 // fsynced and the first sync error.
 func (m *Manager) SyncWALs() (int, error) {
@@ -145,6 +147,24 @@ func (m *Manager) SyncWALs() (int, error) {
 		}
 	}
 	return synced, firstErr
+}
+
+// sweepWALs runs SyncWALs every interval until Close stops it. A failed
+// fsync is logged, and the next sweep retries the log.
+func (m *Manager) sweepWALs(every time.Duration) {
+	defer close(m.flushDone)
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-m.flushStop:
+			return
+		case <-tick.C:
+			if _, err := m.SyncWALs(); err != nil {
+				log.Printf("serve: wal flush: %v", err)
+			}
+		}
+	}
 }
 
 // removeWAL deletes a session's log file, for the delete path — the id

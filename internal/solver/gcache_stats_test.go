@@ -81,7 +81,7 @@ func TestLayerEvaluatorsTakeDistinctStripes(t *testing.T) {
 	}
 	seen := map[uint32]bool{}
 	for range gcacheStripes {
-		seen[newLayerEvaluator(ins, Options{}).stripe] = true
+		seen[slotEvaluator(ins, 1, Options{}).stripe] = true
 	}
 	if len(seen) != gcacheStripes {
 		t.Errorf("%d evaluators in a row took %d distinct stripes, want %d", gcacheStripes, len(seen), gcacheStripes)

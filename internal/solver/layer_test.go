@@ -3,6 +3,7 @@ package solver
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -85,22 +86,24 @@ func FuzzLayer(f *testing.F) {
 
 // refuseInfeasible pushes a slot whose demand exceeds the whole fleet's
 // capacity and fails unless Push refuses it and leaves the front end
-// unchanged: the slot count, the lattice pair, its counts and the layer
-// evaluator's slot and work.
+// unchanged: the slot count, the slot it evaluates, the lattice pair, its
+// counts and the layer evaluator's work.
 func refuseInfeasible(t *testing.T, l *Layer, ins *model.Instance) {
 	t.Helper()
 	capacity := 0.0
 	for _, st := range ins.Types {
 		capacity += float64(st.Count) * st.MaxLoad
 	}
-	n, prev, cur := l.acc.T(), l.prevGrid, l.curGrid
+	n, prev, cur := l.fed, l.prevGrid, l.curGrid
 	counts := slices.Clone(l.curCounts)
-	le, solved := l.le.t, l.le.solved
+	slot := l.Slot()
+	slot.Costs, slot.Counts = slices.Clone(slot.Costs), slices.Clone(slot.Counts)
+	solved := l.le.solved
 	if _, _, err := l.Push(model.SlotInput{Lambda: 2*capacity + 1}); err == nil {
 		t.Fatal("Push accepted a slot no configuration can serve")
 	}
-	if l.acc.T() != n || l.prevGrid != prev || l.curGrid != cur ||
-		!slices.Equal(l.curCounts, counts) || l.le.t != le || l.le.solved != solved {
+	if l.fed != n || l.prevGrid != prev || l.curGrid != cur || !slices.Equal(l.curCounts, counts) ||
+		!reflect.DeepEqual(l.cur, slot) || l.le.solved != solved {
 		t.Fatal("a refused slot changed the front end")
 	}
 }

@@ -41,10 +41,12 @@ func layerSweep(memo bool) func() {
 	ins := benchLayerInstance()
 	g := fullGrid(ins)
 	defer SetMemo(memo)()
-	le := newLayerEvaluator(ins, Options{})
+	var in model.SlotInput
+	le := newLayerEvaluator(ins.Types, &in, Options{})
 	return func() {
 		for t := 1; t <= ins.T(); t++ {
-			le.begin(g.Size(), t, g, true)
+			ins.SlotInto(t, &in)
+			le.begin(g.Size(), g, true)
 		}
 	}
 }

@@ -27,7 +27,8 @@ import (
 //     bit-identical for any worker count: g_t is a pure function and the
 //     warm-started dual is canonical (hint-independent).
 type layerEvaluator struct {
-	ins     *model.Instance
+	in      *model.SlotInput // the slot being evaluated, resolved (slotFront.cur)
+	tpl     model.Instance   // the bare fleet template the evaluators read
 	noMemo  bool
 	stripe  uint32 // the memo stat stripe this evaluator counts on
 	workers int
@@ -38,8 +39,7 @@ type layerEvaluator struct {
 	last []float64 // pure g-layer of the last slot begun: gbuf or a read-only memo entry
 	sig  gcacheSig // reusable signature buffers
 
-	t      int  // the slot of the last layer
-	ready  bool // eval is prepared for slot t
+	ready  bool // eval is prepared for the slot of the last layer
 	solved int  // dispatch programs solved for layers, over the evaluator's life
 
 	// The fan-out (workers > 1): one share per worker, the walk they
@@ -67,9 +67,10 @@ type layerEvaluator struct {
 	admit bool
 }
 
-// newLayerEvaluator builds an evaluator; opts.Workers <= 1 evaluates
-// serially, Workers == AutoWorkers uses one worker per available CPU.
-func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
+// newLayerEvaluator builds an evaluator of the slot in over the fleet
+// template types; opts.Workers <= 1 evaluates serially, Workers ==
+// AutoWorkers uses one worker per available CPU.
+func newLayerEvaluator(types []model.ServerType, in *model.SlotInput, opts Options) *layerEvaluator {
 	workers := opts.Workers
 	if workers == AutoWorkers {
 		workers = runtime.GOMAXPROCS(0)
@@ -77,18 +78,19 @@ func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
 	if workers < 1 {
 		workers = 1
 	}
+	d := len(types)
 	le := &layerEvaluator{
-		ins:     ins,
+		in:      in,
+		tpl:     model.Instance{Types: types},
 		noMemo:  memoOff,
 		stripe:  newMemoStripe(),
 		workers: workers,
-		eval:    model.NewEvaluator(ins),
-		cfg:     make(model.Config, ins.D()),
+		cfg:     make(model.Config, d),
 	}
-	d := ins.D()
+	le.eval = model.NewEvaluator(&le.tpl)
 	le.sig.gamma = opts.Gamma
 	le.sig.caps = make([]float64, d)
-	for j, st := range ins.Types {
+	for j, st := range types {
 		le.sig.caps[j] = st.MaxLoad
 	}
 	// The remembered key shares the signature's allocations; the
@@ -101,7 +103,7 @@ func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
 		le.shares = make([]lineShare, workers)
 		for w := range le.shares {
 			s := &le.shares[w]
-			s.le, s.eval, s.cfg = le, model.NewEvaluator(ins), make(model.Config, d)
+			s.le, s.eval, s.cfg = le, model.NewEvaluator(&le.tpl), make(model.Config, d)
 			s.run = s.walk
 		}
 	}
@@ -111,26 +113,25 @@ func newLayerEvaluator(ins *model.Instance, opts Options) *layerEvaluator {
 // AutoWorkers selects one DP worker per available CPU.
 const AutoWorkers = -1
 
-// signature keys slot t's layer content for the memo, reusing the
+// signature keys the slot's layer content for the memo, reusing the
 // evaluator's buffers. ok is false when the slot is not memoisable (a
 // cost-function family the fingerprint does not know).
-func (le *layerEvaluator) signature(t int) (*gcacheSig, bool) {
+func (le *layerEvaluator) signature() (*gcacheSig, bool) {
 	if le.noMemo {
 		return nil, false
 	}
-	s := &le.sig
-	s.lambda = le.ins.Lambda[t-1]
+	s, in := &le.sig, le.in
+	s.lambda = in.Lambda
 	s.counts = s.counts[:0]
 	s.fns = s.fns[:0]
 	h := newKeyHash()
 	h.f64(s.lambda)
 	h.f64(s.gamma)
-	for j := 0; j < le.ins.D(); j++ {
-		c := le.ins.CountAt(t, j)
+	for j, f := range in.Costs {
+		c := in.Counts[j]
 		s.counts = append(s.counts, c)
 		h.u64(uint64(c))
 		h.f64(s.caps[j])
-		f := le.ins.Types[j].Cost.At(t)
 		if !fnFingerprint(&h, f) {
 			return nil, false
 		}
@@ -140,10 +141,10 @@ func (le *layerEvaluator) signature(t int) (*gcacheSig, bool) {
 	return s, true
 }
 
-// full evaluates every cell of slot t's layer into gbuf and returns it.
-func (le *layerEvaluator) full(n, t int, g *grid.Grid) []float64 {
+// full evaluates every cell of the slot's layer into gbuf and returns it.
+func (le *layerEvaluator) full(n int, g *grid.Grid) []float64 {
 	gb := le.buf(n)
-	le.walk(gb, nil, false, t, g)
+	le.walk(gb, nil, false, g)
 	le.solved += n
 	return gb
 }
@@ -156,7 +157,7 @@ func (le *layerEvaluator) buf(n int) []float64 {
 	return le.gbuf[:n]
 }
 
-// begin opens slot t's layer and returns its whole g-layer when it is
+// begin opens the slot's layer and returns its whole g-layer when it is
 // at hand: a memo hit, or a layer evaluated in full — every layer when
 // whole is set (a slot the caller does not prune), else one the memo
 // admits. The memo admits a layer it can key under le.admit, else when
@@ -166,11 +167,11 @@ func (le *layerEvaluator) buf(n int) []float64 {
 // there. Otherwise begin returns nil and le.last is gbuf with every cell
 // unsolved (NaN), for the caller to mark cells unsolvedMark and solve
 // them with solveMarked; no layer of it enters the memo.
-func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
-	le.t, le.ready = t, false
+func (le *layerEvaluator) begin(n int, g *grid.Grid, whole bool) []float64 {
+	le.ready = false
 	partial, held := le.partial, le.held
 	le.partial, le.held = false, false
-	sig, memo := le.signature(t)
+	sig, memo := le.signature()
 	if memo {
 		if cached, hit := gcacheGet(sig, le.stripe); hit && len(cached) == n {
 			// A hit touches neither gbuf nor prev: a partial or held
@@ -194,9 +195,9 @@ func (le *layerEvaluator) begin(n, t int, g *grid.Grid, whole bool) []float64 {
 					gb[i] = unsolvedMark
 				}
 			}
-			le.walk(gb, nil, true, t, g)
+			le.walk(gb, nil, true, g)
 		default:
-			gb = le.full(n, t, g)
+			gb = le.full(n, g)
 		}
 		if admitted {
 			gcachePut(sig, gb)
@@ -229,7 +230,7 @@ var unsolvedMark = math.Inf(-1)
 // marked unsolvedMark, in lattice order, and adds each g to the same
 // cell of layer.
 func (le *layerEvaluator) solveMarked(layer []float64, g *grid.Grid) {
-	le.walk(le.last, layer, true, le.t, g)
+	le.walk(le.last, layer, true, g)
 }
 
 // cell returns g_t(x) of the last slot's layer at index idx, solving it
@@ -256,10 +257,10 @@ func (le *layerEvaluator) dual(idx int, x model.Config) float64 {
 	return le.eval.Dual()
 }
 
-// prepare resolves slot le.t on the serial evaluator, once per layer.
+// prepare prepares the serial evaluator for the slot, once per layer.
 func (le *layerEvaluator) prepare() {
 	if !le.ready {
-		le.eval.PrepareSlot(le.t)
+		le.eval.Prepare(*le.in)
 		le.ready = true
 	}
 }
@@ -269,14 +270,14 @@ func (le *layerEvaluator) prepare() {
 // the layer is large enough. Shares are static (share w always gets the
 // same lines for the same layer shape) and each walks with its own
 // evaluator, so the result does not depend on scheduling.
-func (le *layerEvaluator) walk(dst, add []float64, marked bool, t int, g *grid.Grid) {
+func (le *layerEvaluator) walk(dst, add []float64, marked bool, g *grid.Grid) {
 	lines := len(dst) / len(g.Axis(g.D()-1))
 	if le.shares == nil || lines < 2 || len(dst) < 2*le.workers {
 		le.prepare()
 		le.solved += walkLines(le.eval, le.cfg, dst, add, marked, g, 0, lines)
 		return
 	}
-	le.job = lineJob{dst: dst, add: add, marked: marked, t: t, g: g}
+	le.job = lineJob{dst: dst, add: add, marked: marked, g: g}
 	chunk := (lines + le.workers - 1) / le.workers
 	shares := le.shares[:(lines+chunk-1)/chunk]
 	le.wg.Add(len(shares))
@@ -295,7 +296,6 @@ func (le *layerEvaluator) walk(dst, add []float64, marked bool, t int, g *grid.G
 type lineJob struct {
 	dst, add []float64
 	marked   bool
-	t        int
 	g        *grid.Grid
 }
 
@@ -313,7 +313,7 @@ type lineShare struct {
 // walk is the body of a share's goroutine.
 func (s *lineShare) walk() {
 	j := &s.le.job
-	s.eval.PrepareSlot(j.t)
+	s.eval.Prepare(*s.le.in)
 	s.solved = walkLines(s.eval, s.cfg, j.dst, j.add, j.marked, j.g, s.lo, s.hi)
 	s.le.wg.Done()
 }

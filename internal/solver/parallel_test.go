@@ -61,14 +61,21 @@ func TestPrefixTrackerParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// slotEvaluator builds a layer evaluator over ins's fleet that evaluates
+// ins's slot t.
+func slotEvaluator(ins *model.Instance, t int, opts Options) *layerEvaluator {
+	in := ins.Slot(t)
+	return newLayerEvaluator(ins.Types, &in, opts)
+}
+
 func TestLayerEvaluatorSmallLayerStaysSerial(t *testing.T) {
 	// Layers smaller than 2× the worker count skip the fan-out; this just
 	// exercises the code path.
 	ins := randomInstance(rand.New(rand.NewSource(83)), 1, 1, 2)
 	defer SetMemo(false)() // each evaluator solves its own layer
 	g := fullGrid(ins)
-	layer := newLayerEvaluator(ins, Options{Workers: 8}).begin(g.Size(), 1, g, true)
-	layer2 := newLayerEvaluator(ins, Options{Workers: 1}).begin(g.Size(), 1, g, true)
+	layer := slotEvaluator(ins, 1, Options{Workers: 8}).begin(g.Size(), g, true)
+	layer2 := slotEvaluator(ins, 1, Options{Workers: 1}).begin(g.Size(), g, true)
 	for i := range layer {
 		if layer[i] != layer2[i] {
 			t.Fatal("small-layer path diverged from serial")
@@ -78,11 +85,11 @@ func TestLayerEvaluatorSmallLayerStaysSerial(t *testing.T) {
 
 func TestAutoWorkersResolves(t *testing.T) {
 	ins := randomInstance(rand.New(rand.NewSource(84)), 2, 3, 3)
-	le := newLayerEvaluator(ins, Options{Workers: AutoWorkers})
+	le := slotEvaluator(ins, 1, Options{Workers: AutoWorkers})
 	if le.workers != runtime.GOMAXPROCS(0) {
 		t.Errorf("AutoWorkers resolved to %d, want GOMAXPROCS %d", le.workers, runtime.GOMAXPROCS(0))
 	}
-	if newLayerEvaluator(ins, Options{}).workers != 1 {
+	if slotEvaluator(ins, 1, Options{}).workers != 1 {
 		t.Error("0 workers should clamp to 1")
 	}
 }

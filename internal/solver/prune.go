@@ -92,9 +92,8 @@ func (p *PrefixTracker) floors() bool {
 	if !p.prune {
 		return false
 	}
-	for j := range p.f0 {
-		st := &p.ins.Types[j]
-		f := st.Cost.At(1)
+	for j, f := range p.cur.Costs {
+		st := &p.fleet[j]
 		if !nondecreasing(f) {
 			return false
 		}
@@ -184,7 +183,7 @@ func (p *PrefixTracker) floorLayer(h []float64, g *grid.Grid) (lb []float64, can
 	last := g.Axis(d - 1)
 	f0, zmax := p.f0[d-1], p.zmax[d-1]
 	need := math.Inf(-1)
-	if lambda := p.ins.Lambda[0]; lambda > 0 {
+	if lambda := p.cur.Lambda; lambda > 0 {
 		need = lambda * (1 - 1e-12) * (1 - pruneMargin)
 	}
 	inf := math.Inf(1)
@@ -233,7 +232,7 @@ func nextLine(g *grid.Grid, lvl []int) {
 	}
 }
 
-// prunedStep adds slot 1's operating costs to the relaxed layer h,
+// prunedStep adds the slot's operating costs to the relaxed layer h,
 // turning it into D_t with the dominated cells pruned to +Inf (see
 // above). full is the slot's whole g-layer (settle), else nil and the
 // cells are solved as they are marked.
@@ -244,7 +243,7 @@ func (p *PrefixTracker) prunedStep(h []float64, g *grid.Grid, full []float64) {
 	lb, cands := p.floorLayer(h, g)
 	inf := math.Inf(1)
 	d := g.D()
-	lambda := p.ins.Lambda[0]
+	lambda := p.cur.Lambda
 
 	// The candidates, solved first on the serial evaluator for their
 	// duals (settle's layer holds their g already, but not their duals).

@@ -118,7 +118,7 @@ func (w *Window) Plan(start model.Config, slots []model.SlotInput) (model.Config
 	if len(slots) == 0 || len(start) != len(p.start) {
 		return nil, 0, fmt.Errorf("solver: no window of %d slots from %v on a %d-type fleet", len(slots), start, len(p.start))
 	}
-	p.acc.Seek(max(slots[0].T-1, 0))
+	p.Seek(max(slots[0].T-1, 0))
 	p.t = 0
 	copy(p.start, start)
 	cost, err := w.sweep(len(slots), func(i int) error {

@@ -26,11 +26,10 @@ import (
 //
 // Slot data arrives push-style via Push(SlotInput), so the online
 // information model holds by construction. The tracker reads each slot
-// through the same front end as Layer (slotFront, layer.go): a
-// model.Accumulator holding only the slot it is evaluating, the slot's
-// lattice pair and the layer evaluator. A tracker built by
-// NewPrefixTracker also binds an instance, and Advance pushes that
-// instance's next slot.
+// through the same front end as Layer (slotFront, layer.go): the one
+// slot it is evaluating, resolved, the slot's lattice pair and the layer
+// evaluator. A tracker built by NewPrefixTracker also binds an instance,
+// and Advance pushes that instance's next slot.
 //
 // Ties in the argmin are broken towards the lowest lattice index, i.e. the
 // lexicographically smallest configuration; any deterministic rule
@@ -86,31 +85,31 @@ func bind(ins *model.Instance, opts Options) (*PrefixTracker, error) {
 // NewStreamTracker prepares a tracker for the fleet template: slot data
 // arrives through Push, and its memory does not grow with the stream.
 func NewStreamTracker(types []model.ServerType, opts Options) (*PrefixTracker, error) {
-	d := len(types)
-	ints := make([]int, (3+pruneCands)*d) // curCounts, cfg, start and cand
-	front, err := newSlotFront(types, opts, ints[:0:d])
-	if err != nil {
+	if err := model.ValidateFleet(types); err != nil {
 		return nil, err
 	}
+	d := len(types)
+	ints := make([]int, (4+pruneCands)*d)       // cfg, start, the front's two counts and cand
 	floats := make([]float64, (5+pruneCands)*d) // betas, f0, zmax, rate, quad and coef
 	betas := floats[:d:d]
 	for j, st := range types {
 		betas[j] = st.SwitchCost
 	}
-	return &PrefixTracker{
-		slotFront: front,
-		rx:        newRelaxer(betas),
-		betas:     betas,
-		prune:     !pruneOff,
-		f0:        floats[d : 2*d : 2*d],
-		zmax:      floats[2*d : 3*d : 3*d],
-		rate:      floats[3*d : 4*d : 4*d],
-		quad:      floats[4*d : 5*d : 5*d],
-		coef:      floats[5*d:],
-		cfg:       ints[d : 2*d : 2*d],
-		start:     ints[2*d : 3*d : 3*d],
-		cand:      ints[3*d:],
-	}, nil
+	p := &PrefixTracker{
+		rx:    newRelaxer(betas),
+		betas: betas,
+		prune: !pruneOff,
+		f0:    floats[d : 2*d : 2*d],
+		zmax:  floats[2*d : 3*d : 3*d],
+		rate:  floats[3*d : 4*d : 4*d],
+		quad:  floats[4*d : 5*d : 5*d],
+		coef:  floats[5*d:],
+		cfg:   ints[:d:d],
+		start: ints[d : 2*d : 2*d],
+		cand:  ints[4*d:],
+	}
+	p.init(types, opts, ints[2*d:4*d])
+	return p, nil
 }
 
 // T returns the number of slots processed so far.
@@ -143,7 +142,7 @@ func (p *PrefixTracker) Advance() (model.Config, float64) {
 }
 
 // next is Advance returning tracker-owned scratch, valid until the next
-// step. The slot's costs are left to the accumulator, which resolves the
+// step. The slot's costs are left to the front end, which resolves the
 // bound instance's profiles at the slot's absolute index.
 func (p *PrefixTracker) next() (model.Config, float64) {
 	if p.src == nil || p.Done() {
@@ -178,10 +177,11 @@ const (
 	trackerStateVersion = 1
 )
 
-// Seek positions a fresh tracker after slot t without its input
-// (model.Accumulator.Seek), for a caller that restores a state covering
+// Seek positions a fresh tracker after slot t without its input, dropping
+// the slot it held: the next Push is slot t+1, its costs resolved at that
+// absolute index. It serves a caller that restores a state covering
 // exactly t slots next (RestoreState).
-func (p *PrefixTracker) Seek(t int) { p.acc.Seek(t) }
+func (p *PrefixTracker) Seek(t int) { p.fed, p.cur.T = t, 0 }
 
 // AppendState appends the tracker's DP state to dst: the number of
 // slots processed, the counts the current lattice was built for and the
@@ -221,8 +221,8 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("solver: tracker state: %w", err)
 	}
-	if t != p.acc.T() {
-		return fmt.Errorf("solver: tracker state covers %d slots, the instance holds %d: %w", t, p.acc.T(), statebuf.ErrMalformed)
+	if t != p.fed {
+		return fmt.Errorf("solver: tracker state covers %d slots, the tracker was positioned after %d: %w", t, p.fed, statebuf.ErrMalformed)
 	}
 	if t == 0 {
 		if len(counts) != 0 || len(layer) != 0 {
@@ -230,8 +230,8 @@ func (p *PrefixTracker) RestoreState(state []byte) error {
 		}
 		return nil
 	}
-	if cells, ok := latticeCells(counts, p.gamma, len(layer)); !ok || len(counts) != p.ins.D() || cells != len(layer) {
-		return fmt.Errorf("solver: tracker state counts %v do not fit a %d-type fleet with a %d-cell layer: %w", counts, p.ins.D(), len(layer), statebuf.ErrMalformed)
+	if cells, ok := latticeCells(counts, p.gamma, len(layer)); !ok || len(counts) != len(p.fleet) || cells != len(layer) {
+		return fmt.Errorf("solver: tracker state counts %v do not fit a %d-type fleet with a %d-cell layer: %w", counts, len(p.fleet), len(layer), statebuf.ErrMalformed)
 	}
 	p.t, p.layer, p.curCounts = t, layer, counts
 	_, p.opt = argmin(layer)
@@ -332,11 +332,10 @@ func (p *PrefixTracker) step() (model.Config, float64) {
 	} else {
 		layer = p.rx.relax(p.layer, p.prevGrid, g, p.grow(&p.spare, g.Size()))
 	}
-	// The accumulator holds the slot as slot 1. A whole g-layer is added
-	// to every cell; its prune pass would solve nothing, so it waits for
-	// AppendState (settle).
+	// A whole g-layer is added to every cell; its prune pass would solve
+	// nothing, so it waits for AppendState (settle).
 	prune := p.t > 1 && p.prevGrid == g && p.floors()
-	full := p.le.begin(len(layer), 1, g, !prune)
+	full := p.le.begin(len(layer), g, !prune)
 	if full == nil {
 		p.prunedStep(layer, g, nil)
 	} else {
@@ -376,8 +375,8 @@ func (p *PrefixTracker) OptRange() (lo, hi model.Config) {
 			hiIdx = i
 		}
 	}
-	lo = make(model.Config, p.ins.D())
-	hi = make(model.Config, p.ins.D())
+	lo = make(model.Config, len(p.fleet))
+	hi = make(model.Config, len(p.fleet))
 	g.Decode(loIdx, lo)
 	g.Decode(hiIdx, hi)
 	return lo, hi
@@ -405,7 +404,12 @@ func (p *PrefixTracker) G(x model.Config) (g float64, ok bool) {
 // Held returns the number of slot inputs the tracker keeps resident: at
 // most one, the slot it evaluated last. A bound instance is read in
 // place, not held.
-func (p *PrefixTracker) Held() int { return p.ins.T() }
+func (p *PrefixTracker) Held() int {
+	if p.cur.T == 0 {
+		return 0
+	}
+	return 1
+}
 
 // Lattice returns the lattice used at the current slot; it is only valid
 // after the first Advance/Push.

@@ -8,10 +8,10 @@ import (
 )
 
 // held counts the slot inputs a session keeps resident besides its
-// replay log: its accumulator's, its buffered window's and its own
+// replay log: the slot it is feeding, its buffered window's and its own
 // telemetry tracker's.
 func held(s *Session) int {
-	n := s.acc.Instance().T() + len(s.window)
+	n := min(s.fed, 1) + len(s.window)
 	if s.ownsTel() {
 		n += s.tel.Held()
 	}

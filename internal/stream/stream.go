@@ -170,7 +170,6 @@ type Session struct {
 	name       string
 	tag        string // checkpoint identifier (registry key or display name)
 	fleet      []model.ServerType
-	acc        *model.Accumulator    // validates and resolves the newest fed slot
 	eval       *model.Evaluator      // solves the costs no tracker layer holds
 	tel        *solver.PrefixTracker // telemetry tracker: algTracker or the session's own
 	algTracker *solver.PrefixTracker // the algorithm's tracker, when it decides each slot as fed
@@ -185,7 +184,7 @@ type Session struct {
 	swSum   float64
 	optCost float64
 	log     Log               // the replay log past base
-	scratch model.SlotInput   // slot being fed (filled by Push)
+	scratch model.SlotInput   // slot being fed, resolved (filled by Push)
 	window  []model.SlotInput // a buffered algorithm's undecided slots, oldest first (deep copies)
 
 	stateSize int // size of the state the session was restored from, if any
@@ -197,7 +196,7 @@ func New(alg core.Online, types []model.ServerType, opts Options) (*Session, err
 	if alg == nil {
 		return nil, fmt.Errorf("stream: nil algorithm")
 	}
-	acc, err := model.NewAccumulator(types)
+	err := model.ValidateFleet(types)
 	if err != nil {
 		return nil, err
 	}
@@ -206,13 +205,13 @@ func New(alg core.Online, types []model.ServerType, opts Options) (*Session, err
 		tag = alg.Name()
 	}
 	_, buffered := alg.(core.Buffered)
+	fleet := append([]model.ServerType(nil), types...)
 	s := &Session{
 		alg:      alg,
 		name:     alg.Name(),
 		tag:      tag,
-		fleet:    append([]model.ServerType(nil), types...),
-		acc:      acc,
-		eval:     model.NewEvaluator(acc.Instance()), // only its fleet template is read
+		fleet:    fleet,
+		eval:     model.NewEvaluator(&model.Instance{Types: fleet}),
 		buffered: buffered,
 		prev:     make(model.Config, len(types)),
 	}
@@ -264,13 +263,14 @@ func (s *Session) CumCost() float64 { return s.opSum.Sum() + s.swSum }
 
 // Check reports the error Push would return for in before the algorithm
 // sees it — a failed session, a slot out of order or one the fleet
-// refuses (model.Accumulator.Check) — changing nothing. A slot it
-// accepts can still fail the algorithm.
+// refuses as the next slot (model.CheckSlot) — changing nothing. A slot
+// it accepts can still fail the algorithm. Every tracker and layer the
+// session feeds checks the slot again, against its own count of slots.
 func (s *Session) Check(in model.SlotInput) error {
 	if err := s.takes(in); err != nil {
 		return err
 	}
-	return s.acc.Check(in)
+	return model.CheckSlot(s.fleet, s.fed+1, in)
 }
 
 // takes reports a failed session or a slot out of order.
@@ -300,7 +300,7 @@ func (s *Session) Push(in model.SlotInput, adv *Advisory) (decided bool, err err
 // push is Push, appending the slot to the replay log only when logged
 // is set: Resume adopts its checkpoint's log instead.
 func (s *Session) push(in model.SlotInput, adv *Advisory, logged bool) (decided bool, err error) {
-	if err := s.takes(in); err != nil {
+	if err := s.Check(in); err != nil {
 		return false, err
 	}
 	defer func() {
@@ -309,18 +309,17 @@ func (s *Session) push(in model.SlotInput, adv *Advisory, logged bool) (decided 
 			decided, err = false, s.failed
 		}
 	}()
-	if err := s.acc.Push(in); err != nil {
-		return false, err
-	}
-	s.fed++
 
-	// Hand the algorithm the fully-resolved slot view. The replay log is
-	// appended only after Step succeeds, so a checkpoint taken from a
-	// failed session still replays cleanly up to the last good slot.
-	s.acc.Newest(&s.scratch)
+	// Hand the algorithm the slot resolved once, at its absolute index:
+	// everything it feeds copies it without resolving it again. The
+	// replay log is appended only after Step succeeds, so a checkpoint
+	// taken from a failed session still replays cleanly up to the last
+	// good slot.
+	model.ResolveSlot(s.fleet, s.fed+1, in, &s.scratch)
+	s.fed++
 	if s.buffered {
 		var w model.SlotInput
-		s.acc.Newest(&w)
+		model.ResolveSlot(s.fleet, s.fed, s.scratch, &w)
 		s.window = append(s.window, w)
 	}
 	x := s.alg.Step(s.scratch)
@@ -422,7 +421,7 @@ func (s *Session) record(x model.Config, adv *Advisory) {
 		// produces.
 		if s.ownsTel() {
 			if _, _, err := s.tel.Push(in); err != nil {
-				// The accumulator accepted the slot, so the tracker must too.
+				// The session checked the slot, so the tracker must take it.
 				panic("stream: telemetry tracker rejected a validated slot: " + err.Error())
 			}
 		}
@@ -658,9 +657,9 @@ func StateFed(state []byte) (int, error) {
 // RestoreFromState rebuilds a session from the state its session saved
 // with AppendState, for a caller that keeps the replay log the state
 // covers and has made sure the state belongs to it: nothing ties the
-// two together here. The session's accumulators and trackers are
-// positioned past the covered slots without their inputs (their next
-// slot resolves costs at its absolute index), and its log starts empty
+// two together here. The session and its trackers are positioned past
+// the covered slots without their inputs (their next slot resolves
+// costs at its absolute index), and its log starts empty
 // with LogBase at the restored fed count. The result continues
 // bit-identically to the session Resume replays from the whole log.
 // alg must be freshly constructed and have a state codec
@@ -686,7 +685,6 @@ func RestoreFromState(alg core.Online, types []model.ServerType, opts Options, s
 	if s.ownsTel() != (len(st.opt) > 0) {
 		return nil, fmt.Errorf("stream: state and session disagree on a telemetry tracker: %w", statebuf.ErrMalformed)
 	}
-	s.acc.Seek(st.fed)
 	sn.Seek(st.fed)
 	if err := sn.RestoreState(st.alg); err != nil {
 		return nil, err

@@ -100,7 +100,7 @@ type Options struct {
 	// Sync is the fsync policy (default SyncAlways).
 	Sync SyncPolicy
 	// SyncInterval is the maximum time between fsyncs under
-	// SyncInterval (default 100ms).
+	// SyncInterval (default DefaultSyncInterval).
 	SyncInterval time.Duration
 	// Now substitutes the clock for interval-policy tests (default
 	// time.Now).
@@ -124,11 +124,17 @@ func (o *Options) open(path string) (File, error) {
 	return os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 }
 
-func (o *Options) interval() time.Duration {
+// DefaultSyncInterval is SyncInterval's cadence when Options leave it
+// unset.
+const DefaultSyncInterval = 100 * time.Millisecond
+
+// Interval returns the cadence of the SyncInterval policy: SyncInterval,
+// or DefaultSyncInterval when it is not positive.
+func (o *Options) Interval() time.Duration {
 	if o.SyncInterval > 0 {
 		return o.SyncInterval
 	}
-	return 100 * time.Millisecond
+	return DefaultSyncInterval
 }
 
 // ScanStats reports what opening a log found.
@@ -279,7 +285,7 @@ func (l *Log) Append(rec model.SlotInput) (synced bool, err error) {
 		err = l.Sync()
 		synced = err == nil
 	case SyncInterval:
-		if l.opts.now().Sub(l.lastSync) >= l.opts.interval() {
+		if l.opts.now().Sub(l.lastSync) >= l.opts.Interval() {
 			err = l.Sync()
 			synced = err == nil
 		}
