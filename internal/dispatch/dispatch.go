@@ -48,12 +48,22 @@
 // rounded to cell edges close a linear piece in two sums, and an ITP-style
 // projection towards the midpoint bounds the steps on any other. Since
 // the volume is monotone, a bracket inside one cell is that cell: no sum
-// at its edges is needed. On the heterogeneous fleet's 11×7×4 lattice
-// a dense walk, every cell in lattice order, averages about two volume
-// sums per cell (TestDualSearchWork) and 3.6 per dual solve under a
-// diurnal trace. A prefix tracker's memo-miss layer solves only the
-// cells its prune pass keeps, so successive solves lie farther apart:
-// 5.3 sums per dual solve on the same trace.
+// at its edges is needed.
+//
+// When every active type is a step or a quadratic with Coef > 0, the
+// volume is piecewise linear in ν, so the crossing and with it hi and
+// the cell follow in closed form from a walk over the sorted σ_j; two
+// sums at the cell's edges then prove the cell, and the search runs only
+// when they do not (predictDual). Such fleets pay the same two sums
+// wherever the previous solve left the warm start. On the heterogeneous
+// fleet's 11×7×4 lattice a dense walk, every cell in lattice order,
+// averages about one volume sum per cell (TestDualSearchWork) and 1.8
+// per dual solve under a diurnal trace. A prefix tracker's memo-miss
+// layer solves only the cells its prune pass keeps, so successive
+// solves lie farther apart, which costs the search but not the
+// prediction: 2.1 sums per dual solve on the same trace, against 5.3
+// for the search alone. TestPrunedWalkDualWork gates a walk that
+// solves one lattice cell in five.
 //
 // # Per-slot type tables
 //
@@ -348,6 +358,10 @@ type plan struct {
 	// multiplier thr and their whole capacity from it on: a step.
 	step bool
 	thr  float64
+	// closed marks a plan whose volume is piecewise linear in ν with its
+	// only breakpoint at a finite σ: a step, or a quadratic with Coef > 0.
+	// A cell of closed plans predicts its dual cell (predictDual).
+	closed bool
 
 	con  costfn.Constant
 	aff  costfn.Affine
@@ -406,6 +420,8 @@ func (p *plan) resolve(s Server) {
 	if p.kind != planOpaque {
 		p.sigma = s.F.(costfn.Differentiable).Deriv(s.Cap)
 	}
+	finite := !math.IsNaN(p.sigma) && !math.IsInf(p.sigma, 0)
+	p.closed = finite && (p.step || p.kind == planQuadratic && p.c2 > 0)
 }
 
 // value returns f_j(z).
@@ -499,6 +515,9 @@ var maxDualHi = math.Ldexp(1, 200)
 // available and always lands on the same answer as a cold solve: the
 // midpoint of the dyadic cell where Σ y_j(ν) crosses lambda.
 func (sv *Solver) solveDual(lambda float64) float64 {
+	if nu, ok := sv.predictDual(lambda); ok {
+		return nu
+	}
 	warm := sv.warm
 	if sv.opaque {
 		// Golden-section-evaluated totals jitter non-monotonically at the
@@ -637,6 +656,79 @@ func (sv *Solver) solveDual(lambda float64) float64 {
 	}
 	sv.warm = Warm{Hi: hi, Nu: nu}
 	return nu
+}
+
+// predictDual is solveDual's fast path for a cell whose active types are
+// all closed plans (steps and quadratics with Coef > 0). Their absorbed
+// volume is V(ν) = base + slope·ν between consecutive σ_j: base holds the
+// stepped-on capacity and the saturated quadratics, slope Σ x_j/(2·Coef_j)
+// over the others. Walking the σ_j in ascending order finds, with no
+// volume sum, where V crosses lambda: a root inside a piece, or a step's
+// jump. That point gives hi, the smallest power of two at or above it
+// (at least 1), and the dyadic cell [k·h, (k+1)·h] holding it. Two sums
+// then check the cell: the total is monotone, so total(k·h) < lambda <
+// total((k+1)·h) with k·h ≥ hi/2 (or hi = 1) proves that total(0) <
+// lambda, that hi is the smallest bracket, that total(hi) exceeds lambda
+// (no exact hit, whose answer is hi) and that the reference bisection of
+// [0, hi] ends on this cell. A total that reaches lambda exactly at
+// (k+1)·h may stay flat up to hi, so it does not pass. ok is false for
+// any other fleet, a crossing at ν ≤ 0 or past maxDualHi/4, and a failed
+// check; the search then runs as before.
+func (sv *Solver) predictDual(lambda float64) (nu float64, ok bool) {
+	base, slope := 0.0, 0.0
+	for _, j := range sv.active {
+		p := &sv.types[j]
+		if !p.closed {
+			return 0, false
+		}
+		if !p.step {
+			slope += p.x / p.c2
+		}
+	}
+	root, jump := 0.0, false
+	for _, j := range sv.order {
+		p := &sv.types[j]
+		if !p.on {
+			continue
+		}
+		s := p.sigma
+		if s > 0 && base+slope*s >= lambda {
+			break // the crossing is on the piece below s
+		}
+		base += p.cap
+		if !p.step {
+			slope -= p.x / p.c2
+		} else if base+slope*math.Max(s, 0) >= lambda {
+			root, jump = s, true
+			break
+		}
+	}
+	if !jump {
+		root = (lambda - base) / slope
+	}
+	if !(root > 0 && root <= maxDualHi/4) {
+		return 0, false
+	}
+	frac, exp := math.Frexp(root) // root = frac·2^exp, frac in [1/2, 1)
+	hi := math.Max(math.Ldexp(1, exp), 1)
+	if frac == 0.5 && root >= 1 {
+		hi = root
+	}
+	h := hi / dualCells
+	k := math.Floor(root / h)
+	if jump {
+		k = math.Ceil(root/h) - 1 // V jumps at root: the cell ends there
+	}
+	a := k * h
+	if k >= dualCells || hi > 1 && a < hi/2 || sv.total(a) >= lambda {
+		return 0, false
+	}
+	if !(sv.total(a+h) > lambda) {
+		return 0, false // a total flat at lambda up to hi is an exact hit
+	}
+	nu = (k + 0.5) * h
+	sv.warm = Warm{Hi: hi, Nu: nu}
+	return nu, true
 }
 
 // breakpoints returns the active types' saturation multipliers strictly

@@ -53,8 +53,8 @@ func layerSweep(memo bool) func() {
 
 // layerEvalRatio is BenchmarkLayerEval's wall-time gate (see
 // perfref.Gate): ns/op over the reference task's, recorded on a 2-vCPU
-// Xeon @ 2.1 GHz, Go 1.24, 2026-10-18.
-const layerEvalRatio = 0.714
+// Xeon @ 2.1 GHz, Go 1.24, 2026-10-21.
+const layerEvalRatio = 0.509
 
 // BenchmarkLayerEval measures the raw warm-started sweep (memo off: every
 // cell of every slot is solved).

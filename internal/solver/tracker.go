@@ -273,12 +273,12 @@ func latticeCells(counts []int, gamma float64, limit int) (cells int, ok bool) {
 
 // MaxLatticeCells is the largest exact lattice, Π_j (m_j + 1) cells, a
 // serving tier accepts for a fleet. A stream tracker on the pruned path
-// costs 55–100 ns of thread CPU per cell on a memo-miss push (the most
-// on the smallest lattice) and holds ≈ 70 B per cell (layer buffers,
+// costs 57–87 ns of thread CPU per cell on a memo-miss push (the most
+// on the smaller lattices) and holds ≈ 70 B per cell (layer buffers,
 // g-layer and relax scratch), measured on a 2-vCPU Xeon @ 2.1 GHz with
 // the heterogeneous fleet's types at 1, 2, 4 and 6 times its counts,
 // 308 to 42 883 cells, under fresh demand. So a session at the budget
-// costs ≈ 15–26 ms a push and ≈ 18 MB resident. Every registered
+// costs ≈ 15–23 ms a push and ≈ 18 MB resident. Every registered
 // algorithm's push is linear in the lattice; the costliest, receding
 // horizon (w = 3), took 27–29 ms a memo-miss push at 2^16 cells against
 // alg-b's 7–9 ms when a prune pass bounded with LB alone, and holds
